@@ -2,23 +2,58 @@
 substitution matrix.
 
 A NumberField holds a monic irreducible integer minimal polynomial and a
-shrinking rational interval that isolates its dominant real root beta > 1.
-Field elements are rational coordinate vectors in the power basis
-1, beta, ..., beta^(n-1).  Signs of nonzero elements are certified by
-rational interval arithmetic: evaluate the coordinate polynomial on the
-isolating interval and bisect the interval until zero is excluded.  The
-Pisot test counts conjugates in the open unit disk exactly, by a winding
-number computed from signed remainder sequences; roots on the unit circle
-are detected through the reciprocal-polynomial criterion.  No verdict in
-this module ever depends on a float.
+shrinking rational interval [lo, hi] that isolates its dominant real root
+beta > 1.  Field elements are coordinate vectors in the power basis
+1, beta, ..., beta^(n-1).  Coordinates are in a normal form: an integral
+coordinate is an int and only a coordinate with a denominator is a
+Fraction.  Since an int and the equal Fraction compare and hash alike,
+the form changes no equality, ordering or dictionary key; it keeps the
+hot additions and subtractions in integer arithmetic.
+
+Signs of nonzero elements are certified in two stages, filter then exact.
+
+* Fixed-point filter.  Since lo > 1, lo^k <= beta^k <= hi^k for every
+  k >= 0.  Rounding outward, L_k = floor(2^P lo^k) and
+  H_k = ceil(2^P hi^k) are integers with L_k <= 2^P beta^k <= H_k
+  (P = FILTER_BITS).  Scaled by the lcm of its denominators, an element
+  has integer coordinates a_k, and 2^P times its value lies between
+  sum a_k (L_k if a_k > 0 else H_k) and sum a_k (H_k if a_k > 0 else L_k).
+  A lower sum above zero or an upper sum below zero is the sign.  The
+  table of L_k and H_k is cached per refinement generation, and the
+  filter never refines the interval.
+* Exact route.  When the filter cannot decide, the coordinate polynomial
+  is evaluated in rational interval arithmetic on [lo, hi], and the
+  interval is bisected until the enclosure excludes zero.
+
+Both stages compute with int and Fraction values only, and neither has
+a tolerance.  The Pisot test counts conjugates in the open unit disk
+exactly, by a winding number computed from signed remainder sequences;
+roots on the unit circle are detected through the reciprocal-polynomial
+criterion.  Every verdict of this module is decided in exact arithmetic.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
 
 from . import polys
 from .errors import FactorizationFailed
+
+# Fixed-point scale of the sign filter: beta^k is enclosed by integers
+# over 2^FILTER_BITS.  The rounding error is far below the 2^-20 interval
+# width every analysis works at, so the width alone limits the filter.
+FILTER_BITS = 64
+
+
+def _canon(x):
+    """x as an int when it is integral, else as a Fraction."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 class RatInterval:
@@ -104,6 +139,8 @@ class NumberField:
         self._lo = Fraction(lo)
         self._hi = Fraction(hi)
         self.generation = 0
+        self._filter_table = None
+        self._filter_gen = -1
         if self.degree == 1:
             # beta is the integer -minpoly[0]; pin the interval to it.
             root = Fraction(-self.minpoly[0])
@@ -117,12 +154,12 @@ class NumberField:
         # rows: coordinates of beta^(degree+j) for j = 0..degree-2
         table = []
         if self.degree >= 2:
-            base = [Fraction(-c) for c in self.minpoly[:-1]]
+            base = [-c for c in self.minpoly[:-1]]
             table.append(base)
             row = base
             for _ in range(self.degree - 2):
                 overflow = row[-1]
-                row = [Fraction(0)] + row[:-1]
+                row = [0] + row[:-1]
                 if overflow:
                     row = [a + overflow * b for a, b in zip(row, base)]
                 table.append(row)
@@ -151,13 +188,53 @@ class NumberField:
         while self._hi - self._lo > width:
             self._refine_once()
 
+    def _fixed_point_table(self):
+        """(L, H) with L[k] <= 2^FILTER_BITS * beta^k <= H[k] for
+        k < degree, from the current interval; rebuilt per generation."""
+        if self._filter_gen != self.generation:
+            scale = 1 << FILTER_BITS
+            lows, highs = [], []
+            lo_pow = hi_pow = Fraction(1)
+            for _ in range(self.degree):
+                lows.append(math.floor(scale * lo_pow))
+                highs.append(math.ceil(scale * hi_pow))
+                lo_pow *= self._lo
+                hi_pow *= self._hi
+            self._filter_table = (tuple(lows), tuple(highs))
+            self._filter_gen = self.generation
+        return self._filter_table
+
+    def filter_sign(self, coords):
+        """Sign of sum coords[k] * beta^k when the fixed-point table
+        decides it, else 0.  Integer arithmetic only; never refines."""
+        denom = 1
+        for c in coords:
+            if type(c) is not int:
+                denom = math.lcm(denom, c.denominator)
+        lows, highs = self._fixed_point_table()
+        lower = upper = 0
+        for c, low, high in zip(coords, lows, highs):
+            if c:
+                a = c if denom == 1 else c.numerator * (denom // c.denominator)
+                if a > 0:
+                    lower += a * low
+                    upper += a * high
+                else:
+                    lower += a * high
+                    upper += a * low
+        if lower > 0:
+            return 1
+        if upper < 0:
+            return -1
+        return 0
+
     # -- element constructors ------------------------------------------
 
     def element(self, coords):
-        coords = [Fraction(c) for c in coords]
+        coords = [_canon(c) for c in coords]
         if len(coords) > self.degree:
             raise ValueError("coordinate vector longer than field degree")
-        coords += [Fraction(0)] * (self.degree - len(coords))
+        coords += [0] * (self.degree - len(coords))
         return FieldElem(self, tuple(coords))
 
     def zero(self):
@@ -167,7 +244,7 @@ class NumberField:
         return self.element([1])
 
     def rational(self, value):
-        return self.element([Fraction(value)])
+        return self.element([value])
 
     def beta(self):
         if self.degree == 1:
@@ -177,13 +254,13 @@ class NumberField:
     def _reduce(self, coords):
         """Reduce a coordinate list of length <= 2*degree-1 mod minpoly."""
         n = self.degree
-        out = list(coords[:n]) + [Fraction(0)] * max(0, n - len(coords))
+        out = list(coords[:n]) + [0] * max(0, n - len(coords))
         for j, c in enumerate(coords[n:]):
             if c:
                 row = self._reduction_rows[j]
                 for t in range(n):
                     out[t] += c * row[t]
-        return tuple(out)
+        return tuple(map(_canon, out))
 
     def __repr__(self):
         return f"NumberField(minpoly={list(self.minpoly)})"
@@ -196,7 +273,8 @@ class NumberField:
 
 
 class FieldElem:
-    """Element of Q(beta) as a rational vector in the power basis."""
+    """Element of Q(beta) as a rational vector in the power basis, each
+    coordinate an int when integral and a Fraction otherwise."""
 
     __slots__ = ("field", "coords", "_ivl", "_ivl_gen")
 
@@ -211,7 +289,7 @@ class FieldElem:
 
     def _coerce(self, other):
         if isinstance(other, FieldElem):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise ValueError("elements of different fields")
             return other
         if isinstance(other, (int, Fraction)):
@@ -222,8 +300,8 @@ class FieldElem:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return FieldElem(self.field, tuple(a + b for a, b in
-                                           zip(self.coords, other.coords)))
+        return FieldElem(self.field, tuple(map(
+            _canon, map(operator.add, self.coords, other.coords))))
 
     __radd__ = __add__
 
@@ -234,20 +312,21 @@ class FieldElem:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return FieldElem(self.field, tuple(a - b for a, b in
-                                           zip(self.coords, other.coords)))
+        return FieldElem(self.field, tuple(map(
+            _canon, map(operator.sub, self.coords, other.coords))))
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return FieldElem(self.field, tuple(a * other for a in self.coords))
+            return FieldElem(self.field,
+                             tuple(_canon(a * other) for a in self.coords))
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         n = self.field.degree
-        prod = [Fraction(0)] * (2 * n - 1)
+        prod = [0] * (2 * n - 1)
         for i, a in enumerate(self.coords):
             if a:
                 for j, b in enumerate(other.coords):
@@ -309,7 +388,7 @@ class FieldElem:
     def as_fraction(self):
         if not self.is_rational():
             raise ValueError("element is irrational")
-        return self.coords[0]
+        return Fraction(self.coords[0])
 
     def interval(self):
         """Enclosing rational interval, cached per refinement generation."""
@@ -332,7 +411,8 @@ class FieldElem:
     def sign(self):
         """-1, 0, or +1, certified.
 
-        Zero is a coordinate test.  Otherwise the enclosing interval is
+        Zero is a coordinate test.  Otherwise the fixed-point filter is
+        tried first, and when it cannot decide the enclosing interval is
         refined until it excludes zero, which terminates because a nonzero
         vector of degree < n cannot vanish at a root of an irreducible
         polynomial of degree n.
@@ -341,6 +421,10 @@ class FieldElem:
             return 0
         if self.is_rational():
             return 1 if self.coords[0] > 0 else -1
+        return self.field.filter_sign(self.coords) or self._interval_sign()
+
+    def _interval_sign(self):
+        """Sign of a nonzero element by interval evaluation and refinement."""
         for _ in range(10_000):
             s = self.interval().sign()
             if s is not None and s != 0:
@@ -369,23 +453,6 @@ class FieldElem:
 
     def __ge__(self, other):
         return (self - other).sign() >= 0
-
-
-def arith(a, b, op):
-    """Dispatch helper mirroring the arithmetic contract."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def sign(a: FieldElem) -> int:
-    return a.sign()
 
 
 # ---------------------------------------------------------------------------

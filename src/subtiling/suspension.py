@@ -19,16 +19,20 @@ from .words import DEFAULT_WORD_CAP, Substitution
 
 
 def _solve_kernel(rows, field):
-    """One-dimensional kernel of a square matrix over the field.
+    """Spanning vector of the one-dimensional kernel of a matrix over the
+    field, with a one at its free column.
 
-    Gaussian elimination with exact pivoting; raises EigenvectorDefect
-    unless the kernel has dimension exactly one.
+    Gauss-Jordan elimination with exact pivoting; raises EigenvectorDefect
+    unless the kernel has dimension exactly one.  It also solves a square
+    system A x = b with a unique solution: that is the kernel of the
+    augmented matrix [A | -b], and its free column is the last one.
     """
     m = len(rows)
+    width = len(rows[0])
     mat = [list(row) for row in rows]
     pivots = {}
     r = 0
-    for col in range(m):
+    for col in range(width):
         pivot = None
         for i in range(r, m):
             if not mat[i][col].is_zero():
@@ -45,39 +49,17 @@ def _solve_kernel(rows, field):
                 mat[i] = [x - factor * y for x, y in zip(mat[i], mat[r])]
         pivots[col] = r
         r += 1
-    free = [c for c in range(m) if c not in pivots]
+    free = [c for c in range(width) if c not in pivots]
     if len(free) != 1:
         raise EigenvectorDefect(
             f"kernel dimension {len(free)} (expected 1)"
         )
     fc = free[0]
-    vec = [field.zero()] * m
+    vec = [field.zero()] * width
     vec[fc] = field.one()
     for col, row in pivots.items():
         vec[col] = -mat[row][fc]
     return vec
-
-
-def _solve_linear(rows, rhs, field):
-    """Solve a square linear system with a unique solution over the field."""
-    m = len(rows)
-    mat = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
-    for col in range(m):
-        pivot = None
-        for i in range(col, m):
-            if not mat[i][col].is_zero():
-                pivot = i
-                break
-        if pivot is None:
-            raise EigenvectorDefect("singular system")
-        mat[col], mat[pivot] = mat[pivot], mat[col]
-        inv = mat[col][col].inverse()
-        mat[col] = [x * inv for x in mat[col]]
-        for i in range(m):
-            if i != col and not mat[i][col].is_zero():
-                factor = mat[i][col]
-                mat[i] = [x - factor * y for x, y in zip(mat[i], mat[col])]
-    return [mat[i][m] for i in range(m)]
 
 
 def prototile_lengths(sub: Substitution, field: algebraic.NumberField):
@@ -298,8 +280,11 @@ def control_points(system: SuspensionSystem, tile_map):
         row[j] = row[j] + beta
         g = targets[j] - 1
         row[g] = row[g] - field.one()
-        rows.append(row)
-    return tuple(_solve_linear(rows, offsets, field))
+        rows.append(row + [-offsets[j]])
+    vec = _solve_kernel(rows, field)
+    if vec[-1].is_zero():
+        raise EigenvectorDefect("singular system")
+    return tuple(vec[:-1])
 
 
 def left_endpoint_points(system: SuspensionSystem):

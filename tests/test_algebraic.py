@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from subtiling import algebraic as A
@@ -176,3 +176,73 @@ def test_interval_arithmetic():
     assert a.sign() == 1 and b.sign() == -1
     assert A.RatInterval(-1, 1).sign() is None
     assert A.RatInterval(0, 0).sign() == 0
+
+
+RAUZY_MINPOLY = [-1, -1, -1, 1]
+
+filter_coord = st.one_of(
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.fractions(min_value=-64, max_value=64, max_denominator=16),
+)
+
+
+def beta_near(minpoly):
+    field = field_from(minpoly)
+    field.ensure_width(Fraction(1, 1 << 80))
+    return field.interval().lo
+
+
+@pytest.mark.parametrize("minpoly", [[-1, -1, 1], RAUZY_MINPOLY],
+                         ids=["golden", "rauzy"])
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_filter_sign_agrees_with_interval_route(minpoly, data):
+    field = field_from(minpoly)
+    n = field.degree
+    coords = data.draw(st.lists(filter_coord, min_size=n, max_size=n))
+    if data.draw(st.booleans()):
+        # shift the value to within about 1/2 of zero, where the filter
+        # often has to defer
+        beta = beta_near(minpoly)
+        coords[0] -= round(sum(c * beta ** k for k, c in enumerate(coords)))
+    field.ensure_width(Fraction(1, 2 ** data.draw(st.integers(0, 40))))
+    x = field.element(coords)
+    assume(not x.is_zero())
+    decided = field.filter_sign(x.coords)
+    if decided:
+        assert decided == x._interval_sign()
+
+
+def test_filter_decides_without_refining():
+    field = field_from([-1, -1, 1])
+    field.ensure_width(Fraction(1, 1 << 20))
+    before = field.generation
+    for coords, expected in (([-16, 10], 1), ([1, -1], -1),
+                             ([Fraction(-1, 3), Fraction(1, 5)], -1)):
+        assert field.filter_sign(field.element(coords).coords) == expected
+        assert field.element(coords).sign() == expected
+    assert field.generation == before
+
+
+def test_filter_defers_below_its_resolution():
+    # F31 - F30*beta = psi^30, about 5.4e-7: far inside the filter's error
+    # at width 2^-20, so only the refining route can decide it.
+    field = field_from([-1, -1, 1])
+    field.ensure_width(Fraction(1, 1 << 20))
+    x = field.element([1346269, -832040])
+    assert field.filter_sign(x.coords) == 0
+    before = field.generation
+    assert x.sign() == 1
+    assert field.generation > before
+
+
+def test_integral_coordinates_are_ints():
+    a, b = PHI.element([Fraction(3)]), PHI.element([3])
+    assert a == b and hash(a) == hash(b)
+    assert type(a.coords[0]) is int
+    half = PHI.element([Fraction(1, 2), Fraction(3, 2)])
+    other = PHI.element([Fraction(-1, 2), Fraction(1, 2)])
+    for value in (half + half, half - other, half * 2,
+                  half * PHI.element([2]), half * half * 16):
+        assert all(type(c) is int for c in value.coords), value
+    assert (half * half).coords == (Fraction(5, 2), Fraction(15, 4))

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +9,8 @@ from subtiling import cli
 from subtiling.errors import SpecSyntaxError, UnknownCorpusEntry
 
 from conftest import report_for
+
+FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
 
 
 def run_cli(argv):
@@ -82,6 +85,14 @@ def test_reports_are_byte_stable():
     a = json.dumps(cli.run_analysis(spec), indent=2)
     b = json.dumps(cli.run_analysis(cli.corpus_lookup("fibonacci")), indent=2)
     assert a == b
+
+
+@pytest.mark.parametrize("name", ["thue-morse", "fibonacci", "rauzy2-gamma"])
+def test_reports_match_committed_fixtures(name):
+    # degree 1, degree 2, and degree 3 with a tile map
+    fixture = FIXTURES / f"{name}.json"
+    text = json.dumps(cli.run_analysis(cli.corpus_lookup(name)), indent=2)
+    assert text + "\n" == fixture.read_text(encoding="utf-8")
 
 
 def test_analyze_exit_codes():
