@@ -4,7 +4,7 @@ one-dimensional substitution tilings."""
 __version__ = "0.1.0"
 
 from .algebraic import FieldElem, NumberField, RatInterval, char_poly, \
-    is_irreducible, is_pisot, perron_factor
+    is_pisot, perron_factor
 from .coincidence import (
     BoundedVerdict,
     CoincidenceWitness,
@@ -23,6 +23,7 @@ from .lattices import (
     module_from,
     quotient,
 )
+from .polys import is_irreducible
 from .spectrum import (
     OverlapClass,
     SpectralHalf,

@@ -122,11 +122,6 @@ def char_poly(matrix):
     return out
 
 
-def is_irreducible(p, degree_cap=polys.DEFAULT_DEGREE_CAP):
-    """Irreducibility of an integer polynomial over Q."""
-    return polys.is_irreducible(p, degree_cap=degree_cap)
-
-
 class NumberField:
     """Q(beta) with beta > 1 the isolated dominant real root of minpoly."""
 

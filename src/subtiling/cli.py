@@ -26,7 +26,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import __version__
-from . import algebraic, coincidence, lattices, spectrum, suspension, words
+from . import (algebraic, coincidence, lattices, polys, spectrum,
+               suspension, words)
 from .errors import (
     SpecSyntaxError,
     SubtilingError,
@@ -386,7 +387,7 @@ def run_analysis(spec: SpecFile, bounds: Bounds | None = None,
     cp = algebraic.char_poly(matrix)
     facts["characteristic_polynomial"] = cp
     try:
-        facts["characteristic_irreducible"] = algebraic.is_irreducible(cp)
+        facts["characteristic_irreducible"] = polys.is_irreducible(cp)
     except SubtilingError as exc:
         facts["characteristic_irreducible"] = {"error": str(exc)}
 
@@ -630,15 +631,8 @@ def verify_report(report: dict) -> dict:
         )
     overlap = report["checks"].get("overlap_coincidence")
     if isinstance(overlap, dict) and overlap.get("status") == "FAILS":
-        cert = dict(overlap["certificate"])
-        entries = []
-        for e in cert.get("coincidence_free_closed_set", []):
-            entries.append({
-                "moved": e["moved"], "anchor": e["anchor"], "shift": e["shift"],
-            })
-        cert["coincidence_free_closed_set"] = entries
         results["overlap_coincidence"] = spectrum.replay_overlap_certificate(
-            system, cert
+            system, overlap["certificate"]
         )
     balanced = report["checks"].get("balanced_pairs")
     if isinstance(balanced, dict) and balanced.get("status") == "FAILS":

@@ -110,7 +110,15 @@ def prefix_strong(sub: Substitution, level_bound=DEFAULT_LEVEL_BOUND,
                     witness=PrefixWitness(0, i, (0, 0), tuple([0] * m)),
                 )
                 continue
-            found = None
+            tau = next((t for t in involutions if t[i] == j), None)
+            if tau is not None:
+                results[(i, j)] = BoundedVerdict(
+                    "FAILS",
+                    certificate={"involution": dict(sorted(tau.items()))},
+                    bound=level_bound,
+                )
+                continue
+            found = BoundedVerdict("UNKNOWN", bound=level_bound)
             for level in range(1, level_bound + 1):
                 u = working.iterate(i, level, cap)
                 v = working.iterate(j, level, cap)
@@ -122,16 +130,6 @@ def prefix_strong(sub: Substitution, level_bound=DEFAULT_LEVEL_BOUND,
                         witness=PrefixWitness(level, letter, (tu, tv), counts),
                     )
                     break
-            if found is None:
-                tau = next((t for t in involutions if t[i] == j), None)
-                if tau is not None:
-                    found = BoundedVerdict(
-                        "FAILS",
-                        certificate={"involution": dict(sorted(tau.items()))},
-                        bound=level_bound,
-                    )
-                else:
-                    found = BoundedVerdict("UNKNOWN", bound=level_bound)
             results[(i, j)] = found
     return results
 
@@ -181,81 +179,37 @@ def prefix_simultaneous(sub: Substitution, level_bound=DEFAULT_LEVEL_BOUND,
 
 
 class _SupertileCache:
-    """Shared per-level prototile patches and shifted position lists."""
+    """Per-level prototile tile lists shifted by their reference points."""
 
     def __init__(self, system: SuspensionSystem, refpoints, word_cap=None):
         self.system = system
         self.refpoints = refpoints
         self.cap = word_cap or system.word_cap
-        self._patches = {}
         self._shifted = {}
-
-    def patch(self, letter, level):
-        key = (letter, level)
-        if key not in self._patches:
-            self._patches[key] = self.system.prototile_patch(
-                letter, level, self.cap
-            )
-        return self._patches[key]
 
     def shifted_tiles(self, letter, level):
         """Tiles of the inflated prototile, translated by -beta^L * c."""
         key = (letter, level)
         if key not in self._shifted:
             ref = self.refpoints[letter - 1]
+            patch = self.system.prototile_patch(letter, level, self.cap)
             if ref.is_zero():
-                tiles = self.patch(letter, level).tiles
+                tiles = patch.tiles
             else:
                 shift = (self.system.beta ** level) * ref
-                tiles = [(pos - shift, c)
-                         for pos, c in self.patch(letter, level)]
+                tiles = [(pos - shift, c) for pos, c in patch]
             self._shifted[key] = tiles
         return self._shifted[key]
 
 
-def _common_tile(tiles_a, tiles_b):
-    """First shared (position, color) of two sorted tile lists."""
-    ia = ib = 0
-    while ia < len(tiles_a) and ib < len(tiles_b):
-        pa, ca = tiles_a[ia]
-        pb, cb = tiles_b[ib]
-        s = (pa - pb).sign()
-        if s < 0:
-            ia += 1
-        elif s > 0:
-            ib += 1
-        else:
-            if ca == cb:
-                return pa, ca
-            ia += 1
-            ib += 1
-    return None
-
-
-def _common_tile_all(tile_lists):
-    """First (position, color) present in every sorted tile list."""
-    pointers = [0] * len(tile_lists)
-    while all(p < len(t) for p, t in zip(pointers, tile_lists)):
-        current = [t[p] for p, t in zip(pointers, tile_lists)]
-        low = current[0][0]
-        low_set = [0]
-        for idx in range(1, len(current)):
-            s = (current[idx][0] - low).sign()
-            if s < 0:
-                low = current[idx][0]
-                low_set = [idx]
-            elif s == 0:
-                low_set.append(idx)
-        if len(low_set) == len(tile_lists):
-            colors = {c for _, c in current}
-            if len(colors) == 1:
-                return low, current[0][1]
-            for idx in low_set:
-                pointers[idx] += 1
-        else:
-            for idx in low_set:
-                pointers[idx] += 1
-    return None
+def _common_tile(tile_lists):
+    """First tile (position, color) of the first list that every other
+    list also holds; None when there is none."""
+    first, *rest = tile_lists
+    common = set.intersection(
+        *({(pos.coords, c) for pos, c in tiles} for tiles in rest))
+    return next(((pos, c) for pos, c in first if (pos.coords, c) in common),
+                None)
 
 
 def _witness_from_hit(system, refpoints, level, hit, scope, cache):
@@ -271,8 +225,7 @@ def _witness_from_hit(system, refpoints, level, hit, scope, cache):
             range(1, system.size + 1)
         )
         lists = [cache.shifted_tiles(c, replay_level) for c in letters]
-        rehit = (_common_tile(*lists) if len(lists) == 2
-                 else _common_tile_all(lists))
+        rehit = _common_tile(lists)
         if rehit is None:
             raise AssertionError("coincidence did not persist under inflation")
         replay_color = rehit[1]
@@ -324,10 +277,10 @@ def geometric_strong(system: SuspensionSystem, refpoints,
                                     supertile_cap)
             found = None
             for level in range(1, top + 1):
-                hit = _common_tile(
+                hit = _common_tile([
                     cache.shifted_tiles(i, level),
                     cache.shifted_tiles(j, level),
-                )
+                ])
                 if hit is not None:
                     found = BoundedVerdict(
                         "HOLDS",
@@ -351,7 +304,7 @@ def simultaneous(system: SuspensionSystem, refpoints,
     top = _reachable_levels(system, letters, level_bound, supertile_cap)
     for level in range(1, top + 1):
         lists = [cache.shifted_tiles(c, level) for c in letters]
-        hit = _common_tile_all(lists)
+        hit = _common_tile(lists)
         if hit is not None:
             return BoundedVerdict(
                 "HOLDS",

@@ -15,6 +15,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import NotASubmodule
+from .suspension import reference_point_sets
 
 
 def _lcm(a, b):
@@ -151,20 +152,7 @@ class ZModule:
 
     def contains_vector(self, coords):
         """Membership of a rational coordinate vector."""
-        scaled = []
-        for c in coords:
-            v = Fraction(c) * self.denom
-            if v.denominator != 1:
-                return False
-            scaled.append(int(v))
-        for row in self.basis:
-            j = next(i for i, v in enumerate(row) if v)
-            if scaled[j]:
-                if scaled[j] % row[j]:
-                    return False
-                q = scaled[j] // row[j]
-                scaled = [a - q * b for a, b in zip(scaled, row)]
-        return not any(scaled)
+        return self.coordinates_of(coords) is not None
 
     def contains(self, elem):
         return self.contains_vector(elem.coords)
@@ -291,6 +279,28 @@ class HeightGroupResult:
 DEFAULT_WINDOW_SCHEDULE = (16, 32, 64, 128)
 
 
+def return_lattices(system, refpoints, size):
+    """Cross-difference and same-color difference lattices of the
+    reference points in the window of the given size.
+
+    Each lattice is spanned by the differences x - x0 to one base point x0
+    of its point set: every pairwise difference x - y is
+    (x - x0) - (y - x0), and the canonical form makes the result equal to
+    the lattice of all pairwise differences.
+    """
+    lo, hi = system.window(size)
+    patch = system.patch_covering(lo, hi)
+    pts = reference_point_sets(patch, refpoints, (lo, hi))
+
+    def span(point_sets):
+        return module_from_vectors(
+            [(x - p[0]).coords for p in point_sets for x in p[1:]],
+            system.field.degree,
+        )
+
+    return span([pts.union()]), span(pts.per_color)
+
+
 def height_group(system, refpoints, schedule=DEFAULT_WINDOW_SCHEDULE):
     """Quotient of the cross-difference lattice by the same-color one.
 
@@ -298,19 +308,8 @@ def height_group(system, refpoints, schedule=DEFAULT_WINDOW_SCHEDULE):
     taken at the first window whose lattices agree with the next window's,
     and flagged unstable when no two consecutive windows agree.
     """
-    from .suspension import reference_point_sets, return_vectors
-
-    width = system.field.degree
-    samples = []
-    for size in schedule:
-        lo, hi = system.window(size)
-        patch = system.patch_covering(lo, hi)
-        pts = reference_point_sets(patch, refpoints, (lo, hi))
-        per_color, cross = return_vectors(pts)
-        gens = [d for pc in per_color for d in pc]
-        sub_mod = module_from_vectors([d.coords for d in gens], width)
-        sup_mod = module_from_vectors([d.coords for d in cross], width)
-        samples.append((size, sup_mod, sub_mod))
+    samples = [(size,) + return_lattices(system, refpoints, size)
+               for size in schedule]
     for (size, sup_mod, sub_mod), (_, sup_next, sub_next) in zip(
         samples, samples[1:]
     ):
@@ -350,24 +349,14 @@ class ReturnModuleResult:
     sub: ZModule
 
 
-def differences_in_return_module(system, refpoints, kmax, window_size,
-                                 schedule=DEFAULT_WINDOW_SCHEDULE):
+def differences_in_return_module(system, refpoints, kmax, window_size):
     """Check that every sampled cross difference eventually returns.
 
     For each basis generator v of the cross-difference lattice, search the
     least k with beta^k * v inside the same-color difference lattice.
     HOLDS when all generators succeed; otherwise UNKNOWN at the bound.
     """
-    from .suspension import reference_point_sets, return_vectors
-
-    width = system.field.degree
-    lo, hi = system.window(window_size)
-    patch = system.patch_covering(lo, hi)
-    pts = reference_point_sets(patch, refpoints, (lo, hi))
-    per_color, cross = return_vectors(pts)
-    gens = [d for pc in per_color for d in pc]
-    sub_mod = module_from_vectors([d.coords for d in gens], width)
-    sup_mod = module_from_vectors([d.coords for d in cross], width)
+    sup_mod, sub_mod = return_lattices(system, refpoints, window_size)
     witnesses = []
     generators = []
     all_found = True

@@ -182,15 +182,8 @@ def overlap_coincidence(system: SuspensionSystem, refpoints, window,
                 queue.append(nk)
         edges[key] = succ
     coincidences = {k for k, c in classes.items() if c.is_coincidence()}
-    reaches = set(coincidences)
-    changed = True
-    while changed:
-        changed = False
-        for key, succ in edges.items():
-            if key not in reaches and any(s in reaches for s in succ):
-                reaches.add(key)
-                changed = True
-    stuck = sorted(set(classes) - reaches)
+    dist = _coincidence_distances(edges, coincidences)
+    stuck = sorted(classes.keys() - dist.keys())
     meta = {
         "initial_classes": len(seeds),
         "total_classes": len(classes),
@@ -198,15 +191,11 @@ def overlap_coincidence(system: SuspensionSystem, refpoints, window,
         "window": [_frac_str(window[0]), _frac_str(window[1])],
     }
     if not stuck:
-        depth = _coincidence_depth(edges, coincidences)
-        return SpectralHalf("overlap", "HOLDS",
-                            certificate=dict(meta, uniform_steps=depth))
-    stuck_set = set(stuck)
-    for key in stuck:
-        if classes[key].is_coincidence():
-            raise AssertionError("stuck set contains a coincidence")
-        if any(nk not in stuck_set for nk in edges[key]):
-            raise AssertionError("stuck set is not inflation-closed")
+        return SpectralHalf("overlap", "HOLDS", certificate=dict(
+            meta, uniform_steps=max(dist.values(), default=0)))
+    if not _is_closed(set(stuck), lambda k: classes[k].is_coincidence(),
+                      edges.__getitem__):
+        raise AssertionError("stuck set is not a closed coincidence-free set")
     cert = dict(meta)
     cert["coincidence_free_closed_set"] = [
         {"moved": k[0], "anchor": k[1], "shift": [_frac_str(c) for c in k[2]]}
@@ -215,24 +204,32 @@ def overlap_coincidence(system: SuspensionSystem, refpoints, window,
     return SpectralHalf("overlap", "FAILS", certificate=cert)
 
 
-def _coincidence_depth(edges, coincidences):
-    """Largest over all nodes of the least path length to a coincidence."""
-    dist = {k: 0 for k in coincidences}
-    frontier = set(coincidences)
+def _coincidence_distances(edges, coincidences):
+    """Least number of edges from each node to a coincidence, by reverse
+    breadth-first search; nodes that reach no coincidence are absent."""
     reverse = {}
     for key, succ in edges.items():
         for s in succ:
             reverse.setdefault(s, []).append(key)
-    depth = 0
+    dist = dict.fromkeys(coincidences, 0)
+    frontier = list(coincidences)
     while frontier:
-        nxt = set()
+        nxt = []
         for node in frontier:
             for pred in reverse.get(node, ()):
                 if pred not in dist:
                     dist[pred] = dist[node] + 1
-                    nxt.add(pred)
+                    nxt.append(pred)
         frontier = nxt
-    return max(dist.values(), default=0)
+    return dist
+
+
+def _is_closed(nodes, is_coincidence, successors):
+    """True when `nodes` is nonempty, holds no coincidence and contains
+    every successor of each of its members."""
+    if not nodes or any(is_coincidence(n) for n in nodes):
+        return False
+    return all(s in nodes for n in nodes for s in successors(n))
 
 
 # ---------------------------------------------------------------------------
@@ -373,16 +370,9 @@ def balanced_pairs(sub: Substitution,
             "balanced-pairs", "UNKNOWN", certificate=meta,
             advisory=advisory, bound_hit=f"iteration cap {iter_cap}",
         )
-    coincidences = {p for p in nodes if _is_coincidence_pair(p)}
-    reaches = set(coincidences)
-    changed = True
-    while changed:
-        changed = False
-        for pair, succ in edges.items():
-            if pair not in reaches and any(s in reaches for s in succ):
-                reaches.add(pair)
-                changed = True
-    stuck = sorted(set(nodes) - reaches)
+    dist = _coincidence_distances(
+        edges, [p for p in nodes if _is_coincidence_pair(p)])
+    stuck = sorted(nodes.keys() - dist.keys())
     meta["irreducible_pairs"] = len(nodes)
     if not stuck:
         return SpectralHalf("balanced-pairs", "HOLDS", certificate=meta,
@@ -451,38 +441,25 @@ def spectral_verdict(overlap_half: SpectralHalf,
 def replay_overlap_certificate(system: SuspensionSystem, cert) -> bool:
     """Re-verify a FAILS certificate: the listed classes are nonempty,
     coincidence-free, and closed under one inflation step."""
-    entries = cert.get("coincidence_free_closed_set", [])
-    if not entries:
-        return False
     field = system.field
-    keys = set()
-    classes = []
-    for e in entries:
+    classes = {}
+    for e in cert.get("coincidence_free_closed_set", []):
         shift = field.element([Fraction(s) for s in e["shift"]])
         cls = OverlapClass(e["moved"], e["anchor"], shift)
-        if cls.is_coincidence():
-            return False
-        keys.add(cls.key())
-        classes.append(cls)
-    for cls in classes:
-        for nxt in inflate_overlap(system, cls):
-            if nxt.key() not in keys:
-                return False
-    return True
+        classes[cls.key()] = cls
+    return _is_closed(
+        classes, lambda k: classes[k].is_coincidence(),
+        lambda k: (n.key() for n in inflate_overlap(system, classes[k])))
 
 
 def replay_balanced_certificate(sub: Substitution, cert,
                                 word_cap=words_mod.DEFAULT_WORD_CAP) -> bool:
     """Re-verify a balanced-pair FAILS certificate the same way."""
-    entries = cert.get("coincidence_free_closed_set", [])
-    if not entries:
-        return False
-    pairs = {_canonical((bytes(u), bytes(v))) for u, v in entries}
-    for u, v in pairs:
-        if _is_coincidence_pair((u, v)):
-            return False
-        image = (sub.apply(u, word_cap), sub.apply(v, word_cap))
-        for comp in split_balanced(*image, sub.size):
-            if _canonical(comp) not in pairs:
-                return False
-    return True
+    pairs = {_canonical((bytes(u), bytes(v)))
+             for u, v in cert.get("coincidence_free_closed_set", [])}
+
+    def successors(pair):
+        image = (sub.apply(pair[0], word_cap), sub.apply(pair[1], word_cap))
+        return (_canonical(c) for c in split_balanced(*image, sub.size))
+
+    return _is_closed(pairs, _is_coincidence_pair, successors)

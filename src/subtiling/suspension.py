@@ -159,17 +159,8 @@ class SuspensionSystem:
     def two_sided_patch(self, steps, cap=None):
         """Inflate the fixed-point seed `steps` times by sigma^k; the
         junction of the two seed tiles sits at 0."""
-        cap = cap or self.word_cap
         k, left, right = self.seed
-        n = k * steps
-        left_word = self.sub.iterate(left, n, cap)
-        right_word = self.sub.iterate(right, n, cap)
-        left_len = self.field.zero()
-        for c in left_word:
-            left_len = left_len + self.lengths[c - 1]
-        patch = self.patch_from_word(left_word + right_word, -left_len)
-        patch.junction_index = len(left_word)
-        return patch
+        return generate_patch(self, (left, right), k * steps, cap)
 
     def patch_covering(self, lo, hi, cap=None):
         """Smallest fixed-point patch whose support contains [lo, hi]."""

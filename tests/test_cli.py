@@ -8,9 +8,13 @@ import pytest
 from subtiling import cli
 from subtiling.errors import SpecSyntaxError, UnknownCorpusEntry
 
-from conftest import report_for
+from conftest import CORPUS_IDS, report_for
 
-FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+FIXTURES = PERFBENCH / "fixtures"
+# Off-corpus spec files, made into fixtures at the off-corpus bounds.
+SPEC_FIXTURES = ("plastic", "pentanacci", "nonunimodular", "nonpisot")
+SPEC_BOUNDS = {"window": 16, "node_cap": 2000}
 
 
 def run_cli(argv):
@@ -87,12 +91,19 @@ def test_reports_are_byte_stable():
     assert a == b
 
 
-@pytest.mark.parametrize("name", ["thue-morse", "fibonacci", "rauzy2-gamma"])
+@pytest.mark.parametrize("name", CORPUS_IDS + SPEC_FIXTURES)
 def test_reports_match_committed_fixtures(name):
-    # degree 1, degree 2, and degree 3 with a tile map
+    if name in SPEC_FIXTURES:
+        spec_text = (PERFBENCH / "specs" / f"{name}.spec").read_text(
+            encoding="utf-8")
+        report = cli.run_analysis(cli.parse_spec(spec_text, name=name),
+                                  overrides=SPEC_BOUNDS)
+    else:
+        report = report_for(name)
+    text = json.dumps(report, indent=2)
     fixture = FIXTURES / f"{name}.json"
-    text = json.dumps(cli.run_analysis(cli.corpus_lookup(name)), indent=2)
     assert text + "\n" == fixture.read_text(encoding="utf-8")
+    assert cli.verify_report(json.loads(text))["passed"]
 
 
 def test_analyze_exit_codes():

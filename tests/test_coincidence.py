@@ -76,7 +76,7 @@ def test_geometric_monotone_in_level(sys_fib, sys_aba):
                 continue
             nxt = verdict.witness.level + 1
             hit = C._common_tile(
-                cache.shifted_tiles(i, nxt), cache.shifted_tiles(j, nxt)
+                [cache.shifted_tiles(i, nxt), cache.shifted_tiles(j, nxt)]
             )
             assert hit is not None
 

@@ -8,7 +8,7 @@ from math import gcd
 from subtiling import lattices as L
 from subtiling import spectrum as SP
 from subtiling import suspension as S
-from subtiling.coincidence import _common_tile, _common_tile_all
+from subtiling.coincidence import _common_tile
 
 
 def test_point_sets_with_exact_irrational_window(sys_fib):
@@ -94,10 +94,7 @@ def test_merge_intersection_matches_brute_force(sys_rauzy2):
             chosen = sorted(rng.sample(range(len(base)),
                                        rng.randint(1, len(base))))
             lists.append([base[i] for i in chosen])
-        if len(lists) == 2:
-            got = _common_tile(*lists)
-        else:
-            got = _common_tile_all(lists)
+        got = _common_tile(lists)
         expected = _brute_force_common(lists)
         if expected is None:
             assert got is None
@@ -112,7 +109,7 @@ def test_merge_intersection_matches_brute_force(sys_rauzy2):
 def test_merge_pairwise_finds_first_shared_position(sys_fib):
     a = sys_fib.prototile_patch(1, 3).tiles
     b = sys_fib.prototile_patch(2, 3).tiles
-    hit = _common_tile(a, b)
+    hit = _common_tile([a, b])
     assert hit is not None
     # no shared tile sits strictly left of the reported one
     shared = {(t[0].coords, t[1]) for t in a} & \

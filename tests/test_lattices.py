@@ -3,9 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from subtiling import cli
 from subtiling import lattices as L
 from subtiling import suspension as S
 from subtiling.errors import NotASubmodule
+
+from conftest import system_for
 
 
 def test_module_from_integers():
@@ -141,6 +144,29 @@ def test_height_lattices_nest_with_window(sys_aba):
                 coords = [Fraction(c, previous.denom) for c in row]
                 assert mod.contains_vector(coords)
         previous = mod
+
+
+@pytest.mark.parametrize("name", ["thue-morse", "aba-gamma", "fib2",
+                                  "rauzy2-gamma"])
+def test_return_lattices_match_all_pair_differences(name):
+    # base-point differences span the lattices of all pairwise ones; the
+    # window of 2 tile lengths leaves some colors with one point or none
+    spec = cli.corpus_lookup(name)
+    system = system_for(name)
+    refs = (S.control_points(system, spec.tilemap) if spec.tilemap
+            else S.left_endpoint_points(system))
+    width = system.field.degree
+    for size in (2, 16, 64):
+        lo, hi = system.window(size)
+        pts = S.reference_point_sets(system.patch_covering(lo, hi), refs,
+                                     (lo, hi))
+        per_color, cross = S.return_vectors(pts)
+        expected = (
+            L.module_from_vectors([d.coords for d in cross], width),
+            L.module_from_vectors(
+                [d.coords for pc in per_color for d in pc], width),
+        )
+        assert L.return_lattices(system, refs, size) == expected
 
 
 def test_eventual_membership_tm(sys_tm):

@@ -4,6 +4,7 @@ import pytest
 
 from subtiling import spectrum as SP
 from subtiling import suspension as S
+from subtiling.words import Substitution
 
 
 def zeros(system):
@@ -90,6 +91,17 @@ def test_corrupted_overlap_certificate_rejected(sys_tm):
     assert not SP.replay_overlap_certificate(sys_tm, cert)
 
 
+def test_overlap_certificate_with_coincidences_rejected(sys_tm):
+    # each coincidence inflates to the coincidences of both letters, so the
+    # set stays closed and only the coincidence check can reject it
+    half = SP.overlap_coincidence(sys_tm, zeros(sys_tm), sys_tm.window(64))
+    cert = dict(half.certificate)
+    cert["coincidence_free_closed_set"] = \
+        cert["coincidence_free_closed_set"] + [
+            {"moved": c, "anchor": c, "shift": ["0/1"]} for c in (1, 2)]
+    assert not SP.replay_overlap_certificate(sys_tm, cert)
+
+
 def test_split_balanced():
     u = bytes([1, 2, 2, 1])
     v = bytes([2, 1, 1, 2])
@@ -127,6 +139,26 @@ def test_tm_balanced_certificate_is_the_swap_cycle(tm):
     half = SP.balanced_pairs(tm)
     cert = half.certificate["coincidence_free_closed_set"]
     assert [[1, 2], [2, 1]] in cert
+
+
+def test_tampered_balanced_certificates_rejected(tm):
+    # a -> abc, b -> bca, c -> cab: a six-pair closed set in which
+    # (abc, bca) is the image of another pair
+    cyclic = Substitution([bytes([1, 2, 3]), bytes([2, 3, 1]),
+                           bytes([3, 1, 2])])
+    for sub, dropped in ((tm, [[1, 2], [2, 1]]),
+                         (cyclic, [[1, 2, 3], [2, 3, 1]])):
+        cert = SP.balanced_pairs(sub, advisory=True).certificate
+        pairs = cert["coincidence_free_closed_set"]
+        assert SP.replay_balanced_certificate(sub, cert)
+        assert dropped in pairs
+        assert not SP.replay_balanced_certificate(sub, dict(
+            cert, coincidence_free_closed_set=[
+                p for p in pairs if p != dropped]))
+        # single-letter pairs map to single-letter pairs: still closed
+        assert not SP.replay_balanced_certificate(sub, dict(
+            cert, coincidence_free_closed_set=pairs + [
+                [[c], [c]] for c in range(1, sub.size + 1)]))
 
 
 def test_balanced_pair_cap_gives_unknown(rauzy):
