@@ -20,7 +20,9 @@ Signs of nonzero elements are certified in two stages, filter then exact.
   sum a_k (L_k if a_k > 0 else H_k) and sum a_k (H_k if a_k > 0 else L_k).
   A lower sum above zero or an upper sum below zero is the sign.  The
   table of L_k and H_k is cached per refinement generation, and the
-  filter never refines the interval.
+  filter never refines the interval.  The two sums are also exposed as
+  an enclosure (fixed_point_bounds), which a patch's integer embedding
+  takes once per tile boundary.
 * Exact route.  When the filter cannot decide, the coordinate polynomial
   is evaluated in rational interval arithmetic on [lo, hi], and the
   interval is bisected until the enclosure excludes zero.
@@ -54,6 +56,21 @@ def _canon(x):
     if type(x) is not Fraction:
         x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
+
+
+def common_denominator(values):
+    """Least common denominator of int and Fraction values."""
+    denom = 1
+    for c in values:
+        if type(c) is not int:
+            denom = math.lcm(denom, c.denominator)
+    return denom
+
+
+def scaled_coords(coords, denom):
+    """denom times a coordinate vector, as ints; every denominator of the
+    coordinates must divide denom."""
+    return tuple([c.numerator * (denom // c.denominator) for c in coords])
 
 
 class RatInterval:
@@ -199,24 +216,38 @@ class NumberField:
             self._filter_gen = self.generation
         return self._filter_table
 
+    def fixed_point_bounds(self, ints):
+        """Integers (lower, upper) enclosing 2^FILTER_BITS times
+        sum ints[k] * beta^k, for integer coordinates ints.
+
+        Each coordinate contributes min(a L_k, a H_k) to the lower sum and
+        max(a L_k, a H_k) to the upper one.  These are superadditive and
+        subadditive in a, so bounds of summands add up to bounds of the
+        sum that are no tighter than the sum's own; and a refinement only
+        tightens the table, so bounds taken earlier stay valid."""
+        lows, highs = self._fixed_point_table()
+        lower = upper = 0
+        for a, low, high in zip(ints, lows, highs):
+            if a > 0:
+                lower += a * low
+                upper += a * high
+            elif a:
+                lower += a * high
+                upper += a * low
+        return lower, upper
+
     def filter_sign(self, coords):
         """Sign of sum coords[k] * beta^k when the fixed-point table
         decides it, else 0.  Integer arithmetic only; never refines."""
+        # common_denominator and scaled_coords, inlined: this runs once
+        # per certified sign
         denom = 1
         for c in coords:
             if type(c) is not int:
                 denom = math.lcm(denom, c.denominator)
-        lows, highs = self._fixed_point_table()
-        lower = upper = 0
-        for c, low, high in zip(coords, lows, highs):
-            if c:
-                a = c if denom == 1 else c.numerator * (denom // c.denominator)
-                if a > 0:
-                    lower += a * low
-                    upper += a * high
-                else:
-                    lower += a * high
-                    upper += a * low
+        if denom != 1:
+            coords = [c.numerator * (denom // c.denominator) for c in coords]
+        lower, upper = self.fixed_point_bounds(coords)
         if lower > 0:
             return 1
         if upper < 0:

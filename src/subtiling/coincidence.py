@@ -12,6 +12,7 @@ the point-set containment it asserts can be replayed verbatim.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -63,24 +64,25 @@ DEFAULT_SUPERTILE_CAP = 65_536
 # ---------------------------------------------------------------------------
 
 
-def _prefix_match(u, v, m):
-    """Least pair of prefixes with equal abelianization followed by the
-    same letter; scanning u in order makes the match position-minimal."""
-    table = {}
-    counts = [0] * m
-    for t in range(len(v)):
-        key = tuple(counts)
-        if key not in table:
-            table[key] = (t, v[t])
-        counts[v[t] - 1] += 1
-    counts = [0] * m
-    for t in range(len(u)):
-        key = tuple(counts)
-        hit = table.get(key)
-        if hit is not None and hit[1] == u[t]:
-            return t, hit[0], u[t], key
-        counts[u[t] - 1] += 1
-    return None
+def _least_balanced_prefix(word_list, m):
+    """Least t such that the length-t prefixes of all words have the same
+    letter counts and every word has the same letter at position t, or
+    None.  The scan is position-minimal for every word at once.
+
+    Two consecutive packed prefix keys agree across the words exactly
+    when the counts agree at t and the letters at t agree, so the search
+    is for the first two consecutive positions of agreement.
+    """
+    n = min(map(len, word_list))
+    first, *rest = (w[:n] for w in word_list)
+    agree = int.from_bytes(b"\x01" * (n + 1), "big")
+    for w in rest:
+        flags = bytes(map(operator.eq,
+                          words_mod.packed_prefix_keys(first, m, n + 1),
+                          words_mod.packed_prefix_keys(w, m, n + 1)))
+        agree &= int.from_bytes(flags, "big")
+    t = agree.to_bytes(n + 1, "big").find(b"\x01\x01")
+    return None if t < 0 else t
 
 
 def prefix_strong(sub: Substitution, level_bound=DEFAULT_LEVEL_BOUND,
@@ -122,12 +124,13 @@ def prefix_strong(sub: Substitution, level_bound=DEFAULT_LEVEL_BOUND,
             for level in range(1, level_bound + 1):
                 u = working.iterate(i, level, cap)
                 v = working.iterate(j, level, cap)
-                hit = _prefix_match(u, v, m)
-                if hit is not None:
-                    tu, tv, letter, counts = hit
+                t = _least_balanced_prefix((u, v), m)
+                if t is not None:
                     found = BoundedVerdict(
                         "HOLDS",
-                        witness=PrefixWitness(level, letter, (tu, tv), counts),
+                        witness=PrefixWitness(
+                            level, u[t], (t, t),
+                            words_mod.abelianization(u[:t], m)),
                     )
                     break
             results[(i, j)] = found
@@ -151,25 +154,17 @@ def prefix_simultaneous(sub: Substitution, level_bound=DEFAULT_LEVEL_BOUND,
     m = sub.size
     for level in range(1, level_bound + 1):
         images = [sub.iterate(c, level, cap) for c in range(1, m + 1)]
-        shortest = min(len(w) for w in images)
-        counts = [[0] * m for _ in range(m)]
-        for length in range(1, shortest + 1):
-            letters = {w[length - 1] for w in images}
-            for idx, w in enumerate(images):
-                counts[idx][w[length - 1] - 1] += 1
-            if len(letters) != 1:
-                continue
-            first = counts[0]
-            if all(c == first for c in counts[1:]):
-                return BoundedVerdict(
-                    "HOLDS",
-                    witness={
-                        "level": level,
-                        "prefix_length": length,
-                        "final_letter": images[0][length - 1],
-                        "counts": tuple(first),
-                    },
-                )
+        t = _least_balanced_prefix(images, m)
+        if t is not None:
+            return BoundedVerdict(
+                "HOLDS",
+                witness={
+                    "level": level,
+                    "prefix_length": t + 1,
+                    "final_letter": images[0][t],
+                    "counts": words_mod.abelianization(images[0][:t + 1], m),
+                },
+            )
     return BoundedVerdict("UNKNOWN", bound=level_bound)
 
 

@@ -286,19 +286,25 @@ def return_lattices(system, refpoints, size):
     Each lattice is spanned by the differences x - x0 to one base point x0
     of its point set: every pairwise difference x - y is
     (x - x0) - (y - x0), and the canonical form makes the result equal to
-    the lattice of all pairwise differences.
+    the lattice of all pairwise differences.  The pair is kept on the
+    system, keyed on the exact window: the window moves when the beta
+    interval is refined, so its size alone does not fix the sample.
     """
     lo, hi = system.window(size)
-    patch = system.patch_covering(lo, hi)
-    pts = reference_point_sets(patch, refpoints, (lo, hi))
+    key = (lo, hi, tuple(c.coords for c in refpoints))
+    if key not in system.lattice_samples:
+        patch = system.patch_covering(lo, hi)
+        pts = reference_point_sets(patch, refpoints, (lo, hi))
 
-    def span(point_sets):
-        return module_from_vectors(
-            [(x - p[0]).coords for p in point_sets for x in p[1:]],
-            system.field.degree,
-        )
+        def span(point_sets):
+            return module_from_vectors(
+                [(x - p[0]).coords for p in point_sets for x in p[1:]],
+                system.field.degree,
+            )
 
-    return span([pts.union()]), span(pts.per_color)
+        system.lattice_samples[key] = (span([pts.union()]),
+                                       span(pts.per_color))
+    return system.lattice_samples[key]
 
 
 def height_group(system, refpoints, schedule=DEFAULT_WINDOW_SCHEDULE):

@@ -14,11 +14,14 @@ reconciled into one spectral verdict.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import words as words_mod
-from .errors import EmptyWindow
+from .algebraic import common_denominator, scaled_coords
+from .errors import EmptyWindow, InvalidWord
 from .suspension import SuspensionSystem, reference_point_sets, return_vectors
 from .words import Substitution
 
@@ -60,10 +63,15 @@ class OverlapClass:
         return f"OverlapClass({self.moved}, {self.anchor}, {self.shift.coords})"
 
 
+def _overlaps(system, cls: OverlapClass):
+    """True when the open supports of the class's tiles intersect:
+    -len_moved < shift < len_anchor."""
+    return ((cls.shift + system.length_of(cls.moved)).sign() > 0 and
+            (system.length_of(cls.anchor) - cls.shift).sign() > 0)
+
+
 def _check_displacement(system, cls: OverlapClass):
-    lower = -system.length_of(cls.moved)
-    upper = system.length_of(cls.anchor)
-    if not ((cls.shift - lower).sign() > 0 and (cls.shift - upper).sign() < 0):
+    if not _overlaps(system, cls):
         raise AssertionError("overlap displacement out of range")
 
 
@@ -71,28 +79,61 @@ def overlap_classes_for_translation(system: SuspensionSystem, patch, y):
     """Classes of tile pairs brought to overlap by the translation y.
 
     Both tiles are taken from the patch; the first one is moved by -y.
+    The sweep compares tile boundaries on the patch's integer embedding:
+    a difference whose enclosure excludes zero, or whose integer vector
+    is zero, is decided there, and only the rest is decided by
+    FieldElem.sign() on the same element.  An enclosure that excludes
+    zero implies that the sign filter would decide too, so the sequence
+    of interval refinements is that of a FieldElem sweep.
     """
     tiles = patch.tiles
-    out = {}
-    anchor_idx = 0
     n = len(tiles)
-    for pos, moved_color in tiles:
-        start = pos - y
-        end = start + system.length_of(moved_color)
+    emb = patch.embedding()
+    d_y = common_denominator(y.coords)
+    if emb.denom % d_y:
+        emb = emb.scaled(math.lcm(emb.denom, d_y) // emb.denom)
+    shift_y = scaled_coords(y.coords, emb.denom)
+    y_lo, y_hi = system.field.fixed_point_bounds(shift_y)
+    points, lows, highs = emb.points, emb.lows, emb.highs
+
+    def position(k):
+        return tiles[k][0] if k < n else patch.end
+
+    out = {}
+    seen = set()
+    anchor_idx = 0
+    # boundary i of the moved copy: its vector and enclosure
+    moved_end = tuple(map(operator.sub, points[0], shift_y))
+    end_lo, end_hi = lows[0] - y_hi, highs[0] - y_lo
+    for i, (pos, moved_color) in enumerate(tiles):
+        start, start_lo, start_hi = moved_end, end_lo, end_hi
+        moved_end = tuple(map(operator.sub, points[i + 1], shift_y))
+        end_lo, end_hi = lows[i + 1] - y_hi, highs[i + 1] - y_lo
+        # skip anchors that end at or before the moved start
         while anchor_idx < n:
-            a_pos, a_color = tiles[anchor_idx]
-            a_end = a_pos + system.length_of(a_color)
-            if (a_end - start).sign() <= 0:
-                anchor_idx += 1
-            else:
+            k = anchor_idx + 1
+            if lows[k] > start_hi:
                 break
+            if not (highs[k] < start_lo or points[k] == start or
+                    (position(k) - (pos - y)).sign() <= 0):
+                break
+            anchor_idx += 1
         idx = anchor_idx
+        # collect anchors that start before the moved end
         while idx < n:
-            a_pos, a_color = tiles[idx]
-            if (a_pos - end).sign() >= 0:
+            if lows[idx] > end_hi or points[idx] == moved_end:
                 break
-            cls = OverlapClass(moved_color, a_color, start - a_pos)
-            out[cls.key()] = cls
+            if highs[idx] >= end_lo and \
+               (tiles[idx][0] - (position(i + 1) - y)).sign() >= 0:
+                break
+            a_color = tiles[idx][1]
+            shift = tuple(map(operator.sub, start, points[idx]))
+            key = (moved_color, a_color, shift)
+            if key not in seen:
+                seen.add(key)
+                cls = OverlapClass(moved_color, a_color,
+                                   (pos - y) - tiles[idx][0])
+                out[cls.key()] = cls
             idx += 1
     return out
 
@@ -105,7 +146,7 @@ def initial_overlaps(system: SuspensionSystem, refpoints, window):
     pts = reference_point_sets(patch, refpoints, window)
     if pts.count() == 0:
         raise EmptyWindow("window holds no reference points")
-    per_color, _ = return_vectors(pts)
+    per_color, _ = return_vectors(pts, cross=False)
     translations = {}
     for diffs in per_color:
         for d in diffs:
@@ -130,12 +171,10 @@ def inflate_overlap(system: SuspensionSystem, cls: OverlapClass):
     out = []
     for mi, mc in enumerate(moved_rule):
         m_start = base + moved_offsets[mi]
-        m_len = system.length_of(mc)
         for ai, ac in enumerate(anchor_rule):
-            shift = m_start - anchor_offsets[ai]
-            if (shift + m_len).sign() > 0 and \
-               (system.length_of(ac) - shift).sign() > 0:
-                out.append(OverlapClass(mc, ac, shift))
+            cls = OverlapClass(mc, ac, m_start - anchor_offsets[ai])
+            if _overlaps(system, cls):
+                out.append(cls)
     return out
 
 
@@ -238,27 +277,22 @@ def _is_closed(nodes, is_coincidence, successors):
 
 
 def split_balanced(u, v, m):
-    """Split a balanced pair into its irreducible balanced components."""
+    """Split a balanced pair into its irreducible balanced components.
+
+    The cuts are the prefix lengths at which the packed abelianizations
+    of the two words agree."""
+    if len(u) != len(v):
+        raise ValueError("pair is not balanced")
+    base = len(u) + 1
+    agree = bytes(map(operator.eq, words_mod.packed_prefix_keys(u, m, base),
+                      words_mod.packed_prefix_keys(v, m, base)))
     comps = []
-    diff = [0] * m
-    active = 0
     start = 0
-    for t in range(len(u)):
-        a, b = u[t], v[t]
-        if a != b:
-            if diff[a - 1] == 0:
-                active += 1
-            diff[a - 1] += 1
-            if diff[a - 1] == 0:
-                active -= 1
-            if diff[b - 1] == 0:
-                active += 1
-            diff[b - 1] -= 1
-            if diff[b - 1] == 0:
-                active -= 1
-        if active == 0:
-            comps.append((u[start:t + 1], v[start:t + 1]))
-            start = t + 1
+    cut = agree.find(1, 1)
+    while cut >= 0:
+        comps.append((u[start:cut], v[start:cut]))
+        start = cut
+        cut = agree.find(1, cut + 1)
     if start != len(u):
         raise ValueError("pair is not balanced")
     return comps
@@ -440,12 +474,22 @@ def spectral_verdict(overlap_half: SpectralHalf,
 
 def replay_overlap_certificate(system: SuspensionSystem, cert) -> bool:
     """Re-verify a FAILS certificate: the listed classes are nonempty,
-    coincidence-free, and closed under one inflation step."""
+    are overlaps of two letters of the system, are coincidence-free, and
+    are closed under one inflation step.  A malformed entry fails."""
     field = system.field
+    m = system.size
     classes = {}
     for e in cert.get("coincidence_free_closed_set", []):
-        shift = field.element([Fraction(s) for s in e["shift"]])
-        cls = OverlapClass(e["moved"], e["anchor"], shift)
+        try:
+            moved, anchor = e["moved"], e["anchor"]
+            shift = field.element([Fraction(s) for s in e["shift"]])
+        except (KeyError, TypeError, ValueError, ZeroDivisionError):
+            return False
+        if not all(type(c) is int and 1 <= c <= m for c in (moved, anchor)):
+            return False
+        cls = OverlapClass(moved, anchor, shift)
+        if not _overlaps(system, cls):
+            return False
         classes[cls.key()] = cls
     return _is_closed(
         classes, lambda k: classes[k].is_coincidence(),
@@ -454,12 +498,24 @@ def replay_overlap_certificate(system: SuspensionSystem, cert) -> bool:
 
 def replay_balanced_certificate(sub: Substitution, cert,
                                 word_cap=words_mod.DEFAULT_WORD_CAP) -> bool:
-    """Re-verify a balanced-pair FAILS certificate the same way."""
-    pairs = {_canonical((bytes(u), bytes(v)))
-             for u, v in cert.get("coincidence_free_closed_set", [])}
+    """Re-verify a balanced-pair FAILS certificate the same way.  Every
+    entry must be a pair of nonempty words over 1..m with equal letter
+    counts; a malformed entry fails."""
+    m = sub.size
+    pairs = set()
+    for entry in cert.get("coincidence_free_closed_set", []):
+        try:
+            u, v = map(bytes, entry)
+            balanced = (words_mod.abelianization(u, m) ==
+                        words_mod.abelianization(v, m))
+        except (TypeError, ValueError, InvalidWord):
+            return False
+        if not (u and balanced):
+            return False
+        pairs.add(_canonical((u, v)))
 
     def successors(pair):
         image = (sub.apply(pair[0], word_cap), sub.apply(pair[1], word_cap))
-        return (_canonical(c) for c in split_balanced(*image, sub.size))
+        return (_canonical(c) for c in split_balanced(*image, m))
 
     return _is_closed(pairs, _is_coincidence_pair, successors)

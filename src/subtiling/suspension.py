@@ -101,6 +101,9 @@ class SuspensionSystem:
         self.seed = words.fixed_point_seed(sub)
         self.word_cap = word_cap
         self._patch_cache = {}
+        # lattices.return_lattices results, keyed on the exact window and
+        # the reference points
+        self.lattice_samples = {}
         # exact left offsets of each subtile within the inflated prototile
         offs = []
         for letter in range(1, sub.size + 1):
@@ -141,7 +144,7 @@ class SuspensionSystem:
         for c in word:
             tiles.append((pos, c))
             pos = pos + self.lengths[c - 1]
-        return Patch(self, tiles, end=pos)
+        return Patch(tiles, pos)
 
     def prototile_patch(self, letter, level, cap=None):
         """The level-fold inflation of prototile `letter` anchored at 0.
@@ -174,13 +177,17 @@ class SuspensionSystem:
 
 
 class Patch:
-    """A finite list of tiles (position, color), contiguous and sorted."""
+    """A finite list of tiles (position, color), contiguous and sorted,
+    and the exact right end of its support.
 
-    def __init__(self, system, tiles, end=None):
-        self.system = system
+    A patch keeps no reference to its system, so a system's patch cache
+    holds no reference cycle and is freed with the system."""
+
+    def __init__(self, tiles, end):
         self.tiles = tiles
         self.end = end
         self.junction_index = None
+        self._embedding = None
 
     def __len__(self):
         return len(self.tiles)
@@ -193,10 +200,7 @@ class Patch:
         return self.tiles[0][0]
 
     def support_end(self):
-        if self.end is not None:
-            return self.end
-        pos, c = self.tiles[-1]
-        return pos + self.system.length_of(c)
+        return self.end
 
     def total_length(self):
         return self.support_end() - self.start
@@ -205,6 +209,56 @@ class Patch:
         start = self.start - lo
         end = self.support_end() - hi
         return start.sign() <= 0 and end.sign() >= 0
+
+    def embedding(self):
+        """The patch's PatchEmbedding, built on first use."""
+        if self._embedding is None:
+            self._embedding = PatchEmbedding.of(self)
+        return self._embedding
+
+
+class PatchEmbedding:
+    """Tile boundaries of a patch as integer vectors over one denominator.
+
+    Boundary k is the start of tile k, and boundary len(patch) is the end
+    of the support, so tile k runs from boundary k to boundary k + 1.
+    `points[k]` is `denom` times the boundary's power-basis coordinates,
+    and `lows[k] <= 2^FILTER_BITS * denom * boundary <= highs[k]` is its
+    certified fixed-point enclosure (`NumberField.fixed_point_bounds`).
+    Equal boundaries have equal vectors, and an enclosure of a sum of
+    boundaries is the sum of their enclosures.  Integers only: the
+    embedding refers to no field and no system.
+    """
+
+    __slots__ = ("denom", "points", "lows", "highs")
+
+    def __init__(self, denom, points, lows, highs):
+        self.denom = denom
+        self.points = points
+        self.lows = lows
+        self.highs = highs
+
+    @classmethod
+    def of(cls, patch):
+        field = patch.start.field
+        boundaries = [pos.coords for pos, _ in patch.tiles]
+        boundaries.append(patch.end.coords)
+        denom = algebraic.common_denominator(
+            c for coords in boundaries for c in coords)
+        points = [algebraic.scaled_coords(coords, denom)
+                  for coords in boundaries]
+        bounds = [field.fixed_point_bounds(v) for v in points]
+        return cls(denom, points, [lo for lo, _ in bounds],
+                   [hi for _, hi in bounds])
+
+    def scaled(self, factor):
+        """The same boundaries over the denominator factor * denom."""
+        return PatchEmbedding(
+            self.denom * factor,
+            [tuple(a * factor for a in v) for v in self.points],
+            [lo * factor for lo in self.lows],
+            [hi * factor for hi in self.highs],
+        )
 
 
 def generate_patch(system: SuspensionSystem, seed, n, cap=None):
@@ -326,8 +380,7 @@ def reference_point_sets(patch: Patch, refpoints, window) -> PointSets:
     lo, hi = window
     if not patch.covers(lo, hi):
         raise WindowNotCovered("window exceeds the computed patch")
-    system = patch.system
-    per_color = [[] for _ in range(system.size)]
+    per_color = [[] for _ in refpoints]
     for pos, c in patch.tiles:
         x = pos + refpoints[c - 1]
         if (x - lo).sign() >= 0 and (x - hi).sign() <= 0:
@@ -335,28 +388,24 @@ def reference_point_sets(patch: Patch, refpoints, window) -> PointSets:
     return PointSets(tuple(tuple(p) for p in per_color), window)
 
 
-def return_vectors(points: PointSets):
+def return_vectors(points: PointSets, *, cross=True):
     """Per-color difference sets and the cross difference set, deduplicated.
 
     Same-color differences sample the translation vectors between equal
-    tiles; the cross set samples differences across all colors.
+    tiles; the cross set samples differences across all colors.  With
+    cross=False the cross set is not built and comes back empty.
     """
-    per_color = []
-    for pts in points.per_color:
-        seen = {}
-        for i, x in enumerate(pts):
-            for y in pts[i:]:
-                d = y - x
-                seen[d.coords] = d
-                nd = -d
-                seen[nd.coords] = nd
-        per_color.append(tuple(seen.values()))
-    union = points.union()
-    cross = {}
-    for i, x in enumerate(union):
-        for y in union[i:]:
+    per_color = tuple(_differences(pts) for pts in points.per_color)
+    return per_color, _differences(points.union()) if cross else ()
+
+
+def _differences(pts):
+    """All differences y - x of the points, both signs, first seen first."""
+    seen = {}
+    for i, x in enumerate(pts):
+        for y in pts[i:]:
             d = y - x
-            cross[d.coords] = d
+            seen[d.coords] = d
             nd = -d
-            cross[nd.coords] = nd
-    return tuple(per_color), tuple(cross.values())
+            seen[nd.coords] = nd
+    return tuple(seen.values())

@@ -8,6 +8,9 @@ surfaces as LengthCapExceeded instead of memory exhaustion.
 
 from __future__ import annotations
 
+import operator
+from itertools import accumulate
+
 from .errors import InvalidWord, LengthCapExceeded, NoSeedFound
 
 DEFAULT_WORD_CAP = 10_000_000
@@ -30,6 +33,8 @@ class Substitution:
         self.size = m
         self.rules = tuple(rules)
         self.name = name
+        self._rule_lengths = tuple(len(r) for r in rules)
+        self._rule_table = (None,) + self.rules      # indexed by letter
         self._iterate_cache = {}
         self._lengths_cache = {}
 
@@ -43,10 +48,13 @@ class Substitution:
         return self.rules[letter - 1]
 
     def apply(self, word, cap=DEFAULT_WORD_CAP):
-        total = sum(len(self.rules[c - 1]) for c in word)
+        """The image of a word; InvalidWord for a letter outside 1..m."""
+        counts = abelianization(word, self.size)
+        total = sum(map(operator.mul, counts, self._rule_lengths))
         if total > cap:
             raise LengthCapExceeded(f"image length {total} exceeds cap {cap}")
-        return b"".join(self.rules[c - 1] for c in word)
+        table = self._rule_table
+        return b"".join([table[c] for c in word])
 
     def image_length(self, letter, n):
         """|sigma^n(letter)| without expanding the word."""
@@ -92,12 +100,23 @@ class Substitution:
 
 def abelianization(word, m):
     """Occurrence counts of each letter of 1..m in the word."""
-    counts = [0] * m
-    for c in word:
-        if not 1 <= c <= m:
-            raise InvalidWord(f"letter {c} outside 1..{m}")
-        counts[c - 1] += 1
-    return tuple(counts)
+    counts = tuple(word.count(c) for c in range(1, m + 1))
+    if sum(counts) != len(word):
+        bad = next(c for c in word if not 1 <= c <= m)
+        raise InvalidWord(f"letter {bad} outside 1..{m}")
+    return counts
+
+
+def packed_prefix_keys(word, m, base):
+    """Abelianizations of the prefixes of lengths 0..len(word), each packed
+    as the integer sum n_i * base^(i-1) of its letter counts n_i.
+
+    With base > len(word) every count is a digit, so two prefixes of
+    words no longer than base - 1 have equal keys exactly when they have
+    equal letter counts.  Returns an iterator.
+    """
+    weights = (None,) + tuple(base ** i for i in range(m))
+    return accumulate([weights[c] for c in word], initial=0)
 
 
 def substitution_matrix(sub: Substitution):

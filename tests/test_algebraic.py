@@ -213,6 +213,36 @@ def test_filter_sign_agrees_with_interval_route(minpoly, data):
         assert decided == x._interval_sign()
 
 
+int_coord = st.integers(min_value=-10**6, max_value=10**6)
+
+
+@pytest.mark.parametrize("minpoly", [[-1, -1, 1], RAUZY_MINPOLY],
+                         ids=["golden", "rauzy"])
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_summed_bounds_decide_only_what_the_filter_decides(minpoly, data):
+    # bounds of a and of -b, taken at one refinement generation and added,
+    # decide a - b only when the filter at any later generation does, and
+    # then with the true sign
+    field = field_from(minpoly)
+    n = field.degree
+    a = data.draw(st.lists(int_coord, min_size=n, max_size=n))
+    b = data.draw(st.lists(int_coord, min_size=n, max_size=n))
+    if data.draw(st.booleans()):
+        beta = beta_near(minpoly)
+        a[0] -= round(sum((x - y) * beta ** k
+                          for k, (x, y) in enumerate(zip(a, b))))
+    field.ensure_width(Fraction(1, 2 ** data.draw(st.integers(0, 30))))
+    lo_a, hi_a = field.fixed_point_bounds(a)
+    lo_b, hi_b = field.fixed_point_bounds(b)
+    field.ensure_width(Fraction(1, 2 ** data.draw(st.integers(0, 40))))
+    diff = field.element(a) - field.element(b)
+    if lo_a - hi_b > 0:
+        assert field.filter_sign(diff.coords) == 1 == diff.sign()
+    if hi_a - lo_b < 0:
+        assert field.filter_sign(diff.coords) == -1 == diff.sign()
+
+
 def test_filter_decides_without_refining():
     field = field_from([-1, -1, 1])
     field.ensure_width(Fraction(1, 1 << 20))

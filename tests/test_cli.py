@@ -214,3 +214,82 @@ def test_cli_flags_beat_spec_file_bounds(tmp_path):
     code, out, _ = run_cli(["analyze", str(path)])
     report = json.loads(out)
     assert report["input"]["bounds"]["L"] == 3
+
+
+def _fixture(name):
+    return json.loads((FIXTURES / f"{name}.json").read_text(encoding="utf-8"))
+
+
+def _verify_file(tmp_path, report):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    return run_cli(["verify", str(path)])
+
+
+def test_verify_fails_overlap_certificate_with_unknown_letter(tmp_path):
+    report = _fixture("thue-morse")
+    cert = report["checks"]["overlap_coincidence"]["certificate"]
+    cert["coincidence_free_closed_set"].append(
+        {"moved": 7, "anchor": 1, "shift": ["0/1"]})
+    outcome = cli.verify_report(report)
+    assert outcome["replayed"]["overlap_coincidence"] is False
+    assert outcome["passed"] is False
+    code, out, err = _verify_file(tmp_path, report)
+    assert code == 1 and json.loads(out)["passed"] is False
+    assert "Traceback" not in err
+
+
+def test_verify_fails_overlap_shift_longer_than_degree(tmp_path):
+    # thue-morse has a degree-one field
+    report = _fixture("thue-morse")
+    cert = report["checks"]["overlap_coincidence"]["certificate"]
+    cert["coincidence_free_closed_set"][0]["shift"] = ["0/1", "1/2"]
+    assert cli.verify_report(report)["passed"] is False
+    code, out, err = _verify_file(tmp_path, report)
+    assert code == 1 and json.loads(out)["passed"] is False
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("shift", [["x/2"], ["1/0"], [None], "1/2"])
+def test_verify_fails_overlap_shift_that_does_not_parse(shift):
+    report = _fixture("thue-morse")
+    cert = report["checks"]["overlap_coincidence"]["certificate"]
+    cert["coincidence_free_closed_set"][0]["shift"] = shift
+    assert cli.verify_report(report)["passed"] is False
+
+
+def test_verify_fails_overlap_class_whose_tiles_do_not_overlap():
+    # a class beyond the tile lengths has no inflation successors, so it
+    # would pass the closure check on its own
+    report = _fixture("thue-morse")
+    cert = report["checks"]["overlap_coincidence"]["certificate"]
+    cert["coincidence_free_closed_set"] = [
+        {"moved": 1, "anchor": 2, "shift": ["5/1"]}]
+    assert cli.verify_report(report)["passed"] is False
+
+
+@pytest.mark.parametrize("pair", [[[7, 1], [1, 7]], [[1, 2], [1, 1]],
+                                  [[], []], [[1, 300], [300, 1]],
+                                  [[1, 2], [2, 1], [1, 2]]])
+def test_verify_fails_malformed_balanced_pair(tmp_path, pair):
+    report = _fixture("thue-morse")
+    cert = report["checks"]["balanced_pairs"]["certificate"]
+    cert["coincidence_free_closed_set"].append(pair)
+    outcome = cli.verify_report(report)
+    assert outcome["replayed"]["balanced_pairs"] is False
+    code, out, err = _verify_file(tmp_path, report)
+    assert code == 1 and json.loads(out)["passed"] is False
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field_name, value", [
+    ("color", "z"), ("replay_color", "z"), ("scope", ["a", "z"]),
+    ("replay_shift", ["1/1", "0/1", "3/1"]), ("shift", ["1/0"])])
+def test_verify_fails_witness_that_does_not_parse(tmp_path, field_name,
+                                                  value):
+    report = _fixture("fibonacci")
+    report["checks"]["simultaneous"]["witness"][field_name] = value
+    assert cli.verify_report(report)["replayed"]["simultaneous"] is False
+    code, out, err = _verify_file(tmp_path, report)
+    assert code == 1 and json.loads(out)["passed"] is False
+    assert "Traceback" not in err

@@ -188,3 +188,44 @@ def test_prefix_simultaneous_larger_witnesses_also_valid(fib, rauzy):
     # deeper iterates still carry balanced common prefixes
     assert _prefixes_balanced(fib, 2, 1)
     assert _prefixes_balanced(rauzy, 3, 4)
+
+
+def _least_balanced_prefix_by_counts(word_list, m):
+    """Reference: scan t upward, recounting every prefix letter by letter."""
+    from subtiling.words import abelianization
+    for t in range(min(map(len, word_list))):
+        counts = {abelianization(w[:t], m) for w in word_list}
+        letters = {w[t] for w in word_list}
+        if len(counts) == 1 and len(letters) == 1:
+            return t
+    return None
+
+
+def test_least_balanced_prefix_matches_counting_scan():
+    import random
+    rng = random.Random(31)
+    for m in range(2, 7):
+        for k in (2, 3, m):
+            for _ in range(40):
+                # a small alphabet in use makes matches likely
+                used = rng.randint(2, m)
+                word_list = [
+                    bytes(rng.randint(1, used)
+                          for _ in range(rng.randint(1, 30)))
+                    for _ in range(k)]
+                assert C._least_balanced_prefix(word_list, m) == \
+                    _least_balanced_prefix_by_counts(word_list, m)
+
+
+def test_prefix_witnesses_match_counting_scan(fib, rauzy, fib2, rauzy2):
+    from subtiling.words import abelianization
+    for sub in (fib, rauzy, fib2, rauzy2):
+        m = sub.size
+        for (i, j), verdict in C.prefix_strong(sub, 8).items():
+            if verdict.status != "HOLDS" or i == j:
+                continue
+            w = verdict.witness
+            u, v = sub.iterate(i, w.level), sub.iterate(j, w.level)
+            t = _least_balanced_prefix_by_counts((u, v), m)
+            assert w.prefix_lengths == (t, t)
+            assert (w.color, w.counts) == (u[t], abelianization(u[:t], m))

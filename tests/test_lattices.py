@@ -192,3 +192,19 @@ def test_return_module_verdicts(sys_fib, sys_fib2, sys_aba):
         sys_aba, S.left_endpoint_points(sys_aba), 16, 64
     )
     assert res3.status == "UNKNOWN"    # odd powers of 3 never land in 2Z
+
+
+def test_window_lattices_sampled_once(monkeypatch):
+    # height_group samples the window of 64; the return-module check at
+    # the same exact window reuses that pair instead of rebuilding it
+    system = S.SuspensionSystem(cli.corpus_lookup("fib2").substitution())
+    refs = S.left_endpoint_points(system)
+    calls = []
+    build = L.module_from_vectors
+    monkeypatch.setattr(L, "module_from_vectors",
+                        lambda *args: calls.append(1) or build(*args))
+    res = L.height_group(system, refs)
+    assert len(calls) == 2 * len(res.windows_used)
+    ret = L.differences_in_return_module(system, refs, 16, 64)
+    assert len(calls) == 2 * len(res.windows_used)
+    assert (ret.sup, ret.sub) == L.return_lattices(system, refs, 64)

@@ -1,7 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from subtiling import cli
 from subtiling import spectrum as SP
 from subtiling import suspension as S
 from subtiling.words import Substitution
@@ -243,3 +246,165 @@ def test_split_components_reassemble(fib, rauzy):
                 for t in range(1, len(cu)):
                     assert abelianization(cu[:t], m) != \
                         abelianization(cv[:t], m)
+
+
+# ---------------------------------------------------------------------------
+# The integer sweep against a FieldElem sweep
+# ---------------------------------------------------------------------------
+
+
+def _fieldelem_sweep(system, patch, y):
+    """Reference: the overlap sweep with every comparison made by
+    FieldElem.sign() on a newly formed element."""
+    tiles = patch.tiles
+    out = {}
+    anchor_idx = 0
+    n = len(tiles)
+    for pos, moved_color in tiles:
+        start = pos - y
+        end = start + system.length_of(moved_color)
+        while anchor_idx < n:
+            a_pos, a_color = tiles[anchor_idx]
+            a_end = a_pos + system.length_of(a_color)
+            if (a_end - start).sign() <= 0:
+                anchor_idx += 1
+            else:
+                break
+        idx = anchor_idx
+        while idx < n:
+            a_pos, a_color = tiles[idx]
+            if (a_pos - end).sign() >= 0:
+                break
+            cls = SP.OverlapClass(moved_color, a_color, start - a_pos)
+            out[cls.key()] = cls
+            idx += 1
+    return out
+
+
+def _as_items(classes):
+    return [(k, (c.moved, c.anchor, c.shift.coords))
+            for k, c in classes.items()]
+
+
+SWEEP_CASES = ("fibonacci", "fib2", "rauzy", "rauzy2-gamma", "thue-morse")
+
+
+def _sweep_setting(name, size):
+    """A fresh system at its first isolating interval, the patch covering
+    the window of the given size, the patch's tile boundaries and its
+    nonzero same-color return vectors.  The interval is left wide, so
+    that some comparisons fall back to FieldElem.sign() and refine it."""
+    spec = cli.corpus_lookup(name)
+    system = S.SuspensionSystem(spec.substitution())
+    if spec.tilemap is None:
+        refs = S.left_endpoint_points(system)
+    else:
+        refs = S.control_points(system, spec.tilemap)
+    window = system.window(size)
+    patch = system.patch_covering(*window)
+    pts = S.reference_point_sets(patch, refs, window)
+    per_color, _ = S.return_vectors(pts, cross=False)
+    # in the order initial_overlaps sweeps them
+    returns = {d.coords: d for diffs in per_color for d in diffs
+               if not d.is_zero()}
+    bounds = [pos for pos, _ in patch.tiles] + [patch.end]
+    return system, refs, window, patch, bounds, list(returns.values())
+
+
+_SETTINGS = {}
+
+
+def _setting(name):
+    if name not in _SETTINGS:
+        _SETTINGS[name] = _sweep_setting(name, 16)
+    return _SETTINGS[name]
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_integer_sweep_matches_fieldelem_sweep(data):
+    name = data.draw(st.sampled_from(SWEEP_CASES))
+    system, _, _, patch, bounds, returns = _setting(name)
+    kind = data.draw(st.sampled_from(
+        ["return", "boundary", "near-boundary", "denominator"]))
+    if kind == "return":
+        y = data.draw(st.sampled_from(returns))
+    elif kind in ("boundary", "near-boundary"):
+        # moves one tile boundary exactly onto another, or next to it by
+        # +-beta^-k, a small value with large coordinates
+        a = data.draw(st.sampled_from(bounds))
+        b = data.draw(st.sampled_from(bounds))
+        y = a - b
+        if kind == "near-boundary":
+            k = data.draw(st.integers(4, 24))
+            y = y + data.draw(st.sampled_from([1, -1])) * \
+                system.beta.inverse() ** k
+    else:
+        q = data.draw(st.sampled_from([3, 7, 11, 13]))
+        y = data.draw(st.sampled_from(returns)) * Fraction(1, q)
+        denoms = [c.denominator for c in y.coords if c]
+        assume(any(patch.embedding().denom % d for d in denoms))
+    got = SP.overlap_classes_for_translation(system, patch, y)
+    want = _fieldelem_sweep(system, patch, y)
+    assert _as_items(got) == _as_items(want)
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "fib2", "rauzy2-gamma"])
+def test_initial_overlaps_match_fieldelem_sweep(name, monkeypatch):
+    # same seeds in the same order, after the same interval refinements,
+    # each side from a fresh system
+    def seeds():
+        system, refs, window, _, _, _ = _sweep_setting(name, 64)
+        before = system.field.generation
+        classes = SP.initial_overlaps(system, refs, window)
+        return _as_items(classes), system.field.generation - before
+
+    got = seeds()
+    monkeypatch.setattr(SP, "overlap_classes_for_translation",
+                        _fieldelem_sweep)
+    assert seeds() == got
+
+
+def _split_by_letter_counts(u, v, m):
+    """Reference: cut wherever the running letter-count difference of
+    the two words vanishes."""
+    comps = []
+    diff = [0] * m
+    start = 0
+    for t in range(len(u)):
+        diff[u[t] - 1] += 1
+        diff[v[t] - 1] -= 1
+        if not any(diff):
+            comps.append((u[start:t + 1], v[start:t + 1]))
+            start = t + 1
+    if start != len(u):
+        raise ValueError("pair is not balanced")
+    return comps
+
+
+def test_split_balanced_matches_letter_count_loop():
+    import random
+    rng = random.Random(23)
+    for m in range(2, 7):
+        for _ in range(60):
+            n = rng.randint(0, 40)
+            u = bytes(rng.randint(1, m) for _ in range(n))
+            if rng.random() < 0.3:
+                v = bytes(rng.randint(1, m) for _ in range(n))   # unbalanced
+            else:
+                perm = bytearray(u)
+                # a few swaps keep long shared stretches
+                for _ in range(rng.randint(0, 4)):
+                    i, j = rng.randrange(max(n, 1)), rng.randrange(max(n, 1))
+                    if n:
+                        perm[i], perm[j] = perm[j], perm[i]
+                v = bytes(perm)
+            try:
+                want = _split_by_letter_counts(u, v, m)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    SP.split_balanced(u, v, m)
+                continue
+            assert SP.split_balanced(u, v, m) == want
+    with pytest.raises(ValueError):
+        SP.split_balanced(bytes([1, 2]), bytes([2, 1, 1]), 2)

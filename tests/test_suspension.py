@@ -1,7 +1,10 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
 
+from subtiling import cli
 from subtiling import suspension as S
 from subtiling.errors import WindowNotCovered
 
@@ -167,6 +170,7 @@ def test_return_vectors_aba(sys_aba):
     assert {0, 2, -2, 4, -4}.issubset(da)
     assert {0, 1, -1, 2, -2}.issubset(dc)
     assert all(d % 2 == 0 for d in da)
+    assert S.return_vectors(pts, cross=False) == (per_color, ())
 
 
 def test_return_vectors_tm(sys_tm):
@@ -222,3 +226,45 @@ def test_generate_patch_two_sided_junction(sys_fib):
     assert patch.tiles[junction][0].is_zero()
     prev_pos, prev_color = patch.tiles[junction - 1]
     assert prev_pos + sys_fib.length_of(prev_color) == 0
+
+
+def test_patch_embedding_matches_exact_boundaries(sys_fib, sys_rauzy2):
+    scale = 1 << 64
+    for system in (sys_fib, sys_rauzy2):
+        patch = system.patch_covering(*system.window(16))
+        emb = patch.embedding()
+        assert patch.embedding() is emb
+        bounds = [pos for pos, _ in patch.tiles] + [patch.end]
+        assert len(emb.points) == len(bounds)
+        system.field.ensure_width(Fraction(1, 1 << 80))
+        for b, point, low, high in zip(bounds, emb.points, emb.lows,
+                                       emb.highs):
+            assert [Fraction(a, emb.denom) for a in point] == list(b.coords)
+            ivl = b.interval()
+            assert low <= scale * emb.denom * ivl.hi
+            assert scale * emb.denom * ivl.lo <= high
+        for k in range(len(patch)):
+            # contiguous: tile k ends where tile k + 1 starts
+            pos, color = patch.tiles[k]
+            assert pos + system.length_of(color) == bounds[k + 1]
+        thirds = emb.scaled(3)
+        assert thirds.denom == 3 * emb.denom
+        assert thirds.points[1] == tuple(3 * a for a in emb.points[1])
+
+
+def test_dropped_system_is_freed_without_cyclic_gc():
+    # a patch keeps no reference to its system, so reference counting
+    # alone frees a system together with its cached patches
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        system = S.SuspensionSystem(cli.corpus_lookup("rauzy").substitution())
+        patch = system.prototile_patch(1, 4)
+        patch.embedding()
+        system.patch_covering(*system.window(8)).embedding()
+        refs = weakref.ref(system), weakref.ref(patch)
+        del system, patch
+        assert [r() for r in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()

@@ -127,3 +127,44 @@ def test_involutions(fib, aba, fib2, rauzy2):
         [{1: 3, 3: 1, 2: 4, 4: 2}]
     assert W.commuting_fixed_point_free_involutions(rauzy2) == \
         [{1: 4, 4: 1, 2: 5, 5: 2, 3: 6, 6: 3}]
+
+
+def test_apply_rejects_letters_outside_the_alphabet(fib):
+    assert fib.apply(bytes([1, 2, 1])) == bytes([1, 2, 1, 1, 2])
+    assert fib.apply(b"") == b""
+    # 0, m + 1 and 255 used to raise IndexError or wrap to the last rule
+    for word in (bytes([1, 3]), bytes([0]), bytes([2, 255])):
+        with pytest.raises(InvalidWord):
+            fib.apply(word)
+
+
+def test_apply_matches_letter_by_letter_images():
+    rng = random.Random(5)
+    for m in range(2, 7):
+        rules = [bytes(rng.randint(1, m) for _ in range(rng.randint(1, 4)))
+                 for _ in range(m)]
+        sub = W.Substitution(rules)
+        for _ in range(20):
+            word = bytes(rng.randint(1, m) for _ in range(rng.randint(0, 30)))
+            want = b"".join(rules[c - 1] for c in word)
+            assert sub.apply(word) == want
+            if want:
+                with pytest.raises(LengthCapExceeded):
+                    sub.apply(word, cap=len(want) - 1)
+
+
+def test_packed_prefix_keys_encode_prefix_counts():
+    rng = random.Random(11)
+    for m in range(2, 7):
+        words = [bytes(rng.randint(1, m) for _ in range(rng.randint(0, 40)))
+                 for _ in range(12)]
+        base = 1 + max(map(len, words))
+        keys = {}
+        for w in words:
+            got = list(W.packed_prefix_keys(w, m, base))
+            assert len(got) == len(w) + 1
+            for t, key in enumerate(got):
+                counts = W.abelianization(w[:t], m)
+                assert key == sum(n * base ** i for i, n in enumerate(counts))
+                # injective: equal keys only for equal counts
+                assert keys.setdefault(key, counts) == counts
