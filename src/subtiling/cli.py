@@ -22,7 +22,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__
@@ -33,6 +33,7 @@ from .errors import (
     SubtilingError,
     UnknownCorpusEntry,
 )
+from .spectrum import _frac_str
 
 
 @dataclass
@@ -42,8 +43,6 @@ class Bounds:
     kmax: int = 16
     node_cap: int = spectrum.DEFAULT_NODE_CAP
     pair_cap: int = spectrum.DEFAULT_PAIR_CAP
-    iter_cap: int = spectrum.DEFAULT_ITER_CAP
-    word_cap: int = words.DEFAULT_WORD_CAP
 
 
 @dataclass
@@ -221,12 +220,7 @@ _CORPUS_TEXTS = {
 
 def corpus():
     """Built-in named substitution specs, in a fixed order."""
-    out = []
-    for name, (text, note) in _CORPUS_TEXTS.items():
-        spec = parse_spec(text, name=name)
-        spec.note = note
-        out.append(spec)
-    return out
+    return [corpus_lookup(name) for name in _CORPUS_TEXTS]
 
 
 def corpus_lookup(name: str) -> SpecFile:
@@ -245,13 +239,8 @@ def corpus_lookup(name: str) -> SpecFile:
 # ---------------------------------------------------------------------------
 
 
-def _frac(x) -> str:
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
-
-
 def _elem(e) -> list:
-    return [_frac(c) for c in e.coords]
+    return [_frac_str(c) for c in e.coords]
 
 
 def _pair_key(spec: SpecFile, pair) -> str:
@@ -283,9 +272,7 @@ def _prefix_witness_json(spec, w: coincidence.PrefixWitness):
 def _verdict_json(spec, verdict, witness_encoder):
     out = {"status": verdict.status}
     if verdict.status == "HOLDS" and verdict.witness is not None:
-        w = verdict.witness
-        out["witness"] = (witness_encoder(spec, w)
-                          if witness_encoder else w)
+        out["witness"] = witness_encoder(spec, verdict.witness)
     if verdict.status == "FAILS":
         out["certificate"] = verdict.certificate
     if verdict.status == "UNKNOWN":
@@ -333,25 +320,29 @@ def _half_json(half: spectrum.SpectralHalf):
 # ---------------------------------------------------------------------------
 
 
-def _effective_bounds(spec: SpecFile, bounds: Bounds) -> Bounds:
-    mapping = {"L": "level_bound", "window": "window", "k": "kmax"}
-    overrides = {
-        mapping[k]: v for k, v in spec.bounds.items() if k in mapping
-    }
-    return replace(bounds, **overrides)
+def _reference_points(system, spec: SpecFile):
+    """The spec's reference points and their kind: control points of its
+    tile map, or the left endpoints."""
+    if spec.tilemap is not None:
+        return suspension.control_points(system, spec.tilemap), "tile-map"
+    return suspension.left_endpoint_points(system), "left-endpoints"
 
 
-def run_analysis(spec: SpecFile, bounds: Bounds | None = None,
-                 overrides: dict | None = None) -> dict:
+_SPEC_BOUNDS = {"L": "level_bound", "window": "window", "k": "kmax"}
+
+
+def run_analysis(spec: SpecFile, overrides: dict | None = None) -> dict:
     """Execute every check on one substitution spec and build the report.
 
     Bound lines in the spec file refine the defaults; explicit overrides
     (command-line flags) win over both.  A check that raises records its
     error in place; later checks still run.
     """
-    bounds = _effective_bounds(spec, bounds or Bounds())
-    if overrides:
-        bounds = replace(bounds, **overrides)
+    bounds = Bounds(**{
+        **{_SPEC_BOUNDS[k]: v for k, v in spec.bounds.items()
+           if k in _SPEC_BOUNDS},
+        **(overrides or {}),
+    })
     report = {
         "schema": 1,
         "tool": {"name": "subtiling", "version": __version__},
@@ -367,7 +358,7 @@ def run_analysis(spec: SpecFile, bounds: Bounds | None = None,
                 "k": bounds.kmax,
                 "node_cap": bounds.node_cap,
                 "pair_cap": bounds.pair_cap,
-                "iter_cap": bounds.iter_cap,
+                "iter_cap": spectrum.ITER_CAP,
             },
             "note": spec.note,
         },
@@ -395,11 +386,11 @@ def run_analysis(spec: SpecFile, bounds: Bounds | None = None,
         checks["error"] = "substitution is not primitive; no suspension"
         return report
 
-    system = suspension.SuspensionSystem(sub, word_cap=bounds.word_cap)
+    system = suspension.SuspensionSystem(sub)
     facts["minimal_polynomial"] = list(system.field.minpoly)
     system.field.ensure_width(Fraction(1, 1 << 20))
     ivl = system.field.interval()
-    facts["beta_interval"] = [_frac(ivl.lo), _frac(ivl.hi)]
+    facts["beta_interval"] = [_frac_str(ivl.lo), _frac_str(ivl.hi)]
     facts["pisot"] = algebraic.is_pisot(system.field)
     facts["prototile_lengths"] = [_elem(e) for e in system.lengths]
     k, left, right = system.seed
@@ -407,12 +398,7 @@ def run_analysis(spec: SpecFile, bounds: Bounds | None = None,
         "power": k, "left": spec.token(left), "right": spec.token(right),
     }
 
-    if spec.tilemap is not None:
-        refpoints = suspension.control_points(system, spec.tilemap)
-        facts["reference_point_kind"] = "tile-map"
-    else:
-        refpoints = suspension.left_endpoint_points(system)
-        facts["reference_point_kind"] = "left-endpoints"
+    refpoints, facts["reference_point_kind"] = _reference_points(system, spec)
     facts["reference_points"] = [_elem(e) for e in refpoints]
     facts["admissible"] = suspension.is_admissible(system, refpoints)
 
@@ -428,16 +414,14 @@ def run_analysis(spec: SpecFile, bounds: Bounds | None = None,
             checks[name] = {"error": f"{type(exc).__name__}: {exc}"}
 
     def do_prefix():
-        per_pair = coincidence.prefix_strong(
-            sub, bounds.level_bound, word_cap=bounds.word_cap
-        )
+        per_pair = coincidence.prefix_strong(sub, bounds.level_bound)
         checks["prefix_strong"] = _pairs_json(
             spec, per_pair, _prefix_witness_json
         )
 
     def do_suffix():
         per_pair = coincidence.prefix_strong(
-            sub, bounds.level_bound, suffixes=True, word_cap=bounds.word_cap
+            sub, bounds.level_bound, suffixes=True
         )
         checks["suffix_strong"] = _pairs_json(
             spec, per_pair, _prefix_witness_json
@@ -445,7 +429,7 @@ def run_analysis(spec: SpecFile, bounds: Bounds | None = None,
 
     def do_geometric():
         per_pair = coincidence.geometric_strong(
-            system, refpoints, bounds.level_bound, word_cap=bounds.word_cap
+            system, refpoints, bounds.level_bound
         )
         checks["geometric_strong"] = _pairs_json(
             spec, per_pair, _geometric_witness_json
@@ -454,16 +438,14 @@ def run_analysis(spec: SpecFile, bounds: Bounds | None = None,
 
     def do_simultaneous():
         verdict = coincidence.simultaneous(
-            system, refpoints, bounds.level_bound, word_cap=bounds.word_cap
+            system, refpoints, bounds.level_bound
         )
         checks["simultaneous"] = _verdict_json(
             spec, verdict, _geometric_witness_json
         )
 
     def do_prefix_simultaneous():
-        verdict = coincidence.prefix_simultaneous(
-            sub, bounds.level_bound, word_cap=bounds.word_cap
-        )
+        verdict = coincidence.prefix_simultaneous(sub, bounds.level_bound)
         out = {"status": verdict.status}
         if verdict.status == "HOLDS":
             w = dict(verdict.witness)
@@ -507,8 +489,7 @@ def run_analysis(spec: SpecFile, bounds: Bounds | None = None,
 
     def do_balanced():
         half = spectrum.balanced_pairs(
-            sub, pair_cap=bounds.pair_cap, iter_cap=bounds.iter_cap,
-            word_cap=bounds.word_cap, advisory=advisory_balanced,
+            sub, pair_cap=bounds.pair_cap, advisory=advisory_balanced,
         )
         checks["balanced_pairs"] = _half_json(half)
         cost["balanced_pairs"] = half.certificate.get("irreducible_pairs")
@@ -583,21 +564,25 @@ def _parse_elem(field_obj, coords):
     return field_obj.element([Fraction(c) for c in coords])
 
 
+def _parse_level(value):
+    if type(value) is not int:
+        raise TypeError(f"level {value!r} is not an integer")
+    return value
+
+
 def verify_report(report: dict) -> dict:
     """Replay every replayable certificate in a report.
 
     Geometric and simultaneous HOLDS witnesses are rechecked point by
     point on the default window; FAILS certificates of both spectral
     procedures are rerun through one inflation or substitution pass.
+    A replay that raises a SubtilingError (a cap it ran into) fails.
     """
     spec = _spec_from_report(report)
     sub = spec.substitution()
     system = suspension.SuspensionSystem(sub)
     index = {tok: i + 1 for i, tok in enumerate(spec.letters)}
-    if spec.tilemap is not None:
-        refpoints = suspension.control_points(system, spec.tilemap)
-    else:
-        refpoints = suspension.left_endpoint_points(system)
+    refpoints, _ = _reference_points(system, spec)
     window = system.window(report["input"]["bounds"]["window"])
     results = {}
 
@@ -606,14 +591,20 @@ def verify_report(report: dict) -> dict:
         if w["scope"] != "all":
             scope = tuple(index[t] for t in w["scope"])
         return coincidence.CoincidenceWitness(
-            level=w["level"],
+            level=_parse_level(w["level"]),
             color=index[w["color"]],
             shift=_parse_elem(system.field, w["shift"]),
             scope=scope,
-            replay_level=w["replay_level"],
+            replay_level=_parse_level(w["replay_level"]),
             replay_color=index[w["replay_color"]],
             replay_shift=_parse_elem(system.field, w["replay_shift"]),
         )
+
+    def replay(check, *args):
+        try:
+            return check(*args)
+        except SubtilingError:
+            return False
 
     def replay_witness(w):
         """Replay a witness; one that does not parse fails."""
@@ -621,7 +612,8 @@ def verify_report(report: dict) -> dict:
             witness = witness_from_json(w)
         except (KeyError, TypeError, ValueError, ZeroDivisionError):
             return False
-        return coincidence.verify_witness(system, refpoints, witness, window)
+        return replay(coincidence.verify_witness, system, refpoints, witness,
+                      window)
 
     geo = report["checks"].get("geometric_strong")
     if isinstance(geo, dict) and "pairs" in geo:
@@ -634,14 +626,14 @@ def verify_report(report: dict) -> dict:
         results["simultaneous"] = replay_witness(sim["witness"])
     overlap = report["checks"].get("overlap_coincidence")
     if isinstance(overlap, dict) and overlap.get("status") == "FAILS":
-        results["overlap_coincidence"] = spectrum.replay_overlap_certificate(
-            system, overlap["certificate"]
-        )
+        results["overlap_coincidence"] = replay(
+            spectrum.replay_overlap_certificate, system,
+            overlap["certificate"])
     balanced = report["checks"].get("balanced_pairs")
     if isinstance(balanced, dict) and balanced.get("status") == "FAILS":
-        results["balanced_pairs"] = spectrum.replay_balanced_certificate(
-            sub, balanced["certificate"]
-        )
+        results["balanced_pairs"] = replay(
+            spectrum.replay_balanced_certificate, sub,
+            balanced["certificate"])
     return {"passed": all(results.values()) if results else True,
             "replayed": results}
 
@@ -731,7 +723,7 @@ def main(argv=None) -> int:
         _, left, right = system.seed
         patch = suspension.generate_patch(system, (left, right), args.n)
         for pos, color in patch.tiles:
-            coords = " ".join(_frac(c) for c in pos.coords)
+            coords = " ".join(_frac_str(c) for c in pos.coords)
             print(f"{spec.token(color)} {coords}")
         return 0
 

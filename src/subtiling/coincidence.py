@@ -56,7 +56,7 @@ DEFAULT_LEVEL_BOUND = 12
 # Geometric searches stop early once a single inflated prototile would
 # carry more tiles than this; the verdict then reports the level bound
 # that was actually exhausted.
-DEFAULT_SUPERTILE_CAP = 65_536
+SUPERTILE_CAP = 65_536
 
 
 # ---------------------------------------------------------------------------
@@ -85,8 +85,21 @@ def _least_balanced_prefix(word_list, m):
     return None if t < 0 else t
 
 
+def _balanced_prefix_search(sub: Substitution, letters, level_bound):
+    """Least level L <= level_bound at which the words sigma^L(c), c in
+    `letters`, have a common balanced prefix followed by one common
+    letter: (L, t, sigma^L(letters[0])) with t the prefix length, or None
+    when every level up to the bound was searched without one."""
+    for level in range(1, level_bound + 1):
+        images = [sub.iterate(c, level) for c in letters]
+        t = _least_balanced_prefix(images, sub.size)
+        if t is not None:
+            return level, t, images[0]
+    return None
+
+
 def prefix_strong(sub: Substitution, level_bound=DEFAULT_LEVEL_BOUND,
-                  suffixes=False, word_cap=None):
+                  suffixes=False):
     """Word-level strong coincidence for every unordered letter pair.
 
     With reference points at the left endpoints, a shared tile of the
@@ -100,7 +113,6 @@ def prefix_strong(sub: Substitution, level_bound=DEFAULT_LEVEL_BOUND,
     letter would have to be its own swap).
     """
     working = sub.reversed() if suffixes else sub
-    cap = word_cap or words_mod.DEFAULT_WORD_CAP
     m = sub.size
     involutions = words_mod.commuting_fixed_point_free_involutions(working)
     results = {}
@@ -120,20 +132,16 @@ def prefix_strong(sub: Substitution, level_bound=DEFAULT_LEVEL_BOUND,
                     bound=level_bound,
                 )
                 continue
-            found = BoundedVerdict("UNKNOWN", bound=level_bound)
-            for level in range(1, level_bound + 1):
-                u = working.iterate(i, level, cap)
-                v = working.iterate(j, level, cap)
-                t = _least_balanced_prefix((u, v), m)
-                if t is not None:
-                    found = BoundedVerdict(
-                        "HOLDS",
-                        witness=PrefixWitness(
-                            level, u[t], (t, t),
-                            words_mod.abelianization(u[:t], m)),
-                    )
-                    break
-            results[(i, j)] = found
+            hit = _balanced_prefix_search(working, (i, j), level_bound)
+            if hit is None:
+                results[(i, j)] = BoundedVerdict("UNKNOWN", bound=level_bound)
+                continue
+            level, t, u = hit
+            results[(i, j)] = BoundedVerdict(
+                "HOLDS",
+                witness=PrefixWitness(level, u[t], (t, t),
+                                      words_mod.abelianization(u[:t], m)),
+            )
     return results
 
 
@@ -146,26 +154,23 @@ def aggregate_status(per_pair):
     return "HOLDS"
 
 
-def prefix_simultaneous(sub: Substitution, level_bound=DEFAULT_LEVEL_BOUND,
-                        word_cap=None):
+def prefix_simultaneous(sub: Substitution, level_bound=DEFAULT_LEVEL_BOUND):
     """Least (L, M) in lexicographic order such that the length-M prefixes
     of all iterated letters share their letter counts and final letter."""
-    cap = word_cap or words_mod.DEFAULT_WORD_CAP
     m = sub.size
-    for level in range(1, level_bound + 1):
-        images = [sub.iterate(c, level, cap) for c in range(1, m + 1)]
-        t = _least_balanced_prefix(images, m)
-        if t is not None:
-            return BoundedVerdict(
-                "HOLDS",
-                witness={
-                    "level": level,
-                    "prefix_length": t + 1,
-                    "final_letter": images[0][t],
-                    "counts": words_mod.abelianization(images[0][:t + 1], m),
-                },
-            )
-    return BoundedVerdict("UNKNOWN", bound=level_bound)
+    hit = _balanced_prefix_search(sub, range(1, m + 1), level_bound)
+    if hit is None:
+        return BoundedVerdict("UNKNOWN", bound=level_bound)
+    level, t, word = hit
+    return BoundedVerdict(
+        "HOLDS",
+        witness={
+            "level": level,
+            "prefix_length": t + 1,
+            "final_letter": word[t],
+            "counts": words_mod.abelianization(word[:t + 1], m),
+        },
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -176,10 +181,9 @@ def prefix_simultaneous(sub: Substitution, level_bound=DEFAULT_LEVEL_BOUND,
 class _SupertileCache:
     """Per-level prototile tile lists shifted by their reference points."""
 
-    def __init__(self, system: SuspensionSystem, refpoints, word_cap=None):
+    def __init__(self, system: SuspensionSystem, refpoints):
         self.system = system
         self.refpoints = refpoints
-        self.cap = word_cap or system.word_cap
         self._shifted = {}
 
     def shifted_tiles(self, letter, level):
@@ -187,7 +191,7 @@ class _SupertileCache:
         key = (letter, level)
         if key not in self._shifted:
             ref = self.refpoints[letter - 1]
-            patch = self.system.prototile_patch(letter, level, self.cap)
+            patch = self.system.prototile_patch(letter, level)
             if ref.is_zero():
                 tiles = patch.tiles
             else:
@@ -207,20 +211,22 @@ def _common_tile(tile_lists):
                 None)
 
 
-def _witness_from_hit(system, refpoints, level, hit, scope, cache):
+def _replay_level(system, level):
+    """Least multiple of the seed power that is at least `level`."""
+    k = system.seed[0]
+    return k * ((level + k - 1) // k)
+
+
+def _witness_from_hit(cache, level, hit, letters, scope):
+    refpoints = cache.refpoints
     position, color = hit
     shift = position + refpoints[color - 1]
-    k = system.seed[0]
-    if level % k == 0:
-        replay_level = level
+    replay_level = _replay_level(cache.system, level)
+    if replay_level == level:
         replay_color, replay_shift = color, shift
     else:
-        replay_level = k * ((level + k - 1) // k)
-        letters = scope if scope is not None else tuple(
-            range(1, system.size + 1)
-        )
-        lists = [cache.shifted_tiles(c, replay_level) for c in letters]
-        rehit = _common_tile(lists)
+        rehit = _common_tile(
+            [cache.shifted_tiles(c, replay_level) for c in letters])
         if rehit is None:
             raise AssertionError("coincidence did not persist under inflation")
         replay_color = rehit[1]
@@ -232,20 +238,33 @@ def _witness_from_hit(system, refpoints, level, hit, scope, cache):
     )
 
 
-def _reachable_levels(system, letters, level_bound, supertile_cap):
+def _reachable_levels(system, letters, level_bound):
     """Levels whose inflated prototiles all stay below the tile cap."""
     top = 0
     for level in range(1, level_bound + 1):
-        if any(system.sub.image_length(c, level) > supertile_cap
+        if any(system.sub.image_length(c, level) > SUPERTILE_CAP
                for c in letters):
             break
         top = level
     return top
 
 
+def _shared_tile_search(cache, letters, scope, level_bound):
+    """Least level with a tile shared by the translated inflated
+    prototiles of `letters`: HOLDS with a witness of the given scope, or
+    UNKNOWN at the deepest level searched.  Levels whose supertiles would
+    exceed the tile cap are not searched."""
+    top = _reachable_levels(cache.system, letters, level_bound)
+    for level in range(1, top + 1):
+        hit = _common_tile([cache.shifted_tiles(c, level) for c in letters])
+        if hit is not None:
+            return BoundedVerdict("HOLDS", witness=_witness_from_hit(
+                cache, level, hit, letters, scope))
+    return BoundedVerdict("UNKNOWN", bound=top)
+
+
 def geometric_strong(system: SuspensionSystem, refpoints,
-                     level_bound=DEFAULT_LEVEL_BOUND, word_cap=None,
-                     supertile_cap=DEFAULT_SUPERTILE_CAP):
+                     level_bound=DEFAULT_LEVEL_BOUND):
     """Exact shared-tile search for every unordered prototile pair.
 
     The inflated prototiles are translated by beta^L times their
@@ -253,7 +272,7 @@ def geometric_strong(system: SuspensionSystem, refpoints,
     and color.  Identical pairs hold trivially at level 0.  Levels whose
     supertiles would exceed the tile cap are not searched; the UNKNOWN
     bound reports the deepest level actually exhausted."""
-    cache = _SupertileCache(system, refpoints, word_cap)
+    cache = _SupertileCache(system, refpoints)
     m = system.size
     results = {}
     for i in range(1, m + 1):
@@ -268,46 +287,17 @@ def geometric_strong(system: SuspensionSystem, refpoints,
                     ),
                 )
                 continue
-            top = _reachable_levels(system, (i, j), level_bound,
-                                    supertile_cap)
-            found = None
-            for level in range(1, top + 1):
-                hit = _common_tile([
-                    cache.shifted_tiles(i, level),
-                    cache.shifted_tiles(j, level),
-                ])
-                if hit is not None:
-                    found = BoundedVerdict(
-                        "HOLDS",
-                        witness=_witness_from_hit(
-                            system, refpoints, level, hit, (i, j), cache
-                        ),
-                    )
-                    break
-            if found is None:
-                found = BoundedVerdict("UNKNOWN", bound=top)
-            results[(i, j)] = found
+            results[(i, j)] = _shared_tile_search(cache, (i, j), (i, j),
+                                                  level_bound)
     return results
 
 
 def simultaneous(system: SuspensionSystem, refpoints,
-                 level_bound=DEFAULT_LEVEL_BOUND, word_cap=None,
-                 supertile_cap=DEFAULT_SUPERTILE_CAP):
+                 level_bound=DEFAULT_LEVEL_BOUND):
     """Shared tile of all m translated inflated prototiles at one level."""
-    cache = _SupertileCache(system, refpoints, word_cap)
     letters = tuple(range(1, system.size + 1))
-    top = _reachable_levels(system, letters, level_bound, supertile_cap)
-    for level in range(1, top + 1):
-        lists = [cache.shifted_tiles(c, level) for c in letters]
-        hit = _common_tile(lists)
-        if hit is not None:
-            return BoundedVerdict(
-                "HOLDS",
-                witness=_witness_from_hit(
-                    system, refpoints, level, hit, None, cache
-                ),
-            )
-    return BoundedVerdict("UNKNOWN", bound=top)
+    return _shared_tile_search(_SupertileCache(system, refpoints), letters,
+                               None, level_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +313,19 @@ def verify_witness(system: SuspensionSystem, refpoints,
     of the witness scope inside the window, using the replay level (a
     multiple of the seed power, so that inflated tiles are tiles of the
     same tiling).  Exact membership, no tolerance.
+
+    A witness that analysis cannot have produced fails before any patch
+    is built: its level must be one the search reaches under the
+    supertile cap, its replay level the least multiple of the seed power
+    at or above that level, and its replay shift within reach of a
+    supertile of that level.  This bounds the work of a replay.
     """
+    letters = (range(1, system.size + 1) if witness.scope is None
+               else witness.scope)
+    if (witness.level < 0 or
+            witness.replay_level != _replay_level(system, witness.level) or
+            _reachable_levels(system, letters, witness.level) < witness.level):
+        return False
     level = witness.replay_level
     color = witness.replay_color
     shift = witness.replay_shift
@@ -336,6 +338,12 @@ def verify_witness(system: SuspensionSystem, refpoints,
         ivl = c.interval()
         pad = max(pad, abs(ivl.lo), abs(ivl.hi))
     pad = 2 * pad
+    # the shared tile lies inside a translated supertile of the replay
+    # level, so |shift| <= beta^L * (max length + max |c|) + max |c|
+    reach = (factor.interval().hi + 1) * pad
+    shift_ivl = shift.interval()
+    if shift_ivl.lo > reach or shift_ivl.hi < -reach:
+        return False
     span_lo = min(t_lo.interval().lo, Fraction(lo)) - pad
     span_hi = max(t_hi.interval().hi, Fraction(hi)) + pad
     patch = system.patch_covering(
@@ -346,11 +354,7 @@ def verify_witness(system: SuspensionSystem, refpoints,
     for pos, c in patch.tiles:
         if c == color:
             targets.add((pos + refpoints[c - 1]).coords)
-    if witness.scope is None:
-        scope_letters = range(1, system.size + 1)
-    else:
-        scope_letters = witness.scope
-    for letter in set(scope_letters):
+    for letter in set(letters):
         for x in source_pts.color(letter):
             y = factor * x + shift
             if y.coords not in targets:

@@ -276,7 +276,7 @@ class HeightGroupResult:
         return self.stabilized_at is None
 
 
-DEFAULT_WINDOW_SCHEDULE = (16, 32, 64, 128)
+WINDOW_SCHEDULE = (16, 32, 64, 128)
 
 
 def return_lattices(system, refpoints, size):
@@ -307,26 +307,26 @@ def return_lattices(system, refpoints, size):
     return system.lattice_samples[key]
 
 
-def height_group(system, refpoints, schedule=DEFAULT_WINDOW_SCHEDULE):
+def height_group(system, refpoints):
     """Quotient of the cross-difference lattice by the same-color one.
 
-    Both lattices are sampled on a growing window schedule; the result is
-    taken at the first window whose lattices agree with the next window's,
-    and flagged unstable when no two consecutive windows agree.
+    Both lattices are sampled on the windows of WINDOW_SCHEDULE; the
+    result is taken at the first window whose lattices agree with the next
+    window's, and flagged unstable when no two consecutive windows agree.
     """
     samples = [(size,) + return_lattices(system, refpoints, size)
-               for size in schedule]
+               for size in WINDOW_SCHEDULE]
     for (size, sup_mod, sub_mod), (_, sup_next, sub_next) in zip(
         samples, samples[1:]
     ):
         if sup_mod == sup_next and sub_mod == sub_next:
             return HeightGroupResult(
-                quotient(sup_mod, sub_mod), size, tuple(schedule),
+                quotient(sup_mod, sub_mod), size, WINDOW_SCHEDULE,
                 sup_mod, sub_mod,
             )
     size, sup_mod, sub_mod = samples[-1]
     return HeightGroupResult(
-        quotient(sup_mod, sub_mod), None, tuple(schedule), sup_mod, sub_mod
+        quotient(sup_mod, sub_mod), None, WINDOW_SCHEDULE, sup_mod, sub_mod
     )
 
 

@@ -346,8 +346,8 @@ def refine_root_interval(p, lo, hi):
 # ---------------------------------------------------------------------------
 
 IRREDUCIBILITY_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
-DEFAULT_DEGREE_CAP = 12
-DEFAULT_FACTOR_WORK_CAP = 2_000_000
+DEGREE_CAP = 12
+FACTOR_WORK_CAP = 2_000_000
 
 
 def _modp_normalize(p, m):
@@ -471,11 +471,12 @@ def _l2_norm_ceiling(p):
     return r if r * r == s else r + 1
 
 
-def _find_monic_factor(p, work_budget):
+def _find_monic_factor(p):
     """Smallest-degree monic integer factor of monic p with no integer
     roots, or None if p is irreducible.  Coefficients are bounded by the
     Landau-Mignotte bound 2**d * |p|_2; candidates are pruned by requiring
-    g(0) | p(0), g(1) | p(1) and g(-1) | p(-1)."""
+    g(0) | p(0), g(1) | p(1) and g(-1) | p(-1).  More than
+    FACTOR_WORK_CAP candidates raise FactorizationFailed."""
     n = degree(p)
     norm = _l2_norm_ceiling(p)
     p0, p1, pm1 = p[0], eval_at(p, 1), eval_at(p, -1)
@@ -500,9 +501,9 @@ def _find_monic_factor(p, work_budget):
             pool = const_cands if level == 0 else mids
             for c in pool:
                 work += 1
-                if work > work_budget:
+                if work > FACTOR_WORK_CAP:
                     raise FactorizationFailed(
-                        f"factor search exceeded {work_budget} candidates"
+                        f"factor search exceeded {FACTOR_WORK_CAP} candidates"
                     )
                 found = candidates(level + 1, coeffs + [c])
                 if found is not None:
@@ -515,19 +516,19 @@ def _find_monic_factor(p, work_budget):
     return None
 
 
-def is_irreducible(p, degree_cap=DEFAULT_DEGREE_CAP,
-                   work_cap=DEFAULT_FACTOR_WORK_CAP):
+def is_irreducible(p):
     """Irreducibility over Q for an integer polynomial of degree >= 1.
 
     Fast paths: rational root test, then reduction mod small primes.
     Complete path (monic inputs): bounded search for an integer factor.
+    A degree above DEGREE_CAP raises DegreeCapExceeded.
     """
     p = primitive_part(p)
     n = degree(p)
     if n < 1:
         return False
-    if n > degree_cap:
-        raise DegreeCapExceeded(f"degree {n} exceeds cap {degree_cap}")
+    if n > DEGREE_CAP:
+        raise DegreeCapExceeded(f"degree {n} exceeds cap {DEGREE_CAP}")
     if n == 1:
         return True
     if p[0] == 0:
@@ -548,10 +549,10 @@ def is_irreducible(p, degree_cap=DEFAULT_DEGREE_CAP,
             "complete factor search supports monic polynomials only"
         )
     q = p if p[-1] == 1 else neg(p)
-    return _find_monic_factor(q, work_cap) is None
+    return _find_monic_factor(q) is None
 
 
-def factor_monic(p, work_cap=DEFAULT_FACTOR_WORK_CAP):
+def factor_monic(p):
     """Irreducible monic integer factors of a monic integer polynomial,
     with multiplicity, sorted by (degree, coefficients)."""
     if not p or p[-1] != 1:
@@ -573,7 +574,7 @@ def factor_monic(p, work_cap=DEFAULT_FACTOR_WORK_CAP):
         if not reducible:
             factors.append(q)
             continue
-        g = _find_monic_factor(q, work_cap)
+        g = _find_monic_factor(q)
         if g is None:
             factors.append(q)
         else:

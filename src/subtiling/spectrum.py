@@ -27,9 +27,9 @@ from .words import Substitution
 
 DEFAULT_NODE_CAP = 100_000
 DEFAULT_PAIR_CAP = 50_000
-DEFAULT_ITER_CAP = 200
-DEFAULT_PAIR_LENGTH_CAP = 100_000
-DEFAULT_SEED_RETURN_WORDS = 10
+ITER_CAP = 200
+PAIR_LENGTH_CAP = 100_000
+SEED_RETURN_WORDS = 10
 
 
 def _frac_str(x) -> str:
@@ -68,11 +68,6 @@ def _overlaps(system, cls: OverlapClass):
     -len_moved < shift < len_anchor."""
     return ((cls.shift + system.length_of(cls.moved)).sign() > 0 and
             (system.length_of(cls.anchor) - cls.shift).sign() > 0)
-
-
-def _check_displacement(system, cls: OverlapClass):
-    if not _overlaps(system, cls):
-        raise AssertionError("overlap displacement out of range")
 
 
 def overlap_classes_for_translation(system: SuspensionSystem, patch, y):
@@ -155,8 +150,10 @@ def initial_overlaps(system: SuspensionSystem, refpoints, window):
     classes = {}
     for y in translations.values():
         classes.update(overlap_classes_for_translation(system, patch, y))
+    # checks the integer sweep against the exact signs
     for cls in classes.values():
-        _check_displacement(system, cls)
+        if not _overlaps(system, cls):
+            raise AssertionError("overlap displacement out of range")
     return classes
 
 
@@ -213,7 +210,6 @@ def overlap_coincidence(system: SuspensionSystem, refpoints, window,
         key = queue.pop()
         succ = []
         for nxt in inflate_overlap(system, classes[key]):
-            _check_displacement(system, nxt)
             nk = nxt.key()
             succ.append(nk)
             if nk not in classes:
@@ -308,32 +304,33 @@ def _is_coincidence_pair(pair):
     return len(u) == 1 and u == v
 
 
-def _fixed_point_prefix(sub: Substitution, needed_occurrences, cap):
-    """Prefix of the one-sided fixed point with enough seed-letter hits."""
+def _fixed_point_prefix(sub: Substitution):
+    """Prefix of the one-sided fixed point with more than
+    SEED_RETURN_WORDS + 1 seed-letter hits, or the longest prefix the
+    word cap allows."""
     k, letter = words_mod.one_sided_seed(sub)
     steps = 1
     while True:
-        prefix = sub.iterate(letter, k * steps, cap)
-        if prefix.count(letter) > needed_occurrences:
+        prefix = sub.iterate(letter, k * steps)
+        if prefix.count(letter) > SEED_RETURN_WORDS + 1:
             return letter, prefix
-        if len(prefix) * max(len(r) for r in sub.rules) > cap:
+        if (len(prefix) * max(len(r) for r in sub.rules) >
+                words_mod.DEFAULT_WORD_CAP):
             return letter, prefix
         steps += 1
 
 
-def return_word_seeds(sub: Substitution,
-                      count=DEFAULT_SEED_RETURN_WORDS,
-                      cap=words_mod.DEFAULT_WORD_CAP):
-    """Cyclic-rotation balanced pairs from the first distinct return words
-    of the fixed point's first letter."""
-    letter, prefix = _fixed_point_prefix(sub, count + 1, cap)
+def return_word_seeds(sub: Substitution):
+    """Cyclic-rotation balanced pairs from the first SEED_RETURN_WORDS
+    distinct return words of the fixed point's first letter."""
+    letter, prefix = _fixed_point_prefix(sub)
     positions = [i for i, c in enumerate(prefix) if c == letter]
     seen = []
     for a, b in zip(positions, positions[1:]):
         r = prefix[a:b]
         if r not in seen:
             seen.append(r)
-        if len(seen) >= count:
+        if len(seen) >= SEED_RETURN_WORDS:
             break
     pairs = []
     for r in seen:
@@ -342,12 +339,7 @@ def return_word_seeds(sub: Substitution,
     return letter, seen, pairs
 
 
-def balanced_pairs(sub: Substitution,
-                   pair_cap=DEFAULT_PAIR_CAP,
-                   iter_cap=DEFAULT_ITER_CAP,
-                   seed_count=DEFAULT_SEED_RETURN_WORDS,
-                   length_cap=DEFAULT_PAIR_LENGTH_CAP,
-                   word_cap=words_mod.DEFAULT_WORD_CAP,
+def balanced_pairs(sub: Substitution, pair_cap=DEFAULT_PAIR_CAP,
                    advisory=False) -> SpectralHalf:
     """Run the balanced pair iteration to a verdict.
 
@@ -357,7 +349,7 @@ def balanced_pairs(sub: Substitution,
     reaches one; that subset is the certificate.  Any cap ends in UNKNOWN.
     """
     m = sub.size
-    letter, seed_words, seeds = return_word_seeds(sub, seed_count, word_cap)
+    letter, seed_words, seeds = return_word_seeds(sub)
     meta = {
         "seed_letter": letter,
         "seed_return_words": [list(w) for w in seed_words],
@@ -372,19 +364,19 @@ def balanced_pairs(sub: Substitution,
                 nodes[comp] = None
                 frontier.append(comp)
     edges = {}
-    for _ in range(iter_cap):
+    for _ in range(ITER_CAP):
         if not frontier:
             break
         nxt = []
         for pair in frontier:
             u, v = pair
-            if len(u) * max(len(r) for r in sub.rules) > length_cap:
+            if len(u) * max(len(r) for r in sub.rules) > PAIR_LENGTH_CAP:
                 return SpectralHalf(
                     "balanced-pairs", "UNKNOWN", certificate=meta,
                     advisory=advisory,
-                    bound_hit=f"pair length cap {length_cap}",
+                    bound_hit=f"pair length cap {PAIR_LENGTH_CAP}",
                 )
-            image = (sub.apply(u, word_cap), sub.apply(v, word_cap))
+            image = (sub.apply(u), sub.apply(v))
             succ = []
             for comp in split_balanced(*image, m):
                 comp = _canonical(comp)
@@ -402,7 +394,7 @@ def balanced_pairs(sub: Substitution,
     if frontier:
         return SpectralHalf(
             "balanced-pairs", "UNKNOWN", certificate=meta,
-            advisory=advisory, bound_hit=f"iteration cap {iter_cap}",
+            advisory=advisory, bound_hit=f"iteration cap {ITER_CAP}",
         )
     dist = _coincidence_distances(
         edges, [p for p in nodes if _is_coincidence_pair(p)])
@@ -496,8 +488,7 @@ def replay_overlap_certificate(system: SuspensionSystem, cert) -> bool:
         lambda k: (n.key() for n in inflate_overlap(system, classes[k])))
 
 
-def replay_balanced_certificate(sub: Substitution, cert,
-                                word_cap=words_mod.DEFAULT_WORD_CAP) -> bool:
+def replay_balanced_certificate(sub: Substitution, cert) -> bool:
     """Re-verify a balanced-pair FAILS certificate the same way.  Every
     entry must be a pair of nonempty words over 1..m with equal letter
     counts; a malformed entry fails."""
@@ -515,7 +506,7 @@ def replay_balanced_certificate(sub: Substitution, cert,
         pairs.add(_canonical((u, v)))
 
     def successors(pair):
-        image = (sub.apply(pair[0], word_cap), sub.apply(pair[1], word_cap))
+        image = (sub.apply(pair[0]), sub.apply(pair[1]))
         return (_canonical(c) for c in split_balanced(*image, m))
 
     return _is_closed(pairs, _is_coincidence_pair, successors)

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import algebraic, words
 from .errors import EigenvectorDefect, WindowNotCovered
-from .words import DEFAULT_WORD_CAP, Substitution
+from .words import Substitution
 
 
 def _solve_kernel(rows, field):
@@ -88,7 +88,7 @@ def prototile_lengths(sub: Substitution, field: algebraic.NumberField):
 class SuspensionSystem:
     """A substitution together with its exact geometric realization."""
 
-    def __init__(self, sub: Substitution, word_cap=DEFAULT_WORD_CAP):
+    def __init__(self, sub: Substitution):
         matrix = words.substitution_matrix(sub)
         if not words.is_primitive(matrix):
             raise ValueError("substitution is not primitive")
@@ -99,7 +99,6 @@ class SuspensionSystem:
         self.beta = self.field.beta()
         self.lengths = prototile_lengths(sub, self.field)
         self.seed = words.fixed_point_seed(sub)
-        self.word_cap = word_cap
         self._patch_cache = {}
         # lattices.return_lattices results, keyed on the exact window and
         # the reference points
@@ -146,7 +145,7 @@ class SuspensionSystem:
             pos = pos + self.lengths[c - 1]
         return Patch(tiles, pos)
 
-    def prototile_patch(self, letter, level, cap=None):
+    def prototile_patch(self, letter, level):
         """The level-fold inflation of prototile `letter` anchored at 0.
 
         Cached on the system; patches are immutable once built."""
@@ -154,23 +153,22 @@ class SuspensionSystem:
         cached = self._patch_cache.get(key)
         if cached is not None:
             return cached
-        word = self.sub.iterate(letter, level, cap or self.word_cap)
+        word = self.sub.iterate(letter, level)
         patch = self.patch_from_word(word, self.field.zero())
         self._patch_cache[key] = patch
         return patch
 
-    def two_sided_patch(self, steps, cap=None):
+    def two_sided_patch(self, steps):
         """Inflate the fixed-point seed `steps` times by sigma^k; the
         junction of the two seed tiles sits at 0."""
         k, left, right = self.seed
-        return generate_patch(self, (left, right), k * steps, cap)
+        return generate_patch(self, (left, right), k * steps)
 
-    def patch_covering(self, lo, hi, cap=None):
+    def patch_covering(self, lo, hi):
         """Smallest fixed-point patch whose support contains [lo, hi]."""
-        cap = cap or self.word_cap
         steps = 1
         while True:
-            patch = self.two_sided_patch(steps, cap)
+            patch = self.two_sided_patch(steps)
             if patch.covers(lo, hi):
                 return patch
             steps += 1
@@ -261,19 +259,18 @@ class PatchEmbedding:
         )
 
 
-def generate_patch(system: SuspensionSystem, seed, n, cap=None):
+def generate_patch(system: SuspensionSystem, seed, n):
     """Inflate a seed n times.
 
     A one-sided seed is a letter; its patch is anchored with the left
     endpoint at 0.  A two-sided seed is a (left, right) letter pair; the
     junction sits at 0.
     """
-    cap = cap or system.word_cap
     if isinstance(seed, int):
-        return system.prototile_patch(seed, n, cap)
+        return system.prototile_patch(seed, n)
     left, right = seed
-    left_word = system.sub.iterate(left, n, cap)
-    right_word = system.sub.iterate(right, n, cap)
+    left_word = system.sub.iterate(left, n)
+    right_word = system.sub.iterate(right, n)
     left_len = system.field.zero()
     for c in left_word:
         left_len = left_len + system.lengths[c - 1]

@@ -1,12 +1,14 @@
 import contextlib
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
 
 from subtiling import cli
-from subtiling.errors import SpecSyntaxError, UnknownCorpusEntry
+from subtiling.errors import (LengthCapExceeded, SpecSyntaxError,
+                              UnknownCorpusEntry)
 
 from conftest import CORPUS_IDS, report_for
 
@@ -293,3 +295,67 @@ def test_verify_fails_witness_that_does_not_parse(tmp_path, field_name,
     code, out, err = _verify_file(tmp_path, report)
     assert code == 1 and json.loads(out)["passed"] is False
     assert "Traceback" not in err
+
+
+def _witness(report, check):
+    if check == "simultaneous":
+        return report["checks"]["simultaneous"]["witness"]
+    return report["checks"]["geometric_strong"]["pairs"]["a|b"]["witness"]
+
+
+# fibonacci's seed power is 2; both witnesses sit at level 1, replay level 2.
+# Replaying at level 60 would grow patches past the word cap for minutes;
+# |sigma^60(a)| is far above the supertile cap, so analysis never searches
+# level 60.  A replay shift of 10^5 would need a patch of about 10^5 tiles.
+@pytest.mark.parametrize("check", ["simultaneous", "geometric_strong"])
+@pytest.mark.parametrize("tamper", [
+    {"replay_level": 60},
+    {"replay_level": 3},
+    {"level": 60, "replay_level": 60},
+    {"level": -2, "replay_level": -2},
+    {"level": 1.0},
+    {"replay_shift": ["100000/1", "0/1"]},
+    {"replay_shift": ["-100000/1", "0/1"]},
+])
+def test_verify_fails_tampered_witness_in_seconds(tmp_path, check, tamper):
+    report = _fixture("fibonacci")
+    _witness(report, check).update(tamper)
+    key = "simultaneous" if check == "simultaneous" else \
+        "geometric_strong[a|b]"
+    started = time.monotonic()
+    outcome = cli.verify_report(report)
+    assert time.monotonic() - started < 2
+    assert outcome["replayed"][key] is False
+    assert outcome["passed"] is False
+    code, out, err = _verify_file(tmp_path, report)
+    assert code == 1 and json.loads(out)["passed"] is False
+    assert "Traceback" not in err
+
+
+def test_verify_fails_negative_witness_level():
+    # the level-0 pair a|a replays trivially at any level; a negative level
+    # is still one that analysis never produces
+    report = _fixture("fibonacci")
+    pair = report["checks"]["geometric_strong"]["pairs"]["a|a"]
+    assert cli.verify_report(report)["replayed"]["geometric_strong[a|a]"]
+    pair["witness"].update(level=-1)
+    assert cli.verify_report(report)["replayed"]["geometric_strong[a|a]"] \
+        is False
+
+
+@pytest.mark.parametrize("target, check", [
+    ("subtiling.coincidence.verify_witness", "simultaneous"),
+    ("subtiling.spectrum.replay_overlap_certificate", "overlap_coincidence"),
+    ("subtiling.spectrum.replay_balanced_certificate", "balanced_pairs"),
+])
+def test_verify_counts_a_replay_that_hits_a_cap_as_failed(monkeypatch,
+                                                         target, check):
+    def over_cap(*args):
+        raise LengthCapExceeded("image length exceeds cap")
+
+    monkeypatch.setattr(target, over_cap)
+    report = _fixture("thue-morse" if check != "simultaneous"
+                      else "fibonacci")
+    outcome = cli.verify_report(report)
+    assert outcome["replayed"][check] is False
+    assert outcome["passed"] is False

@@ -92,7 +92,7 @@ def test_irreducibility():
     assert not P.is_irreducible([1, 2, 3, 2, 1])   # (x^2+x+1)^2
     assert P.is_irreducible([7, 1])
     with pytest.raises(P.DegreeCapExceeded):
-        P.is_irreducible([1] * 14, degree_cap=12)
+        P.is_irreducible([1] * 14)
 
 
 def test_factor_monic():
