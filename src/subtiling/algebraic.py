@@ -73,6 +73,14 @@ def scaled_coords(coords, denom):
     return tuple([c.numerator * (denom // c.denominator) for c in coords])
 
 
+def unscaled_coords(ints, denom):
+    """The coordinate vector ints / denom in normal form; the inverse of
+    scaled_coords."""
+    if denom == 1:
+        return tuple(ints)
+    return tuple([_canon(Fraction(a, denom)) for a in ints])
+
+
 class RatInterval:
     """Closed interval with rational endpoints."""
 

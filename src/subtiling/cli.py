@@ -29,11 +29,17 @@ from . import __version__
 from . import (algebraic, coincidence, lattices, polys, spectrum,
                suspension, words)
 from .errors import (
+    InvalidBound,
     SpecSyntaxError,
     SubtilingError,
     UnknownCorpusEntry,
 )
 from .spectrum import _frac_str
+
+
+# Largest window, in tile lengths, that analyze accepts and verify
+# replays; a witness replay grows its patch with the window.
+WINDOW_CAP = 1024
 
 
 @dataclass
@@ -331,18 +337,27 @@ def _reference_points(system, spec: SpecFile):
 _SPEC_BOUNDS = {"L": "level_bound", "window": "window", "k": "kmax"}
 
 
+def _check_window(window):
+    """Raise InvalidBound unless the window is an int in [1, WINDOW_CAP]."""
+    if type(window) is not int or not 1 <= window <= WINDOW_CAP:
+        raise InvalidBound(
+            f"window {window!r} is not an integer in [1, {WINDOW_CAP}]")
+
+
 def run_analysis(spec: SpecFile, overrides: dict | None = None) -> dict:
     """Execute every check on one substitution spec and build the report.
 
     Bound lines in the spec file refine the defaults; explicit overrides
     (command-line flags) win over both.  A check that raises records its
-    error in place; later checks still run.
+    error in place; later checks still run.  A window outside
+    [1, WINDOW_CAP] raises InvalidBound before any check runs.
     """
     bounds = Bounds(**{
         **{_SPEC_BOUNDS[k]: v for k, v in spec.bounds.items()
            if k in _SPEC_BOUNDS},
         **(overrides or {}),
     })
+    _check_window(bounds.window)
     report = {
         "schema": 1,
         "tool": {"name": "subtiling", "version": __version__},
@@ -478,6 +493,8 @@ def run_analysis(spec: SpecFile, overrides: dict | None = None) -> dict:
             "generators": [_elem(g) for g in res.generators],
             "powers": list(res.witnesses),
         }
+        if res.bound_hit:
+            checks["eventual_return_module"]["bound_hit"] = res.bound_hit
 
     def do_overlap():
         half = spectrum.overlap_coincidence(
@@ -576,14 +593,20 @@ def verify_report(report: dict) -> dict:
     Geometric and simultaneous HOLDS witnesses are rechecked point by
     point on the default window; FAILS certificates of both spectral
     procedures are rerun through one inflation or substitution pass.
-    A replay that raises a SubtilingError (a cap it ran into) fails.
+    A replay that raises a SubtilingError (a cap it ran into) fails, and
+    so does a report whose window _check_window rejects.
     """
+    size = report["input"]["bounds"]["window"]
+    try:
+        _check_window(size)
+    except InvalidBound as exc:
+        return {"passed": False, "replayed": {}, "error": str(exc)}
     spec = _spec_from_report(report)
     sub = spec.substitution()
     system = suspension.SuspensionSystem(sub)
     index = {tok: i + 1 for i, tok in enumerate(spec.letters)}
     refpoints, _ = _reference_points(system, spec)
-    window = system.window(report["input"]["bounds"]["window"])
+    window = system.window(size)
     results = {}
 
     def witness_from_json(w):
@@ -745,7 +768,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     started = time.monotonic()
-    report = run_analysis(spec, overrides=_overrides_from_args(args))
+    try:
+        report = run_analysis(spec, overrides=_overrides_from_args(args))
+    except InvalidBound as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     elapsed = time.monotonic() - started
     if args.verify:
         report["verification"] = verify_report(report)

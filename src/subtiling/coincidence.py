@@ -312,7 +312,9 @@ def verify_witness(system: SuspensionSystem, refpoints,
     Checks beta^L * x + shift in Lambda_color for every reference point x
     of the witness scope inside the window, using the replay level (a
     multiple of the seed power, so that inflated tiles are tiles of the
-    same tiling).  Exact membership, no tolerance.
+    same tiling).  Exact membership, no tolerance: each image point is one
+    lookup in the patch's position index.  A window that holds no
+    reference point checks nothing, and the replay fails.
 
     A witness that analysis cannot have produced fails before any patch
     is built: its level must be one the search reaches under the
@@ -350,13 +352,14 @@ def verify_witness(system: SuspensionSystem, refpoints,
         system.field.rational(span_lo), system.field.rational(span_hi)
     )
     source_pts = reference_point_sets(patch, refpoints, (lo, hi))
-    targets = set()
-    for pos, c in patch.tiles:
-        if c == color:
-            targets.add((pos + refpoints[c - 1]).coords)
+    if source_pts.count() == 0:
+        return False
+    colors = patch.position_index()
+    # y = beta^L x + shift is a point of Lambda_color exactly when
+    # y - c_color is the position of a tile of that color
+    offset = shift - refpoints[color - 1]
     for letter in set(letters):
         for x in source_pts.color(letter):
-            y = factor * x + shift
-            if y.coords not in targets:
+            if colors.get((factor * x + offset).coords) != color:
                 return False
     return True

@@ -34,7 +34,11 @@ class WindowNotCovered(SubtilingError):
 
 
 class EmptyWindow(SubtilingError):
-    """A window contains no reference points at all."""
+    """A window holds no same-color return vector to sample from."""
+
+
+class InvalidBound(SubtilingError):
+    """A bound is not an integer in its allowed range."""
 
 
 class NotASubmodule(SubtilingError):

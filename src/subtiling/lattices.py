@@ -353,6 +353,7 @@ class ReturnModuleResult:
     witnesses: tuple
     sup: ZModule
     sub: ZModule
+    bound_hit: str | None = None
 
 
 def differences_in_return_module(system, refpoints, kmax, window_size):
@@ -360,9 +361,12 @@ def differences_in_return_module(system, refpoints, kmax, window_size):
 
     For each basis generator v of the cross-difference lattice, search the
     least k with beta^k * v inside the same-color difference lattice.
-    HOLDS when all generators succeed; otherwise UNKNOWN at the bound.
+    HOLDS when all generators succeed; otherwise UNKNOWN at the bound.  A
+    window that holds no same-color return vector samples nothing: the
+    result is UNKNOWN and names the window.
     """
     sup_mod, sub_mod = return_lattices(system, refpoints, window_size)
+    empty = sub_mod.is_zero()
     witnesses = []
     generators = []
     all_found = True
@@ -374,9 +378,11 @@ def differences_in_return_module(system, refpoints, kmax, window_size):
         witnesses.append(k)
         if k is None:
             all_found = False
+    all_found = all_found and not empty
     status = "HOLDS" if all_found else "UNKNOWN"
     max_power = max((k for k in witnesses if k is not None), default=0)
     return ReturnModuleResult(
         status, max_power if all_found else None, kmax,
         tuple(generators), tuple(witnesses), sup_mod, sub_mod,
+        bound_hit=f"window {window_size}" if empty else None,
     )

@@ -135,18 +135,18 @@ def overlap_classes_for_translation(system: SuspensionSystem, patch, y):
 
 def initial_overlaps(system: SuspensionSystem, refpoints, window):
     """Overlap classes seeded by every nonzero same-color return vector
-    found in the window."""
+    found in the window; EmptyWindow when there is none."""
     lo, hi = window
     patch = system.patch_covering(lo, hi)
     pts = reference_point_sets(patch, refpoints, window)
-    if pts.count() == 0:
-        raise EmptyWindow("window holds no reference points")
     per_color, _ = return_vectors(pts, cross=False)
     translations = {}
     for diffs in per_color:
         for d in diffs:
             if not d.is_zero():
                 translations[d.coords] = d
+    if not translations:
+        raise EmptyWindow("window holds no same-color return vector")
     classes = {}
     for y in translations.values():
         classes.update(overlap_classes_for_translation(system, patch, y))
@@ -194,9 +194,16 @@ def overlap_coincidence(system: SuspensionSystem, refpoints, window,
     inflation steps after which every class shows a coincidence.  FAILS
     comes with the set of classes that reach none; that set is closed
     under inflation and is re-verified by one inflation pass before being
-    emitted.  Exceeding the node cap yields UNKNOWN.
+    emitted.  Exceeding the node cap yields UNKNOWN, and so does a window
+    that holds no same-color return vector to seed the closure.
     """
-    seeds = initial_overlaps(system, refpoints, window)
+    try:
+        seeds = initial_overlaps(system, refpoints, window)
+    except EmptyWindow:
+        ends = [_frac_str(window[0]), _frac_str(window[1])]
+        return SpectralHalf("overlap", "UNKNOWN",
+                            certificate={"window": ends},
+                            bound_hit=f"window [{ends[0]}, {ends[1]}]")
     classes = dict(seeds)
     edges = {}
     queue = list(seeds.keys())

@@ -5,13 +5,20 @@ eigenvector of the substitution matrix for the dominant eigenvalue beta,
 normalized so the last letter has unit length.  A two-sided fixed point
 of sigma^k, found by fixed_point_seed, realizes the tiling; patches list
 tiles as (position, color) with exact positions in Q(beta) obtained by
-prefix sums.  Reference points per prototile turn a patch into a colored
-point set.  All values are immutable and all comparisons certified.
+prefix sums of the integer length vectors.  A system caches its patches,
+the inflated prototiles per (letter, level) and the fixed-point patches
+per (seed, level), and each patch builds its integer embedding and its
+position index once.  Reference points per prototile turn a patch into
+a colored point set.  All values are immutable and all comparisons
+certified.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
+from itertools import accumulate
 
 from . import algebraic, words
 from .errors import EigenvectorDefect, WindowNotCovered
@@ -98,7 +105,15 @@ class SuspensionSystem:
         self.field = algebraic.perron_factor(self.char_poly)
         self.beta = self.field.beta()
         self.lengths = prototile_lengths(sub, self.field)
+        # the lengths as integer vectors over one common denominator
+        self._length_denom = algebraic.common_denominator(
+            c for length in self.lengths for c in length.coords)
+        self._length_ints = tuple(
+            algebraic.scaled_coords(length.coords, self._length_denom)
+            for length in self.lengths)
         self.seed = words.fixed_point_seed(sub)
+        # prototile patches keyed (letter, level), fixed-point patches
+        # keyed (seed, level)
         self._patch_cache = {}
         # lattices.return_lattices results, keyed on the exact window and
         # the reference points
@@ -137,13 +152,25 @@ class SuspensionSystem:
     # -- patches ---------------------------------------------------------
 
     def patch_from_word(self, word, start):
-        """Tiles of a word laid out left to right from an exact start."""
-        tiles = []
-        pos = start
-        for c in word:
-            tiles.append((pos, c))
-            pos = pos + self.lengths[c - 1]
-        return Patch(tiles, pos)
+        """Tiles of a word laid out left to right from an exact start.
+
+        The boundaries are prefix sums of the integer length vectors, one
+        accumulate per coordinate over the common denominator of the start
+        and the lengths; each becomes one FieldElem in normal form."""
+        denom = math.lcm(self._length_denom,
+                         algebraic.common_denominator(start.coords))
+        scale = denom // self._length_denom
+        columns = []
+        for k, s in enumerate(algebraic.scaled_coords(start.coords, denom)):
+            # coordinate k of each letter's length, indexed by letter
+            steps = (0,) + tuple(v[k] * scale for v in self._length_ints)
+            columns.append(accumulate(map(steps.__getitem__, word),
+                                      initial=s))
+        field = self.field
+        bounds = [
+            algebraic.FieldElem(field, algebraic.unscaled_coords(v, denom))
+            for v in zip(*columns)]
+        return Patch(list(zip(bounds, word)), bounds[-1])
 
     def prototile_patch(self, letter, level):
         """The level-fold inflation of prototile `letter` anchored at 0.
@@ -186,6 +213,7 @@ class Patch:
         self.end = end
         self.junction_index = None
         self._embedding = None
+        self._index = None
 
     def __len__(self):
         return len(self.tiles)
@@ -213,6 +241,13 @@ class Patch:
         if self._embedding is None:
             self._embedding = PatchEmbedding.of(self)
         return self._embedding
+
+    def position_index(self):
+        """Map from tile position coordinates to tile color, built on
+        first use."""
+        if self._index is None:
+            self._index = {pos.coords: c for pos, c in self.tiles}
+        return self._index
 
 
 class PatchEmbedding:
@@ -264,18 +299,27 @@ def generate_patch(system: SuspensionSystem, seed, n):
 
     A one-sided seed is a letter; its patch is anchored with the left
     endpoint at 0.  A two-sided seed is a (left, right) letter pair; the
-    junction sits at 0.
+    junction sits at 0.  Both kinds are cached on the system.
     """
     if isinstance(seed, int):
         return system.prototile_patch(seed, n)
-    left, right = seed
-    left_word = system.sub.iterate(left, n)
-    right_word = system.sub.iterate(right, n)
-    left_len = system.field.zero()
-    for c in left_word:
-        left_len = left_len + system.lengths[c - 1]
-    patch = system.patch_from_word(left_word + right_word, -left_len)
-    patch.junction_index = len(left_word)
+    key = (seed, n)
+    patch = system._patch_cache.get(key)
+    if patch is None:
+        left, right = seed
+        left_word = system.sub.iterate(left, n)
+        right_word = system.sub.iterate(right, n)
+        # the left length, -start, is the letter counts dotted with the
+        # length vectors
+        counts = words.abelianization(left_word, system.size)
+        start = [-sum(map(operator.mul, counts, column))
+                 for column in zip(*system._length_ints)]
+        patch = system.patch_from_word(
+            left_word + right_word,
+            algebraic.FieldElem(system.field, algebraic.unscaled_coords(
+                start, system._length_denom)))
+        patch.junction_index = len(left_word)
+        system._patch_cache[key] = patch
     return patch
 
 
@@ -372,17 +416,55 @@ def reference_point_sets(patch: Patch, refpoints, window) -> PointSets:
 
     The window must lie inside the patch support (reference shifts are
     allowed to move points slightly past the edge tiles, so coverage is
-    checked on tile supports).
+    checked on tile supports).  The window ends are rationals or field
+    elements.
+
+    Each tile is first placed on integers alone: the enclosure of its
+    position in the patch embedding plus the enclosure of its reference
+    point is compared with enclosures of the window ends.  A tile whose
+    point lies certainly below the lower end, or above both ends, is
+    skipped, and one whose point lies certainly between them is kept;
+    only the others get the exact test.  Enclosures of summands add up to
+    an enclosure no tighter than the fixed-point filter's for the sum, so
+    every tile placed this way is one whose signs the filter would have
+    decided: placing it changes no refinement.
     """
     lo, hi = window
     if not patch.covers(lo, hi):
         raise WindowNotCovered("window exceeds the computed patch")
+    emb = patch.embedding()
+    field = patch.start.field
+    lo_low, lo_high = _enclosure(field, lo, emb.denom)
+    hi_low, hi_high = _enclosure(field, hi, emb.denom)
+    top = max(lo_high, hi_high)
+    # per color, indexed by letter, bounds on a position enclosure
+    # (low, high): high < out_lo or low > out_hi puts the point certainly
+    # outside the window, low > in_lo and high < in_hi certainly inside
+    bands = [None]
+    for c in refpoints:
+        c_low, c_high = _enclosure(field, c, emb.denom)
+        bands.append((lo_low - c_high, top - c_low,
+                      lo_high - c_low, hi_low - c_high))
     per_color = [[] for _ in refpoints]
-    for pos, c in patch.tiles:
+    for (pos, c), low, high in zip(patch.tiles, emb.lows, emb.highs):
+        out_lo, out_hi, in_lo, in_hi = bands[c]
+        if high < out_lo or low > out_hi:
+            continue
         x = pos + refpoints[c - 1]
-        if (x - lo).sign() >= 0 and (x - hi).sign() <= 0:
+        if (low > in_lo and high < in_hi) or \
+                ((x - lo).sign() >= 0 and (x - hi).sign() <= 0):
             per_color[c - 1].append(x)
     return PointSets(tuple(tuple(p) for p in per_color), window)
+
+
+def _enclosure(field, value, denom):
+    """Integers (lower, upper) enclosing 2^FILTER_BITS * denom * value for
+    a rational or a field element, rounded outward."""
+    coords = (value.coords if isinstance(value, algebraic.FieldElem)
+              else (value,))
+    d = algebraic.common_denominator(coords)
+    lower, upper = field.fixed_point_bounds(algebraic.scaled_coords(coords, d))
+    return lower * denom // d, -(-upper * denom // d)
 
 
 def return_vectors(points: PointSets, *, cross=True):

@@ -2,11 +2,12 @@ import contextlib
 import io
 import json
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from subtiling import cli
+from subtiling import algebraic, cli, suspension
 from subtiling.errors import (LengthCapExceeded, SpecSyntaxError,
                               UnknownCorpusEntry)
 
@@ -359,3 +360,122 @@ def test_verify_counts_a_replay_that_hits_a_cap_as_failed(monkeypatch,
     outcome = cli.verify_report(report)
     assert outcome["replayed"][check] is False
     assert outcome["passed"] is False
+
+
+# -- the window cap --------------------------------------------------------
+
+
+@pytest.mark.parametrize("window", ["0", "-4", str(cli.WINDOW_CAP + 1)])
+def test_analyze_rejects_window_outside_cap(window):
+    code, out, err = run_cli(["analyze", "rauzy2-left", "--window", window])
+    assert code == 2 and out == ""
+    assert str(cli.WINDOW_CAP) in err and "Traceback" not in err
+
+
+def test_analyze_rejects_spec_line_window_outside_cap(tmp_path):
+    path = tmp_path / "wide.sub"
+    path.write_text("letters a b\nrule a = a b\nrule b = a\n"
+                    f"bound window {cli.WINDOW_CAP + 1}\n")
+    code, out, err = run_cli(["analyze", str(path)])
+    assert code == 2 and out == ""
+    assert str(cli.WINDOW_CAP) in err
+
+
+@pytest.mark.parametrize("window", ["64", 2.5, -4, 0, True,
+                                    cli.WINDOW_CAP + 1, 65_536])
+def test_verify_fails_report_window_outside_cap(tmp_path, window):
+    report = _fixture("fibonacci")
+    report["input"]["bounds"]["window"] = window
+    started = time.monotonic()
+    outcome = cli.verify_report(report)
+    assert time.monotonic() - started < 1
+    assert outcome["passed"] is False
+    assert str(cli.WINDOW_CAP) in outcome["error"]
+    code, out, err = _verify_file(tmp_path, report)
+    assert code == 1 and json.loads(out)["passed"] is False
+    assert "Traceback" not in err
+
+
+# -- no HOLDS from an empty sample ------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["rauzy2-left", "thue-morse", "fib2"])
+def test_window_without_returns_is_unknown(name):
+    # a window of one tile length holds no two points of one color: the
+    # overlap closure has no seed and the return module no sample
+    report = cli.run_analysis(cli.corpus_lookup(name), {"window": 1})
+    overlap = report["checks"]["overlap_coincidence"]
+    assert overlap["status"] == "UNKNOWN"
+    assert overlap["bound_hit"].startswith("window [")
+    assert "total_classes" not in overlap["certificate"]
+    returns = report["checks"]["eventual_return_module"]
+    assert returns["status"] == "UNKNOWN"
+    assert returns["bound_hit"] == "window 1"
+    assert report["checks"]["spectral"]["status"] == "UNKNOWN"
+    assert cli.report_exit_code(report) == 2
+
+
+# -- tampered witnesses on the index lookup ---------------------------------
+
+
+# rauzy2-gamma witnesses: the simultaneous one at level 3, and the pairs
+# a|b (level 1, nonzero replay shift) and a|c (level 3)
+TAMPERED_WITNESSES = ("simultaneous", "a|b", "a|c")
+
+
+def _one_witness_report(key, **tamper):
+    """The rauzy2-gamma fixture with only one witness left to replay, its
+    fields updated by `tamper`."""
+    report = _fixture("rauzy2-gamma")
+    checks = report["checks"]
+    if key == "simultaneous":
+        witness = checks["simultaneous"]["witness"]
+        report["checks"] = {"simultaneous": checks["simultaneous"]}
+    else:
+        pair = checks["geometric_strong"]["pairs"][key]
+        witness = pair["witness"]
+        report["checks"] = {"geometric_strong": {"pairs": {key: pair}}}
+    witness.update(tamper)
+    return report, witness
+
+
+@pytest.mark.parametrize("key", TAMPERED_WITNESSES)
+def test_verify_fails_witness_with_another_replay_color(key):
+    report, witness = _one_witness_report(key)
+    assert cli.verify_report(report)["passed"]
+    for letter in report["input"]["letters"]:
+        if letter != witness["replay_color"]:
+            tampered, _ = _one_witness_report(key, replay_color=letter)
+            assert not cli.verify_report(tampered)["passed"], letter
+
+
+@pytest.mark.parametrize("key", TAMPERED_WITNESSES)
+def test_verify_fails_witness_shifted_by_a_tile_length(key):
+    report, witness = _one_witness_report(key)
+    for length in report["facts"]["prototile_lengths"]:
+        for sign in (1, -1):
+            moved = [str(Fraction(c) + sign * Fraction(d))
+                     for c, d in zip(witness["replay_shift"], length)]
+            tampered, _ = _one_witness_report(key, replay_shift=moved)
+            assert not cli.verify_report(tampered)["passed"], (length, sign)
+
+
+# -- a deterministic work guard for witness replay --------------------------
+
+
+def test_pentanacci_replay_builds_each_patch_once(monkeypatch):
+    # verify replays 16 witnesses on two fixed-point patches; each is
+    # built once, and the pruned point sets leave few certified signs
+    builds, signs = [], []
+    build = suspension.SuspensionSystem.patch_from_word
+    sign = algebraic.FieldElem.sign
+    monkeypatch.setattr(
+        suspension.SuspensionSystem, "patch_from_word",
+        lambda self, word, start: builds.append((word, start.coords))
+        or build(self, word, start))
+    monkeypatch.setattr(algebraic.FieldElem, "sign",
+                        lambda self: signs.append(1) or sign(self))
+    outcome = cli.verify_report(_fixture("pentanacci"))
+    assert outcome["passed"] and len(outcome["replayed"]) == 16
+    assert len(builds) == len(set(builds)) == 2
+    assert len(signs) <= 200

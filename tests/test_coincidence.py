@@ -145,9 +145,10 @@ def test_verify_witness_tiny_window_vacuous(sys_aba):
         replay_level=1, replay_color=2, replay_shift=one,
     )
     # window holding no reference point of either scope color at all:
-    # (1/3, 2/3) avoids both 2Z+4/3 and 2Z+1
+    # (1/3, 2/3) avoids both 2Z+4/3 and 2Z+1; a replay that checks no
+    # point proves nothing and fails
     tiny = (Fraction(1, 3), Fraction(2, 3))
-    assert C.verify_witness(sys_aba, refs, corrupted, tiny)
+    assert not C.verify_witness(sys_aba, refs, corrupted, tiny)
 
 
 def test_prefix_simultaneous_minima(fib, rauzy, fib2):

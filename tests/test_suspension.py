@@ -3,10 +3,14 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subtiling import cli
 from subtiling import suspension as S
 from subtiling.errors import WindowNotCovered
+
+from conftest import CORPUS_IDS, system_for
 
 
 def test_prototile_lengths(sys_fib, sys_tm, sys_fib2):
@@ -261,10 +265,140 @@ def test_dropped_system_is_freed_without_cyclic_gc():
         system = S.SuspensionSystem(cli.corpus_lookup("rauzy").substitution())
         patch = system.prototile_patch(1, 4)
         patch.embedding()
-        system.patch_covering(*system.window(8)).embedding()
-        refs = weakref.ref(system), weakref.ref(patch)
-        del system, patch
-        assert [r() for r in refs] == [None, None]
+        covering = system.patch_covering(*system.window(8))
+        covering.embedding()
+        covering.position_index()
+        system.two_sided_patch(2).position_index()
+        refs = (weakref.ref(system), weakref.ref(patch),
+                weakref.ref(covering))
+        del system, patch, covering
+        assert [r() for r in refs] == [None, None, None]
     finally:
         if enabled:
             gc.enable()
+
+
+def _addition_chain(system, word, start):
+    """Reference: tile positions by one field addition per tile."""
+    tiles = []
+    pos = start
+    for c in word:
+        tiles.append((pos, c))
+        pos = pos + system.lengths[c - 1]
+    return tiles, pos
+
+
+@pytest.mark.parametrize("name", CORPUS_IDS)
+def test_prefix_sum_patch_equals_addition_chain(name):
+    system = system_for(name)
+    k, left, right = system.seed
+    word = system.sub.iterate(left, 2 * k) + system.sub.iterate(right, 2 * k)
+    # a start with one coordinate over 3: the others stay integral
+    third = system.field.element([Fraction(-1, 3)])
+    for start in (system.field.zero(), system.lengths[0], third):
+        patch = system.patch_from_word(word, start)
+        tiles, end = _addition_chain(system, word, start)
+        assert [(pos.coords, c) for pos, c in patch.tiles] == \
+            [(pos.coords, c) for pos, c in tiles]
+        assert patch.end.coords == end.coords
+        # the same normal form: int where integral, Fraction otherwise
+        assert [tuple(map(type, pos.coords)) for pos, _ in patch.tiles] == \
+            [tuple(map(type, pos.coords)) for pos, _ in tiles]
+    patch = S.generate_patch(system, (left, right), 2 * k)
+    left_len = _addition_chain(system, system.sub.iterate(left, 2 * k),
+                               system.field.zero())[1]
+    assert patch.start == -left_len
+    assert patch.tiles[patch.junction_index][0].is_zero()
+
+
+def test_fixed_point_patches_are_cached(sys_fib, sys_rauzy2):
+    for system in (sys_fib, sys_rauzy2):
+        assert system.two_sided_patch(3) is system.two_sided_patch(3)
+        k, left, right = system.seed
+        assert S.generate_patch(system, (left, right), 3 * k) is \
+            system.two_sided_patch(3)
+        patch = system.patch_covering(*system.window(16))
+        assert system.patch_covering(*system.window(16)) is patch
+        index = patch.position_index()
+        assert patch.position_index() is index
+        assert index == {pos.coords: c for pos, c in patch.tiles}
+
+
+def _fieldelem_point_sets(patch, refpoints, window):
+    """Reference: the exact test on every tile, no integer placement."""
+    lo, hi = window
+    assert patch.covers(lo, hi)
+    per_color = [[] for _ in refpoints]
+    for pos, c in patch.tiles:
+        x = pos + refpoints[c - 1]
+        if (x - lo).sign() >= 0 and (x - hi).sign() <= 0:
+            per_color[c - 1].append(x)
+    return per_color
+
+
+# (corpus id, tile map or None for the left endpoints); the rauzy,
+# rauzy2-gamma and aba-gamma maps give control points with coordinates
+# 1/2, 1/2 and 2/3, whose denominators do not divide a patch's
+POINT_SET_CASES = (
+    ("fibonacci", None), ("fib2", None), ("rauzy", (2, 1, 1)),
+    ("rauzy2-gamma", (2, 1, 1, 2, 1, 1)), ("aba-gamma", (2, 3)),
+)
+
+
+def _fresh_setting(name, tile_map, size):
+    """A new system, so that its beta interval starts unrefined, its
+    reference points and a patch covering a window of size + 4."""
+    system = S.SuspensionSystem(cli.corpus_lookup(name).substitution())
+    refs = (S.left_endpoint_points(system) if tile_map is None
+            else S.control_points(system, tile_map))
+    patch = system.patch_covering(*system.window(size + 4))
+    return system, refs, patch
+
+
+@st.composite
+def _window_end(draw, system, refs, patch, size):
+    """Coordinates of a window end, or a Fraction: a rational, a reference
+    point, a point off one by +-beta^-k, or a cut through a tile."""
+    kind = draw(st.sampled_from(["rational", "point", "near", "cut"]))
+    if kind == "rational":
+        # inside the window of `size`, as every tile is at least 1 long
+        q = draw(st.sampled_from([1, 3, 16]))
+        return Fraction(draw(st.integers(-size * q // 2, size * q // 2)), q)
+    j = patch.junction_index + draw(st.integers(-size // 2, size // 2 - 1))
+    pos, c = patch.tiles[j]
+    if kind == "point":
+        end = pos + refs[c - 1]
+    elif kind == "near":
+        sign = draw(st.sampled_from([1, -1]))
+        end = pos + refs[c - 1] + sign * system.beta.inverse() ** draw(
+            st.integers(4, 24))
+    else:
+        end = pos + system.length_of(c) * draw(
+            st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(5, 7)]))
+    return end.coords
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_pruned_point_sets_match_fieldelem_loop(data):
+    # same points in the same order after the same refinements, each side
+    # on a fresh system, for rational and field-element window ends
+    name, tile_map = data.draw(st.sampled_from(POINT_SET_CASES))
+    size = data.draw(st.sampled_from([4, 16]))
+    system = system_for(name)
+    probe = (system, (S.left_endpoint_points(system) if tile_map is None
+                      else S.control_points(system, tile_map)),
+             system.patch_covering(*system.window(size + 4)))
+    ends = [data.draw(_window_end(*probe, size)) for _ in range(2)]
+    results = []
+    for point_sets in (_fieldelem_point_sets, S.reference_point_sets):
+        system, refs, patch = _fresh_setting(name, tile_map, size)
+        window = tuple(e if isinstance(e, Fraction)
+                       else system.field.element(e) for e in ends)
+        before = system.field.generation
+        per_color = point_sets(patch, refs, window)
+        if point_sets is S.reference_point_sets:
+            per_color = per_color.per_color
+        results.append(([[x.coords for x in pts] for pts in per_color],
+                         system.field.generation - before))
+    assert results[0] == results[1]
