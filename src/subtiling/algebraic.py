@@ -2,8 +2,9 @@
 substitution matrix.
 
 A NumberField holds a monic irreducible integer minimal polynomial and a
-shrinking rational interval [lo, hi] that isolates its dominant real root
-beta > 1.  Field elements are coordinate vectors in the power basis
+shrinking isolating interval [lo, hi] = [num_lo/den, num_hi/den] of its
+dominant real root beta > 1, kept as the three ints num_lo, num_hi and
+den.  Field elements are coordinate vectors in the power basis
 1, beta, ..., beta^(n-1).  Coordinates are in a normal form: an integral
 coordinate is an int and only a coordinate with a denominator is a
 Fraction.  Since an int and the equal Fraction compare and hash alike,
@@ -24,14 +25,21 @@ Signs of nonzero elements are certified in two stages, filter then exact.
   an enclosure (fixed_point_bounds), which a patch's integer embedding
   takes once per tile boundary.
 * Exact route.  When the filter cannot decide, the coordinate polynomial
-  is evaluated in rational interval arithmetic on [lo, hi], and the
-  interval is bisected until the enclosure excludes zero.
+  is evaluated by Horner's rule in integer interval arithmetic on
+  [num_lo, num_hi]: scaled by the lcm of its denominators, the element's
+  step j adds the next coordinate times den^j, so the result is the
+  rational interval Horner enclosure on [lo, hi] times a positive
+  integer.  The interval is bisected until the enclosure excludes zero;
+  a bisection doubles num_lo, num_hi and den and takes the midpoint
+  num_lo + num_hi of the old ends, decided by the sign of the minimal
+  polynomial there in homogeneous integer Horner form.  A RatInterval
+  is built only at the boundary (interval()).
 
-Both stages compute with int and Fraction values only, and neither has
-a tolerance.  The Pisot test counts conjugates in the open unit disk
-exactly, by a winding number computed from signed remainder sequences;
-roots on the unit circle are detected through the reciprocal-polynomial
-criterion.  Every verdict of this module is decided in exact arithmetic.
+Both stages compute with ints only, and neither has a tolerance.  The
+Pisot test counts conjugates in the open unit disk exactly, by a winding
+number computed from signed remainder sequences; roots on the unit circle
+are detected through the reciprocal-polynomial criterion.  Every verdict
+of this module is decided in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -127,24 +135,22 @@ class RatInterval:
 
 def char_poly(matrix):
     """Monic characteristic polynomial of an integer matrix, ascending
-    coefficients, by the Faddeev-LeVerrier recurrence (exact)."""
+    coefficients, by the Faddeev-LeVerrier recurrence in integers."""
     m = len(matrix)
-    rows = [[Fraction(c) for c in row] for row in matrix]
-    coeffs = [Fraction(1)]          # descending: x^m, x^(m-1), ...
-    work = [[Fraction(0)] * m for _ in range(m)]
+    rows = [[int(c) for c in row] for row in matrix]
+    coeffs = [1]                    # descending: x^m, x^(m-1), ...
+    work = [[0] * m for _ in range(m)]
     for k in range(1, m + 1):
         for i in range(m):
             work[i][i] += coeffs[-1]
-        work = [[sum(rows[i][t] * work[t][j] for t in range(m))
-                 for j in range(m)] for i in range(m)]
-        trace = sum(work[i][i] for i in range(m))
-        coeffs.append(-trace / k)
-    out = []
-    for c in reversed(coeffs):
-        if c.denominator != 1:
+        cols = list(zip(*work))
+        work = [[sum(map(operator.mul, row, col)) for col in cols]
+                for row in rows]
+        coeff, rem = divmod(-sum(work[i][i] for i in range(m)), k)
+        if rem:
             raise AssertionError("characteristic polynomial not integral")
-        out.append(int(c))
-    return out
+        coeffs.append(coeff)
+    return coeffs[::-1]
 
 
 class NumberField:
@@ -156,18 +162,29 @@ class NumberField:
             raise ValueError("minimal polynomial must be monic")
         self.minpoly = tuple(int(c) for c in minpoly)
         self.degree = polys.degree(minpoly)
-        self._lo = Fraction(lo)
-        self._hi = Fraction(hi)
+        # beta lies in [num_lo / den, num_hi / den]
+        if self.degree == 1:
+            # beta is the integer -minpoly[0]; pin the interval to it.
+            self.num_lo = self.num_hi = -self.minpoly[0]
+            self.den = 1
+        else:
+            lo, hi = Fraction(lo), Fraction(hi)
+            self.den = math.lcm(lo.denominator, hi.denominator)
+            self.num_lo = lo.numerator * (self.den // lo.denominator)
+            self.num_hi = hi.numerator * (self.den // hi.denominator)
+            # the sign at the lower end is kept by every bisection step
+            self._lo_sign = self._minpoly_sign(self.num_lo, self.den)
+            if not (lo < hi and
+                    self._lo_sign * self._minpoly_sign(self.num_hi,
+                                                       self.den) < 0):
+                raise ValueError(f"[{lo}, {hi}] does not isolate a root "
+                                 "of the minimal polynomial")
         self.generation = 0
         self._filter_table = None
         self._filter_gen = -1
-        if self.degree == 1:
-            # beta is the integer -minpoly[0]; pin the interval to it.
-            root = Fraction(-self.minpoly[0])
-            self._lo = self._hi = root
         guard = 0
-        while self._lo <= 1:
-            if self._hi <= 1 or guard > 512:
+        while self.num_lo <= self.den:
+            if self.num_hi <= self.den or guard > 512:
                 raise ValueError("dominant root is not greater than one")
             self._refine_once()
             guard += 1
@@ -187,39 +204,57 @@ class NumberField:
 
     # -- interval management -------------------------------------------
 
+    def _minpoly_sign(self, num, den):
+        """Sign of minpoly(num / den) for den > 0, from the homogeneous
+        integer Horner sum of c_k num^k den^(n-k)."""
+        coeffs = self.minpoly
+        acc = coeffs[-1]
+        den_pow = 1
+        for c in reversed(coeffs[:-1]):
+            den_pow *= den
+            acc = acc * num + c * den_pow
+        return (acc > 0) - (acc < 0)
+
     def _refine_once(self):
         if self.degree == 1:
             raise AssertionError("rational beta never needs refinement")
-        mid = (self._lo + self._hi) / 2
-        v = polys.eval_at(self.minpoly, mid)
-        if v == 0:
+        # the midpoint over the doubled denominator
+        mid = self.num_lo + self.num_hi
+        self.num_lo *= 2
+        self.num_hi *= 2
+        self.den *= 2
+        s = self._minpoly_sign(mid, self.den)
+        if s == 0:
             raise AssertionError("irreducible minpoly has no rational root")
-        lo_sign = polys.eval_at(self.minpoly, self._lo)
-        if (v > 0) == (lo_sign > 0):
-            self._lo = mid
+        if s == self._lo_sign:
+            self.num_lo = mid
         else:
-            self._hi = mid
+            self.num_hi = mid
         self.generation += 1
 
     def interval(self):
-        return RatInterval(self._lo, self._hi)
+        return RatInterval(Fraction(self.num_lo, self.den),
+                           Fraction(self.num_hi, self.den))
 
     def ensure_width(self, width):
-        while self._hi - self._lo > width:
+        width = Fraction(width)
+        while ((self.num_hi - self.num_lo) * width.denominator >
+               width.numerator * self.den):
             self._refine_once()
 
     def _fixed_point_table(self):
         """(L, H) with L[k] <= 2^FILTER_BITS * beta^k <= H[k] for
         k < degree, from the current interval; rebuilt per generation."""
         if self._filter_gen != self.generation:
-            scale = 1 << FILTER_BITS
             lows, highs = [], []
-            lo_pow = hi_pow = Fraction(1)
+            lo_pow = hi_pow = 1 << FILTER_BITS
+            den_pow = 1
             for _ in range(self.degree):
-                lows.append(math.floor(scale * lo_pow))
-                highs.append(math.ceil(scale * hi_pow))
-                lo_pow *= self._lo
-                hi_pow *= self._hi
+                lows.append(lo_pow // den_pow)
+                highs.append(-(-hi_pow // den_pow))
+                lo_pow *= self.num_lo
+                hi_pow *= self.num_hi
+                den_pow *= self.den
             self._filter_table = (tuple(lows), tuple(highs))
             self._filter_gen = self.generation
         return self._filter_table
@@ -310,13 +345,11 @@ class FieldElem:
     """Element of Q(beta) as a rational vector in the power basis, each
     coordinate an int when integral and a Fraction otherwise."""
 
-    __slots__ = ("field", "coords", "_ivl", "_ivl_gen")
+    __slots__ = ("field", "coords")
 
     def __init__(self, field, coords):
         self.field = field
         self.coords = coords
-        self._ivl = None
-        self._ivl_gen = -1
 
     def __repr__(self):
         return f"FieldElem({[str(c) for c in self.coords]})"
@@ -424,23 +457,40 @@ class FieldElem:
             raise ValueError("element is irrational")
         return Fraction(self.coords[0])
 
-    def interval(self):
-        """Enclosing rational interval, cached per refinement generation."""
+    def _enclosure(self):
+        """Integers (lower, upper, scale), scale > 0, such that
+        [lower / scale, upper / scale] is the Horner enclosure of the
+        coordinate polynomial on the field's interval.
+
+        The coordinates are scaled by the lcm of their denominators, and
+        step j of the Horner loop, with x*den in [num_lo, num_hi], adds
+        the next coordinate times den^j; the result is the rational
+        interval Horner enclosure times scale = lcm * den^(degree-1)."""
         field = self.field
-        if self._ivl is not None and self._ivl_gen == field.generation:
-            return self._ivl
-        if self.is_rational():
-            v = self.coords[0]
-            ivl = RatInterval(v, v)
-        else:
-            acc = RatInterval(0, 0)
-            x = field.interval()
-            for c in reversed(self.coords):
-                acc = acc * x + c
-            ivl = acc
-        self._ivl = ivl
-        self._ivl_gen = field.generation
-        return ivl
+        num_lo, num_hi, den = field.num_lo, field.num_hi, field.den
+        coords = self.coords
+        scale = common_denominator(coords)
+        ints = coords if scale == 1 else scaled_coords(coords, scale)
+        lower = upper = ints[-1]
+        den_pow = 1
+        for a in reversed(ints[:-1]):
+            den_pow *= den
+            # num_lo > 0, so these are the min and max of the four products
+            if lower >= 0:
+                lower, upper = lower * num_lo, upper * num_hi
+            elif upper <= 0:
+                lower, upper = lower * num_hi, upper * num_lo
+            else:
+                lower, upper = lower * num_hi, upper * num_hi
+            a *= den_pow
+            lower += a
+            upper += a
+        return lower, upper, scale * den_pow
+
+    def interval(self):
+        """Enclosing rational interval at the current refinement."""
+        lower, upper, scale = self._enclosure()
+        return RatInterval(Fraction(lower, scale), Fraction(upper, scale))
 
     def sign(self):
         """-1, 0, or +1, certified.
@@ -460,9 +510,11 @@ class FieldElem:
     def _interval_sign(self):
         """Sign of a nonzero element by interval evaluation and refinement."""
         for _ in range(10_000):
-            s = self.interval().sign()
-            if s is not None and s != 0:
-                return s
+            lower, upper, _ = self._enclosure()
+            if lower > 0:
+                return 1
+            if upper < 0:
+                return -1
             self.field._refine_once()
         raise AssertionError("sign refinement failed to converge")
 

@@ -137,12 +137,16 @@ class SuspensionSystem:
         return self.lengths[letter - 1]
 
     def max_length_bound(self):
-        """Deterministic rational upper bound on the prototile lengths."""
+        """Deterministic rational upper bound on the prototile lengths:
+        the largest upper end once every length's enclosure is at most
+        1/16 wide.  Enclosures only shrink under refinement, so this is
+        the generation a length-by-length refinement would reach."""
         sixteenth = Fraction(1, 16)
-        for length in self.lengths:
-            while length.interval().width > sixteenth:
-                self.field._refine_once()
-        return max(length.interval().hi for length in self.lengths)
+        while True:
+            ivls = [length.interval() for length in self.lengths]
+            if all(ivl.width <= sixteenth for ivl in ivls):
+                return max(ivl.hi for ivl in ivls)
+            self.field._refine_once()
 
     def window(self, size_in_tiles):
         """Symmetric window of the given total width in tile-length units."""

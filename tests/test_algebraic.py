@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -27,12 +28,29 @@ def test_char_poly_examples():
     assert A.char_poly([[2, 1], [1, 2]]) == [3, -4, 1]
 
 
+def _fraction_char_poly(matrix):
+    """The Faddeev-LeVerrier recurrence in Fractions, as a reference."""
+    m = len(matrix)
+    rows = [[Fraction(c) for c in row] for row in matrix]
+    coeffs = [Fraction(1)]
+    work = [[Fraction(0)] * m for _ in range(m)]
+    for k in range(1, m + 1):
+        for i in range(m):
+            work[i][i] += coeffs[-1]
+        work = [[sum(rows[i][t] * work[t][j] for t in range(m))
+                 for j in range(m)] for i in range(m)]
+        coeffs.append(-sum(work[i][i] for i in range(m)) / k)
+    return coeffs[::-1]
+
+
 def test_char_poly_cayley_hamilton():
     rng = random.Random(3)
-    for _ in range(10):
-        m = rng.randint(2, 4)
+    for _ in range(40):
+        m = rng.randint(2, 6)
         mat = [[rng.randint(0, 3) for _ in range(m)] for _ in range(m)]
         cp = A.char_poly(mat)
+        assert all(type(c) is int for c in cp)
+        assert cp == _fraction_char_poly(mat)
         # evaluate p(S) = 0 exactly
         acc = [[0] * m for _ in range(m)]
         power = [[int(i == j) for j in range(m)] for i in range(m)]
@@ -56,6 +74,17 @@ def test_perron_factor_examples():
     assert P.eval_at([-1, -1, 1], ivl.lo) * P.eval_at([-1, -1, 1], ivl.hi) < 0
     f.ensure_width(Fraction(1, 64))
     assert Fraction(3, 2) < f.interval().lo < f.interval().hi < Fraction(17, 10)
+
+
+def test_number_field_rejects_an_interval_without_a_root():
+    # phi = 1.618... lies in neither interval
+    with pytest.raises(ValueError):
+        A.NumberField([-1, -1, 1], 2, 3)
+    with pytest.raises(ValueError):
+        A.NumberField([-1, -1, 1], 2, 1)
+    with pytest.raises(ValueError):
+        A.NumberField([-1, -1, 1], 1, 1)
+    assert A.NumberField([-1, -1, 1], 1, 2).interval().hi == 2
 
 
 def test_minpoly_changes_sign_across_interval():
@@ -276,3 +305,129 @@ def test_integral_coordinates_are_ints():
                   half * PHI.element([2]), half * half * 16):
         assert all(type(c) is int for c in value.coords), value
     assert (half * half).coords == (Fraction(5, 2), Fraction(15, 4))
+
+
+# -- the integer interval route against the Fraction route it replaced --------
+
+# golden, rauzy, plastic, pentanacci, non-Pisot, non-unit
+ROUTE_MINPOLYS = {
+    "golden": (-1, -1, 1),
+    "rauzy": (-1, -1, -1, 1),
+    "plastic": (-1, -1, 0, 1),
+    "pentanacci": (-1, -1, -1, -1, -1, 1),
+    "nonpisot": (-3, -1, 1),
+    "nonunit": (2, -4, 1),
+}
+_REF_ENDS = {}
+
+
+def _ref_ends(minpoly, generation):
+    """The ends (lo, hi) of the Fraction bisection at a generation, from
+    the isolating interval the field starts from."""
+    ends = _REF_ENDS.setdefault(minpoly,
+                                [P.isolate_largest_real_root(list(minpoly))])
+    while len(ends) <= generation:
+        lo, hi = ends[-1]
+        mid = (lo + hi) / 2
+        if (P.eval_at(minpoly, mid) > 0) == (P.eval_at(minpoly, lo) > 0):
+            ends.append((mid, hi))
+        else:
+            ends.append((lo, mid))
+    return ends[generation]
+
+
+def _ref_horner(coords, lo, hi):
+    """The rational interval Horner enclosure of sum coords[k] beta^k."""
+    acc = A.RatInterval(0, 0)
+    x = A.RatInterval(lo, hi)
+    for c in reversed(coords):
+        acc = acc * x + c
+    return acc
+
+
+def _ref_table(minpoly, generation, degree):
+    lo, hi = _ref_ends(minpoly, generation)
+    scale = 1 << A.FILTER_BITS
+    return (tuple(math.floor(scale * lo ** k) for k in range(degree)),
+            tuple(math.ceil(scale * hi ** k) for k in range(degree)))
+
+
+def _ref_sign(minpoly, coords, generation):
+    """(sign, refinements) of the filter-then-Fraction route from a
+    generation on, for a nonzero element."""
+    lows, highs = _ref_table(minpoly, generation, len(coords))
+    denom = A.common_denominator(coords)
+    lower = upper = 0
+    for c, low, high in zip(coords, lows, highs):
+        a = c * denom
+        lower += a * (low if a > 0 else high)
+        upper += a * (high if a > 0 else low)
+    if lower > 0 or upper < 0:
+        return (1 if lower > 0 else -1), 0
+    start = generation
+    while True:
+        ivl = _ref_horner(coords, *_ref_ends(minpoly, generation))
+        if ivl.lo > 0 or ivl.hi < 0:
+            return (1 if ivl.lo > 0 else -1), generation - start
+        generation += 1
+
+
+route_coord = st.one_of(
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.fractions(min_value=-64, max_value=64, max_denominator=16),
+    st.integers(min_value=-2**200, max_value=2**200),
+    st.sampled_from([2**200, -2**200]),
+)
+
+
+def _draw_coords(data, minpoly):
+    n = len(minpoly) - 1
+    coords = data.draw(st.lists(route_coord, min_size=n, max_size=n))
+    if data.draw(st.booleans()):
+        # shift the value to within about 1/2 of zero, where the filter
+        # defers and the exact route refines
+        beta = _ref_ends(minpoly, 400)[0]
+        coords[0] -= round(sum(c * beta ** k for k, c in enumerate(coords)))
+    return coords
+
+
+@pytest.mark.parametrize("minpoly", ROUTE_MINPOLYS.values(),
+                         ids=ROUTE_MINPOLYS.keys())
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_integer_enclosure_equals_the_fraction_horner(minpoly, data):
+    field = field_from(list(minpoly))
+    coords = _draw_coords(data, minpoly)
+    generation = data.draw(st.integers(field.generation, 80))
+    while field.generation < generation:
+        field._refine_once()
+    ref = _ref_horner(coords, *_ref_ends(minpoly, generation))
+    got = field.element(coords).interval()
+    assert (got.lo, got.hi) == (ref.lo, ref.hi)
+
+
+@pytest.mark.parametrize("minpoly", ROUTE_MINPOLYS.values(),
+                         ids=ROUTE_MINPOLYS.keys())
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_integer_sign_refines_as_the_fraction_route(minpoly, data):
+    field = field_from(list(minpoly))
+    x = field.element(_draw_coords(data, minpoly))
+    assume(not x.is_rational())
+    before = field.generation
+    expected = _ref_sign(minpoly, x.coords, before)
+    assert (x.sign(), field.generation - before) == expected
+
+
+@pytest.mark.parametrize("minpoly", ROUTE_MINPOLYS.values(),
+                         ids=ROUTE_MINPOLYS.keys())
+def test_integer_bisection_and_table_equal_the_fraction_ones(minpoly):
+    field = field_from(list(minpoly))
+    while field.generation < 300:
+        ends = _ref_ends(minpoly, field.generation)
+        assert (field.interval().lo, field.interval().hi) == ends
+        assert field._fixed_point_table() == _ref_table(
+            minpoly, field.generation, field.degree)
+        field._refine_once()
+    assert (field.interval().lo, field.interval().hi) == \
+        _ref_ends(minpoly, 300)

@@ -479,3 +479,25 @@ def test_pentanacci_replay_builds_each_patch_once(monkeypatch):
     assert outcome["passed"] and len(outcome["replayed"]) == 16
     assert len(builds) == len(set(builds)) == 2
     assert len(signs) <= 200
+
+
+# -- a deterministic work guard for the exact sign route ----------------------
+
+
+def test_nonpisot_signs_and_bisection_run_on_integers(monkeypatch):
+    # the undecided signs of the non-Pisot input (a conjugate outside the
+    # unit disk grows its coordinates) are decided by integer Horner and
+    # integer bisection; a RatInterval is made only at the boundary
+    intervals, refinements = [], []
+    init = algebraic.RatInterval.__init__
+    refine = algebraic.NumberField._refine_once
+    monkeypatch.setattr(
+        algebraic.RatInterval, "__init__",
+        lambda self, lo, hi: intervals.append(1) or init(self, lo, hi))
+    monkeypatch.setattr(algebraic.NumberField, "_refine_once",
+                        lambda self: refinements.append(1) or refine(self))
+    text = (PERFBENCH / "specs" / "nonpisot.spec").read_text(encoding="utf-8")
+    cli.run_analysis(cli.parse_spec(text, name="nonpisot"),
+                     overrides=SPEC_BOUNDS)
+    assert len(refinements) == 338
+    assert len(intervals) <= 16
