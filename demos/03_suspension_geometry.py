@@ -22,9 +22,10 @@ for tok, c in zip(spec.letters, refs):
 print("admissible:", suspension.is_admissible(system, refs))
 
 patch = system.prototile_patch(1, 2)
-print("twice-inflated 'a' prototile:")
-for pos, color in patch.tiles:
-    print(f"  {spec.token(color)} at {[str(c) for c in pos.coords]}")
+print(f"twice-inflated 'a' prototile (boundaries times {patch.denom}):")
+for k, color in enumerate(patch.colors):
+    print(f"  {spec.token(color)} at {list(patch.points[k])}, "
+          f"exactly {[str(c) for c in patch.position(k).coords]}")
 
 window = (Fraction(-6), Fraction(6))
 covering = system.patch_covering(*window)

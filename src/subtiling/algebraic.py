@@ -22,8 +22,8 @@ Signs of nonzero elements are certified in two stages, filter then exact.
   A lower sum above zero or an upper sum below zero is the sign.  The
   table of L_k and H_k is cached per refinement generation, and the
   filter never refines the interval.  The two sums are also exposed as
-  an enclosure (fixed_point_bounds), which a patch's integer embedding
-  takes once per tile boundary.
+  an enclosure (fixed_point_bounds), which a patch takes once per tile
+  boundary, on the integer vectors it holds.
 * Exact route.  When the filter cannot decide, the coordinate polynomial
   is evaluated by Horner's rule in integer interval arithmetic on
   [num_lo, num_hi]: scaled by the lcm of its denominators, the element's

@@ -745,8 +745,9 @@ def main(argv=None) -> int:
         system = suspension.SuspensionSystem(spec.substitution())
         _, left, right = system.seed
         patch = suspension.generate_patch(system, (left, right), args.n)
-        for pos, color in patch.tiles:
-            coords = " ".join(_frac_str(c) for c in pos.coords)
+        for color, point in zip(patch.colors, patch.points):
+            coords = " ".join(_frac_str(Fraction(a, patch.denom))
+                              for a in point)
             print(f"{spec.token(color)} {coords}")
         return 0
 

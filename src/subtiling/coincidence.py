@@ -12,11 +12,12 @@ the point-set containment it asserts can be replayed verbatim.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import words as words_mod
+from . import algebraic, words as words_mod
 from .suspension import SuspensionSystem, reference_point_sets
 from .words import Substitution
 
@@ -179,36 +180,51 @@ def prefix_simultaneous(sub: Substitution, level_bound=DEFAULT_LEVEL_BOUND):
 
 
 class _SupertileCache:
-    """Per-level prototile tile lists shifted by their reference points."""
+    """Prototile tile lists per (letter, level), translated by -beta^L c.
+
+    A tile is a (vector, color) pair on one denominator: the lcm of the
+    length denominator and the reference points' denominators.  It also
+    clears every beta^L * c, since beta is an algebraic integer."""
 
     def __init__(self, system: SuspensionSystem, refpoints):
         self.system = system
         self.refpoints = refpoints
+        self.denom = math.lcm(system._length_denom, *(
+            algebraic.common_denominator(c.coords) for c in refpoints))
+        self._shifts = [refpoints]      # per level, beta^L * c per color
         self._shifted = {}
 
     def shifted_tiles(self, letter, level):
-        """Tiles of the inflated prototile, translated by -beta^L * c."""
         key = (letter, level)
         if key not in self._shifted:
-            ref = self.refpoints[letter - 1]
+            shifts = self._shifts
+            while len(shifts) <= level:
+                shifts.append([s if s.is_zero() else self.system.beta * s
+                               for s in shifts[-1]])
+            shift = algebraic.scaled_coords(shifts[level][letter - 1].coords,
+                                            self.denom)
             patch = self.system.prototile_patch(letter, level)
-            if ref.is_zero():
-                tiles = patch.tiles
+            scale = self.denom // patch.denom
+            if scale == 1 and not any(shift):
+                points = patch.points
             else:
-                shift = (self.system.beta ** level) * ref
-                tiles = [(pos - shift, c) for pos, c in patch]
-            self._shifted[key] = tiles
+                points = [tuple(scale * a - b for a, b in zip(v, shift))
+                          for v in patch.points]
+            self._shifted[key] = list(zip(points, patch.colors))
         return self._shifted[key]
+
+    def position(self, vector):
+        """A tile vector as an exact field element."""
+        return algebraic.FieldElem(
+            self.system.field, algebraic.unscaled_coords(vector, self.denom))
 
 
 def _common_tile(tile_lists):
-    """First tile (position, color) of the first list that every other
-    list also holds; None when there is none."""
+    """First tile (vector, color) of the first list that every other list
+    also holds; None when there is none."""
     first, *rest = tile_lists
-    common = set.intersection(
-        *({(pos.coords, c) for pos, c in tiles} for tiles in rest))
-    return next(((pos, c) for pos, c in first if (pos.coords, c) in common),
-                None)
+    common = set.intersection(*map(set, rest))
+    return next((tile for tile in first if tile in common), None)
 
 
 def _replay_level(system, level):
@@ -219,8 +235,8 @@ def _replay_level(system, level):
 
 def _witness_from_hit(cache, level, hit, letters, scope):
     refpoints = cache.refpoints
-    position, color = hit
-    shift = position + refpoints[color - 1]
+    vector, color = hit
+    shift = cache.position(vector) + refpoints[color - 1]
     replay_level = _replay_level(cache.system, level)
     if replay_level == level:
         replay_color, replay_shift = color, shift
@@ -230,7 +246,7 @@ def _witness_from_hit(cache, level, hit, letters, scope):
         if rehit is None:
             raise AssertionError("coincidence did not persist under inflation")
         replay_color = rehit[1]
-        replay_shift = rehit[0] + refpoints[rehit[1] - 1]
+        replay_shift = cache.position(rehit[0]) + refpoints[replay_color - 1]
     return CoincidenceWitness(
         level=level, color=color, shift=shift, scope=scope,
         replay_level=replay_level, replay_color=replay_color,
@@ -356,10 +372,14 @@ def verify_witness(system: SuspensionSystem, refpoints,
         return False
     colors = patch.position_index()
     # y = beta^L x + shift is a point of Lambda_color exactly when
-    # y - c_color is the position of a tile of that color
+    # y - c_color is the start of a tile of that color; a start whose
+    # denominator does not divide the patch's is no tile's
     offset = shift - refpoints[color - 1]
     for letter in set(letters):
         for x in source_pts.color(letter):
-            if colors.get((factor * x + offset).coords) != color:
+            start = (factor * x + offset).coords
+            if (patch.denom % algebraic.common_denominator(start) or
+                    colors.get(algebraic.scaled_coords(start, patch.denom))
+                    != color):
                 return False
     return True

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import words as words_mod
-from .algebraic import common_denominator, scaled_coords
+from .algebraic import (FieldElem, common_denominator, scaled_coords,
+                        unscaled_coords)
 from .errors import EmptyWindow, InvalidWord
 from .suspension import SuspensionSystem, reference_point_sets, return_vectors
 from .words import Substitution
@@ -74,33 +75,41 @@ def overlap_classes_for_translation(system: SuspensionSystem, patch, y):
     """Classes of tile pairs brought to overlap by the translation y.
 
     Both tiles are taken from the patch; the first one is moved by -y.
-    The sweep compares tile boundaries on the patch's integer embedding:
-    a difference whose enclosure excludes zero, or whose integer vector
-    is zero, is decided there, and only the rest is decided by
+    The sweep compares tile boundaries as the patch's integer vectors,
+    rescaled when a denominator of y does not divide the patch's: a
+    difference whose enclosure excludes zero, or whose integer vector is
+    zero, is decided there, and only the rest is decided by
     FieldElem.sign() on the same element.  An enclosure that excludes
     zero implies that the sign filter would decide too, so the sequence
-    of interval refinements is that of a FieldElem sweep.
+    of interval refinements is that of a FieldElem sweep.  A field
+    element is made only for such a sign and for the shift of each new
+    class.
     """
-    tiles = patch.tiles
-    n = len(tiles)
-    emb = patch.embedding()
+    field = system.field
+    colors, points, denom = patch.colors, patch.points, patch.denom
+    lows, highs = patch.enclosures()
     d_y = common_denominator(y.coords)
-    if emb.denom % d_y:
-        emb = emb.scaled(math.lcm(emb.denom, d_y) // emb.denom)
-    shift_y = scaled_coords(y.coords, emb.denom)
-    y_lo, y_hi = system.field.fixed_point_bounds(shift_y)
-    points, lows, highs = emb.points, emb.lows, emb.highs
+    if denom % d_y:
+        factor = math.lcm(denom, d_y) // denom
+        denom *= factor
+        points = [tuple(a * factor for a in v) for v in points]
+        lows = [lo * factor for lo in lows]
+        highs = [hi * factor for hi in highs]
+    shift_y = scaled_coords(y.coords, denom)
+    y_lo, y_hi = field.fixed_point_bounds(shift_y)
 
-    def position(k):
-        return tiles[k][0] if k < n else patch.end
+    def sign(a, b):
+        """Exact sign of (a - b) / denom for two integer vectors."""
+        return FieldElem(field, unscaled_coords(
+            tuple(map(operator.sub, a, b)), denom)).sign()
 
-    out = {}
-    seen = set()
+    n = len(colors)
+    out = {}        # classes by colors and integer shift
     anchor_idx = 0
     # boundary i of the moved copy: its vector and enclosure
     moved_end = tuple(map(operator.sub, points[0], shift_y))
     end_lo, end_hi = lows[0] - y_hi, highs[0] - y_lo
-    for i, (pos, moved_color) in enumerate(tiles):
+    for i, moved_color in enumerate(colors):
         start, start_lo, start_hi = moved_end, end_lo, end_hi
         moved_end = tuple(map(operator.sub, points[i + 1], shift_y))
         end_lo, end_hi = lows[i + 1] - y_hi, highs[i + 1] - y_lo
@@ -110,7 +119,7 @@ def overlap_classes_for_translation(system: SuspensionSystem, patch, y):
             if lows[k] > start_hi:
                 break
             if not (highs[k] < start_lo or points[k] == start or
-                    (position(k) - (pos - y)).sign() <= 0):
+                    sign(points[k], start) <= 0):
                 break
             anchor_idx += 1
         idx = anchor_idx
@@ -118,19 +127,15 @@ def overlap_classes_for_translation(system: SuspensionSystem, patch, y):
         while idx < n:
             if lows[idx] > end_hi or points[idx] == moved_end:
                 break
-            if highs[idx] >= end_lo and \
-               (tiles[idx][0] - (position(i + 1) - y)).sign() >= 0:
+            if highs[idx] >= end_lo and sign(points[idx], moved_end) >= 0:
                 break
-            a_color = tiles[idx][1]
-            shift = tuple(map(operator.sub, start, points[idx]))
-            key = (moved_color, a_color, shift)
-            if key not in seen:
-                seen.add(key)
-                cls = OverlapClass(moved_color, a_color,
-                                   (pos - y) - tiles[idx][0])
-                out[cls.key()] = cls
+            key = (moved_color, colors[idx],
+                   tuple(map(operator.sub, start, points[idx])))
+            if key not in out:
+                out[key] = OverlapClass(key[0], key[1], FieldElem(
+                    field, unscaled_coords(key[2], denom)))
             idx += 1
-    return out
+    return {cls.key(): cls for cls in out.values()}
 
 
 def initial_overlaps(system: SuspensionSystem, refpoints, window):

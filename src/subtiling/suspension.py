@@ -3,14 +3,15 @@
 Prototile i is the interval [0, len_i) where the lengths form the left
 eigenvector of the substitution matrix for the dominant eigenvalue beta,
 normalized so the last letter has unit length.  A two-sided fixed point
-of sigma^k, found by fixed_point_seed, realizes the tiling; patches list
-tiles as (position, color) with exact positions in Q(beta) obtained by
-prefix sums of the integer length vectors.  A system caches its patches,
-the inflated prototiles per (letter, level) and the fixed-point patches
-per (seed, level), and each patch builds its integer embedding and its
-position index once.  Reference points per prototile turn a patch into
-a colored point set.  All values are immutable and all comparisons
-certified.
+of sigma^k, found by fixed_point_seed, realizes the tiling.  A patch
+holds its tile boundaries in one integer form only: prefix sums of the
+integer length vectors over one common denominator, and a FieldElem is
+made only for a value that leaves the integers.  A system caches its
+patches, the inflated prototiles per (letter, level) and the fixed-point
+patches per (seed, level), and each patch builds its fixed-point
+enclosures and its position index once.  Reference points per prototile
+turn a patch into a colored point set.  All values are immutable and all
+comparisons certified.
 """
 
 from __future__ import annotations
@@ -118,16 +119,14 @@ class SuspensionSystem:
         # lattices.return_lattices results, keyed on the exact window and
         # the reference points
         self.lattice_samples = {}
-        # exact left offsets of each subtile within the inflated prototile
-        offs = []
-        for letter in range(1, sub.size + 1):
-            acc = self.field.zero()
-            row = []
-            for c in sub.rule(letter):
-                row.append(acc)
-                acc = acc + self.lengths[c - 1]
-            offs.append(tuple(row))
-        self.subtile_offsets = tuple(offs)
+        # exact left offsets of each subtile within the inflated prototile:
+        # the first |sigma(j)| boundaries of the level-one prototile patch,
+        # laid out by _layout so that patch_from_word sees only the
+        # patches an analysis asks for
+        zero = self.field.zero()
+        self.subtile_offsets = tuple(
+            tuple(map(self._layout(rule, zero).position, range(len(rule))))
+            for rule in sub.rules)
 
     @property
     def size(self):
@@ -156,11 +155,13 @@ class SuspensionSystem:
     # -- patches ---------------------------------------------------------
 
     def patch_from_word(self, word, start):
-        """Tiles of a word laid out left to right from an exact start.
+        """Tiles of a word laid out left to right from an exact start."""
+        return self._layout(word, start)
 
-        The boundaries are prefix sums of the integer length vectors, one
-        accumulate per coordinate over the common denominator of the start
-        and the lengths; each becomes one FieldElem in normal form."""
+    def _layout(self, word, start):
+        """The patch of patch_from_word.  Its boundaries are prefix sums
+        of the integer length vectors, one accumulate per coordinate over
+        the common denominator of the start and the lengths."""
         denom = math.lcm(self._length_denom,
                          algebraic.common_denominator(start.coords))
         scale = denom // self._length_denom
@@ -170,11 +171,7 @@ class SuspensionSystem:
             steps = (0,) + tuple(v[k] * scale for v in self._length_ints)
             columns.append(accumulate(map(steps.__getitem__, word),
                                       initial=s))
-        field = self.field
-        bounds = [
-            algebraic.FieldElem(field, algebraic.unscaled_coords(v, denom))
-            for v in zip(*columns)]
-        return Patch(list(zip(bounds, word)), bounds[-1])
+        return Patch(self.field, denom, list(zip(*columns)), word)
 
     def prototile_patch(self, letter, level):
         """The level-fold inflation of prototile `letter` anchored at 0.
@@ -206,96 +203,64 @@ class SuspensionSystem:
 
 
 class Patch:
-    """A finite list of tiles (position, color), contiguous and sorted,
-    and the exact right end of its support.
+    """Tiles of a word laid end to end, as integer vectors.
 
-    A patch keeps no reference to its system, so a system's patch cache
-    holds no reference cycle and is freed with the system."""
+    Tile k has color `colors[k]` and runs from boundary k to boundary
+    k + 1; boundary 0 is the start of the support and boundary len(patch)
+    its end.  `points[k]` is `denom` times the power-basis coordinates of
+    boundary k, so equal boundaries have equal vectors.  A FieldElem is
+    made only on request (`position`).  The patch refers to its field but
+    to no system, so a system's patch cache holds no reference cycle and
+    is freed with the system."""
 
-    def __init__(self, tiles, end):
-        self.tiles = tiles
-        self.end = end
+    def __init__(self, field, denom, points, colors):
+        self.field = field
+        self.denom = denom
+        self.points = points
+        self.colors = colors
         self.junction_index = None
-        self._embedding = None
+        self._enclosures = None
         self._index = None
 
     def __len__(self):
-        return len(self.tiles)
+        return len(self.colors)
 
-    def __iter__(self):
-        return iter(self.tiles)
+    def position(self, k):
+        """Boundary k as an exact field element."""
+        return algebraic.FieldElem(
+            self.field, algebraic.unscaled_coords(self.points[k], self.denom))
 
     @property
     def start(self):
-        return self.tiles[0][0]
+        return self.position(0)
 
-    def support_end(self):
-        return self.end
+    @property
+    def end(self):
+        return self.position(-1)
 
     def total_length(self):
-        return self.support_end() - self.start
+        return self.end - self.start
 
     def covers(self, lo, hi):
-        start = self.start - lo
-        end = self.support_end() - hi
-        return start.sign() <= 0 and end.sign() >= 0
+        return (self.start - lo).sign() <= 0 and (self.end - hi).sign() >= 0
 
-    def embedding(self):
-        """The patch's PatchEmbedding, built on first use."""
-        if self._embedding is None:
-            self._embedding = PatchEmbedding.of(self)
-        return self._embedding
+    def enclosures(self):
+        """(lows, highs) with lows[k] <= 2^FILTER_BITS * denom * boundary
+        k <= highs[k], the certified fixed-point sums of each boundary
+        (`NumberField.fixed_point_bounds`), built on first use.  An
+        enclosure of a sum of boundaries is the sum of their enclosures."""
+        if self._enclosures is None:
+            bounds = list(map(self.field.fixed_point_bounds, self.points))
+            self._enclosures = ([lo for lo, _ in bounds],
+                                [hi for _, hi in bounds])
+        return self._enclosures
 
     def position_index(self):
-        """Map from tile position coordinates to tile color, built on
-        first use."""
+        """Map from the vector of a tile's start to the tile's color,
+        built on first use."""
         if self._index is None:
-            self._index = {pos.coords: c for pos, c in self.tiles}
+            self._index = dict(zip(self.points, self.colors))
         return self._index
-
-
-class PatchEmbedding:
-    """Tile boundaries of a patch as integer vectors over one denominator.
-
-    Boundary k is the start of tile k, and boundary len(patch) is the end
-    of the support, so tile k runs from boundary k to boundary k + 1.
-    `points[k]` is `denom` times the boundary's power-basis coordinates,
-    and `lows[k] <= 2^FILTER_BITS * denom * boundary <= highs[k]` is its
-    certified fixed-point enclosure (`NumberField.fixed_point_bounds`).
-    Equal boundaries have equal vectors, and an enclosure of a sum of
-    boundaries is the sum of their enclosures.  Integers only: the
-    embedding refers to no field and no system.
-    """
-
-    __slots__ = ("denom", "points", "lows", "highs")
-
-    def __init__(self, denom, points, lows, highs):
-        self.denom = denom
-        self.points = points
-        self.lows = lows
-        self.highs = highs
-
-    @classmethod
-    def of(cls, patch):
-        field = patch.start.field
-        boundaries = [pos.coords for pos, _ in patch.tiles]
-        boundaries.append(patch.end.coords)
-        denom = algebraic.common_denominator(
-            c for coords in boundaries for c in coords)
-        points = [algebraic.scaled_coords(coords, denom)
-                  for coords in boundaries]
-        bounds = [field.fixed_point_bounds(v) for v in points]
-        return cls(denom, points, [lo for lo, _ in bounds],
-                   [hi for _, hi in bounds])
-
-    def scaled(self, factor):
-        """The same boundaries over the denominator factor * denom."""
-        return PatchEmbedding(
-            self.denom * factor,
-            [tuple(a * factor for a in v) for v in self.points],
-            [lo * factor for lo in self.lows],
-            [hi * factor for hi in self.highs],
-        )
 
 
 def generate_patch(system: SuspensionSystem, seed, n):
@@ -424,37 +389,38 @@ def reference_point_sets(patch: Patch, refpoints, window) -> PointSets:
     elements.
 
     Each tile is first placed on integers alone: the enclosure of its
-    position in the patch embedding plus the enclosure of its reference
-    point is compared with enclosures of the window ends.  A tile whose
-    point lies certainly below the lower end, or above both ends, is
-    skipped, and one whose point lies certainly between them is kept;
-    only the others get the exact test.  Enclosures of summands add up to
-    an enclosure no tighter than the fixed-point filter's for the sum, so
-    every tile placed this way is one whose signs the filter would have
-    decided: placing it changes no refinement.
+    position in the patch plus the enclosure of its reference point is
+    compared with enclosures of the window ends.  A tile whose point lies
+    certainly below the lower end, or above both ends, is skipped, and
+    one whose point lies certainly between them is kept; only the others
+    get the exact test.  Enclosures of summands add up to an enclosure no
+    tighter than the fixed-point filter's for the sum, so every tile
+    placed this way is one whose signs the filter would have decided:
+    placing it changes no refinement.  A field element is made only for
+    a kept point and for an exact test.
     """
     lo, hi = window
     if not patch.covers(lo, hi):
         raise WindowNotCovered("window exceeds the computed patch")
-    emb = patch.embedding()
-    field = patch.start.field
-    lo_low, lo_high = _enclosure(field, lo, emb.denom)
-    hi_low, hi_high = _enclosure(field, hi, emb.denom)
+    field, denom = patch.field, patch.denom
+    lows, highs = patch.enclosures()
+    lo_low, lo_high = _enclosure(field, lo, denom)
+    hi_low, hi_high = _enclosure(field, hi, denom)
     top = max(lo_high, hi_high)
     # per color, indexed by letter, bounds on a position enclosure
     # (low, high): high < out_lo or low > out_hi puts the point certainly
     # outside the window, low > in_lo and high < in_hi certainly inside
     bands = [None]
     for c in refpoints:
-        c_low, c_high = _enclosure(field, c, emb.denom)
+        c_low, c_high = _enclosure(field, c, denom)
         bands.append((lo_low - c_high, top - c_low,
                       lo_high - c_low, hi_low - c_high))
     per_color = [[] for _ in refpoints]
-    for (pos, c), low, high in zip(patch.tiles, emb.lows, emb.highs):
+    for k, (c, low, high) in enumerate(zip(patch.colors, lows, highs)):
         out_lo, out_hi, in_lo, in_hi = bands[c]
         if high < out_lo or low > out_hi:
             continue
-        x = pos + refpoints[c - 1]
+        x = patch.position(k) + refpoints[c - 1]
         if (low > in_lo and high < in_hi) or \
                 ((x - lo).sign() >= 0 and (x - hi).sign() <= 0):
             per_color[c - 1].append(x)

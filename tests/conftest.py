@@ -11,6 +11,11 @@ def _sub(name):
 _SYSTEMS = {}
 
 
+def exact_tiles(patch):
+    """Reference: the tiles of a patch as (FieldElem position, color)."""
+    return [(patch.position(k), c) for k, c in enumerate(patch.colors)]
+
+
 def system_for(name):
     """Session-wide SuspensionSystem cache keyed by corpus id."""
     if name not in _SYSTEMS:

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+from subtiling import algebraic, cli
 from subtiling import coincidence as C
 from subtiling import suspension as S
 
@@ -230,3 +231,43 @@ def test_prefix_witnesses_match_counting_scan(fib, rauzy, fib2, rauzy2):
             t = _least_balanced_prefix_by_counts((u, v), m)
             assert w.prefix_lengths == (t, t)
             assert (w.color, w.counts) == (u[t], abelianization(u[:t], m))
+
+
+# -- a deterministic work guard for the shared-tile search -------------------
+
+# period doubling with the tile map a -> b, b -> a: control points 2/3 and
+# 1/3, no shared tile up to the level bound, so every level is translated
+PERIOD_DOUBLING_GAMMA = ("letters a b\nrule a = a b\nrule b = a a\n"
+                         "tilemap a -> 2\ntilemap b -> 1\n")
+
+
+def test_shared_tile_search_makes_no_field_element_per_tile(monkeypatch):
+    # the searches translate and intersect integer vectors: a FieldElem is
+    # made per level and for a witness, not per tile of a supertile
+    settings = []
+    for spec in (cli.corpus_lookup("thue-morse"),
+                 cli.corpus_lookup("aba-gamma"),
+                 cli.parse_spec(PERIOD_DOUBLING_GAMMA)):
+        system = S.SuspensionSystem(spec.substitution())
+        settings.append((system, S.left_endpoint_points(system)
+                         if spec.tilemap is None
+                         else S.control_points(system, spec.tilemap)))
+    elems, tiles = [], []
+    init = algebraic.FieldElem.__init__
+    build = S.SuspensionSystem.patch_from_word
+
+    def counted_build(self, word, start):
+        patch = build(self, word, start)
+        tiles.append(len(patch))
+        return patch
+
+    monkeypatch.setattr(
+        algebraic.FieldElem, "__init__",
+        lambda self, field, coords: elems.append(1) or
+        init(self, field, coords))
+    monkeypatch.setattr(S.SuspensionSystem, "patch_from_word", counted_build)
+    for system, refs in settings:
+        C.geometric_strong(system, refs)
+        C.simultaneous(system, refs)
+    assert sum(tiles) > 30_000
+    assert 100 * len(elems) <= sum(tiles)

@@ -75,10 +75,7 @@ def test_hnf_shape():
 
 
 def _brute_force_common(tile_lists):
-    sets = [
-        {(t[0].coords, t[1]) for t in tiles} for tiles in tile_lists
-    ]
-    common = set.intersection(*sets)
+    common = set.intersection(*map(set, tile_lists))
     if not common:
         return None
     return min(common)
@@ -87,7 +84,8 @@ def _brute_force_common(tile_lists):
 def test_merge_intersection_matches_brute_force(sys_rauzy2):
     rng = random.Random(41)
     field = sys_rauzy2.field
-    base = sys_rauzy2.prototile_patch(1, 4).tiles
+    patch = sys_rauzy2.prototile_patch(1, 4)
+    base = list(zip(patch.points, patch.colors))
     for _ in range(30):
         lists = []
         for _ in range(rng.randint(2, 4)):
@@ -100,22 +98,19 @@ def test_merge_intersection_matches_brute_force(sys_rauzy2):
             assert got is None
         else:
             assert got is not None
-            assert (got[0].coords, got[1]) in \
-                set.intersection(*[
-                    {(t[0].coords, t[1]) for t in tiles} for tiles in lists
-                ])
+            assert got in set.intersection(*map(set, lists))
 
 
 def test_merge_pairwise_finds_first_shared_position(sys_fib):
-    a = sys_fib.prototile_patch(1, 3).tiles
-    b = sys_fib.prototile_patch(2, 3).tiles
+    a, b = (sys_fib.prototile_patch(j, 3) for j in (1, 2))
+    assert a.denom == b.denom
+    a, b = (list(zip(p.points, p.colors)) for p in (a, b))
     hit = _common_tile([a, b])
     assert hit is not None
     # no shared tile sits strictly left of the reported one
-    shared = {(t[0].coords, t[1]) for t in a} & \
-             {(t[0].coords, t[1]) for t in b}
+    shared = set(a) & set(b)
     lowest = min(shared)
-    assert (hit[0].coords, hit[1]) == lowest
+    assert hit == lowest
 
 
 def test_module_canonical_form_unique():

@@ -9,6 +9,8 @@ from subtiling import spectrum as SP
 from subtiling import suspension as S
 from subtiling.words import Substitution
 
+from conftest import exact_tiles
+
 
 def zeros(system):
     return S.left_endpoint_points(system)
@@ -256,7 +258,7 @@ def test_split_components_reassemble(fib, rauzy):
 def _fieldelem_sweep(system, patch, y):
     """Reference: the overlap sweep with every comparison made by
     FieldElem.sign() on a newly formed element."""
-    tiles = patch.tiles
+    tiles = exact_tiles(patch)
     out = {}
     anchor_idx = 0
     n = len(tiles)
@@ -307,7 +309,7 @@ def _sweep_setting(name, size):
     # in the order initial_overlaps sweeps them
     returns = {d.coords: d for diffs in per_color for d in diffs
                if not d.is_zero()}
-    bounds = [pos for pos, _ in patch.tiles] + [patch.end]
+    bounds = [pos for pos, _ in exact_tiles(patch)] + [patch.end]
     return system, refs, window, patch, bounds, list(returns.values())
 
 
@@ -343,7 +345,7 @@ def test_integer_sweep_matches_fieldelem_sweep(data):
         q = data.draw(st.sampled_from([3, 7, 11, 13]))
         y = data.draw(st.sampled_from(returns)) * Fraction(1, q)
         denoms = [c.denominator for c in y.coords if c]
-        assume(any(patch.embedding().denom % d for d in denoms))
+        assume(any(patch.denom % d for d in denoms))
     got = SP.overlap_classes_for_translation(system, patch, y)
     want = _fieldelem_sweep(system, patch, y)
     assert _as_items(got) == _as_items(want)

@@ -10,7 +10,7 @@ from subtiling import cli
 from subtiling import suspension as S
 from subtiling.errors import WindowNotCovered
 
-from conftest import CORPUS_IDS, system_for
+from conftest import CORPUS_IDS, exact_tiles, system_for
 
 
 def test_prototile_lengths(sys_fib, sys_tm, sys_fib2):
@@ -42,17 +42,17 @@ def test_lengths_positive(sys_rauzy2):
 
 def test_generate_patch_examples(sys_fib, sys_tm, sys_aba):
     p = sys_fib.prototile_patch(1, 2)
-    assert [(t[1]) for t in p.tiles] == [1, 2, 1]
-    assert p.tiles[0][0] == 0
-    assert p.tiles[1][0] == sys_fib.beta
-    assert p.tiles[2][0] == sys_fib.beta + 1
+    assert list(p.colors) == [1, 2, 1]
+    assert p.position(0) == 0
+    assert p.position(1) == sys_fib.beta
+    assert p.position(2) == sys_fib.beta + 1
 
     p = sys_tm.prototile_patch(1, 2)
-    assert [(int(t[0].as_fraction()), t[1]) for t in p.tiles] == \
+    assert [(int(t[0].as_fraction()), t[1]) for t in exact_tiles(p)] == \
         [(0, 1), (1, 2), (2, 2), (3, 1)]
 
     p = sys_aba.prototile_patch(1, 1)
-    assert [(int(t[0].as_fraction()), t[1]) for t in p.tiles] == \
+    assert [(int(t[0].as_fraction()), t[1]) for t in exact_tiles(p)] == \
         [(0, 1), (1, 2), (2, 1)]
 
 
@@ -71,14 +71,30 @@ def test_subdivision_self_consistency(sys_fib):
         small = sys_fib.prototile_patch(1, n)
         big = sys_fib.prototile_patch(1, n + 1)
         rebuilt = []
-        for pos, c in small.tiles:
+        for pos, c in exact_tiles(small):
             base = sys_fib.beta * pos
             for off, sub_c in zip(sys_fib.subtile_offsets[c - 1],
                                   sys_fib.sub.rule(c)):
                 rebuilt.append((base + off, sub_c))
-        assert len(rebuilt) == len(big.tiles)
-        for (p1, c1), (p2, c2) in zip(rebuilt, big.tiles):
+        assert len(rebuilt) == len(big)
+        for (p1, c1), (p2, c2) in zip(rebuilt, exact_tiles(big)):
             assert c1 == c2 and p1 == p2
+
+
+@pytest.mark.parametrize("name", CORPUS_IDS)
+def test_subtile_offsets_are_level_one_boundaries(name):
+    # the offsets of a rule are its addition chain from zero, in the same
+    # normal form, and the first boundaries of the level-one prototile
+    system = system_for(name)
+    for letter, rule in enumerate(system.sub.rules, start=1):
+        chain, _ = _addition_chain(system, rule, system.field.zero())
+        offsets = system.subtile_offsets[letter - 1]
+        assert [off.coords for off in offsets] == \
+            [pos.coords for pos, _ in chain]
+        assert [tuple(map(type, off.coords)) for off in offsets] == \
+            [tuple(map(type, pos.coords)) for pos, _ in chain]
+        patch = system.prototile_patch(letter, 1)
+        assert offsets == tuple(map(patch.position, range(len(rule))))
 
 
 def test_control_points_leftmost_is_zero(sys_fib, sys_rauzy2):
@@ -227,8 +243,8 @@ def test_generate_patch_two_sided_junction(sys_fib):
     patch = S.generate_patch(sys_fib, (left, right), k)
     # the junction tile starts exactly at zero, its predecessor ends there
     junction = patch.junction_index
-    assert patch.tiles[junction][0].is_zero()
-    prev_pos, prev_color = patch.tiles[junction - 1]
+    assert patch.position(junction).is_zero()
+    prev_pos, prev_color = exact_tiles(patch)[junction - 1]
     assert prev_pos + sys_fib.length_of(prev_color) == 0
 
 
@@ -236,24 +252,23 @@ def test_patch_embedding_matches_exact_boundaries(sys_fib, sys_rauzy2):
     scale = 1 << 64
     for system in (sys_fib, sys_rauzy2):
         patch = system.patch_covering(*system.window(16))
-        emb = patch.embedding()
-        assert patch.embedding() is emb
-        bounds = [pos for pos, _ in patch.tiles] + [patch.end]
-        assert len(emb.points) == len(bounds)
+        lows, highs = patch.enclosures()
+        assert patch.enclosures() == (lows, highs)
+        assert patch.enclosures()[0] is lows
+        bounds = [pos for pos, _ in _addition_chain(
+            system, patch.colors, patch.start)[0]] + [patch.end]
+        assert len(patch.points) == len(lows) == len(bounds) == len(patch) + 1
         system.field.ensure_width(Fraction(1, 1 << 80))
-        for b, point, low, high in zip(bounds, emb.points, emb.lows,
-                                       emb.highs):
-            assert [Fraction(a, emb.denom) for a in point] == list(b.coords)
+        for k, (b, point, low, high) in enumerate(
+                zip(bounds, patch.points, lows, highs)):
+            assert [Fraction(a, patch.denom) for a in point] == list(b.coords)
+            assert patch.position(k).coords == b.coords
             ivl = b.interval()
-            assert low <= scale * emb.denom * ivl.hi
-            assert scale * emb.denom * ivl.lo <= high
-        for k in range(len(patch)):
+            assert low <= scale * patch.denom * ivl.hi
+            assert scale * patch.denom * ivl.lo <= high
+        for k, color in enumerate(patch.colors):
             # contiguous: tile k ends where tile k + 1 starts
-            pos, color = patch.tiles[k]
-            assert pos + system.length_of(color) == bounds[k + 1]
-        thirds = emb.scaled(3)
-        assert thirds.denom == 3 * emb.denom
-        assert thirds.points[1] == tuple(3 * a for a in emb.points[1])
+            assert patch.position(k) + system.length_of(color) == bounds[k + 1]
 
 
 def test_dropped_system_is_freed_without_cyclic_gc():
@@ -264,9 +279,9 @@ def test_dropped_system_is_freed_without_cyclic_gc():
     try:
         system = S.SuspensionSystem(cli.corpus_lookup("rauzy").substitution())
         patch = system.prototile_patch(1, 4)
-        patch.embedding()
+        patch.enclosures()
         covering = system.patch_covering(*system.window(8))
-        covering.embedding()
+        covering.enclosures()
         covering.position_index()
         system.two_sided_patch(2).position_index()
         refs = (weakref.ref(system), weakref.ref(patch),
@@ -298,17 +313,49 @@ def test_prefix_sum_patch_equals_addition_chain(name):
     for start in (system.field.zero(), system.lengths[0], third):
         patch = system.patch_from_word(word, start)
         tiles, end = _addition_chain(system, word, start)
-        assert [(pos.coords, c) for pos, c in patch.tiles] == \
+        assert len(patch) == len(word)
+        assert [(pos.coords, c) for pos, c in exact_tiles(patch)] == \
             [(pos.coords, c) for pos, c in tiles]
         assert patch.end.coords == end.coords
         # the same normal form: int where integral, Fraction otherwise
-        assert [tuple(map(type, pos.coords)) for pos, _ in patch.tiles] == \
+        assert [tuple(map(type, pos.coords))
+                for pos, _ in exact_tiles(patch)] == \
             [tuple(map(type, pos.coords)) for pos, _ in tiles]
     patch = S.generate_patch(system, (left, right), 2 * k)
     left_len = _addition_chain(system, system.sub.iterate(left, 2 * k),
                                system.field.zero())[1]
     assert patch.start == -left_len
-    assert patch.tiles[patch.junction_index][0].is_zero()
+    assert patch.position(patch.junction_index).is_zero()
+
+
+# a -> ab, b -> aab: lengths (beta - 1)/2 and 1, with a denominator 2
+HALVES = "letters a b\nrule a = a b\nrule b = a a b\n"
+
+
+@pytest.mark.parametrize("name", ["rauzy2-gamma", "halves"])
+def test_patch_command_prints_the_addition_chain(name, tmp_path, capsys):
+    # golden: `subtiling patch` prints each tile of the two-sided patch
+    # as the exact positions of one field addition per tile
+    if name == "halves":
+        path = tmp_path / "halves.spec"
+        path.write_text(HALVES, encoding="utf-8")
+        spec, source = cli.parse_spec(HALVES), str(path)
+    else:
+        spec, source = cli.corpus_lookup(name), name
+    system = S.SuspensionSystem(spec.substitution())
+    _, left, right = system.seed
+    left_word = system.sub.iterate(left, 2)
+    left_len = _addition_chain(system, left_word, system.field.zero())[1]
+    tiles, _ = _addition_chain(
+        system, left_word + system.sub.iterate(right, 2), -left_len)
+    if name == "halves":
+        assert any(type(c) is Fraction
+                   for pos, _ in tiles for c in pos.coords)
+    expected = [" ".join([spec.token(c)] + [cli._frac_str(x)
+                                            for x in pos.coords])
+                for pos, c in tiles]
+    assert cli.main(["patch", source, "--n", "2"]) == 0
+    assert capsys.readouterr().out.splitlines() == expected
 
 
 def test_fixed_point_patches_are_cached(sys_fib, sys_rauzy2):
@@ -321,7 +368,10 @@ def test_fixed_point_patches_are_cached(sys_fib, sys_rauzy2):
         assert system.patch_covering(*system.window(16)) is patch
         index = patch.position_index()
         assert patch.position_index() is index
-        assert index == {pos.coords: c for pos, c in patch.tiles}
+        assert len(index) == len(patch)
+        for pos, c in exact_tiles(patch):
+            key = tuple(x * patch.denom for x in pos.coords)
+            assert index[key] == c
 
 
 def _fieldelem_point_sets(patch, refpoints, window):
@@ -329,7 +379,7 @@ def _fieldelem_point_sets(patch, refpoints, window):
     lo, hi = window
     assert patch.covers(lo, hi)
     per_color = [[] for _ in refpoints]
-    for pos, c in patch.tiles:
+    for pos, c in exact_tiles(patch):
         x = pos + refpoints[c - 1]
         if (x - lo).sign() >= 0 and (x - hi).sign() <= 0:
             per_color[c - 1].append(x)
@@ -365,7 +415,7 @@ def _window_end(draw, system, refs, patch, size):
         q = draw(st.sampled_from([1, 3, 16]))
         return Fraction(draw(st.integers(-size * q // 2, size * q // 2)), q)
     j = patch.junction_index + draw(st.integers(-size // 2, size // 2 - 1))
-    pos, c = patch.tiles[j]
+    pos, c = exact_tiles(patch)[j]
     if kind == "point":
         end = pos + refs[c - 1]
     elif kind == "near":
