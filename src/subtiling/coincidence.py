@@ -13,7 +13,6 @@ the point-set containment it asserts can be replayed verbatim.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -70,20 +69,22 @@ def _least_balanced_prefix(word_list, m):
     letter counts and every word has the same letter at position t, or
     None.  The scan is position-minimal for every word at once.
 
-    Two consecutive packed prefix keys agree across the words exactly
-    when the counts agree at t and the letters at t agree, so the search
-    is for the first two consecutive positions of agreement.
+    The weighted count walk of the first two words then vanishes at t
+    and t + 1, so only such consecutive zeros are confirmed, on the
+    letters at t and the letter counts of every word.
     """
     n = min(map(len, word_list))
-    first, *rest = (w[:n] for w in word_list)
-    agree = int.from_bytes(b"\x01" * (n + 1), "big")
-    for w in rest:
-        flags = bytes(map(operator.eq,
-                          words_mod.packed_prefix_keys(first, m, n + 1),
-                          words_mod.packed_prefix_keys(w, m, n + 1)))
-        agree &= int.from_bytes(flags, "big")
-    t = agree.to_bytes(n + 1, "big").find(b"\x01\x01")
-    return None if t < 0 else t
+    first, *rest = word_list
+    gaps = [words_mod.CountGap(first, w, m) for w in rest]
+    prev = None
+    for t in words_mod.walk_zeros(first, rest[0], m):
+        if t > n:
+            break
+        if (prev == t - 1 and all(w[prev] == first[prev] for w in rest)
+                and all(gap.balanced_at(prev) for gap in gaps)):
+            return prev
+        prev = t
+    return None
 
 
 def _balanced_prefix_search(sub: Substitution, letters, level_bound):

@@ -287,20 +287,15 @@ def _is_closed(nodes, is_coincidence, successors):
 def split_balanced(u, v, m):
     """Split a balanced pair into its irreducible balanced components.
 
-    The cuts are the prefix lengths at which the packed abelianizations
-    of the two words agree."""
+    The cuts are the prefix lengths at which the letter counts of the
+    two words agree (`words.balanced_cuts`)."""
     if len(u) != len(v):
         raise ValueError("pair is not balanced")
-    base = len(u) + 1
-    agree = bytes(map(operator.eq, words_mod.packed_prefix_keys(u, m, base),
-                      words_mod.packed_prefix_keys(v, m, base)))
     comps = []
     start = 0
-    cut = agree.find(1, 1)
-    while cut >= 0:
+    for cut in words_mod.balanced_cuts(u, v, m):
         comps.append((u[start:cut], v[start:cut]))
         start = cut
-        cut = agree.find(1, cut + 1)
     if start != len(u):
         raise ValueError("pair is not balanced")
     return comps

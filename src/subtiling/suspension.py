@@ -221,6 +221,9 @@ class Patch:
         self.junction_index = None
         self._enclosures = None
         self._index = None
+        # reference_point_sets results, keyed on the window and the
+        # reference points
+        self._point_sets = {}
 
     def __len__(self):
         return len(self.colors)
@@ -398,8 +401,15 @@ def reference_point_sets(patch: Patch, refpoints, window) -> PointSets:
     placed this way is one whose signs the filter would have decided:
     placing it changes no refinement.  A field element is made only for
     a kept point and for an exact test.
+
+    The result is kept on the patch, which is immutable, so the witness
+    replays and samples of one window on one patch build it once.
     """
     lo, hi = window
+    key = (lo, hi, tuple(c.coords for c in refpoints))
+    cached = patch._point_sets.get(key)
+    if cached is not None:
+        return cached
     if not patch.covers(lo, hi):
         raise WindowNotCovered("window exceeds the computed patch")
     field, denom = patch.field, patch.denom
@@ -424,7 +434,9 @@ def reference_point_sets(patch: Patch, refpoints, window) -> PointSets:
         if (low > in_lo and high < in_hi) or \
                 ((x - lo).sign() >= 0 and (x - hi).sign() <= 0):
             per_color[c - 1].append(x)
-    return PointSets(tuple(tuple(p) for p in per_color), window)
+    pts = PointSets(tuple(tuple(p) for p in per_color), window)
+    patch._point_sets[key] = pts
+    return pts
 
 
 def _enclosure(field, value, denom):

@@ -9,6 +9,7 @@ surfaces as LengthCapExceeded instead of memory exhaustion.
 from __future__ import annotations
 
 import operator
+from functools import lru_cache
 from itertools import accumulate
 
 from .errors import InvalidWord, LengthCapExceeded, NoSeedFound
@@ -34,7 +35,14 @@ class Substitution:
         self.rules = tuple(rules)
         self.name = name
         self._rule_lengths = tuple(len(r) for r in rules)
-        self._rule_table = (None,) + self.rules      # indexed by letter
+        # translate table k maps each letter to letter k of its rule, or
+        # to the pad byte 0 when the rule is shorter
+        width = max(self._rule_lengths)
+        self._columns = tuple(
+            bytes([0] + [r[k] if k < len(r) else 0 for r in rules])
+            .ljust(256, b"\0")
+            for k in range(width))
+        self._padded = min(self._rule_lengths) < width
         self._iterate_cache = {}
         self._lengths_cache = {}
 
@@ -48,13 +56,21 @@ class Substitution:
         return self.rules[letter - 1]
 
     def apply(self, word, cap=DEFAULT_WORD_CAP):
-        """The image of a word; InvalidWord for a letter outside 1..m."""
+        """The image of a word; InvalidWord for a letter outside 1..m.
+
+        Column k of the image, letter k of each letter's rule, is one
+        translate of the word; the columns are interleaved by slice
+        assignment and the pad bytes of shorter rules dropped."""
         counts = abelianization(word, self.size)
         total = sum(map(operator.mul, counts, self._rule_lengths))
         if total > cap:
             raise LengthCapExceeded(f"image length {total} exceeds cap {cap}")
-        table = self._rule_table
-        return b"".join([table[c] for c in word])
+        width = len(self._columns)
+        image = bytearray(len(word) * width)
+        for k, column in enumerate(self._columns):
+            image[k::width] = word.translate(column)
+        image = bytes(image)
+        return image.replace(b"\0", b"") if self._padded else image
 
     def image_length(self, letter, n):
         """|sigma^n(letter)| without expanding the word."""
@@ -107,16 +123,70 @@ def abelianization(word, m):
     return counts
 
 
-def packed_prefix_keys(word, m, base):
-    """Abelianizations of the prefixes of lengths 0..len(word), each packed
-    as the integer sum n_i * base^(i-1) of its letter counts n_i.
+@lru_cache(maxsize=None)
+def _weight_table(m):
+    """Translate table of the letter weights 1 + K^(c-1) for c < m and 1
+    for m, with K the largest integer such that K^(m-2) <= 254, so that
+    every weight is a byte.
 
-    With base > len(word) every count is a digit, so two prefixes of
-    words no longer than base - 1 have equal keys exactly when they have
-    equal letter counts.  Returns an iterator.
+    Over two prefixes of one length, the weighted letter count difference
+    is sum_{c<m} K^(c-1) d_c, where d_c is the count difference of letter
+    c.  It vanishes when the counts agree; it can vanish otherwise only
+    when some |d_c| >= K, and for m >= 12, where K = 1, only the count of
+    letter m is tracked.
     """
-    weights = (None,) + tuple(base ** i for i in range(m))
-    return accumulate([weights[c] for c in word], initial=0)
+    k = 1
+    while m > 2 and (k + 1) ** (m - 2) <= 254:
+        k += 1
+    weights = [1 + k ** (c - 1) for c in range(1, m)] + [1]
+    return bytes([0] + weights).ljust(256, b"\0")
+
+
+def walk_zeros(u, v, m):
+    """The prefix lengths t in 0..min(|u|, |v|), in increasing order, at
+    which the weighted letter count difference of u[:t] and v[:t]
+    vanishes: every t at which the two prefixes have the same letter
+    counts, and possibly some others.  The walk runs at C level; an
+    iterator."""
+    table = _weight_table(m)
+    walk = accumulate(map(operator.sub, u.translate(table),
+                          v.translate(table)), initial=0)
+    t = -1
+    while True:
+        try:
+            t += operator.indexOf(walk, 0) + 1
+        except ValueError:
+            return
+        yield t
+
+
+class CountGap:
+    """Letter count differences of prefixes of two words over 1..m, for
+    prefix lengths asked in increasing order.  Each call counts only the
+    letters since the previous one; letter m is implied by the length."""
+
+    def __init__(self, u, v, m):
+        self.u, self.v = u, v
+        self.letters = range(1, m)
+        self.gaps = [0] * (m - 1)
+        self.done = 0
+
+    def balanced_at(self, t):
+        """True when u[:t] and v[:t] have the same letter counts."""
+        u, v, s = self.u, self.v, self.done
+        self.gaps = [g + u.count(c, s, t) - v.count(c, s, t)
+                     for g, c in zip(self.gaps, self.letters)]
+        self.done = t
+        return not any(self.gaps)
+
+
+def balanced_cuts(u, v, m):
+    """The prefix lengths t in 1..min(|u|, |v|), in increasing order, at
+    which u[:t] and v[:t] have the same letter counts.  Exact: each zero
+    of the weighted walk is confirmed on the letter counts.  An
+    iterator."""
+    gap = CountGap(u, v, m)
+    return (t for t in walk_zeros(u, v, m) if t and gap.balanced_at(t))
 
 
 def substitution_matrix(sub: Substitution):

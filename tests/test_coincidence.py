@@ -1,8 +1,12 @@
 from fractions import Fraction
 
+import pytest
+
 from subtiling import algebraic, cli
 from subtiling import coincidence as C
 from subtiling import suspension as S
+
+from conftest import WALK_BASE, false_zero_pairs
 
 
 def test_prefix_strong_fibonacci(fib):
@@ -217,6 +221,17 @@ def test_least_balanced_prefix_matches_counting_scan():
                     for _ in range(k)]
                 assert C._least_balanced_prefix(word_list, m) == \
                     _least_balanced_prefix_by_counts(word_list, m)
+
+
+@pytest.mark.parametrize("m", sorted(WALK_BASE))
+def test_least_balanced_prefix_past_false_walk_zeros(m):
+    # the pairs of the balanced-cut tests, as pairs, as triples and cut
+    # to different lengths
+    pairs = false_zero_pairs(m)
+    for (u, v), (w, _) in zip(pairs, pairs[1:] + pairs[:1]):
+        for word_list in ((u, v), (v, u), (u, v, w), (u, v[:-3], v + u)):
+            assert C._least_balanced_prefix(word_list, m) == \
+                _least_balanced_prefix_by_counts(word_list, m)
 
 
 def test_prefix_witnesses_match_counting_scan(fib, rauzy, fib2, rauzy2):

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from subtiling import cli
 from subtiling import spectrum as SP
 from subtiling import suspension as S
-from subtiling.words import Substitution
+from subtiling.words import CountGap, Substitution
 
-from conftest import exact_tiles
+from conftest import WALK_BASE, exact_tiles, false_zero_pairs
 
 
 def zeros(system):
@@ -410,3 +410,32 @@ def test_split_balanced_matches_letter_count_loop():
             assert SP.split_balanced(u, v, m) == want
     with pytest.raises(ValueError):
         SP.split_balanced(bytes([1, 2]), bytes([2, 1, 1]), 2)
+
+
+@pytest.mark.parametrize("m", sorted(WALK_BASE))
+def test_split_balanced_past_false_walk_zeros(m):
+    # words whose weighted walk vanishes where the counts differ, and
+    # alphabets of 12 and 40 letters, where the weights collapse
+    for u, v in false_zero_pairs(m):
+        assert SP.split_balanced(u, v, m) == _split_by_letter_counts(u, v, m)
+
+
+def test_balanced_pair_runs_confirm_few_false_walk_zeros(monkeypatch, fib2,
+                                                        rauzy2):
+    """Deterministic work guard on the balanced-cut kernel: on the two
+    longest balanced-pair runs of the corpus, zeros of the weighted walk
+    where the letter counts differ stay under 5% of the true cuts."""
+    confirmed = []
+    balanced_at = CountGap.balanced_at
+
+    def counting(self, t):
+        confirmed.append(balanced_at(self, t))
+        return confirmed[-1]
+
+    monkeypatch.setattr(CountGap, "balanced_at", counting)
+    for sub in (fib2, rauzy2):
+        confirmed.clear()
+        SP.balanced_pairs(sub)
+        cuts = sum(confirmed)
+        assert cuts > 100
+        assert len(confirmed) - cuts <= 0.05 * cuts

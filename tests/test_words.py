@@ -5,6 +5,8 @@ import pytest
 from subtiling import words as W
 from subtiling.errors import InvalidWord, LengthCapExceeded
 
+from conftest import WALK_BASE, false_zero_pairs
+
 
 def test_abelianization():
     assert W.abelianization(b"", 2) == (0, 0)
@@ -140,9 +142,17 @@ def test_apply_rejects_letters_outside_the_alphabet(fib):
 
 def test_apply_matches_letter_by_letter_images():
     rng = random.Random(5)
+    subs = []
     for m in range(2, 7):
-        rules = [bytes(rng.randint(1, m) for _ in range(rng.randint(1, 4)))
-                 for _ in range(m)]
+        subs.append([bytes(rng.randint(1, m) for _ in range(rng.randint(1, 4)))
+                     for _ in range(m)])
+    # every rule length from 1 to 7, so that every column but the first
+    # has pad bytes, and a constant-length substitution without any
+    subs.append([bytes(rng.randint(1, 7) for _ in range(k))
+                 for k in range(1, 8)])
+    subs.append([bytes(rng.randint(1, 3) for _ in range(5)) for _ in range(3)])
+    for rules in subs:
+        m = len(rules)
         sub = W.Substitution(rules)
         for _ in range(20):
             word = bytes(rng.randint(1, m) for _ in range(rng.randint(0, 30)))
@@ -151,20 +161,39 @@ def test_apply_matches_letter_by_letter_images():
             if want:
                 with pytest.raises(LengthCapExceeded):
                     sub.apply(word, cap=len(want) - 1)
+        # 0 is the pad byte of the column tables
+        for bad in (0, m + 1, 255):
+            with pytest.raises(InvalidWord):
+                sub.apply(bytes([1, bad, 2]))
 
 
-def test_packed_prefix_keys_encode_prefix_counts():
+def _cuts_by_letter_counts(u, v, m):
+    """Reference: every t >= 1 at which the prefix letter counts agree."""
+    return [t for t in range(1, min(len(u), len(v)) + 1)
+            if W.abelianization(u[:t], m) == W.abelianization(v[:t], m)]
+
+
+def test_balanced_cuts_are_the_prefixes_with_equal_counts():
     rng = random.Random(11)
     for m in range(2, 7):
         words = [bytes(rng.randint(1, m) for _ in range(rng.randint(0, 40)))
                  for _ in range(12)]
-        base = 1 + max(map(len, words))
-        keys = {}
-        for w in words:
-            got = list(W.packed_prefix_keys(w, m, base))
-            assert len(got) == len(w) + 1
-            for t, key in enumerate(got):
-                counts = W.abelianization(w[:t], m)
-                assert key == sum(n * base ** i for i, n in enumerate(counts))
-                # injective: equal keys only for equal counts
-                assert keys.setdefault(key, counts) == counts
+        for u in words:
+            for v in words:
+                zeros = list(W.walk_zeros(u, v, m))
+                assert zeros[0] == 0 and zeros == sorted(set(zeros))
+                cuts = list(W.balanced_cuts(u, v, m))
+                # a cut exactly when the counts agree, and every cut is a
+                # zero of the walk
+                assert cuts == _cuts_by_letter_counts(u, v, m)
+                assert set(cuts) <= set(zeros)
+
+
+@pytest.mark.parametrize("m", sorted(WALK_BASE))
+def test_balanced_cuts_confirm_false_walk_zeros(m):
+    false_zeros = 0
+    for u, v in false_zero_pairs(m):
+        cuts = list(W.balanced_cuts(u, v, m))
+        assert cuts == _cuts_by_letter_counts(u, v, m)
+        false_zeros += len(set(W.walk_zeros(u, v, m)) - set(cuts) - {0})
+    assert false_zeros
