@@ -9,13 +9,14 @@ surfaces as LengthCapExceeded instead of memory exhaustion.
 from __future__ import annotations
 
 import operator
-from array import array
 from functools import lru_cache
 from itertools import accumulate
 
 from .errors import InvalidWord, LengthCapExceeded, NoSeedFound
 
 DEFAULT_WORD_CAP = 10_000_000
+# longest rule for which Substitution.apply builds images by column
+COLUMN_WIDTH_MAX = 16
 
 
 class Substitution:
@@ -36,13 +37,15 @@ class Substitution:
         self.rules = tuple(rules)
         self.name = name
         self._rule_lengths = tuple(len(r) for r in rules)
+        self._rule_table = (None,) + self.rules      # indexed by letter
         # translate table k maps each letter to letter k of its rule, or
-        # to the pad byte 0 when the rule is shorter
+        # to the pad byte 0 when the rule is shorter; none when a rule is
+        # longer than COLUMN_WIDTH_MAX, as the tables take 256 bytes each
         width = max(self._rule_lengths)
         self._columns = tuple(
             bytes([0] + [r[k] if k < len(r) else 0 for r in rules])
             .ljust(256, b"\0")
-            for k in range(width))
+            for k in range(width)) if width <= COLUMN_WIDTH_MAX else ()
         self._iterate_cache = {}
         self._lengths_cache = {}
 
@@ -58,18 +61,29 @@ class Substitution:
     def apply(self, word, cap=DEFAULT_WORD_CAP):
         """The image of a word; InvalidWord for a letter outside 1..m.
 
-        Column k of the image, letter k of each letter's rule, is one
-        translate of the word; the columns are interleaved by slice
-        assignment and the pad bytes of shorter rules dropped."""
+        When the rule lengths are close to uniform, column k of the image,
+        letter k of each letter's rule, is one translate of the word; the
+        columns are interleaved by slice assignment into a buffer of
+        |word| * max|rule| bytes and the pad bytes of shorter rules
+        dropped.  That is done only while there is at most one pad byte
+        per letter of the word, so that the buffer is at most twice the
+        image and the pad bytes, which cost more to drop than a letter
+        costs to join, are few; otherwise the rule images are joined
+        letter by letter."""
         counts = abelianization(word, self.size)
         total = sum(map(operator.mul, counts, self._rule_lengths))
         if total > cap:
             raise LengthCapExceeded(f"image length {total} exceeds cap {cap}")
         width = len(self._columns)
+        if not width or len(word) * (width - 1) > total:
+            table = self._rule_table
+            return b"".join([table[c] for c in word])
         image = bytearray(len(word) * width)
         for k, column in enumerate(self._columns):
             image[k::width] = word.translate(column)
-        return bytes(image).replace(b"\0", b"")
+        if len(image) > total:
+            image = image.replace(b"\0", b"")
+        return bytes(image)
 
     def image_length(self, letter, n):
         """|sigma^n(letter)| without expanding the word."""
@@ -123,46 +137,33 @@ def abelianization(word, m):
 
 
 @lru_cache(maxsize=None)
-def _weight_tables(m):
-    """Translate tables of the letter weights w_c and of 127 - w_c, where
-    w_c = 1 + K^(c-1) for c < m and w_m = 1, with K the largest integer
-    such that K^(m-2) <= 126, so that every weight is at most 127.
+def _weight_table(m):
+    """Translate table of the letter weights 1 + K^(c-1) for c < m and 1
+    for m, with K the largest integer such that K^(m-2) <= 254, so that
+    every weight is a byte.
 
     Over two prefixes of one length, the weighted letter count difference
     is sum_{c<m} K^(c-1) d_c, where d_c is the count difference of letter
     c.  It vanishes when the counts agree; it can vanish otherwise only
-    when some |d_c| >= K, and for m >= 9, where K = 1, only the count of
+    when some |d_c| >= K, and for m >= 12, where K = 1, only the count of
     letter m is tracked.
     """
     k = 1
-    while m > 2 and (k + 1) ** (m - 2) <= 126:
+    while m > 2 and (k + 1) ** (m - 2) <= 254:
         k += 1
     weights = [1 + k ** (c - 1) for c in range(1, m)] + [1]
-    return (bytes([0] + weights).ljust(256, b"\0"),
-            bytes([0] + [127 - w for w in weights]).ljust(256, b"\0"))
-
-
-# the byte e as the signed byte e - 127
-_UNBIAS = bytes((e - 127) % 256 for e in range(256))
+    return bytes([0] + weights).ljust(256, b"\0")
 
 
 def walk_zeros(u, v, m):
     """The prefix lengths t in 0..min(|u|, |v|), in increasing order, at
     which the weighted letter count difference of u[:t] and v[:t]
     vanishes: every t at which the two prefixes have the same letter
-    counts, and possibly some others.  An iterator.
-
-    The steps w(u_i) - w(v_i) are made without a loop in Python: the
-    bytes w(u_i) + 127 - w(v_i) lie in 0..253, so one integer sum of the
-    two translated words adds them with no carry between bytes, and a
-    translate takes off the 127.  The walk runs over the signed bytes.
-    """
-    plus, minus = _weight_tables(m)
-    n = min(len(u), len(v))
-    biased = (int.from_bytes(u[:n].translate(plus), "little") +
-              int.from_bytes(v[:n].translate(minus), "little"))
-    steps = array("b", biased.to_bytes(n, "little").translate(_UNBIAS))
-    walk = accumulate(steps, initial=0)
+    counts, and possibly some others.  The walk runs at C level; an
+    iterator."""
+    table = _weight_table(m)
+    walk = accumulate(map(operator.sub, u.translate(table),
+                          v.translate(table)), initial=0)
     t = -1
     while True:
         try:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -154,8 +155,12 @@ def test_apply_matches_letter_by_letter_images():
     for rules in subs:
         m = len(rules)
         sub = W.Substitution(rules)
-        for _ in range(20):
-            word = bytes(rng.randint(1, m) for _ in range(rng.randint(0, 30)))
+        # random words are mostly joined letter by letter; words over the
+        # letters with at most one pad byte take the column path
+        width = max(map(len, rules))
+        long = [c for c in range(1, m + 1) if len(rules[c - 1]) >= width - 1]
+        for letters in [range(1, m + 1)] * 20 + [long] * 20:
+            word = bytes(rng.choice(letters) for _ in range(rng.randint(0, 30)))
             want = b"".join(rules[c - 1] for c in word)
             assert sub.apply(word) == want
             if want:
@@ -165,6 +170,26 @@ def test_apply_matches_letter_by_letter_images():
         for bad in (0, m + 1, 255):
             with pytest.raises(InvalidWord):
                 sub.apply(bytes([1, bad, 2]))
+
+
+@pytest.mark.parametrize("width", [16, 1000, 5000])
+def test_apply_memory_is_bounded_by_the_image_on_skewed_rules(width):
+    # a -> a b^(width-1), b -> a on a word of b's: a column buffer would
+    # take |word| * width bytes, far above the cap, for an image of |word|
+    sub = W.Substitution([bytes([1] + [2] * (width - 1)), b"\1"])
+    word = b"\2" * 20_000 + b"\1"
+    want = b"\1" * 20_000 + sub.rule(1)
+    cap = 2 * len(want)
+    assert len(word) * width > 4 * cap
+    tracemalloc.start()
+    try:
+        assert sub.apply(word, cap=cap) == want
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # joining the rule images letter by letter takes about 90 bytes per
+    # letter, whatever the rule lengths
+    assert peak < 100 * len(want)
 
 
 def _cuts_by_letter_counts(u, v, m):
