@@ -9,6 +9,7 @@ surfaces as LengthCapExceeded instead of memory exhaustion.
 from __future__ import annotations
 
 import operator
+from array import array
 from functools import lru_cache
 from itertools import accumulate
 
@@ -137,33 +138,46 @@ def abelianization(word, m):
 
 
 @lru_cache(maxsize=None)
-def _weight_table(m):
-    """Translate table of the letter weights 1 + K^(c-1) for c < m and 1
-    for m, with K the largest integer such that K^(m-2) <= 254, so that
-    every weight is a byte.
+def _weight_tables(m):
+    """Translate tables of the letter weights w_c and of 127 - w_c, where
+    w_c = 1 + K^(c-1) for c < m and w_m = 1, with K the largest integer
+    such that K^(m-2) <= 126, so that every weight is at most 127.
 
     Over two prefixes of one length, the weighted letter count difference
     is sum_{c<m} K^(c-1) d_c, where d_c is the count difference of letter
     c.  It vanishes when the counts agree; it can vanish otherwise only
-    when some |d_c| >= K, and for m >= 12, where K = 1, only the count of
+    when some |d_c| >= K, and for m >= 9, where K = 1, only the count of
     letter m is tracked.
     """
     k = 1
-    while m > 2 and (k + 1) ** (m - 2) <= 254:
+    while m > 2 and (k + 1) ** (m - 2) <= 126:
         k += 1
     weights = [1 + k ** (c - 1) for c in range(1, m)] + [1]
-    return bytes([0] + weights).ljust(256, b"\0")
+    return (bytes([0] + weights).ljust(256, b"\0"),
+            bytes([0] + [127 - w for w in weights]).ljust(256, b"\0"))
+
+
+# the byte e as the signed byte e - 127
+_UNBIAS = bytes((e - 127) % 256 for e in range(256))
 
 
 def walk_zeros(u, v, m):
     """The prefix lengths t in 0..min(|u|, |v|), in increasing order, at
     which the weighted letter count difference of u[:t] and v[:t]
     vanishes: every t at which the two prefixes have the same letter
-    counts, and possibly some others.  The walk runs at C level; an
-    iterator."""
-    table = _weight_table(m)
-    walk = accumulate(map(operator.sub, u.translate(table),
-                          v.translate(table)), initial=0)
+    counts, and possibly some others.  An iterator.
+
+    The steps w(u_i) - w(v_i) are made without a loop in Python: the
+    bytes w(u_i) + 127 - w(v_i) lie in 0..253, so one integer sum of the
+    two translated words adds them with no carry between bytes, and a
+    translate takes off the 127.  The walk runs over the signed bytes.
+    """
+    plus, minus = _weight_tables(m)
+    n = min(len(u), len(v))
+    biased = (int.from_bytes(u[:n].translate(plus), "little") +
+              int.from_bytes(v[:n].translate(minus), "little"))
+    steps = array("b", biased.to_bytes(n, "little").translate(_UNBIAS))
+    walk = accumulate(steps, initial=0)
     t = -1
     while True:
         try:

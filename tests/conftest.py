@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from subtiling import cli
@@ -9,6 +11,31 @@ def _sub(name):
 
 
 _SYSTEMS = {}
+
+# The base K of the letter weights 1 + K^(c-1) of words.walk_zeros: the
+# largest K with K^(m-2) <= 126.  A zero of the weighted walk where the
+# letter counts differ needs a count gap of at least K in some letter.
+WALK_BASE = {4: 11, 6: 3, 12: 1, 40: 1}
+
+
+def false_zero_pairs(m, count=30, seed=41):
+    """Balanced word pairs over 1..m, m a key of WALK_BASE, whose weighted
+    count walk vanishes at prefixes with different letter counts.
+
+    The first pair holds the least such gap: K ones against one two, made
+    up in the last letter.  The others shuffle runs of one letter up to
+    K + 2 long between the two words."""
+    k = WALK_BASE[m]
+    head, tail = bytes([1] * k + [m]), bytes([2] + [m] * k)
+    pairs = [(head + tail, tail + head)]
+    rng = random.Random(seed + m)
+    for _ in range(count - 1):
+        runs = [bytes([rng.randint(1, m)]) * rng.randint(1, k + 2)
+                for _ in range(rng.randint(1, 12))]
+        u = b"".join(runs)
+        rng.shuffle(runs)
+        pairs.append((u, b"".join(runs)))
+    return pairs
 
 
 def exact_tiles(patch):
