@@ -297,6 +297,60 @@ class NumberField:
             return -1
         return 0
 
+    def int_sign(self, ints):
+        """-1, 0, or +1: the certified sign of sum ints[k] * beta^k for
+        integer coordinates; FieldElem.sign() is this on an element's
+        coordinates times the lcm of their denominators.
+
+        A rational vector is decided exactly, then the fixed-point filter
+        is tried, and only when it cannot decide is the Horner enclosure
+        refined until it excludes zero.  The filter's sums and the
+        enclosure scale with the vector, so a positive multiple of ints
+        gets the same decisions and the same refinements: the vector may
+        be taken over any common denominator."""
+        if not any(ints[1:]):
+            a = ints[0]
+            return (a > 0) - (a < 0)
+        return self.filter_sign(ints) or self._refined_sign(ints)
+
+    def _horner_enclosure(self, ints):
+        """Integers (lower, upper, scale), scale = den^(degree-1), such
+        that [lower / scale, upper / scale] is the Horner enclosure of
+        sum ints[k] * x^k on the interval.
+
+        Step j of the Horner loop, with x*den in [num_lo, num_hi], adds
+        the next coordinate times den^j."""
+        num_lo, num_hi, den = self.num_lo, self.num_hi, self.den
+        lower = upper = ints[-1]
+        den_pow = 1
+        for a in reversed(ints[:-1]):
+            den_pow *= den
+            # num_lo > 0, so these are the min and max of the four products
+            if lower >= 0:
+                lower, upper = lower * num_lo, upper * num_hi
+            elif upper <= 0:
+                lower, upper = lower * num_hi, upper * num_lo
+            else:
+                lower, upper = lower * num_hi, upper * num_hi
+            a *= den_pow
+            lower += a
+            upper += a
+        return lower, upper, den_pow
+
+    def _refined_sign(self, ints):
+        """Sign of a nonzero integer vector by Horner enclosure and
+        refinement, which terminates because a nonzero vector of degree
+        < n cannot vanish at a root of an irreducible polynomial of
+        degree n."""
+        for _ in range(10_000):
+            lower, upper, _ = self._horner_enclosure(ints)
+            if lower > 0:
+                return 1
+            if upper < 0:
+                return -1
+            self._refine_once()
+        raise AssertionError("sign refinement failed to converge")
+
     # -- element constructors ------------------------------------------
 
     def element(self, coords):
@@ -457,34 +511,20 @@ class FieldElem:
             raise ValueError("element is irrational")
         return Fraction(self.coords[0])
 
+    def _ints(self):
+        """(ints, scale): the coordinates times the lcm of their
+        denominators, as ints."""
+        coords = self.coords
+        scale = common_denominator(coords)
+        return (coords if scale == 1 else scaled_coords(coords, scale)), scale
+
     def _enclosure(self):
         """Integers (lower, upper, scale), scale > 0, such that
         [lower / scale, upper / scale] is the Horner enclosure of the
-        coordinate polynomial on the field's interval.
-
-        The coordinates are scaled by the lcm of their denominators, and
-        step j of the Horner loop, with x*den in [num_lo, num_hi], adds
-        the next coordinate times den^j; the result is the rational
-        interval Horner enclosure times scale = lcm * den^(degree-1)."""
-        field = self.field
-        num_lo, num_hi, den = field.num_lo, field.num_hi, field.den
-        coords = self.coords
-        scale = common_denominator(coords)
-        ints = coords if scale == 1 else scaled_coords(coords, scale)
-        lower = upper = ints[-1]
-        den_pow = 1
-        for a in reversed(ints[:-1]):
-            den_pow *= den
-            # num_lo > 0, so these are the min and max of the four products
-            if lower >= 0:
-                lower, upper = lower * num_lo, upper * num_hi
-            elif upper <= 0:
-                lower, upper = lower * num_hi, upper * num_lo
-            else:
-                lower, upper = lower * num_hi, upper * num_hi
-            a *= den_pow
-            lower += a
-            upper += a
+        coordinate polynomial on the field's interval
+        (`NumberField._horner_enclosure` of the scaled coordinates)."""
+        ints, scale = self._ints()
+        lower, upper, den_pow = self.field._horner_enclosure(ints)
         return lower, upper, scale * den_pow
 
     def interval(self):
@@ -493,30 +533,18 @@ class FieldElem:
         return RatInterval(Fraction(lower, scale), Fraction(upper, scale))
 
     def sign(self):
-        """-1, 0, or +1, certified.
+        """-1, 0, or +1, certified: `NumberField.int_sign` of the
+        coordinates scaled to ints.
 
-        Zero is a coordinate test.  Otherwise the fixed-point filter is
-        tried first, and when it cannot decide the enclosing interval is
-        refined until it excludes zero, which terminates because a nonzero
-        vector of degree < n cannot vanish at a root of an irreducible
-        polynomial of degree n.
+        A rational element is decided exactly.  Otherwise the fixed-point
+        filter is tried first, and when it cannot decide the enclosing
+        interval is refined until it excludes zero.
         """
-        if self.is_zero():
-            return 0
-        if self.is_rational():
-            return 1 if self.coords[0] > 0 else -1
-        return self.field.filter_sign(self.coords) or self._interval_sign()
+        return self.field.int_sign(self._ints()[0])
 
     def _interval_sign(self):
         """Sign of a nonzero element by interval evaluation and refinement."""
-        for _ in range(10_000):
-            lower, upper, _ = self._enclosure()
-            if lower > 0:
-                return 1
-            if upper < 0:
-                return -1
-            self.field._refine_once()
-        raise AssertionError("sign refinement failed to converge")
+        return self.field._refined_sign(self._ints()[0])
 
     def __eq__(self, other):
         if isinstance(other, FieldElem):

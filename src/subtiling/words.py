@@ -18,6 +18,10 @@ from .errors import InvalidWord, LengthCapExceeded, NoSeedFound
 DEFAULT_WORD_CAP = 10_000_000
 # longest rule for which Substitution.apply builds images by column
 COLUMN_WIDTH_MAX = 16
+# letters per join when Substitution.apply joins rule images: a join
+# takes about 90 bytes per item while it runs, so joining in chunks keeps
+# the peak near twice the image
+JOIN_CHUNK = 4096
 
 
 class Substitution:
@@ -70,7 +74,7 @@ class Substitution:
         per letter of the word, so that the buffer is at most twice the
         image and the pad bytes, which cost more to drop than a letter
         costs to join, are few; otherwise the rule images are joined
-        letter by letter."""
+        letter by letter, JOIN_CHUNK letters at a time."""
         counts = abelianization(word, self.size)
         total = sum(map(operator.mul, counts, self._rule_lengths))
         if total > cap:
@@ -78,7 +82,9 @@ class Substitution:
         width = len(self._columns)
         if not width or len(word) * (width - 1) > total:
             table = self._rule_table
-            return b"".join([table[c] for c in word])
+            return b"".join([
+                b"".join([table[c] for c in word[i:i + JOIN_CHUNK]])
+                for i in range(0, len(word), JOIN_CHUNK)])
         image = bytearray(len(word) * width)
         for k, column in enumerate(self._columns):
             image[k::width] = word.translate(column)

@@ -421,6 +421,22 @@ def test_integer_sign_refines_as_the_fraction_route(minpoly, data):
 
 @pytest.mark.parametrize("minpoly", ROUTE_MINPOLYS.values(),
                          ids=ROUTE_MINPOLYS.keys())
+@given(data=st.data())
+@settings(max_examples=15, deadline=None, derandomize=True)
+def test_int_sign_of_any_multiple_refines_as_the_element_sign(minpoly, data):
+    # each side on a fresh field: the same sign after the same bisections
+    coords = _draw_coords(data, minpoly)
+    multiple = data.draw(st.integers(1, 12))
+    element_field = field_from(list(minpoly))
+    x = element_field.element(coords)
+    want = (x.sign(), element_field.generation)
+    field = field_from(list(minpoly))
+    ints = A.scaled_coords(x.coords, A.common_denominator(x.coords) * multiple)
+    assert (field.int_sign(ints), field.generation) == want
+
+
+@pytest.mark.parametrize("minpoly", ROUTE_MINPOLYS.values(),
+                         ids=ROUTE_MINPOLYS.keys())
 def test_integer_bisection_and_table_equal_the_fraction_ones(minpoly):
     field = field_from(list(minpoly))
     while field.generation < 300:

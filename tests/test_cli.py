@@ -261,6 +261,39 @@ def test_verify_fails_overlap_shift_that_does_not_parse(shift):
     assert cli.verify_report(report)["passed"] is False
 
 
+def _fib2_overlap_set(report):
+    return report["checks"]["overlap_coincidence"]["certificate"][
+        "coincidence_free_closed_set"]
+
+
+def test_verify_fails_overlap_shift_given_as_a_bare_string():
+    # read one character at a time, "10" would be the shift 1 + 0*beta
+    # that this entry already has
+    report = _fixture("fib2")
+    entry = _fib2_overlap_set(report)[1]
+    assert entry["shift"] == ["1/1", "0/1"]
+    entry["shift"] = "10"
+    assert cli.verify_report(report)["passed"] is False
+
+
+def test_verify_fails_overlap_shift_shorter_than_degree():
+    # fib2 has a degree-two field; zero-padded, ["-1/1"] would be the
+    # shift this entry already has
+    report = _fixture("fib2")
+    entry = _fib2_overlap_set(report)[0]
+    assert entry["shift"] == ["-1/1", "0/1"]
+    entry["shift"] = ["-1/1"]
+    assert cli.verify_report(report)["passed"] is False
+
+
+def test_verify_fails_duplicated_overlap_class():
+    report = _fixture("fib2")
+    closed = _fib2_overlap_set(report)
+    assert cli.verify_report(report)["passed"] is True
+    closed.append(dict(closed[0]))
+    assert cli.verify_report(report)["passed"] is False
+
+
 def test_verify_fails_overlap_class_whose_tiles_do_not_overlap():
     # a class beyond the tile lengths has no inflation successors, so it
     # would pass the closure check on its own

@@ -1,15 +1,20 @@
+import hashlib
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from subtiling import cli
+from subtiling import algebraic, cli
 from subtiling import spectrum as SP
 from subtiling import suspension as S
 from subtiling.words import CountGap, Substitution
 
 from conftest import WALK_BASE, exact_tiles, false_zero_pairs
+
+SPECS = Path(__file__).resolve().parents[1] / "perfbench" / "specs"
 
 
 def zeros(system):
@@ -288,6 +293,28 @@ def _as_items(classes):
             for k, c in classes.items()]
 
 
+# a -> ab, b -> aab: beta = 1 + sqrt(2), the length of a is
+# (sqrt(2) - 1) / 2, so the lengths have denominator 2; the tile map
+# (2, 1) gives control points with denominator 4
+EXTRA_SYSTEMS = {"a->ab,b->aab": (Substitution([b"\1\2", b"\1\1\2"]), (2, 1))}
+
+
+def _system_and_refs(name):
+    """A fresh system and the reference points an analysis would take,
+    for a corpus entry, a `perfbench/specs` input or an extra system."""
+    path = SPECS / f"{name}.spec"
+    if name in EXTRA_SYSTEMS:
+        sub, tilemap = EXTRA_SYSTEMS[name]
+    else:
+        spec = (cli.parse_spec(path.read_text(encoding="utf-8"), name=name)
+                if path.exists() else cli.corpus_lookup(name))
+        sub, tilemap = spec.substitution(), spec.tilemap
+    system = S.SuspensionSystem(sub)
+    if tilemap is None:
+        return system, S.left_endpoint_points(system)
+    return system, S.control_points(system, tilemap)
+
+
 SWEEP_CASES = ("fibonacci", "fib2", "rauzy", "rauzy2-gamma", "thue-morse")
 
 
@@ -296,12 +323,7 @@ def _sweep_setting(name, size):
     the window of the given size, the patch's tile boundaries and its
     nonzero same-color return vectors.  The interval is left wide, so
     that some comparisons fall back to FieldElem.sign() and refine it."""
-    spec = cli.corpus_lookup(name)
-    system = S.SuspensionSystem(spec.substitution())
-    if spec.tilemap is None:
-        refs = S.left_endpoint_points(system)
-    else:
-        refs = S.control_points(system, spec.tilemap)
+    system, refs = _system_and_refs(name)
     window = system.window(size)
     patch = system.patch_covering(*window)
     pts = S.reference_point_sets(patch, refs, window)
@@ -351,20 +373,154 @@ def test_integer_sweep_matches_fieldelem_sweep(data):
     assert _as_items(got) == _as_items(want)
 
 
-@pytest.mark.parametrize("name", ["fibonacci", "fib2", "rauzy2-gamma"])
-def test_initial_overlaps_match_fieldelem_sweep(name, monkeypatch):
+def _fieldelem_overlaps(system, cls):
+    """Reference: -len_moved < shift < len_anchor by FieldElem signs."""
+    return ((cls.shift + system.length_of(cls.moved)).sign() > 0 and
+            (system.length_of(cls.anchor) - cls.shift).sign() > 0)
+
+
+def _fieldelem_seeds(system, refs, window):
+    """Reference: the FieldElem sweep of every nonzero same-color return
+    vector in the order `return_vectors` finds them, each class checked
+    by FieldElem signs."""
+    patch = system.patch_covering(*window)
+    pts = S.reference_point_sets(patch, refs, window)
+    per_color, _ = S.return_vectors(pts, cross=False)
+    returns = {d.coords: d for diffs in per_color for d in diffs
+               if not d.is_zero()}
+    classes = {}
+    for y in returns.values():
+        classes.update(_fieldelem_sweep(system, patch, y))
+    assert all(_fieldelem_overlaps(system, c) for c in classes.values())
+    return classes
+
+
+def _fieldelem_inflate(system, cls):
+    """Reference: one inflation step in FieldElem arithmetic."""
+    base = system.beta * cls.shift
+    out = []
+    for mc, m_off in zip(system.sub.rule(cls.moved),
+                         system.subtile_offsets[cls.moved - 1]):
+        for ac, a_off in zip(system.sub.rule(cls.anchor),
+                             system.subtile_offsets[cls.anchor - 1]):
+            child = SP.OverlapClass(mc, ac, base + m_off - a_off)
+            if _fieldelem_overlaps(system, child):
+                out.append(child)
+    return out
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "fib2", "rauzy2-gamma",
+                                  "aba-gamma", "a->ab,b->aab"])
+def test_initial_overlaps_match_fieldelem_sweep(name):
     # same seeds in the same order, after the same interval refinements,
-    # each side from a fresh system
-    def seeds():
-        system, refs, window, _, _, _ = _sweep_setting(name, 64)
+    # each side from a fresh system; the FieldElem reference takes 1.6 s
+    # on a->ab, b->aab at window 64
+    size = 32 if name in EXTRA_SYSTEMS else 64
+
+    def seeds(seeder):
+        system, refs = _system_and_refs(name)
+        window = system.window(size)
         before = system.field.generation
-        classes = SP.initial_overlaps(system, refs, window)
+        classes = seeder(system, refs, window)
         return _as_items(classes), system.field.generation - before
 
-    got = seeds()
-    monkeypatch.setattr(SP, "overlap_classes_for_translation",
-                        _fieldelem_sweep)
-    assert seeds() == got
+    assert seeds(SP.initial_overlaps) == seeds(_fieldelem_seeds)
+
+
+_INFLATION_SETTINGS = {}
+
+
+def _inflation_setting(name):
+    """A shared system and its seed classes at window 16."""
+    if name not in _INFLATION_SETTINGS:
+        system, refs = _system_and_refs(name)
+        seeds = list(SP.initial_overlaps(system, refs, system.window(16))
+                     .values())
+        _INFLATION_SETTINGS[name] = system, seeds
+    return _INFLATION_SETTINGS[name]
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_inflation_matches_fieldelem_inflation(data):
+    name = data.draw(st.sampled_from(
+        ["fibonacci", "rauzy", "aba-gamma", "rauzy2-gamma", "a->ab,b->aab"]))
+    system, seeds = _inflation_setting(name)
+    field = system.field
+    q = data.draw(st.sampled_from([1, 2, 3, 6]))
+    if data.draw(st.booleans()):
+        # a seed class moved by r/q * beta^-k: near its own tile ends
+        cls = data.draw(st.sampled_from(seeds))
+        k = data.draw(st.integers(0, 8))
+        r = data.draw(st.integers(-2, 2))
+        cls = SP.OverlapClass(cls.moved, cls.anchor, cls.shift +
+                              Fraction(r, q) * system.beta.inverse() ** k)
+    else:
+        coords = data.draw(st.lists(st.integers(-4, 4), min_size=field.degree,
+                                    max_size=field.degree))
+        letters = st.integers(1, system.size)
+        cls = SP.OverlapClass(data.draw(letters), data.draw(letters),
+                              field.element([Fraction(a, q) for a in coords]))
+    got = SP.inflate_overlap(system, cls)
+    want = _fieldelem_inflate(system, cls)
+    assert [(c.moved, c.anchor, c.shift.coords) for c in got] == \
+        [(c.moved, c.anchor, c.shift.coords) for c in want]
+
+
+# Taken with the FieldElem closure, each from a fresh system: the number
+# of seed classes, the first three and a digest of all of them in order
+# (moved, anchor, shift as fraction strings, as JSON).
+SEED_ORDER = {
+    "rauzy": (64, 73, [[2, 1, ["-1", "0", "0"]], [1, 1, ["-1", "-1", "1"]],
+                       [1, 2, ["-1", "-2", "1"]]], "c64b66e9e8e592fa"),
+    "pentanacci": (16, 326, [[1, 1, ["0"] * 5], [3, 2, ["0"] * 5],
+                             [1, 2, ["0", "-1", "-1", "1", "0"]]],
+                   "54298656e523c016"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEED_ORDER))
+def test_seed_order_is_pinned(name):
+    size, count, first, digest = SEED_ORDER[name]
+    system, refs = _system_and_refs(name)
+    keys = [[m, a, [str(Fraction(c)) for c in shift]]
+            for m, a, shift in SP.initial_overlaps(system, refs,
+                                                   system.window(size))]
+    assert len(keys) == count
+    assert keys[:3] == first
+    text = json.dumps(keys).encode()
+    assert hashlib.sha256(text).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("node_cap, nodes_seen",
+                         [(500, 504), (1000, 1002), (2000, 2002)])
+def test_nonpisot_nodes_seen_is_pinned(node_cap, nodes_seen):
+    # the class count at the cap depends on the order the closure takes
+    # the seeds and the successors in
+    system, refs = _system_and_refs("nonpisot")
+    half = SP.overlap_coincidence(system, refs, system.window(16),
+                                  node_cap=node_cap)
+    assert half.status == "UNKNOWN"
+    assert half.certificate == {"nodes_seen": nodes_seen}
+
+
+def test_overlap_closure_builds_few_field_elements(monkeypatch):
+    """Work guard: the overlap route runs on integer vectors, so the
+    field elements made in `overlap_coincidence` on pentanacci are at
+    most one per class plus one per FieldElem fallback sign."""
+    system, refs = _system_and_refs("pentanacci")
+    window = system.window(16)
+    made, fallbacks = [], []
+    init = algebraic.FieldElem.__init__
+    interval_sign = algebraic.FieldElem._interval_sign
+    monkeypatch.setattr(algebraic.FieldElem, "__init__",
+                        lambda self, *a: made.append(1) or init(self, *a))
+    monkeypatch.setattr(
+        algebraic.FieldElem, "_interval_sign",
+        lambda self: fallbacks.append(1) or interval_sign(self))
+    half = SP.overlap_coincidence(system, refs, window, node_cap=2000)
+    assert half.status == "HOLDS"
+    assert len(made) <= half.certificate["total_classes"] + len(fallbacks)
 
 
 def _split_by_letter_counts(u, v, m):

@@ -172,13 +172,16 @@ def test_apply_matches_letter_by_letter_images():
                 sub.apply(bytes([1, bad, 2]))
 
 
-@pytest.mark.parametrize("width", [16, 1000, 5000])
-def test_apply_memory_is_bounded_by_the_image_on_skewed_rules(width):
+@pytest.mark.parametrize("width, letters", [
+    pytest.param(16, 20_000, id="16"), pytest.param(1000, 20_000, id="1000"),
+    pytest.param(5000, 20_000, id="5000"),
+    pytest.param(16, 200_000, id="16-200000")])
+def test_apply_memory_is_bounded_by_the_image_on_skewed_rules(width, letters):
     # a -> a b^(width-1), b -> a on a word of b's: a column buffer would
     # take |word| * width bytes, far above the cap, for an image of |word|
     sub = W.Substitution([bytes([1] + [2] * (width - 1)), b"\1"])
-    word = b"\2" * 20_000 + b"\1"
-    want = b"\1" * 20_000 + sub.rule(1)
+    word = b"\2" * letters + b"\1"
+    want = b"\1" * letters + sub.rule(1)
     cap = 2 * len(want)
     assert len(word) * width > 4 * cap
     tracemalloc.start()
@@ -187,9 +190,11 @@ def test_apply_memory_is_bounded_by_the_image_on_skewed_rules(width):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # joining the rule images letter by letter takes about 90 bytes per
-    # letter, whatever the rule lengths
+    # a join takes about 90 bytes per item while it runs; joined a few
+    # thousand letters at a time, the peak is the image, its chunks and
+    # one chunk's join
     assert peak < 100 * len(want)
+    assert peak < 3 * len(want) + 500_000
 
 
 def _cuts_by_letter_counts(u, v, m):
