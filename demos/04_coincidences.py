@@ -25,8 +25,8 @@ print("tile-level verdict for (a, b):", verdict.status)
 print(f"  shared tile: color {spec.token(w.color)}, level {w.level}, "
       f"shift {[str(c) for c in w.shift.coords]}")
 
-print("replay on a 64-tile window:",
-      coincidence.verify_witness(system, refs, w, system.window(64)))
+print("replay on the inflation tree:",
+      coincidence.verify_witness(system, refs, w))
 
 sim = coincidence.simultaneous(system, refs)
 print("simultaneous coincidence:", sim.status, "at level",

@@ -590,8 +590,9 @@ def _parse_level(value):
 def verify_report(report: dict) -> dict:
     """Replay every replayable certificate in a report.
 
-    Geometric and simultaneous HOLDS witnesses are rechecked point by
-    point on the default window; FAILS certificates of both spectral
+    Geometric and simultaneous HOLDS witnesses are replayed on the
+    inflation tree, both claims for every scope letter
+    (`coincidence.verify_witness`); FAILS certificates of both spectral
     procedures are rerun through one inflation or substitution pass.
     A replay that raises a SubtilingError (a cap it ran into) fails, and
     so does a report whose window _check_window rejects.
@@ -606,7 +607,6 @@ def verify_report(report: dict) -> dict:
     system = suspension.SuspensionSystem(sub)
     index = {tok: i + 1 for i, tok in enumerate(spec.letters)}
     refpoints, _ = _reference_points(system, spec)
-    window = system.window(size)
     results = {}
 
     def witness_from_json(w):
@@ -635,8 +635,7 @@ def verify_report(report: dict) -> dict:
             witness = witness_from_json(w)
         except (KeyError, TypeError, ValueError, ZeroDivisionError):
             return False
-        return replay(coincidence.verify_witness, system, refpoints, witness,
-                      window)
+        return replay(coincidence.verify_witness, system, refpoints, witness)
 
     geo = report["checks"].get("geometric_strong")
     if isinstance(geo, dict) and "pairs" in geo:

@@ -2,22 +2,25 @@
 
 Two code paths decide whether iterated prototiles share a tile: a
 combinatorial one on rule words (equal prefix abelianizations followed by
-the same letter) and a geometric one matching exact positions in Q(beta).
-Both search levels up to a bound and return HOLDS with a witness,
-FAILS with a finite certificate (a commuting fixed-point-free letter
-involution), or UNKNOWN at the bound.  A found witness is additionally
-lifted to a level divisible by the fixed-point power of the tiling, where
-the point-set containment it asserts can be replayed verbatim.
+the same letter) and a geometric one, a level-by-level walk of overlap
+classes under `spectrum._Inflation` on integer vectors of Q(beta).  Both
+search levels up to a bound and return HOLDS with a witness, FAILS with a
+finite certificate (a commuting fixed-point-free letter involution), or
+UNKNOWN at the bound.  A geometric witness is the leftmost shared tile,
+also at a level divisible by the fixed-point power of the tiling, and
+`verify_witness` replays it by a descent of the inflation tree.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
-from . import algebraic, words as words_mod
-from .suspension import SuspensionSystem, reference_point_sets
+from . import algebraic, spectrum, words as words_mod
+# reference_point_sets is unused here; perfbench's tracer test wraps it here
+from .suspension import SuspensionSystem, reference_point_sets  # noqa: F401
 from .words import Substitution
 
 
@@ -53,9 +56,9 @@ class PrefixWitness:
 
 DEFAULT_LEVEL_BOUND = 12
 
-# Geometric searches stop early once a single inflated prototile would
-# carry more tiles than this; the verdict then reports the level bound
-# that was actually exhausted.
+# The geometric walks stop at the last level whose inflated prototiles
+# carry at most this many tiles and report it as their UNKNOWN bound;
+# verify_witness accepts no witness level beyond it.
 SUPERTILE_CAP = 65_536
 
 
@@ -180,79 +183,10 @@ def prefix_simultaneous(sub: Substitution, level_bound=DEFAULT_LEVEL_BOUND):
 # ---------------------------------------------------------------------------
 
 
-class _SupertileCache:
-    """Prototile tile lists per (letter, level), translated by -beta^L c.
-
-    A tile is a (vector, color) pair on one denominator: the lcm of the
-    length denominator and the reference points' denominators.  It also
-    clears every beta^L * c, since beta is an algebraic integer."""
-
-    def __init__(self, system: SuspensionSystem, refpoints):
-        self.system = system
-        self.refpoints = refpoints
-        self.denom = math.lcm(system._length_denom, *(
-            algebraic.common_denominator(c.coords) for c in refpoints))
-        self._shifts = [refpoints]      # per level, beta^L * c per color
-        self._shifted = {}
-
-    def shifted_tiles(self, letter, level):
-        key = (letter, level)
-        if key not in self._shifted:
-            shifts = self._shifts
-            while len(shifts) <= level:
-                shifts.append([s if s.is_zero() else self.system.beta * s
-                               for s in shifts[-1]])
-            shift = algebraic.scaled_coords(shifts[level][letter - 1].coords,
-                                            self.denom)
-            patch = self.system.prototile_patch(letter, level)
-            scale = self.denom // patch.denom
-            if scale == 1 and not any(shift):
-                points = patch.points
-            else:
-                points = [tuple(scale * a - b for a, b in zip(v, shift))
-                          for v in patch.points]
-            self._shifted[key] = list(zip(points, patch.colors))
-        return self._shifted[key]
-
-    def position(self, vector):
-        """A tile vector as an exact field element."""
-        return algebraic.FieldElem(
-            self.system.field, algebraic.unscaled_coords(vector, self.denom))
-
-
-def _common_tile(tile_lists):
-    """First tile (vector, color) of the first list that every other list
-    also holds; None when there is none."""
-    first, *rest = tile_lists
-    common = set.intersection(*map(set, rest))
-    return next((tile for tile in first if tile in common), None)
-
-
 def _replay_level(system, level):
     """Least multiple of the seed power that is at least `level`."""
     k = system.seed[0]
     return k * ((level + k - 1) // k)
-
-
-def _witness_from_hit(cache, level, hit, letters, scope):
-    refpoints = cache.refpoints
-    vector, color = hit
-    shift = cache.position(vector) + refpoints[color - 1]
-    replay_level = _replay_level(cache.system, level)
-    if replay_level == level:
-        replay_color, replay_shift = color, shift
-    else:
-        rehit = _common_tile(
-            [cache.shifted_tiles(c, replay_level) for c in letters])
-        if rehit is None:
-            raise AssertionError("coincidence did not persist under inflation")
-        replay_color = rehit[1]
-        replay_shift = cache.position(rehit[0]) + refpoints[replay_color - 1]
-    return CoincidenceWitness(
-        level=level, color=color, shift=shift, scope=scope,
-        replay_level=replay_level, replay_color=replay_color,
-        replay_shift=replay_shift,
-    )
 
 
 def _reachable_levels(system, letters, level_bound):
@@ -266,18 +200,98 @@ def _reachable_levels(system, letters, level_bound):
     return top
 
 
-def _shared_tile_search(cache, letters, scope, level_bound):
-    """Least level with a tile shared by the translated inflated
-    prototiles of `letters`: HOLDS with a witness of the given scope, or
-    UNKNOWN at the deepest level searched.  Levels whose supertiles would
-    exceed the tile cap are not searched."""
-    top = _reachable_levels(cache.system, letters, level_bound)
-    for level in range(1, top + 1):
-        hit = _common_tile([cache.shifted_tiles(c, level) for c in letters])
-        if hit is not None:
-            return BoundedVerdict("HOLDS", witness=_witness_from_hit(
-                cache, level, hit, letters, scope))
-    return BoundedVerdict("UNKNOWN", bound=top)
+def _integer_setting(system, elems):
+    """The inflation step over the lcm of the denominators of the lengths
+    and of the elements (beta is an algebraic integer, so that clears beta
+    times any of them too), and the elements as integer vectors over it."""
+    denom = math.lcm(system._length_denom, *(
+        algebraic.common_denominator(x.coords) for x in elems))
+    return (spectrum._Inflation(system, denom),
+            [algebraic.scaled_coords(x.coords, denom) for x in elems])
+
+
+def _least_shared(states):
+    """(path, color) of the first state of coincidences only, or None."""
+    return next(((path, color) for (color, classes), path in states.items()
+                 if all(anchor == color and not any(shift)
+                        for anchor, shift in classes)), None)
+
+
+class _Walk:
+    """Shared tiles of the translated inflated prototiles, found on the
+    overlap-class inflation graph of `spectrum._Inflation`.
+
+    A state is a tile of the first letter's inflated prototile with one
+    overlapping tile of each other letter's, (color, ((anchor, shift),
+    ...)), the root being the prototiles: shift c_j - c_i.  A level with
+    a state of coincidences only holds a shared tile.  A state keeps the
+    least moved-subtile path to it, which is its leftmost tile."""
+
+    def __init__(self, system: SuspensionSystem, refpoints):
+        self.system = system
+        self.step, self.refs = _integer_setting(system, refpoints)
+        # per class, the overlapping (anchor, shift) per moved subtile
+        self._children = {}
+
+    def inflate(self, states):
+        """The states one inflation further, in the order of their least
+        paths: parents come in that order, and their children in the order
+        of their moved subtiles, so a state is first met on that path."""
+        out = {}
+        for (moved, classes), path in states.items():
+            per_class = []
+            for anchor, shift in classes:
+                key = (moved, anchor, shift)
+                if key not in self._children:
+                    kids = [[] for _ in self.system.sub.rule(moved)]
+                    for k, child in self.step.children(key):
+                        kids[k].append(child[1:])
+                    self._children[key] = kids
+                per_class.append(self._children[key])
+            for k, color in enumerate(self.system.sub.rule(moved)):
+                for combo in itertools.product(*(c[k] for c in per_class)):
+                    out.setdefault((color, combo), path + (k,))
+        return out
+
+    def witness_shift(self, first, path, color):
+        """start + c_color for the tile at the end of a path of the
+        inflated prototile of `first` translated by -beta^L c_first."""
+        step, add = self.step, operator.add
+        vector = tuple(-a for a in self.refs[first - 1])
+        for k in path:
+            vector = tuple(map(add, step.times_beta(vector),
+                               step.offsets[first - 1][k]))
+            first = self.system.sub.rule(first)[k]
+        vector = tuple(map(add, vector, self.refs[color - 1]))
+        return algebraic.FieldElem(
+            self.system.field, algebraic.unscaled_coords(vector, step.denom))
+
+    def search(self, letters, scope, level_bound):
+        """Least level with a tile shared by the translated inflated
+        prototiles of `letters`: HOLDS with a witness of the given scope,
+        or UNKNOWN at the deepest level walked under the tile cap."""
+        top = _reachable_levels(self.system, letters, level_bound)
+        first = self.refs[letters[0] - 1]
+        states = {(letters[0], tuple(
+            (c, tuple(map(operator.sub, self.refs[c - 1], first)))
+            for c in letters[1:])): ()}
+        level = 0
+        while (hit := _least_shared(states)) is None:
+            if level == top:
+                return BoundedVerdict("UNKNOWN", bound=top)
+            states = self.inflate(states)
+            level += 1
+        replay_level = _replay_level(self.system, level)
+        for _ in range(level, replay_level):
+            states = self.inflate(states)
+        rehit = _least_shared(states)
+        if rehit is None:
+            raise AssertionError("coincidence did not persist under inflation")
+        return BoundedVerdict("HOLDS", witness=CoincidenceWitness(
+            level=level, color=hit[1], scope=scope,
+            shift=self.witness_shift(letters[0], *hit),
+            replay_level=replay_level, replay_color=rehit[1],
+            replay_shift=self.witness_shift(letters[0], *rehit)))
 
 
 def geometric_strong(system: SuspensionSystem, refpoints,
@@ -289,55 +303,32 @@ def geometric_strong(system: SuspensionSystem, refpoints,
     and color.  Identical pairs hold trivially at level 0.  Levels whose
     supertiles would exceed the tile cap are not searched; the UNKNOWN
     bound reports the deepest level actually exhausted."""
-    cache = _SupertileCache(system, refpoints)
+    walk = _Walk(system, refpoints)
     m = system.size
-    results = {}
-    for i in range(1, m + 1):
-        for j in range(i, m + 1):
-            if i == j:
-                zero = system.field.zero()
-                results[(i, j)] = BoundedVerdict(
-                    "HOLDS",
-                    witness=CoincidenceWitness(
-                        level=0, color=i, shift=zero, scope=(i, j),
-                        replay_level=0, replay_color=i, replay_shift=zero,
-                    ),
-                )
-                continue
-            results[(i, j)] = _shared_tile_search(cache, (i, j), (i, j),
-                                                  level_bound)
-    return results
+    return {(i, j): walk.search((i, j), (i, j), level_bound)
+            for i in range(1, m + 1) for j in range(i, m + 1)}
 
 
 def simultaneous(system: SuspensionSystem, refpoints,
                  level_bound=DEFAULT_LEVEL_BOUND):
     """Shared tile of all m translated inflated prototiles at one level."""
     letters = tuple(range(1, system.size + 1))
-    return _shared_tile_search(_SupertileCache(system, refpoints), letters,
-                               None, level_bound)
-
-
-# ---------------------------------------------------------------------------
-# Witness replay on point sets
-# ---------------------------------------------------------------------------
+    return _Walk(system, refpoints).search(letters, None, level_bound)
 
 
 def verify_witness(system: SuspensionSystem, refpoints,
-                   witness: CoincidenceWitness, window) -> bool:
-    """Replay a coincidence witness on the fixed tiling, point by point.
+                   witness: CoincidenceWitness) -> bool:
+    """Replay a coincidence witness on the inflation tree.
 
-    Checks beta^L * x + shift in Lambda_color for every reference point x
-    of the witness scope inside the window, using the replay level (a
-    multiple of the seed power, so that inflated tiles are tiles of the
-    same tiling).  Exact membership, no tolerance: each image point is one
-    lookup in the patch's position index.  A window that holds no
-    reference point checks nothing, and the replay fails.
-
-    A witness that analysis cannot have produced fails before any patch
-    is built: its level must be one the search reaches under the
-    supertile cap, its replay level the least multiple of the seed power
-    at or above that level, and its replay shift within reach of a
-    supertile of that level.  This bounds the work of a replay.
+    At its level L, and again at its replay level, a witness claims that
+    T_color - c_color + shift is a tile of beta^L (T_c - c_c) for each
+    scope letter c.  From the tile's start in beta^L T_c, shift - c_color
+    + beta^L c_c, the replay descends into the first subtile ending
+    beyond it, level by level; the claim holds when it ends at offset 0
+    on a tile of `color`.  Signs come from fixed-point enclosures, else
+    from `NumberField.int_sign`; no patch or window is used.  A witness
+    whose level is beyond the supertile cap, or whose replay level is
+    not the least seed-power multiple at or above it, fails first.
     """
     letters = (range(1, system.size + 1) if witness.scope is None
                else witness.scope)
@@ -345,42 +336,41 @@ def verify_witness(system: SuspensionSystem, refpoints,
             witness.replay_level != _replay_level(system, witness.level) or
             _reachable_levels(system, letters, witness.level) < witness.level):
         return False
-    level = witness.replay_level
-    color = witness.replay_color
-    shift = witness.replay_shift
-    lo, hi = window
-    factor = system.beta ** level
-    t_lo = factor * system.field.rational(lo) + shift
-    t_hi = factor * system.field.rational(hi) + shift
-    pad = system.max_length_bound()
-    for c in refpoints:
-        ivl = c.interval()
-        pad = max(pad, abs(ivl.lo), abs(ivl.hi))
-    pad = 2 * pad
-    # the shared tile lies inside a translated supertile of the replay
-    # level, so |shift| <= beta^L * (max length + max |c|) + max |c|
-    reach = (factor.interval().hi + 1) * pad
-    shift_ivl = shift.interval()
-    if shift_ivl.lo > reach or shift_ivl.hi < -reach:
-        return False
-    span_lo = min(t_lo.interval().lo, Fraction(lo)) - pad
-    span_hi = max(t_hi.interval().hi, Fraction(hi)) + pad
-    patch = system.patch_covering(
-        system.field.rational(span_lo), system.field.rational(span_hi)
-    )
-    source_pts = reference_point_sets(patch, refpoints, (lo, hi))
-    if source_pts.count() == 0:
-        return False
-    colors = patch.position_index()
-    # y = beta^L x + shift is a point of Lambda_color exactly when
-    # y - c_color is the start of a tile of that color; a start whose
-    # denominator does not divide the patch's is no tile's
-    offset = shift - refpoints[color - 1]
-    for letter in set(letters):
-        for x in source_pts.color(letter):
-            start = (factor * x + offset).coords
-            if (patch.denom % algebraic.common_denominator(start) or
-                    colors.get(algebraic.scaled_coords(start, patch.denom))
-                    != color):
+    step, refs = _integer_setting(
+        system, (*refpoints, witness.shift, witness.replay_shift))
+    field_, rule = system.field, system.sub.rule
+    add, sub = operator.add, operator.sub
+    # per (letter, scale), beta^scale times each subtile end, enclosed
+    ends = {}
+    for letter in range(1, system.size + 1):
+        vectors = [tuple(map(add, start, step.lengths[c]))
+                   for c, start in zip(rule(letter), step.offsets[letter - 1])]
+        for scale in range(witness.replay_level):
+            ends[letter, scale] = [(v, *field_.fixed_point_bounds(v))
+                                   for v in vectors]
+            vectors = list(map(step.times_beta, vectors))
+    claims = ((witness.level, witness.color, refs[-2]),
+              (witness.replay_level, witness.replay_color, refs[-1]))
+    for level, color, shift in claims:
+        for letter in set(letters):
+            target = refs[letter - 1]
+            for _ in range(level):
+                target = step.times_beta(target)
+            target = tuple(a + b - c for a, b, c in
+                           zip(shift, target, refs[color - 1]))
+            tile = letter
+            for scale in range(level - 1, -1, -1):
+                t_lo, t_hi = field_.fixed_point_bounds(target)
+                start = (0,) * len(target)
+                for k, (end, lo, hi) in enumerate(ends[tile, scale]):
+                    if t_hi < lo or (t_lo <= hi and field_.int_sign(
+                            tuple(map(sub, target, end))) < 0):
+                        break
+                    start = end
+                else:
+                    return False
+                target = tuple(map(sub, target, start))
+                tile = rule(tile)[k]
+            if tile != color or any(target):
                 return False
     return True

@@ -13,9 +13,10 @@ reconciled into one spectral verdict.
 
 The overlap route runs on integer vectors over one denominator D: a
 class is the key (moved, anchor, D * shift coordinates), and the seeding,
-the closure and the certificate replay share one integer step
-(`_Inflation`).  Multiplying by beta is the companion-matrix step on
-ints (beta is an algebraic integer), so D never grows.  Every sign is
+the closure, the certificate replay and the shared-tile walk of
+`coincidence` share one integer step (`_Inflation`).  Multiplying by
+beta is the companion-matrix step on ints (beta is an algebraic
+integer), so D never grows.  Every sign is
 `NumberField.int_sign` of an integer vector, which decides it as
 FieldElem.sign() decides the same element: exactly when it is rational,
 then by the fixed-point filter, then by the Horner enclosure, refining
@@ -106,7 +107,7 @@ class _Inflation:
         # indexed by letter
         self.lengths = (None,) + tuple(
             scaled_coords(length.coords, denom) for length in system.lengths)
-        self._offsets = tuple(
+        self.offsets = tuple(
             tuple(scaled_coords(o.coords, denom) for o in offsets)
             for offsets in system.subtile_offsets)
         self._companion = tuple(-c for c in self.field.minpoly[:-1])
@@ -123,10 +124,10 @@ class _Inflation:
                                shift))) > 0)
 
     def _subtile_pairs(self, moved, anchor):
-        """(moved subtile color, anchor subtile color, offset difference
-        delta, enclosure of delta + len_moved, enclosure of len_anchor -
-        delta) over the subtile pairs of the two inflated tiles, moved
-        subtile first, with enclosures of the current generation."""
+        """(moved subtile index and color, anchor subtile color, offset
+        difference delta, enclosure of delta + len_moved, enclosure of
+        len_anchor - delta) over the subtile pairs of the two inflated
+        tiles, moved subtile first, with enclosures of this generation."""
         field_ = self.field
         cached = self._pairs.get((moved, anchor))
         if cached is not None and cached[0] == field_.generation:
@@ -135,28 +136,39 @@ class _Inflation:
         bounds = field_.fixed_point_bounds
         add, sub = operator.add, operator.sub
         pairs = []
-        for mc, m_off in zip(rules(moved), self._offsets[moved - 1]):
-            for ac, a_off in zip(rules(anchor), self._offsets[anchor - 1]):
+        for k, (mc, m_off) in enumerate(zip(rules(moved),
+                                            self.offsets[moved - 1])):
+            for ac, a_off in zip(rules(anchor), self.offsets[anchor - 1]):
                 delta = tuple(map(sub, m_off, a_off))
                 pairs.append(
-                    (mc, ac, delta,
+                    (k, mc, ac, delta,
                      *bounds(tuple(map(add, delta, lengths[mc]))),
                      *bounds(tuple(map(sub, lengths[ac], delta)))))
         self._pairs[(moved, anchor)] = (field_.generation, pairs)
         return pairs
 
-    def successors(self, key):
-        """The overlapping subtile pairs of a class after one inflation."""
-        moved, anchor, shift = key
-        top = shift[-1]
-        base = (0,) + shift[:-1]
+    def times_beta(self, v):
+        """beta times an integer vector: the companion-matrix step."""
+        top = v[-1]
+        base = (0,) + v[:-1]
         if top:
             base = tuple(a + top * b for a, b in zip(base, self._companion))
+        return base
+
+    def successors(self, key):
+        """The overlapping subtile pairs of a class after one inflation."""
+        return [child for _, child in self.children(key)]
+
+    def children(self, key):
+        """(index of the moved subtile, class) for the overlapping subtile
+        pairs of a class after one inflation, moved subtile first."""
+        moved, anchor, shift = key
+        base = self.times_beta(shift)
         base_lo, base_hi = self.field.fixed_point_bounds(base)
         sign, lengths = self.field.int_sign, self.lengths
         add, sub = operator.add, operator.sub
         out = []
-        for mc, ac, delta, m_lo, m_hi, a_lo, a_hi in \
+        for k, mc, ac, delta, m_lo, m_hi, a_lo, a_hi in \
                 self._subtile_pairs(moved, anchor):
             child = None
             # -len_mc < child, then child < len_ac
@@ -172,7 +184,7 @@ class _Inflation:
                 child = child or tuple(map(add, base, delta))
                 if sign(tuple(map(sub, lengths[ac], child))) <= 0:
                     continue
-            out.append((mc, ac, child or tuple(map(add, base, delta))))
+            out.append((k, (mc, ac, child or tuple(map(add, base, delta)))))
         return out
 
 

@@ -9,9 +9,9 @@ integer length vectors over one common denominator, and a FieldElem is
 made only for a value that leaves the integers.  A system caches its
 patches, the inflated prototiles per (letter, level) and the fixed-point
 patches per (seed, level), and each patch builds its fixed-point
-enclosures and its position index once.  Reference points per prototile
-turn a patch into a colored point set.  All values are immutable and all
-comparisons certified.
+enclosures once.  Reference points per prototile turn a patch into a
+colored point set.  All values are immutable and all comparisons
+certified.
 """
 
 from __future__ import annotations
@@ -220,7 +220,6 @@ class Patch:
         self.colors = colors
         self.junction_index = None
         self._enclosures = None
-        self._index = None
         # reference_point_sets results, keyed on the window and the
         # reference points
         self._point_sets = {}
@@ -257,13 +256,6 @@ class Patch:
             self._enclosures = ([lo for lo, _ in bounds],
                                 [hi for _, hi in bounds])
         return self._enclosures
-
-    def position_index(self):
-        """Map from the vector of a tile's start to the tile's color,
-        built on first use."""
-        if self._index is None:
-            self._index = dict(zip(self.points, self.colors))
-        return self._index
 
 
 def generate_patch(system: SuspensionSystem, seed, n):
@@ -402,8 +394,8 @@ def reference_point_sets(patch: Patch, refpoints, window) -> PointSets:
     placing it changes no refinement.  A field element is made only for
     a kept point and for an exact test.
 
-    The result is kept on the patch, which is immutable, so the witness
-    replays and samples of one window on one patch build it once.
+    The result is kept on the patch, which is immutable, so the samples
+    of one window on one patch build it once.
     """
     lo, hi = window
     key = (lo, hi, tuple(c.coords for c in refpoints))

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from subtiling import algebraic, cli, suspension
+from subtiling import algebraic, cli, coincidence, suspension
 from subtiling.errors import (LengthCapExceeded, SpecSyntaxError,
                               UnknownCorpusEntry)
 
@@ -493,24 +493,74 @@ def test_verify_fails_witness_shifted_by_a_tile_length(key):
             assert not cli.verify_report(tampered)["passed"], (length, sign)
 
 
+# -- the level claim and every scope letter are replayed -------------------
+
+
+@pytest.mark.parametrize("key", ["a|b", "simultaneous"])
+@pytest.mark.parametrize("tamper", [{"shift": ["5/1", "7/1"]},
+                                    {"color": "b"}])
+def test_verify_fails_witness_with_a_false_level_claim(key, tamper):
+    # the replay claim is left intact; only the claim at the witness
+    # level is false
+    report = _fixture("fibonacci")
+    checks = report["checks"]
+    witness = (checks["simultaneous"]["witness"] if key == "simultaneous"
+               else checks["geometric_strong"]["pairs"][key]["witness"])
+    assert cli.verify_report(report)["passed"]
+    witness.update(tamper)
+    outcome = cli.verify_report(report)
+    replayed = "simultaneous" if key == "simultaneous" \
+        else f"geometric_strong[{key}]"
+    assert outcome["replayed"][replayed] is False
+    assert outcome["passed"] is False
+
+
+@pytest.mark.parametrize("tamper", [
+    {"shift": ["1/1", "0/1", "0/1", "0/1", "0/1"]},
+    {"replay_shift": ["1/1", "0/1", "0/1", "0/1", "0/1"]},
+    {"color": "a"}, {"replay_color": "a"},
+])
+def test_verify_replays_the_letter_missing_from_the_window(tamper):
+    # pentanacci's window of 16 tile lengths holds no reference point of
+    # e; the e|e claim is replayed all the same
+    report = _fixture("pentanacci")
+    report["checks"]["geometric_strong"]["pairs"]["e|e"]["witness"].update(
+        tamper)
+    outcome = cli.verify_report(report)
+    assert outcome["replayed"]["geometric_strong[e|e]"] is False
+    assert outcome["passed"] is False
+
+
 # -- a deterministic work guard for witness replay --------------------------
 
 
-def test_pentanacci_replay_builds_each_patch_once(monkeypatch):
-    # verify replays 16 witnesses on two fixed-point patches; each is
-    # built once, and the pruned point sets leave few certified signs
-    builds, signs = [], []
-    build = suspension.SuspensionSystem.patch_from_word
-    sign = algebraic.FieldElem.sign
+def test_pentanacci_replay_builds_no_patch(monkeypatch):
+    # verify replays 16 witnesses by descending the inflation tree: no
+    # patch is built, and the fixed-point enclosures leave few signs to
+    # NumberField.int_sign, through which every certified sign passes
+    builds, signs, replaying = [], [], []
+    init = suspension.Patch.__init__
+    int_sign = algebraic.NumberField.int_sign
+    verify_witness = coincidence.verify_witness
+
+    def replay(*args):
+        replaying.append(1)
+        try:
+            return verify_witness(*args)
+        finally:
+            replaying.pop()
+
     monkeypatch.setattr(
-        suspension.SuspensionSystem, "patch_from_word",
-        lambda self, word, start: builds.append((word, start.coords))
-        or build(self, word, start))
-    monkeypatch.setattr(algebraic.FieldElem, "sign",
-                        lambda self: signs.append(1) or sign(self))
+        suspension.Patch, "__init__",
+        lambda self, *args: (replaying and builds.append(1)) or
+        init(self, *args))
+    monkeypatch.setattr(algebraic.NumberField, "int_sign",
+                        lambda self, ints: signs.append(1) or
+                        int_sign(self, ints))
+    monkeypatch.setattr(coincidence, "verify_witness", replay)
     outcome = cli.verify_report(_fixture("pentanacci"))
     assert outcome["passed"] and len(outcome["replayed"]) == 16
-    assert len(builds) == len(set(builds)) == 2
+    assert builds == []
     assert len(signs) <= 200
 
 

@@ -1,4 +1,7 @@
+import itertools
+import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -6,7 +9,7 @@ from subtiling import algebraic, cli
 from subtiling import coincidence as C
 from subtiling import suspension as S
 
-from conftest import WALK_BASE, false_zero_pairs
+from conftest import CORPUS_IDS, WALK_BASE, false_zero_pairs
 
 
 def test_prefix_strong_fibonacci(fib):
@@ -75,15 +78,11 @@ def test_geometric_monotone_in_level(sys_fib, sys_aba):
     ]
     for system, refs in cases:
         res = C.geometric_strong(system, refs)
-        cache = C._SupertileCache(system, refs)
         for (i, j), verdict in res.items():
             if i == j or verdict.status != "HOLDS":
                 continue
             nxt = verdict.witness.level + 1
-            hit = C._common_tile(
-                [cache.shifted_tiles(i, nxt), cache.shifted_tiles(j, nxt)]
-            )
-            assert hit is not None
+            assert _shared_tile(system, refs, (i, j), nxt) is not None
 
 
 def test_simultaneous_two_letters_matches_pairwise(sys_fib, sys_tm):
@@ -114,11 +113,11 @@ def test_simultaneous_rauzy2_gamma(sys_rauzy2):
 def test_verify_witness_simultaneous(sys_fib, sys_rauzy2):
     refs = S.left_endpoint_points(sys_fib)
     w = C.simultaneous(sys_fib, refs).witness
-    assert C.verify_witness(sys_fib, refs, w, sys_fib.window(64))
+    assert C.verify_witness(sys_fib, refs, w)
 
     refs2 = S.control_points(sys_rauzy2, (2, 2, 1, 1, 1, 1))
     w2 = C.simultaneous(sys_rauzy2, refs2).witness
-    assert C.verify_witness(sys_rauzy2, refs2, w2, sys_rauzy2.window(64))
+    assert C.verify_witness(sys_rauzy2, refs2, w2)
 
 
 def test_verify_witness_hand_built_aba(sys_aba):
@@ -129,7 +128,7 @@ def test_verify_witness_hand_built_aba(sys_aba):
         level=1, color=2, shift=zero, scope=(1, 2),
         replay_level=1, replay_color=2, replay_shift=zero,
     )
-    assert C.verify_witness(sys_aba, refs, witness, sys_aba.window(64))
+    assert C.verify_witness(sys_aba, refs, witness)
 
 
 def test_verify_witness_rejects_corruption(sys_aba):
@@ -139,21 +138,25 @@ def test_verify_witness_rejects_corruption(sys_aba):
         level=1, color=2, shift=one, scope=(1, 2),
         replay_level=1, replay_color=2, replay_shift=one,
     )
-    assert not C.verify_witness(sys_aba, refs, corrupted, sys_aba.window(64))
+    assert not C.verify_witness(sys_aba, refs, corrupted)
 
 
-def test_verify_witness_tiny_window_vacuous(sys_aba):
-    refs = S.control_points(sys_aba, (2, 1))
-    one = sys_aba.field.one()
-    corrupted = C.CoincidenceWitness(
-        level=1, color=2, shift=one, scope=(1, 2),
-        replay_level=1, replay_color=2, replay_shift=one,
-    )
-    # window holding no reference point of either scope color at all:
-    # (1/3, 2/3) avoids both 2Z+4/3 and 2Z+1; a replay that checks no
-    # point proves nothing and fails
-    tiny = (Fraction(1, 3), Fraction(2, 3))
-    assert not C.verify_witness(sys_aba, refs, corrupted, tiny)
+def test_verify_witness_checks_each_scope_letter(sys_fib):
+    # sigma(a) = ab and sigma(b) = a: the b-tile at phi belongs to the
+    # inflated a-prototile only, so the claim holds for scope (a, a) and
+    # fails for (a, b); the replay claim is the true shared a-tile at 0
+    zero = sys_fib.field.zero()
+    assert sys_fib.seed[0] == 2
+
+    def witness(scope):
+        return C.CoincidenceWitness(
+            level=1, color=2, shift=sys_fib.beta, scope=scope,
+            replay_level=2, replay_color=1, replay_shift=zero)
+
+    refs = S.left_endpoint_points(sys_fib)
+    assert C.verify_witness(sys_fib, refs, witness((1, 1)))
+    assert not C.verify_witness(sys_fib, refs, witness((1, 2)))
+    assert not C.verify_witness(sys_fib, refs, witness((2, 2)))
 
 
 def test_prefix_simultaneous_minima(fib, rauzy, fib2):
@@ -248,17 +251,121 @@ def test_prefix_witnesses_match_counting_scan(fib, rauzy, fib2, rauzy2):
             assert (w.color, w.counts) == (u[t], abelianization(u[:t], m))
 
 
+# -- the shared-tile walk against a brute-force layout ----------------------
+
+SPECS = Path(__file__).resolve().parents[1] / "perfbench" / "specs"
+# the beta-substitutions a_i -> a_1^(k_i) a_(i+1), a_m -> a_1^(k_m)
+BETA_KS = ((2, 1, 1), (2, 2, 1), (2, 2, 2), (1, 1, 1, 1), (2, 1, 1, 1))
+WALK_INPUTS = (list(CORPUS_IDS)
+               + [p.stem for p in sorted(SPECS.glob("*.spec"))]
+               + ["beta-" + "".join(map(str, ks)) for ks in BETA_KS])
+
+
+def _walk_input(name):
+    if name in CORPUS_IDS:
+        return cli.corpus_lookup(name)
+    if name.startswith("beta-"):
+        ks = [int(k) for k in name[len("beta-"):]]
+        letters = "abcdefgh"[:len(ks)]
+        text = "letters " + " ".join(letters) + "\n" + "".join(
+            f"rule {c} = " + " ".join(letters[0] * k + letters[i + 1:i + 2])
+            + "\n" for i, (c, k) in enumerate(zip(letters, ks)))
+        return cli.parse_spec(text, name=name)
+    return cli.parse_spec((SPECS / f"{name}.spec").read_text(), name=name)
+
+
+def _layout(system, refs, letter, level):
+    """Reference: the tiles of sigma^level(letter) laid from
+    -beta^level c_letter, as (D * start, color) over one denominator D."""
+    values = [x for v in (*system.lengths, *refs) for x in v.coords]
+    denom = math.lcm(*(Fraction(x).denominator for x in values))
+
+    def ints(v):
+        return [int(Fraction(x) * denom) for x in v.coords]
+
+    lengths = [ints(v) for v in system.lengths]
+    start = ints(system.beta ** level * refs[letter - 1]) if level \
+        else ints(refs[letter - 1])
+    word = system.sub.iterate(letter, level)
+    # per coordinate, the steps indexed by letter
+    steps = [(0, *column) for column in zip(*lengths)]
+    columns = [itertools.accumulate(map(step.__getitem__, word), initial=-s)
+               for step, s in zip(steps, start)]
+    return denom, list(zip(zip(*columns), word))
+
+
+def _shared_tile(system, refs, letters, level):
+    """Reference: the first tile of the first letter's layout that every
+    other letter's layout holds, as (level, color, shift), or None."""
+    (denom, first), *rest = (_layout(system, refs, c, level)
+                             for c in letters)
+    common = set.intersection(*(set(tiles) for _, tiles in rest))
+    hit = next((tile for tile in first if tile in common), None)
+    if hit is None:
+        return None
+    start, color = hit
+    shift = tuple(Fraction(a, denom) + Fraction(c)
+                  for a, c in zip(start, refs[color - 1].coords))
+    return level, color, shift
+
+
+def _reference_search(system, refs, letters,
+                      level_bound=C.DEFAULT_LEVEL_BOUND):
+    """Reference: (status, bound, claim, replay claim) by laying out the
+    inflated prototiles level by level and intersecting them."""
+    top = 0
+    while top < level_bound and all(
+            len(system.sub.iterate(c, top + 1)) <= C.SUPERTILE_CAP
+            for c in letters):
+        top += 1
+    k = system.seed[0]
+    for level in range(1, top + 1):
+        claim = _shared_tile(system, refs, letters, level)
+        if claim is not None:
+            replay = _shared_tile(system, refs, letters,
+                                  k * -(-level // k))
+            return "HOLDS", None, claim, replay
+    return "UNKNOWN", top, None, None
+
+
+def _walk_result(verdict):
+    w = verdict.witness
+    if w is None:
+        return verdict.status, verdict.bound, None, None
+    return (verdict.status, verdict.bound,
+            (w.level, w.color, tuple(map(Fraction, w.shift.coords))),
+            (w.replay_level, w.replay_color,
+             tuple(map(Fraction, w.replay_shift.coords))))
+
+
+@pytest.mark.parametrize("name", WALK_INPUTS)
+def test_walk_matches_brute_force_layout(name):
+    spec = _walk_input(name)
+    system = S.SuspensionSystem(spec.substitution())
+    refs = (S.left_endpoint_points(system) if spec.tilemap is None
+            else S.control_points(system, spec.tilemap))
+    m = system.size
+    pairs = C.geometric_strong(system, refs)
+    for (i, j), verdict in pairs.items():
+        if i != j:
+            assert _walk_result(verdict) == \
+                _reference_search(system, refs, (i, j)), (i, j)
+    letters = tuple(range(1, m + 1))
+    assert _walk_result(C.simultaneous(system, refs)) == \
+        _reference_search(system, refs, letters)
+
+
 # -- a deterministic work guard for the shared-tile search -------------------
 
 # period doubling with the tile map a -> b, b -> a: control points 2/3 and
-# 1/3, no shared tile up to the level bound, so every level is translated
+# 1/3, no shared tile up to the level bound, so every level is walked
 PERIOD_DOUBLING_GAMMA = ("letters a b\nrule a = a b\nrule b = a a\n"
                          "tilemap a -> 2\ntilemap b -> 1\n")
 
 
-def test_shared_tile_search_makes_no_field_element_per_tile(monkeypatch):
-    # the searches translate and intersect integer vectors: a FieldElem is
-    # made per level and for a witness, not per tile of a supertile
+def test_shared_tile_search_builds_no_patch(monkeypatch):
+    # the searches walk overlap classes on integer vectors: no patch is
+    # built, and a FieldElem is made for a witness, not per tile or class
     settings = []
     for spec in (cli.corpus_lookup("thue-morse"),
                  cli.corpus_lookup("aba-gamma"),
@@ -267,22 +374,21 @@ def test_shared_tile_search_makes_no_field_element_per_tile(monkeypatch):
         settings.append((system, S.left_endpoint_points(system)
                          if spec.tilemap is None
                          else S.control_points(system, spec.tilemap)))
-    elems, tiles = [], []
+    elems, patches = [], []
     init = algebraic.FieldElem.__init__
-    build = S.SuspensionSystem.patch_from_word
-
-    def counted_build(self, word, start):
-        patch = build(self, word, start)
-        tiles.append(len(patch))
-        return patch
-
+    patch_init = S.Patch.__init__
     monkeypatch.setattr(
         algebraic.FieldElem, "__init__",
         lambda self, field, coords: elems.append(1) or
         init(self, field, coords))
-    monkeypatch.setattr(S.SuspensionSystem, "patch_from_word", counted_build)
+    monkeypatch.setattr(
+        S.Patch, "__init__",
+        lambda self, *args: patches.append(1) or patch_init(self, *args))
+    outcomes = []
     for system, refs in settings:
-        C.geometric_strong(system, refs)
-        C.simultaneous(system, refs)
-    assert sum(tiles) > 30_000
-    assert 100 * len(elems) <= sum(tiles)
+        outcomes.append(C.simultaneous(system, refs).status)
+        outcomes.extend(v.status
+                        for v in C.geometric_strong(system, refs).values())
+    assert outcomes.count("UNKNOWN") == 4
+    assert patches == []
+    assert len(elems) <= 16

@@ -1,6 +1,8 @@
-"""Every demo script runs to completion against the checkout's sources."""
+"""Every demo script, and every python block of the README, runs to
+completion against the checkout's sources."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,11 +11,27 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```$",
+                           (ROOT / "README.md").read_text(encoding="utf-8"),
+                           re.DOTALL | re.MULTILINE)
+
+
+def _run(argv):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
+    _run([str(demo)])
+
+
+def test_readme_has_a_python_block():
+    assert README_BLOCKS
+
+
+@pytest.mark.parametrize("block", README_BLOCKS)
+def test_readme_python_block_runs(block):
+    _run(["-c", block])

@@ -8,7 +8,6 @@ from math import gcd
 from subtiling import lattices as L
 from subtiling import spectrum as SP
 from subtiling import suspension as S
-from subtiling.coincidence import _common_tile
 
 
 def test_point_sets_with_exact_irrational_window(sys_fib):
@@ -72,45 +71,6 @@ def test_hnf_shape():
                 assert 0 <= upper[j] < r[j]
         assert pivots == sorted(pivots)
         assert len(set(pivots)) == len(pivots)
-
-
-def _brute_force_common(tile_lists):
-    common = set.intersection(*map(set, tile_lists))
-    if not common:
-        return None
-    return min(common)
-
-
-def test_merge_intersection_matches_brute_force(sys_rauzy2):
-    rng = random.Random(41)
-    field = sys_rauzy2.field
-    patch = sys_rauzy2.prototile_patch(1, 4)
-    base = list(zip(patch.points, patch.colors))
-    for _ in range(30):
-        lists = []
-        for _ in range(rng.randint(2, 4)):
-            chosen = sorted(rng.sample(range(len(base)),
-                                       rng.randint(1, len(base))))
-            lists.append([base[i] for i in chosen])
-        got = _common_tile(lists)
-        expected = _brute_force_common(lists)
-        if expected is None:
-            assert got is None
-        else:
-            assert got is not None
-            assert got in set.intersection(*map(set, lists))
-
-
-def test_merge_pairwise_finds_first_shared_position(sys_fib):
-    a, b = (sys_fib.prototile_patch(j, 3) for j in (1, 2))
-    assert a.denom == b.denom
-    a, b = (list(zip(p.points, p.colors)) for p in (a, b))
-    hit = _common_tile([a, b])
-    assert hit is not None
-    # no shared tile sits strictly left of the reported one
-    shared = set(a) & set(b)
-    lowest = min(shared)
-    assert hit == lowest
 
 
 def test_module_canonical_form_unique():

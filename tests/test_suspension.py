@@ -282,8 +282,7 @@ def test_dropped_system_is_freed_without_cyclic_gc():
         patch.enclosures()
         covering = system.patch_covering(*system.window(8))
         covering.enclosures()
-        covering.position_index()
-        system.two_sided_patch(2).position_index()
+        system.two_sided_patch(2).enclosures()
         refs = (weakref.ref(system), weakref.ref(patch),
                 weakref.ref(covering))
         del system, patch, covering
@@ -366,12 +365,6 @@ def test_fixed_point_patches_are_cached(sys_fib, sys_rauzy2):
             system.two_sided_patch(3)
         patch = system.patch_covering(*system.window(16))
         assert system.patch_covering(*system.window(16)) is patch
-        index = patch.position_index()
-        assert patch.position_index() is index
-        assert len(index) == len(patch)
-        for pos, c in exact_tiles(patch):
-            key = tuple(x * patch.denom for x in pos.coords)
-            assert index[key] == c
 
 
 def _fieldelem_point_sets(patch, refpoints, window):
