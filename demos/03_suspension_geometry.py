@@ -30,8 +30,10 @@ for k, color in enumerate(patch.colors):
 window = (Fraction(-6), Fraction(6))
 covering = system.patch_covering(*window)
 points = suspension.reference_point_sets(covering, refs, window)
-print(f"reference points in [{window[0]}, {window[1]}]:",
-      points.count())
+print(f"reference points in [{window[0]}, {window[1]}] "
+      f"(coordinates times {points.denom}):")
+for tok, indices, pts in zip(spec.letters, points.indices, points.points):
+    print(f"  {tok}: tiles {list(indices)} at {[list(x) for x in pts]}")
 per_color, cross = suspension.return_vectors(points)
 print("distinct same-color return vectors:",
       sum(len(d) for d in per_color))

@@ -595,18 +595,24 @@ def verify_report(report: dict) -> dict:
     (`coincidence.verify_witness`); FAILS certificates of both spectral
     procedures are rerun through one inflation or substitution pass.
     A replay that raises a SubtilingError (a cap it ran into) fails, and
-    so does a report whose window _check_window rejects.
+    so does a witness whose scope is not that of its check: the two
+    letters of its pair key, or "all".  A report whose window
+    _check_window rejects, or whose input section names no primitive
+    substitution, fails with an error.
     """
-    size = report["input"]["bounds"]["window"]
     try:
-        _check_window(size)
-    except InvalidBound as exc:
-        return {"passed": False, "replayed": {}, "error": str(exc)}
-    spec = _spec_from_report(report)
-    sub = spec.substitution()
-    system = suspension.SuspensionSystem(sub)
+        _check_window(report["input"]["bounds"]["window"])
+        spec = _spec_from_report(report)
+        system = suspension.SuspensionSystem(spec.substitution())
+        refpoints, _ = _reference_points(system, spec)
+    except (KeyError, TypeError, ValueError, SubtilingError) as exc:
+        return {"passed": False, "replayed": {},
+                "error": f"input: {type(exc).__name__}: {exc}"}
     index = {tok: i + 1 for i, tok in enumerate(spec.letters)}
-    refpoints, _ = _reference_points(system, spec)
+    # the scope each geometric pair key's witness must carry
+    pair_scopes = {_pair_key(spec, (i, j)): [spec.token(i), spec.token(j)]
+                   for i in range(1, system.size + 1)
+                   for j in range(i, system.size + 1)}
     results = {}
 
     def witness_from_json(w):
@@ -629,9 +635,12 @@ def verify_report(report: dict) -> dict:
         except SubtilingError:
             return False
 
-    def replay_witness(w):
-        """Replay a witness; one that does not parse fails."""
+    def replay_witness(w, scope):
+        """Replay a witness; one that does not parse, or whose scope is
+        not the given one, fails."""
         try:
+            if w["scope"] != scope:
+                return False
             witness = witness_from_json(w)
         except (KeyError, TypeError, ValueError, ZeroDivisionError):
             return False
@@ -642,10 +651,10 @@ def verify_report(report: dict) -> dict:
         for key, verdict in geo["pairs"].items():
             if verdict.get("status") == "HOLDS":
                 results[f"geometric_strong[{key}]"] = replay_witness(
-                    verdict["witness"])
+                    verdict["witness"], pair_scopes.get(key))
     sim = report["checks"].get("simultaneous")
     if isinstance(sim, dict) and sim.get("status") == "HOLDS":
-        results["simultaneous"] = replay_witness(sim["witness"])
+        results["simultaneous"] = replay_witness(sim["witness"], "all")
     overlap = report["checks"].get("overlap_coincidence")
     if isinstance(overlap, dict) and overlap.get("status") == "FAILS":
         results["overlap_coincidence"] = replay(
@@ -654,7 +663,7 @@ def verify_report(report: dict) -> dict:
     balanced = report["checks"].get("balanced_pairs")
     if isinstance(balanced, dict) and balanced.get("status") == "FAILS":
         results["balanced_pairs"] = replay(
-            spectrum.replay_balanced_certificate, sub,
+            spectrum.replay_balanced_certificate, system.sub,
             balanced["certificate"])
     return {"passed": all(results.values()) if results else True,
             "replayed": results}

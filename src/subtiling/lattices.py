@@ -12,14 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import NotASubmodule
 from .suspension import reference_point_sets
-
-
-def _lcm(a, b):
-    return a * b // gcd(a, b)
 
 
 def hermite_normal_form(rows, width):
@@ -186,19 +182,20 @@ class ZModule:
 
 def module_from_vectors(vectors, width):
     """Canonical ZModule spanned by rational coordinate vectors."""
-    denom = 1
     rat = [[Fraction(c) for c in v] for v in vectors]
-    for v in rat:
-        for c in v:
-            denom = _lcm(denom, c.denominator)
-    rows = [[int(c * denom) for c in v] for v in rat]
+    denom = lcm(*(c.denominator for v in rat for c in v))
+    return module_from_int_rows(
+        [[c.numerator * (denom // c.denominator) for c in v] for v in rat],
+        denom, width)
+
+
+def module_from_int_rows(rows, denom, width):
+    """Canonical ZModule spanned by integer rows over a denominator: the
+    vectors row / denom.  Any common denominator gives the same module."""
     basis = hermite_normal_form(rows, width)
     if not basis:
         return ZModule(1, (), width)
-    g = denom
-    for row in basis:
-        for c in row:
-            g = gcd(g, abs(c))
+    g = gcd(denom, *(c for row in basis for c in row))
     basis = tuple(tuple(c // g for c in row) for row in basis)
     return ZModule(denom // g, basis, width)
 
@@ -286,7 +283,8 @@ def return_lattices(system, refpoints, size):
     Each lattice is spanned by the differences x - x0 to one base point x0
     of its point set: every pairwise difference x - y is
     (x - x0) - (y - x0), and the canonical form makes the result equal to
-    the lattice of all pairwise differences.  The pair is kept on the
+    the lattice of all pairwise differences.  The differences are integer
+    vectors over the sample's denominator.  The pair is kept on the
     system, keyed on the exact window: the window moves when the beta
     interval is refined, so its size alone does not fix the sample.
     """
@@ -297,13 +295,13 @@ def return_lattices(system, refpoints, size):
         pts = reference_point_sets(patch, refpoints, (lo, hi))
 
         def span(point_sets):
-            return module_from_vectors(
-                [(x - p[0]).coords for p in point_sets for x in p[1:]],
-                system.field.degree,
-            )
+            return module_from_int_rows(
+                [[a - b for a, b in zip(x, p[0])]
+                 for p in point_sets for x in p[1:]],
+                pts.denom, system.field.degree)
 
-        system.lattice_samples[key] = (span([pts.union()]),
-                                       span(pts.per_color))
+        system.lattice_samples[key] = (
+            span([[x for p in pts.points for x in p]]), span(pts.points))
     return system.lattice_samples[key]
 
 

@@ -319,25 +319,17 @@ def _seed_keys(system: SuspensionSystem, refpoints, window):
     return vector.
 
     A same-color difference of reference points is a difference of tile
-    starts, so the translations are the differences of the points' tile
-    starts, taken in the first-seen order of
-    `suspension.return_vectors(cross=False)` with zero left out."""
+    starts, so the translations are the differences of the packed patch
+    boundaries at the point set's indices, taken in the first-seen order
+    of `suspension.return_vectors(cross=False)` with zero left out."""
     lo, hi = window
     patch = system.patch_covering(lo, hi)
     pts = reference_point_sets(patch, refpoints, window)
-    denom = patch.denom
     # a translation is a difference of two boundaries
     packing = _Packing(system.field.degree, 4 * _largest_coordinate(patch))
     translations = {}
-    for ref, color_pts in zip(refpoints, pts.per_color):
-        # the tile starts, from the points over a multiple of denom
-        wide = math.lcm(denom, common_denominator(
-            c for x in (ref,) + color_pts for c in x.coords))
-        factor = wide // denom
-        ref_ints = scaled_coords(ref.coords, wide)
-        starts = [packing.pack([(a - r) // factor for a, r in
-                                zip(scaled_coords(x.coords, wide), ref_ints)])
-                  for x in color_pts]
+    for indices in pts.indices:
+        starts = [packing.pack(patch.points[k]) for k in indices]
         for i, x in enumerate(starts):
             for y in starts[i:]:
                 if y != x:
@@ -345,7 +337,7 @@ def _seed_keys(system: SuspensionSystem, refpoints, window):
                     translations.setdefault(x - y)
     if not translations:
         raise EmptyWindow("window holds no same-color return vector")
-    step = _Inflation(system, denom)
+    step = _Inflation(system, patch.denom)
     seeds = _sweep(step, patch, packing, translations)
     # checks the integer sweep against the exact signs
     for key in seeds:

@@ -10,14 +10,15 @@ made only for a value that leaves the integers.  A system caches its
 patches, the inflated prototiles per (letter, level) and the fixed-point
 patches per (seed, level), and each patch builds its fixed-point
 enclosures once.  Reference points per prototile turn a patch into a
-colored point set.  All values are immutable and all comparisons
-certified.
+colored point set, integer vectors over one denominator as well.  All
+values are immutable and all comparisons certified.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
@@ -220,9 +221,6 @@ class Patch:
         self.colors = colors
         self.junction_index = None
         self._enclosures = None
-        # reference_point_sets results, keyed on the window and the
-        # reference points
-        self._point_sets = {}
 
     def __len__(self):
         return len(self.colors)
@@ -244,7 +242,9 @@ class Patch:
         return self.end - self.start
 
     def covers(self, lo, hi):
-        return (self.start - lo).sign() <= 0 and (self.end - hi).sign() >= 0
+        return (_sign_minus(self.field, self.points[0], self.denom, lo) <= 0
+                and _sign_minus(self.field, self.points[-1], self.denom,
+                                hi) >= 0)
 
     def enclosures(self):
         """(lows, highs) with lows[k] <= 2^FILTER_BITS * denom * boundary
@@ -355,24 +355,16 @@ def is_admissible(system: SuspensionSystem, refpoints) -> bool:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class PointSets:
-    """Per-color sorted reference points of a patch within a window."""
+    """Reference points of a patch within a window, per color in patch
+    order: `indices[c - 1]` are the patch indices of the kept tiles of
+    color c, and `points[c - 1]` their points p + c_c as `denom` times
+    power-basis coordinates, one denominator for every color."""
 
-    def __init__(self, per_color, window):
-        self.per_color = per_color
-        self.window = window
-
-    def color(self, letter):
-        return self.per_color[letter - 1]
-
-    def union(self):
-        merged = []
-        for pts in self.per_color:
-            merged.extend(pts)
-        return merged
-
-    def count(self):
-        return sum(len(p) for p in self.per_color)
+    denom: int
+    indices: tuple
+    points: tuple
 
 
 def reference_point_sets(patch: Patch, refpoints, window) -> PointSets:
@@ -381,27 +373,21 @@ def reference_point_sets(patch: Patch, refpoints, window) -> PointSets:
     The window must lie inside the patch support (reference shifts are
     allowed to move points slightly past the edge tiles, so coverage is
     checked on tile supports).  The window ends are rationals or field
-    elements.
+    elements.  The points are integer vectors over the lcm of the patch
+    denominator and the reference points' denominators.
 
     Each tile is first placed on integers alone: the enclosure of its
     position in the patch plus the enclosure of its reference point is
     compared with enclosures of the window ends.  A tile whose point lies
     certainly below the lower end, or above both ends, is skipped, and
     one whose point lies certainly between them is kept; only the others
-    get the exact test.  Enclosures of summands add up to an enclosure no
+    get the exact test, `NumberField.int_sign` of the point minus a
+    window end.  Enclosures of summands add up to an enclosure no
     tighter than the fixed-point filter's for the sum, so every tile
     placed this way is one whose signs the filter would have decided:
-    placing it changes no refinement.  A field element is made only for
-    a kept point and for an exact test.
-
-    The result is kept on the patch, which is immutable, so the samples
-    of one window on one patch build it once.
+    placing it changes no refinement.
     """
     lo, hi = window
-    key = (lo, hi, tuple(c.coords for c in refpoints))
-    cached = patch._point_sets.get(key)
-    if cached is not None:
-        return cached
     if not patch.covers(lo, hi):
         raise WindowNotCovered("window exceeds the computed patch")
     field, denom = patch.field, patch.denom
@@ -409,47 +395,76 @@ def reference_point_sets(patch: Patch, refpoints, window) -> PointSets:
     lo_low, lo_high = _enclosure(field, lo, denom)
     hi_low, hi_high = _enclosure(field, hi, denom)
     top = max(lo_high, hi_high)
+    sample = math.lcm(denom, algebraic.common_denominator(
+        a for c in refpoints for a in c.coords))
+    scale = sample // denom
     # per color, indexed by letter, bounds on a position enclosure
-    # (low, high): high < out_lo or low > out_hi puts the point certainly
-    # outside the window, low > in_lo and high < in_hi certainly inside
+    # (low, high) and the reference point over the sample's denominator:
+    # high < out_lo or low > out_hi puts the point certainly outside the
+    # window, low > in_lo and high < in_hi certainly inside
     bands = [None]
     for c in refpoints:
         c_low, c_high = _enclosure(field, c, denom)
-        bands.append((lo_low - c_high, top - c_low,
-                      lo_high - c_low, hi_low - c_high))
-    per_color = [[] for _ in refpoints]
+        bands.append((lo_low - c_high, top - c_low, lo_high - c_low,
+                      hi_low - c_high,
+                      algebraic.scaled_coords(c.coords, sample)))
+    indices = [[] for _ in refpoints]
+    points = [[] for _ in refpoints]
     for k, (c, low, high) in enumerate(zip(patch.colors, lows, highs)):
-        out_lo, out_hi, in_lo, in_hi = bands[c]
+        out_lo, out_hi, in_lo, in_hi, ref = bands[c]
         if high < out_lo or low > out_hi:
             continue
-        x = patch.position(k) + refpoints[c - 1]
+        x = tuple([a * scale + r for a, r in zip(patch.points[k], ref)])
         if (low > in_lo and high < in_hi) or \
-                ((x - lo).sign() >= 0 and (x - hi).sign() <= 0):
-            per_color[c - 1].append(x)
-    pts = PointSets(tuple(tuple(p) for p in per_color), window)
-    patch._point_sets[key] = pts
-    return pts
+                (_sign_minus(field, x, sample, lo) >= 0 and
+                 _sign_minus(field, x, sample, hi) <= 0):
+            indices[c - 1].append(k)
+            points[c - 1].append(x)
+    return PointSets(sample, tuple(map(tuple, indices)),
+                     tuple(map(tuple, points)))
+
+
+def _coords(field, value):
+    """Power-basis coordinates of a rational or a field element."""
+    if isinstance(value, algebraic.FieldElem):
+        return value.coords
+    return (value,) + (0,) * (field.degree - 1)
+
+
+def _sign_minus(field, ints, denom, value):
+    """Certified sign of ints / denom - value for a rational or a field
+    element: `NumberField.int_sign` of the difference over the lcm of the
+    denominators.  That vector is a positive multiple of the scaled
+    coordinates FieldElem.sign() takes, so the decision and the
+    refinements are those of the field-element difference."""
+    coords = _coords(field, value)
+    wide = math.lcm(denom, algebraic.common_denominator(coords))
+    factor = wide // denom
+    return field.int_sign(tuple([
+        a * factor - b
+        for a, b in zip(ints, algebraic.scaled_coords(coords, wide))]))
 
 
 def _enclosure(field, value, denom):
     """Integers (lower, upper) enclosing 2^FILTER_BITS * denom * value for
     a rational or a field element, rounded outward."""
-    coords = (value.coords if isinstance(value, algebraic.FieldElem)
-              else (value,))
+    coords = _coords(field, value)
     d = algebraic.common_denominator(coords)
     lower, upper = field.fixed_point_bounds(algebraic.scaled_coords(coords, d))
     return lower * denom // d, -(-upper * denom // d)
 
 
 def return_vectors(points: PointSets, *, cross=True):
-    """Per-color difference sets and the cross difference set, deduplicated.
+    """Per-color difference sets and the cross difference set, deduplicated,
+    as integer vectors over `points.denom`.
 
     Same-color differences sample the translation vectors between equal
     tiles; the cross set samples differences across all colors.  With
     cross=False the cross set is not built and comes back empty.
     """
-    per_color = tuple(_differences(pts) for pts in points.per_color)
-    return per_color, _differences(points.union()) if cross else ()
+    union = [x for pts in points.points for x in pts]
+    return (tuple(map(_differences, points.points)),
+            _differences(union) if cross else ())
 
 
 def _differences(pts):
@@ -457,8 +472,7 @@ def _differences(pts):
     seen = {}
     for i, x in enumerate(pts):
         for y in pts[i:]:
-            d = y - x
-            seen[d.coords] = d
-            nd = -d
-            seen[nd.coords] = nd
-    return tuple(seen.values())
+            d = tuple(map(operator.sub, y, x))
+            seen[d] = None
+            seen[tuple([-a for a in d])] = None
+    return tuple(seen)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from subtiling import cli
+from subtiling.algebraic import FieldElem, unscaled_coords
 from subtiling.suspension import SuspensionSystem
 
 
@@ -41,6 +42,36 @@ def false_zero_pairs(m, count=30, seed=41):
 def exact_tiles(patch):
     """Reference: the tiles of a patch as (FieldElem position, color)."""
     return [(patch.position(k), c) for k, c in enumerate(patch.colors)]
+
+
+def fieldelem_point_sets(patch, refpoints, window):
+    """Reference: per color, the FieldElem points p + c_color of the
+    patch tiles in the window, by the exact test on every tile."""
+    lo, hi = window
+    assert patch.covers(lo, hi)
+    per_color = [[] for _ in refpoints]
+    for pos, c in exact_tiles(patch):
+        x = pos + refpoints[c - 1]
+        if (x - lo).sign() >= 0 and (x - hi).sign() <= 0:
+            per_color[c - 1].append(x)
+    return per_color
+
+
+def fieldelem_differences(pts):
+    """Reference: the differences y - x of FieldElem points, both signs,
+    first seen first, as `suspension.return_vectors` orders them."""
+    seen = {}
+    for i, x in enumerate(pts):
+        for y in pts[i:]:
+            d = y - x
+            seen[d.coords] = d
+            seen[(-d).coords] = -d
+    return list(seen.values())
+
+
+def elements(field, vectors, denom):
+    """Integer vectors over a denominator as FieldElems."""
+    return [FieldElem(field, unscaled_coords(v, denom)) for v in vectors]
 
 
 def system_for(name):

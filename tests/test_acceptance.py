@@ -30,9 +30,7 @@ def test_criterion_1_corpus_verdict_table():
         patch, suspension.left_endpoint_points(sys_tm), (lo, hi)
     )
     per_color, _ = suspension.return_vectors(pts)
-    lat0 = lattices.module_from_vectors(
-        [d.coords for d in per_color[0]], 1
-    )
+    lat0 = lattices.module_from_int_rows(per_color[0], pts.denom, 1)
     assert lat0 == lattices.ZModule(1, ((1,),), 1)
     f = sys_tm.field
     assert lattices.eventual_membership(

@@ -331,6 +331,55 @@ def test_verify_fails_witness_that_does_not_parse(tmp_path, field_name,
     assert "Traceback" not in err
 
 
+def _scope_edit(report, edit):
+    """The fibonacci report with one witness moved to the wrong scope."""
+    geo = report["checks"]["geometric_strong"]["pairs"]
+    if edit == "pair":
+        geo["a|b"]["witness"] = geo["b|b"]["witness"]
+        return "geometric_strong[a|b]"
+    if edit == "simultaneous":
+        report["checks"]["simultaneous"]["witness"] = geo["a|a"]["witness"]
+        return "simultaneous"
+    geo["a|a"]["witness"]["scope"] = "a"
+    return "geometric_strong[a|a]"
+
+
+@pytest.mark.parametrize("edit", ["pair", "simultaneous", "bare-string"])
+def test_verify_fails_witness_for_another_scope(tmp_path, edit):
+    # each witness replays for some scope, but not for its check's
+    report = _fixture("fibonacci")
+    key = _scope_edit(report, edit)
+    outcome = cli.verify_report(report)
+    assert outcome["replayed"][key] is False
+    assert outcome["passed"] is False
+    code, out, err = _verify_file(tmp_path, report)
+    assert code == 1 and json.loads(out)["passed"] is False
+    assert "Traceback" not in err
+
+
+def _input_edit(report, edit):
+    inp = report["input"]
+    if edit == "no-bounds":
+        del inp["bounds"]
+    elif edit == "rule-token":
+        inp["rules"]["a"] = ["a", "z"]
+    else:
+        # a -> a, b -> ab is not primitive
+        inp["rules"] = {"a": ["a"], "b": ["a", "b"]}
+
+
+@pytest.mark.parametrize("edit", ["no-bounds", "rule-token",
+                                  "not-primitive"])
+def test_verify_fails_malformed_input_section(tmp_path, edit):
+    report = _fixture("fibonacci")
+    _input_edit(report, edit)
+    outcome = cli.verify_report(report)
+    assert outcome["passed"] is False and outcome["error"]
+    code, out, err = _verify_file(tmp_path, report)
+    assert code == 1 and json.loads(out)["passed"] is False
+    assert "Traceback" not in err
+
+
 def _witness(report, check):
     if check == "simultaneous":
         return report["checks"]["simultaneous"]["witness"]

@@ -9,6 +9,8 @@ from subtiling import lattices as L
 from subtiling import spectrum as SP
 from subtiling import suspension as S
 
+from conftest import elements
+
 
 def test_point_sets_with_exact_irrational_window(sys_fib):
     # window [0, phi + 1] on the twice-inflated 'a' prototile
@@ -18,9 +20,12 @@ def test_point_sets_with_exact_irrational_window(sys_fib):
     pts = S.reference_point_sets(
         patch, S.left_endpoint_points(sys_fib), (lo, hi)
     )
-    assert [p.coords for p in pts.color(1)] == \
+    assert [p.coords for p in elements(sys_fib.field, pts.points[0],
+                                       pts.denom)] == \
         [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))]
-    assert [p.coords for p in pts.color(2)] == [(Fraction(0), Fraction(1))]
+    assert [p.coords for p in elements(sys_fib.field, pts.points[1],
+                                       pts.denom)] == \
+        [(Fraction(0), Fraction(1))]
 
 
 def test_fibonacci_overlap_classes_for_golden_shift(sys_fib):

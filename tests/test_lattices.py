@@ -8,7 +8,8 @@ from subtiling import lattices as L
 from subtiling import suspension as S
 from subtiling.errors import NotASubmodule
 
-from conftest import system_for
+from conftest import (fieldelem_differences, fieldelem_point_sets,
+                      system_for)
 
 
 def test_module_from_integers():
@@ -138,7 +139,7 @@ def test_height_lattices_nest_with_window(sys_aba):
         patch = sys_aba.patch_covering(lo, hi)
         pts = reference_point_sets(patch, zeros, (lo, hi))
         _, cross = return_vectors(pts)
-        mod = L.module_from_vectors([d.coords for d in cross], 1)
+        mod = L.module_from_int_rows(cross, pts.denom, 1)
         if previous is not None:
             for row in previous.basis:
                 coords = [Fraction(c, previous.denom) for c in row]
@@ -158,13 +159,14 @@ def test_return_lattices_match_all_pair_differences(name):
     width = system.field.degree
     for size in (2, 16, 64):
         lo, hi = system.window(size)
-        pts = S.reference_point_sets(system.patch_covering(lo, hi), refs,
-                                     (lo, hi))
-        per_color, cross = S.return_vectors(pts)
+        per_color = fieldelem_point_sets(system.patch_covering(lo, hi), refs,
+                                         (lo, hi))
+        cross = fieldelem_differences([x for pc in per_color for x in pc])
         expected = (
             L.module_from_vectors([d.coords for d in cross], width),
             L.module_from_vectors(
-                [d.coords for pc in per_color for d in pc], width),
+                [d.coords for pc in per_color
+                 for d in fieldelem_differences(pc)], width),
         )
         assert L.return_lattices(system, refs, size) == expected
 
@@ -200,8 +202,8 @@ def test_window_lattices_sampled_once(monkeypatch):
     system = S.SuspensionSystem(cli.corpus_lookup("fib2").substitution())
     refs = S.left_endpoint_points(system)
     calls = []
-    build = L.module_from_vectors
-    monkeypatch.setattr(L, "module_from_vectors",
+    build = L.module_from_int_rows
+    monkeypatch.setattr(L, "module_from_int_rows",
                         lambda *args: calls.append(1) or build(*args))
     res = L.height_group(system, refs)
     assert len(calls) == 2 * len(res.windows_used)

@@ -8,11 +8,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from subtiling import algebraic, cli
+from subtiling import lattices as L
 from subtiling import spectrum as SP
 from subtiling import suspension as S
 from subtiling.words import CountGap, Substitution
 
-from conftest import WALK_BASE, exact_tiles, false_zero_pairs
+from conftest import (WALK_BASE, exact_tiles, false_zero_pairs,
+                      fieldelem_differences, fieldelem_point_sets)
 
 SPECS = Path(__file__).resolve().parents[1] / "perfbench" / "specs"
 
@@ -326,11 +328,10 @@ def _sweep_setting(name, size):
     system, refs = _system_and_refs(name)
     window = system.window(size)
     patch = system.patch_covering(*window)
-    pts = S.reference_point_sets(patch, refs, window)
-    per_color, _ = S.return_vectors(pts, cross=False)
     # in the order initial_overlaps sweeps them
-    returns = {d.coords: d for diffs in per_color for d in diffs
-               if not d.is_zero()}
+    returns = {d.coords: d
+               for pts in fieldelem_point_sets(patch, refs, window)
+               for d in fieldelem_differences(pts) if not d.is_zero()}
     bounds = [pos for pos, _ in exact_tiles(patch)] + [patch.end]
     return system, refs, window, patch, bounds, list(returns.values())
 
@@ -384,10 +385,9 @@ def _fieldelem_seeds(system, refs, window):
     vector in the order `return_vectors` finds them, each class checked
     by FieldElem signs."""
     patch = system.patch_covering(*window)
-    pts = S.reference_point_sets(patch, refs, window)
-    per_color, _ = S.return_vectors(pts, cross=False)
-    returns = {d.coords: d for diffs in per_color for d in diffs
-               if not d.is_zero()}
+    returns = {d.coords: d
+               for pts in fieldelem_point_sets(patch, refs, window)
+               for d in fieldelem_differences(pts) if not d.is_zero()}
     classes = {}
     for y in returns.values():
         classes.update(_fieldelem_sweep(system, patch, y))
@@ -425,6 +425,34 @@ def test_initial_overlaps_match_fieldelem_sweep(name):
         return _as_items(classes), system.field.generation - before
 
     assert seeds(SP.initial_overlaps) == seeds(_fieldelem_seeds)
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "rauzy"])
+def test_window_sample_makes_no_field_element_per_tile(monkeypatch, name):
+    # the lattices and the overlap seeds of a window are built on integer
+    # vectors: a window of 128 makes as many FieldElems as one of 16.  The
+    # covering patch is built first, since a patch build makes one for
+    # its start.
+    elems = []
+    init = algebraic.FieldElem.__init__
+
+    def counted(sample, size):
+        system, refs = _system_and_refs(name)
+        window = system.window(size)
+        system.patch_covering(*window)
+        before = len(elems)
+        sample(system, refs, size, window)
+        return len(elems) - before
+
+    monkeypatch.setattr(
+        algebraic.FieldElem, "__init__",
+        lambda self, field, coords: elems.append(1) or
+        init(self, field, coords))
+    for sample in (lambda system, refs, size, _:
+                   L.return_lattices(system, refs, size),
+                   lambda system, refs, _, window:
+                   SP._seed_keys(system, refs, window)):
+        assert counted(sample, 16) == counted(sample, 128)
 
 
 _INFLATION_SETTINGS = {}

@@ -10,7 +10,8 @@ from subtiling import cli
 from subtiling import suspension as S
 from subtiling.errors import WindowNotCovered
 
-from conftest import CORPUS_IDS, exact_tiles, system_for
+from conftest import (CORPUS_IDS, elements, exact_tiles,
+                      fieldelem_differences, fieldelem_point_sets, system_for)
 
 
 def test_prototile_lengths(sys_fib, sys_tm, sys_fib2):
@@ -140,16 +141,28 @@ def test_tile_map_validation(sys_fib):
         S.control_points(sys_fib, (1,))
 
 
+def _rationals(vectors, denom):
+    """Integer vectors of a degree-one field over denom as Fractions."""
+    return [Fraction(v[0], denom) for v in vectors]
+
+
 def test_point_sets_aba(sys_aba):
     window = (Fraction(-4), Fraction(4))
     patch = sys_aba.patch_covering(*window)
     pts = S.reference_point_sets(
         patch, S.left_endpoint_points(sys_aba), window
     )
-    la = sorted(x.as_fraction() for x in pts.color(1))
-    lb = sorted(x.as_fraction() for x in pts.color(2))
+    la = sorted(_rationals(pts.points[0], pts.denom))
+    lb = sorted(_rationals(pts.points[1], pts.denom))
     assert la == [-3, -1, 1, 3]
     assert lb == [-4, -2, 0, 2, 4]
+    # the points are the tile starts at the indices, in patch order
+    for color, (indices, points) in enumerate(zip(pts.indices, pts.points),
+                                              start=1):
+        assert list(indices) == sorted(indices)
+        assert [patch.position(k) for k in indices] == \
+            elements(sys_aba.field, points, pts.denom)
+        assert all(patch.colors[k] == color for k in indices)
 
 
 def test_point_sets_shift_covariance(sys_aba):
@@ -163,10 +176,12 @@ def test_point_sets_shift_covariance(sys_aba):
         patch, shifted_refs,
         (window[0] + Fraction(1, 3), window[1] + Fraction(1, 3)),
     )
+    assert moved.indices == base.indices
     for color in (1, 2):
-        lhs = [x + shift for x in base.color(color)]
-        assert [e.coords for e in lhs] == \
-            [e.coords for e in moved.color(color)]
+        lhs = [x + shift for x in elements(
+            sys_aba.field, base.points[color - 1], base.denom)]
+        assert [e.coords for e in lhs] == [e.coords for e in elements(
+            sys_aba.field, moved.points[color - 1], moved.denom)]
 
 
 def test_window_not_covered(sys_aba):
@@ -185,8 +200,8 @@ def test_return_vectors_aba(sys_aba):
         patch, S.left_endpoint_points(sys_aba), window
     )
     per_color, cross = S.return_vectors(pts)
-    da = {d.as_fraction() for d in per_color[0]}
-    dc = {d.as_fraction() for d in cross}
+    da = set(_rationals(per_color[0], pts.denom))
+    dc = set(_rationals(cross, pts.denom))
     assert {0, 2, -2, 4, -4}.issubset(da)
     assert {0, 1, -1, 2, -2}.issubset(dc)
     assert all(d % 2 == 0 for d in da)
@@ -200,8 +215,22 @@ def test_return_vectors_tm(sys_tm):
         patch, S.left_endpoint_points(sys_tm), window
     )
     per_color, _ = S.return_vectors(pts)
-    d0 = {d.as_fraction() for d in per_color[0]}
+    d0 = set(_rationals(per_color[0], pts.denom))
     assert {3, 5, 6, -3, -5, -6}.issubset(d0)
+
+
+def test_return_vectors_match_fieldelem_differences(sys_rauzy):
+    # the same differences in the same order as FieldElem subtraction
+    window = sys_rauzy.window(16)
+    patch = sys_rauzy.patch_covering(*window)
+    refs = S.control_points(sys_rauzy, (2, 1, 1))
+    pts = S.reference_point_sets(patch, refs, window)
+    per_color, cross = S.return_vectors(pts)
+    points = [elements(sys_rauzy.field, p, pts.denom) for p in pts.points]
+    assert [elements(sys_rauzy.field, d, pts.denom) for d in per_color] == \
+        [fieldelem_differences(p) for p in points]
+    assert elements(sys_rauzy.field, cross, pts.denom) == \
+        fieldelem_differences([x for p in points for x in p])
 
 
 def test_tiny_window_single_points(sys_fib):
@@ -212,7 +241,7 @@ def test_tiny_window_single_points(sys_fib):
     )
     per_color, _ = S.return_vectors(pts)
     for diffs in per_color:
-        assert all(d.is_zero() for d in diffs)
+        assert not any(any(d) for d in diffs)
 
 
 def test_length_coordinate_rank(sys_fib, sys_rauzy):
@@ -367,18 +396,6 @@ def test_fixed_point_patches_are_cached(sys_fib, sys_rauzy2):
         assert system.patch_covering(*system.window(16)) is patch
 
 
-def _fieldelem_point_sets(patch, refpoints, window):
-    """Reference: the exact test on every tile, no integer placement."""
-    lo, hi = window
-    assert patch.covers(lo, hi)
-    per_color = [[] for _ in refpoints]
-    for pos, c in exact_tiles(patch):
-        x = pos + refpoints[c - 1]
-        if (x - lo).sign() >= 0 and (x - hi).sign() <= 0:
-            per_color[c - 1].append(x)
-    return per_color
-
-
 # (corpus id, tile map or None for the left endpoints); the rauzy,
 # rauzy2-gamma and aba-gamma maps give control points with coordinates
 # 1/2, 1/2 and 2/3, whose denominators do not divide a patch's
@@ -434,14 +451,28 @@ def test_pruned_point_sets_match_fieldelem_loop(data):
              system.patch_covering(*system.window(size + 4)))
     ends = [data.draw(_window_end(*probe, size)) for _ in range(2)]
     results = []
-    for point_sets in (_fieldelem_point_sets, S.reference_point_sets):
+    for point_sets in (fieldelem_point_sets, _integer_point_sets):
         system, refs, patch = _fresh_setting(name, tile_map, size)
         window = tuple(e if isinstance(e, Fraction)
                        else system.field.element(e) for e in ends)
         before = system.field.generation
         per_color = point_sets(patch, refs, window)
-        if point_sets is S.reference_point_sets:
-            per_color = per_color.per_color
         results.append(([[x.coords for x in pts] for pts in per_color],
                          system.field.generation - before))
     assert results[0] == results[1]
+
+
+def _integer_point_sets(patch, refpoints, window):
+    """`reference_point_sets` as FieldElem points per color, each checked
+    against the tile its index names."""
+    pts = S.reference_point_sets(patch, refpoints, window)
+    per_color = []
+    for color, (indices, points) in enumerate(zip(pts.indices, pts.points),
+                                              start=1):
+        elems = elements(patch.field, points, pts.denom)
+        assert list(indices) == sorted(indices)
+        assert all(patch.colors[k] == color and
+                   patch.position(k) + refpoints[color - 1] == x
+                   for k, x in zip(indices, elems))
+        per_color.append(elems)
+    return per_color
