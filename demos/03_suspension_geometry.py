@@ -21,7 +21,10 @@ for tok, c in zip(spec.letters, refs):
     print(f"  {tok}: {[str(x) for x in c.coords]}")
 print("admissible:", suspension.is_admissible(system, refs))
 
-patch = system.prototile_patch(1, 2)
+# sigma^2(a) laid out from 0; a start is an integer vector over the
+# lengths' common denominator
+patch = system.patch_from_word(system.sub.iterate(1, 2),
+                               (0,) * system.field.degree)
 print(f"twice-inflated 'a' prototile (boundaries times {patch.denom}):")
 for k, color in enumerate(patch.colors):
     print(f"  {spec.token(color)} at {list(patch.points[k])}, "

@@ -25,12 +25,9 @@ from .lattices import (
 )
 from .polys import is_irreducible
 from .spectrum import (
-    OverlapClass,
     SpectralHalf,
     SpectralVerdict,
     balanced_pairs,
-    inflate_overlap,
-    initial_overlaps,
     overlap_coincidence,
     spectral_verdict,
 )
@@ -56,14 +53,13 @@ from .words import (
 
 __all__ = [
     "AbelianGroup", "BoundedVerdict", "CoincidenceWitness", "FieldElem",
-    "NumberField", "OverlapClass", "Patch", "PointSets", "RatInterval",
-    "SpectralHalf", "SpectralVerdict", "Substitution", "SuspensionSystem",
-    "ZModule", "abelianization", "balanced_pairs", "char_poly",
-    "control_points", "differences_in_return_module", "eventual_membership",
+    "NumberField", "Patch", "PointSets", "RatInterval", "SpectralHalf",
+    "SpectralVerdict", "Substitution", "SuspensionSystem", "ZModule",
+    "abelianization", "balanced_pairs", "char_poly", "control_points",
+    "differences_in_return_module", "eventual_membership",
     "fixed_point_seed", "generate_patch", "geometric_strong", "height_group",
-    "inflate_overlap", "initial_overlaps", "is_admissible", "is_irreducible",
-    "is_pisot", "is_primitive", "left_endpoint_points", "module_from",
-    "overlap_coincidence", "perron_factor", "prefix_simultaneous",
+    "is_admissible", "is_irreducible", "is_pisot", "is_primitive",
+    "left_endpoint_points", "module_from", "overlap_coincidence", "perron_factor", "prefix_simultaneous",
     "prefix_strong", "prototile_lengths", "quotient", "reference_point_sets",
     "return_vectors", "simultaneous", "spectral_verdict",
     "substitution_matrix", "verify_witness",

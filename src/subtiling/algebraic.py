@@ -279,18 +279,10 @@ class NumberField:
                 upper += a * low
         return lower, upper
 
-    def filter_sign(self, coords):
-        """Sign of sum coords[k] * beta^k when the fixed-point table
-        decides it, else 0.  Integer arithmetic only; never refines."""
-        # common_denominator and scaled_coords, inlined: this runs once
-        # per certified sign
-        denom = 1
-        for c in coords:
-            if type(c) is not int:
-                denom = math.lcm(denom, c.denominator)
-        if denom != 1:
-            coords = [c.numerator * (denom // c.denominator) for c in coords]
-        lower, upper = self.fixed_point_bounds(coords)
+    def filter_sign(self, ints):
+        """Sign of sum ints[k] * beta^k for integer coordinates when the
+        fixed-point table decides it, else 0.  Never refines."""
+        lower, upper = self.fixed_point_bounds(ints)
         if lower > 0:
             return 1
         if upper < 0:

@@ -344,20 +344,33 @@ def _check_window(window):
             f"window {window!r} is not an integer in [1, {WINDOW_CAP}]")
 
 
+def _check_bounds(bounds: Bounds):
+    """Raise InvalidBound unless the window passes _check_window and every
+    other bound is a non-negative int."""
+    _check_window(bounds.window)
+    for name, value in (("L", bounds.level_bound), ("k", bounds.kmax),
+                        ("node_cap", bounds.node_cap),
+                        ("pair_cap", bounds.pair_cap)):
+        if type(value) is not int or value < 0:
+            raise InvalidBound(
+                f"bound {name} {value!r} is not a non-negative integer")
+
+
 def run_analysis(spec: SpecFile, overrides: dict | None = None) -> dict:
     """Execute every check on one substitution spec and build the report.
 
     Bound lines in the spec file refine the defaults; explicit overrides
     (command-line flags) win over both.  A check that raises records its
     error in place; later checks still run.  A window outside
-    [1, WINDOW_CAP] raises InvalidBound before any check runs.
+    [1, WINDOW_CAP], or any other bound that is not a non-negative int,
+    raises InvalidBound before any check runs.
     """
     bounds = Bounds(**{
         **{_SPEC_BOUNDS[k]: v for k, v in spec.bounds.items()
            if k in _SPEC_BOUNDS},
         **(overrides or {}),
     })
-    _check_window(bounds.window)
+    _check_bounds(bounds)
     report = {
         "schema": 1,
         "tool": {"name": "subtiling", "version": __version__},
@@ -596,9 +609,11 @@ def verify_report(report: dict) -> dict:
     procedures are rerun through one inflation or substitution pass.
     A replay that raises a SubtilingError (a cap it ran into) fails, and
     so does a witness whose scope is not that of its check: the two
-    letters of its pair key, or "all".  A report whose window
-    _check_window rejects, or whose input section names no primitive
-    substitution, fails with an error.
+    letters of its pair key, or "all"; so does a malformed claim (a check
+    or pair verdict that is not an object, a HOLDS with no witness, a
+    FAILS with no certificate).  A report whose window _check_window
+    rejects, whose input section names no primitive substitution, or
+    whose checks section is not an object, fails with an error.
     """
     try:
         _check_window(report["input"]["bounds"]["window"])
@@ -608,6 +623,10 @@ def verify_report(report: dict) -> dict:
     except (KeyError, TypeError, ValueError, SubtilingError) as exc:
         return {"passed": False, "replayed": {},
                 "error": f"input: {type(exc).__name__}: {exc}"}
+    checks = report.get("checks")
+    if not isinstance(checks, dict):
+        return {"passed": False, "replayed": {},
+                "error": "checks: not an object"}
     index = {tok: i + 1 for i, tok in enumerate(spec.letters)}
     # the scope each geometric pair key's witness must carry
     pair_scopes = {_pair_key(spec, (i, j)): [spec.token(i), spec.token(j)]
@@ -646,25 +665,35 @@ def verify_report(report: dict) -> dict:
             return False
         return replay(coincidence.verify_witness, system, refpoints, witness)
 
-    geo = report["checks"].get("geometric_strong")
-    if isinstance(geo, dict) and "pairs" in geo:
-        for key, verdict in geo["pairs"].items():
-            if verdict.get("status") == "HOLDS":
-                results[f"geometric_strong[{key}]"] = replay_witness(
-                    verdict["witness"], pair_scopes.get(key))
-    sim = report["checks"].get("simultaneous")
-    if isinstance(sim, dict) and sim.get("status") == "HOLDS":
-        results["simultaneous"] = replay_witness(sim["witness"], "all")
-    overlap = report["checks"].get("overlap_coincidence")
-    if isinstance(overlap, dict) and overlap.get("status") == "FAILS":
+    def part(obj, key, name=None):
+        """obj[key], or {} when it is absent; one that is not an object is
+        a malformed claim, and the replay `name` (key by default) fails."""
+        value = obj.get(key, {})
+        if isinstance(value, dict):
+            return value
+        results[name or key] = False
+        return {}
+
+    pairs = part(part(checks, "geometric_strong"), "pairs", "geometric_strong")
+    for key in pairs:
+        name = f"geometric_strong[{key}]"
+        verdict = part(pairs, key, name)
+        if verdict.get("status") == "HOLDS":
+            results[name] = replay_witness(verdict.get("witness"),
+                                           pair_scopes.get(key))
+    sim = part(checks, "simultaneous")
+    if sim.get("status") == "HOLDS":
+        results["simultaneous"] = replay_witness(sim.get("witness"), "all")
+    overlap = part(checks, "overlap_coincidence")
+    if overlap.get("status") == "FAILS":
         results["overlap_coincidence"] = replay(
             spectrum.replay_overlap_certificate, system,
-            overlap["certificate"])
-    balanced = report["checks"].get("balanced_pairs")
-    if isinstance(balanced, dict) and balanced.get("status") == "FAILS":
+            overlap.get("certificate"))
+    balanced = part(checks, "balanced_pairs")
+    if balanced.get("status") == "FAILS":
         results["balanced_pairs"] = replay(
             spectrum.replay_balanced_certificate, system.sub,
-            balanced["certificate"])
+            balanced.get("certificate"))
     return {"passed": all(results.values()) if results else True,
             "replayed": results}
 
@@ -750,9 +779,13 @@ def main(argv=None) -> int:
         except (OSError, SubtilingError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        system = suspension.SuspensionSystem(spec.substitution())
-        _, left, right = system.seed
-        patch = suspension.generate_patch(system, (left, right), args.n)
+        try:
+            system = suspension.SuspensionSystem(spec.substitution())
+            _, left, right = system.seed
+            patch = suspension.generate_patch(system, (left, right), args.n)
+        except (SubtilingError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         for color, point in zip(patch.colors, patch.points):
             coords = " ".join(_frac_str(Fraction(a, patch.denom))
                               for a in point)

@@ -23,8 +23,8 @@ then by the fixed-point filter, then by the Horner enclosure, refining
 the interval.  The decisions come in the order of a FieldElem closure,
 so the same refinements follow.  The seeding takes each same-color
 translation once, in first-seen order, and sweeps each moved tile (its
-color and translated start) once.  A field element is made only for the
-public OverlapClass API; the report gets fraction strings.
+color and translated start) once.  No field element is made; the report
+gets fraction strings.
 """
 
 from __future__ import annotations
@@ -35,8 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import words as words_mod
-from .algebraic import (FieldElem, common_denominator, scaled_coords,
-                        unscaled_coords)
+from .algebraic import common_denominator, scaled_coords
 from .errors import EmptyWindow, InvalidWord
 # return_vectors is no longer called here, but stays importable from this
 # module: perfbench's tracer wraps names where callers look them up
@@ -54,32 +53,6 @@ SEED_RETURN_WORDS = 10
 def _frac_str(x) -> str:
     f = Fraction(x)
     return f"{f.numerator}/{f.denominator}"
-
-
-class OverlapClass:
-    """Translation class of two overlapping tiles.
-
-    The moved tile of color `moved` occupies [shift, shift + len_moved);
-    the anchor tile of color `anchor` occupies [0, len_anchor).  The open
-    supports intersect, so -len_moved < shift < len_anchor.  The class is
-    a coincidence when the colors agree and the shift is zero.
-    """
-
-    __slots__ = ("moved", "anchor", "shift")
-
-    def __init__(self, moved, anchor, shift):
-        self.moved = moved
-        self.anchor = anchor
-        self.shift = shift
-
-    def key(self):
-        return (self.moved, self.anchor, self.shift.coords)
-
-    def is_coincidence(self):
-        return self.moved == self.anchor and self.shift.is_zero()
-
-    def __repr__(self):
-        return f"OverlapClass({self.moved}, {self.anchor}, {self.shift.coords})"
 
 
 def _is_coincidence_key(key):
@@ -188,17 +161,6 @@ class _Inflation:
         return out
 
 
-def _as_class(field_, key, denom):
-    moved, anchor, shift = key
-    return OverlapClass(moved, anchor,
-                        FieldElem(field_, unscaled_coords(shift, denom)))
-
-
-def _as_classes(field_, keys, denom):
-    classes = (_as_class(field_, k, denom) for k in keys)
-    return {cls.key(): cls for cls in classes}
-
-
 class _Packing:
     """Integer vectors of one length as single ints: v becomes
     sum v[k] * radix^k, with the radix a power of two more than twice
@@ -227,30 +189,25 @@ class _Packing:
         return tuple(out)
 
 
-def _sweep(step: _Inflation, patch, packing, translations):
-    """Keys over `step.denom` of the tile pairs brought to overlap by each
-    translation y, first seen first; the moved tile is taken at -y.
+def _sweep(patch, packing, translations):
+    """Keys over the patch's denominator of the tile pairs brought to
+    overlap by each translation y, first seen first; the moved tile is
+    taken at -y.
 
-    `step.denom` is a multiple of the patch's, and each translation is an
-    integer vector over it, packed by `packing`, whose range must hold a
-    boundary minus a translation minus a boundary.  The tile boundaries
-    are packed too, so that a moved boundary is one subtraction and an
-    equality one comparison.  Boundaries are compared
-    on their fixed-point enclosures, then for equality, and only the rest
-    by `NumberField.int_sign` on the unpacked difference.  An enclosure
+    Each translation is an integer vector over the patch's denominator,
+    packed by `packing`, whose range must hold a boundary minus a
+    translation minus a boundary.  The tile boundaries are packed too, so
+    that a moved boundary is one subtraction and an equality one
+    comparison.  Boundaries are compared on their fixed-point
+    enclosures, then for equality, and only the rest by
+    `NumberField.int_sign` on the unpacked difference.  An enclosure
     that excludes zero implies that the sign filter would decide too, so
     the sequence of interval refinements is that of a FieldElem sweep.  A
     moved tile, its color and its translated start, is swept once: its
     classes depend on nothing else, so a tile that an earlier translation
     brought to the same place adds no class."""
-    field_, denom = step.field, step.denom
-    colors, points = patch.colors, patch.points
+    field_, colors, points = patch.field, patch.colors, patch.points
     lows, highs = patch.enclosures()
-    if denom != patch.denom:
-        factor = denom // patch.denom
-        points = [tuple(a * factor for a in v) for v in points]
-        lows = [lo * factor for lo in lows]
-        highs = [hi * factor for hi in highs]
     bounds = list(map(packing.pack, points))
     unpack, sign = packing.unpack, field_.int_sign
 
@@ -293,30 +250,11 @@ def _sweep(step: _Inflation, patch, packing, translations):
             for moved, anchor, shift in out}
 
 
-def overlap_classes_for_translation(system: SuspensionSystem, patch, y):
-    """Classes of tile pairs brought to overlap by the translation y.
-
-    Both tiles are taken from the patch; the first one is moved by -y.
-    The sweep (`_sweep`) runs on the patch's integer vectors, rescaled
-    when a denominator of y does not divide the patch's."""
-    denom = math.lcm(patch.denom, common_denominator(y.coords))
-    shift_y = scaled_coords(y.coords, denom)
-    largest = denom // patch.denom * _largest_coordinate(patch)
-    packing = _Packing(system.field.degree,
-                       2 * largest + max(map(abs, shift_y)))
-    keys = _sweep(_Inflation(system, denom), patch, packing,
-                  [packing.pack(shift_y)])
-    return _as_classes(system.field, keys, denom)
-
-
-def _largest_coordinate(patch):
-    return max(abs(a) for v in patch.points for a in v)
-
-
 def _seed_keys(system: SuspensionSystem, refpoints, window):
-    """(step, seed keys) of `initial_overlaps`, over the patch's
-    denominator; EmptyWindow when the window holds no nonzero same-color
-    return vector.
+    """(step, seed keys): the overlap classes seeded by every nonzero
+    same-color return vector found in the window, as keys over the
+    patch's denominator, and the inflation step over it; EmptyWindow when
+    there is none.
 
     A same-color difference of reference points is a difference of tile
     starts, so the translations are the differences of the packed patch
@@ -326,7 +264,8 @@ def _seed_keys(system: SuspensionSystem, refpoints, window):
     patch = system.patch_covering(lo, hi)
     pts = reference_point_sets(patch, refpoints, window)
     # a translation is a difference of two boundaries
-    packing = _Packing(system.field.degree, 4 * _largest_coordinate(patch))
+    packing = _Packing(system.field.degree,
+                       4 * max(abs(a) for v in patch.points for a in v))
     translations = {}
     for indices in pts.indices:
         starts = [packing.pack(patch.points[k]) for k in indices]
@@ -338,28 +277,12 @@ def _seed_keys(system: SuspensionSystem, refpoints, window):
     if not translations:
         raise EmptyWindow("window holds no same-color return vector")
     step = _Inflation(system, patch.denom)
-    seeds = _sweep(step, patch, packing, translations)
+    seeds = _sweep(patch, packing, translations)
     # checks the integer sweep against the exact signs
     for key in seeds:
         if not step.overlaps(*key):
             raise AssertionError("overlap displacement out of range")
     return step, seeds
-
-
-def initial_overlaps(system: SuspensionSystem, refpoints, window):
-    """Overlap classes seeded by every nonzero same-color return vector
-    found in the window; EmptyWindow when there is none."""
-    step, seeds = _seed_keys(system, refpoints, window)
-    return _as_classes(system.field, seeds, step.denom)
-
-
-def inflate_overlap(system: SuspensionSystem, cls: OverlapClass):
-    """One inflation step: subdivide both tiles, keep overlapping pairs."""
-    denom = math.lcm(system._length_denom,
-                     common_denominator(cls.shift.coords))
-    key = (cls.moved, cls.anchor, scaled_coords(cls.shift.coords, denom))
-    return [_as_class(system.field, k, denom)
-            for k in _Inflation(system, denom).successors(key)]
 
 
 @dataclass
@@ -656,22 +579,24 @@ def replay_overlap_certificate(system: SuspensionSystem, cert) -> bool:
     """Re-verify a FAILS certificate: the listed classes are nonempty,
     distinct, are overlaps of two letters of the system, are
     coincidence-free, and are closed under one inflation step.  A
-    malformed entry fails: a letter outside 1..m, or a shift that is not
-    a list of exactly one fraction string per power-basis coordinate."""
+    malformed certificate fails: one with no list of classes, a letter
+    outside 1..m, or a shift that is not a list of exactly one fraction
+    string per power-basis coordinate."""
     m, degree = system.size, system.field.degree
     entries = []
-    for e in cert.get("coincidence_free_closed_set", []):
-        try:
+    try:
+        for e in cert["coincidence_free_closed_set"]:
             moved, anchor, shift = e["moved"], e["anchor"], e["shift"]
             if (type(shift) is not list or len(shift) != degree or
                     not all(type(s) is str for s in shift)):
                 return False
             coords = [Fraction(s) for s in shift]
-        except (KeyError, TypeError, ValueError, ZeroDivisionError):
-            return False
-        if not all(type(c) is int and 1 <= c <= m for c in (moved, anchor)):
-            return False
-        entries.append((moved, anchor, coords))
+            if not all(type(c) is int and 1 <= c <= m
+                       for c in (moved, anchor)):
+                return False
+            entries.append((moved, anchor, coords))
+    except (KeyError, TypeError, ValueError, ZeroDivisionError):
+        return False
     denom = math.lcm(system._length_denom, common_denominator(
         c for _, _, coords in entries for c in coords))
     step = _Inflation(system, denom)
@@ -687,19 +612,18 @@ def replay_overlap_certificate(system: SuspensionSystem, cert) -> bool:
 def replay_balanced_certificate(sub: Substitution, cert) -> bool:
     """Re-verify a balanced-pair FAILS certificate the same way.  Every
     entry must be a pair of nonempty words over 1..m with equal letter
-    counts; a malformed entry fails."""
+    counts; a malformed certificate or entry fails."""
     m = sub.size
     pairs = set()
-    for entry in cert.get("coincidence_free_closed_set", []):
-        try:
+    try:
+        for entry in cert["coincidence_free_closed_set"]:
             u, v = map(bytes, entry)
-            balanced = (words_mod.abelianization(u, m) ==
-                        words_mod.abelianization(v, m))
-        except (TypeError, ValueError, InvalidWord):
-            return False
-        if not (u and balanced):
-            return False
-        pairs.add(_canonical((u, v)))
+            if not (u and words_mod.abelianization(u, m) ==
+                    words_mod.abelianization(v, m)):
+                return False
+            pairs.add(_canonical((u, v)))
+    except (KeyError, TypeError, ValueError, InvalidWord):
+        return False
 
     def successors(pair):
         image = (sub.apply(pair[0]), sub.apply(pair[1]))

@@ -5,13 +5,12 @@ eigenvector of the substitution matrix for the dominant eigenvalue beta,
 normalized so the last letter has unit length.  A two-sided fixed point
 of sigma^k, found by fixed_point_seed, realizes the tiling.  A patch
 holds its tile boundaries in one integer form only: prefix sums of the
-integer length vectors over one common denominator, and a FieldElem is
+integer length vectors over their common denominator, and a FieldElem is
 made only for a value that leaves the integers.  A system caches its
-patches, the inflated prototiles per (letter, level) and the fixed-point
-patches per (seed, level), and each patch builds its fixed-point
-enclosures once.  Reference points per prototile turn a patch into a
-colored point set, integer vectors over one denominator as well.  All
-values are immutable and all comparisons certified.
+fixed-point patches per (seed, level), and each patch builds its
+fixed-point enclosures once.  Reference points per prototile turn a
+patch into a colored point set, integer vectors over one denominator as
+well.  All values are immutable and all comparisons certified.
 """
 
 from __future__ import annotations
@@ -107,15 +106,16 @@ class SuspensionSystem:
         self.field = algebraic.perron_factor(self.char_poly)
         self.beta = self.field.beta()
         self.lengths = prototile_lengths(sub, self.field)
-        # the lengths as integer vectors over one common denominator
+        # the lengths as integer vectors over one common denominator, by
+        # coordinate: column k holds coordinate k of each letter's length,
+        # indexed by letter
         self._length_denom = algebraic.common_denominator(
             c for length in self.lengths for c in length.coords)
-        self._length_ints = tuple(
+        self._length_columns = tuple((0,) + column for column in zip(*(
             algebraic.scaled_coords(length.coords, self._length_denom)
-            for length in self.lengths)
+            for length in self.lengths)))
         self.seed = words.fixed_point_seed(sub)
-        # prototile patches keyed (letter, level), fixed-point patches
-        # keyed (seed, level)
+        # fixed-point patches keyed (seed, level)
         self._patch_cache = {}
         # lattices.return_lattices results, keyed on the exact window and
         # the reference points
@@ -124,7 +124,7 @@ class SuspensionSystem:
         # the first |sigma(j)| boundaries of the level-one prototile patch,
         # laid out by _layout so that patch_from_word sees only the
         # patches an analysis asks for
-        zero = self.field.zero()
+        zero = (0,) * self.field.degree
         self.subtile_offsets = tuple(
             tuple(map(self._layout(rule, zero).position, range(len(rule))))
             for rule in sub.rules)
@@ -156,36 +156,17 @@ class SuspensionSystem:
     # -- patches ---------------------------------------------------------
 
     def patch_from_word(self, word, start):
-        """Tiles of a word laid out left to right from an exact start."""
+        """Tiles of a word laid out left to right from a start given as
+        an integer vector over the lengths' common denominator."""
         return self._layout(word, start)
 
     def _layout(self, word, start):
         """The patch of patch_from_word.  Its boundaries are prefix sums
-        of the integer length vectors, one accumulate per coordinate over
-        the common denominator of the start and the lengths."""
-        denom = math.lcm(self._length_denom,
-                         algebraic.common_denominator(start.coords))
-        scale = denom // self._length_denom
-        columns = []
-        for k, s in enumerate(algebraic.scaled_coords(start.coords, denom)):
-            # coordinate k of each letter's length, indexed by letter
-            steps = (0,) + tuple(v[k] * scale for v in self._length_ints)
-            columns.append(accumulate(map(steps.__getitem__, word),
-                                      initial=s))
-        return Patch(self.field, denom, list(zip(*columns)), word)
-
-    def prototile_patch(self, letter, level):
-        """The level-fold inflation of prototile `letter` anchored at 0.
-
-        Cached on the system; patches are immutable once built."""
-        key = (letter, level)
-        cached = self._patch_cache.get(key)
-        if cached is not None:
-            return cached
-        word = self.sub.iterate(letter, level)
-        patch = self.patch_from_word(word, self.field.zero())
-        self._patch_cache[key] = patch
-        return patch
+        of the integer length vectors, one accumulate per coordinate."""
+        columns = [accumulate(map(steps.__getitem__, word), initial=s)
+                   for steps, s in zip(self._length_columns, start)]
+        return Patch(self.field, self._length_denom, list(zip(*columns)),
+                     word)
 
     def two_sided_patch(self, steps):
         """Inflate the fixed-point seed `steps` times by sigma^k; the
@@ -230,17 +211,6 @@ class Patch:
         return algebraic.FieldElem(
             self.field, algebraic.unscaled_coords(self.points[k], self.denom))
 
-    @property
-    def start(self):
-        return self.position(0)
-
-    @property
-    def end(self):
-        return self.position(-1)
-
-    def total_length(self):
-        return self.end - self.start
-
     def covers(self, lo, hi):
         return (_sign_minus(self.field, self.points[0], self.denom, lo) <= 0
                 and _sign_minus(self.field, self.points[-1], self.denom,
@@ -259,14 +229,8 @@ class Patch:
 
 
 def generate_patch(system: SuspensionSystem, seed, n):
-    """Inflate a seed n times.
-
-    A one-sided seed is a letter; its patch is anchored with the left
-    endpoint at 0.  A two-sided seed is a (left, right) letter pair; the
-    junction sits at 0.  Both kinds are cached on the system.
-    """
-    if isinstance(seed, int):
-        return system.prototile_patch(seed, n)
+    """Inflate a two-sided seed, a (left, right) letter pair, n times; the
+    junction sits at 0.  Cached on the system."""
     key = (seed, n)
     patch = system._patch_cache.get(key)
     if patch is None:
@@ -276,12 +240,9 @@ def generate_patch(system: SuspensionSystem, seed, n):
         # the left length, -start, is the letter counts dotted with the
         # length vectors
         counts = words.abelianization(left_word, system.size)
-        start = [-sum(map(operator.mul, counts, column))
-                 for column in zip(*system._length_ints)]
-        patch = system.patch_from_word(
-            left_word + right_word,
-            algebraic.FieldElem(system.field, algebraic.unscaled_coords(
-                start, system._length_denom)))
+        start = [-sum(map(operator.mul, counts, column[1:]))
+                 for column in system._length_columns]
+        patch = system.patch_from_word(left_word + right_word, start)
         patch.junction_index = len(left_word)
         system._patch_cache[key] = patch
     return patch

@@ -13,7 +13,7 @@ from array import array
 from functools import lru_cache
 from itertools import accumulate
 
-from .errors import InvalidWord, LengthCapExceeded, NoSeedFound
+from .errors import InvalidBound, InvalidWord, LengthCapExceeded, NoSeedFound
 
 DEFAULT_WORD_CAP = 10_000_000
 # longest rule for which Substitution.apply builds images by column
@@ -93,7 +93,10 @@ class Substitution:
         return bytes(image)
 
     def image_length(self, letter, n):
-        """|sigma^n(letter)| without expanding the word."""
+        """|sigma^n(letter)| without expanding the word; InvalidBound for
+        a negative n."""
+        if n < 0:
+            raise InvalidBound(f"power {n} is negative")
         key = (letter, n)
         if key not in self._lengths_cache:
             vec = [0] * self.size
@@ -109,7 +112,8 @@ class Substitution:
         return self._lengths_cache[key]
 
     def iterate(self, letter, n, cap=DEFAULT_WORD_CAP):
-        """sigma^n(letter), memoized incrementally."""
+        """sigma^n(letter), memoized incrementally; InvalidBound from
+        image_length for a negative n."""
         if not 1 <= letter <= self.size:
             raise InvalidWord(f"letter {letter} outside 1..{self.size}")
         if n == 0:

@@ -1,9 +1,12 @@
+import math
 import random
 
 import pytest
 
 from subtiling import cli
-from subtiling.algebraic import FieldElem, unscaled_coords
+from subtiling import spectrum as SP
+from subtiling.algebraic import (FieldElem, common_denominator, scaled_coords,
+                                 unscaled_coords)
 from subtiling.suspension import SuspensionSystem
 
 
@@ -72,6 +75,40 @@ def fieldelem_differences(pts):
 def elements(field, vectors, denom):
     """Integer vectors over a denominator as FieldElems."""
     return [FieldElem(field, unscaled_coords(v, denom)) for v in vectors]
+
+
+def inflated_prototile(system, letter, level):
+    """sigma^level(letter) laid out from 0 by `patch_from_word`."""
+    return system.patch_from_word(system.sub.iterate(letter, level),
+                                  (0,) * system.field.degree)
+
+
+def key_coords(keys, denom):
+    """Overlap class keys over a denominator as (moved, anchor, shift
+    coordinates), in order."""
+    return [(m, a, unscaled_coords(shift, denom)) for m, a, shift in keys]
+
+
+def sweep_translation(patch, y):
+    """The classes `spectrum._sweep` finds for one FieldElem translation
+    y, whose denominators divide the patch's, as `key_coords`."""
+    assert patch.denom % common_denominator(y.coords) == 0
+    shift = scaled_coords(y.coords, patch.denom)
+    largest = max(abs(a) for v in patch.points for a in v)
+    packing = SP._Packing(patch.field.degree,
+                          2 * largest + max(map(abs, shift)))
+    keys = SP._sweep(patch, packing, [packing.pack(shift)])
+    return key_coords(keys, patch.denom)
+
+
+def successors(system, moved, anchor, shift):
+    """`spectrum._Inflation.successors` of the class of a FieldElem shift,
+    over the lcm of the lengths' and the shift's denominators, as
+    `key_coords`."""
+    denom = math.lcm(system._length_denom, common_denominator(shift.coords))
+    step = SP._Inflation(system, denom)
+    key = (moved, anchor, scaled_coords(shift.coords, denom))
+    return key_coords(step.successors(key), denom)
 
 
 def system_for(name):

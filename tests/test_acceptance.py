@@ -9,7 +9,8 @@ from fractions import Fraction
 
 from subtiling import cli, coincidence, lattices, spectrum, suspension, words
 
-from conftest import CORPUS_IDS, report_for, system_for
+from conftest import (CORPUS_IDS, inflated_prototile, key_coords,
+                      report_for, system_for)
 
 
 def _ok(criterion, text):
@@ -203,27 +204,31 @@ def test_criterion_7_exact_identities_and_node_invariants():
         system = system_for(name)
         for j in range(1, system.size + 1):
             for n in range(0, 7):
-                patch = system.prototile_patch(j, n)
+                patch = inflated_prototile(system, j, n)
                 expected = (system.beta ** n) * system.length_of(j)
-                diff = patch.total_length() - expected
+                diff = patch.position(len(patch)) - patch.position(0) - \
+                    expected
                 assert diff.is_zero(), (name, j, n)
         # regenerate the closure and re-verify each node
         refs = suspension.left_endpoint_points(system)
-        seeds = spectrum.initial_overlaps(system, refs, system.window(64))
+        step, seeds = spectrum._seed_keys(system, refs, system.window(64))
         classes = dict(seeds)
-        queue = list(seeds.values())
+        queue = list(seeds)
         while queue:
-            cls = queue.pop()
-            children = spectrum.inflate_overlap(system, cls)
-            if cls.is_coincidence():
-                assert all(c.is_coincidence() for c in children), name
-            for child in children:
-                lo = -system.length_of(child.moved)
-                hi = system.length_of(child.anchor)
-                assert (child.shift - lo).sign() > 0, name
-                assert (hi - child.shift).sign() > 0, name
-                if child.key() not in classes:
-                    classes[child.key()] = child
+            key = queue.pop()
+            children = step.successors(key)
+            if key[0] == key[1] and not any(key[2]):
+                assert all(m == a and not any(shift)
+                           for m, a, shift in children), name
+            for (moved, anchor, coords), child in zip(
+                    key_coords(children, step.denom), children):
+                shift = system.field.element(coords)
+                lo = -system.length_of(moved)
+                hi = system.length_of(anchor)
+                assert (shift - lo).sign() > 0, name
+                assert (hi - shift).sign() > 0, name
+                if child not in classes:
+                    classes[child] = None
                     queue.append(child)
     _ok(7, "patch lengths equal scaled prototile lengths (n <= 6); "
            "displacement and absorption invariants hold on every node")

@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 from subtiling import algebraic, cli, coincidence, suspension
-from subtiling.errors import (LengthCapExceeded, SpecSyntaxError,
-                              UnknownCorpusEntry)
+from subtiling.errors import (InvalidBound, LengthCapExceeded,
+                              SpecSyntaxError, UnknownCorpusEntry)
 
 from conftest import CORPUS_IDS, report_for
 
@@ -144,6 +144,25 @@ def test_patch_positions_are_contiguous():
     lines = out.strip().splitlines()
     positions = [int(line.split()[1].split("/")[0]) for line in lines]
     assert positions == list(range(positions[0], positions[0] + len(lines)))
+
+
+@pytest.mark.parametrize("n, fragment", [("-1", "negative"),
+                                         ("100", "exceeds cap")])
+def test_patch_rejects_steps_out_of_range(n, fragment):
+    # -1 used to recurse until RecursionError, 100 to end in a traceback
+    code, out, err = run_cli(["patch", "fibonacci", "--n", n])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and fragment in err
+    assert "Traceback" not in err
+
+
+def test_patch_rejects_a_substitution_that_is_not_primitive(tmp_path):
+    # a -> a, b -> ab has no suspension; this used to end in a traceback
+    path = tmp_path / "reducible.sub"
+    path.write_text("letters a b\nrule a = a\nrule b = a b\n")
+    code, out, err = run_cli(["patch", str(path), "--n", "2"])
+    assert code == 2 and out == ""
+    assert err == "error: substitution is not primitive\n"
 
 
 def test_witness_embedding_invariants():
@@ -380,6 +399,74 @@ def test_verify_fails_malformed_input_section(tmp_path, edit):
     assert "Traceback" not in err
 
 
+def _checks_edit(report, edit):
+    """Malformed `checks` sections and check entries, each on the
+    fixture whose check it breaks."""
+    checks = report.get("checks")
+    if edit == "no-checks":
+        del report["checks"]
+    elif edit == "checks-list":
+        report["checks"] = [checks]
+    elif edit == "overlap-no-certificate":
+        del checks["overlap_coincidence"]["certificate"]
+    elif edit == "balanced-no-certificate":
+        del checks["balanced_pairs"]["certificate"]
+    elif edit == "certificate-list":
+        checks["overlap_coincidence"]["certificate"] = [
+            checks["overlap_coincidence"]["certificate"]]
+    elif edit == "closed-set-int":
+        checks["overlap_coincidence"]["certificate"][
+            "coincidence_free_closed_set"] = 5
+    elif edit == "balanced-closed-set-int":
+        checks["balanced_pairs"]["certificate"][
+            "coincidence_free_closed_set"] = 5
+    elif edit == "check-string":
+        checks["overlap_coincidence"] = "FAILS"
+    elif edit == "pair-string":
+        checks["geometric_strong"]["pairs"]["a|b"] = "HOLDS"
+    elif edit == "pairs-list":
+        pairs = checks["geometric_strong"]["pairs"]
+        checks["geometric_strong"]["pairs"] = list(pairs.values())
+    elif edit == "pair-no-witness":
+        del checks["geometric_strong"]["pairs"]["a|b"]["witness"]
+    else:
+        del checks["simultaneous"]["witness"]
+
+
+# (edit, fixture, the replay that fails, or None for an error)
+CHECKS_EDITS = (
+    ("no-checks", "fibonacci", None),
+    ("checks-list", "fibonacci", None),
+    ("overlap-no-certificate", "thue-morse", "overlap_coincidence"),
+    ("balanced-no-certificate", "thue-morse", "balanced_pairs"),
+    ("certificate-list", "thue-morse", "overlap_coincidence"),
+    ("closed-set-int", "thue-morse", "overlap_coincidence"),
+    ("balanced-closed-set-int", "thue-morse", "balanced_pairs"),
+    ("check-string", "thue-morse", "overlap_coincidence"),
+    ("pair-string", "fibonacci", "geometric_strong[a|b]"),
+    ("pairs-list", "fibonacci", "geometric_strong"),
+    ("pair-no-witness", "fibonacci", "geometric_strong[a|b]"),
+    ("simultaneous-no-witness", "fibonacci", "simultaneous"),
+)
+
+
+@pytest.mark.parametrize("edit, name, failed", CHECKS_EDITS,
+                         ids=[e[0] for e in CHECKS_EDITS])
+def test_verify_fails_malformed_checks(tmp_path, edit, name, failed):
+    # each of these raised out of verify_report before
+    report = _fixture(name)
+    _checks_edit(report, edit)
+    outcome = cli.verify_report(report)
+    assert outcome["passed"] is False
+    if failed is None:
+        assert outcome["error"].startswith("checks:")
+    else:
+        assert outcome["replayed"][failed] is False
+    code, out, err = _verify_file(tmp_path, report)
+    assert code == 1 and json.loads(out)["passed"] is False
+    assert "Traceback" not in err
+
+
 def _witness(report, check):
     if check == "simultaneous":
         return report["checks"]["simultaneous"]["witness"]
@@ -452,6 +539,27 @@ def test_analyze_rejects_window_outside_cap(window):
     code, out, err = run_cli(["analyze", "rauzy2-left", "--window", window])
     assert code == 2 and out == ""
     assert str(cli.WINDOW_CAP) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--Lmax", "--kmax", "--node-cap",
+                                  "--pair-cap"])
+def test_analyze_rejects_negative_bound(flag):
+    code, out, err = run_cli(["analyze", "fibonacci", flag, "-1"])
+    assert code == 2 and out == ""
+    assert "-1 is not a non-negative integer" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["L", "k"])
+def test_analyze_rejects_negative_spec_line_bound(tmp_path, name):
+    path = tmp_path / "negative.sub"
+    path.write_text("letters a b\nrule a = a b\nrule b = a\n"
+                    f"bound {name} -1\n")
+    code, out, err = run_cli(["analyze", str(path)])
+    assert code == 2 and out == ""
+    assert f"bound {name} -1 is not a non-negative integer" in err
+    with pytest.raises(InvalidBound):
+        cli.run_analysis(cli.parse_spec(path.read_text()))
 
 
 def test_analyze_rejects_spec_line_window_outside_cap(tmp_path):

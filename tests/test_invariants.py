@@ -6,15 +6,14 @@ from fractions import Fraction
 from math import gcd
 
 from subtiling import lattices as L
-from subtiling import spectrum as SP
 from subtiling import suspension as S
 
-from conftest import elements
+from conftest import elements, inflated_prototile, sweep_translation
 
 
 def test_point_sets_with_exact_irrational_window(sys_fib):
     # window [0, phi + 1] on the twice-inflated 'a' prototile
-    patch = sys_fib.prototile_patch(1, 2)
+    patch = inflated_prototile(sys_fib, 1, 2)
     lo = sys_fib.field.zero()
     hi = sys_fib.beta + 1
     pts = S.reference_point_sets(
@@ -31,8 +30,7 @@ def test_point_sets_with_exact_irrational_window(sys_fib):
 def test_fibonacci_overlap_classes_for_golden_shift(sys_fib):
     patch = sys_fib.patch_covering(*sys_fib.window(24))
     y = sys_fib.beta + 1
-    classes = SP.overlap_classes_for_translation(sys_fib, patch, y)
-    keys = {k for k in classes}
+    keys = set(sweep_translation(patch, y))
     assert (1, 1, (Fraction(0), Fraction(0))) in keys
     # the displaced classes sit at exactly phi - 1 and -1
     assert (2, 1, (Fraction(-1), Fraction(1))) in keys

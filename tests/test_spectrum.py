@@ -14,7 +14,8 @@ from subtiling import suspension as S
 from subtiling.words import CountGap, Substitution
 
 from conftest import (WALK_BASE, exact_tiles, false_zero_pairs,
-                      fieldelem_differences, fieldelem_point_sets)
+                      fieldelem_differences, fieldelem_point_sets,
+                      key_coords, successors, sweep_translation)
 
 SPECS = Path(__file__).resolve().parents[1] / "perfbench" / "specs"
 
@@ -26,8 +27,7 @@ def zeros(system):
 def test_tm_classes_for_shift_three(sys_tm):
     patch = sys_tm.patch_covering(*sys_tm.window(24))
     y = sys_tm.field.rational(3)
-    classes = SP.overlap_classes_for_translation(sys_tm, patch, y)
-    got = {(k[0], k[1], k[2][0]) for k in classes}
+    got = {(m, a, shift[0]) for m, a, shift in sweep_translation(patch, y)}
     assert got == {
         (1, 1, Fraction(0)), (1, 2, Fraction(0)),
         (2, 1, Fraction(0)), (2, 2, Fraction(0)),
@@ -37,27 +37,27 @@ def test_tm_classes_for_shift_three(sys_tm):
 def test_inflate_coincidence_absorbs(sys_tm, sys_fib, sys_rauzy2):
     for system in (sys_tm, sys_fib, sys_rauzy2):
         for letter in range(1, system.size + 1):
-            cls = SP.OverlapClass(letter, letter, system.field.zero())
-            children = SP.inflate_overlap(system, cls)
+            children = successors(system, letter, letter, system.field.zero())
             assert children
-            assert all(c.is_coincidence() for c in children)
+            assert all(m == a and not any(shift)
+                       for m, a, shift in children)
 
 
 def test_inflate_tm_swap_cycle(sys_tm):
-    cls = SP.OverlapClass(1, 2, sys_tm.field.zero())
-    children = {c.key()[:2] for c in SP.inflate_overlap(sys_tm, cls)}
+    children = {(m, a) for m, a, _ in
+                successors(sys_tm, 1, 2, sys_tm.field.zero())}
     assert children == {(1, 2), (2, 1)}
 
 
 def test_inflate_respects_displacement_bound(sys_fib):
     # start from a genuine overlap with an irrational displacement
     x = sys_fib.beta - 1          # 0 < phi - 1 < 1 <= both lengths
-    cls = SP.OverlapClass(1, 1, x)
-    for child in SP.inflate_overlap(sys_fib, cls):
-        lo = -sys_fib.length_of(child.moved)
-        hi = sys_fib.length_of(child.anchor)
-        assert (child.shift - lo).sign() > 0
-        assert (hi - child.shift).sign() > 0
+    for moved, anchor, coords in successors(sys_fib, 1, 1, x):
+        shift = sys_fib.field.element(coords)
+        lo = -sys_fib.length_of(moved)
+        hi = sys_fib.length_of(anchor)
+        assert (shift - lo).sign() > 0
+        assert (hi - shift).sign() > 0
 
 
 def test_overlap_verdicts(sys_tm, sys_fib, sys_aba, sys_fib2, sys_rauzy,
@@ -217,17 +217,17 @@ def test_overlap_verdict_independent_of_reference_points(sys_rauzy2):
 def test_closure_is_order_independent(sys_fib):
     # the reachable class set is a fixpoint, not an artifact of BFS order
     refs = zeros(sys_fib)
-    seeds = SP.initial_overlaps(sys_fib, refs, sys_fib.window(48))
+    step, seeds = SP._seed_keys(sys_fib, refs, sys_fib.window(48))
 
     def closure(seed_keys):
         classes = dict(seeds)
         queue = list(seed_keys)
         while queue:
             key = queue.pop(0)
-            for child in SP.inflate_overlap(sys_fib, classes[key]):
-                if child.key() not in classes:
-                    classes[child.key()] = child
-                    queue.append(child.key())
+            for child in step.successors(key):
+                if child not in classes:
+                    classes[child] = None
+                    queue.append(child)
         return set(classes)
 
     forward = closure(list(seeds))
@@ -264,7 +264,8 @@ def test_split_components_reassemble(fib, rauzy):
 
 def _fieldelem_sweep(system, patch, y):
     """Reference: the overlap sweep with every comparison made by
-    FieldElem.sign() on a newly formed element."""
+    FieldElem.sign() on a newly formed element, as (moved, anchor, shift)
+    keys to the shift, first seen first."""
     tiles = exact_tiles(patch)
     out = {}
     anchor_idx = 0
@@ -284,15 +285,10 @@ def _fieldelem_sweep(system, patch, y):
             a_pos, a_color = tiles[idx]
             if (a_pos - end).sign() >= 0:
                 break
-            cls = SP.OverlapClass(moved_color, a_color, start - a_pos)
-            out[cls.key()] = cls
+            shift = start - a_pos
+            out.setdefault((moved_color, a_color, shift.coords), shift)
             idx += 1
     return out
-
-
-def _as_items(classes):
-    return [(k, (c.moved, c.anchor, c.shift.coords))
-            for k, c in classes.items()]
 
 
 # a -> ab, b -> aab: beta = 1 + sqrt(2), the length of a is
@@ -328,11 +324,11 @@ def _sweep_setting(name, size):
     system, refs = _system_and_refs(name)
     window = system.window(size)
     patch = system.patch_covering(*window)
-    # in the order initial_overlaps sweeps them
+    # in the order _seed_keys sweeps them
     returns = {d.coords: d
                for pts in fieldelem_point_sets(patch, refs, window)
                for d in fieldelem_differences(pts) if not d.is_zero()}
-    bounds = [pos for pos, _ in exact_tiles(patch)] + [patch.end]
+    bounds = list(map(patch.position, range(len(patch) + 1)))
     return system, refs, window, patch, bounds, list(returns.values())
 
 
@@ -350,11 +346,10 @@ def _setting(name):
 def test_integer_sweep_matches_fieldelem_sweep(data):
     name = data.draw(st.sampled_from(SWEEP_CASES))
     system, _, _, patch, bounds, returns = _setting(name)
-    kind = data.draw(st.sampled_from(
-        ["return", "boundary", "near-boundary", "denominator"]))
+    kind = data.draw(st.sampled_from(["return", "boundary", "near-boundary"]))
     if kind == "return":
         y = data.draw(st.sampled_from(returns))
-    elif kind in ("boundary", "near-boundary"):
+    else:
         # moves one tile boundary exactly onto another, or next to it by
         # +-beta^-k, a small value with large coordinates
         a = data.draw(st.sampled_from(bounds))
@@ -364,20 +359,16 @@ def test_integer_sweep_matches_fieldelem_sweep(data):
             k = data.draw(st.integers(4, 24))
             y = y + data.draw(st.sampled_from([1, -1])) * \
                 system.beta.inverse() ** k
-    else:
-        q = data.draw(st.sampled_from([3, 7, 11, 13]))
-        y = data.draw(st.sampled_from(returns)) * Fraction(1, q)
-        denoms = [c.denominator for c in y.coords if c]
-        assume(any(patch.denom % d for d in denoms))
-    got = SP.overlap_classes_for_translation(system, patch, y)
-    want = _fieldelem_sweep(system, patch, y)
-    assert _as_items(got) == _as_items(want)
+    # the sweep takes translations over the patch's denominator only
+    assume(patch.denom % algebraic.common_denominator(y.coords) == 0)
+    assert sweep_translation(patch, y) == list(_fieldelem_sweep(system,
+                                                                patch, y))
 
 
-def _fieldelem_overlaps(system, cls):
+def _fieldelem_overlaps(system, moved, anchor, shift):
     """Reference: -len_moved < shift < len_anchor by FieldElem signs."""
-    return ((cls.shift + system.length_of(cls.moved)).sign() > 0 and
-            (system.length_of(cls.anchor) - cls.shift).sign() > 0)
+    return ((shift + system.length_of(moved)).sign() > 0 and
+            (system.length_of(anchor) - shift).sign() > 0)
 
 
 def _fieldelem_seeds(system, refs, window):
@@ -390,28 +381,37 @@ def _fieldelem_seeds(system, refs, window):
                for d in fieldelem_differences(pts) if not d.is_zero()}
     classes = {}
     for y in returns.values():
-        classes.update(_fieldelem_sweep(system, patch, y))
-    assert all(_fieldelem_overlaps(system, c) for c in classes.values())
-    return classes
+        for key, shift in _fieldelem_sweep(system, patch, y).items():
+            classes.setdefault(key, shift)
+    assert all(_fieldelem_overlaps(system, m, a, shift)
+               for (m, a, _), shift in classes.items())
+    return list(classes)
 
 
-def _fieldelem_inflate(system, cls):
-    """Reference: one inflation step in FieldElem arithmetic."""
-    base = system.beta * cls.shift
+def _fieldelem_inflate(system, moved, anchor, shift):
+    """Reference: one inflation step in FieldElem arithmetic, as
+    (moved, anchor, shift coordinates)."""
+    base = system.beta * shift
     out = []
-    for mc, m_off in zip(system.sub.rule(cls.moved),
-                         system.subtile_offsets[cls.moved - 1]):
-        for ac, a_off in zip(system.sub.rule(cls.anchor),
-                             system.subtile_offsets[cls.anchor - 1]):
-            child = SP.OverlapClass(mc, ac, base + m_off - a_off)
-            if _fieldelem_overlaps(system, child):
-                out.append(child)
+    for mc, m_off in zip(system.sub.rule(moved),
+                         system.subtile_offsets[moved - 1]):
+        for ac, a_off in zip(system.sub.rule(anchor),
+                             system.subtile_offsets[anchor - 1]):
+            child = base + m_off - a_off
+            if _fieldelem_overlaps(system, mc, ac, child):
+                out.append((mc, ac, child.coords))
     return out
+
+
+def _seed_classes(system, refs, window):
+    """`_seed_keys` as `key_coords`."""
+    step, seeds = SP._seed_keys(system, refs, window)
+    return key_coords(seeds, step.denom)
 
 
 @pytest.mark.parametrize("name", ["fibonacci", "fib2", "rauzy2-gamma",
                                   "aba-gamma", "a->ab,b->aab"])
-def test_initial_overlaps_match_fieldelem_sweep(name):
+def test_seed_keys_match_fieldelem_sweep(name):
     # same seeds in the same order, after the same interval refinements,
     # each side from a fresh system; the FieldElem reference takes 1.6 s
     # on a->ab, b->aab at window 64
@@ -422,24 +422,22 @@ def test_initial_overlaps_match_fieldelem_sweep(name):
         window = system.window(size)
         before = system.field.generation
         classes = seeder(system, refs, window)
-        return _as_items(classes), system.field.generation - before
+        return classes, system.field.generation - before
 
-    assert seeds(SP.initial_overlaps) == seeds(_fieldelem_seeds)
+    assert seeds(_seed_classes) == seeds(_fieldelem_seeds)
 
 
 @pytest.mark.parametrize("name", ["fibonacci", "rauzy"])
 def test_window_sample_makes_no_field_element_per_tile(monkeypatch, name):
-    # the lattices and the overlap seeds of a window are built on integer
-    # vectors: a window of 128 makes as many FieldElems as one of 16.  The
-    # covering patch is built first, since a patch build makes one for
-    # its start.
+    # the lattices and the overlap seeds of a window, covering patch
+    # included, are built on integer vectors: a window of 128 makes as
+    # many FieldElems as one of 16, none
     elems = []
     init = algebraic.FieldElem.__init__
 
     def counted(sample, size):
         system, refs = _system_and_refs(name)
         window = system.window(size)
-        system.patch_covering(*window)
         before = len(elems)
         sample(system, refs, size, window)
         return len(elems) - before
@@ -452,7 +450,7 @@ def test_window_sample_makes_no_field_element_per_tile(monkeypatch, name):
                    L.return_lattices(system, refs, size),
                    lambda system, refs, _, window:
                    SP._seed_keys(system, refs, window)):
-        assert counted(sample, 16) == counted(sample, 128)
+        assert counted(sample, 16) == counted(sample, 128) == 0
 
 
 _INFLATION_SETTINGS = {}
@@ -462,8 +460,8 @@ def _inflation_setting(name):
     """A shared system and its seed classes at window 16."""
     if name not in _INFLATION_SETTINGS:
         system, refs = _system_and_refs(name)
-        seeds = list(SP.initial_overlaps(system, refs, system.window(16))
-                     .values())
+        seeds = [(m, a, system.field.element(shift)) for m, a, shift in
+                 _seed_classes(system, refs, system.window(16))]
         _INFLATION_SETTINGS[name] = system, seeds
     return _INFLATION_SETTINGS[name]
 
@@ -478,21 +476,18 @@ def test_inflation_matches_fieldelem_inflation(data):
     q = data.draw(st.sampled_from([1, 2, 3, 6]))
     if data.draw(st.booleans()):
         # a seed class moved by r/q * beta^-k: near its own tile ends
-        cls = data.draw(st.sampled_from(seeds))
+        moved, anchor, shift = data.draw(st.sampled_from(seeds))
         k = data.draw(st.integers(0, 8))
         r = data.draw(st.integers(-2, 2))
-        cls = SP.OverlapClass(cls.moved, cls.anchor, cls.shift +
-                              Fraction(r, q) * system.beta.inverse() ** k)
+        shift = shift + Fraction(r, q) * system.beta.inverse() ** k
     else:
         coords = data.draw(st.lists(st.integers(-4, 4), min_size=field.degree,
                                     max_size=field.degree))
         letters = st.integers(1, system.size)
-        cls = SP.OverlapClass(data.draw(letters), data.draw(letters),
-                              field.element([Fraction(a, q) for a in coords]))
-    got = SP.inflate_overlap(system, cls)
-    want = _fieldelem_inflate(system, cls)
-    assert [(c.moved, c.anchor, c.shift.coords) for c in got] == \
-        [(c.moved, c.anchor, c.shift.coords) for c in want]
+        moved, anchor = data.draw(letters), data.draw(letters)
+        shift = field.element([Fraction(a, q) for a in coords])
+    assert successors(system, moved, anchor, shift) == \
+        _fieldelem_inflate(system, moved, anchor, shift)
 
 
 # Taken with the FieldElem closure, each from a fresh system: the number
@@ -512,8 +507,8 @@ def test_seed_order_is_pinned(name):
     size, count, first, digest = SEED_ORDER[name]
     system, refs = _system_and_refs(name)
     keys = [[m, a, [str(Fraction(c)) for c in shift]]
-            for m, a, shift in SP.initial_overlaps(system, refs,
-                                                   system.window(size))]
+            for m, a, shift in _seed_classes(system, refs,
+                                             system.window(size))]
     assert len(keys) == count
     assert keys[:3] == first
     text = json.dumps(keys).encode()

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from subtiling import cli
 from subtiling import suspension as S
+from subtiling.algebraic import scaled_coords
 from subtiling.errors import WindowNotCovered
 
 from conftest import (CORPUS_IDS, elements, exact_tiles,
-                      fieldelem_differences, fieldelem_point_sets, system_for)
+                      fieldelem_differences, fieldelem_point_sets,
+                      inflated_prototile, system_for)
 
 
 def test_prototile_lengths(sys_fib, sys_tm, sys_fib2):
@@ -42,35 +44,36 @@ def test_lengths_positive(sys_rauzy2):
 
 
 def test_generate_patch_examples(sys_fib, sys_tm, sys_aba):
-    p = sys_fib.prototile_patch(1, 2)
+    p = inflated_prototile(sys_fib, 1, 2)
     assert list(p.colors) == [1, 2, 1]
     assert p.position(0) == 0
     assert p.position(1) == sys_fib.beta
     assert p.position(2) == sys_fib.beta + 1
 
-    p = sys_tm.prototile_patch(1, 2)
+    p = inflated_prototile(sys_tm, 1, 2)
     assert [(int(t[0].as_fraction()), t[1]) for t in exact_tiles(p)] == \
         [(0, 1), (1, 2), (2, 2), (3, 1)]
 
-    p = sys_aba.prototile_patch(1, 1)
+    p = inflated_prototile(sys_aba, 1, 1)
     assert [(int(t[0].as_fraction()), t[1]) for t in exact_tiles(p)] == \
         [(0, 1), (1, 2), (2, 1)]
 
 
-def test_patch_total_length_scales(sys_fib, sys_rauzy2):
+def test_patch_length_scales(sys_fib, sys_rauzy2):
     for system in (sys_fib, sys_rauzy2):
         for j in range(1, system.size + 1):
             for n in range(0, 5):
-                patch = system.prototile_patch(j, n)
+                patch = inflated_prototile(system, j, n)
                 expected = (system.beta ** n) * system.length_of(j)
-                assert patch.total_length() == expected
+                assert patch.position(len(patch)) - patch.position(0) == \
+                    expected
 
 
 def test_subdivision_self_consistency(sys_fib):
     # inflating the level-n patch tile by tile gives the level-(n+1) patch
     for n in range(0, 4):
-        small = sys_fib.prototile_patch(1, n)
-        big = sys_fib.prototile_patch(1, n + 1)
+        small = inflated_prototile(sys_fib, 1, n)
+        big = inflated_prototile(sys_fib, 1, n + 1)
         rebuilt = []
         for pos, c in exact_tiles(small):
             base = sys_fib.beta * pos
@@ -94,7 +97,7 @@ def test_subtile_offsets_are_level_one_boundaries(name):
             [pos.coords for pos, _ in chain]
         assert [tuple(map(type, off.coords)) for off in offsets] == \
             [tuple(map(type, pos.coords)) for pos, _ in chain]
-        patch = system.prototile_patch(letter, 1)
+        patch = inflated_prototile(system, letter, 1)
         assert offsets == tuple(map(patch.position, range(len(rule))))
 
 
@@ -284,8 +287,9 @@ def test_patch_embedding_matches_exact_boundaries(sys_fib, sys_rauzy2):
         lows, highs = patch.enclosures()
         assert patch.enclosures() == (lows, highs)
         assert patch.enclosures()[0] is lows
-        bounds = [pos for pos, _ in _addition_chain(
-            system, patch.colors, patch.start)[0]] + [patch.end]
+        tiles, end = _addition_chain(system, patch.colors,
+                                     patch.position(0))
+        bounds = [pos for pos, _ in tiles] + [end]
         assert len(patch.points) == len(lows) == len(bounds) == len(patch) + 1
         system.field.ensure_width(Fraction(1, 1 << 80))
         for k, (b, point, low, high) in enumerate(
@@ -307,11 +311,10 @@ def test_dropped_system_is_freed_without_cyclic_gc():
     gc.disable()
     try:
         system = S.SuspensionSystem(cli.corpus_lookup("rauzy").substitution())
-        patch = system.prototile_patch(1, 4)
+        patch = system.two_sided_patch(2)
         patch.enclosures()
-        covering = system.patch_covering(*system.window(8))
+        covering = system.patch_covering(*system.window(64))
         covering.enclosures()
-        system.two_sided_patch(2).enclosures()
         refs = (weakref.ref(system), weakref.ref(patch),
                 weakref.ref(covering))
         del system, patch, covering
@@ -336,15 +339,14 @@ def test_prefix_sum_patch_equals_addition_chain(name):
     system = system_for(name)
     k, left, right = system.seed
     word = system.sub.iterate(left, 2 * k) + system.sub.iterate(right, 2 * k)
-    # a start with one coordinate over 3: the others stay integral
-    third = system.field.element([Fraction(-1, 3)])
-    for start in (system.field.zero(), system.lengths[0], third):
-        patch = system.patch_from_word(word, start)
+    for start in (system.field.zero(), system.lengths[0]):
+        patch = system.patch_from_word(
+            word, scaled_coords(start.coords, system._length_denom))
         tiles, end = _addition_chain(system, word, start)
         assert len(patch) == len(word)
         assert [(pos.coords, c) for pos, c in exact_tiles(patch)] == \
             [(pos.coords, c) for pos, c in tiles]
-        assert patch.end.coords == end.coords
+        assert patch.position(len(patch)).coords == end.coords
         # the same normal form: int where integral, Fraction otherwise
         assert [tuple(map(type, pos.coords))
                 for pos, _ in exact_tiles(patch)] == \
@@ -352,7 +354,7 @@ def test_prefix_sum_patch_equals_addition_chain(name):
     patch = S.generate_patch(system, (left, right), 2 * k)
     left_len = _addition_chain(system, system.sub.iterate(left, 2 * k),
                                system.field.zero())[1]
-    assert patch.start == -left_len
+    assert patch.position(0) == -left_len
     assert patch.position(patch.junction_index).is_zero()
 
 

@@ -4,7 +4,7 @@ import tracemalloc
 import pytest
 
 from subtiling import words as W
-from subtiling.errors import InvalidWord, LengthCapExceeded
+from subtiling.errors import InvalidBound, InvalidWord, LengthCapExceeded
 
 from conftest import WALK_BASE, false_zero_pairs
 
@@ -57,6 +57,15 @@ def test_iterate_cap(fib):
         fib.iterate(1, 40, cap=100)
     # cap applies to the requested word, smaller powers still fine
     assert len(fib.iterate(1, 8, cap=100)) <= 100
+
+
+@pytest.mark.parametrize("n", [-1, -5])
+def test_negative_power_is_rejected(fib, n):
+    # a negative power used to recurse until RecursionError
+    with pytest.raises(InvalidBound):
+        fib.iterate(1, n)
+    with pytest.raises(InvalidBound):
+        fib.image_length(1, n)
 
 
 def test_image_length_matches_matrix_powers(fib, tm, rauzy):
