@@ -41,6 +41,12 @@ from .spectrum import _frac_str
 # replays; a witness replay grows its patch with the window.
 WINDOW_CAP = 1024
 
+# The checks of a report, in the order analyze runs them; a report also
+# holds the combined "spectral" verdict of the last two.
+CHECKS = ("prefix_strong", "suffix_strong", "geometric_strong",
+          "simultaneous", "prefix_simultaneous", "height_group",
+          "eventual_return_module", "overlap_coincidence", "balanced_pairs")
+
 
 @dataclass
 class Bounds:
@@ -275,6 +281,11 @@ def _prefix_witness_json(spec, w: coincidence.PrefixWitness):
     }
 
 
+def _prefix_simultaneous_witness_json(spec, w: dict):
+    return {**w, "final_letter": spec.token(w["final_letter"]),
+            "counts": list(w["counts"])}
+
+
 def _verdict_json(spec, verdict, witness_encoder):
     out = {"status": verdict.status}
     if verdict.status == "HOLDS" and verdict.witness is not None:
@@ -283,6 +294,8 @@ def _verdict_json(spec, verdict, witness_encoder):
         out["certificate"] = verdict.certificate
     if verdict.status == "UNKNOWN":
         out["bound"] = verdict.bound
+        if verdict.bound_hit:
+            out["bound_hit"] = verdict.bound_hit
     return out
 
 
@@ -474,15 +487,9 @@ def run_analysis(spec: SpecFile, overrides: dict | None = None) -> dict:
 
     def do_prefix_simultaneous():
         verdict = coincidence.prefix_simultaneous(sub, bounds.level_bound)
-        out = {"status": verdict.status}
-        if verdict.status == "HOLDS":
-            w = dict(verdict.witness)
-            w["final_letter"] = spec.token(w["final_letter"])
-            w["counts"] = list(w["counts"])
-            out["witness"] = w
-        else:
-            out["bound"] = verdict.bound
-        checks["prefix_simultaneous"] = out
+        checks["prefix_simultaneous"] = _verdict_json(
+            spec, verdict, _prefix_simultaneous_witness_json
+        )
 
     def do_height():
         res = lattices.height_group(system, refpoints)
@@ -525,15 +532,11 @@ def run_analysis(spec: SpecFile, overrides: dict | None = None) -> dict:
         cost["balanced_pairs"] = half.certificate.get("irreducible_pairs")
         report["_balanced_half"] = half
 
-    guarded("prefix_strong", do_prefix)
-    guarded("suffix_strong", do_suffix)
-    guarded("geometric_strong", do_geometric)
-    guarded("simultaneous", do_simultaneous)
-    guarded("prefix_simultaneous", do_prefix_simultaneous)
-    guarded("height_group", do_height)
-    guarded("eventual_return_module", do_return_module)
-    guarded("overlap_coincidence", do_overlap)
-    guarded("balanced_pairs", do_balanced)
+    for name, fn in zip(CHECKS, (
+            do_prefix, do_suffix, do_geometric, do_simultaneous,
+            do_prefix_simultaneous, do_height, do_return_module, do_overlap,
+            do_balanced)):
+        guarded(name, fn)
 
     overlap_half = report.pop("_overlap_half", None)
     balanced_half = report.pop("_balanced_half", None)
@@ -611,9 +614,11 @@ def verify_report(report: dict) -> dict:
     so does a witness whose scope is not that of its check: the two
     letters of its pair key, or "all"; so does a malformed claim (a check
     or pair verdict that is not an object, a HOLDS with no witness, a
-    FAILS with no certificate).  A report whose window _check_window
-    rejects, whose input section names no primitive substitution, or
-    whose checks section is not an object, fails with an error.
+    FAILS with no certificate), and a geometric_strong whose pairs are
+    not exactly the m(m+1)/2 letter pairs.  A report whose window
+    _check_window rejects, whose input section names no primitive
+    substitution, or whose checks section is not an object or lacks one
+    of CHECKS or "spectral", fails with an error.
     """
     try:
         _check_window(report["input"]["bounds"]["window"])
@@ -627,6 +632,10 @@ def verify_report(report: dict) -> dict:
     if not isinstance(checks, dict):
         return {"passed": False, "replayed": {},
                 "error": "checks: not an object"}
+    missing = [name for name in (*CHECKS, "spectral") if name not in checks]
+    if missing:
+        return {"passed": False, "replayed": {},
+                "error": "checks: missing " + ", ".join(missing)}
     index = {tok: i + 1 for i, tok in enumerate(spec.letters)}
     # the scope each geometric pair key's witness must carry
     pair_scopes = {_pair_key(spec, (i, j)): [spec.token(i), spec.token(j)]
@@ -675,6 +684,8 @@ def verify_report(report: dict) -> dict:
         return {}
 
     pairs = part(part(checks, "geometric_strong"), "pairs", "geometric_strong")
+    if pairs.keys() != pair_scopes.keys():
+        results["geometric_strong"] = False
     for key in pairs:
         name = f"geometric_strong[{key}]"
         verdict = part(pairs, key, name)

@@ -9,6 +9,14 @@ finite certificate (a commuting fixed-point-free letter involution), or
 UNKNOWN at the bound.  A geometric witness is the leftmost shared tile,
 also at a level divisible by the fixed-point power of the tiling, and
 `verify_witness` replays it by a descent of the inflation tree.
+
+The certificate rests on one lemma.  If a fixed-point-free letter
+involution tau commutes with sigma, then sigma^L(tau c) = tau(sigma^L(c))
+for every letter c and level L, so at every position t the letters of
+the two words are swapped by tau, and differ, as tau fixes no letter.
+No level then holds a common letter at one position of the words of c
+and tau c: their pair fails, and so does every search over a set of
+letters holding both, such as `prefix_simultaneous` over all of them.
 """
 
 from __future__ import annotations
@@ -41,6 +49,7 @@ class BoundedVerdict:
     witness: object = None
     certificate: object = None
     bound: int | None = None
+    bound_hit: str | None = None    # the cap an UNKNOWN ran into, if any
 
     def holds(self):
         return self.status == "HOLDS"
@@ -93,14 +102,20 @@ def _least_balanced_prefix(word_list, m):
 def _balanced_prefix_search(sub: Substitution, letters, level_bound):
     """Least level L <= level_bound at which the words sigma^L(c), c in
     `letters`, have a common balanced prefix followed by one common
-    letter: (L, t, sigma^L(letters[0])) with t the prefix length, or None
-    when every level up to the bound was searched without one."""
+    letter: (L, t, sigma^L(letters[0])) with t the prefix length.  Else
+    an UNKNOWN verdict at the deepest level searched: the level bound,
+    or the last level before one of the words would pass the word cap,
+    with a `bound_hit` naming that cap."""
+    cap = words_mod.DEFAULT_WORD_CAP
     for level in range(1, level_bound + 1):
+        if any(sub.image_length(c, level) > cap for c in letters):
+            return BoundedVerdict("UNKNOWN", bound=level - 1,
+                                  bound_hit=f"word cap {cap}")
         images = [sub.iterate(c, level) for c in letters]
         t = _least_balanced_prefix(images, sub.size)
         if t is not None:
             return level, t, images[0]
-    return None
+    return BoundedVerdict("UNKNOWN", bound=level_bound)
 
 
 def prefix_strong(sub: Substitution, level_bound=DEFAULT_LEVEL_BOUND,
@@ -138,8 +153,8 @@ def prefix_strong(sub: Substitution, level_bound=DEFAULT_LEVEL_BOUND,
                 )
                 continue
             hit = _balanced_prefix_search(working, (i, j), level_bound)
-            if hit is None:
-                results[(i, j)] = BoundedVerdict("UNKNOWN", bound=level_bound)
+            if isinstance(hit, BoundedVerdict):
+                results[(i, j)] = hit
                 continue
             level, t, u = hit
             results[(i, j)] = BoundedVerdict(
@@ -161,11 +176,19 @@ def aggregate_status(per_pair):
 
 def prefix_simultaneous(sub: Substitution, level_bound=DEFAULT_LEVEL_BOUND):
     """Least (L, M) in lexicographic order such that the length-M prefixes
-    of all iterated letters share their letter counts and final letter."""
+    of all iterated letters share their letter counts and final letter.
+
+    When a fixed-point-free letter involution tau commutes with the
+    substitution, no level has one: the words of c and tau c differ at
+    every position (the module's lemma).  The verdict is then the one the
+    search would end with, UNKNOWN at the level bound, and no word is
+    built."""
     m = sub.size
-    hit = _balanced_prefix_search(sub, range(1, m + 1), level_bound)
-    if hit is None:
+    if words_mod.commuting_fixed_point_free_involutions(sub):
         return BoundedVerdict("UNKNOWN", bound=level_bound)
+    hit = _balanced_prefix_search(sub, range(1, m + 1), level_bound)
+    if isinstance(hit, BoundedVerdict):
+        return hit
     level, t, word = hit
     return BoundedVerdict(
         "HOLDS",

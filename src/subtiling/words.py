@@ -350,33 +350,53 @@ def one_sided_seed(sub: Substitution):
     raise NoSeedFound("first-letter map has no periodic letter")
 
 
+def _forced_swaps(sub: Substitution, tau, a, b):
+    """Extend the partial involution tau (a list indexed by letter, 0 for
+    unset) by tau(a) = b and every swap it forces: tau(x) = y forces
+    |rule(x)| = |rule(y)| and tau(rule(x)[k]) = rule(y)[k] for every k.
+    The extended list, or None on a clash or a forced fixed point."""
+    tau = tau[:]
+    pending = [(a, b)]
+    while pending:
+        x, y = pending.pop()
+        if tau[x]:
+            if tau[x] != y:
+                return None
+            continue
+        if x == y or tau[y]:
+            return None
+        tau[x], tau[y] = y, x
+        rx, ry = sub.rule(x), sub.rule(y)
+        if len(rx) != len(ry):
+            return None
+        pending.extend(zip(rx, ry))
+    return tau
+
+
 def commuting_fixed_point_free_involutions(sub: Substitution):
     """All letter involutions without fixed points that commute with the
-    substitution (applying the swap before or after gives the same rules).
-    Brute force over pairings; the alphabet is small."""
+    substitution (applying the swap before or after gives the same rules),
+    as dicts, in lexicographic order of (tau(1), ..., tau(m)).
+
+    Backtracking over the least unset letter a and tau(a) = b in
+    increasing order, each choice closed under the swaps it forces
+    (`_forced_swaps`).  Every letter reached from a by the rules is then
+    set, so on a primitive substitution the first choice fixes tau and
+    there are at most m - 1 candidates."""
     m = sub.size
     if m % 2:
         return []
     out = []
 
-    def pairings(remaining, mapping):
-        if not remaining:
-            out.append(dict(mapping))
+    def extend(tau):
+        a = next((c for c in range(1, m + 1) if not tau[c]), None)
+        if a is None:
+            out.append({c: tau[c] for c in range(1, m + 1)})
             return
-        a = remaining[0]
-        for b in remaining[1:]:
-            mapping[a], mapping[b] = b, a
-            rest = [c for c in remaining[1:] if c != b]
-            pairings(rest, mapping)
-            del mapping[a], mapping[b]
+        for b in range(a + 1, m + 1):
+            forced = _forced_swaps(sub, tau, a, b)
+            if forced:
+                extend(forced)
 
-    pairings(list(range(1, m + 1)), {})
-    good = []
-    for tau in out:
-        ok = all(
-            bytes(tau[c] for c in sub.rule(x)) == sub.rule(tau[x])
-            for x in range(1, m + 1)
-        )
-        if ok:
-            good.append(tau)
-    return good
+    extend([0] * (m + 1))
+    return out

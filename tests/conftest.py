@@ -5,6 +5,7 @@ import pytest
 
 from subtiling import cli
 from subtiling import spectrum as SP
+from subtiling import words as W
 from subtiling.algebraic import (FieldElem, common_denominator, scaled_coords,
                                  unscaled_coords)
 from subtiling.suspension import SuspensionSystem
@@ -40,6 +41,49 @@ def false_zero_pairs(m, count=30, seed=41):
         rng.shuffle(runs)
         pairs.append((u, b"".join(runs)))
     return pairs
+
+
+def involutions_by_matching(sub):
+    """Reference: every perfect matching of the letters, in the order of
+    the least unmatched letter's partner, kept when its swap commutes with
+    the rules."""
+    m = sub.size
+    if m % 2:
+        return []
+    out = []
+
+    def pairings(remaining, mapping):
+        if not remaining:
+            out.append(dict(mapping))
+            return
+        a = remaining[0]
+        for b in remaining[1:]:
+            mapping[a], mapping[b] = b, a
+            pairings([c for c in remaining[1:] if c != b], mapping)
+            del mapping[a], mapping[b]
+
+    pairings(list(range(1, m + 1)), {})
+    return [tau for tau in out
+            if all(bytes(tau[c] for c in sub.rule(x)) == sub.rule(tau[x])
+                   for x in range(1, m + 1))]
+
+
+def swap_commuting_substitution(rng, tau, max_len=3):
+    """A primitive substitution that commutes with the letter involution
+    tau (a dict): a random rule for the least letter of each swapped
+    pair, its swap for the other, drawn until the matrix is primitive."""
+    m = len(tau)
+    while True:
+        rules = [None] * m
+        for x in sorted(tau):
+            if rules[x - 1] is None:
+                word = bytes(rng.randint(1, m)
+                             for _ in range(rng.randint(1, max_len)))
+                rules[x - 1] = word
+                rules[tau[x] - 1] = bytes(tau[c] for c in word)
+        sub = W.Substitution(rules)
+        if W.is_primitive(W.substitution_matrix(sub)):
+            return sub
 
 
 def exact_tiles(patch):

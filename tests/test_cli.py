@@ -429,6 +429,15 @@ def _checks_edit(report, edit):
         checks["geometric_strong"]["pairs"] = list(pairs.values())
     elif edit == "pair-no-witness":
         del checks["geometric_strong"]["pairs"]["a|b"]["witness"]
+    elif edit == "pairs-empty":
+        checks["geometric_strong"]["pairs"] = {}
+    elif edit == "pair-deleted":
+        del checks["geometric_strong"]["pairs"]["a|b"]
+    elif edit == "pair-added":
+        checks["geometric_strong"]["pairs"]["b|a"] = \
+            checks["geometric_strong"]["pairs"]["a|b"]
+    elif edit == "overlap-deleted":
+        del checks["overlap_coincidence"]
     else:
         del checks["simultaneous"]["witness"]
 
@@ -446,6 +455,10 @@ CHECKS_EDITS = (
     ("pair-string", "fibonacci", "geometric_strong[a|b]"),
     ("pairs-list", "fibonacci", "geometric_strong"),
     ("pair-no-witness", "fibonacci", "geometric_strong[a|b]"),
+    ("pairs-empty", "fibonacci", "geometric_strong"),
+    ("pair-deleted", "fibonacci", "geometric_strong"),
+    ("pair-added", "fibonacci", "geometric_strong"),
+    ("overlap-deleted", "thue-morse", None),
     ("simultaneous-no-witness", "fibonacci", "simultaneous"),
 )
 
@@ -465,6 +478,15 @@ def test_verify_fails_malformed_checks(tmp_path, edit, name, failed):
     code, out, err = _verify_file(tmp_path, report)
     assert code == 1 and json.loads(out)["passed"] is False
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("check", cli.CHECKS + ("spectral",))
+def test_verify_fails_a_deleted_check(check):
+    report = _fixture("fibonacci")
+    del report["checks"][check]
+    outcome = cli.verify_report(report)
+    assert outcome == {"passed": False, "replayed": {},
+                       "error": f"checks: missing {check}"}
 
 
 def _witness(report, check):
@@ -613,41 +635,47 @@ def test_window_without_returns_is_unknown(name):
 TAMPERED_WITNESSES = ("simultaneous", "a|b", "a|c")
 
 
-def _one_witness_report(key, **tamper):
-    """The rauzy2-gamma fixture with only one witness left to replay, its
-    fields updated by `tamper`."""
+def _replay_name(key):
+    return key if key == "simultaneous" else f"geometric_strong[{key}]"
+
+
+def _witness_report(key, **tamper):
+    """The rauzy2-gamma fixture with one witness's fields updated by
+    `tamper`; every other claim is left to replay as committed."""
     report = _fixture("rauzy2-gamma")
     checks = report["checks"]
     if key == "simultaneous":
         witness = checks["simultaneous"]["witness"]
-        report["checks"] = {"simultaneous": checks["simultaneous"]}
     else:
-        pair = checks["geometric_strong"]["pairs"][key]
-        witness = pair["witness"]
-        report["checks"] = {"geometric_strong": {"pairs": {key: pair}}}
+        witness = checks["geometric_strong"]["pairs"][key]["witness"]
     witness.update(tamper)
     return report, witness
 
 
 @pytest.mark.parametrize("key", TAMPERED_WITNESSES)
 def test_verify_fails_witness_with_another_replay_color(key):
-    report, witness = _one_witness_report(key)
+    report, witness = _witness_report(key)
     assert cli.verify_report(report)["passed"]
     for letter in report["input"]["letters"]:
         if letter != witness["replay_color"]:
-            tampered, _ = _one_witness_report(key, replay_color=letter)
-            assert not cli.verify_report(tampered)["passed"], letter
+            tampered, _ = _witness_report(key, replay_color=letter)
+            outcome = cli.verify_report(tampered)
+            assert not outcome["passed"], letter
+            assert outcome["replayed"][_replay_name(key)] is False, letter
 
 
 @pytest.mark.parametrize("key", TAMPERED_WITNESSES)
 def test_verify_fails_witness_shifted_by_a_tile_length(key):
-    report, witness = _one_witness_report(key)
+    report, witness = _witness_report(key)
     for length in report["facts"]["prototile_lengths"]:
         for sign in (1, -1):
             moved = [str(Fraction(c) + sign * Fraction(d))
                      for c, d in zip(witness["replay_shift"], length)]
-            tampered, _ = _one_witness_report(key, replay_shift=moved)
-            assert not cli.verify_report(tampered)["passed"], (length, sign)
+            tampered, _ = _witness_report(key, replay_shift=moved)
+            outcome = cli.verify_report(tampered)
+            assert not outcome["passed"], (length, sign)
+            assert outcome["replayed"][_replay_name(key)] is False, \
+                (length, sign)
 
 
 # -- the level claim and every scope letter are replayed -------------------

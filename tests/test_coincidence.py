@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,8 +9,10 @@ import pytest
 from subtiling import algebraic, cli
 from subtiling import coincidence as C
 from subtiling import suspension as S
+from subtiling import words as W
 
-from conftest import CORPUS_IDS, WALK_BASE, false_zero_pairs
+from conftest import (CORPUS_IDS, WALK_BASE, false_zero_pairs,
+                      swap_commuting_substitution)
 
 
 def test_prefix_strong_fibonacci(fib):
@@ -167,6 +170,88 @@ def test_prefix_simultaneous_minima(fib, rauzy, fib2):
     assert v.status == "HOLDS"
     assert (v.witness["level"], v.witness["prefix_length"]) == (1, 1)
     assert C.prefix_simultaneous(fib2).status == "UNKNOWN"
+
+
+# -- the involution lemma: no level holds a shared letter ------------------
+
+
+def _swap_searches():
+    """(substitution, involution) for the corpus entries with a commuting
+    fixed-point-free involution and seeded random substitutions commuting
+    with a letter swap, m = 2 and 4."""
+    cases = []
+    for name in CORPUS_IDS:
+        sub = cli.corpus_lookup(name).substitution()
+        cases += [(sub, tau)
+                  for tau in W.commuting_fixed_point_free_involutions(sub)]
+    rng = random.Random(23)
+    for tau in ({1: 2, 2: 1}, {1: 2, 2: 1, 3: 4, 4: 3},
+                {1: 3, 3: 1, 2: 4, 4: 2}, {1: 4, 4: 1, 2: 3, 3: 2}):
+        cases += [(swap_commuting_substitution(rng, tau), tau)
+                  for _ in range(10)]
+    return cases
+
+
+def test_balanced_prefix_search_finds_nothing_under_an_involution():
+    # the lemma behind prefix_simultaneous's early return, checked
+    # against the search itself up to level 6
+    cases = _swap_searches()
+    assert len(cases) == 46
+    for sub, tau in cases:
+        m = sub.size
+        for letters in (range(1, m + 1), *((c, tau[c]) for c in tau)):
+            hit = C._balanced_prefix_search(sub, tuple(letters), 6)
+            assert hit == C.BoundedVerdict("UNKNOWN", bound=6), (sub, letters)
+
+
+def test_prefix_simultaneous_under_an_involution_builds_no_word():
+    for name in ("aba-left", "thue-morse", "fib2"):
+        sub = cli.corpus_lookup(name).substitution()
+        assert C.prefix_simultaneous(sub) == \
+            C.BoundedVerdict("UNKNOWN", bound=C.DEFAULT_LEVEL_BOUND)
+        assert sub._iterate_cache == {}, name
+
+
+def test_aba_left_prefix_simultaneous_at_level_16():
+    # the search used to run into the word cap at |sigma^15(a)| = 3^15
+    report = cli.run_analysis(cli.corpus_lookup("aba-left"),
+                              {"level_bound": 16})
+    assert report["checks"]["prefix_simultaneous"] == \
+        {"status": "UNKNOWN", "bound": 16}
+
+
+# -- the word cap ends a balanced-prefix search in UNKNOWN -------------------
+
+PERIOD_DOUBLING = "letters a b\nrule a = a b\nrule b = a a\n"
+
+
+def test_balanced_prefix_search_stops_below_the_word_cap(monkeypatch):
+    # reversed period doubling, a -> b a, b -> a a: the last letters of
+    # sigma^L(a) and sigma^L(b) differ at every level, so no level holds
+    # a shared letter and the search runs until |sigma^L| = 2^L > cap
+    sub = cli.parse_spec(PERIOD_DOUBLING).substitution().reversed()
+    monkeypatch.setattr(W, "DEFAULT_WORD_CAP", 1000)
+    want = C.BoundedVerdict("UNKNOWN", bound=9, bound_hit="word cap 1000")
+    assert C.prefix_strong(sub)[(1, 2)] == want
+    assert C.prefix_simultaneous(sub) == want
+    assert max(map(len, sub._iterate_cache.values())) == 512
+    assert C.prefix_simultaneous(sub, 9) == C.BoundedVerdict("UNKNOWN",
+                                                             bound=9)
+
+
+def test_period_doubling_suffixes_at_level_24_keep_their_pairs():
+    # |sigma^24(a)| = 2^24 passes the word cap: the suffix check used to
+    # be one error, and its two decided pairs were lost with it
+    spec = cli.parse_spec(PERIOD_DOUBLING, name="period-doubling")
+    report = cli.run_analysis(spec, {"level_bound": 24})
+    suffix = report["checks"]["suffix_strong"]
+    assert suffix["pairs"]["a|b"] == {
+        "status": "UNKNOWN", "bound": 23,
+        "bound_hit": f"word cap {W.DEFAULT_WORD_CAP}"}
+    assert [suffix["pairs"][k]["status"] for k in ("a|a", "b|b")] == \
+        ["HOLDS", "HOLDS"]
+    assert suffix["aggregate"] == "UNKNOWN"
+    assert cli.verify_report(report)["passed"]
 
 
 def _prefixes_balanced(sub, level, length):

@@ -6,7 +6,8 @@ import pytest
 from subtiling import words as W
 from subtiling.errors import InvalidBound, InvalidWord, LengthCapExceeded
 
-from conftest import WALK_BASE, false_zero_pairs
+from conftest import (CORPUS_IDS, WALK_BASE, _sub, false_zero_pairs,
+                      involutions_by_matching, swap_commuting_substitution)
 
 
 def test_abelianization():
@@ -139,6 +140,73 @@ def test_involutions(fib, aba, fib2, rauzy2):
         [{1: 3, 3: 1, 2: 4, 4: 2}]
     assert W.commuting_fixed_point_free_involutions(rauzy2) == \
         [{1: 4, 4: 1, 2: 5, 5: 2, 3: 6, 6: 3}]
+
+
+def _random_pairing(rng, m):
+    letters = list(range(1, m + 1))
+    rng.shuffle(letters)
+    tau = {}
+    for a, b in zip(letters[::2], letters[1::2]):
+        tau[a], tau[b] = b, a
+    return tau
+
+
+def test_involutions_in_order_and_without_fixed_points():
+    # letters 1..4 as Z/2 x Z/2, x -> x, x + (1, 0), x + (0, 1): every
+    # translation commutes with the rules, so there are three, in order
+    klein = W.Substitution([bytes(r) for r in
+                            ((1, 2, 3), (2, 1, 4), (3, 4, 1), (4, 3, 2))])
+    assert W.is_primitive(W.substitution_matrix(klein))
+    assert W.commuting_fixed_point_free_involutions(klein) == [
+        {1: 2, 2: 1, 3: 4, 4: 3}, {1: 3, 3: 1, 2: 4, 4: 2},
+        {1: 4, 4: 1, 2: 3, 3: 2}]
+    # not primitive: tau(1) = 2 forces tau(3) = 3 and then tau(4) = 4
+    fixed = W.Substitution([bytes(r) for r in ((1, 3), (2, 3), (3, 4), (4, 3))])
+    assert W.commuting_fixed_point_free_involutions(fixed) == []
+
+
+def test_involutions_match_the_matching_reference():
+    subs = [_sub(name) for name in CORPUS_IDS]
+    rng = random.Random(17)
+    for m in range(2, 7):
+        for _ in range(60):
+            rules = [bytes(rng.randint(1, m)
+                           for _ in range(rng.randint(1, 3)))
+                     for _ in range(m)]
+            sub = W.Substitution(rules)
+            if W.is_primitive(W.substitution_matrix(sub)):
+                subs.append(sub)
+        if m % 2 == 0:
+            # random rules seldom commute with a swap: draw ones that do
+            subs.extend(swap_commuting_substitution(rng, _random_pairing(rng, m))
+                        for _ in range(20))
+    found = 0
+    for sub in subs:
+        want = involutions_by_matching(sub)
+        got = W.commuting_fixed_point_free_involutions(sub)
+        assert got == want, sub
+        found += len(got)
+    assert found >= 60
+
+
+def test_involution_of_a_twenty_letter_extension_needs_m_minus_1_choices(
+        monkeypatch):
+    # the case-swapped beta-substitution a_i -> a_1 A_(i+1), a_10 -> a_1,
+    # A_i -> A_1 a_(i+1), A_10 -> A_1, letters a_i = i and A_i = 10 + i:
+    # the brute-force matching list has 19!! (about 6.5e8) entries
+    n = 10
+    rules = ([bytes([1, n + i + 1]) for i in range(1, n)] + [bytes([1])]
+             + [bytes([n + 1, i + 1]) for i in range(1, n)]
+             + [bytes([n + 1])])
+    sub = W.Substitution(rules)
+    assert W.is_primitive(W.substitution_matrix(sub))
+    calls = []
+    forced = W._forced_swaps
+    monkeypatch.setattr(W, "_forced_swaps",
+                        lambda *args: calls.append(1) or forced(*args))
+    case_swap = {c: (c + n - 1) % (2 * n) + 1 for c in range(1, 2 * n + 1)}
+    assert W.commuting_fixed_point_free_involutions(sub) == [case_swap]
+    assert len(calls) == 2 * n - 1
 
 
 def test_apply_rejects_letters_outside_the_alphabet(fib):
