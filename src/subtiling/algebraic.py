@@ -133,16 +133,23 @@ class RatInterval:
         return None
 
 
-def char_poly(matrix):
-    """Monic characteristic polynomial of an integer matrix, ascending
-    coefficients, by the Faddeev-LeVerrier recurrence in integers."""
+def _faddeev_leverrier(matrix):
+    """(coeffs, adjugate) for an integer matrix A of size m, by the
+    Faddeev-LeVerrier recurrence in integers.
+
+    coeffs are the characteristic polynomial's coefficients in descending
+    order, c_0 = 1, ..., c_m.  adjugate holds the integer matrices
+    N_0 = I and N_k = A N_(k-1) + c_k I for k < m, so that
+    adj(xI - A) = sum N_k x^(m-1-k); each c_k is -tr(A N_(k-1)) / k."""
     m = len(matrix)
     rows = [[int(c) for c in row] for row in matrix]
-    coeffs = [1]                    # descending: x^m, x^(m-1), ...
+    coeffs = [1]
+    adjugate = []
     work = [[0] * m for _ in range(m)]
     for k in range(1, m + 1):
         for i in range(m):
             work[i][i] += coeffs[-1]
+        adjugate.append(work)
         cols = list(zip(*work))
         work = [[sum(map(operator.mul, row, col)) for col in cols]
                 for row in rows]
@@ -150,6 +157,13 @@ def char_poly(matrix):
         if rem:
             raise AssertionError("characteristic polynomial not integral")
         coeffs.append(coeff)
+    return coeffs, adjugate
+
+
+def char_poly(matrix):
+    """Monic characteristic polynomial of an integer matrix, ascending
+    coefficients, by the Faddeev-LeVerrier recurrence in integers."""
+    coeffs, _ = _faddeev_leverrier(matrix)
     return coeffs[::-1]
 
 
@@ -207,13 +221,7 @@ class NumberField:
     def _minpoly_sign(self, num, den):
         """Sign of minpoly(num / den) for den > 0, from the homogeneous
         integer Horner sum of c_k num^k den^(n-k)."""
-        coeffs = self.minpoly
-        acc = coeffs[-1]
-        den_pow = 1
-        for c in reversed(coeffs[:-1]):
-            den_pow *= den
-            acc = acc * num + c * den_pow
-        return (acc > 0) - (acc < 0)
+        return polys.sign_at(self.minpoly, num, den)
 
     def _refine_once(self):
         if self.degree == 1:

@@ -334,6 +334,21 @@ def _half_json(half: spectrum.SpectralHalf):
     return out
 
 
+def _core_facts(spec: SpecFile, system) -> dict:
+    """The facts a SuspensionSystem fixes, as the report writes them;
+    `verify` compares a report's facts to these."""
+    k, left, right = system.seed
+    return {
+        "substitution_matrix": [list(r) for r in system.matrix],
+        "characteristic_polynomial": system.char_poly,
+        "minimal_polynomial": list(system.field.minpoly),
+        "prototile_lengths": [_elem(e) for e in system.lengths],
+        "fixed_point_seed": {
+            "power": k, "left": spec.token(left), "right": spec.token(right),
+        },
+    }
+
+
 # ---------------------------------------------------------------------------
 # Full analysis
 # ---------------------------------------------------------------------------
@@ -428,16 +443,14 @@ def run_analysis(spec: SpecFile, overrides: dict | None = None) -> dict:
         return report
 
     system = suspension.SuspensionSystem(sub)
-    facts["minimal_polynomial"] = list(system.field.minpoly)
+    core = _core_facts(spec, system)
+    facts["minimal_polynomial"] = core["minimal_polynomial"]
     system.field.ensure_width(Fraction(1, 1 << 20))
     ivl = system.field.interval()
     facts["beta_interval"] = [_frac_str(ivl.lo), _frac_str(ivl.hi)]
     facts["pisot"] = algebraic.is_pisot(system.field)
-    facts["prototile_lengths"] = [_elem(e) for e in system.lengths]
-    k, left, right = system.seed
-    facts["fixed_point_seed"] = {
-        "power": k, "left": spec.token(left), "right": spec.token(right),
-    }
+    facts["prototile_lengths"] = core["prototile_lengths"]
+    facts["fixed_point_seed"] = core["fixed_point_seed"]
 
     refpoints, facts["reference_point_kind"] = _reference_points(system, spec)
     facts["reference_points"] = [_elem(e) for e in refpoints]
@@ -552,7 +565,7 @@ def run_analysis(spec: SpecFile, overrides: dict | None = None) -> dict:
                               "agreement": "not-applicable",
                               "disagreement_detected": False}
 
-    cost["seed_power"] = k
+    cost["seed_power"] = system.seed[0]
     return report
 
 
@@ -606,10 +619,14 @@ def _parse_level(value):
 def verify_report(report: dict) -> dict:
     """Replay every replayable certificate in a report.
 
-    Geometric and simultaneous HOLDS witnesses are replayed on the
-    inflation tree, both claims for every scope letter
-    (`coincidence.verify_witness`); FAILS certificates of both spectral
-    procedures are rerun through one inflation or substitution pass.
+    The facts the rebuilt SuspensionSystem fixes (`_core_facts`) must
+    equal the report's, as one replay "facts".  The involution of each
+    prefix and suffix FAILS pair is checked against the rules
+    (`coincidence.replay_involution_certificate`).  Geometric and
+    simultaneous HOLDS witnesses are replayed on the inflation tree, both
+    claims for every scope letter (`coincidence.verify_witness`); FAILS
+    certificates of both spectral procedures are rerun through one
+    inflation or substitution pass.
     A replay that raises a SubtilingError (a cap it ran into) fails, and
     so does a witness whose scope is not that of its check: the two
     letters of its pair key, or "all"; so does a malformed claim (a check
@@ -637,11 +654,17 @@ def verify_report(report: dict) -> dict:
         return {"passed": False, "replayed": {},
                 "error": "checks: missing " + ", ".join(missing)}
     index = {tok: i + 1 for i, tok in enumerate(spec.letters)}
-    # the scope each geometric pair key's witness must carry
-    pair_scopes = {_pair_key(spec, (i, j)): [spec.token(i), spec.token(j)]
-                   for i in range(1, system.size + 1)
-                   for j in range(i, system.size + 1)}
-    results = {}
+    # the letters of each pair key, and the scope its geometric witness
+    # must carry
+    pair_letters = {_pair_key(spec, (i, j)): (i, j)
+                    for i in range(1, system.size + 1)
+                    for j in range(i, system.size + 1)}
+    pair_scopes = {key: [spec.token(c) for c in pair]
+                   for key, pair in pair_letters.items()}
+    facts = report.get("facts")
+    results = {"facts": isinstance(facts, dict) and all(
+        facts.get(key) == value
+        for key, value in _core_facts(spec, system).items())}
 
     def witness_from_json(w):
         scope = None
@@ -683,6 +706,19 @@ def verify_report(report: dict) -> dict:
         results[name or key] = False
         return {}
 
+    for check in ("prefix_strong", "suffix_strong"):
+        pairs = part(part(checks, check), "pairs", check)
+        for key in pairs:
+            name = f"{check}[{key}]"
+            verdict = part(pairs, key, name)
+            if verdict.get("status") == "FAILS":
+                results[name] = key in pair_letters and \
+                    coincidence.replay_involution_certificate(
+                        system.sub, verdict.get("certificate"),
+                        pair_letters[key])
+            elif verdict.get("status") == "HOLDS" and \
+                    not isinstance(verdict.get("witness"), dict):
+                results[name] = False
     pairs = part(part(checks, "geometric_strong"), "pairs", "geometric_strong")
     if pairs.keys() != pair_scopes.keys():
         results["geometric_strong"] = False

@@ -165,6 +165,35 @@ def prefix_strong(sub: Substitution, level_bound=DEFAULT_LEVEL_BOUND,
     return results
 
 
+def replay_involution_certificate(sub: Substitution, certificate, pair):
+    """True iff a `prefix_strong` FAILS certificate names a letter map tau,
+    keyed by letter index (an int, or its string after JSON), that covers
+    1..m, has no fixed point, is an involution, maps each rule letter by
+    letter onto the rule of tau(x), and swaps the pair's two letters.
+
+    Such a tau proves the pair apart at every level by the module's
+    lemma, for prefixes and suffixes alike: reversing the rules keeps
+    every condition."""
+    if not isinstance(certificate, dict):
+        return False
+    given = certificate.get("involution")
+    if not isinstance(given, dict):
+        return False
+    given = {str(key): value for key, value in given.items()}
+    m = sub.size
+    letters = range(1, m + 1)
+    if given.keys() != {str(x) for x in letters}:
+        return False
+    tau = [0] + [given[str(x)] for x in letters]
+    if any(type(y) is not int or not 1 <= y <= m for y in tau[1:]):
+        return False
+    i, j = pair
+    return tau[i] == j and tau[j] == i and all(
+        tau[x] != x and tau[tau[x]] == x
+        and bytes(tau[c] for c in sub.rule(x)) == sub.rule(tau[x])
+        for x in letters)
+
+
 def aggregate_status(per_pair):
     statuses = [v.status for v in per_pair.values()]
     if any(s == "FAILS" for s in statuses):

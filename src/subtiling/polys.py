@@ -2,11 +2,20 @@
 
 A polynomial is a list of coefficients in ascending degree, so
 [a0, a1, a2] stands for a0 + a1*x + a2*x**2.  The zero polynomial is
-the empty list.  Coefficients are ints or Fractions; nothing here ever
-touches a float.  Degrees stay small (below ~20), so the classical
-algorithms are used throughout: signed remainder sequences for Sturm
-chains and Tarski queries, Yun's algorithm for squarefree parts, and a
-bounded integer factor search for monic polynomials.
+the empty list.  Nothing here ever touches a float.  Degrees stay small
+(below ~20), so the classical algorithms are used throughout: signed
+remainder sequences for Sturm chains and Tarski queries, a primitive
+remainder sequence for gcds, Yun's algorithm for squarefree parts, Rabin's
+test by a Frobenius matrix, and a bounded integer factor search for monic
+polynomials.
+
+Everything that takes a polynomial computes over Z.  Remainders are
+pseudo-remainders (a positive multiple of the remainder over Q, so the
+same signs and the same primitive part), exact division is integer
+division, and a sign at a rational point a/b is the sign of the
+homogeneous integer sum of c_k a^k b^(n-k).  Fractions remain in two
+places only: the endpoints of root intervals, and divmod_rational, which
+serves FieldElem.inverse.
 """
 
 from __future__ import annotations
@@ -100,15 +109,46 @@ def divmod_rational(p, q):
 
 def exact_int_divide(p, q):
     """Return p // q when q divides p over Z, else None."""
-    quo, rem = divmod_rational(p, q)
+    if not q:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = normalize(p)
+    lead = q[-1]
+    dq = degree(q)
+    quo = [0] * max(len(rem) - dq, 1)
+    while len(rem) - 1 >= dq:
+        c, r = divmod(rem[-1], lead)
+        if r:
+            return None
+        k = len(rem) - 1 - dq
+        quo[k] = c
+        for i, b in enumerate(q):
+            rem[k + i] -= c * b
+        rem = normalize(rem)
     if rem:
         return None
-    out = []
-    for c in quo:
-        if c.denominator != 1:
-            return None
-        out.append(int(c))
-    return normalize(out)
+    return normalize(quo)
+
+
+def pseudo_remainder(p, q):
+    """A positive integer multiple of the remainder of p by q over Q:
+    the remainder of |lc(q)|^e * p by q, e at most deg p - deg q + 1.
+    For a monic q it is the remainder itself."""
+    if not q:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = normalize(p)
+    lead = q[-1]
+    scale, sgn = abs(lead), _sign(lead)
+    dq = degree(q)
+    while len(rem) - 1 >= dq:
+        # scale * top - (top * sgn) * lead == 0
+        c = rem[-1] * sgn
+        k = len(rem) - 1 - dq
+        if scale != 1:
+            rem = [a * scale for a in rem]
+        for i, b in enumerate(q):
+            rem[k + i] -= c * b
+        rem = normalize(rem)
+    return rem
 
 
 def content(p):
@@ -129,44 +169,31 @@ def primitive_part(p):
     return [c // g for c in p]
 
 
-def to_integer(p):
-    """Clear denominators of a rational polynomial; primitive result."""
-    lcm = 1
-    for c in p:
-        c = Fraction(c)
-        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-    return primitive_part([int(Fraction(c) * lcm) for c in p])
-
-
 def poly_gcd(p, q):
-    """Primitive gcd over Z (computed via rational Euclid)."""
-    a = [Fraction(c) for c in normalize(p)]
-    b = [Fraction(c) for c in normalize(q)]
+    """Primitive gcd over Z, leading coefficient > 0, by the primitive
+    remainder sequence."""
+    a, b = primitive_part(p), primitive_part(q)
     while b:
-        _, r = divmod_rational(a, b)
-        a, b = b, r
-    if not a:
-        return []
-    return to_integer(a)
+        a, b = b, primitive_part(pseudo_remainder(a, b))
+    return a
 
 
 def squarefree_part(p):
+    """Primitive squarefree part.  The gcd g is primitive, so by Gauss's
+    lemma it divides the primitive part of p over Z."""
     g = poly_gcd(p, derivative(p))
     if degree(g) < 1:
         return primitive_part(p)
-    out = exact_int_divide(primitive_part(p), g)
-    if out is None:
-        quo, _ = divmod_rational(p, g)
-        out = to_integer(quo)
-    return out
+    return exact_int_divide(primitive_part(p), g)
 
 
 def yun_squarefree_decomposition(p):
     """Return [(q1, 1), (q2, 2), ...] with p = c * prod qi**i, qi pairwise
     coprime, squarefree, and primitive over Z.
 
-    Intermediate values stay exact rationals; rescaling w and z
-    independently would break the z recurrence.
+    Every divisor is a primitive gcd, so by Gauss's lemma each exact
+    quotient is integral and w, y and z stay the rational recurrence's
+    own values; rescaling w and z independently would break it.
     """
     p = primitive_part(p)
     if degree(p) < 1:
@@ -176,8 +203,8 @@ def yun_squarefree_decomposition(p):
     if degree(g) < 1:
         return [(p, 1)]
     out = []
-    w, _ = divmod_rational(p, g)
-    y, _ = divmod_rational(dp, g)
+    w = exact_int_divide(p, g)
+    y = exact_int_divide(dp, g)
     z = sub(y, derivative(w))
     i = 1
     while degree(w) >= 1:
@@ -186,8 +213,8 @@ def yun_squarefree_decomposition(p):
         q = poly_gcd(w, z)
         if degree(q) >= 1:
             out.append((q, i))
-            w, _ = divmod_rational(w, q)
-            y, _ = divmod_rational(z, q)
+            w = exact_int_divide(w, q)
+            y = exact_int_divide(z, q)
         else:
             y = z
         z = sub(y, derivative(w))
@@ -225,29 +252,26 @@ def sign_variations(signs):
 
 
 def _positive_rescale(p):
-    """Divide by a positive rational so coefficients become coprime
-    integers; the sign pattern is preserved."""
+    """Divide an integer polynomial by its content, a positive integer;
+    the sign pattern is preserved."""
     p = normalize(p)
     if not p:
         return []
-    lcm = 1
-    for c in p:
-        d = Fraction(c).denominator
-        lcm = lcm * d // gcd(lcm, d)
-    ints = [int(Fraction(c) * lcm) for c in p]
-    g = content(ints)
-    return [c // g for c in ints]
+    g = content(p)
+    return [c // g for c in p]
 
 
 def signed_remainder_chain(f, g):
-    """Generalized Sturm chain f, g, -rem(f, g), ...; entries are rescaled
-    by positive rationals, which leaves sign variations unchanged."""
+    """Generalized Sturm chain f, g, -rem(f, g), ... of integer
+    polynomials; entries are rescaled by positive rationals, which leaves
+    sign variations unchanged.  A pseudo-remainder is a positive multiple
+    of the remainder, so each entry is the primitive remainder itself."""
     chain = [_positive_rescale(f)]
     g = _positive_rescale(g)
     if g:
         chain.append(g)
     while len(chain) >= 2 and chain[-1]:
-        _, r = divmod_rational(chain[-2], chain[-1])
+        r = pseudo_remainder(chain[-2], chain[-1])
         if not r:
             break
         chain.append(_positive_rescale(neg(r)))
@@ -258,8 +282,23 @@ def sturm_chain(p):
     return signed_remainder_chain(p, derivative(p))
 
 
+def sign_at(p, num, den):
+    """Sign of an integer polynomial at num / den for den > 0: the sign
+    of the homogeneous integer Horner sum of c_k num^k den^(n-k)."""
+    if not p:
+        return 0
+    acc = p[-1]
+    den_pow = 1
+    for c in reversed(p[:-1]):
+        den_pow *= den
+        acc = acc * num + c * den_pow
+    return _sign(acc)
+
+
 def variations_at(chain, x):
-    return sign_variations([_sign(eval_at(p, x)) for p in chain])
+    """Sign variations of the chain at a rational or integer x."""
+    num, den = x.numerator, x.denominator
+    return sign_variations([sign_at(p, num, den) for p in chain])
 
 
 def variations_at_pos_inf(chain):
@@ -295,9 +334,8 @@ def tarski_query(g, f):
 def cauchy_root_bound(p):
     """Rational B with all real roots of p in [-B, B]."""
     p = normalize(p)
-    lead = abs(Fraction(p[-1]))
-    m = max((abs(Fraction(c)) for c in p[:-1]), default=Fraction(0))
-    return Fraction(1) + m / lead
+    lead = abs(p[-1])
+    return Fraction(lead + max(map(abs, p[:-1]), default=0), lead)
 
 
 def isolate_largest_real_root(p):
@@ -312,31 +350,30 @@ def isolate_largest_real_root(p):
     chain = sturm_chain(sf)
     bound = cauchy_root_bound(sf)
     lo, hi = -bound, bound
-    if variations_at(chain, lo) - variations_at(chain, hi) == 0:
+    v_lo, v_hi = variations_at(chain, lo), variations_at(chain, hi)
+    if v_lo == v_hi:
         return None
-
-    def roots_in(a, b):
-        return variations_at(chain, a) - variations_at(chain, b)
-
-    # Invariant: the largest root lies in (lo, hi] and none lies above hi.
-    while roots_in(lo, hi) > 1:
+    # Invariant: the largest root lies in (lo, hi] and none lies above hi;
+    # v_lo - v_hi roots lie in (lo, hi].
+    while v_lo - v_hi > 1:
         mid = (lo + hi) / 2
-        if eval_at(sf, mid) == 0:
+        if sign_at(sf, mid.numerator, mid.denominator) == 0:
             raise FactorizationFailed("bisection midpoint hit a rational root")
-        if roots_in(mid, hi) >= 1:
-            lo = mid
+        v_mid = variations_at(chain, mid)
+        if v_mid - v_hi >= 1:
+            lo, v_lo = mid, v_mid
         else:
-            hi = mid
+            hi, v_hi = mid, v_mid
     return lo, hi
 
 
 def refine_root_interval(p, lo, hi):
     """One bisection step on an isolating interval with a sign change."""
     mid = (lo + hi) / 2
-    s_mid = _sign(eval_at(p, mid))
+    s_mid = sign_at(p, mid.numerator, mid.denominator)
     if s_mid == 0:
         raise FactorizationFailed("rational root inside isolating interval")
-    if s_mid == _sign(eval_at(p, lo)):
+    if s_mid == sign_at(p, lo.numerator, lo.denominator):
         return mid, hi
     return lo, mid
 
@@ -352,17 +389,6 @@ FACTOR_WORK_CAP = 2_000_000
 
 def _modp_normalize(p, m):
     return normalize([c % m for c in p])
-
-
-def _modp_mul(p, q, m):
-    if not p or not q:
-        return []
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] = (out[i + j] + a * b) % m
-    return normalize(out)
 
 
 def _modp_rem(p, q, m):
@@ -388,16 +414,34 @@ def _modp_gcd(p, q, m):
     return a
 
 
-def _modp_pow_x(exp, f, m):
-    """x**exp mod (f, m) by binary exponentiation."""
-    result = [1]
-    base = _modp_rem([0, 1], f, m)
-    while exp:
-        if exp & 1:
-            result = _modp_rem(_modp_mul(result, base, m), f, m)
-        base = _modp_rem(_modp_mul(base, base, m), f, m)
-        exp >>= 1
-    return result
+def _modp_frobenius(f, m):
+    """Rows x^(i*m) mod (f, m) for i < n = deg f, as length-n coefficient
+    lists: the matrix of g -> g^m on F_m[x]/(f), since over F_m
+    (sum g_i x^i)^m = sum g_i x^(i*m).  The powers of x are walked by
+    multiplying by x, one reduction by the monic f per step."""
+    n = len(f) - 1
+    inv = pow(f[-1], -1, m)
+    tail = [c * inv % m for c in f[:-1]]    # x^n = -sum tail[i] x^i
+    power = [1] + [0] * (n - 1)
+    rows = [power]
+    for _ in range(n - 1):
+        for _ in range(m):
+            top = power[-1]
+            power = [0] + power[:-1]
+            if top:
+                power = [(a - top * t) % m for a, t in zip(power, tail)]
+        rows.append(power)
+    return rows
+
+
+def _modp_frobenius_apply(rows, g, m):
+    """g^m mod (f, m) for a length-n coefficient list g, by the rows of
+    _modp_frobenius."""
+    out = [0] * len(rows)
+    for c, row in zip(g, rows):
+        if c:
+            out = [a + c * b for a, b in zip(out, row)]
+    return [a % m for a in out]
 
 
 def _prime_divisors(n):
@@ -415,18 +459,27 @@ def _prime_divisors(n):
 
 
 def is_irreducible_mod_p(p, m):
-    """Rabin's test over F_m; requires the leading coefficient to be a unit."""
+    """Rabin's test over F_m; requires the leading coefficient to be a unit.
+
+    f of degree n is irreducible iff x^(m^n) = x mod f and
+    gcd(x^(m^(n/q)) - x, f) = 1 for every prime q dividing n.  The powers
+    x^(m^k) come from k applications of the Frobenius matrix."""
     f = _modp_normalize(p, m)
     n = degree(p)
     if len(f) - 1 != n:
         return False
     if n == 1:
         return True
-    xq = _modp_pow_x(m**n, f, m)
-    if _modp_normalize(sub(xq, [0, 1]), m):
+    frobenius = _modp_frobenius(f, m)
+    x = [0, 1] + [0] * (n - 2)
+    # x^(m^k) mod (f, m) for k = 0..n
+    powers = [x]
+    for _ in range(n):
+        powers.append(_modp_frobenius_apply(frobenius, powers[-1], m))
+    if powers[n] != x:
         return False
     for q in _prime_divisors(n):
-        xq = _modp_pow_x(m ** (n // q), f, m)
+        xq = powers[n // q]
         g = _modp_gcd(_modp_normalize(sub(xq, [0, 1]), m), f, m)
         if degree(g) >= 1:
             return False

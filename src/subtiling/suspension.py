@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from . import algebraic, words
+from . import algebraic, polys, words
 from .errors import EigenvectorDefect, WindowNotCovered
 from .words import Substitution
 
@@ -71,17 +71,25 @@ def _solve_kernel(rows, field):
 
 
 def prototile_lengths(sub: Substitution, field: algebraic.NumberField):
-    """Left beta-eigenvector of the substitution matrix, entries in
-    Q(beta), last entry normalized to 1, every entry certified positive."""
+    """Left beta-eigenvector of the substitution matrix M, entries in
+    Q(beta), last entry normalized to 1, every entry certified positive.
+
+    adj(beta I - M) (beta I - M) = chi(beta) I = 0, so every row of the
+    adjugate is a left eigenvector.  beta is a simple root of chi
+    (Perron-Frobenius), so the adjugate has rank one: it is a positive
+    multiple of the right eigenvector times the left one, and its row 0
+    is not zero.  That row is sum N_k beta^(m-1-k) with the integer
+    Faddeev-LeVerrier matrices N_k, reduced mod the minimal polynomial in
+    integer coordinates; one inverse normalizes it."""
     matrix = words.substitution_matrix(sub)
     m = sub.size
-    beta = field.beta()
-    rows = [
-        [field.rational(matrix[i][j]) - (beta if i == j else 0)
-         for i in range(m)]
-        for j in range(m)
-    ]
-    vec = _solve_kernel(rows, field)
+    coeffs, adjugate = algebraic._faddeev_leverrier(matrix)
+    minpoly = list(field.minpoly)
+    if polys.exact_int_divide(coeffs[::-1], minpoly) is None:
+        raise EigenvectorDefect("beta is not an eigenvalue")
+    vec = [field.element(polys.pseudo_remainder(
+               [adjugate[m - 1 - d][0][j] for d in range(m)], minpoly))
+           for j in range(m)]
     last = vec[-1]
     if last.is_zero():
         raise EigenvectorDefect("eigenvector has zero final entry")

@@ -1,13 +1,16 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from subtiling import cli
+from subtiling import polys as P
 from subtiling import spectrum as SP
+from subtiling import suspension
 from subtiling import words as W
-from subtiling.algebraic import (FieldElem, common_denominator, scaled_coords,
-                                 unscaled_coords)
+from subtiling.algebraic import (FieldElem, NumberField, common_denominator,
+                                 scaled_coords, unscaled_coords)
 from subtiling.suspension import SuspensionSystem
 
 
@@ -241,3 +244,212 @@ def report_for(name):
 @pytest.fixture(scope="session")
 def corpus_reports():
     return {name: report_for(name) for name in CORPUS_IDS}
+
+
+# -- references: the field setup over Q that the integer routines replaced ----
+
+
+def ref_exact_int_divide(p, q):
+    """Reference: p // q over Z through division over Q, else None."""
+    quo, rem = P.divmod_rational(p, q)
+    if rem or any(Fraction(c).denominator != 1 for c in quo):
+        return None
+    return P.normalize([int(c) for c in quo])
+
+
+def ref_positive_rescale(p):
+    """Reference: a rational polynomial divided by a positive rational to
+    coprime integers."""
+    p = P.normalize(p)
+    if not p:
+        return []
+    lcm = math.lcm(*(Fraction(c).denominator for c in p))
+    ints = [int(Fraction(c) * lcm) for c in p]
+    g = P.content(ints)
+    return [c // g for c in ints]
+
+
+def ref_to_integer(p):
+    """Reference: a rational polynomial with cleared denominators,
+    primitive."""
+    return P.primitive_part(ref_positive_rescale(p))
+
+
+def ref_poly_gcd(p, q):
+    """Reference: primitive gcd by Euclid over Q."""
+    a = [Fraction(c) for c in P.normalize(p)]
+    b = [Fraction(c) for c in P.normalize(q)]
+    while b:
+        a, b = b, P.divmod_rational(a, b)[1]
+    return ref_to_integer(a)
+
+
+def ref_squarefree_part(p):
+    g = ref_poly_gcd(p, P.derivative(p))
+    if P.degree(g) < 1:
+        return P.primitive_part(p)
+    return ref_to_integer(P.divmod_rational(p, g)[0])
+
+
+def ref_yun_squarefree_decomposition(p):
+    """Reference: Yun's algorithm with every quotient over Q."""
+    p = P.primitive_part(p)
+    if P.degree(p) < 1:
+        return []
+    dp = P.derivative(p)
+    g = ref_poly_gcd(p, dp)
+    if P.degree(g) < 1:
+        return [(p, 1)]
+    out = []
+    w = P.divmod_rational(p, g)[0]
+    z = P.sub(P.divmod_rational(dp, g)[0], P.derivative(w))
+    i = 1
+    while P.degree(w) >= 1:
+        q = ref_poly_gcd(w, z)
+        y = z
+        if P.degree(q) >= 1:
+            out.append((q, i))
+            w = P.divmod_rational(w, q)[0]
+            y = P.divmod_rational(z, q)[0]
+        z = P.sub(y, P.derivative(w))
+        i += 1
+    return out
+
+
+def ref_remainder_chain(f, g):
+    """Reference: the signed remainder chain by remainders over Q, each
+    entry rescaled to coprime integers by a positive rational."""
+    chain = [ref_positive_rescale(f)]
+    g = ref_positive_rescale(g)
+    if g:
+        chain.append(g)
+    while len(chain) >= 2 and chain[-1]:
+        r = P.divmod_rational(chain[-2], chain[-1])[1]
+        if not r:
+            break
+        chain.append(ref_positive_rescale(P.neg(r)))
+    return chain
+
+
+def ref_variations_at(chain, x):
+    """Reference: sign variations by Horner evaluation over Q."""
+    signs = [P._sign(P.eval_at(p, Fraction(x))) for p in chain]
+    return P.sign_variations(signs)
+
+
+def ref_isolate_largest_real_root(p):
+    """Reference: bisection with every sign taken over Q."""
+    sf = ref_squarefree_part(p)
+    if P.degree(sf) < 1:
+        return None
+    chain = ref_remainder_chain(sf, P.derivative(sf))
+    bound = 1 + Fraction(max(map(abs, sf[:-1])), abs(sf[-1]))
+    lo, hi = -bound, bound
+
+    def roots_in(a, b):
+        return ref_variations_at(chain, a) - ref_variations_at(chain, b)
+
+    if roots_in(lo, hi) == 0:
+        return None
+    while roots_in(lo, hi) > 1:
+        mid = (lo + hi) / 2
+        if P.eval_at(sf, mid) == 0:
+            raise P.FactorizationFailed("bisection midpoint hit a root")
+        if roots_in(mid, hi) >= 1:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def ref_refine_root_interval(p, lo, hi):
+    mid = (lo + hi) / 2
+    s_mid = P._sign(P.eval_at(p, mid))
+    if s_mid == 0:
+        raise P.FactorizationFailed("rational root inside isolating interval")
+    return (mid, hi) if s_mid == P._sign(P.eval_at(p, lo)) else (lo, mid)
+
+
+def _ref_modp_mul(p, q, m):
+    out = [0] * max(len(p) + len(q) - 1, 0)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] = (out[i + j] + a * b) % m
+    return P.normalize(out)
+
+
+def _ref_modp_pow_x(exp, f, m):
+    """Reference: x**exp mod (f, m) by binary exponentiation."""
+    result, base = [1], P._modp_rem([0, 1], f, m)
+    while exp:
+        if exp & 1:
+            result = P._modp_rem(_ref_modp_mul(result, base, m), f, m)
+        base = P._modp_rem(_ref_modp_mul(base, base, m), f, m)
+        exp >>= 1
+    return result
+
+
+def ref_is_irreducible_mod_p(p, m):
+    """Reference: Rabin's test with x^(m^k) by binary exponentiation."""
+    f = P._modp_normalize(p, m)
+    n = P.degree(p)
+    if len(f) - 1 != n:
+        return False
+    if n == 1:
+        return True
+    if P._modp_normalize(P.sub(_ref_modp_pow_x(m ** n, f, m), [0, 1]), m):
+        return False
+    for q in P._prime_divisors(n):
+        xq = _ref_modp_pow_x(m ** (n // q), f, m)
+        g = P._modp_gcd(P._modp_normalize(P.sub(xq, [0, 1]), m), f, m)
+        if P.degree(g) >= 1:
+            return False
+    return True
+
+
+def ref_minpoly_sign(field, num, den):
+    """Reference: NumberField._minpoly_sign by its own Horner loop."""
+    acc = field.minpoly[-1]
+    den_pow = 1
+    for c in reversed(field.minpoly[:-1]):
+        den_pow *= den
+        acc = acc * num + c * den_pow
+    return P._sign(acc)
+
+
+def ref_prototile_lengths(sub, field):
+    """Reference: the left eigenvector by Gauss-Jordan over Q(beta)."""
+    matrix = W.substitution_matrix(sub)
+    m = sub.size
+    beta = field.beta()
+    rows = [[field.rational(matrix[i][j]) - (beta if i == j else 0)
+             for i in range(m)] for j in range(m)]
+    vec = suspension._solve_kernel(rows, field)
+    inv = vec[-1].inverse()
+    lengths = tuple(v * inv for v in vec)
+    assert all(length.sign() > 0 for length in lengths)
+    return lengths
+
+
+# the module attributes the references stand in for
+RATIONAL_SETUP = (
+    (P, "exact_int_divide", ref_exact_int_divide),
+    (P, "poly_gcd", ref_poly_gcd),
+    (P, "squarefree_part", ref_squarefree_part),
+    (P, "signed_remainder_chain", ref_remainder_chain),
+    (P, "variations_at", ref_variations_at),
+    (P, "isolate_largest_real_root", ref_isolate_largest_real_root),
+    (P, "refine_root_interval", ref_refine_root_interval),
+    (P, "is_irreducible_mod_p", ref_is_irreducible_mod_p),
+    (suspension, "prototile_lengths", ref_prototile_lengths),
+    (NumberField, "_minpoly_sign", ref_minpoly_sign),
+)
+
+
+def with_rational_setup(fn, *args):
+    """fn(*args) with every setup routine replaced by its reference over
+    Q, as the field setup ran before it moved to integers."""
+    with pytest.MonkeyPatch.context() as mp:
+        for module, name, ref in RATIONAL_SETUP:
+            mp.setattr(module, name, ref)
+        return fn(*args)

@@ -720,9 +720,10 @@ def test_verify_replays_the_letter_missing_from_the_window(tamper):
 
 
 def test_pentanacci_replay_builds_no_patch(monkeypatch):
-    # verify replays 16 witnesses by descending the inflation tree: no
-    # patch is built, and the fixed-point enclosures leave few signs to
-    # NumberField.int_sign, through which every certified sign passes
+    # verify replays 16 witnesses by descending the inflation tree, and
+    # the core facts: no patch is built, and the fixed-point enclosures
+    # leave few signs to NumberField.int_sign, through which every
+    # certified sign passes
     builds, signs, replaying = [], [], []
     init = suspension.Patch.__init__
     int_sign = algebraic.NumberField.int_sign
@@ -744,7 +745,7 @@ def test_pentanacci_replay_builds_no_patch(monkeypatch):
                         int_sign(self, ints))
     monkeypatch.setattr(coincidence, "verify_witness", replay)
     outcome = cli.verify_report(_fixture("pentanacci"))
-    assert outcome["passed"] and len(outcome["replayed"]) == 16
+    assert outcome["passed"] and len(outcome["replayed"]) == 17
     assert builds == []
     assert len(signs) <= 200
 
@@ -769,3 +770,112 @@ def test_nonpisot_signs_and_bisection_run_on_integers(monkeypatch):
                      overrides=SPEC_BOUNDS)
     assert len(refinements) == 338
     assert len(intervals) <= 16
+
+
+# -- the involution certificates and the core facts --------------------------
+
+
+def test_every_fixture_replays_its_involutions_and_core_facts():
+    for path in sorted(FIXTURES.glob("*.json")):
+        report = json.loads(path.read_text(encoding="utf-8"))
+        outcome = cli.verify_report(report)
+        assert outcome["passed"] and outcome["replayed"]["facts"], path.stem
+        for check in ("prefix_strong", "suffix_strong"):
+            for key, verdict in report["checks"][check]["pairs"].items():
+                name = f"{check}[{key}]"
+                if verdict["status"] == "FAILS":
+                    assert outcome["replayed"][name] is True, name
+                else:
+                    assert name not in outcome["replayed"], name
+
+
+# (check, pair, edited verdict); thue-morse's 0|1 fails by the swap
+INVOLUTION_EDITS = {
+    "fixed-point": ("prefix_strong", "0|1",
+                    {"status": "FAILS", "certificate": {"involution": {"1": 1}}}),
+    "identity": ("prefix_strong", "0|1",
+                 {"status": "FAILS",
+                  "certificate": {"involution": {"1": 1, "2": 2}}}),
+    "string-value": ("suffix_strong", "0|1",
+                     {"status": "FAILS",
+                      "certificate": {"involution": {"1": "2", "2": "1"}}}),
+    "no-certificate": ("suffix_strong", "0|1", {"status": "FAILS"}),
+    "certificate-list": ("prefix_strong", "0|1",
+                         {"status": "FAILS", "certificate": [1, 2]}),
+    "bare-holds": ("suffix_strong", "0|1", {"status": "HOLDS"}),
+    "holds-string-witness": ("prefix_strong", "0|0",
+                             {"status": "HOLDS", "witness": "level 0"}),
+}
+
+
+@pytest.mark.parametrize("edit", INVOLUTION_EDITS)
+def test_verify_fails_tampered_involution_claim(tmp_path, edit):
+    check, key, verdict = INVOLUTION_EDITS[edit]
+    report = _fixture("thue-morse")
+    report["checks"][check]["pairs"][key] = verdict
+    outcome = cli.verify_report(report)
+    assert outcome["replayed"][f"{check}[{key}]"] is False
+    assert outcome["passed"] is False
+    code, out, err = _verify_file(tmp_path, report)
+    assert code == 1 and json.loads(out)["passed"] is False
+    assert "Traceback" not in err
+
+
+def test_verify_fails_involution_that_does_not_commute():
+    # the swap of a and b is a fixed-point-free involution, but
+    # tau(sigma(a)) = ba is not sigma(b) = a
+    report = _fixture("fibonacci")
+    report["checks"]["suffix_strong"]["pairs"]["a|b"] = {
+        "status": "FAILS", "certificate": {"involution": {"1": 2, "2": 1}}}
+    outcome = cli.verify_report(report)
+    assert outcome["replayed"]["suffix_strong[a|b]"] is False
+    assert outcome["passed"] is False
+
+
+def test_verify_fails_involution_for_a_pair_it_does_not_swap():
+    # fib2 commutes with (a A)(b B): it proves a|A apart, not a|b
+    report = _fixture("fib2")
+    pairs = report["checks"]["prefix_strong"]["pairs"]
+    assert pairs["a|A"]["status"] == "FAILS"
+    pairs["a|b"] = pairs["a|A"]
+    pairs["x|y"] = pairs["a|A"]
+    outcome = cli.verify_report(report)
+    assert outcome["replayed"]["prefix_strong[a|A]"] is True
+    assert outcome["replayed"]["prefix_strong[a|b]"] is False
+    assert outcome["replayed"]["prefix_strong[x|y]"] is False
+
+
+FACT_EDITS = {
+    # the two edits of ROADMAP item 2 on fibonacci
+    "minimal_polynomial": [-1, 1, 1],
+    "characteristic_polynomial": [1, -1, 1],
+    "substitution_matrix": [[1, 1], [0, 1]],
+    "prototile_lengths": [["1/1", "1/1"], ["1/1", "0/1"]],
+    "fixed_point_seed": {"power": 2, "left": "b", "right": "a"},
+}
+
+
+@pytest.mark.parametrize("fact", FACT_EDITS)
+def test_verify_fails_tampered_core_fact(tmp_path, fact):
+    report = _fixture("fibonacci")
+    assert cli.verify_report(report)["replayed"]["facts"] is True
+    report["facts"][fact] = FACT_EDITS[fact]
+    outcome = cli.verify_report(report)
+    assert outcome["replayed"]["facts"] is False
+    assert outcome["passed"] is False
+    code, out, err = _verify_file(tmp_path, report)
+    assert code == 1 and json.loads(out)["passed"] is False
+
+
+@pytest.mark.parametrize("edit", ["deleted", "list", "key-deleted"])
+def test_verify_fails_malformed_facts(edit):
+    report = _fixture("fibonacci")
+    if edit == "deleted":
+        del report["facts"]
+    elif edit == "list":
+        report["facts"] = [report["facts"]]
+    else:
+        del report["facts"]["minimal_polynomial"]
+    outcome = cli.verify_report(report)
+    assert outcome["replayed"]["facts"] is False
+    assert outcome["passed"] is False

@@ -35,6 +35,71 @@ def test_prefix_strong_aba_fails_by_involution(aba):
     assert C.aggregate_status(suffix) == "FAILS"
 
 
+def _sub_of(*rules):
+    return W.Substitution([bytes(rule) for rule in rules])
+
+
+def _cert(*images):
+    """An involution certificate as JSON writes it: tau(x) = images[x-1]."""
+    return {"involution": {str(x): y for x, y in enumerate(images, 1)}}
+
+
+def test_involution_certificates_of_the_corpus_replay():
+    for name in CORPUS_IDS:
+        sub = cli.corpus_lookup(name).substitution()
+        for suffixes in (False, True):
+            for pair, v in C.prefix_strong(sub, suffixes=suffixes).items():
+                if v.status == "FAILS":
+                    assert C.replay_involution_certificate(
+                        sub, v.certificate, pair), (name, pair)
+
+
+# (why the certificate fails, substitution, certificate, pair); each case
+# breaks one condition and keeps the others
+INVOLUTION_CASES = {
+    "missing-letter": (_sub_of([1, 2, 2, 1], [2, 1, 1, 2]),
+                       {"involution": {"1": 2}}, (1, 2)),
+    "extra-letter": (_sub_of([1, 2, 2, 1], [2, 1, 1, 2]),
+                     {"involution": {"1": 2, "2": 1, "3": 3}}, (1, 2)),
+    "letter-out-of-range": (_sub_of([1, 2, 2, 1], [2, 1, 1, 2]),
+                            _cert(2, 3), (1, 2)),
+    "bool-letter": (_sub_of([1, 2, 2, 1], [2, 1, 1, 2]),
+                    _cert(2, True), (1, 2)),
+    # (1 2) commutes with 1 -> 13, 2 -> 23, 3 -> 33 but fixes 3
+    "fixed-point": (_sub_of([1, 3], [2, 3], [3, 3]), _cert(2, 1, 3),
+                    (1, 2)),
+    # (1 2)(3 4 5 6) commutes with the rules and swaps 1 and 2, but
+    # squares to (3 5)(4 6)
+    "not-an-involution": (_sub_of([1, 2], [2, 1], [3, 5], [4, 6], [5, 3],
+                                  [6, 4]),
+                          _cert(2, 1, 4, 5, 6, 3), (1, 2)),
+    # fibonacci: tau(sigma(1)) = 21 is not sigma(2) = 1
+    "does-not-commute": (_sub_of([1, 2], [1]), _cert(2, 1), (1, 2)),
+    # (1 3)(2 4) commutes with these rules, but 1|2 is not its pair
+    "does-not-swap-the-pair": (_sub_of([1, 2, 4], [2, 3], [3, 4, 2],
+                                       [4, 1]),
+                               _cert(3, 4, 1, 2), (1, 2)),
+}
+
+
+@pytest.mark.parametrize("case", INVOLUTION_CASES)
+def test_involution_certificate_fails_each_condition(case):
+    sub, cert, pair = INVOLUTION_CASES[case]
+    assert not C.replay_involution_certificate(sub, cert, pair)
+    assert not C.replay_involution_certificate(sub, None, pair)
+
+
+def test_involution_certificate_holds_once_its_defect_is_mended():
+    # the cases differ from a valid certificate only in what they break
+    assert C.replay_involution_certificate(
+        _sub_of([1, 2, 2, 1], [2, 1, 1, 2]), _cert(2, 1), (1, 2))
+    assert C.replay_involution_certificate(
+        _sub_of([1, 2, 4], [2, 3], [3, 4, 2], [4, 1]), _cert(3, 4, 1, 2),
+        (1, 3))
+    assert C.replay_involution_certificate(
+        _sub_of([1, 2], [2, 1], [3, 4], [4, 3]), _cert(2, 1, 4, 3), (1, 2))
+
+
 def test_prefix_strong_fib2(fib2):
     per_pair = C.prefix_strong(fib2)
     assert per_pair[(1, 3)].status == "FAILS"

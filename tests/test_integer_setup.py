@@ -1,0 +1,186 @@
+"""The per-input field setup over Z against its references over Q.
+
+`polys` factors the characteristic polynomial, isolates the Perron root
+and tests irreducibility in integers, and `suspension.prototile_lengths`
+reads the lengths off the adjugate.  The routines they replaced live in
+conftest as references; every result must be equal, down to the isolating
+intervals and the number of refinements of beta's interval.
+"""
+
+import random
+import sys
+from pathlib import Path
+
+import pytest
+
+from subtiling import algebraic as A
+from subtiling import cli
+from subtiling import polys as P
+from subtiling import suspension as S
+from subtiling import words as W
+
+from conftest import (ref_exact_int_divide, ref_is_irreducible_mod_p,
+                      ref_isolate_largest_real_root, ref_poly_gcd,
+                      ref_refine_root_interval, ref_remainder_chain,
+                      ref_squarefree_part, ref_yun_squarefree_decomposition,
+                      with_rational_setup)
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+
+import workloads  # noqa: E402
+
+
+def _inputs():
+    """(name, substitution) for every corpus entry, every spec of the
+    benchmark and every member of its beta family."""
+    out = [(spec.name, spec.substitution()) for spec in cli.corpus()]
+    for path in sorted((PERFBENCH / "specs").glob("*.spec")):
+        spec = cli.parse_spec(path.read_text(encoding="utf-8"),
+                              name=path.stem)
+        out.append((path.stem, spec.substitution()))
+    for ks in workloads.BETA_FAMILY:
+        spec = cli.parse_spec(workloads.beta_spec_text(ks))
+        out.append((workloads.beta_name(ks), spec.substitution()))
+    return out
+
+
+INPUTS = _inputs()
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type of what it raised."""
+    try:
+        return fn(*args)
+    except (P.FactorizationFailed, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+def _random_poly(rng):
+    """An integer polynomial of degree 1..12: random coefficients, or a
+    product of small factors, some repeated, so that gcds, squarefree
+    parts and rational roots occur."""
+    if rng.random() < 0.5:
+        n = rng.randint(1, 12)
+        lead = rng.choice([1, 1, 1, -1, 2, 3, 6])
+        return [rng.randint(-9, 9) for _ in range(n)] + [lead]
+    p = [rng.choice([1, -1, 2])]
+    while P.degree(p) < 12:
+        f = [rng.randint(-3, 3) for _ in range(rng.randint(1, 3))] + [1]
+        if P.degree(p) + P.degree(f) * 2 > 12:
+            break
+        p = P.mul(p, f)
+        if rng.random() < 0.3:
+            p = P.mul(p, f)
+    return p if P.degree(p) >= 1 else [1, 1]
+
+
+def test_rabin_matches_binary_exponentiation_on_random_polynomials():
+    rng = random.Random(15)
+    tested = irreducible = 0
+    for _ in range(60):
+        p = _random_poly(rng)
+        for m in P.IRREDUCIBILITY_PRIMES:
+            if p[-1] % m:
+                got = P.is_irreducible_mod_p(p, m)
+                assert got == ref_is_irreducible_mod_p(p, m), (p, m)
+                tested += 1
+                irreducible += got
+    assert tested > 400 and irreducible > 40
+
+
+def test_remainders_and_divisions_match_rational_ones_on_random_polynomials():
+    rng = random.Random(16)
+    for _ in range(80):
+        p, q = _random_poly(rng), _random_poly(rng)
+        dp = P.derivative(p)
+        assert P.signed_remainder_chain(p, dp) == ref_remainder_chain(p, dp)
+        assert P.signed_remainder_chain(p, q) == ref_remainder_chain(p, q)
+        assert P.poly_gcd(p, q) == ref_poly_gcd(p, q)
+        pq = P.mul(p, q)
+        assert P.poly_gcd(pq, P.mul(q, dp)) == ref_poly_gcd(pq, P.mul(q, dp))
+        for a, b in ((pq, q), (p, q), (q, p), (dp, p)):
+            assert P.exact_int_divide(a, b) == ref_exact_int_divide(a, b)
+        assert P.squarefree_part(pq) == ref_squarefree_part(pq)
+        assert P.yun_squarefree_decomposition(pq) == \
+            ref_yun_squarefree_decomposition(pq)
+
+
+def test_root_isolation_matches_rational_signs_on_random_polynomials():
+    rng = random.Random(17)
+    isolated = 0
+    for _ in range(150):
+        p = _random_poly(rng)
+        got = _outcome(P.isolate_largest_real_root, p)
+        assert got == _outcome(ref_isolate_largest_real_root, p), p
+        if isinstance(got, tuple) and got[0] < got[1]:
+            isolated += 1
+            sf = P.squarefree_part(p)
+            lo, hi = got
+            for _ in range(8):
+                step = _outcome(P.refine_root_interval, sf, lo, hi)
+                assert step == _outcome(ref_refine_root_interval, sf, lo, hi)
+                if not isinstance(step, tuple):
+                    break
+                lo, hi = step
+    assert isolated > 50
+
+
+@pytest.mark.parametrize("name, sub", INPUTS, ids=[i[0] for i in INPUTS])
+def test_setup_matches_the_rational_setup(name, sub):
+    cp = A.char_poly(W.substitution_matrix(sub))
+    factors = P.factor_monic(cp)
+    assert factors == with_rational_setup(P.factor_monic, cp)
+    sf = P.squarefree_part(cp)
+    assert P.sturm_chain(sf) == ref_remainder_chain(sf, P.derivative(sf))
+    for f in factors:
+        assert P.isolate_largest_real_root(f) == \
+            ref_isolate_largest_real_root(f)
+    # the Tarski chain of the Pisot test's disk count
+    system = S.SuspensionSystem(sub)
+    re, im = A._circle_image(list(system.field.minpoly))
+    crossings = P.odd_multiplicity_part(im)
+    g = P.mul(re, P.derivative(crossings))
+    assert P.signed_remainder_chain(crossings, g) == \
+        ref_remainder_chain(crossings, g)
+    # same lengths, field, interval, and refinements of it
+    reference = with_rational_setup(S.SuspensionSystem, sub)
+    assert [e.coords for e in system.lengths] == \
+        [e.coords for e in reference.lengths]
+
+    def state(field):
+        return (field.minpoly, field.num_lo, field.num_hi, field.den,
+                field.generation)
+
+    assert state(system.field) == state(reference.field)
+
+
+def test_field_setup_divides_over_q_only_in_its_one_inverse(monkeypatch):
+    # perron_factor runs on integers alone, and a SuspensionSystem makes
+    # one FieldElem.inverse, which is the only caller of divmod_rational
+    outside, inverses, inside = [], [], []
+    divmod_rational = P.divmod_rational
+    inverse = A.FieldElem.inverse
+
+    def counted_divmod(p, q):
+        if not inside:
+            outside.append((p, q))
+        return divmod_rational(p, q)
+
+    def counted_inverse(self):
+        inverses.append(self)
+        inside.append(1)
+        try:
+            return inverse(self)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(P, "divmod_rational", counted_divmod)
+    monkeypatch.setattr(A.FieldElem, "inverse", counted_inverse)
+    for name, sub in INPUTS:
+        A.perron_factor(A.char_poly(W.substitution_matrix(sub)))
+        assert outside == [] and inverses == [], name
+        S.SuspensionSystem(sub)
+        assert outside == [], name
+        assert len(inverses) == 1, name
+        inverses.clear()

@@ -114,3 +114,29 @@ def test_factor_random_products():
             p = P.mul(p, f)
         got = sorted(map(tuple, P.factor_monic(p)))
         assert got == sorted(map(tuple, chosen))
+
+
+def test_pseudo_remainder_is_a_positive_multiple_of_the_remainder():
+    rng = random.Random(3)
+    for _ in range(40):
+        p = [rng.randint(-9, 9) for _ in range(rng.randint(1, 9))]
+        q = [rng.randint(-9, 9) for _ in range(rng.randint(1, 4))] + \
+            [rng.choice([-3, -1, 1, 2])]
+        r = P.pseudo_remainder(p, q)
+        exact = P.divmod_rational(p, q)[1]
+        assert len(r) == len(exact)
+        if r:
+            ratio = Fraction(r[-1]) / exact[-1]
+            assert ratio > 0 and [ratio * c for c in exact] == r
+    # a monic divisor gives the remainder itself
+    assert P.pseudo_remainder([1, 0, 0, 1], [-1, -1, 1]) == [2, 2]
+
+
+def test_sign_at_matches_rational_evaluation():
+    rng = random.Random(4)
+    for _ in range(200):
+        p = [rng.randint(-5, 5) for _ in range(rng.randint(0, 7))]
+        x = Fraction(rng.randint(-20, 20), rng.randint(1, 9))
+        value = P.eval_at(p, x)
+        assert P.sign_at(p, x.numerator, x.denominator) == \
+            (value > 0) - (value < 0)

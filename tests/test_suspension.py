@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subtiling import cli
+from subtiling import algebraic, cli
 from subtiling import suspension as S
 from subtiling.algebraic import scaled_coords
-from subtiling.errors import WindowNotCovered
+from subtiling.errors import EigenvectorDefect, WindowNotCovered
 
 from conftest import (CORPUS_IDS, elements, exact_tiles,
                       fieldelem_differences, fieldelem_point_sets,
@@ -26,6 +26,14 @@ def test_prototile_lengths(sys_fib, sys_tm, sys_fib2):
     b = sys_fib2.beta
     assert sys_fib2.lengths[0] == b and sys_fib2.lengths[2] == b
     assert sys_fib2.lengths[1] == 1 and sys_fib2.lengths[3] == 1
+
+
+def test_prototile_lengths_need_beta_to_be_an_eigenvalue(fib):
+    # the tribonacci root is no eigenvalue of the fibonacci matrix, so no
+    # row of the adjugate is an eigenvector
+    tribonacci = algebraic.perron_factor([-1, -1, -1, 1])
+    with pytest.raises(EigenvectorDefect, match="not an eigenvalue"):
+        S.prototile_lengths(fib, tribonacci)
 
 
 def test_lengths_satisfy_tile_equation(sys_fib, sys_tm, sys_aba, sys_fib2,
