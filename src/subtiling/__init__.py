@@ -20,7 +20,6 @@ from .lattices import (
     differences_in_return_module,
     eventual_membership,
     height_group,
-    module_from,
     quotient,
 )
 from .polys import is_irreducible
@@ -59,8 +58,9 @@ __all__ = [
     "differences_in_return_module", "eventual_membership",
     "fixed_point_seed", "generate_patch", "geometric_strong", "height_group",
     "is_admissible", "is_irreducible", "is_pisot", "is_primitive",
-    "left_endpoint_points", "module_from", "overlap_coincidence", "perron_factor", "prefix_simultaneous",
-    "prefix_strong", "prototile_lengths", "quotient", "reference_point_sets",
+    "left_endpoint_points", "overlap_coincidence", "perron_factor",
+    "prefix_simultaneous", "prefix_strong", "prototile_lengths", "quotient",
+    "reference_point_sets",
     "return_vectors", "simultaneous", "spectral_verdict",
     "substitution_matrix", "verify_witness",
 ]

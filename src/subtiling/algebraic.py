@@ -193,6 +193,8 @@ class NumberField:
                                                        self.den) < 0):
                 raise ValueError(f"[{lo}, {hi}] does not isolate a root "
                                  "of the minimal polynomial")
+        # beta^degree in the power basis
+        self._companion = tuple(-c for c in self.minpoly[:-1])
         self.generation = 0
         self._filter_table = None
         self._filter_gen = -1
@@ -350,6 +352,14 @@ class NumberField:
                 return -1
             self._refine_once()
         raise AssertionError("sign refinement failed to converge")
+
+    def times_beta(self, ints):
+        """beta times an integer coordinate tuple (companion matrix)."""
+        top = ints[-1]
+        base = (0,) + ints[:-1]
+        if top:
+            base = tuple([a + top * b for a, b in zip(base, self._companion)])
+        return base
 
     # -- element constructors ------------------------------------------
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -263,12 +264,12 @@ def _geometric_witness_json(spec, w: coincidence.CoincidenceWitness):
     return {
         "level": w.level,
         "color": spec.token(w.color),
-        "shift": _elem(w.shift),
+        "shift": spectrum.format_shift(w.shift, w.denom),
         "scope": ("all" if w.scope is None
                   else [spec.token(c) for c in w.scope]),
         "replay_level": w.replay_level,
         "replay_color": spec.token(w.replay_color),
-        "replay_shift": _elem(w.replay_shift),
+        "replay_shift": spectrum.format_shift(w.replay_shift, w.denom),
     }
 
 
@@ -606,16 +607,6 @@ def _spec_from_report(report: dict) -> SpecFile:
     return SpecFile(inp["name"], letters, rules, tilemap)
 
 
-def _parse_elem(field_obj, coords):
-    return field_obj.element([Fraction(c) for c in coords])
-
-
-def _parse_level(value):
-    if type(value) is not int:
-        raise TypeError(f"level {value!r} is not an integer")
-    return value
-
-
 def verify_report(report: dict) -> dict:
     """Replay every replayable certificate in a report.
 
@@ -623,19 +614,20 @@ def verify_report(report: dict) -> dict:
     equal the report's, as one replay "facts".  The involution of each
     prefix and suffix FAILS pair is checked against the rules
     (`coincidence.replay_involution_certificate`).  Geometric and
-    simultaneous HOLDS witnesses are replayed on the inflation tree, both
-    claims for every scope letter (`coincidence.verify_witness`); FAILS
-    certificates of both spectral procedures are rerun through one
-    inflation or substitution pass.
+    simultaneous HOLDS witnesses are all parsed, then replayed on the
+    inflation tree of one setting, both claims for every scope letter
+    (`coincidence.verify_witness`); FAILS certificates of both spectral
+    procedures are rerun through one inflation or substitution pass.
     A replay that raises a SubtilingError (a cap it ran into) fails, and
-    so does a witness whose scope is not that of its check: the two
-    letters of its pair key, or "all"; so does a malformed claim (a check
-    or pair verdict that is not an object, a HOLDS with no witness, a
-    FAILS with no certificate), and a geometric_strong whose pairs are
-    not exactly the m(m+1)/2 letter pairs.  A report whose window
-    _check_window rejects, whose input section names no primitive
-    substitution, or whose checks section is not an object or lacks one
-    of CHECKS or "spectral", fails with an error.
+    so does a witness that does not parse or whose scope is not that of
+    its check, the two letters of its pair key or "all"; so does a
+    malformed claim (a check or pair verdict that is not an object, a
+    HOLDS with no witness, a FAILS with no certificate), and a
+    geometric_strong whose pairs are not exactly the m(m+1)/2 letter
+    pairs.  A report whose window _check_window rejects, whose input
+    section names no primitive substitution, or whose checks section is
+    not an object or lacks one of CHECKS or "spectral", fails with an
+    error.
     """
     try:
         _check_window(report["input"]["bounds"]["window"])
@@ -666,36 +658,33 @@ def verify_report(report: dict) -> dict:
         facts.get(key) == value
         for key, value in _core_facts(spec, system).items())}
 
-    def witness_from_json(w):
-        scope = None
-        if w["scope"] != "all":
-            scope = tuple(index[t] for t in w["scope"])
-        return coincidence.CoincidenceWitness(
-            level=_parse_level(w["level"]),
-            color=index[w["color"]],
-            shift=_parse_elem(system.field, w["shift"]),
-            scope=scope,
-            replay_level=_parse_level(w["replay_level"]),
-            replay_color=index[w["replay_color"]],
-            replay_shift=_parse_elem(system.field, w["replay_shift"]),
-        )
-
     def replay(check, *args):
         try:
             return check(*args)
         except SubtilingError:
             return False
 
-    def replay_witness(w, scope):
-        """Replay a witness; one that does not parse, or whose scope is
-        not the given one, fails."""
+    # the geometric witnesses by replay name, all parsed before a replay
+    witnesses = {}
+
+    def take_witness(name, w, scope):
+        """Parse a witness; one that does not parse (a level that is not
+        an int too), or whose scope is not the given one, fails."""
+        results[name] = False
         try:
-            if w["scope"] != scope:
-                return False
-            witness = witness_from_json(w)
+            levels = w["level"], w["replay_level"]
+            if w["scope"] != scope or {type(x) for x in levels} != {int}:
+                return
+            (shift, replay_shift), denom = spectrum.parse_shifts(
+                (w["shift"], w["replay_shift"]), system.field.degree)
+            witnesses[name] = coincidence.CoincidenceWitness(
+                level=levels[0], color=index[w["color"]], shift=shift,
+                scope=(None if scope == "all" else
+                       tuple(index[t] for t in scope)),
+                replay_level=levels[1], replay_color=index[w["replay_color"]],
+                replay_shift=replay_shift, denom=denom)
         except (KeyError, TypeError, ValueError, ZeroDivisionError):
-            return False
-        return replay(coincidence.verify_witness, system, refpoints, witness)
+            pass
 
     def part(obj, key, name=None):
         """obj[key], or {} when it is absent; one that is not an object is
@@ -726,11 +715,15 @@ def verify_report(report: dict) -> dict:
         name = f"geometric_strong[{key}]"
         verdict = part(pairs, key, name)
         if verdict.get("status") == "HOLDS":
-            results[name] = replay_witness(verdict.get("witness"),
-                                           pair_scopes.get(key))
+            take_witness(name, verdict.get("witness"), pair_scopes.get(key))
     sim = part(checks, "simultaneous")
     if sim.get("status") == "HOLDS":
-        results["simultaneous"] = replay_witness(sim.get("witness"), "all")
+        take_witness("simultaneous", sim.get("witness"), "all")
+    setting = coincidence.IntegerSetting(
+        system, refpoints, math.lcm(*(w.denom for w in witnesses.values())))
+    for name, witness in witnesses.items():
+        results[name] = replay(coincidence.verify_witness, system,
+                               refpoints, witness, setting)
     overlap = part(checks, "overlap_coincidence")
     if overlap.get("status") == "FAILS":
         results["overlap_coincidence"] = replay(
@@ -834,8 +827,7 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         for color, point in zip(patch.colors, patch.points):
-            coords = " ".join(_frac_str(Fraction(a, patch.denom))
-                              for a in point)
+            coords = " ".join(spectrum.format_shift(point, patch.denom))
             print(f"{spec.token(color)} {coords}")
         return 0
 

@@ -8,7 +8,8 @@ search levels up to a bound and return HOLDS with a witness, FAILS with a
 finite certificate (a commuting fixed-point-free letter involution), or
 UNKNOWN at the bound.  A geometric witness is the leftmost shared tile,
 also at a level divisible by the fixed-point power of the tiling, and
-`verify_witness` replays it by a descent of the inflation tree.
+`verify_witness` replays it by a descent of the inflation tree, on one
+`IntegerSetting` for all the witnesses of a report.
 
 The certificate rests on one lemma.  If a fixed-point-free letter
 involution tau commutes with sigma, then sigma^L(tau c) = tau(sigma^L(c))
@@ -36,11 +37,12 @@ from .words import Substitution
 class CoincidenceWitness:
     level: int                  # least number of inflation steps
     color: int                  # color of the shared tile
-    shift: object               # FieldElem: shared tile is T_color - c_color + shift
+    shift: tuple                # ints: tile is T_color - c_color + shift/denom
     scope: tuple | None         # letter pair, or None for all prototiles
     replay_level: int = 0      # least multiple of the seed power >= level
     replay_color: int = 0
-    replay_shift: object = None
+    replay_shift: tuple = ()
+    denom: int = 1              # of both shifts
 
 
 @dataclass
@@ -252,14 +254,61 @@ def _reachable_levels(system, letters, level_bound):
     return top
 
 
-def _integer_setting(system, elems):
-    """The inflation step over the lcm of the denominators of the lengths
-    and of the elements (beta is an algebraic integer, so that clears beta
-    times any of them too), and the elements as integer vectors over it."""
-    denom = math.lcm(system._length_denom, *(
-        algebraic.common_denominator(x.coords) for x in elems))
-    return (spectrum._Inflation(system, denom),
-            [algebraic.scaled_coords(x.coords, denom) for x in elems])
+class IntegerSetting:
+    """The inflation step over the lcm of `denom` and the denominators of
+    the lengths and reference points (beta is an algebraic integer, so
+    that clears beta times them too), and the points as vectors over it.
+    `int_sign` decides a positive multiple of a vector as the vector, so
+    witnesses replay on one setting as each would on its own."""
+
+    def __init__(self, system: SuspensionSystem, refpoints, denom=1):
+        self.system = system
+        self.denom = math.lcm(denom, system._length_denom, *(
+            algebraic.common_denominator(c.coords) for c in refpoints))
+        self.step = spectrum._Inflation(system, self.denom)
+        self.refs = [algebraic.scaled_coords(c.coords, self.denom)
+                     for c in refpoints]
+        # per scale and letter, beta^scale times each subtile end with its
+        # enclosure, which stays valid after a refinement
+        self._ends = []
+
+    def ends(self, letter, scale):
+        field_, table, step = self.system.field, self._ends, self.step
+        while len(table) <= scale:
+            rows = ([[field_.times_beta(end) for end, _, _ in row]
+                     for row in table[-1]] if table else
+                    [[tuple(map(operator.add, start, step.lengths[c]))
+                      for c, start in zip(self.system.sub.rule(x), offsets)]
+                     for x, offsets in enumerate(step.offsets, 1)])
+            table.append([[(end, *field_.fixed_point_bounds(end))
+                           for end in row] for row in rows])
+        return table[scale][letter - 1]
+
+    def holds(self, letter, level, color, shift):
+        """True when T_color - c_color + shift / denom is a tile of
+        beta^level (T_letter - c_letter): the descent from its start into
+        the first subtile ending beyond it ends at offset 0 on `color`."""
+        field_, rule = self.system.field, self.system.sub.rule
+        sub = operator.sub
+        target = self.refs[letter - 1]
+        for _ in range(level):
+            target = field_.times_beta(target)
+        target = tuple([a + b - c for a, b, c in
+                        zip(shift, target, self.refs[color - 1])])
+        tile = letter
+        for scale in range(level - 1, -1, -1):
+            t_lo, t_hi = field_.fixed_point_bounds(target)
+            start = (0,) * len(target)
+            for k, (end, lo, hi) in enumerate(self.ends(tile, scale)):
+                if t_hi < lo or (t_lo <= hi and field_.int_sign(
+                        tuple(map(sub, target, end))) < 0):
+                    break
+                start = end
+            else:
+                return False
+            target = tuple(map(sub, target, start))
+            tile = rule(tile)[k]
+        return tile == color and not any(target)
 
 
 def _least_shared(states):
@@ -269,7 +318,7 @@ def _least_shared(states):
                         for anchor, shift in classes)), None)
 
 
-class _Walk:
+class _Walk(IntegerSetting):
     """Shared tiles of the translated inflated prototiles, found on the
     overlap-class inflation graph of `spectrum._Inflation`.
 
@@ -280,8 +329,7 @@ class _Walk:
     least moved-subtile path to it, which is its leftmost tile."""
 
     def __init__(self, system: SuspensionSystem, refpoints):
-        self.system = system
-        self.step, self.refs = _integer_setting(system, refpoints)
+        super().__init__(system, refpoints)
         # per class, the overlapping (anchor, shift) per moved subtile
         self._children = {}
 
@@ -306,17 +354,16 @@ class _Walk:
         return out
 
     def witness_shift(self, first, path, color):
-        """start + c_color for the tile at the end of a path of the
-        inflated prototile of `first` translated by -beta^L c_first."""
+        """start + c_color, over denom, for the tile at the end of a path of
+        the inflated prototile of `first` translated by -beta^L c_first."""
         step, add = self.step, operator.add
+        times_beta = self.system.field.times_beta
         vector = tuple(-a for a in self.refs[first - 1])
         for k in path:
-            vector = tuple(map(add, step.times_beta(vector),
+            vector = tuple(map(add, times_beta(vector),
                                step.offsets[first - 1][k]))
             first = self.system.sub.rule(first)[k]
-        vector = tuple(map(add, vector, self.refs[color - 1]))
-        return algebraic.FieldElem(
-            self.system.field, algebraic.unscaled_coords(vector, step.denom))
+        return tuple(map(add, vector, self.refs[color - 1]))
 
     def search(self, letters, scope, level_bound):
         """Least level with a tile shared by the translated inflated
@@ -343,7 +390,8 @@ class _Walk:
             level=level, color=hit[1], scope=scope,
             shift=self.witness_shift(letters[0], *hit),
             replay_level=replay_level, replay_color=rehit[1],
-            replay_shift=self.witness_shift(letters[0], *rehit)))
+            replay_shift=self.witness_shift(letters[0], *rehit),
+            denom=self.denom))
 
 
 def geometric_strong(system: SuspensionSystem, refpoints,
@@ -369,18 +417,15 @@ def simultaneous(system: SuspensionSystem, refpoints,
 
 
 def verify_witness(system: SuspensionSystem, refpoints,
-                   witness: CoincidenceWitness) -> bool:
+                   witness: CoincidenceWitness, setting=None) -> bool:
     """Replay a coincidence witness on the inflation tree.
 
     At its level L, and again at its replay level, a witness claims that
-    T_color - c_color + shift is a tile of beta^L (T_c - c_c) for each
-    scope letter c.  From the tile's start in beta^L T_c, shift - c_color
-    + beta^L c_c, the replay descends into the first subtile ending
-    beyond it, level by level; the claim holds when it ends at offset 0
-    on a tile of `color`.  Signs come from fixed-point enclosures, else
-    from `NumberField.int_sign`; no patch or window is used.  A witness
-    whose level is beyond the supertile cap, or whose replay level is
-    not the least seed-power multiple at or above it, fails first.
+    T_color - c_color + shift / denom is a tile of beta^L (T_c - c_c) for
+    each scope letter c (`IntegerSetting.holds`), on `setting` if its
+    denominator is a multiple of the witness's, else on one of its own.  A witness whose
+    level is beyond the supertile cap, or whose replay level is not the
+    least seed-power multiple at or above it, fails first.
     """
     letters = (range(1, system.size + 1) if witness.scope is None
                else witness.scope)
@@ -388,41 +433,12 @@ def verify_witness(system: SuspensionSystem, refpoints,
             witness.replay_level != _replay_level(system, witness.level) or
             _reachable_levels(system, letters, witness.level) < witness.level):
         return False
-    step, refs = _integer_setting(
-        system, (*refpoints, witness.shift, witness.replay_shift))
-    field_, rule = system.field, system.sub.rule
-    add, sub = operator.add, operator.sub
-    # per (letter, scale), beta^scale times each subtile end, enclosed
-    ends = {}
-    for letter in range(1, system.size + 1):
-        vectors = [tuple(map(add, start, step.lengths[c]))
-                   for c, start in zip(rule(letter), step.offsets[letter - 1])]
-        for scale in range(witness.replay_level):
-            ends[letter, scale] = [(v, *field_.fixed_point_bounds(v))
-                                   for v in vectors]
-            vectors = list(map(step.times_beta, vectors))
-    claims = ((witness.level, witness.color, refs[-2]),
-              (witness.replay_level, witness.replay_color, refs[-1]))
-    for level, color, shift in claims:
-        for letter in set(letters):
-            target = refs[letter - 1]
-            for _ in range(level):
-                target = step.times_beta(target)
-            target = tuple(a + b - c for a, b, c in
-                           zip(shift, target, refs[color - 1]))
-            tile = letter
-            for scale in range(level - 1, -1, -1):
-                t_lo, t_hi = field_.fixed_point_bounds(target)
-                start = (0,) * len(target)
-                for k, (end, lo, hi) in enumerate(ends[tile, scale]):
-                    if t_hi < lo or (t_lo <= hi and field_.int_sign(
-                            tuple(map(sub, target, end))) < 0):
-                        break
-                    start = end
-                else:
-                    return False
-                target = tuple(map(sub, target, start))
-                tile = rule(tile)[k]
-            if tile != color or any(target):
-                return False
-    return True
+    if setting is None or setting.denom % witness.denom:
+        setting = IntegerSetting(system, refpoints, witness.denom)
+    scale = setting.denom // witness.denom
+    claims = ((witness.level, witness.color, witness.shift),
+              (witness.replay_level, witness.replay_color,
+               witness.replay_shift))
+    return all(setting.holds(letter, level, color,
+                             tuple([a * scale for a in shift]))
+               for level, color, shift in claims for letter in set(letters))

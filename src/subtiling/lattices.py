@@ -200,16 +200,6 @@ def module_from_int_rows(rows, denom, width):
     return ZModule(denom // g, basis, width)
 
 
-def module_from(elems, width=None):
-    """Z-span of a finite set of field elements as a canonical lattice."""
-    elems = list(elems)
-    if width is None:
-        if not elems:
-            raise ValueError("cannot infer width from an empty set")
-        width = len(elems[0].coords)
-    return module_from_vectors([e.coords for e in elems], width)
-
-
 @dataclass(frozen=True)
 class AbelianGroup:
     """Invariant-factor form of a finitely generated abelian group."""

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import words as words_mod
-from .algebraic import common_denominator, scaled_coords
+from .algebraic import scaled_coords
 from .errors import EmptyWindow, InvalidWord
 # return_vectors is no longer called here, but stays importable from this
 # module: perfbench's tracer wraps names where callers look them up
@@ -55,6 +55,35 @@ def _frac_str(x) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+def format_shift(ints, denom):
+    """The vector ints / denom as reduced "p/q" strings."""
+    return [_frac_str(Fraction(a, denom)) for a in ints]
+
+
+def _lowest_terms(text):
+    """(p, q) in lowest terms of a string Fraction reads; "p/q" directly."""
+    p, slash, q = text.partition("/")
+    if not (slash and q.isdigit() and p.removeprefix("-").isdigit() and
+            text.isascii() and q.strip("0")):
+        return Fraction(text).as_integer_ratio()
+    g = math.gcd(int(p), int(q))
+    return int(p) // g, int(q) // g
+
+
+def parse_shifts(values, degree, denom=1):
+    """Shifts of a report as (integer vectors, D), D the lcm of `denom` and
+    their denominators.  A shift that is not a list of exactly `degree`
+    strings that Fraction reads raises ValueError or ZeroDivisionError."""
+    rows = []
+    for value in values:
+        if (type(value) is not list or len(value) != degree or
+                not all(type(s) is str for s in value)):
+            raise ValueError(f"shift {value!r} is not {degree} fractions")
+        rows.append(list(map(_lowest_terms, value)))
+        denom = math.lcm(denom, *(q for _, q in rows[-1]))
+    return [tuple([p * (denom // q) for p, q in row]) for row in rows], denom
+
+
 def _is_coincidence_key(key):
     return key[0] == key[1] and not any(key[2])
 
@@ -63,15 +92,13 @@ class _Inflation:
     """Overlap tests and one inflation step on integer shift vectors over
     one denominator, a multiple of the lengths' common denominator.
 
-    Multiplying by beta is the companion-matrix step: the coordinates
-    move up one power and the top one comes back as minus the minimal
-    polynomial's lower coefficients.  The overlap test of a child first
-    adds the fixed-point enclosure of beta * shift, taken once per
-    parent, to a per-generation enclosure of its offset difference plus
-    the tile length; a sum of enclosures is no tighter than the
-    enclosure of the sum, so whatever it decides `int_sign` would have
-    decided by its filter, with no refinement, and the rest goes to
-    `int_sign` in the order of `overlaps`."""
+    Multiplying by beta is `NumberField.times_beta`.  The overlap test
+    of a child first adds the fixed-point enclosure of beta * shift, taken
+    once per parent, to a per-generation enclosure of its offset
+    difference plus the tile length; a sum of enclosures is no tighter
+    than the enclosure of the sum, so whatever it decides `int_sign`
+    would have decided by its filter, with no refinement, and the rest
+    goes to `int_sign` in the order of `overlaps`."""
 
     def __init__(self, system: SuspensionSystem, denom):
         self.system = system
@@ -83,7 +110,6 @@ class _Inflation:
         self.offsets = tuple(
             tuple(scaled_coords(o.coords, denom) for o in offsets)
             for offsets in system.subtile_offsets)
-        self._companion = tuple(-c for c in self.field.minpoly[:-1])
         # per (moved, anchor): the generation and the subtile pairs
         self._pairs = {}
 
@@ -120,14 +146,6 @@ class _Inflation:
         self._pairs[(moved, anchor)] = (field_.generation, pairs)
         return pairs
 
-    def times_beta(self, v):
-        """beta times an integer vector: the companion-matrix step."""
-        top = v[-1]
-        base = (0,) + v[:-1]
-        if top:
-            base = tuple(a + top * b for a, b in zip(base, self._companion))
-        return base
-
     def successors(self, key):
         """The overlapping subtile pairs of a class after one inflation."""
         return [child for _, child in self.children(key)]
@@ -136,7 +154,7 @@ class _Inflation:
         """(index of the moved subtile, class) for the overlapping subtile
         pairs of a class after one inflation, moved subtile first."""
         moved, anchor, shift = key
-        base = self.times_beta(shift)
+        base = self.field.times_beta(shift)
         base_lo, base_hi = self.field.fixed_point_bounds(base)
         sign, lengths = self.field.int_sign, self.lengths
         add, sub = operator.add, operator.sub
@@ -349,7 +367,7 @@ def overlap_coincidence(system: SuspensionSystem, refpoints, window,
     cert = dict(meta)
     cert["coincidence_free_closed_set"] = [
         {"moved": k[0], "anchor": k[1],
-         "shift": [_frac_str(Fraction(a, step.denom)) for a in k[2]]}
+         "shift": format_shift(k[2], step.denom)}
         for k in stuck
     ]
     return SpectralHalf("overlap", "FAILS", certificate=cert)
@@ -582,27 +600,21 @@ def replay_overlap_certificate(system: SuspensionSystem, cert) -> bool:
     malformed certificate fails: one with no list of classes, a letter
     outside 1..m, or a shift that is not a list of exactly one fraction
     string per power-basis coordinate."""
-    m, degree = system.size, system.field.degree
-    entries = []
     try:
-        for e in cert["coincidence_free_closed_set"]:
-            moved, anchor, shift = e["moved"], e["anchor"], e["shift"]
-            if (type(shift) is not list or len(shift) != degree or
-                    not all(type(s) is str for s in shift)):
-                return False
-            coords = [Fraction(s) for s in shift]
-            if not all(type(c) is int and 1 <= c <= m
-                       for c in (moved, anchor)):
-                return False
-            entries.append((moved, anchor, coords))
+        entries = list(cert["coincidence_free_closed_set"])
+        shifts, denom = parse_shifts(
+            [e["shift"] for e in entries], system.field.degree,
+            system._length_denom)
+        letters = [(e["moved"], e["anchor"]) for e in entries]
     except (KeyError, TypeError, ValueError, ZeroDivisionError):
         return False
-    denom = math.lcm(system._length_denom, common_denominator(
-        c for _, _, coords in entries for c in coords))
+    if not all(type(c) is int and 1 <= c <= system.size for pair in letters
+               for c in pair):
+        return False
     step = _Inflation(system, denom)
     classes = {}
-    for moved, anchor, coords in entries:
-        key = (moved, anchor, scaled_coords(coords, denom))
+    for (moved, anchor), shift in zip(letters, shifts):
+        key = (moved, anchor, shift)
         if key in classes or not step.overlaps(*key):
             return False
         classes[key] = None

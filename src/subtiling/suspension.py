@@ -26,50 +26,6 @@ from .errors import EigenvectorDefect, WindowNotCovered
 from .words import Substitution
 
 
-def _solve_kernel(rows, field):
-    """Spanning vector of the one-dimensional kernel of a matrix over the
-    field, with a one at its free column.
-
-    Gauss-Jordan elimination with exact pivoting; raises EigenvectorDefect
-    unless the kernel has dimension exactly one.  It also solves a square
-    system A x = b with a unique solution: that is the kernel of the
-    augmented matrix [A | -b], and its free column is the last one.
-    """
-    m = len(rows)
-    width = len(rows[0])
-    mat = [list(row) for row in rows]
-    pivots = {}
-    r = 0
-    for col in range(width):
-        pivot = None
-        for i in range(r, m):
-            if not mat[i][col].is_zero():
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = mat[r][col].inverse()
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(m):
-            if i != r and not mat[i][col].is_zero():
-                factor = mat[i][col]
-                mat[i] = [x - factor * y for x, y in zip(mat[i], mat[r])]
-        pivots[col] = r
-        r += 1
-    free = [c for c in range(width) if c not in pivots]
-    if len(free) != 1:
-        raise EigenvectorDefect(
-            f"kernel dimension {len(free)} (expected 1)"
-        )
-    fc = free[0]
-    vec = [field.zero()] * width
-    vec[fc] = field.one()
-    for col, row in pivots.items():
-        vec[col] = -mat[row][fc]
-    return vec
-
-
 def prototile_lengths(sub: Substitution, field: algebraic.NumberField):
     """Left beta-eigenvector of the substitution matrix M, entries in
     Q(beta), last entry normalized to 1, every entry certified positive.
@@ -281,29 +237,51 @@ def control_points(system: SuspensionSystem, tile_map):
 
     With o_j the exact left offset of the chosen subtile of the inflated
     prototile j and g(j) its color, the reference points solve
-    beta*c_j = o_j + c_g(j); the system is invertible because the
-    selection matrix has spectral radius 1 < beta.
+    c_j = beta^-1 (o_j + c_g(j)), in integer vectors over multiples of
+    the lengths' denominator.  A cycle j_0 -> ... -> j_(k-1) of g gives
+    c_(j_0) = sum_i beta^(k-1-i) o_(j_i) / (beta^k - 1) by one inverse
+    (beta > 1), then c_g(j) = beta c_j - o_j the rest of the cycle, and
+    the trees hanging off it follow outward.
     """
     validate_tile_map(system.sub, tile_map)
-    m = system.size
-    field = system.field
-    beta = system.beta
-    offsets, targets = [], []
-    for letter in range(1, m + 1):
-        idx = tile_map[letter - 1]
-        offsets.append(system.subtile_offsets[letter - 1][idx - 1])
-        targets.append(system.sub.rule(letter)[idx - 1])
-    rows = []
-    for j in range(m):
-        row = [field.zero()] * m
-        row[j] = row[j] + beta
-        g = targets[j] - 1
-        row[g] = row[g] - field.one()
-        rows.append(row + [-offsets[j]])
-    vec = _solve_kernel(rows, field)
-    if vec[-1].is_zero():
-        raise EigenvectorDefect("singular system")
-    return tuple(vec[:-1])
+    field, denom = system.field, system._length_denom
+    a0, tail, zero = field.minpoly[0], field.minpoly[1:], (0,) * field.degree
+    rule, chosen = system.sub.rule, system.subtile_offsets
+    targets = [rule(x)[i - 1] - 1 for x, i in enumerate(tile_map, 1)]
+    offsets = [algebraic.scaled_coords(chosen[x - 1][i - 1].coords, denom)
+               for x, i in enumerate(tile_map, 1)]
+    points = [None] * system.size       # (ints, denominator) per letter
+    for j in range(system.size):
+        path = []       # to a solved letter, or around a cycle of its own
+        while points[j] is None and j not in path:
+            path.append(j)
+            j = targets[j]
+        if points[j] is None:
+            k = path.index(j)
+            path, cycle = path[:k], path[k:]
+            total, power = zero, (1,) + zero[1:]
+            for i in cycle:
+                total = tuple(map(operator.add, field.times_beta(total),
+                                  offsets[i]))
+                power = field.times_beta(power)
+            first = (field.element(algebraic.unscaled_coords(total, denom))
+                     / field.element((power[0] - 1,) + power[1:]))
+            d = math.lcm(denom, algebraic.common_denominator(first.coords))
+            points[j] = (algebraic.scaled_coords(first.coords, d), d)
+            for i in cycle[:-1]:
+                v, d = points[i]
+                points[targets[i]] = (tuple([a - b * (d // denom) for a, b in
+                                             zip(field.times_beta(v),
+                                                 offsets[i])]), d)
+        for i in reversed(path):
+            v, d = points[targets[i]]
+            v = [a * (d // denom) + b for a, b in zip(offsets[i], v)]
+            # beta^-1 v = (v_0 (a_1, ..., 1) - a_0 (v_1, ..., 0)) / -a_0
+            points[i] = (tuple([(v[0] * c - a0 * b) * (-1 if a0 > 0 else 1)
+                                for c, b in zip(tail, v[1:] + [0])]),
+                         d * abs(a0))
+    return tuple(algebraic.FieldElem(field, algebraic.unscaled_coords(v, d))
+                 for v, d in points)
 
 
 def left_endpoint_points(system: SuspensionSystem):

@@ -417,6 +417,63 @@ def ref_minpoly_sign(field, num, den):
     return P._sign(acc)
 
 
+def _solve_kernel(rows, field):
+    """Spanning vector of the one-dimensional kernel of a matrix over the
+    field, with a one at its free column.
+
+    Gauss-Jordan elimination with exact pivoting; fails unless the kernel
+    has dimension exactly one.  It also solves a square system A x = b
+    with a unique solution: that is the kernel of the augmented matrix
+    [A | -b], and its free column is the last one.
+    """
+    m = len(rows)
+    width = len(rows[0])
+    mat = [list(row) for row in rows]
+    pivots = {}
+    r = 0
+    for col in range(width):
+        pivot = next((i for i in range(r, m) if not mat[i][col].is_zero()),
+                     None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = mat[r][col].inverse()
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(m):
+            if i != r and not mat[i][col].is_zero():
+                factor = mat[i][col]
+                mat[i] = [x - factor * y for x, y in zip(mat[i], mat[r])]
+        pivots[col] = r
+        r += 1
+    free = [c for c in range(width) if c not in pivots]
+    assert len(free) == 1, f"kernel dimension {len(free)} (expected 1)"
+    fc = free[0]
+    vec = [field.zero()] * width
+    vec[fc] = field.one()
+    for col, row in pivots.items():
+        vec[col] = -mat[row][fc]
+    return vec
+
+
+def ref_control_points(system, tile_map):
+    """Reference: the control points by Gauss-Jordan over Q(beta), as the
+    kernel of [A | -o] for the system beta c_j - c_g(j) = o_j."""
+    suspension.validate_tile_map(system.sub, tile_map)
+    m = system.size
+    field = system.field
+    rows = []
+    for j in range(m):
+        idx = tile_map[j]
+        row = [field.zero()] * m
+        row[j] = row[j] + system.beta
+        g = system.sub.rule(j + 1)[idx - 1] - 1
+        row[g] = row[g] - field.one()
+        rows.append(row + [-system.subtile_offsets[j][idx - 1]])
+    vec = _solve_kernel(rows, field)
+    assert not vec[-1].is_zero()
+    return tuple(vec[:-1])
+
+
 def ref_prototile_lengths(sub, field):
     """Reference: the left eigenvector by Gauss-Jordan over Q(beta)."""
     matrix = W.substitution_matrix(sub)
@@ -424,7 +481,7 @@ def ref_prototile_lengths(sub, field):
     beta = field.beta()
     rows = [[field.rational(matrix[i][j]) - (beta if i == j else 0)
              for i in range(m)] for j in range(m)]
-    vec = suspension._solve_kernel(rows, field)
+    vec = _solve_kernel(rows, field)
     inv = vec[-1].inverse()
     lengths = tuple(v * inv for v in vec)
     assert all(length.sign() > 0 for length in lengths)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from subtiling import algebraic, cli, coincidence, suspension
+from subtiling import algebraic, cli, coincidence, spectrum, suspension
 from subtiling.errors import (InvalidBound, LengthCapExceeded,
                               SpecSyntaxError, UnknownCorpusEntry)
 
@@ -337,17 +337,31 @@ def test_verify_fails_malformed_balanced_pair(tmp_path, pair):
     assert "Traceback" not in err
 
 
+# Every fibonacci witness shift is zero, so a shift read as zero would
+# replay: a bare string read one character per coordinate, a list short of
+# the degree padded with zeros, or JSON floats.  A shift is a list of
+# exactly `degree` fraction strings.
 @pytest.mark.parametrize("field_name, value", [
     ("color", "z"), ("replay_color", "z"), ("scope", ["a", "z"]),
-    ("replay_shift", ["1/1", "0/1", "3/1"]), ("shift", ["1/0"])])
+    ("replay_shift", ["1/1", "0/1", "3/1"]), ("shift", ["1/0"]),
+    ("shift", "00"), ("replay_shift", "00"),
+    ("shift", ["0/1"]), ("replay_shift", ["0/1"]),
+    ("shift", [0.0, 0.0]), ("replay_shift", [0.0, 0.0])])
 def test_verify_fails_witness_that_does_not_parse(tmp_path, field_name,
                                                   value):
-    report = _fixture("fibonacci")
-    report["checks"]["simultaneous"]["witness"][field_name] = value
-    assert cli.verify_report(report)["replayed"]["simultaneous"] is False
-    code, out, err = _verify_file(tmp_path, report)
-    assert code == 1 and json.loads(out)["passed"] is False
-    assert "Traceback" not in err
+    for key in ("simultaneous", "a|a", "a|b", "b|b"):
+        report = _fixture("fibonacci")
+        checks = report["checks"]
+        witness = (checks["simultaneous"]["witness"] if key == "simultaneous"
+                   else checks["geometric_strong"]["pairs"][key]["witness"])
+        witness[field_name] = value
+        outcome = cli.verify_report(report)
+        assert outcome["replayed"][_replay_name(key)] is False, key
+        # the other witnesses still replay
+        assert sum(not ok for ok in outcome["replayed"].values()) == 1, key
+        code, out, err = _verify_file(tmp_path, report)
+        assert code == 1 and json.loads(out)["passed"] is False
+        assert "Traceback" not in err
 
 
 def _scope_edit(report, edit):
@@ -721,13 +735,14 @@ def test_verify_replays_the_letter_missing_from_the_window(tamper):
 
 def test_pentanacci_replay_builds_no_patch(monkeypatch):
     # verify replays 16 witnesses by descending the inflation tree, and
-    # the core facts: no patch is built, and the fixed-point enclosures
-    # leave few signs to NumberField.int_sign, through which every
-    # certified sign passes
-    builds, signs, replaying = [], [], []
+    # the core facts: no patch is built, all 16 replay on one integer
+    # setting, and the fixed-point enclosures leave few signs to
+    # NumberField.int_sign, through which every certified sign passes
+    builds, signs, replaying, settings = [], [], [], []
     init = suspension.Patch.__init__
     int_sign = algebraic.NumberField.int_sign
     verify_witness = coincidence.verify_witness
+    inflation_init = spectrum._Inflation.__init__
 
     def replay(*args):
         replaying.append(1)
@@ -744,9 +759,14 @@ def test_pentanacci_replay_builds_no_patch(monkeypatch):
                         lambda self, ints: signs.append(1) or
                         int_sign(self, ints))
     monkeypatch.setattr(coincidence, "verify_witness", replay)
+    monkeypatch.setattr(
+        spectrum._Inflation, "__init__",
+        lambda self, *args: settings.append(1) or
+        inflation_init(self, *args))
     outcome = cli.verify_report(_fixture("pentanacci"))
     assert outcome["passed"] and len(outcome["replayed"]) == 17
     assert builds == []
+    assert len(settings) == 1
     assert len(signs) <= 200
 
 

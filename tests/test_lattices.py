@@ -25,7 +25,7 @@ def test_module_from_thirds():
 def test_module_rank_two(sys_fib):
     one = sys_fib.field.one()
     phi = sys_fib.beta
-    m = L.module_from([one, phi])
+    m = L.module_from_vectors([one.coords, phi.coords], 2)
     assert m.rank == 2
     assert m.contains(one + phi * 3)
     assert not m.contains(phi / 2)

@@ -1,6 +1,8 @@
 import gc
+import itertools
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,9 @@ from subtiling.errors import EigenvectorDefect, WindowNotCovered
 
 from conftest import (CORPUS_IDS, elements, exact_tiles,
                       fieldelem_differences, fieldelem_point_sets,
-                      inflated_prototile, system_for)
+                      inflated_prototile, ref_control_points, system_for)
+
+SPECS = Path(__file__).resolve().parents[1] / "perfbench" / "specs"
 
 
 def test_prototile_lengths(sys_fib, sys_tm, sys_fib2):
@@ -113,6 +117,39 @@ def test_control_points_leftmost_is_zero(sys_fib, sys_rauzy2):
     for system in (sys_fib, sys_rauzy2):
         cp = S.control_points(system, S.leftmost_tile_map(system.sub))
         assert all(c.is_zero() for c in cp)
+
+
+def _spec_system(name):
+    spec = cli.parse_spec((SPECS / f"{name}.spec").read_text(
+        encoding="utf-8"), name=name)
+    return S.SuspensionSystem(spec.substitution())
+
+
+def test_control_points_match_gauss_jordan():
+    # the functional-graph solve against Gauss-Jordan over Q(beta): the
+    # corpus tile maps, and every tile map of fibonacci, rauzy, plastic
+    # and the non-unimodular a -> aaab, b -> ab, whose beta^-1 has a
+    # denominator
+    cases = [(system_for(name), [cli.corpus_lookup(name).tilemap])
+             for name in ("aba-gamma", "rauzy2-gamma")]
+    for system in (system_for("fibonacci"), system_for("rauzy"),
+                   _spec_system("plastic"), _spec_system("nonunimodular")):
+        cases.append((system, itertools.product(
+            *(range(1, len(rule) + 1) for rule in system.sub.rules))))
+    trees = 0
+    for system, tile_maps in cases:
+        for tile_map in tile_maps:
+            points = S.control_points(system, tile_map)
+            expected = ref_control_points(system, tile_map)
+            assert points == expected, tile_map
+            # the same normal form: int when integral, else Fraction
+            assert [tuple(map(type, c.coords)) for c in points] == \
+                [tuple(map(type, c.coords)) for c in expected]
+            # g is not a permutation: a tree hangs off one of its cycles
+            colors = {system.sub.rule(letter)[idx - 1]
+                      for letter, idx in enumerate(tile_map, 1)}
+            trees += len(colors) < system.size
+    assert trees >= 3
 
 
 def test_control_points_aba(sys_aba):
