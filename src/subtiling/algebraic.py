@@ -15,15 +15,23 @@ Signs of nonzero elements are certified in two stages, filter then exact.
 
 * Fixed-point filter.  Since lo > 1, lo^k <= beta^k <= hi^k for every
   k >= 0.  Rounding outward, L_k = floor(2^P lo^k) and
-  H_k = ceil(2^P hi^k) are integers with L_k <= 2^P beta^k <= H_k
-  (P = FILTER_BITS).  Scaled by the lcm of its denominators, an element
-  has integer coordinates a_k, and 2^P times its value lies between
+  H_k = ceil(2^P hi^k) are integers with L_k <= 2^P beta^k <= H_k.
+  Scaled by the lcm of its denominators, an element has integer
+  coordinates a_k, and 2^P times its value lies between
   sum a_k (L_k if a_k > 0 else H_k) and sum a_k (H_k if a_k > 0 else L_k).
   A lower sum above zero or an upper sum below zero is the sign.  The
-  table of L_k and H_k is cached per refinement generation, and the
+  rounding adds about sum |a_k| 2^-P to the width the interval induces,
+  so the filter takes its table at the matched scale
+  P = max(FILTER_BITS, bits of den + FILTER_MARGIN), which keeps the
+  rounding below that width however far the interval is refined.  The
   filter never refines the interval.  The two sums are also exposed as
-  an enclosure (fixed_point_bounds), which a patch takes once per tile
-  boundary, on the integer vectors it holds.
+  an enclosure (fixed_point_bounds): at the matched scale for values
+  compared within one refinement generation, as the inflation step of
+  `spectrum` does, and at P = FILTER_BITS for enclosures kept across
+  generations, such as a patch's, taken once per tile boundary.  Each
+  table is cached per generation.  A refinement only tightens a table
+  and never lowers the matched scale, so an enclosure taken earlier stays
+  valid, and whatever it decides the filter decides too.
 * Exact route.  When the filter cannot decide, the coordinate polynomial
   is evaluated by Horner's rule in integer interval arithmetic on
   [num_lo, num_hi]: scaled by the lcm of its denominators, the element's
@@ -51,10 +59,14 @@ from fractions import Fraction
 from . import polys
 from .errors import FactorizationFailed
 
-# Fixed-point scale of the sign filter: beta^k is enclosed by integers
-# over 2^FILTER_BITS.  The rounding error is far below the 2^-20 interval
-# width every analysis works at, so the width alone limits the filter.
+# Fixed-point scales: an enclosure kept across refinements has beta^k
+# enclosed by integers over 2^FILTER_BITS.  That rounding, up to 2^-64 per
+# unit of coordinate, outgrows the width of the interval once den passes
+# about 2^48, so the sign filter works at the matched scale instead:
+# FILTER_MARGIN bits beyond den, which holds the rounding near 2^-16 of
+# the width, or FILTER_BITS when that is more.
 FILTER_BITS = 64
+FILTER_MARGIN = 16
 
 
 def _canon(x):
@@ -196,8 +208,10 @@ class NumberField:
         # beta^degree in the power basis
         self._companion = tuple(-c for c in self.minpoly[:-1])
         self.generation = 0
-        self._filter_table = None
-        self._filter_gen = -1
+        # the tables at 2^FILTER_BITS and at the matched scale, with the
+        # generation each was built at
+        self._fixed = self._matched = None
+        self._fixed_gen = self._matched_gen = -1
         guard = 0
         while self.num_lo <= self.den:
             if self.num_hi <= self.den or guard > 512:
@@ -252,33 +266,58 @@ class NumberField:
                width.numerator * self.den):
             self._refine_once()
 
-    def _fixed_point_table(self):
-        """(L, H) with L[k] <= 2^FILTER_BITS * beta^k <= H[k] for
-        k < degree, from the current interval; rebuilt per generation."""
-        if self._filter_gen != self.generation:
-            lows, highs = [], []
-            lo_pow = hi_pow = 1 << FILTER_BITS
-            den_pow = 1
-            for _ in range(self.degree):
-                lows.append(lo_pow // den_pow)
-                highs.append(-(-hi_pow // den_pow))
-                lo_pow *= self.num_lo
-                hi_pow *= self.num_hi
-                den_pow *= self.den
-            self._filter_table = (tuple(lows), tuple(highs))
-            self._filter_gen = self.generation
-        return self._filter_table
+    def _table_at(self, bits):
+        """(L, H) with L[k] <= 2^bits * beta^k <= H[k] for k < degree,
+        from the current interval."""
+        lows, highs = [], []
+        lo_pow = hi_pow = 1 << bits
+        den_pow = 1
+        for _ in range(self.degree):
+            lows.append(lo_pow // den_pow)
+            highs.append(-(-hi_pow // den_pow))
+            lo_pow *= self.num_lo
+            hi_pow *= self.num_hi
+            den_pow *= self.den
+        return tuple(lows), tuple(highs)
 
-    def fixed_point_bounds(self, ints):
+    def _fixed_point_table(self):
+        """The table at 2^FILTER_BITS, rebuilt per generation."""
+        if self._fixed_gen != self.generation:
+            self._fixed = self._table_at(FILTER_BITS)
+            self._fixed_gen = self.generation
+        return self._fixed
+
+    def matched_bits(self):
+        """The matched scale P of this generation: FILTER_BITS, or
+        FILTER_MARGIN bits beyond den when that is more."""
+        return max(FILTER_BITS, self.den.bit_length() + FILTER_MARGIN)
+
+    def _matched_table(self):
+        """The table at 2^matched_bits(), rebuilt per generation; the
+        fixed table itself while the two scales agree."""
+        if self._matched_gen != self.generation:
+            bits = self.matched_bits()
+            self._matched = (self._fixed_point_table()
+                             if bits == FILTER_BITS else self._table_at(bits))
+            self._matched_gen = self.generation
+        return self._matched
+
+    def fixed_point_bounds(self, ints, matched=False):
         """Integers (lower, upper) enclosing 2^FILTER_BITS times
-        sum ints[k] * beta^k, for integer coordinates ints.
+        sum ints[k] * beta^k, for integer coordinates ints; with matched,
+        2^matched_bits() times it.  Matched bounds of different
+        generations have different scales; only those of one generation
+        may be added or compared.
 
         Each coordinate contributes min(a L_k, a H_k) to the lower sum and
         max(a L_k, a H_k) to the upper one.  These are superadditive and
         subadditive in a, so bounds of summands add up to bounds of the
-        sum that are no tighter than the sum's own; and a refinement only
-        tightens the table, so bounds taken earlier stay valid."""
-        lows, highs = self._fixed_point_table()
+        sum that are no tighter than the sum's own.  A refinement only
+        tightens the table and never lowers its scale, so bounds taken
+        earlier, divided by their scale, stay valid and contain the
+        bounds taken later."""
+        lows, highs = (self._matched_table() if matched
+                       else self._fixed_point_table())
         lower = upper = 0
         for a, low, high in zip(ints, lows, highs):
             if a > 0:
@@ -291,8 +330,8 @@ class NumberField:
 
     def filter_sign(self, ints):
         """Sign of sum ints[k] * beta^k for integer coordinates when the
-        fixed-point table decides it, else 0.  Never refines."""
-        lower, upper = self.fixed_point_bounds(ints)
+        table at the matched scale decides it, else 0.  Never refines."""
+        lower, upper = self.fixed_point_bounds(ints, matched=True)
         if lower > 0:
             return 1
         if upper < 0:

@@ -95,10 +95,14 @@ class _Inflation:
     Multiplying by beta is `NumberField.times_beta`.  The overlap test
     of a child first adds the fixed-point enclosure of beta * shift, taken
     once per parent, to a per-generation enclosure of its offset
-    difference plus the tile length; a sum of enclosures is no tighter
-    than the enclosure of the sum, so whatever it decides `int_sign`
-    would have decided by its filter, with no refinement, and the rest
-    goes to `int_sign` in the order of `overlaps`."""
+    difference plus the tile length.  Both are taken at the matched
+    scale of one generation (`fixed_point_bounds(matched=True)`), the
+    scale of the sign filter, so they stay as tight as the filter however
+    far the interval is refined.  A sum of enclosures is no tighter than
+    the enclosure of the sum, and a later generation's filter is tighter
+    still, so whatever it decides `int_sign` would have decided by its
+    filter, with no refinement, and the rest goes to `int_sign` in the
+    order of `overlaps`."""
 
     def __init__(self, system: SuspensionSystem, denom):
         self.system = system
@@ -126,14 +130,18 @@ class _Inflation:
         """(moved subtile index and color, anchor subtile color, offset
         difference delta, enclosure of delta + len_moved, enclosure of
         len_anchor - delta) over the subtile pairs of the two inflated
-        tiles, moved subtile first, with enclosures of this generation."""
+        tiles, moved subtile first, with enclosures of this generation at
+        its matched scale."""
         field_ = self.field
         cached = self._pairs.get((moved, anchor))
         if cached is not None and cached[0] == field_.generation:
             return cached[1]
         rules, lengths = self.system.sub.rule, self.lengths
-        bounds = field_.fixed_point_bounds
         add, sub = operator.add, operator.sub
+
+        def bounds(ints):
+            return field_.fixed_point_bounds(ints, matched=True)
+
         pairs = []
         for k, (mc, m_off) in enumerate(zip(rules(moved),
                                             self.offsets[moved - 1])):
@@ -154,13 +162,14 @@ class _Inflation:
         """(index of the moved subtile, class) for the overlapping subtile
         pairs of a class after one inflation, moved subtile first."""
         moved, anchor, shift = key
+        # the pairs first: both enclosures belong to their generation
+        pairs = self._subtile_pairs(moved, anchor)
         base = self.field.times_beta(shift)
-        base_lo, base_hi = self.field.fixed_point_bounds(base)
+        base_lo, base_hi = self.field.fixed_point_bounds(base, matched=True)
         sign, lengths = self.field.int_sign, self.lengths
         add, sub = operator.add, operator.sub
         out = []
-        for k, mc, ac, delta, m_lo, m_hi, a_lo, a_hi in \
-                self._subtile_pairs(moved, anchor):
+        for k, mc, ac, delta, m_lo, m_hi, a_lo, a_hi in pairs:
             child = None
             # -len_mc < child, then child < len_ac
             if base_lo + m_lo <= 0:

@@ -237,17 +237,26 @@ def is_primitive(matrix):
     """True iff some power of the nonnegative matrix is strictly positive.
 
     By Wielandt's bound it suffices to look at the power m*m - 2m + 2,
-    computed over booleans.
+    computed over booleans with each row an int bitmask: row i of a
+    product is the union of the rows of the right factor that row i of
+    the left one holds.
     """
     m = len(matrix)
-    adj = [[bool(matrix[i][j]) for j in range(m)] for i in range(m)]
+    adj = [sum(1 << j for j, c in enumerate(row) if c) for row in matrix]
     exponent = m * m - 2 * m + 2
 
     def bool_mul(a, b):
-        return [[any(a[i][t] and b[t][j] for t in range(m))
-                 for j in range(m)] for i in range(m)]
+        out = []
+        for row in a:
+            acc = 0
+            while row:
+                low = row & -row
+                acc |= b[low.bit_length() - 1]
+                row ^= low
+            out.append(acc)
+        return out
 
-    result = [[i == j for j in range(m)] for i in range(m)]
+    result = [1 << i for i in range(m)]
     base = adj
     e = exponent
     while e:
@@ -255,7 +264,8 @@ def is_primitive(matrix):
             result = bool_mul(result, base)
         base = bool_mul(base, base)
         e >>= 1
-    return all(all(row) for row in result)
+    full = (1 << m) - 1
+    return all(row == full for row in result)
 
 
 def first_letter_map(sub: Substitution):

@@ -407,6 +407,27 @@ def ref_is_irreducible_mod_p(p, m):
     return True
 
 
+def ref_is_primitive(matrix):
+    """Reference: words.is_primitive over boolean list matrices, each
+    entry of a product an `any` over its m terms."""
+    m = len(matrix)
+    adj = [[bool(matrix[i][j]) for j in range(m)] for i in range(m)]
+
+    def bool_mul(a, b):
+        return [[any(a[i][t] and b[t][j] for t in range(m))
+                 for j in range(m)] for i in range(m)]
+
+    result = [[i == j for j in range(m)] for i in range(m)]
+    base = adj
+    e = m * m - 2 * m + 2
+    while e:
+        if e & 1:
+            result = bool_mul(result, base)
+        base = bool_mul(base, base)
+        e >>= 1
+    return all(all(row) for row in result)
+
+
 def ref_minpoly_sign(field, num, den):
     """Reference: NumberField._minpoly_sign by its own Horner loop."""
     acc = field.minpoly[-1]

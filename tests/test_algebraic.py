@@ -453,3 +453,50 @@ def test_integer_bisection_and_table_equal_the_fraction_ones(minpoly):
         field._refine_once()
     assert (field.interval().lo, field.interval().hi) == \
         _ref_ends(minpoly, 300)
+
+
+def _ref_matched_bits(minpoly, generation):
+    """The matched scale at a generation: den is the lcm of the isolating
+    interval's denominators times 2^generation."""
+    lo, hi = _ref_ends(minpoly, 0)
+    den = math.lcm(lo.denominator, hi.denominator) << generation
+    return max(A.FILTER_BITS, den.bit_length() + A.FILTER_MARGIN)
+
+
+@pytest.mark.parametrize("minpoly", [(-1, -1, 1), (-3, -1, 1), (-1, -1, 0, 1)],
+                         ids=["golden", "nonpisot", "plastic"])
+def test_matched_table_equals_the_fraction_one_at_its_scale(minpoly):
+    field = field_from(list(minpoly))
+    while field.generation <= 400:
+        bits = _ref_matched_bits(minpoly, field.generation)
+        assert field.matched_bits() == bits
+        lo, hi = _ref_ends(minpoly, field.generation)
+        scale = 1 << bits
+        assert field._matched_table() == (
+            tuple(math.floor(scale * lo ** k) for k in range(field.degree)),
+            tuple(math.ceil(scale * hi ** k) for k in range(field.degree)))
+        field._refine_once()
+    assert field.matched_bits() > A.FILTER_BITS
+
+
+def test_filter_decides_deep_in_the_refinement():
+    # at width 2^-200 the value of a1 beta + a0, with both coordinates
+    # above 2^80, is far above the width the interval induces but far
+    # below the 2^-64 rounding of a coordinate that large
+    minpoly = (-3, -1, 1)
+    field = field_from(list(minpoly))
+    field.ensure_width(Fraction(1, 1 << 200))
+    lo, hi = _ref_ends(minpoly, field.generation)
+    a1 = 3 ** 60
+    ints = (-math.floor(a1 * lo), a1)
+    assert min(map(abs, ints)) > 1 << 80
+    width = a1 * (hi - lo)
+    value_lo = ints[0] + a1 * lo
+    assert value_lo >= (1 << 10) * width
+    before = field.generation
+    for vector, expected in ((ints, 1), (tuple(-a for a in ints), -1)):
+        lower, upper = field.fixed_point_bounds(vector)
+        assert lower <= 0 <= upper
+        assert field.filter_sign(vector) == expected
+        assert field.int_sign(vector) == expected
+    assert field.generation == before

@@ -776,20 +776,27 @@ def test_pentanacci_replay_builds_no_patch(monkeypatch):
 def test_nonpisot_signs_and_bisection_run_on_integers(monkeypatch):
     # the undecided signs of the non-Pisot input (a conjugate outside the
     # unit disk grows its coordinates) are decided by integer Horner and
-    # integer bisection; a RatInterval is made only at the boundary
-    intervals, refinements = [], []
+    # integer bisection; a RatInterval is made only at the boundary.  The
+    # sign filter's scale follows the interval, so past den = 2^48 it
+    # still decides most signs: 8,412 fell through to Horner at 2^64
+    intervals, refinements, horner = [], [], []
     init = algebraic.RatInterval.__init__
     refine = algebraic.NumberField._refine_once
+    refined_sign = algebraic.NumberField._refined_sign
     monkeypatch.setattr(
         algebraic.RatInterval, "__init__",
         lambda self, lo, hi: intervals.append(1) or init(self, lo, hi))
     monkeypatch.setattr(algebraic.NumberField, "_refine_once",
                         lambda self: refinements.append(1) or refine(self))
+    monkeypatch.setattr(
+        algebraic.NumberField, "_refined_sign",
+        lambda self, ints: horner.append(1) or refined_sign(self, ints))
     text = (PERFBENCH / "specs" / "nonpisot.spec").read_text(encoding="utf-8")
     cli.run_analysis(cli.parse_spec(text, name="nonpisot"),
                      overrides=SPEC_BOUNDS)
     assert len(refinements) == 338
     assert len(intervals) <= 16
+    assert len(horner) <= 500
 
 
 # -- the involution certificates and the core facts --------------------------

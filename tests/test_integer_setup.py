@@ -1,10 +1,11 @@
 """The per-input field setup over Z against its references over Q.
 
 `polys` factors the characteristic polynomial, isolates the Perron root
-and tests irreducibility in integers, and `suspension.prototile_lengths`
-reads the lengths off the adjugate.  The routines they replaced live in
-conftest as references; every result must be equal, down to the isolating
-intervals and the number of refinements of beta's interval.
+and tests irreducibility in integers, `suspension.prototile_lengths`
+reads the lengths off the adjugate, and `words.is_primitive` multiplies
+bitmask rows.  The routines they replaced live in conftest as
+references; every result must be equal, down to the isolating intervals
+and the number of refinements of beta's interval.
 """
 
 import random
@@ -20,10 +21,10 @@ from subtiling import suspension as S
 from subtiling import words as W
 
 from conftest import (ref_exact_int_divide, ref_is_irreducible_mod_p,
-                      ref_isolate_largest_real_root, ref_poly_gcd,
-                      ref_refine_root_interval, ref_remainder_chain,
-                      ref_squarefree_part, ref_yun_squarefree_decomposition,
-                      with_rational_setup)
+                      ref_is_primitive, ref_isolate_largest_real_root,
+                      ref_poly_gcd, ref_refine_root_interval,
+                      ref_remainder_chain, ref_squarefree_part,
+                      ref_yun_squarefree_decomposition, with_rational_setup)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -124,6 +125,25 @@ def test_root_isolation_matches_rational_signs_on_random_polynomials():
                     break
                 lo, hi = step
     assert isolated > 50
+
+
+def test_primitivity_matches_the_boolean_list_products():
+    matrices = [W.substitution_matrix(sub) for _, sub in INPUTS]
+    rng = random.Random(18)
+    for m in range(1, 9):
+        for density in (0.15, 0.3, 0.5, 0.8):
+            matrices += [[[int(rng.random() < density) for _ in range(m)]
+                          for _ in range(m)] for _ in range(6)]
+        # a cycle through every letter: irreducible but imprimitive,
+        # until a chord of another length makes it primitive
+        cycle = [[int(j == (i + 1) % m) for j in range(m)] for i in range(m)]
+        matrices.append(cycle)
+        matrices.append([row[:] for row in cycle])
+        matrices[-1][0][0] = 1
+    got = [W.is_primitive(mat) for mat in matrices]
+    assert got == [ref_is_primitive(mat) for mat in matrices]
+    assert all(got[:len(INPUTS)])
+    assert 40 < sum(got) < len(got) - 40
 
 
 @pytest.mark.parametrize("name, sub", INPUTS, ids=[i[0] for i in INPUTS])
