@@ -511,7 +511,7 @@ def run_analysis(spec: SpecFile, overrides: dict | None = None) -> dict:
             "status": "UNSTABLE" if res.unstable else "DECIDED",
             "group": _group_json(res.group),
             "stabilized_at_window": res.stabilized_at,
-            "windows": list(res.windows_used),
+            "windows": list(lattices.WINDOW_SCHEDULE),
             "cross_lattice": _lattice_json(res.sup),
             "samecolor_lattice": _lattice_json(res.sub),
         }

@@ -254,7 +254,6 @@ def quotient(sup: ZModule, sub: ZModule) -> AbelianGroup:
 class HeightGroupResult:
     group: AbelianGroup
     stabilized_at: int | None
-    windows_used: tuple
     sup: ZModule
     sub: ZModule
 
@@ -298,24 +297,20 @@ def return_lattices(system, refpoints, size):
 def height_group(system, refpoints):
     """Quotient of the cross-difference lattice by the same-color one.
 
-    Both lattices are sampled on the windows of WINDOW_SCHEDULE; the
-    result is taken at the first window whose lattices agree with the next
-    window's, and flagged unstable when no two consecutive windows agree.
+    Both lattices are sampled on the windows of WINDOW_SCHEDULE in order,
+    and sampling stops at the first window whose lattices agree with the
+    previous window's; the result is taken at the earlier of the two.  It
+    is flagged unstable, with the last window's lattices, when no two
+    consecutive windows agree.  A report's `windows` names the schedule,
+    not the windows sampled.
     """
-    samples = [(size,) + return_lattices(system, refpoints, size)
-               for size in WINDOW_SCHEDULE]
-    for (size, sup_mod, sub_mod), (_, sup_next, sub_next) in zip(
-        samples, samples[1:]
-    ):
-        if sup_mod == sup_next and sub_mod == sub_next:
-            return HeightGroupResult(
-                quotient(sup_mod, sub_mod), size, WINDOW_SCHEDULE,
-                sup_mod, sub_mod,
-            )
-    size, sup_mod, sub_mod = samples[-1]
-    return HeightGroupResult(
-        quotient(sup_mod, sub_mod), None, WINDOW_SCHEDULE, sup_mod, sub_mod
-    )
+    pair = prev_size = None
+    for size in WINDOW_SCHEDULE:
+        prev, pair = pair, return_lattices(system, refpoints, size)
+        if pair == prev:
+            return HeightGroupResult(quotient(*pair), prev_size, *pair)
+        prev_size = size
+    return HeightGroupResult(quotient(*pair), None, *pair)
 
 
 def eventual_membership(elem, lattice: ZModule, beta, kmax):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +10,9 @@ from subtiling import suspension as S
 from subtiling.errors import NotASubmodule
 
 from conftest import (fieldelem_differences, fieldelem_point_sets,
-                      system_for)
+                      report_for, system_for)
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_module_from_integers():
@@ -197,8 +200,8 @@ def test_return_module_verdicts(sys_fib, sys_fib2, sys_aba):
 
 
 def test_window_lattices_sampled_once(monkeypatch):
-    # height_group samples the window of 64; the return-module check at
-    # the same exact window reuses that pair instead of rebuilding it
+    # fib2 agrees at 16, so height_group samples windows 16 and 32 only;
+    # the return-module check samples the window of 64 itself, once
     system = S.SuspensionSystem(cli.corpus_lookup("fib2").substitution())
     refs = S.left_endpoint_points(system)
     calls = []
@@ -206,7 +209,50 @@ def test_window_lattices_sampled_once(monkeypatch):
     monkeypatch.setattr(L, "module_from_int_rows",
                         lambda *args: calls.append(1) or build(*args))
     res = L.height_group(system, refs)
-    assert len(calls) == 2 * len(res.windows_used)
+    assert res.stabilized_at == 16
+    assert len(calls) == 4
+    L.differences_in_return_module(system, refs, 16, 64)
+    assert len(calls) == 6
     ret = L.differences_in_return_module(system, refs, 16, 64)
-    assert len(calls) == 2 * len(res.windows_used)
+    assert len(calls) == 6
     assert (ret.sup, ret.sub) == L.return_lattices(system, refs, 64)
+
+
+def test_height_group_samples_until_two_windows_agree():
+    # pentanacci first agrees at 32, so the window of 128 is never sampled
+    text = (PERFBENCH / "specs" / "pentanacci.spec").read_text(
+        encoding="utf-8")
+    spec = cli.parse_spec(text, name="pentanacci")
+    system = S.SuspensionSystem(spec.substitution())
+    refs, _ = cli._reference_points(system, spec)
+    res = L.height_group(system, refs)
+    assert res.stabilized_at == 32
+    assert {key[:2] for key in system.lattice_samples} == {
+        system.window(size) for size in (16, 32, 64)}
+    assert len(system.lattice_samples) == 3
+
+
+def test_height_group_unstable_samples_every_window(monkeypatch):
+    # a pair that changes on every window: all four are sampled and the
+    # group is the last window's quotient, (1/size)Z / Z
+    sampled = []
+
+    def fake(system, refpoints, size):
+        sampled.append(size)
+        return (L.module_from_vectors([[Fraction(1, size)]], 1),
+                L.module_from_vectors([[1]], 1))
+
+    monkeypatch.setattr(L, "return_lattices", fake)
+    res = L.height_group(None, ())
+    assert sampled == list(L.WINDOW_SCHEDULE)
+    assert res.stabilized_at is None and res.unstable
+    assert res.group == L.AbelianGroup((L.WINDOW_SCHEDULE[-1],))
+    assert (res.sup, res.sub) == fake(None, (), L.WINDOW_SCHEDULE[-1])
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "aba-left"])
+def test_report_windows_are_the_schedule(name):
+    # the report names the schedule, not the windows that were sampled
+    height = report_for(name)["checks"]["height_group"]
+    assert height["stabilized_at_window"] == 16
+    assert height["windows"] == [16, 32, 64, 128]
