@@ -16,7 +16,7 @@ print("isolating interval:", field.interval())
 
 b = field.beta()
 print("beta^2 == beta + 1:", b * b == b + 1)
-print("1/beta == beta - 1:", 1 / b == b - 1)
+print("1/beta == beta - 1:", b.inverse() == b - 1)
 
 x = 10 * b - 16
 print("sign of 10*beta - 16:", x.sign())

@@ -5,7 +5,7 @@ Run with: python3 demos/03_suspension_geometry.py
 
 from fractions import Fraction
 
-from subtiling import cli, suspension
+from subtiling import cli, spectrum, suspension
 
 spec = cli.corpus_lookup("rauzy2-gamma")
 system = suspension.SuspensionSystem(spec.substitution())
@@ -15,10 +15,13 @@ print("prototile lengths (coordinates in 1, beta, beta^2):")
 for tok, length in zip(spec.letters, system.lengths):
     print(f"  {tok}: {[str(c) for c in length.coords]}")
 
+# the control points are integer vectors over their least common
+# denominator, as every later step takes them
 refs = suspension.control_points(system, spec.tilemap)
-print("control points of the subtile map:")
-for tok, c in zip(spec.letters, refs):
-    print(f"  {tok}: {[str(x) for x in c.coords]}")
+vectors, denom = refs
+print(f"control points of the subtile map (coordinates times {denom}):")
+for tok, c in zip(spec.letters, vectors):
+    print(f"  {tok}: {list(c)}, exactly {spectrum.format_shift(c, denom)}")
 print("admissible:", suspension.is_admissible(system, refs))
 
 # sigma^2(a) laid out from 0; a start is an integer vector over the
@@ -27,8 +30,8 @@ patch = system.patch_from_word(system.sub.iterate(1, 2),
                                (0,) * system.field.degree)
 print(f"twice-inflated 'a' prototile (boundaries times {patch.denom}):")
 for k, color in enumerate(patch.colors):
-    print(f"  {spec.token(color)} at {list(patch.points[k])}, "
-          f"exactly {[str(c) for c in patch.position(k).coords]}")
+    print(f"  {spec.token(color)} at {list(patch.points[k])}, exactly "
+          f"{spectrum.format_shift(patch.points[k], patch.denom)}")
 
 window = (Fraction(-6), Fraction(6))
 covering = system.patch_covering(*window)

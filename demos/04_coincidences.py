@@ -17,7 +17,9 @@ word_level = coincidence.prefix_strong(sub)
 print("word-level verdict for (a, b):", word_level[(1, 2)].status)
 print("  certificate:", word_level[(1, 2)].certificate)
 
+# the control points (1/3, 0), as integer vectors over their denominator
 refs = suspension.control_points(system, spec.tilemap)
+print("control points:", refs)
 tile_level = coincidence.geometric_strong(system, refs)
 verdict = tile_level[(1, 2)]
 w = verdict.witness

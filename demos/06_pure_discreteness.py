@@ -9,6 +9,7 @@ for name in ("thue-morse", "fibonacci", "rauzy2-left"):
     spec = cli.corpus_lookup(name)
     sub = spec.substitution()
     system = suspension.SuspensionSystem(sub)
+    # all zero: integer vectors over the denominator 1
     refs = suspension.left_endpoint_points(system)
 
     overlap = spectrum.overlap_coincidence(system, refs, system.window(64))

@@ -93,14 +93,6 @@ def scaled_coords(coords, denom):
     return tuple([c.numerator * (denom // c.denominator) for c in coords])
 
 
-def unscaled_coords(ints, denom):
-    """The coordinate vector ints / denom in normal form; the inverse of
-    scaled_coords."""
-    if denom == 1:
-        return tuple(ints)
-    return tuple([_canon(Fraction(a, denom)) for a in ints])
-
-
 class RatInterval:
     """Closed interval with rational endpoints."""
 
@@ -512,9 +504,6 @@ class FieldElem:
             return NotImplemented
         return self * other.inverse()
 
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)
@@ -604,18 +593,6 @@ class FieldElem:
 
     def __hash__(self):
         return hash(self.coords)
-
-    def __lt__(self, other):
-        return (self - other).sign() < 0
-
-    def __le__(self, other):
-        return (self - other).sign() <= 0
-
-    def __gt__(self, other):
-        return (self - other).sign() > 0
-
-    def __ge__(self, other):
-        return (self - other).sign() >= 0
 
 
 # ---------------------------------------------------------------------------

@@ -311,11 +311,7 @@ def _pairs_json(spec, per_pair, witness_encoder):
 
 
 def _lattice_json(mod: lattices.ZModule):
-    return {
-        "denominator": mod.denom,
-        "basis": [list(r) for r in mod.basis],
-        "rank": mod.rank,
-    }
+    return {**mod.describe(), "rank": mod.rank}
 
 
 def _group_json(g: lattices.AbelianGroup):
@@ -335,10 +331,11 @@ def _half_json(half: spectrum.SpectralHalf):
     return out
 
 
-def _core_facts(spec: SpecFile, system) -> dict:
-    """The facts a SuspensionSystem fixes, as the report writes them;
-    `verify` compares a report's facts to these."""
+def _core_facts(spec: SpecFile, system, refpoints, kind) -> dict:
+    """The facts a SuspensionSystem and its reference points fix, as the
+    report writes them; `verify` compares a report's facts to these."""
     k, left, right = system.seed
+    vectors, denom = refpoints
     return {
         "substitution_matrix": [list(r) for r in system.matrix],
         "characteristic_polynomial": system.char_poly,
@@ -347,6 +344,10 @@ def _core_facts(spec: SpecFile, system) -> dict:
         "fixed_point_seed": {
             "power": k, "left": spec.token(left), "right": spec.token(right),
         },
+        "reference_point_kind": kind,
+        "reference_points": [spectrum.format_shift(v, denom)
+                             for v in vectors],
+        "admissible": suspension.is_admissible(system, refpoints),
     }
 
 
@@ -444,18 +445,17 @@ def run_analysis(spec: SpecFile, overrides: dict | None = None) -> dict:
         return report
 
     system = suspension.SuspensionSystem(sub)
-    core = _core_facts(spec, system)
-    facts["minimal_polynomial"] = core["minimal_polynomial"]
     system.field.ensure_width(Fraction(1, 1 << 20))
     ivl = system.field.interval()
+    pisot = algebraic.is_pisot(system.field)
+    refpoints, kind = _reference_points(system, spec)
+    core = _core_facts(spec, system, refpoints, kind)
+    facts["minimal_polynomial"] = core["minimal_polynomial"]
     facts["beta_interval"] = [_frac_str(ivl.lo), _frac_str(ivl.hi)]
-    facts["pisot"] = algebraic.is_pisot(system.field)
-    facts["prototile_lengths"] = core["prototile_lengths"]
-    facts["fixed_point_seed"] = core["fixed_point_seed"]
-
-    refpoints, facts["reference_point_kind"] = _reference_points(system, spec)
-    facts["reference_points"] = [_elem(e) for e in refpoints]
-    facts["admissible"] = suspension.is_admissible(system, refpoints)
+    facts["pisot"] = pisot
+    # the rest of the core facts, in their order
+    facts.update((key, value) for key, value in core.items()
+                 if key not in facts)
 
     irreducible = facts["characteristic_irreducible"] is True
     advisory_balanced = not (facts["pisot"] and irreducible)
@@ -524,11 +524,14 @@ def run_analysis(spec: SpecFile, overrides: dict | None = None) -> dict:
             "status": res.status,
             "max_power": res.max_power,
             "bound": res.bound,
-            "generators": [_elem(g) for g in res.generators],
+            "generators": [spectrum.format_shift(row, res.sup.denom)
+                           for row in res.sup.basis],
             "powers": list(res.witnesses),
         }
         if res.bound_hit:
             checks["eventual_return_module"]["bound_hit"] = res.bound_hit
+
+    halves = {}     # the spectral halves by check name
 
     def do_overlap():
         half = spectrum.overlap_coincidence(
@@ -536,7 +539,7 @@ def run_analysis(spec: SpecFile, overrides: dict | None = None) -> dict:
         )
         checks["overlap_coincidence"] = _half_json(half)
         cost["overlap_classes"] = half.certificate.get("total_classes")
-        report["_overlap_half"] = half
+        halves["overlap_coincidence"] = half
 
     def do_balanced():
         half = spectrum.balanced_pairs(
@@ -544,7 +547,7 @@ def run_analysis(spec: SpecFile, overrides: dict | None = None) -> dict:
         )
         checks["balanced_pairs"] = _half_json(half)
         cost["balanced_pairs"] = half.certificate.get("irreducible_pairs")
-        report["_balanced_half"] = half
+        halves["balanced_pairs"] = half
 
     for name, fn in zip(CHECKS, (
             do_prefix, do_suffix, do_geometric, do_simultaneous,
@@ -552,10 +555,9 @@ def run_analysis(spec: SpecFile, overrides: dict | None = None) -> dict:
             do_balanced)):
         guarded(name, fn)
 
-    overlap_half = report.pop("_overlap_half", None)
-    balanced_half = report.pop("_balanced_half", None)
-    if overlap_half is not None and balanced_half is not None:
-        verdict = spectrum.spectral_verdict(overlap_half, balanced_half)
+    if len(halves) == 2:
+        verdict = spectrum.spectral_verdict(halves["overlap_coincidence"],
+                                            halves["balanced_pairs"])
         checks["spectral"] = {
             "status": verdict.status,
             "agreement": verdict.agreement,
@@ -610,11 +612,11 @@ def _spec_from_report(report: dict) -> SpecFile:
 def verify_report(report: dict) -> dict:
     """Replay every replayable certificate in a report.
 
-    The facts the rebuilt SuspensionSystem fixes (`_core_facts`) must
-    equal the report's, as one replay "facts".  The involution of each
-    prefix and suffix FAILS pair is checked against the rules
-    (`coincidence.replay_involution_certificate`).  Geometric and
-    simultaneous HOLDS witnesses are all parsed, then replayed on the
+    The facts the rebuilt SuspensionSystem and reference points fix
+    (`_core_facts`) must equal the report's, as one replay "facts".  The
+    involution of each prefix and suffix FAILS pair is checked against
+    the rules (`coincidence.replay_involution_certificate`).  Geometric
+    and simultaneous HOLDS witnesses are all parsed, then replayed on the
     inflation tree of one setting, both claims for every scope letter
     (`coincidence.verify_witness`); FAILS certificates of both spectral
     procedures are rerun through one inflation or substitution pass.
@@ -623,17 +625,17 @@ def verify_report(report: dict) -> dict:
     its check, the two letters of its pair key or "all"; so does a
     malformed claim (a check or pair verdict that is not an object, a
     HOLDS with no witness, a FAILS with no certificate), and a
-    geometric_strong whose pairs are not exactly the m(m+1)/2 letter
-    pairs.  A report whose window _check_window rejects, whose input
-    section names no primitive substitution, or whose checks section is
-    not an object or lacks one of CHECKS or "spectral", fails with an
-    error.
+    prefix_strong, suffix_strong or geometric_strong whose pairs are not
+    exactly the m(m+1)/2 letter pairs.  A report whose window
+    _check_window rejects, whose input section names no primitive
+    substitution, or whose checks section is not an object or lacks one
+    of CHECKS or "spectral", fails with an error.
     """
     try:
         _check_window(report["input"]["bounds"]["window"])
         spec = _spec_from_report(report)
         system = suspension.SuspensionSystem(spec.substitution())
-        refpoints, _ = _reference_points(system, spec)
+        refpoints, kind = _reference_points(system, spec)
     except (KeyError, TypeError, ValueError, SubtilingError) as exc:
         return {"passed": False, "replayed": {},
                 "error": f"input: {type(exc).__name__}: {exc}"}
@@ -656,7 +658,7 @@ def verify_report(report: dict) -> dict:
     facts = report.get("facts")
     results = {"facts": isinstance(facts, dict) and all(
         facts.get(key) == value
-        for key, value in _core_facts(spec, system).items())}
+        for key, value in _core_facts(spec, system, refpoints, kind).items())}
 
     def replay(check, *args):
         try:
@@ -695,8 +697,15 @@ def verify_report(report: dict) -> dict:
         results[name or key] = False
         return {}
 
-    for check in ("prefix_strong", "suffix_strong"):
+    def pairs_of(check):
+        """A check's pair verdicts; it fails unless keyed by every pair."""
         pairs = part(part(checks, check), "pairs", check)
+        if pairs.keys() != pair_letters.keys():
+            results[check] = False
+        return pairs
+
+    for check in ("prefix_strong", "suffix_strong"):
+        pairs = pairs_of(check)
         for key in pairs:
             name = f"{check}[{key}]"
             verdict = part(pairs, key, name)
@@ -708,9 +717,7 @@ def verify_report(report: dict) -> dict:
             elif verdict.get("status") == "HOLDS" and \
                     not isinstance(verdict.get("witness"), dict):
                 results[name] = False
-    pairs = part(part(checks, "geometric_strong"), "pairs", "geometric_strong")
-    if pairs.keys() != pair_scopes.keys():
-        results["geometric_strong"] = False
+    pairs = pairs_of("geometric_strong")
     for key in pairs:
         name = f"geometric_strong[{key}]"
         verdict = part(pairs, key, name)
@@ -734,8 +741,7 @@ def verify_report(report: dict) -> dict:
         results["balanced_pairs"] = replay(
             spectrum.replay_balanced_certificate, system.sub,
             balanced.get("certificate"))
-    return {"passed": all(results.values()) if results else True,
-            "replayed": results}
+    return {"passed": all(results.values()), "replayed": results}
 
 
 # ---------------------------------------------------------------------------
@@ -760,9 +766,9 @@ def _overrides_from_args(args) -> dict:
         overrides["window"] = args.window
     if args.kmax is not None:
         overrides["kmax"] = args.kmax
-    if getattr(args, "node_cap", None) is not None:
+    if args.node_cap is not None:
         overrides["node_cap"] = args.node_cap
-    if getattr(args, "pair_cap", None) is not None:
+    if args.pair_cap is not None:
         overrides["pair_cap"] = args.pair_cap
     return overrides
 

@@ -27,7 +27,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from . import algebraic, spectrum, words as words_mod
+from . import spectrum, words as words_mod
 # reference_point_sets is unused here; perfbench's tracer test wraps it here
 from .suspension import SuspensionSystem, reference_point_sets  # noqa: F401
 from .words import Substitution
@@ -256,18 +256,19 @@ def _reachable_levels(system, letters, level_bound):
 
 class IntegerSetting:
     """The inflation step over the lcm of `denom` and the denominators of
-    the lengths and reference points (beta is an algebraic integer, so
-    that clears beta times them too), and the points as vectors over it.
-    `int_sign` decides a positive multiple of a vector as the vector, so
-    witnesses replay on one setting as each would on its own."""
+    the lengths and of the reference points, a (vectors, denominator)
+    pair (beta is an algebraic integer, so that clears beta times them
+    too), and the points as vectors over it.  `int_sign` decides a
+    positive multiple of a vector as the vector, so witnesses replay on
+    one setting as each would on its own."""
 
     def __init__(self, system: SuspensionSystem, refpoints, denom=1):
+        vectors, ref_denom = refpoints
         self.system = system
-        self.denom = math.lcm(denom, system._length_denom, *(
-            algebraic.common_denominator(c.coords) for c in refpoints))
+        self.denom = math.lcm(denom, system._length_denom, ref_denom)
         self.step = spectrum._Inflation(system, self.denom)
-        self.refs = [algebraic.scaled_coords(c.coords, self.denom)
-                     for c in refpoints]
+        scale = self.denom // ref_denom
+        self.refs = [tuple([a * scale for a in c]) for c in vectors]
         # per scale and letter, beta^scale times each subtile end with its
         # enclosure, which stays valid after a refinement
         self._ends = []

@@ -6,6 +6,13 @@ elements in the power basis.  The pair (denom, basis) is canonical, so
 equality of modules is equality of the representation.  Quotients of
 nested modules are computed through the Smith normal form of the
 change-of-basis matrix.
+
+Everything past setup is an integer vector over a denominator: the
+reference points come as the (vectors, denominator) pair of
+`suspension.control_points`, the sampled differences and the basis rows
+are integer rows, membership is `ZModule.coordinates_of(ints, denom)`,
+and eventual return multiplies by beta with `NumberField.times_beta`.
+No field element is made.
 """
 
 from __future__ import annotations
@@ -146,21 +153,15 @@ class ZModule:
     def is_zero(self):
         return not self.basis
 
-    def contains_vector(self, coords):
-        """Membership of a rational coordinate vector."""
-        return self.coordinates_of(coords) is not None
-
-    def contains(self, elem):
-        return self.contains_vector(elem.coords)
-
-    def coordinates_of(self, coords):
-        """Integer coordinates in the basis, or None."""
+    def coordinates_of(self, ints, denom):
+        """Integer coordinates in the basis of the vector ints / denom, or
+        None when it is not in the module."""
         scaled = []
-        for c in coords:
-            v = Fraction(c) * self.denom
-            if v.denominator != 1:
+        for a in ints:
+            q, r = divmod(a * self.denom, denom)
+            if r:
                 return None
-            scaled.append(int(v))
+            scaled.append(q)
         out = []
         for row in self.basis:
             j = next(i for i, v in enumerate(row) if v)
@@ -231,8 +232,7 @@ def quotient(sup: ZModule, sub: ZModule) -> AbelianGroup:
         raise NotASubmodule("lattices live in different spaces")
     change = []
     for row in sub.basis:
-        coords = [Fraction(c, sub.denom) for c in row]
-        expressed = sup.coordinates_of(coords)
+        expressed = sup.coordinates_of(row, sub.denom)
         if expressed is None:
             raise NotASubmodule("basis vector escapes the larger lattice")
         change.append(expressed)
@@ -274,11 +274,12 @@ def return_lattices(system, refpoints, size):
     (x - x0) - (y - x0), and the canonical form makes the result equal to
     the lattice of all pairwise differences.  The differences are integer
     vectors over the sample's denominator.  The pair is kept on the
-    system, keyed on the exact window: the window moves when the beta
-    interval is refined, so its size alone does not fix the sample.
+    system, keyed on the exact window and the reference points' (vectors,
+    denominator) pair: the window moves when the beta interval is
+    refined, so its size alone does not fix the sample.
     """
     lo, hi = system.window(size)
-    key = (lo, hi, tuple(c.coords for c in refpoints))
+    key = (lo, hi, refpoints)
     if key not in system.lattice_samples:
         patch = system.patch_covering(lo, hi)
         pts = reference_point_sets(patch, refpoints, (lo, hi))
@@ -313,17 +314,17 @@ def height_group(system, refpoints):
     return HeightGroupResult(quotient(*pair), None, *pair)
 
 
-def eventual_membership(elem, lattice: ZModule, beta, kmax):
-    """Least k <= kmax with beta^k * elem in the lattice, else None.
+def eventual_membership(ints, denom, lattice: ZModule, field, kmax):
+    """Least k <= kmax with beta^k * ints / denom in the lattice, else None.
 
-    Non-membership is never asserted: exhausting kmax only reports the
-    bound that was tried.
+    beta is an algebraic integer, so each step is `NumberField.times_beta`
+    on the integer vector over the same denominator.  Non-membership is
+    never asserted: exhausting kmax only reports the bound that was tried.
     """
-    current = elem
     for k in range(kmax + 1):
-        if lattice.contains(current):
+        if lattice.coordinates_of(ints, denom) is not None:
             return k
-        current = current * beta
+        ints = field.times_beta(ints)
     return None
 
 
@@ -332,8 +333,7 @@ class ReturnModuleResult:
     status: str                 # "HOLDS" or "UNKNOWN"
     max_power: int | None
     bound: int
-    generators: tuple
-    witnesses: tuple
+    witnesses: tuple            # the least power per basis row of sup
     sup: ZModule
     sub: ZModule
     bound_hit: str | None = None
@@ -350,22 +350,14 @@ def differences_in_return_module(system, refpoints, kmax, window_size):
     """
     sup_mod, sub_mod = return_lattices(system, refpoints, window_size)
     empty = sub_mod.is_zero()
-    witnesses = []
-    generators = []
-    all_found = True
-    for row in sup_mod.basis:
-        coords = [Fraction(c, sup_mod.denom) for c in row]
-        elem = system.field.element(coords)
-        generators.append(elem)
-        k = eventual_membership(elem, sub_mod, system.beta, kmax)
-        witnesses.append(k)
-        if k is None:
-            all_found = False
-    all_found = all_found and not empty
+    witnesses = tuple(
+        eventual_membership(row, sup_mod.denom, sub_mod, system.field, kmax)
+        for row in sup_mod.basis)
+    all_found = None not in witnesses and not empty
     status = "HOLDS" if all_found else "UNKNOWN"
     max_power = max((k for k in witnesses if k is not None), default=0)
     return ReturnModuleResult(
-        status, max_power if all_found else None, kmax,
-        tuple(generators), tuple(witnesses), sup_mod, sub_mod,
+        status, max_power if all_found else None, kmax, witnesses,
+        sup_mod, sub_mod,
         bound_hit=f"window {window_size}" if empty else None,
     )

@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import words as words_mod
-from .algebraic import scaled_coords
 from .errors import EmptyWindow, InvalidWord
 # return_vectors is no longer called here, but stays importable from this
 # module: perfbench's tracer wraps names where callers look them up
@@ -108,12 +107,15 @@ class _Inflation:
         self.system = system
         self.field = system.field
         self.denom = denom
-        # indexed by letter
-        self.lengths = (None,) + tuple(
-            scaled_coords(length.coords, denom) for length in system.lengths)
-        self.offsets = tuple(
-            tuple(scaled_coords(o.coords, denom) for o in offsets)
-            for offsets in system.subtile_offsets)
+        scale = denom // system._length_denom
+
+        def scaled(v):
+            return tuple([a * scale for a in v])
+
+        # indexed by letter, after a zero vector at index 0
+        self.lengths = tuple(map(scaled, zip(*system._length_columns)))
+        self.offsets = tuple(tuple(map(scaled, offsets))
+                             for offsets in system.subtile_offsets)
         # per (moved, anchor): the generation and the subtile pairs
         self._pairs = {}
 

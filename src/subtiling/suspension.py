@@ -5,12 +5,14 @@ eigenvector of the substitution matrix for the dominant eigenvalue beta,
 normalized so the last letter has unit length.  A two-sided fixed point
 of sigma^k, found by fixed_point_seed, realizes the tiling.  A patch
 holds its tile boundaries in one integer form only: prefix sums of the
-integer length vectors over their common denominator, and a FieldElem is
-made only for a value that leaves the integers.  A system caches its
-fixed-point patches per (seed, level), and each patch builds its
-fixed-point enclosures once.  Reference points per prototile turn a
-patch into a colored point set, integer vectors over one denominator as
-well.  All values are immutable and all comparisons certified.
+integer length vectors over their common denominator, as are the
+subtile offsets.  A system caches its fixed-point patches per (seed,
+level), and each patch builds its fixed-point enclosures once.  Reference
+points leave this module as (vectors, D), integer vectors over their
+least common denominator, and turn a patch into a colored point set over
+one denominator.  FieldElems are made only in setup (the lengths, beta,
+one inverse per cycle of control points).  All values are immutable and
+all comparisons certified.
 """
 
 from __future__ import annotations
@@ -84,13 +86,13 @@ class SuspensionSystem:
         # lattices.return_lattices results, keyed on the exact window and
         # the reference points
         self.lattice_samples = {}
-        # exact left offsets of each subtile within the inflated prototile:
-        # the first |sigma(j)| boundaries of the level-one prototile patch,
-        # laid out by _layout so that patch_from_word sees only the
-        # patches an analysis asks for
+        # exact left offsets of each subtile within the inflated prototile
+        # over the lengths' denominator: the first |sigma(j)| boundaries of
+        # the level-one prototile patch, laid out by _layout so that
+        # patch_from_word sees only the patches an analysis asks for
         zero = (0,) * self.field.degree
         self.subtile_offsets = tuple(
-            tuple(map(self._layout(rule, zero).position, range(len(rule))))
+            tuple(self._layout(rule, zero).points[:len(rule)])
             for rule in sub.rules)
 
     @property
@@ -154,10 +156,9 @@ class Patch:
     Tile k has color `colors[k]` and runs from boundary k to boundary
     k + 1; boundary 0 is the start of the support and boundary len(patch)
     its end.  `points[k]` is `denom` times the power-basis coordinates of
-    boundary k, so equal boundaries have equal vectors.  A FieldElem is
-    made only on request (`position`).  The patch refers to its field but
-    to no system, so a system's patch cache holds no reference cycle and
-    is freed with the system."""
+    boundary k, so equal boundaries have equal vectors.  The patch refers
+    to its field but to no system, so a system's patch cache holds no
+    reference cycle and is freed with the system."""
 
     def __init__(self, field, denom, points, colors):
         self.field = field
@@ -169,11 +170,6 @@ class Patch:
 
     def __len__(self):
         return len(self.colors)
-
-    def position(self, k):
-        """Boundary k as an exact field element."""
-        return algebraic.FieldElem(
-            self.field, algebraic.unscaled_coords(self.points[k], self.denom))
 
     def covers(self, lo, hi):
         return (_sign_minus(self.field, self.points[0], self.denom, lo) <= 0
@@ -233,7 +229,8 @@ def validate_tile_map(sub: Substitution, tile_map):
 
 
 def control_points(system: SuspensionSystem, tile_map):
-    """Fixed point of the subtile-selection contraction.
+    """Fixed point of the subtile-selection contraction, as integer
+    vectors over their least common denominator D: (vectors, D).
 
     With o_j the exact left offset of the chosen subtile of the inflated
     prototile j and g(j) its color, the reference points solve
@@ -248,8 +245,7 @@ def control_points(system: SuspensionSystem, tile_map):
     a0, tail, zero = field.minpoly[0], field.minpoly[1:], (0,) * field.degree
     rule, chosen = system.sub.rule, system.subtile_offsets
     targets = [rule(x)[i - 1] - 1 for x, i in enumerate(tile_map, 1)]
-    offsets = [algebraic.scaled_coords(chosen[x - 1][i - 1].coords, denom)
-               for x, i in enumerate(tile_map, 1)]
+    offsets = [chosen[x - 1][i - 1] for x, i in enumerate(tile_map, 1)]
     points = [None] * system.size       # (ints, denominator) per letter
     for j in range(system.size):
         path = []       # to a solved letter, or around a cycle of its own
@@ -264,7 +260,7 @@ def control_points(system: SuspensionSystem, tile_map):
                 total = tuple(map(operator.add, field.times_beta(total),
                                   offsets[i]))
                 power = field.times_beta(power)
-            first = (field.element(algebraic.unscaled_coords(total, denom))
+            first = (field.element([Fraction(a, denom) for a in total])
                      / field.element((power[0] - 1,) + power[1:]))
             d = math.lcm(denom, algebraic.common_denominator(first.coords))
             points[j] = (algebraic.scaled_coords(first.coords, d), d)
@@ -280,21 +276,37 @@ def control_points(system: SuspensionSystem, tile_map):
             points[i] = (tuple([(v[0] * c - a0 * b) * (-1 if a0 > 0 else 1)
                                 for c, b in zip(tail, v[1:] + [0])]),
                          d * abs(a0))
-    return tuple(algebraic.FieldElem(field, algebraic.unscaled_coords(v, d))
-                 for v, d in points)
+    # v / d in lowest terms has denominator d / gcd(d, v)
+    least = math.lcm(*(d // math.gcd(d, *v) for v, d in points))
+    return tuple(tuple([a * least // d for a in v]) for v, d in points), least
 
 
 def left_endpoint_points(system: SuspensionSystem):
-    """Reference points at the left endpoints (all zero)."""
-    return tuple(system.field.zero() for _ in range(system.size))
+    """Reference points at the left endpoints: all zero, over 1."""
+    return ((0,) * system.field.degree,) * system.size, 1
 
 
 def is_admissible(system: SuspensionSystem, refpoints) -> bool:
     """True iff the prototiles shifted by their reference points still
-    share an interval of positive length: max(-c_i) < min(len_i - c_i)."""
-    lower = max(-c for c in refpoints)
-    upper = min(length - c for length, c in zip(system.lengths, refpoints))
-    return (upper - lower).sign() > 0
+    share an interval of positive length: max(-c_i) < min(len_i - c_i),
+    each extreme taken left to right by `int_sign` of differences."""
+    vectors, denom = refpoints
+    wide = math.lcm(denom, system._length_denom)
+    s, t = wide // denom, wide // system._length_denom
+    sign = system.field.int_sign
+
+    def extreme(candidates, beyond):
+        kept, *rest = candidates
+        for x in rest:
+            if sign(tuple(map(operator.sub, x, kept))) == beyond:
+                kept = x
+        return kept
+
+    lower = extreme([[-a * s for a in c] for c in vectors], 1)
+    lengths = list(zip(*system._length_columns))[1:]
+    upper = extreme([[b * t - a * s for a, b in zip(c, length)]
+                     for c, length in zip(vectors, lengths)], -1)
+    return sign(tuple(map(operator.sub, upper, lower))) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +332,9 @@ def reference_point_sets(patch: Patch, refpoints, window) -> PointSets:
     The window must lie inside the patch support (reference shifts are
     allowed to move points slightly past the edge tiles, so coverage is
     checked on tile supports).  The window ends are rationals or field
-    elements.  The points are integer vectors over the lcm of the patch
-    denominator and the reference points' denominators.
+    elements, and the reference points the (vectors, denominator) pair of
+    `control_points`.  The points are integer vectors over the lcm of the
+    patch denominator and the reference points' denominator.
 
     Each tile is first placed on integers alone: the enclosure of its
     position in the patch plus the enclosure of its reference point is
@@ -339,24 +352,23 @@ def reference_point_sets(patch: Patch, refpoints, window) -> PointSets:
         raise WindowNotCovered("window exceeds the computed patch")
     field, denom = patch.field, patch.denom
     lows, highs = patch.enclosures()
-    lo_low, lo_high = _enclosure(field, lo, denom)
-    hi_low, hi_high = _enclosure(field, hi, denom)
+    lo_low, lo_high = _enclosure(field, *_ints(field, lo), denom)
+    hi_low, hi_high = _enclosure(field, *_ints(field, hi), denom)
     top = max(lo_high, hi_high)
-    sample = math.lcm(denom, algebraic.common_denominator(
-        a for c in refpoints for a in c.coords))
-    scale = sample // denom
+    vectors, ref_denom = refpoints
+    sample = math.lcm(denom, ref_denom)
+    scale, ref_scale = sample // denom, sample // ref_denom
     # per color, indexed by letter, bounds on a position enclosure
     # (low, high) and the reference point over the sample's denominator:
     # high < out_lo or low > out_hi puts the point certainly outside the
     # window, low > in_lo and high < in_hi certainly inside
     bands = [None]
-    for c in refpoints:
-        c_low, c_high = _enclosure(field, c, denom)
+    for c in vectors:
+        c_low, c_high = _enclosure(field, c, ref_denom, denom)
         bands.append((lo_low - c_high, top - c_low, lo_high - c_low,
-                      hi_low - c_high,
-                      algebraic.scaled_coords(c.coords, sample)))
-    indices = [[] for _ in refpoints]
-    points = [[] for _ in refpoints]
+                      hi_low - c_high, tuple([a * ref_scale for a in c])))
+    indices = [[] for _ in vectors]
+    points = [[] for _ in vectors]
     for k, (c, low, high) in enumerate(zip(patch.colors, lows, highs)):
         out_lo, out_hi, in_lo, in_hi, ref = bands[c]
         if high < out_lo or low > out_hi:
@@ -371,11 +383,15 @@ def reference_point_sets(patch: Patch, refpoints, window) -> PointSets:
                      tuple(map(tuple, points)))
 
 
-def _coords(field, value):
-    """Power-basis coordinates of a rational or a field element."""
+def _ints(field, value):
+    """(ints, d): a rational or a field element as an integer vector over
+    d, the least common denominator of its power-basis coordinates."""
     if isinstance(value, algebraic.FieldElem):
-        return value.coords
-    return (value,) + (0,) * (field.degree - 1)
+        coords = value.coords
+    else:
+        coords = (value,) + (0,) * (field.degree - 1)
+    d = algebraic.common_denominator(coords)
+    return algebraic.scaled_coords(coords, d), d
 
 
 def _sign_minus(field, ints, denom, value):
@@ -384,20 +400,20 @@ def _sign_minus(field, ints, denom, value):
     denominators.  That vector is a positive multiple of the scaled
     coordinates FieldElem.sign() takes, so the decision and the
     refinements are those of the field-element difference."""
-    coords = _coords(field, value)
-    wide = math.lcm(denom, algebraic.common_denominator(coords))
-    factor = wide // denom
+    other, d = _ints(field, value)
+    wide = math.lcm(denom, d)
+    factor, other_factor = wide // denom, wide // d
     return field.int_sign(tuple([
-        a * factor - b
-        for a, b in zip(ints, algebraic.scaled_coords(coords, wide))]))
+        a * factor - b * other_factor for a, b in zip(ints, other)]))
 
 
-def _enclosure(field, value, denom):
-    """Integers (lower, upper) enclosing 2^FILTER_BITS * denom * value for
-    a rational or a field element, rounded outward."""
-    coords = _coords(field, value)
-    d = algebraic.common_denominator(coords)
-    lower, upper = field.fixed_point_bounds(algebraic.scaled_coords(coords, d))
+def _enclosure(field, ints, d, denom):
+    """Integers (lower, upper) enclosing 2^FILTER_BITS * denom * ints / d,
+    rounded outward, from the fixed-point sums of ints / d in lowest
+    terms."""
+    g = math.gcd(d, *ints)
+    lower, upper = field.fixed_point_bounds([a // g for a in ints])
+    d //= g
     return lower * denom // d, -(-upper * denom // d)
 
 

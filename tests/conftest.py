@@ -10,7 +10,7 @@ from subtiling import spectrum as SP
 from subtiling import suspension
 from subtiling import words as W
 from subtiling.algebraic import (FieldElem, NumberField, common_denominator,
-                                 scaled_coords, unscaled_coords)
+                                 scaled_coords)
 from subtiling.suspension import SuspensionSystem
 
 
@@ -89,9 +89,22 @@ def swap_commuting_substitution(rng, tau, max_len=3):
             return sub
 
 
+def unscaled_coords(ints, denom):
+    """The coordinate vector ints / denom in the normal form of FieldElem
+    coordinates: an int when integral, else a Fraction."""
+    return tuple([f.numerator if f.denominator == 1 else f
+                  for f in (Fraction(a, denom) for a in ints)])
+
+
+def position(patch, k):
+    """Reference: boundary k of a patch as a FieldElem."""
+    return FieldElem(patch.field, unscaled_coords(patch.points[k],
+                                                  patch.denom))
+
+
 def exact_tiles(patch):
     """Reference: the tiles of a patch as (FieldElem position, color)."""
-    return [(patch.position(k), c) for k, c in enumerate(patch.colors)]
+    return [(position(patch, k), c) for k, c in enumerate(patch.colors)]
 
 
 def fieldelem_point_sets(patch, refpoints, window):
@@ -99,9 +112,10 @@ def fieldelem_point_sets(patch, refpoints, window):
     patch tiles in the window, by the exact test on every tile."""
     lo, hi = window
     assert patch.covers(lo, hi)
-    per_color = [[] for _ in refpoints]
+    refs = elements(patch.field, *refpoints)
+    per_color = [[] for _ in refs]
     for pos, c in exact_tiles(patch):
-        x = pos + refpoints[c - 1]
+        x = pos + refs[c - 1]
         if (x - lo).sign() >= 0 and (x - hi).sign() <= 0:
             per_color[c - 1].append(x)
     return per_color
@@ -120,8 +134,23 @@ def fieldelem_differences(pts):
 
 
 def elements(field, vectors, denom):
-    """Integer vectors over a denominator as FieldElems."""
+    """Integer vectors over a denominator as FieldElems; with the
+    (vectors, denom) pair of `suspension.control_points`, the reference
+    points."""
     return [FieldElem(field, unscaled_coords(v, denom)) for v in vectors]
+
+
+def subtile_offset_elements(system):
+    """Reference: `SuspensionSystem.subtile_offsets` as FieldElems."""
+    return [elements(system.field, offsets, system._length_denom)
+            for offsets in system.subtile_offsets]
+
+
+def as_refpoints(elems):
+    """FieldElem reference points as the (vectors, least common
+    denominator) pair `suspension.control_points` returns."""
+    denom = common_denominator(c for e in elems for c in e.coords)
+    return tuple(scaled_coords(e.coords, denom) for e in elems), denom
 
 
 def inflated_prototile(system, letter, level):
@@ -482,6 +511,7 @@ def ref_control_points(system, tile_map):
     suspension.validate_tile_map(system.sub, tile_map)
     m = system.size
     field = system.field
+    offsets = subtile_offset_elements(system)
     rows = []
     for j in range(m):
         idx = tile_map[j]
@@ -489,10 +519,27 @@ def ref_control_points(system, tile_map):
         row[j] = row[j] + system.beta
         g = system.sub.rule(j + 1)[idx - 1] - 1
         row[g] = row[g] - field.one()
-        rows.append(row + [-system.subtile_offsets[j][idx - 1]])
+        rows.append(row + [-offsets[j][idx - 1]])
     vec = _solve_kernel(rows, field)
     assert not vec[-1].is_zero()
     return tuple(vec[:-1])
+
+
+def ref_is_admissible(system, refpoints):
+    """Reference: admissibility in FieldElem arithmetic, max(-c_i) and
+    min(len_i - c_i) taken left to right by the explicit .sign() of each
+    difference, as max and min took them through FieldElem's order
+    comparisons."""
+    refs = elements(system.field, *refpoints)
+    lower = -refs[0]
+    for c in refs[1:]:
+        if (-c - lower).sign() > 0:
+            lower = -c
+    upper = system.lengths[0] - refs[0]
+    for length, c in zip(system.lengths[1:], refs[1:]):
+        if (length - c - upper).sign() < 0:
+            upper = length - c
+    return (upper - lower).sign() > 0
 
 
 def ref_prototile_lengths(sub, field):

@@ -5,11 +5,10 @@ lengths, power bound 16) and every comparison is an exact equality in
 Q(beta); there are no numerical tolerances anywhere.
 """
 
-from fractions import Fraction
 
 from subtiling import cli, coincidence, lattices, spectrum, suspension, words
 
-from conftest import (CORPUS_IDS, inflated_prototile, key_coords,
+from conftest import (CORPUS_IDS, inflated_prototile, key_coords, position,
                       report_for, system_for)
 
 
@@ -34,10 +33,8 @@ def test_criterion_1_corpus_verdict_table():
     lat0 = lattices.module_from_int_rows(per_color[0], pts.denom, 1)
     assert lat0 == lattices.ZModule(1, ((1,),), 1)
     f = sys_tm.field
-    assert lattices.eventual_membership(
-        f.rational(Fraction(1, 2)), lat0, sys_tm.beta, 16) == 1
-    assert lattices.eventual_membership(
-        f.rational(Fraction(1, 4)), lat0, sys_tm.beta, 16) == 2
+    assert lattices.eventual_membership((1,), 2, lat0, f, 16) == 1
+    assert lattices.eventual_membership((1,), 4, lat0, f, 16) == 2
 
     fib2 = report_for("fib2")
     assert fib2["checks"]["overlap_coincidence"]["status"] == "FAILS"
@@ -206,7 +203,7 @@ def test_criterion_7_exact_identities_and_node_invariants():
             for n in range(0, 7):
                 patch = inflated_prototile(system, j, n)
                 expected = (system.beta ** n) * system.length_of(j)
-                diff = patch.position(len(patch)) - patch.position(0) - \
+                diff = position(patch, len(patch)) - position(patch, 0) - \
                     expected
                 assert diff.is_zero(), (name, j, n)
         # regenerate the closure and re-verify each node

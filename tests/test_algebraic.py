@@ -108,7 +108,7 @@ def test_minpoly_changes_sign_across_interval():
 def test_field_arithmetic_golden_ratio():
     b = PHI.beta()
     assert b * b == b + 1
-    assert 1 / b == b - 1
+    assert b.inverse() == b - 1
     assert (1 + b) + (2 - b) == 3
     assert (b * b - b - 1).is_zero()
 

@@ -450,6 +450,13 @@ def _checks_edit(report, edit):
     elif edit == "pair-added":
         checks["geometric_strong"]["pairs"]["b|a"] = \
             checks["geometric_strong"]["pairs"]["a|b"]
+    elif edit == "prefix-pairs-empty":
+        checks["prefix_strong"]["pairs"] = {}
+    elif edit == "suffix-pair-deleted":
+        del checks["suffix_strong"]["pairs"]["a|b"]
+    elif edit == "prefix-pair-added":
+        checks["prefix_strong"]["pairs"]["a|z"] = {"status": "HOLDS",
+                                                   "witness": {}}
     elif edit == "overlap-deleted":
         del checks["overlap_coincidence"]
     else:
@@ -472,6 +479,9 @@ CHECKS_EDITS = (
     ("pairs-empty", "fibonacci", "geometric_strong"),
     ("pair-deleted", "fibonacci", "geometric_strong"),
     ("pair-added", "fibonacci", "geometric_strong"),
+    ("prefix-pairs-empty", "fibonacci", "prefix_strong"),
+    ("suffix-pair-deleted", "fibonacci", "suffix_strong"),
+    ("prefix-pair-added", "fibonacci", "prefix_strong"),
     ("overlap-deleted", "thue-morse", None),
     ("simultaneous-no-witness", "fibonacci", "simultaneous"),
 )
@@ -879,6 +889,10 @@ FACT_EDITS = {
     "substitution_matrix": [[1, 1], [0, 1]],
     "prototile_lengths": [["1/1", "1/1"], ["1/1", "0/1"]],
     "fixed_point_seed": {"power": 2, "left": "b", "right": "a"},
+    # the reference points and their admissibility are replayed too
+    "reference_points": [["1/2", "0/1"], ["0/1", "0/1"]],
+    "admissible": False,
+    "reference_point_kind": "tile-map",
 }
 
 

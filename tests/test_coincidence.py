@@ -11,7 +11,7 @@ from subtiling import coincidence as C
 from subtiling import suspension as S
 from subtiling import words as W
 
-from conftest import (CORPUS_IDS, WALK_BASE, false_zero_pairs,
+from conftest import (CORPUS_IDS, WALK_BASE, elements, false_zero_pairs,
                       swap_commuting_substitution)
 
 
@@ -424,6 +424,7 @@ def _walk_input(name):
 def _layout(system, refs, letter, level):
     """Reference: the tiles of sigma^level(letter) laid from
     -beta^level c_letter, as (D * start, color) over one denominator D."""
+    refs = elements(system.field, *refs)
     values = [x for v in (*system.lengths, *refs) for x in v.coords]
     denom = math.lcm(*(Fraction(x).denominator for x in values))
 
@@ -451,8 +452,9 @@ def _shared_tile(system, refs, letters, level):
     if hit is None:
         return None
     start, color = hit
+    ref = elements(system.field, *refs)[color - 1]
     shift = tuple(Fraction(a, denom) + Fraction(c)
-                  for a, c in zip(start, refs[color - 1].coords))
+                  for a, c in zip(start, ref.coords))
     return level, color, shift
 
 

@@ -30,8 +30,8 @@ def test_module_rank_two(sys_fib):
     phi = sys_fib.beta
     m = L.module_from_vectors([one.coords, phi.coords], 2)
     assert m.rank == 2
-    assert m.contains(one + phi * 3)
-    assert not m.contains(phi / 2)
+    assert m.coordinates_of((one + phi * 3).coords, 1) == [1, 3]
+    assert m.coordinates_of(phi.coords, 2) is None    # phi / 2
 
 
 def test_module_idempotent():
@@ -56,7 +56,7 @@ def test_membership_brute_force():
         for _ in range(10):
             a, b = rng.randint(-3, 3), rng.randint(-3, 3)
             combo = [a * base[0][i] + b * base[1][i] for i in range(2)]
-            assert m.contains_vector(combo)
+            assert m.coordinates_of(combo, 1) is not None
 
 
 def test_quotient_examples():
@@ -145,8 +145,7 @@ def test_height_lattices_nest_with_window(sys_aba):
         mod = L.module_from_int_rows(cross, pts.denom, 1)
         if previous is not None:
             for row in previous.basis:
-                coords = [Fraction(c, previous.denom) for c in row]
-                assert mod.contains_vector(coords)
+                assert mod.coordinates_of(row, previous.denom) is not None
         previous = mod
 
 
@@ -176,12 +175,11 @@ def test_return_lattices_match_all_pair_differences(name):
 
 def test_eventual_membership_tm(sys_tm):
     zmod = L.module_from_vectors([[1]], 1)
-    beta = sys_tm.beta
     f = sys_tm.field
-    assert L.eventual_membership(f.rational(Fraction(1, 2)), zmod, beta, 10) == 1
-    assert L.eventual_membership(f.rational(Fraction(1, 4)), zmod, beta, 10) == 2
-    assert L.eventual_membership(f.rational(Fraction(1, 3)), zmod, beta, 24) is None
-    assert L.eventual_membership(f.rational(5), zmod, beta, 10) == 0
+    assert L.eventual_membership((1,), 2, zmod, f, 10) == 1
+    assert L.eventual_membership((1,), 4, zmod, f, 10) == 2
+    assert L.eventual_membership((1,), 3, zmod, f, 24) is None
+    assert L.eventual_membership((5,), 1, zmod, f, 10) == 0
 
 
 def test_return_module_verdicts(sys_fib, sys_fib2, sys_aba):

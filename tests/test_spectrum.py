@@ -15,7 +15,8 @@ from subtiling.words import CountGap, Substitution
 
 from conftest import (WALK_BASE, exact_tiles, false_zero_pairs,
                       fieldelem_differences, fieldelem_point_sets,
-                      key_coords, successors, sweep_translation)
+                      key_coords, position, subtile_offset_elements,
+                      successors, sweep_translation)
 
 SPECS = Path(__file__).resolve().parents[1] / "perfbench" / "specs"
 
@@ -328,7 +329,7 @@ def _sweep_setting(name, size):
     returns = {d.coords: d
                for pts in fieldelem_point_sets(patch, refs, window)
                for d in fieldelem_differences(pts) if not d.is_zero()}
-    bounds = list(map(patch.position, range(len(patch) + 1)))
+    bounds = [position(patch, k) for k in range(len(patch) + 1)]
     return system, refs, window, patch, bounds, list(returns.values())
 
 
@@ -392,11 +393,10 @@ def _fieldelem_inflate(system, moved, anchor, shift):
     """Reference: one inflation step in FieldElem arithmetic, as
     (moved, anchor, shift coordinates)."""
     base = system.beta * shift
+    offsets = subtile_offset_elements(system)
     out = []
-    for mc, m_off in zip(system.sub.rule(moved),
-                         system.subtile_offsets[moved - 1]):
-        for ac, a_off in zip(system.sub.rule(anchor),
-                             system.subtile_offsets[anchor - 1]):
+    for mc, m_off in zip(system.sub.rule(moved), offsets[moved - 1]):
+        for ac, a_off in zip(system.sub.rule(anchor), offsets[anchor - 1]):
             child = base + m_off - a_off
             if _fieldelem_overlaps(system, mc, ac, child):
                 out.append((mc, ac, child.coords))

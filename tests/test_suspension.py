@@ -13,9 +13,11 @@ from subtiling import suspension as S
 from subtiling.algebraic import scaled_coords
 from subtiling.errors import EigenvectorDefect, WindowNotCovered
 
-from conftest import (CORPUS_IDS, elements, exact_tiles,
+from conftest import (CORPUS_IDS, as_refpoints, elements, exact_tiles,
                       fieldelem_differences, fieldelem_point_sets,
-                      inflated_prototile, ref_control_points, system_for)
+                      inflated_prototile, position, ref_control_points,
+                      ref_is_admissible, subtile_offset_elements,
+                      system_for)
 
 SPECS = Path(__file__).resolve().parents[1] / "perfbench" / "specs"
 
@@ -58,9 +60,9 @@ def test_lengths_positive(sys_rauzy2):
 def test_generate_patch_examples(sys_fib, sys_tm, sys_aba):
     p = inflated_prototile(sys_fib, 1, 2)
     assert list(p.colors) == [1, 2, 1]
-    assert p.position(0) == 0
-    assert p.position(1) == sys_fib.beta
-    assert p.position(2) == sys_fib.beta + 1
+    assert position(p, 0) == 0
+    assert position(p, 1) == sys_fib.beta
+    assert position(p, 2) == sys_fib.beta + 1
 
     p = inflated_prototile(sys_tm, 1, 2)
     assert [(int(t[0].as_fraction()), t[1]) for t in exact_tiles(p)] == \
@@ -77,7 +79,7 @@ def test_patch_length_scales(sys_fib, sys_rauzy2):
             for n in range(0, 5):
                 patch = inflated_prototile(system, j, n)
                 expected = (system.beta ** n) * system.length_of(j)
-                assert patch.position(len(patch)) - patch.position(0) == \
+                assert position(patch, len(patch)) - position(patch, 0) == \
                     expected
 
 
@@ -89,7 +91,7 @@ def test_subdivision_self_consistency(sys_fib):
         rebuilt = []
         for pos, c in exact_tiles(small):
             base = sys_fib.beta * pos
-            for off, sub_c in zip(sys_fib.subtile_offsets[c - 1],
+            for off, sub_c in zip(subtile_offset_elements(sys_fib)[c - 1],
                                   sys_fib.sub.rule(c)):
                 rebuilt.append((base + off, sub_c))
         assert len(rebuilt) == len(big)
@@ -99,24 +101,25 @@ def test_subdivision_self_consistency(sys_fib):
 
 @pytest.mark.parametrize("name", CORPUS_IDS)
 def test_subtile_offsets_are_level_one_boundaries(name):
-    # the offsets of a rule are its addition chain from zero, in the same
-    # normal form, and the first boundaries of the level-one prototile
+    # the offsets of a rule are its addition chain from zero, as integer
+    # vectors over the lengths' denominator, and the first boundaries of
+    # the level-one prototile
     system = system_for(name)
     for letter, rule in enumerate(system.sub.rules, start=1):
         chain, _ = _addition_chain(system, rule, system.field.zero())
         offsets = system.subtile_offsets[letter - 1]
-        assert [off.coords for off in offsets] == \
-            [pos.coords for pos, _ in chain]
-        assert [tuple(map(type, off.coords)) for off in offsets] == \
-            [tuple(map(type, pos.coords)) for pos, _ in chain]
+        assert all(type(a) is int for off in offsets for a in off)
+        assert [off.coords for off in subtile_offset_elements(system)[
+            letter - 1]] == [pos.coords for pos, _ in chain]
         patch = inflated_prototile(system, letter, 1)
-        assert offsets == tuple(map(patch.position, range(len(rule))))
+        assert offsets == tuple(patch.points[:len(rule)])
 
 
 def test_control_points_leftmost_is_zero(sys_fib, sys_rauzy2):
     for system in (sys_fib, sys_rauzy2):
-        cp = S.control_points(system, S.leftmost_tile_map(system.sub))
-        assert all(c.is_zero() for c in cp)
+        vectors, denom = S.control_points(system,
+                                          S.leftmost_tile_map(system.sub))
+        assert denom == 1 and not any(map(any, vectors))
 
 
 def _spec_system(name):
@@ -141,10 +144,9 @@ def test_control_points_match_gauss_jordan():
         for tile_map in tile_maps:
             points = S.control_points(system, tile_map)
             expected = ref_control_points(system, tile_map)
-            assert points == expected, tile_map
-            # the same normal form: int when integral, else Fraction
-            assert [tuple(map(type, c.coords)) for c in points] == \
-                [tuple(map(type, c.coords)) for c in expected]
+            assert elements(system.field, *points) == list(expected), tile_map
+            # integer vectors over their least common denominator
+            assert points == as_refpoints(expected), tile_map
             # g is not a permutation: a tree hangs off one of its cycles
             colors = {system.sub.rule(letter)[idx - 1]
                       for letter, idx in enumerate(tile_map, 1)}
@@ -153,24 +155,28 @@ def test_control_points_match_gauss_jordan():
 
 
 def test_control_points_aba(sys_aba):
-    cp = S.control_points(sys_aba, (2, 1))
+    refs = S.control_points(sys_aba, (2, 1))
+    assert refs == (((1,), (0,)), 3)
+    cp = elements(sys_aba.field, *refs)
     assert cp[0] == Fraction(1, 3)
     assert cp[1] == 0
-    assert S.is_admissible(sys_aba, cp)
+    assert S.is_admissible(sys_aba, refs)
 
 
 def test_control_points_rauzy2(sys_rauzy2):
     gamma = (2, 2, 1, 1, 1, 1)
-    cp = S.control_points(sys_rauzy2, gamma)
+    refs = S.control_points(sys_rauzy2, gamma)
+    cp = elements(sys_rauzy2.field, *refs)
     b = sys_rauzy2.beta
     assert cp[0] == 1 and cp[1] == 1
-    assert cp[2] == 1 / b
+    assert cp[2] == b.inverse()
     assert all(cp[i].is_zero() for i in (3, 4, 5))
-    assert S.is_admissible(sys_rauzy2, cp)
+    assert S.is_admissible(sys_rauzy2, refs)
     # fixed-point equations hold exactly
+    offsets = subtile_offset_elements(sys_rauzy2)
     for j, idx in enumerate(gamma, start=1):
         target = sys_rauzy2.sub.rule(j)[idx - 1]
-        offset = sys_rauzy2.subtile_offsets[j - 1][idx - 1]
+        offset = offsets[j - 1][idx - 1]
         assert b * cp[j - 1] == offset + cp[target - 1]
 
 
@@ -178,8 +184,49 @@ def test_admissibility(sys_aba):
     zeros = S.left_endpoint_points(sys_aba)
     assert S.is_admissible(sys_aba, zeros)
     # pushing one reference point a full tile away kills the intersection
-    bad = (sys_aba.field.rational(2), sys_aba.field.zero())
+    assert zeros == (((0,), (0,)), 1)
+    bad = (((2,), (0,)), 1)
     assert not S.is_admissible(sys_aba, bad)
+
+
+# every corpus entry and every benchmark spec
+ADMISSIBILITY_SPECS = cli.corpus() + [
+    cli.parse_spec(path.read_text(encoding="utf-8"), name=path.stem)
+    for path in sorted(SPECS.glob("*.spec"))]
+
+
+@pytest.mark.parametrize("spec", ADMISSIBILITY_SPECS,
+                         ids=[spec.name for spec in ADMISSIBILITY_SPECS])
+def test_admissibility_matches_fieldelem_signs(spec):
+    # the same answer after the same refinements, each side on a fresh
+    # system: the integer extremes compare the differences the FieldElem
+    # ones did, in the same order
+    def run(admissible):
+        system = S.SuspensionSystem(spec.substitution())
+        refs, _ = cli._reference_points(system, spec)
+        before = system.field.generation
+        return admissible(system, refs), system.field.generation - before
+
+    outcome = run(S.is_admissible)
+    assert outcome == run(ref_is_admissible)
+    assert outcome[0] is True
+
+
+@pytest.mark.parametrize("push", [1, -1])
+def test_admissibility_fails_a_full_tile_length_away(push):
+    # rauzy with a's reference point moved by +-len_a: the shifted
+    # prototiles share no interval of positive length
+    spec = cli.corpus_lookup("rauzy")
+    outcomes = []
+    for admissible in (S.is_admissible, ref_is_admissible):
+        system = S.SuspensionSystem(spec.substitution())
+        refs = elements(system.field, *S.left_endpoint_points(system))
+        refs[0] = refs[0] + push * system.lengths[0]
+        before = system.field.generation
+        outcomes.append((admissible(system, as_refpoints(refs)),
+                         system.field.generation - before))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] is False
 
 
 def test_tile_map_validation(sys_fib):
@@ -208,7 +255,7 @@ def test_point_sets_aba(sys_aba):
     for color, (indices, points) in enumerate(zip(pts.indices, pts.points),
                                               start=1):
         assert list(indices) == sorted(indices)
-        assert [patch.position(k) for k in indices] == \
+        assert [position(patch, k) for k in indices] == \
             elements(sys_aba.field, points, pts.denom)
         assert all(patch.colors[k] == color for k in indices)
 
@@ -218,7 +265,8 @@ def test_point_sets_shift_covariance(sys_aba):
     patch = sys_aba.patch_covering(Fraction(-8), Fraction(8))
     zeros = S.left_endpoint_points(sys_aba)
     shift = sys_aba.field.rational(Fraction(1, 3))
-    shifted_refs = tuple(c + shift for c in zeros)
+    shifted_refs = as_refpoints(
+        [c + shift for c in elements(sys_aba.field, *zeros)])
     base = S.reference_point_sets(patch, zeros, window)
     moved = S.reference_point_sets(
         patch, shifted_refs,
@@ -320,7 +368,7 @@ def test_generate_patch_two_sided_junction(sys_fib):
     patch = S.generate_patch(sys_fib, (left, right), k)
     # the junction tile starts exactly at zero, its predecessor ends there
     junction = patch.junction_index
-    assert patch.position(junction).is_zero()
+    assert position(patch, junction).is_zero()
     prev_pos, prev_color = exact_tiles(patch)[junction - 1]
     assert prev_pos + sys_fib.length_of(prev_color) == 0
 
@@ -333,20 +381,21 @@ def test_patch_embedding_matches_exact_boundaries(sys_fib, sys_rauzy2):
         assert patch.enclosures() == (lows, highs)
         assert patch.enclosures()[0] is lows
         tiles, end = _addition_chain(system, patch.colors,
-                                     patch.position(0))
+                                     position(patch, 0))
         bounds = [pos for pos, _ in tiles] + [end]
         assert len(patch.points) == len(lows) == len(bounds) == len(patch) + 1
         system.field.ensure_width(Fraction(1, 1 << 80))
         for k, (b, point, low, high) in enumerate(
                 zip(bounds, patch.points, lows, highs)):
             assert [Fraction(a, patch.denom) for a in point] == list(b.coords)
-            assert patch.position(k).coords == b.coords
+            assert position(patch, k).coords == b.coords
             ivl = b.interval()
             assert low <= scale * patch.denom * ivl.hi
             assert scale * patch.denom * ivl.lo <= high
         for k, color in enumerate(patch.colors):
             # contiguous: tile k ends where tile k + 1 starts
-            assert patch.position(k) + system.length_of(color) == bounds[k + 1]
+            assert position(patch, k) + system.length_of(color) == \
+                bounds[k + 1]
 
 
 def test_dropped_system_is_freed_without_cyclic_gc():
@@ -391,7 +440,7 @@ def test_prefix_sum_patch_equals_addition_chain(name):
         assert len(patch) == len(word)
         assert [(pos.coords, c) for pos, c in exact_tiles(patch)] == \
             [(pos.coords, c) for pos, c in tiles]
-        assert patch.position(len(patch)).coords == end.coords
+        assert position(patch, len(patch)).coords == end.coords
         # the same normal form: int where integral, Fraction otherwise
         assert [tuple(map(type, pos.coords))
                 for pos, _ in exact_tiles(patch)] == \
@@ -399,8 +448,8 @@ def test_prefix_sum_patch_equals_addition_chain(name):
     patch = S.generate_patch(system, (left, right), 2 * k)
     left_len = _addition_chain(system, system.sub.iterate(left, 2 * k),
                                system.field.zero())[1]
-    assert patch.position(0) == -left_len
-    assert patch.position(patch.junction_index).is_zero()
+    assert position(patch, 0) == -left_len
+    assert position(patch, patch.junction_index).is_zero()
 
 
 # a -> ab, b -> aab: lengths (beta - 1)/2 and 1, with a denominator 2
@@ -473,11 +522,12 @@ def _window_end(draw, system, refs, patch, size):
         return Fraction(draw(st.integers(-size * q // 2, size * q // 2)), q)
     j = patch.junction_index + draw(st.integers(-size // 2, size // 2 - 1))
     pos, c = exact_tiles(patch)[j]
+    ref = elements(system.field, *refs)[c - 1]
     if kind == "point":
-        end = pos + refs[c - 1]
+        end = pos + ref
     elif kind == "near":
         sign = draw(st.sampled_from([1, -1]))
-        end = pos + refs[c - 1] + sign * system.beta.inverse() ** draw(
+        end = pos + ref + sign * system.beta.inverse() ** draw(
             st.integers(4, 24))
     else:
         end = pos + system.length_of(c) * draw(
@@ -513,13 +563,14 @@ def _integer_point_sets(patch, refpoints, window):
     """`reference_point_sets` as FieldElem points per color, each checked
     against the tile its index names."""
     pts = S.reference_point_sets(patch, refpoints, window)
+    refs = elements(patch.field, *refpoints)
     per_color = []
     for color, (indices, points) in enumerate(zip(pts.indices, pts.points),
                                               start=1):
         elems = elements(patch.field, points, pts.denom)
         assert list(indices) == sorted(indices)
         assert all(patch.colors[k] == color and
-                   patch.position(k) + refpoints[color - 1] == x
+                   position(patch, k) + refs[color - 1] == x
                    for k, x in zip(indices, elems))
         per_color.append(elems)
     return per_color
