@@ -25,13 +25,12 @@ Signs of nonzero elements are certified in two stages, filter then exact.
   P = max(FILTER_BITS, bits of den + FILTER_MARGIN), which keeps the
   rounding below that width however far the interval is refined.  The
   filter never refines the interval.  The two sums are also exposed as
-  an enclosure (fixed_point_bounds): at the matched scale for values
-  compared within one refinement generation, as the inflation step of
-  `spectrum` does, and at P = FILTER_BITS for enclosures kept across
-  generations, such as a patch's, taken once per tile boundary.  Each
-  table is cached per generation.  A refinement only tightens a table
-  and never lowers the matched scale, so an enclosure taken earlier stays
-  valid, and whatever it decides the filter decides too.
+  an enclosure (fixed_point_bounds): at P = FILTER_BITS, as a patch
+  keeps one per tile boundary, or at the matched scale, as the inflation
+  step of `spectrum` keeps one per subtile pair.  Each table is cached
+  per generation.  A refinement only tightens a table and never lowers
+  the matched scale, so an enclosure taken earlier stays valid at its
+  own scale, and whatever it decides the filter decides too.
 * Exact route.  When the filter cannot decide, the coordinate polynomial
   is evaluated by Horner's rule in integer interval arithmetic on
   [num_lo, num_hi]: scaled by the lcm of its denominators, the element's
@@ -200,10 +199,9 @@ class NumberField:
         # beta^degree in the power basis
         self._companion = tuple(-c for c in self.minpoly[:-1])
         self.generation = 0
-        # the tables at 2^FILTER_BITS and at the matched scale, with the
-        # generation each was built at
-        self._fixed = self._matched = None
-        self._fixed_gen = self._matched_gen = -1
+        # this generation's tables: at the matched scale under True, at
+        # 2^FILTER_BITS under False
+        self._tables = {}
         guard = 0
         while self.num_lo <= self.den:
             if self.num_hi <= self.den or guard > 512:
@@ -247,6 +245,7 @@ class NumberField:
         else:
             self.num_hi = mid
         self.generation += 1
+        self._tables = {}
 
     def interval(self):
         return RatInterval(Fraction(self.num_lo, self.den),
@@ -272,34 +271,26 @@ class NumberField:
             den_pow *= self.den
         return tuple(lows), tuple(highs)
 
-    def _fixed_point_table(self):
-        """The table at 2^FILTER_BITS, rebuilt per generation."""
-        if self._fixed_gen != self.generation:
-            self._fixed = self._table_at(FILTER_BITS)
-            self._fixed_gen = self.generation
-        return self._fixed
-
     def matched_bits(self):
         """The matched scale P of this generation: FILTER_BITS, or
         FILTER_MARGIN bits beyond den when that is more."""
         return max(FILTER_BITS, self.den.bit_length() + FILTER_MARGIN)
 
-    def _matched_table(self):
-        """The table at 2^matched_bits(), rebuilt per generation; the
-        fixed table itself while the two scales agree."""
-        if self._matched_gen != self.generation:
-            bits = self.matched_bits()
-            self._matched = (self._fixed_point_table()
-                             if bits == FILTER_BITS else self._table_at(bits))
-            self._matched_gen = self.generation
-        return self._matched
+    def _table(self, matched):
+        """The table at 2^matched_bits() with matched, else at
+        2^FILTER_BITS, built once per generation."""
+        table = self._tables.get(matched)
+        if table is None:
+            bits = self.matched_bits() if matched else FILTER_BITS
+            table = self._tables[matched] = self._table_at(bits)
+        return table
 
     def fixed_point_bounds(self, ints, matched=False):
         """Integers (lower, upper) enclosing 2^FILTER_BITS times
         sum ints[k] * beta^k, for integer coordinates ints; with matched,
-        2^matched_bits() times it.  Matched bounds of different
-        generations have different scales; only those of one generation
-        may be added or compared.
+        2^matched_bits() times it.  Matched bounds of two generations
+        compare once the later ones are shifted down to the earlier
+        scale, lower ends by floor and upper ends by ceiling.
 
         Each coordinate contributes min(a L_k, a H_k) to the lower sum and
         max(a L_k, a H_k) to the upper one.  These are superadditive and
@@ -308,8 +299,7 @@ class NumberField:
         tightens the table and never lowers its scale, so bounds taken
         earlier, divided by their scale, stay valid and contain the
         bounds taken later."""
-        lows, highs = (self._matched_table() if matched
-                       else self._fixed_point_table())
+        lows, highs = self._table(matched)
         lower = upper = 0
         for a, low, high in zip(ints, lows, highs):
             if a > 0:

@@ -613,7 +613,10 @@ def verify_report(report: dict) -> dict:
     """Replay every replayable certificate in a report.
 
     The facts the rebuilt SuspensionSystem and reference points fix
-    (`_core_facts`) must equal the report's, as one replay "facts".  The
+    (`_core_facts`) must equal the report's, and what they imply must
+    hold: the rules are primitive, a bool irreducibility says whether the
+    two polynomials agree, and the geometric check copies admissibility
+    unless it holds an error; all as one replay "facts".  The
     involution of each prefix and suffix FAILS pair is checked against
     the rules (`coincidence.replay_involution_certificate`).  Geometric
     and simultaneous HOLDS witnesses are all parsed, then replayed on the
@@ -656,9 +659,17 @@ def verify_report(report: dict) -> dict:
     pair_scopes = {key: [spec.token(c) for c in pair]
                    for key, pair in pair_letters.items()}
     facts = report.get("facts")
+    core = _core_facts(spec, system, refpoints, kind)
     results = {"facts": isinstance(facts, dict) and all(
-        facts.get(key) == value
-        for key, value in _core_facts(spec, system, refpoints, kind).items())}
+        facts.get(key) == value for key, value in core.items())}
+    if results["facts"]:
+        irreducible = facts.get("characteristic_irreducible")
+        geometric = checks["geometric_strong"]
+        results["facts"] = facts.get("primitive") is True and (
+            type(irreducible) is not bool or irreducible ==
+            (core["characteristic_polynomial"] == core["minimal_polynomial"])
+        ) and (not isinstance(geometric, dict) or "error" in geometric or
+               geometric.get("admissible") is core["admissible"])
 
     def replay(check, *args):
         try:

@@ -187,6 +187,47 @@ def successors(system, moved, anchor, shift):
     return key_coords(step.successors(key), denom)
 
 
+def ref_children(step, key):
+    """Reference: `spectrum._Inflation.children` with every subtile-pair
+    enclosure taken afresh at the current matched scale, so that it and
+    the parent's enclosure always share one generation."""
+    field, lengths = step.field, step.lengths
+    moved, anchor, shift = key
+
+    def bounds(ints):
+        return field.fixed_point_bounds(ints, matched=True)
+
+    def add(u, v):
+        return tuple(a + b for a, b in zip(u, v))
+
+    def sub(u, v):
+        return tuple(a - b for a, b in zip(u, v))
+
+    rule = step.system.sub.rule
+    pairs = []
+    for k, (mc, m_off) in enumerate(zip(rule(moved),
+                                        step.offsets[moved - 1])):
+        for ac, a_off in zip(rule(anchor), step.offsets[anchor - 1]):
+            delta = sub(m_off, a_off)
+            pairs.append((k, mc, ac, delta, *bounds(add(delta, lengths[mc])),
+                          *bounds(sub(lengths[ac], delta))))
+    base = field.times_beta(shift)
+    base_lo, base_hi = bounds(base)
+    out = []
+    for k, mc, ac, delta, m_lo, m_hi, a_lo, a_hi in pairs:
+        child = add(base, delta)
+        if base_lo + m_lo <= 0:
+            if base_hi + m_hi < 0 or \
+                    field.int_sign(add(child, lengths[mc])) <= 0:
+                continue
+        if a_lo - base_hi <= 0:
+            if a_hi - base_lo < 0 or \
+                    field.int_sign(sub(lengths[ac], child)) <= 0:
+                continue
+        out.append((k, (mc, ac, child)))
+    return out
+
+
 def system_for(name):
     """Session-wide SuspensionSystem cache keyed by corpus id."""
     if name not in _SYSTEMS:

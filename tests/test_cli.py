@@ -788,11 +788,33 @@ def test_nonpisot_signs_and_bisection_run_on_integers(monkeypatch):
     # unit disk grows its coordinates) are decided by integer Horner and
     # integer bisection; a RatInterval is made only at the boundary.  The
     # sign filter's scale follows the interval, so past den = 2^48 it
-    # still decides most signs: 8,412 fell through to Horner at 2^64
+    # still decides most signs: 8,412 fell through to Horner at 2^64.
+    # Each _Inflation encloses the subtile pairs of a (moved, anchor) once,
+    # whatever the refinements: 130 enclosures, not 5,654 by generation
     intervals, refinements, horner = [], [], []
+    built, building, pair_bounds = [], [], []
     init = algebraic.RatInterval.__init__
     refine = algebraic.NumberField._refine_once
     refined_sign = algebraic.NumberField._refined_sign
+    bounds = algebraic.NumberField.fixed_point_bounds
+    subtile_pairs = spectrum._Inflation._subtile_pairs
+
+    def build(step, moved, anchor):
+        built.append((step, moved, anchor))
+        building.append(1)
+        try:
+            return subtile_pairs(step, moved, anchor)
+        finally:
+            building.pop()
+
+    def counted_bounds(field, ints, matched=False):
+        if building:
+            pair_bounds.append(1)
+        return bounds(field, ints, matched)
+
+    monkeypatch.setattr(spectrum._Inflation, "_subtile_pairs", build)
+    monkeypatch.setattr(algebraic.NumberField, "fixed_point_bounds",
+                        counted_bounds)
     monkeypatch.setattr(
         algebraic.RatInterval, "__init__",
         lambda self, lo, hi: intervals.append(1) or init(self, lo, hi))
@@ -807,6 +829,8 @@ def test_nonpisot_signs_and_bisection_run_on_integers(monkeypatch):
     assert len(refinements) == 338
     assert len(intervals) <= 16
     assert len(horner) <= 500
+    assert len(built) == len(set(built))
+    assert len(pair_bounds) <= 130
 
 
 # -- the involution certificates and the core facts --------------------------
@@ -906,6 +930,32 @@ def test_verify_fails_tampered_core_fact(tmp_path, fact):
     assert outcome["passed"] is False
     code, out, err = _verify_file(tmp_path, report)
     assert code == 1 and json.loads(out)["passed"] is False
+
+
+# facts that follow from the core facts, each of which verify passed
+DEPENDENT_FACT_EDITS = {
+    "geometric-admissible": ("checks", "geometric_strong", "admissible"),
+    "characteristic-irreducible": ("facts", "characteristic_irreducible"),
+    "primitive": ("facts", "primitive"),
+}
+
+
+@pytest.mark.parametrize("edit", DEPENDENT_FACT_EDITS)
+def test_verify_fails_tampered_dependent_fact(edit):
+    # fibonacci is primitive and admissible, with an irreducible
+    # characteristic polynomial; setting any of the three to false fails
+    # the facts replay and adds no replay
+    report = _fixture("fibonacci")
+    untampered = cli.verify_report(report)
+    *path, key = DEPENDENT_FACT_EDITS[edit]
+    section = report
+    for name in path:
+        section = section[name]
+    assert section[key] is True
+    section[key] = False
+    outcome = cli.verify_report(report)
+    assert outcome == {"passed": False, "replayed": dict(
+        untampered["replayed"], facts=False)}
 
 
 @pytest.mark.parametrize("edit", ["deleted", "list", "key-deleted"])

@@ -15,8 +15,8 @@ from subtiling.words import CountGap, Substitution
 
 from conftest import (WALK_BASE, exact_tiles, false_zero_pairs,
                       fieldelem_differences, fieldelem_point_sets,
-                      key_coords, position, subtile_offset_elements,
-                      successors, sweep_translation)
+                      key_coords, position, ref_children,
+                      subtile_offset_elements, successors, sweep_translation)
 
 SPECS = Path(__file__).resolve().parents[1] / "perfbench" / "specs"
 
@@ -525,6 +525,37 @@ def test_nonpisot_nodes_seen_is_pinned(node_cap, nodes_seen):
                                   node_cap=node_cap)
     assert half.status == "UNKNOWN"
     assert half.certificate == {"nodes_seen": nodes_seen}
+
+
+@pytest.mark.parametrize("name", ["nonpisot", "plastic"])
+def test_kept_pair_enclosures_inflate_as_fresh_ones(monkeypatch, name):
+    # subtile-pair enclosures kept at the scale of their first use give
+    # the children of enclosures taken afresh in every generation, after
+    # the same refinements, along every inflation of one analysis (the
+    # closure and the shared-tile walks), each side on a fresh system
+    spec = cli.parse_spec((SPECS / f"{name}.spec").read_text(encoding="utf-8"),
+                          name=name)
+
+    def analysis(inflate):
+        calls = []
+
+        def recorded(step, key):
+            out = inflate(step, key)
+            calls.append((key, out, step.field.generation))
+            return out
+
+        monkeypatch.setattr(SP._Inflation, "children", recorded)
+        report = cli.run_analysis(spec, overrides={"window": 16,
+                                                   "node_cap": 2000})
+        return calls, report
+
+    kept_calls, kept_report = analysis(SP._Inflation.children)
+    fresh_calls, fresh_report = analysis(ref_children)
+    assert kept_calls == fresh_calls
+    assert kept_report == fresh_report
+    if name == "nonpisot":
+        # the matched scale moves during the closure: 338 refinements
+        assert kept_calls[-1][2] - kept_calls[0][2] > 300
 
 
 def test_overlap_closure_builds_few_field_elements(monkeypatch):
