@@ -20,25 +20,26 @@ res = lattices.height_group(system, left)
 print("left endpoints:")
 print("  cross lattice:", res.sup.describe())
 print("  same-color lattice:", res.sub.describe())
-print("  height group:", res.group, "stable at window", res.stabilized_at)
+print("  height group:", lattices.quotient(res.sup, res.sub),
+      "stable at window", res.stabilized_at)
 
 # the control points (1/3, 0) as integer vectors over their denominator
 gamma = suspension.control_points(system, (2, 1))
 res2 = lattices.height_group(system, gamma)
 print("control points", gamma, "= (1/3, 0):")
 print("  cross lattice:", res2.sup.describe())
-print("  height group:", res2.group)
+print("  height group:", lattices.quotient(res2.sup, res2.sub))
 
 # eventual return vectors: how many expansions until a vector, an
 # integer vector over a denominator, lands in the same-color lattice
 tm = suspension.SuspensionSystem(cli.corpus_lookup("thue-morse")
                                  .substitution())
-z = lattices.module_from_vectors([[1]], 1)
+z = lattices.module_from_int_rows([[1]], 1, 1)    # the integers
 for q in (Fraction(1, 2), Fraction(1, 4), Fraction(1, 3)):
     k = lattices.eventual_membership((q.numerator,), q.denominator, z,
                                      tm.field, 16)
     print(f"least k with 2^k * {q} integral:", k)
 
 check = lattices.differences_in_return_module(system, left, 16, 64)
-print("all cross differences eventually return (left endpoints):",
-      check.status, "with powers", check.witnesses)
+print("least powers returning the cross generators (left endpoints):",
+      check.witnesses, "(None: not within 16)")

@@ -14,7 +14,8 @@ for name in ("thue-morse", "fibonacci", "rauzy2-left"):
 
     overlap = spectrum.overlap_coincidence(system, refs, system.window(64))
     balanced = spectrum.balanced_pairs(sub)
-    verdict = spectrum.spectral_verdict(overlap, balanced)
+    verdict = spectrum.spectral_verdict(overlap.status, balanced.status,
+                                        advisory=False)
 
     print(f"{name}:")
     print(f"  overlap classes: {overlap.certificate.get('total_classes')} "
@@ -27,5 +28,6 @@ for name in ("thue-morse", "fibonacci", "rauzy2-left"):
     print(f"  balanced pairs: {balanced.status} "
           f"({balanced.certificate.get('irreducible_pairs')} pairs, "
           f"bound hit: {balanced.bound_hit})")
-    print(f"  spectral verdict: {verdict.status}  [{verdict.agreement}]")
+    print(f"  spectral verdict: {verdict['status']}  "
+          f"[{verdict['agreement']}]")
     print()

@@ -25,7 +25,6 @@ from .lattices import (
 from .polys import is_irreducible
 from .spectrum import (
     SpectralHalf,
-    SpectralVerdict,
     balanced_pairs,
     overlap_coincidence,
     spectral_verdict,
@@ -53,7 +52,7 @@ from .words import (
 __all__ = [
     "AbelianGroup", "BoundedVerdict", "CoincidenceWitness", "FieldElem",
     "NumberField", "Patch", "PointSets", "RatInterval", "SpectralHalf",
-    "SpectralVerdict", "Substitution", "SuspensionSystem", "ZModule",
+    "Substitution", "SuspensionSystem", "ZModule",
     "abelianization", "balanced_pairs", "char_poly", "control_points",
     "differences_in_return_module", "eventual_membership",
     "fixed_point_seed", "generate_patch", "geometric_strong", "height_group",

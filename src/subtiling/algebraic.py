@@ -394,9 +394,6 @@ class NumberField:
     def zero(self):
         return self.element([])
 
-    def one(self):
-        return self.element([1])
-
     def rational(self, value):
         return self.element([value])
 
@@ -494,18 +491,6 @@ class FieldElem:
             return NotImplemented
         return self * other.inverse()
 
-    def __pow__(self, k):
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = self.field.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def inverse(self):
         """Multiplicative inverse via the extended Euclidean algorithm
         against the minimal polynomial."""
@@ -533,11 +518,6 @@ class FieldElem:
 
     def is_rational(self):
         return all(c == 0 for c in self.coords[1:])
-
-    def as_fraction(self):
-        if not self.is_rational():
-            raise ValueError("element is irrational")
-        return Fraction(self.coords[0])
 
     def _ints(self):
         """(ints, scale): the coordinates times the lcm of their
@@ -569,10 +549,6 @@ class FieldElem:
         interval is refined until it excludes zero.
         """
         return self.field.int_sign(self._ints()[0])
-
-    def _interval_sign(self):
-        """Sign of a nonzero element by interval evaluation and refinement."""
-        return self.field._refined_sign(self._ints()[0])
 
     def __eq__(self, other):
         if isinstance(other, FieldElem):

@@ -301,31 +301,14 @@ def _verdict_json(spec, verdict, witness_encoder):
 
 
 def _pairs_json(spec, per_pair, witness_encoder):
-    return {
-        "pairs": {
-            _pair_key(spec, p): _verdict_json(spec, v, witness_encoder)
-            for p, v in sorted(per_pair.items())
-        },
-        "aggregate": coincidence.aggregate_status(per_pair),
-    }
+    return {"pairs": {
+        _pair_key(spec, p): _verdict_json(spec, v, witness_encoder)
+        for p, v in sorted(per_pair.items())}}
 
 
-def _lattice_json(mod: lattices.ZModule):
-    return {**mod.describe(), "rank": mod.rank}
-
-
-def _group_json(g: lattices.AbelianGroup):
-    return {
-        "invariant_factors": list(g.invariant_factors),
-        "free_rank": g.free_rank,
-        "display": str(g),
-    }
-
-
-def _half_json(half: spectrum.SpectralHalf):
-    out = {"status": half.status, "certificate": half.certificate}
-    if half.advisory:
-        out["advisory"] = True
+def _half_json(half: spectrum.SpectralHalf, **derived):
+    """A spectral half's entry, with placeholders for derive's keys."""
+    out = {"status": half.status, "certificate": half.certificate, **derived}
     if half.bound_hit:
         out["bound_hit"] = half.bound_hit
     return out
@@ -426,7 +409,6 @@ def run_analysis(spec: SpecFile, overrides: dict | None = None) -> dict:
     }
     facts = report["facts"]
     checks = report["checks"]
-    cost = report["cost"]
 
     sub = spec.substitution()
     matrix = words.substitution_matrix(sub)
@@ -457,9 +439,6 @@ def run_analysis(spec: SpecFile, overrides: dict | None = None) -> dict:
     facts.update((key, value) for key, value in core.items()
                  if key not in facts)
 
-    irreducible = facts["characteristic_irreducible"] is True
-    advisory_balanced = not (facts["pisot"] and irreducible)
-
     def guarded(name, fn):
         try:
             fn()
@@ -489,7 +468,6 @@ def run_analysis(spec: SpecFile, overrides: dict | None = None) -> dict:
         checks["geometric_strong"] = _pairs_json(
             spec, per_pair, _geometric_witness_json
         )
-        checks["geometric_strong"]["admissible"] = facts["admissible"]
 
     def do_simultaneous():
         verdict = coincidence.simultaneous(
@@ -508,12 +486,11 @@ def run_analysis(spec: SpecFile, overrides: dict | None = None) -> dict:
     def do_height():
         res = lattices.height_group(system, refpoints)
         checks["height_group"] = {
-            "status": "UNSTABLE" if res.unstable else "DECIDED",
-            "group": _group_json(res.group),
+            "status": None, "group": None,  # from derive
             "stabilized_at_window": res.stabilized_at,
             "windows": list(lattices.WINDOW_SCHEDULE),
-            "cross_lattice": _lattice_json(res.sup),
-            "samecolor_lattice": _lattice_json(res.sub),
+            "cross_lattice": res.sup.describe(),
+            "samecolor_lattice": res.sub.describe(),
         }
 
     def do_return_module():
@@ -521,9 +498,7 @@ def run_analysis(spec: SpecFile, overrides: dict | None = None) -> dict:
             system, refpoints, bounds.kmax, bounds.window
         )
         checks["eventual_return_module"] = {
-            "status": res.status,
-            "max_power": res.max_power,
-            "bound": res.bound,
+            "status": None, "max_power": None, "bound": None,  # from derive
             "generators": [spectrum.format_shift(row, res.sup.denom)
                            for row in res.sup.basis],
             "powers": list(res.witnesses),
@@ -531,45 +506,124 @@ def run_analysis(spec: SpecFile, overrides: dict | None = None) -> dict:
         if res.bound_hit:
             checks["eventual_return_module"]["bound_hit"] = res.bound_hit
 
-    halves = {}     # the spectral halves by check name
-
     def do_overlap():
         half = spectrum.overlap_coincidence(
             system, refpoints, system.window(bounds.window), bounds.node_cap
         )
         checks["overlap_coincidence"] = _half_json(half)
-        cost["overlap_classes"] = half.certificate.get("total_classes")
-        halves["overlap_coincidence"] = half
 
     def do_balanced():
-        half = spectrum.balanced_pairs(
-            sub, pair_cap=bounds.pair_cap, advisory=advisory_balanced,
-        )
-        checks["balanced_pairs"] = _half_json(half)
-        cost["balanced_pairs"] = half.certificate.get("irreducible_pairs")
-        halves["balanced_pairs"] = half
+        half = spectrum.balanced_pairs(sub, pair_cap=bounds.pair_cap)
+        checks["balanced_pairs"] = _half_json(half, advisory=None)
 
     for name, fn in zip(CHECKS, (
             do_prefix, do_suffix, do_geometric, do_simultaneous,
             do_prefix_simultaneous, do_height, do_return_module, do_overlap,
             do_balanced)):
         guarded(name, fn)
-
-    if len(halves) == 2:
-        verdict = spectrum.spectral_verdict(halves["overlap_coincidence"],
-                                            halves["balanced_pairs"])
-        checks["spectral"] = {
-            "status": verdict.status,
-            "agreement": verdict.agreement,
-            "disagreement_detected": verdict.disagreement_detected,
-        }
-    else:
-        checks["spectral"] = {"status": "UNKNOWN",
-                              "agreement": "not-applicable",
-                              "disagreement_detected": False}
-
-    cost["seed_power"] = system.seed[0]
+    for path, value in derive(report):
+        if value is ABSENT:
+            del _parent(report, path)[path[-1]]
+        else:
+            _parent(report, path)[path[-1]] = value
     return report
+
+
+ABSENT = object()       # the value of a derived key the report leaves out
+
+
+def derive(report: dict) -> list:
+    """Every leaf of a report that is a function of its other leaves, as
+    (path, value) pairs in report order; a path is a tuple of keys.
+
+    It reads only the report.  A check that holds an error derives
+    nothing, and makes `spectral` the not-applicable UNKNOWN; a value of
+    ABSENT is a key the report leaves out.
+    """
+    facts, checks = report["facts"], report["checks"]
+    out = []
+
+    def put(path, value):
+        out.append((tuple(path.split(".")), value))
+
+    primitive = words.is_primitive(facts["substitution_matrix"])
+    put("facts.primitive", primitive)
+    if not primitive:
+        return out
+    irreducible = facts["characteristic_irreducible"]
+    if type(irreducible) is bool:
+        irreducible = (facts["characteristic_polynomial"] ==
+                       facts["minimal_polynomial"])
+        put("facts.characteristic_irreducible", irreducible)
+    advisory = not (facts["pisot"] and irreducible is True)
+    ran = {name: "error" not in checks[name] for name in CHECKS}
+    for name in ("prefix_strong", "suffix_strong", "geometric_strong"):
+        if ran[name]:
+            statuses = {v["status"] for v in checks[name]["pairs"].values()}
+            put(f"checks.{name}.aggregate", next(
+                (s for s in ("FAILS", "UNKNOWN") if s in statuses), "HOLDS"))
+    if ran["geometric_strong"]:
+        put("checks.geometric_strong.admissible", facts["admissible"])
+    height = checks["height_group"]
+    if ran["height_group"]:
+        sup, sub = (lattices.ZModule(height[key]["denominator"],
+                                     height[key]["basis"],
+                                     len(facts["minimal_polynomial"]) - 1)
+                    for key in ("cross_lattice", "samecolor_lattice"))
+        group = lattices.quotient(sup, sub)
+        put("checks.height_group.status", "DECIDED"
+            if height["stabilized_at_window"] is not None else "UNSTABLE")
+        put("checks.height_group.group", {
+            "invariant_factors": list(group.invariant_factors),
+            "free_rank": group.free_rank, "display": str(group)})
+        put("checks.height_group.cross_lattice.rank", sup.rank)
+        put("checks.height_group.samecolor_lattice.rank", sub.rank)
+    returns = checks["eventual_return_module"]
+    if ran["eventual_return_module"]:
+        holds = None not in returns["powers"] and "bound_hit" not in returns
+        put("checks.eventual_return_module.status",
+            "HOLDS" if holds else "UNKNOWN")
+        put("checks.eventual_return_module.max_power",
+            max(returns["powers"], default=0) if holds else None)
+        put("checks.eventual_return_module.bound",
+            report["input"]["bounds"]["k"])
+    overlap, balanced = checks["overlap_coincidence"], checks["balanced_pairs"]
+    if ran["balanced_pairs"]:
+        put("checks.balanced_pairs.advisory", advisory or ABSENT)
+    both = ran["overlap_coincidence"] and ran["balanced_pairs"]
+    halves = (overlap["status"], balanced["status"]) if both else (None, None)
+    put("checks.spectral", spectrum.spectral_verdict(*halves, advisory))
+    if ran["overlap_coincidence"]:
+        put("cost.overlap_classes",
+            overlap["certificate"].get("total_classes"))
+    if ran["balanced_pairs"]:
+        put("cost.balanced_pairs",
+            balanced["certificate"].get("irreducible_pairs"))
+    put("cost.seed_power", facts["fixed_point_seed"]["power"])
+    return out
+
+
+def _parent(report, path):
+    for key in path[:-1]:
+        report = report[key]
+    return report
+
+
+def _derived_leaves_hold(report) -> bool:
+    """Whether each leaf of `derive` is the report's, as JSON or absent."""
+    try:
+        derived = derive(report)
+        found = [_parent(report, path).get(path[-1], ABSENT)
+                 for path, _ in derived]
+    except (LookupError, TypeError, AttributeError, ArithmeticError,
+            StopIteration, SubtilingError):
+        return False            # derive, or a path, met a malformed leaf
+
+    def boxed(values):          # [] for an absent leaf, [value] otherwise
+        return json.dumps([[] if v is ABSENT else [v] for v in values],
+                          sort_keys=True)
+
+    return boxed(found) == boxed(value for _, value in derived)
 
 
 def _walk_statuses(node):
@@ -613,11 +667,14 @@ def verify_report(report: dict) -> dict:
     """Replay every replayable certificate in a report.
 
     The facts the rebuilt SuspensionSystem and reference points fix
-    (`_core_facts`) must equal the report's, and what they imply must
-    hold: the rules are primitive, a bool irreducibility says whether the
-    two polynomials agree, and the geometric check copies admissibility
-    unless it holds an error; all as one replay "facts".  The
-    involution of each prefix and suffix FAILS pair is checked against
+    (`_core_facts`) must equal the report's, and so must every leaf that
+    `derive` recomputes from the report's other leaves: `primitive`, a
+    bool `characteristic_irreducible`, each pair check's aggregate, the
+    geometric check's `admissible`, the height group's status, group and
+    lattice ranks, eventual return's status, max_power and bound, the
+    balanced-pair `advisory` flag, `spectral` and the `cost` counters;
+    all as one replay "facts", which a report derive cannot read fails.
+    The involution of each prefix and suffix FAILS pair is checked against
     the rules (`coincidence.replay_involution_certificate`).  Geometric
     and simultaneous HOLDS witnesses are all parsed, then replayed on the
     inflation tree of one setting, both claims for every scope letter
@@ -661,15 +718,8 @@ def verify_report(report: dict) -> dict:
     facts = report.get("facts")
     core = _core_facts(spec, system, refpoints, kind)
     results = {"facts": isinstance(facts, dict) and all(
-        facts.get(key) == value for key, value in core.items())}
-    if results["facts"]:
-        irreducible = facts.get("characteristic_irreducible")
-        geometric = checks["geometric_strong"]
-        results["facts"] = facts.get("primitive") is True and (
-            type(irreducible) is not bool or irreducible ==
-            (core["characteristic_polynomial"] == core["minimal_polynomial"])
-        ) and (not isinstance(geometric, dict) or "error" in geometric or
-               geometric.get("admissible") is core["admissible"])
+        facts.get(key) == value for key, value in core.items())
+        and _derived_leaves_hold(report)}
 
     def replay(check, *args):
         try:

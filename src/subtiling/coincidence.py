@@ -196,15 +196,6 @@ def replay_involution_certificate(sub: Substitution, certificate, pair):
         for x in letters)
 
 
-def aggregate_status(per_pair):
-    statuses = [v.status for v in per_pair.values()]
-    if any(s == "FAILS" for s in statuses):
-        return "FAILS"
-    if any(s == "UNKNOWN" for s in statuses):
-        return "UNKNOWN"
-    return "HOLDS"
-
-
 def prefix_simultaneous(sub: Substitution, level_bound=DEFAULT_LEVEL_BOUND):
     """Least (L, M) in lexicographic order such that the length-M prefixes
     of all iterated letters share their letter counts and final letter.

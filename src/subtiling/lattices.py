@@ -18,8 +18,7 @@ No field element is made.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import NotASubmodule
 from .suspension import reference_point_sets
@@ -181,15 +180,6 @@ class ZModule:
         }
 
 
-def module_from_vectors(vectors, width):
-    """Canonical ZModule spanned by rational coordinate vectors."""
-    rat = [[Fraction(c) for c in v] for v in vectors]
-    denom = lcm(*(c.denominator for v in rat for c in v))
-    return module_from_int_rows(
-        [[c.numerator * (denom // c.denominator) for c in v] for v in rat],
-        denom, width)
-
-
 def module_from_int_rows(rows, denom, width):
     """Canonical ZModule spanned by integer rows over a denominator: the
     vectors row / denom.  Any common denominator gives the same module."""
@@ -207,17 +197,6 @@ class AbelianGroup:
 
     invariant_factors: tuple
     free_rank: int = 0
-
-    def is_trivial(self):
-        return not self.invariant_factors and self.free_rank == 0
-
-    def order(self):
-        if self.free_rank:
-            return None
-        n = 1
-        for d in self.invariant_factors:
-            n *= d
-        return n
 
     def __str__(self):
         parts = ["Z"] * self.free_rank + [
@@ -252,14 +231,9 @@ def quotient(sup: ZModule, sub: ZModule) -> AbelianGroup:
 
 @dataclass
 class HeightGroupResult:
-    group: AbelianGroup
-    stabilized_at: int | None
+    stabilized_at: int | None   # None when no two windows agreed
     sup: ZModule
     sub: ZModule
-
-    @property
-    def unstable(self):
-        return self.stabilized_at is None
 
 
 WINDOW_SCHEDULE = (16, 32, 64, 128)
@@ -296,12 +270,12 @@ def return_lattices(system, refpoints, size):
 
 
 def height_group(system, refpoints):
-    """Quotient of the cross-difference lattice by the same-color one.
+    """The cross-difference and same-color lattices of the height group.
 
     Both lattices are sampled on the windows of WINDOW_SCHEDULE in order,
     and sampling stops at the first window whose lattices agree with the
     previous window's; the result is taken at the earlier of the two.  It
-    is flagged unstable, with the last window's lattices, when no two
+    has no stable window, and the last window's lattices, when no two
     consecutive windows agree.  A report's `windows` names the schedule,
     not the windows sampled.
     """
@@ -309,9 +283,9 @@ def height_group(system, refpoints):
     for size in WINDOW_SCHEDULE:
         prev, pair = pair, return_lattices(system, refpoints, size)
         if pair == prev:
-            return HeightGroupResult(quotient(*pair), prev_size, *pair)
+            return HeightGroupResult(prev_size, *pair)
         prev_size = size
-    return HeightGroupResult(quotient(*pair), None, *pair)
+    return HeightGroupResult(None, *pair)
 
 
 def eventual_membership(ints, denom, lattice: ZModule, field, kmax):
@@ -330,12 +304,8 @@ def eventual_membership(ints, denom, lattice: ZModule, field, kmax):
 
 @dataclass
 class ReturnModuleResult:
-    status: str                 # "HOLDS" or "UNKNOWN"
-    max_power: int | None
-    bound: int
     witnesses: tuple            # the least power per basis row of sup
     sup: ZModule
-    sub: ZModule
     bound_hit: str | None = None
 
 
@@ -343,21 +313,14 @@ def differences_in_return_module(system, refpoints, kmax, window_size):
     """Check that every sampled cross difference eventually returns.
 
     For each basis generator v of the cross-difference lattice, search the
-    least k with beta^k * v inside the same-color difference lattice.
-    HOLDS when all generators succeed; otherwise UNKNOWN at the bound.  A
-    window that holds no same-color return vector samples nothing: the
-    result is UNKNOWN and names the window.
+    least k <= kmax with beta^k * v inside the same-color difference
+    lattice; None where there is none.  A window that holds no same-color
+    return vector samples nothing, and the result names the window.
     """
     sup_mod, sub_mod = return_lattices(system, refpoints, window_size)
-    empty = sub_mod.is_zero()
     witnesses = tuple(
         eventual_membership(row, sup_mod.denom, sub_mod, system.field, kmax)
         for row in sup_mod.basis)
-    all_found = None not in witnesses and not empty
-    status = "HOLDS" if all_found else "UNKNOWN"
-    max_power = max((k for k in witnesses if k is not None), default=0)
     return ReturnModuleResult(
-        status, max_power if all_found else None, kmax, witnesses,
-        sup_mod, sub_mod,
-        bound_hit=f"window {window_size}" if empty else None,
-    )
+        witnesses, sup_mod,
+        bound_hit=f"window {window_size}" if sub_mod.is_zero() else None)

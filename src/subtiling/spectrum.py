@@ -318,7 +318,6 @@ class SpectralHalf:
     name: str
     status: str                   # HOLDS | FAILS | UNKNOWN
     certificate: dict = field(default_factory=dict)
-    advisory: bool = False
     bound_hit: str | None = None
 
 
@@ -478,8 +477,8 @@ def return_word_seeds(sub: Substitution):
     return letter, seen, pairs
 
 
-def balanced_pairs(sub: Substitution, pair_cap=DEFAULT_PAIR_CAP,
-                   advisory=False) -> SpectralHalf:
+def balanced_pairs(sub: Substitution,
+                   pair_cap=DEFAULT_PAIR_CAP) -> SpectralHalf:
     """Run the balanced pair iteration to a verdict.
 
     HOLDS: the closure of the seed pairs under substitution-and-split is
@@ -512,7 +511,6 @@ def balanced_pairs(sub: Substitution, pair_cap=DEFAULT_PAIR_CAP,
             if len(u) * max(len(r) for r in sub.rules) > PAIR_LENGTH_CAP:
                 return SpectralHalf(
                     "balanced-pairs", "UNKNOWN", certificate=meta,
-                    advisory=advisory,
                     bound_hit=f"pair length cap {PAIR_LENGTH_CAP}",
                 )
             image = (sub.apply(u), sub.apply(v))
@@ -527,27 +525,25 @@ def balanced_pairs(sub: Substitution, pair_cap=DEFAULT_PAIR_CAP,
             if len(nodes) > pair_cap:
                 return SpectralHalf(
                     "balanced-pairs", "UNKNOWN", certificate=meta,
-                    advisory=advisory, bound_hit=f"pair cap {pair_cap}",
+                    bound_hit=f"pair cap {pair_cap}",
                 )
         frontier = nxt
     if frontier:
         return SpectralHalf(
             "balanced-pairs", "UNKNOWN", certificate=meta,
-            advisory=advisory, bound_hit=f"iteration cap {ITER_CAP}",
+            bound_hit=f"iteration cap {ITER_CAP}",
         )
     dist = _coincidence_distances(
         edges, [p for p in nodes if _is_coincidence_pair(p)])
     stuck = sorted(nodes.keys() - dist.keys())
     meta["irreducible_pairs"] = len(nodes)
     if not stuck:
-        return SpectralHalf("balanced-pairs", "HOLDS", certificate=meta,
-                            advisory=advisory)
+        return SpectralHalf("balanced-pairs", "HOLDS", certificate=meta)
     cert = dict(meta)
     cert["coincidence_free_closed_set"] = [
         [list(u), list(v)] for u, v in stuck
     ]
-    return SpectralHalf("balanced-pairs", "FAILS", certificate=cert,
-                        advisory=advisory)
+    return SpectralHalf("balanced-pairs", "FAILS", certificate=cert)
 
 
 # ---------------------------------------------------------------------------
@@ -555,52 +551,33 @@ def balanced_pairs(sub: Substitution, pair_cap=DEFAULT_PAIR_CAP,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SpectralVerdict:
-    status: str                    # PURE_DISCRETE | NOT_PURE_DISCRETE | UNKNOWN
-    overlap: SpectralHalf
-    balanced: SpectralHalf
-    agreement: str                 # "agree" | "not-applicable" | "DISAGREE"
-    disagreement_detected: bool = False
-
-
-def spectral_verdict(overlap_half: SpectralHalf,
-                     balanced_half: SpectralHalf) -> SpectralVerdict:
-    """Combine the two procedures into one verdict.
+def spectral_verdict(overlap, balanced, advisory) -> dict:
+    """The report's combined verdict from the two procedures' statuses.
 
     Within its scope (irreducible Pisot input, advisory flag off) the
     balanced-pair criterion is equivalent to overlap coincidence, so an
     in-scope disagreement is a diagnostic for an implementation bug and
     yields UNKNOWN with the disagreement flag set.  An advisory balanced
     half never overrides the overlap half; if it happens to disagree this
-    is recorded as out-of-scope, not as a defect.
+    is recorded as out-of-scope, not as a defect.  A status other than
+    HOLDS or FAILS decides nothing.
     """
-
-    def raw(half):
-        return half.status in ("HOLDS", "FAILS")
-
-    def to_verdict(half):
-        return "PURE_DISCRETE" if half.status == "HOLDS" \
-            else "NOT_PURE_DISCRETE"
-
-    o_dec, b_dec = raw(overlap_half), raw(balanced_half)
-    if o_dec and b_dec:
-        if overlap_half.status == balanced_half.status:
-            return SpectralVerdict(to_verdict(overlap_half), overlap_half,
-                                   balanced_half, "agree")
-        if balanced_half.advisory:
-            return SpectralVerdict(to_verdict(overlap_half), overlap_half,
-                                   balanced_half, "out-of-scope-disagreement")
-        return SpectralVerdict("UNKNOWN", overlap_half, balanced_half,
-                               "DISAGREE", disagreement_detected=True)
-    if o_dec:
-        return SpectralVerdict(to_verdict(overlap_half), overlap_half,
-                               balanced_half, "not-applicable")
-    if b_dec and not balanced_half.advisory:
-        return SpectralVerdict(to_verdict(balanced_half), overlap_half,
-                               balanced_half, "not-applicable")
-    return SpectralVerdict("UNKNOWN", overlap_half, balanced_half,
-                           "not-applicable")
+    decided = ("HOLDS", "FAILS")
+    status, agreement = None, "not-applicable"
+    if overlap in decided and balanced in decided:
+        if overlap == balanced:
+            status, agreement = overlap, "agree"
+        elif advisory:
+            status, agreement = overlap, "out-of-scope-disagreement"
+        else:
+            agreement = "DISAGREE"
+    elif overlap in decided:
+        status = overlap
+    elif balanced in decided and not advisory:
+        status = balanced
+    return {"status": {"HOLDS": "PURE_DISCRETE", "FAILS": "NOT_PURE_DISCRETE"}
+            .get(status, "UNKNOWN"), "agreement": agreement,
+            "disagreement_detected": agreement == "DISAGREE"}
 
 
 def replay_overlap_certificate(system: SuspensionSystem, cert) -> bool:

@@ -99,9 +99,6 @@ class SuspensionSystem:
     def size(self):
         return self.sub.size
 
-    def length_of(self, letter):
-        return self.lengths[letter - 1]
-
     def max_length_bound(self):
         """Deterministic rational upper bound on the prototile lengths:
         the largest upper end once every length's enclosure is at most
@@ -211,11 +208,6 @@ def generate_patch(system: SuspensionSystem, seed, n):
 # ---------------------------------------------------------------------------
 # Tile maps, control points, admissibility
 # ---------------------------------------------------------------------------
-
-
-def leftmost_tile_map(sub: Substitution):
-    """Tile map choosing the first subtile of every inflated prototile."""
-    return tuple(1 for _ in range(sub.size))
 
 
 def validate_tile_map(sub: Substitution, tile_map):

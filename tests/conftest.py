@@ -11,6 +11,7 @@ from subtiling import suspension
 from subtiling import words as W
 from subtiling.algebraic import (FieldElem, NumberField, common_denominator,
                                  scaled_coords)
+from subtiling.lattices import module_from_int_rows
 from subtiling.suspension import SuspensionSystem
 
 
@@ -87,6 +88,28 @@ def swap_commuting_substitution(rng, tau, max_len=3):
         sub = W.Substitution(rules)
         if W.is_primitive(W.substitution_matrix(sub)):
             return sub
+
+
+def power(x, k):
+    """x ** k for a FieldElem x and an int k, by repeated squaring."""
+    if k < 0:
+        return power(x.inverse(), -k)
+    result = x.field.rational(1)
+    while k:
+        if k & 1:
+            result = result * x
+        x = x * x
+        k >>= 1
+    return result
+
+
+def module_from_vectors(vectors, width):
+    """The canonical ZModule spanned by rational coordinate vectors."""
+    rat = [[Fraction(c) for c in v] for v in vectors]
+    denom = math.lcm(*(c.denominator for v in rat for c in v))
+    return module_from_int_rows(
+        [[c.numerator * (denom // c.denominator) for c in v] for v in rat],
+        denom, width)
 
 
 def unscaled_coords(ints, denom):
@@ -540,7 +563,7 @@ def _solve_kernel(rows, field):
     assert len(free) == 1, f"kernel dimension {len(free)} (expected 1)"
     fc = free[0]
     vec = [field.zero()] * width
-    vec[fc] = field.one()
+    vec[fc] = field.rational(1)
     for col, row in pivots.items():
         vec[col] = -mat[row][fc]
     return vec
@@ -559,7 +582,7 @@ def ref_control_points(system, tile_map):
         row = [field.zero()] * m
         row[j] = row[j] + system.beta
         g = system.sub.rule(j + 1)[idx - 1] - 1
-        row[g] = row[g] - field.one()
+        row[g] = row[g] - field.rational(1)
         rows.append(row + [-offsets[j][idx - 1]])
     vec = _solve_kernel(rows, field)
     assert not vec[-1].is_zero()

@@ -9,7 +9,7 @@ Q(beta); there are no numerical tolerances anywhere.
 from subtiling import cli, coincidence, lattices, spectrum, suspension, words
 
 from conftest import (CORPUS_IDS, inflated_prototile, key_coords, position,
-                      report_for, system_for)
+                      power, report_for, system_for)
 
 
 def _ok(criterion, text):
@@ -202,7 +202,7 @@ def test_criterion_7_exact_identities_and_node_invariants():
         for j in range(1, system.size + 1):
             for n in range(0, 7):
                 patch = inflated_prototile(system, j, n)
-                expected = (system.beta ** n) * system.length_of(j)
+                expected = power(system.beta, n) * system.lengths[j - 1]
                 diff = position(patch, len(patch)) - position(patch, 0) - \
                     expected
                 assert diff.is_zero(), (name, j, n)
@@ -220,8 +220,8 @@ def test_criterion_7_exact_identities_and_node_invariants():
             for (moved, anchor, coords), child in zip(
                     key_coords(children, step.denom), children):
                 shift = system.field.element(coords)
-                lo = -system.length_of(moved)
-                hi = system.length_of(anchor)
+                lo = -system.lengths[moved - 1]
+                hi = system.lengths[anchor - 1]
                 assert (shift - lo).sign() > 0, name
                 assert (hi - shift).sign() > 0, name
                 if child not in classes:

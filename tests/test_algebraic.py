@@ -151,7 +151,7 @@ def test_division_inverts_multiplication(ca, cb):
 def test_degree_one_field_is_rational_arithmetic():
     f = field_from([-2, 1])
     x = f.rational(Fraction(3, 4))
-    assert (x * f.beta()).as_fraction() == Fraction(3, 2)
+    assert x * f.beta() == Fraction(3, 2)
     assert x.sign() == 1
     assert f.beta().sign() == 1
 
@@ -245,7 +245,7 @@ def test_filter_sign_agrees_with_interval_route(minpoly, data):
     assume(not x.is_zero())
     decided = field.filter_sign(scaled(x))
     if decided:
-        assert decided == x._interval_sign()
+        assert decided == field._refined_sign(scaled(x))
 
 
 int_coord = st.integers(min_value=-10**6, max_value=10**6)

@@ -9,7 +9,8 @@ import pytest
 
 from subtiling import algebraic, cli, coincidence, spectrum, suspension
 from subtiling.errors import (InvalidBound, LengthCapExceeded,
-                              SpecSyntaxError, UnknownCorpusEntry)
+                              SpecSyntaxError, SubtilingError,
+                              UnknownCorpusEntry)
 
 from conftest import CORPUS_IDS, report_for
 
@@ -240,6 +241,13 @@ def test_cli_flags_beat_spec_file_bounds(tmp_path):
 
 def _fixture(name):
     return json.loads((FIXTURES / f"{name}.json").read_text(encoding="utf-8"))
+
+
+def _put(report, path, value):
+    node = report
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
 
 
 def _verify_file(tmp_path, report):
@@ -932,30 +940,56 @@ def test_verify_fails_tampered_core_fact(tmp_path, fact):
     assert code == 1 and json.loads(out)["passed"] is False
 
 
-# facts that follow from the core facts, each of which verify passed
+# (path, value): edits of a derived leaf, or of a leaf that derive reads,
+# that the facts replay passed before derive; the last ones break derive
 DEPENDENT_FACT_EDITS = {
-    "geometric-admissible": ("checks", "geometric_strong", "admissible"),
-    "characteristic-irreducible": ("facts", "characteristic_irreducible"),
-    "primitive": ("facts", "primitive"),
+    "geometric-admissible": (("checks", "geometric_strong", "admissible"),
+                             False),
+    "characteristic-irreducible": (("facts", "characteristic_irreducible"),
+                                   False),
+    "primitive": (("facts", "primitive"), False),
+    # the ten derived edits of ROADMAP item 2
+    "height-group": (("checks", "height_group", "group"), {
+        "invariant_factors": [5], "free_rank": 0, "display": "Z/5Z"}),
+    "cross-lattice": (("checks", "height_group", "cross_lattice", "basis"),
+                      [[2, 0], [0, 1]]),
+    "return-powers": (("checks", "eventual_return_module", "powers"),
+                      [7, 7]),
+    "return-status": (("checks", "eventual_return_module", "status"),
+                      "FAILS"),
+    "total-classes": (("checks", "overlap_coincidence", "certificate",
+                       "total_classes"), 999),
+    "irreducible-pairs": (("checks", "balanced_pairs", "certificate",
+                           "irreducible_pairs"), 1),
+    "seed-power": (("cost", "seed_power"), 9),
+    "pisot": (("facts", "pisot"), False),
+    "geometric-aggregate": (("checks", "geometric_strong", "aggregate"),
+                            "FAILS"),
+    "spectral-status": (("checks", "spectral", "status"),
+                        "NOT_PURE_DISCRETE"),
+    "zero-basis-row": (("checks", "height_group", "cross_lattice", "basis"),
+                       [[0, 0], [0, 1]]),
+    "zero-denominator": (("checks", "height_group", "samecolor_lattice",
+                          "denominator"), 0),
+    "lattice-list": (("checks", "height_group", "cross_lattice"), [1, 0]),
+    "powers-string": (("checks", "eventual_return_module", "powers"), "00"),
+    "return-empty": (("checks", "eventual_return_module"), {}),
+    "certificate-list": (("checks", "balanced_pairs", "certificate"), [3]),
+    "cost-list": (("cost",), [10, 3, 2]),
 }
 
 
 @pytest.mark.parametrize("edit", DEPENDENT_FACT_EDITS)
-def test_verify_fails_tampered_dependent_fact(edit):
-    # fibonacci is primitive and admissible, with an irreducible
-    # characteristic polynomial; setting any of the three to false fails
-    # the facts replay and adds no replay
+def test_verify_fails_tampered_dependent_fact(tmp_path, edit):
+    # each edit fails the facts replay and no other, and raises nothing
+    untampered = cli.verify_report(_fixture("fibonacci"))
     report = _fixture("fibonacci")
-    untampered = cli.verify_report(report)
-    *path, key = DEPENDENT_FACT_EDITS[edit]
-    section = report
-    for name in path:
-        section = section[name]
-    assert section[key] is True
-    section[key] = False
-    outcome = cli.verify_report(report)
-    assert outcome == {"passed": False, "replayed": dict(
+    _put(report, *DEPENDENT_FACT_EDITS[edit])
+    assert cli.verify_report(report) == {"passed": False, "replayed": dict(
         untampered["replayed"], facts=False)}
+    code, out, err = _verify_file(tmp_path, report)
+    assert code == 1 and json.loads(out)["passed"] is False
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("edit", ["deleted", "list", "key-deleted"])
@@ -970,3 +1004,102 @@ def test_verify_fails_malformed_facts(edit):
     outcome = cli.verify_report(report)
     assert outcome["replayed"]["facts"] is False
     assert outcome["passed"] is False
+
+
+# -- the reports of the error paths -------------------------------------------
+
+
+def test_report_of_a_substitution_that_is_not_primitive():
+    spec = cli.parse_spec("letters a b\nrule a = a\nrule b = a b\n")
+    report = cli.run_analysis(spec)
+    assert report["facts"]["primitive"] is False
+    assert report["checks"] == {
+        "error": "substitution is not primitive; no suspension"}
+    assert report["cost"] == {}
+    assert "spectral" not in report["checks"]
+
+
+def test_report_of_an_overlap_check_that_raises(monkeypatch):
+    def raises(*args, **kwargs):
+        raise SubtilingError("overlap closure failed")
+
+    monkeypatch.setattr(spectrum, "overlap_coincidence", raises)
+    report = cli.run_analysis(cli.corpus_lookup("fibonacci"))
+    checks = report["checks"]
+    assert checks["overlap_coincidence"] == {"error": "overlap closure failed"}
+    assert checks["spectral"] == {"status": "UNKNOWN",
+                                  "agreement": "not-applicable",
+                                  "disagreement_detected": False}
+    assert list(report["cost"]) == ["balanced_pairs", "seed_power"]
+    assert report["cost"] == {"balanced_pairs": 3, "seed_power": 2}
+    assert cli.verify_report(report)["passed"] is True
+
+
+# -- the derived leaves: analyze writes them, verify compares them ------------
+
+
+FIXTURE_NAMES = sorted(path.stem for path in FIXTURES.glob("*.json"))
+
+
+def _as_json(value):
+    """JSON text, so that a bool is not a number; cli.ABSENT stays."""
+    return value if value is cli.ABSENT else json.dumps(value, sort_keys=True)
+
+
+def _edits(path, value):
+    """(path, value) for each JSON leaf under a derived leaf, changed to
+    another value of its type; None becomes 0 and an absent flag true."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _edits(path + (key,), item)
+    elif isinstance(value, list):
+        yield path, value + [7]
+    elif value is cli.ABSENT or value is None:
+        yield path, True if value is cli.ABSENT else 0
+    elif isinstance(value, bool):
+        yield path, not value
+    else:
+        yield path, value + (1 if isinstance(value, int) else "x")
+
+
+# every derived leaf of a report in which no check raised
+DERIVED_PATHS = [tuple(path.split(".")) for path in (
+    "facts.primitive", "facts.characteristic_irreducible",
+    "checks.prefix_strong.aggregate", "checks.suffix_strong.aggregate",
+    "checks.geometric_strong.aggregate", "checks.geometric_strong.admissible",
+    "checks.height_group.status", "checks.height_group.group",
+    "checks.height_group.cross_lattice.rank",
+    "checks.height_group.samecolor_lattice.rank",
+    "checks.eventual_return_module.status",
+    "checks.eventual_return_module.max_power",
+    "checks.eventual_return_module.bound", "checks.balanced_pairs.advisory",
+    "checks.spectral", "cost.overlap_classes", "cost.balanced_pairs",
+    "cost.seed_power")]
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_derive_reproduces_every_fixture(name):
+    report = _fixture(name)
+    derived = cli.derive(report)
+    assert [path for path, _ in derived] == DERIVED_PATHS
+    for path, value in derived:
+        node = report
+        for key in path[:-1]:
+            node = node[key]
+        assert _as_json(node.get(path[-1], cli.ABSENT)) == _as_json(value)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_verify_fails_every_tampered_derived_leaf(name):
+    # the outcome is the untampered one with only the facts replay failed
+    untampered = cli.verify_report(_fixture(name))
+    assert untampered["passed"]
+    expected = {"passed": False,
+                "replayed": dict(untampered["replayed"], facts=False)}
+    edits = [edit for path, value in cli.derive(_fixture(name))
+             for edit in _edits(path, value)]
+    assert len(edits) >= 20
+    for path, value in edits:
+        report = _fixture(name)
+        _put(report, path, value)
+        assert cli.verify_report(report) == expected, (path, value)

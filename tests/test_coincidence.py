@@ -12,7 +12,7 @@ from subtiling import suspension as S
 from subtiling import words as W
 
 from conftest import (CORPUS_IDS, WALK_BASE, elements, false_zero_pairs,
-                      swap_commuting_substitution)
+                      power, swap_commuting_substitution)
 
 
 def test_prefix_strong_fibonacci(fib):
@@ -22,7 +22,7 @@ def test_prefix_strong_fibonacci(fib):
     assert v.witness.level == 1
     assert v.witness.color == 1
     assert v.witness.prefix_lengths == (0, 0)
-    assert C.aggregate_status(per_pair) == "HOLDS"
+    assert {v.status for v in per_pair.values()} == {"HOLDS"}
 
 
 def test_prefix_strong_aba_fails_by_involution(aba):
@@ -30,9 +30,8 @@ def test_prefix_strong_aba_fails_by_involution(aba):
     v = per_pair[(1, 2)]
     assert v.status == "FAILS"
     assert v.certificate["involution"] == {1: 2, 2: 1}
-    assert C.aggregate_status(per_pair) == "FAILS"
     suffix = C.prefix_strong(aba, suffixes=True)
-    assert C.aggregate_status(suffix) == "FAILS"
+    assert suffix[(1, 2)].status == "FAILS"
 
 
 def _sub_of(*rules):
@@ -105,8 +104,8 @@ def test_prefix_strong_fib2(fib2):
     assert per_pair[(1, 3)].status == "FAILS"
     assert per_pair[(2, 4)].status == "FAILS"
     assert per_pair[(1, 2)].status == "HOLDS"   # images share the letter a
-    assert C.aggregate_status(per_pair) == "FAILS"
-    assert C.aggregate_status(C.prefix_strong(fib2, suffixes=True)) == "FAILS"
+    suffix = C.prefix_strong(fib2, suffixes=True)
+    assert "FAILS" in {v.status for v in suffix.values()}
 
 
 def test_prefix_strong_thue_morse(tm):
@@ -432,8 +431,7 @@ def _layout(system, refs, letter, level):
         return [int(Fraction(x) * denom) for x in v.coords]
 
     lengths = [ints(v) for v in system.lengths]
-    start = ints(system.beta ** level * refs[letter - 1]) if level \
-        else ints(refs[letter - 1])
+    start = ints(power(system.beta, level) * refs[letter - 1])
     word = system.sub.iterate(letter, level)
     # per coordinate, the steps indexed by letter
     steps = [(0, *column) for column in zip(*lengths)]

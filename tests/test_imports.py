@@ -1,9 +1,13 @@
-"""No module of `src/subtiling` imports a name it does not use.
+"""No module of `src/subtiling` imports a name it does not use, and no
+function of it goes unread.
 
-A stdlib `ast` check in place of a linter: every name an `import` or
+Stdlib `ast` checks in place of a linter.  Every name an `import` or
 `from ... import` binds must be read somewhere in the module.  Re-exports
 in `__init__.py` and `from __future__` imports are exempt; the names in
-`KEPT` are the only other exceptions, each with its reason.
+`KEPT` are the only other exceptions, each with its reason.  Every
+function and method defined in `src/subtiling` must be read somewhere in
+it, as a name or an attribute, or be exported in `__all__`.  Dunders are
+exempt; the names in `KEPT_UNREAD` are the only other exceptions.
 """
 
 import ast
@@ -20,6 +24,10 @@ KEPT = {
         "perfbench/tests/test_perfbench.py asserts that the tracer wraps "
         "coincidence.reference_point_sets",
 }
+
+
+# (module, name) -> why it is defined but read nowhere in src/subtiling
+KEPT_UNREAD = {}
 
 
 def unused_imports(source):
@@ -51,3 +59,47 @@ def test_guard_catches_a_leftover_import():
               "import math\n"
               "x = scaled_coords((1,), 1)\n")
     assert unused_imports(source) == ["FieldElem", "math"]
+
+
+def unread_functions(sources):
+    """(module, name) of every function or method defined in the sources,
+    a dict of module name to source text, that is neither read by a node
+    of any of them nor in the `__all__` of the module "__init__"; dunders
+    are exempt."""
+    defined, read, exported = set(), set(), set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.add((module, node.name))
+            elif isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif module == "__init__" and isinstance(node, ast.Assign) and \
+                    [t.id for t in node.targets] == ["__all__"]:
+                exported.update(ast.literal_eval(node.value))
+    return sorted((module, name) for module, name in defined
+                  if name not in read | exported
+                  and not (name.startswith("__") and name.endswith("__")))
+
+
+def test_every_function_in_src_is_read():
+    found = set(unread_functions({
+        path.stem: path.read_text(encoding="utf-8")
+        for path in SRC.glob("*.py")}))
+    assert sorted(found - KEPT_UNREAD.keys()) == []
+    assert sorted(KEPT_UNREAD.keys() - found) == []
+
+
+def test_guard_catches_an_unread_function():
+    sources = {
+        "__init__": "__all__ = ['exported']\n",
+        "mod": ("class A:\n"
+                "    def __eq__(self, other): return True\n"
+                "    def method(self): return helper()\n"
+                "    def unread(self): pass\n"
+                "def helper(): return A().method\n"
+                "def exported(): pass\n"
+                "def dead(): pass\n"),
+    }
+    assert unread_functions(sources) == [("mod", "dead"), ("mod", "unread")]

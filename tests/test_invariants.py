@@ -8,7 +8,8 @@ from math import gcd
 from subtiling import lattices as L
 from subtiling import suspension as S
 
-from conftest import elements, inflated_prototile, sweep_translation
+from conftest import (elements, inflated_prototile, module_from_vectors,
+                      sweep_translation)
 
 
 def test_point_sets_with_exact_irrational_window(sys_fib):
@@ -37,8 +38,8 @@ def test_fibonacci_overlap_classes_for_golden_shift(sys_fib):
     assert (1, 1, (Fraction(-1), Fraction(0))) in keys
     for moved, anchor, shift in keys:
         elem = sys_fib.field.element(list(shift))
-        assert (elem + sys_fib.length_of(moved)).sign() > 0
-        assert (sys_fib.length_of(anchor) - elem).sign() > 0
+        assert (elem + sys_fib.lengths[moved - 1]).sign() > 0
+        assert (sys_fib.lengths[anchor - 1] - elem).sign() > 0
 
 
 def test_hnf_is_canonical_under_row_operations():
@@ -84,13 +85,13 @@ def test_module_canonical_form_unique():
              for _ in range(2)]
             for _ in range(rng.randint(1, 4))
         ]
-        mod = L.module_from_vectors(vecs, 2)
+        mod = module_from_vectors(vecs, 2)
         # rewriting the generators by sums and swaps lands on the same form
         mixed = [v[:] for v in vecs]
         rng.shuffle(mixed)
         if len(mixed) >= 2:
             mixed[0] = [a + b for a, b in zip(mixed[0], mixed[1])]
-        assert L.module_from_vectors(mixed, 2) == mod
+        assert module_from_vectors(mixed, 2) == mod
         if not mod.is_zero():
             # canonical pair: the denominator shares no factor with the
             # basis entries

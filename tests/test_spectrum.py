@@ -15,7 +15,7 @@ from subtiling.words import CountGap, Substitution
 
 from conftest import (WALK_BASE, exact_tiles, false_zero_pairs,
                       fieldelem_differences, fieldelem_point_sets,
-                      key_coords, position, ref_children,
+                      key_coords, position, power, ref_children,
                       subtile_offset_elements, successors, sweep_translation)
 
 SPECS = Path(__file__).resolve().parents[1] / "perfbench" / "specs"
@@ -55,8 +55,8 @@ def test_inflate_respects_displacement_bound(sys_fib):
     x = sys_fib.beta - 1          # 0 < phi - 1 < 1 <= both lengths
     for moved, anchor, coords in successors(sys_fib, 1, 1, x):
         shift = sys_fib.field.element(coords)
-        lo = -sys_fib.length_of(moved)
-        hi = sys_fib.length_of(anchor)
+        lo = -sys_fib.lengths[moved - 1]
+        hi = sys_fib.lengths[anchor - 1]
         assert (shift - lo).sign() > 0
         assert (hi - shift).sign() > 0
 
@@ -141,8 +141,8 @@ def test_balanced_verdicts(fib, tm, aba, rauzy, fib2, rauzy2):
     tm_half = SP.balanced_pairs(tm)
     assert tm_half.status == "FAILS"
     assert SP.replay_balanced_certificate(tm, tm_half.certificate)
-    aba_half = SP.balanced_pairs(aba, advisory=True)
-    assert aba_half.status == "FAILS" and aba_half.advisory
+    aba_half = SP.balanced_pairs(aba)
+    assert aba_half.status == "FAILS"
     assert SP.replay_balanced_certificate(aba, aba_half.certificate)
     assert SP.balanced_pairs(fib2).status == "UNKNOWN"
     assert SP.balanced_pairs(rauzy2).status == "UNKNOWN"
@@ -161,7 +161,7 @@ def test_tampered_balanced_certificates_rejected(tm):
                            bytes([3, 1, 2])])
     for sub, dropped in ((tm, [[1, 2], [2, 1]]),
                          (cyclic, [[1, 2, 3], [2, 3, 1]])):
-        cert = SP.balanced_pairs(sub, advisory=True).certificate
+        cert = SP.balanced_pairs(sub).certificate
         pairs = cert["coincidence_free_closed_set"]
         assert SP.replay_balanced_certificate(sub, cert)
         assert dropped in pairs
@@ -180,27 +180,24 @@ def test_balanced_pair_cap_gives_unknown(rauzy):
 
 
 def test_spectral_verdict_reconciliation():
-    holds = SP.SpectralHalf("overlap", "HOLDS")
-    fails = SP.SpectralHalf("balanced-pairs", "FAILS")
-    unknown = SP.SpectralHalf("balanced-pairs", "UNKNOWN")
-    agree = SP.spectral_verdict(holds, SP.SpectralHalf("balanced-pairs",
-                                                       "HOLDS"))
-    assert agree.status == "PURE_DISCRETE" and agree.agreement == "agree"
+    def verdict(status, agreement, disagreement=False):
+        return {"status": status, "agreement": agreement,
+                "disagreement_detected": disagreement}
 
-    one_sided = SP.spectral_verdict(
-        SP.SpectralHalf("overlap", "FAILS"), unknown
-    )
-    assert one_sided.status == "NOT_PURE_DISCRETE"
-
-    clash = SP.spectral_verdict(holds, fails)
-    assert clash.status == "UNKNOWN" and clash.disagreement_detected
-
-    advisory_clash = SP.spectral_verdict(
-        holds, SP.SpectralHalf("balanced-pairs", "FAILS", advisory=True)
-    )
-    assert advisory_clash.status == "PURE_DISCRETE"
-    assert not advisory_clash.disagreement_detected
-    assert advisory_clash.agreement == "out-of-scope-disagreement"
+    # (overlap, balanced, advisory) -> verdict; None stands for an error
+    for halves, expected in [
+        (("HOLDS", "HOLDS", False), verdict("PURE_DISCRETE", "agree")),
+        (("FAILS", "UNKNOWN", False),
+         verdict("NOT_PURE_DISCRETE", "not-applicable")),
+        (("HOLDS", "FAILS", False), verdict("UNKNOWN", "DISAGREE", True)),
+        (("HOLDS", "FAILS", True),
+         verdict("PURE_DISCRETE", "out-of-scope-disagreement")),
+        (("UNKNOWN", "FAILS", False),
+         verdict("NOT_PURE_DISCRETE", "not-applicable")),
+        (("UNKNOWN", "FAILS", True), verdict("UNKNOWN", "not-applicable")),
+        ((None, None, False), verdict("UNKNOWN", "not-applicable")),
+    ]:
+        assert SP.spectral_verdict(*halves) == expected, halves
 
 
 def test_overlap_verdict_independent_of_reference_points(sys_rauzy2):
@@ -273,10 +270,10 @@ def _fieldelem_sweep(system, patch, y):
     n = len(tiles)
     for pos, moved_color in tiles:
         start = pos - y
-        end = start + system.length_of(moved_color)
+        end = start + system.lengths[moved_color - 1]
         while anchor_idx < n:
             a_pos, a_color = tiles[anchor_idx]
-            a_end = a_pos + system.length_of(a_color)
+            a_end = a_pos + system.lengths[a_color - 1]
             if (a_end - start).sign() <= 0:
                 anchor_idx += 1
             else:
@@ -359,7 +356,7 @@ def test_integer_sweep_matches_fieldelem_sweep(data):
         if kind == "near-boundary":
             k = data.draw(st.integers(4, 24))
             y = y + data.draw(st.sampled_from([1, -1])) * \
-                system.beta.inverse() ** k
+                power(system.beta, -k)
     # the sweep takes translations over the patch's denominator only
     assume(patch.denom % algebraic.common_denominator(y.coords) == 0)
     assert sweep_translation(patch, y) == list(_fieldelem_sweep(system,
@@ -368,8 +365,8 @@ def test_integer_sweep_matches_fieldelem_sweep(data):
 
 def _fieldelem_overlaps(system, moved, anchor, shift):
     """Reference: -len_moved < shift < len_anchor by FieldElem signs."""
-    return ((shift + system.length_of(moved)).sign() > 0 and
-            (system.length_of(anchor) - shift).sign() > 0)
+    return ((shift + system.lengths[moved - 1]).sign() > 0 and
+            (system.lengths[anchor - 1] - shift).sign() > 0)
 
 
 def _fieldelem_seeds(system, refs, window):
@@ -479,7 +476,7 @@ def test_inflation_matches_fieldelem_inflation(data):
         moved, anchor, shift = data.draw(st.sampled_from(seeds))
         k = data.draw(st.integers(0, 8))
         r = data.draw(st.integers(-2, 2))
-        shift = shift + Fraction(r, q) * system.beta.inverse() ** k
+        shift = shift + Fraction(r, q) * power(system.beta, -k)
     else:
         coords = data.draw(st.lists(st.integers(-4, 4), min_size=field.degree,
                                     max_size=field.degree))
@@ -560,21 +557,16 @@ def test_kept_pair_enclosures_inflate_as_fresh_ones(monkeypatch, name):
 
 def test_overlap_closure_builds_few_field_elements(monkeypatch):
     """Work guard: the overlap route runs on integer vectors, so the
-    field elements made in `overlap_coincidence` on pentanacci are at
-    most one per class plus one per FieldElem fallback sign."""
+    field elements made in `overlap_coincidence` on pentanacci are none."""
     system, refs = _system_and_refs("pentanacci")
     window = system.window(16)
-    made, fallbacks = [], []
+    made = []
     init = algebraic.FieldElem.__init__
-    interval_sign = algebraic.FieldElem._interval_sign
     monkeypatch.setattr(algebraic.FieldElem, "__init__",
                         lambda self, *a: made.append(1) or init(self, *a))
-    monkeypatch.setattr(
-        algebraic.FieldElem, "_interval_sign",
-        lambda self: fallbacks.append(1) or interval_sign(self))
     half = SP.overlap_coincidence(system, refs, window, node_cap=2000)
     assert half.status == "HOLDS"
-    assert len(made) <= half.certificate["total_classes"] + len(fallbacks)
+    assert made == []
 
 
 def _split_by_letter_counts(u, v, m):

@@ -15,7 +15,7 @@ from subtiling.errors import EigenvectorDefect, WindowNotCovered
 
 from conftest import (CORPUS_IDS, as_refpoints, elements, exact_tiles,
                       fieldelem_differences, fieldelem_point_sets,
-                      inflated_prototile, position, ref_control_points,
+                      inflated_prototile, position, power, ref_control_points,
                       ref_is_admissible, subtile_offset_elements,
                       system_for)
 
@@ -48,8 +48,8 @@ def test_lengths_satisfy_tile_equation(sys_fib, sys_tm, sys_aba, sys_fib2,
         for j in range(1, system.size + 1):
             total = system.field.zero()
             for c in system.sub.rule(j):
-                total = total + system.length_of(c)
-            assert total == system.beta * system.length_of(j)
+                total = total + system.lengths[c - 1]
+            assert total == system.beta * system.lengths[j - 1]
 
 
 def test_lengths_positive(sys_rauzy2):
@@ -65,12 +65,12 @@ def test_generate_patch_examples(sys_fib, sys_tm, sys_aba):
     assert position(p, 2) == sys_fib.beta + 1
 
     p = inflated_prototile(sys_tm, 1, 2)
-    assert [(int(t[0].as_fraction()), t[1]) for t in exact_tiles(p)] == \
-        [(0, 1), (1, 2), (2, 2), (3, 1)]
+    assert [(t[0].coords, t[1]) for t in exact_tiles(p)] == \
+        [((0,), 1), ((1,), 2), ((2,), 2), ((3,), 1)]
 
     p = inflated_prototile(sys_aba, 1, 1)
-    assert [(int(t[0].as_fraction()), t[1]) for t in exact_tiles(p)] == \
-        [(0, 1), (1, 2), (2, 1)]
+    assert [(t[0].coords, t[1]) for t in exact_tiles(p)] == \
+        [((0,), 1), ((1,), 2), ((2,), 1)]
 
 
 def test_patch_length_scales(sys_fib, sys_rauzy2):
@@ -78,7 +78,7 @@ def test_patch_length_scales(sys_fib, sys_rauzy2):
         for j in range(1, system.size + 1):
             for n in range(0, 5):
                 patch = inflated_prototile(system, j, n)
-                expected = (system.beta ** n) * system.length_of(j)
+                expected = power(system.beta, n) * system.lengths[j - 1]
                 assert position(patch, len(patch)) - position(patch, 0) == \
                     expected
 
@@ -117,8 +117,7 @@ def test_subtile_offsets_are_level_one_boundaries(name):
 
 def test_control_points_leftmost_is_zero(sys_fib, sys_rauzy2):
     for system in (sys_fib, sys_rauzy2):
-        vectors, denom = S.control_points(system,
-                                          S.leftmost_tile_map(system.sub))
+        vectors, denom = S.control_points(system, (1,) * system.size)
         assert denom == 1 and not any(map(any, vectors))
 
 
@@ -370,7 +369,7 @@ def test_generate_patch_two_sided_junction(sys_fib):
     junction = patch.junction_index
     assert position(patch, junction).is_zero()
     prev_pos, prev_color = exact_tiles(patch)[junction - 1]
-    assert prev_pos + sys_fib.length_of(prev_color) == 0
+    assert prev_pos + sys_fib.lengths[prev_color - 1] == 0
 
 
 def test_patch_embedding_matches_exact_boundaries(sys_fib, sys_rauzy2):
@@ -394,7 +393,7 @@ def test_patch_embedding_matches_exact_boundaries(sys_fib, sys_rauzy2):
             assert scale * patch.denom * ivl.lo <= high
         for k, color in enumerate(patch.colors):
             # contiguous: tile k ends where tile k + 1 starts
-            assert position(patch, k) + system.length_of(color) == \
+            assert position(patch, k) + system.lengths[color - 1] == \
                 bounds[k + 1]
 
 
@@ -527,10 +526,10 @@ def _window_end(draw, system, refs, patch, size):
         end = pos + ref
     elif kind == "near":
         sign = draw(st.sampled_from([1, -1]))
-        end = pos + ref + sign * system.beta.inverse() ** draw(
-            st.integers(4, 24))
+        end = pos + ref + sign * power(system.beta,
+                                       -draw(st.integers(4, 24)))
     else:
-        end = pos + system.length_of(c) * draw(
+        end = pos + system.lengths[c - 1] * draw(
             st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(5, 7)]))
     return end.coords
 
