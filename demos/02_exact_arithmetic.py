@@ -27,8 +27,9 @@ print("pisot (golden mean):", algebraic.is_pisot(field))
 
 # a Salem-type polynomial keeps conjugates on the unit circle
 salem = [1, -1, -1, -1, 1]
-lo, hi = polys.isolate_largest_real_root(salem)
-salem_field = algebraic.NumberField(salem, lo, hi)
+num_lo, num_hi, den = polys.isolate_largest_real_root(salem)
+salem_field = algebraic.NumberField(salem, Fraction(num_lo, den),
+                                    Fraction(num_hi, den))
 print("salem quartic has circle conjugates:",
       algebraic.has_root_on_unit_circle(salem))
 print("pisot (salem quartic):", algebraic.is_pisot(salem_field))

@@ -36,17 +36,22 @@ Signs of nonzero elements are certified in two stages, filter then exact.
   [num_lo, num_hi]: scaled by the lcm of its denominators, the element's
   step j adds the next coordinate times den^j, so the result is the
   rational interval Horner enclosure on [lo, hi] times a positive
-  integer.  The interval is bisected until the enclosure excludes zero;
-  a bisection doubles num_lo, num_hi and den and takes the midpoint
-  num_lo + num_hi of the old ends, decided by the sign of the minimal
-  polynomial there in homogeneous integer Horner form.  A RatInterval
-  is built only at the boundary (interval()).
+  integer.  The interval is bisected until the enclosure excludes zero
+  by `polys.bisect`, the step that also isolates the root: it doubles
+  num_lo, num_hi and den and takes the midpoint num_lo + num_hi of the
+  old ends, decided by the sign of the minimal polynomial there in
+  homogeneous integer Horner form.  A RatInterval is built only at the
+  boundary (interval()).
 
 Both stages compute with ints only, and neither has a tolerance.  The
-Pisot test counts conjugates in the open unit disk exactly, by a winding
-number computed from signed remainder sequences; roots on the unit circle
-are detected through the reciprocal-polynomial criterion.  Every verdict
-of this module is decided in exact arithmetic.
+dominant root is chosen among the factors of `polys.factor_monic` by
+bisecting copies of their isolating intervals until they are apart, and
+an inverse is a column of the integer adjugate that `char_poly` computes
+too, divided by the norm.  The Pisot test counts conjugates in the open
+unit disk exactly, by a winding number computed from signed remainder
+sequences; roots on the unit circle are detected through the
+reciprocal-polynomial criterion.  Every verdict of this module is
+decided in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -232,18 +237,9 @@ class NumberField:
     def _refine_once(self):
         if self.degree == 1:
             raise AssertionError("rational beta never needs refinement")
-        # the midpoint over the doubled denominator
-        mid = self.num_lo + self.num_hi
-        self.num_lo *= 2
-        self.num_hi *= 2
-        self.den *= 2
-        s = self._minpoly_sign(mid, self.den)
-        if s == 0:
-            raise AssertionError("irreducible minpoly has no rational root")
-        if s == self._lo_sign:
-            self.num_lo = mid
-        else:
-            self.num_hi = mid
+        self.num_lo, self.num_hi, self.den = polys.bisect(
+            self.minpoly, (self.num_lo, self.num_hi, self.den),
+            lambda mid, den, s: s == self._lo_sign)
         self.generation += 1
         self._tables = {}
 
@@ -492,24 +488,28 @@ class FieldElem:
         return self * other.inverse()
 
     def inverse(self):
-        """Multiplicative inverse via the extended Euclidean algorithm
-        against the minimal polynomial."""
+        """Multiplicative inverse: column 0 of the integer adjugate of the
+        element's multiplication matrix, divided by its determinant, the
+        norm.
+
+        With the coordinates scaled to ints / scale, the matrix A whose
+        column j is ints * beta^j has A^-1 = -N_(m-1) / c_m by
+        `_faddeev_leverrier` at x = 0 (adj(-A) = N_(m-1) and
+        det(-A) = c_m), and the inverse is scale times A^-1 applied to
+        the coordinates of 1."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        minpoly = [Fraction(c) for c in self.field.minpoly]
-        a = polys.normalize(list(self.coords))
-        # Bezout: u*a + v*minpoly = gcd = constant
-        r0, r1 = minpoly, a
-        u0, u1 = [], [Fraction(1)]
-        while polys.degree(r1) > 0:
-            q, r = polys.divmod_rational(r0, r1)
-            r0, r1 = r1, r
-            u0, u1 = u1, polys.sub(u0, polys.mul(q, u1))
-        if not r1:
+        field = self.field
+        ints, scale = self._ints()
+        cols = [ints]
+        for _ in range(field.degree - 1):
+            cols.append(field.times_beta(cols[-1]))
+        coeffs, adjugate = _faddeev_leverrier(list(zip(*cols)))
+        norm = coeffs[-1]
+        if not norm:
             raise AssertionError("element shares a factor with the minpoly")
-        c = Fraction(r1[0])
-        inv = [Fraction(x) / c for x in u1]
-        return FieldElem(self.field, self.field._reduce(inv))
+        return FieldElem(field, tuple(_canon(Fraction(-scale * row[0], norm))
+                                      for row in adjugate[-1]))
 
     # -- exact predicates ------------------------------------------------
 
@@ -566,52 +566,49 @@ class FieldElem:
 # ---------------------------------------------------------------------------
 
 
-def _largest_real_root_interval(factor):
-    """Isolating interval of the largest real root of an irreducible monic
-    factor, or None when the factor has no real root."""
-    if polys.degree(factor) == 1:
-        r = Fraction(-factor[0])
-        return (r, r)
-    iso = polys.isolate_largest_real_root(factor)
-    return iso
-
-
-def _interval_compare(p1, ivl1, p2, ivl2):
-    """-1/+1 comparing the real roots isolated in ivl1 and ivl2; the roots
-    belong to distinct irreducible polynomials so they are never equal."""
-    lo1, hi1 = ivl1
-    lo2, hi2 = ivl2
+def _compare_roots(p1, ivl1, p2, ivl2):
+    """-1/+1 comparing the real roots of p1 and p2 isolated by the
+    intervals (num_lo, num_hi, den); the roots belong to distinct
+    irreducible polynomials so they are never equal.  The wider interval
+    is bisected (`polys.bisect`) until the two are apart; the caller's
+    intervals are left as they are."""
+    (lo1, hi1, d1), (lo2, hi2, d2) = ivl1, ivl2
+    s1, s2 = polys.sign_at(p1, lo1, d1), polys.sign_at(p2, lo2, d2)
     while True:
-        if hi1 < lo2:
+        if hi1 * d2 < lo2 * d1:
             return -1
-        if hi2 < lo1:
+        if hi2 * d1 < lo1 * d2:
             return 1
-        if hi1 - lo1 >= hi2 - lo2 and hi1 > lo1:
-            lo1, hi1 = polys.refine_root_interval(p1, lo1, hi1)
+        if (hi1 - lo1) * d2 >= (hi2 - lo2) * d1 and hi1 > lo1:
+            lo1, hi1, d1 = polys.bisect(p1, (lo1, hi1, d1),
+                                        lambda mid, den, s: s == s1)
         elif hi2 > lo2:
-            lo2, hi2 = polys.refine_root_interval(p2, lo2, hi2)
+            lo2, hi2, d2 = polys.bisect(p2, (lo2, hi2, d2),
+                                        lambda mid, den, s: s == s2)
         else:
             # both intervals are points; distinct rationals
-            return -1 if lo1 < lo2 else 1
+            return -1 if lo1 * d2 < lo2 * d1 else 1
 
 
 def perron_factor(p):
     """NumberField generated by the largest real root of a monic integer
-    polynomial, e.g. a characteristic polynomial of a primitive matrix."""
+    polynomial, e.g. a characteristic polynomial of a primitive matrix.
+    The field starts from the isolating interval of its factor, or from
+    the point of an integer root."""
     factors = polys.factor_monic(p)
     best = None
     for f in sorted(set(map(tuple, factors))):
         f = list(f)
-        ivl = _largest_real_root_interval(f)
+        ivl = ((-f[0], -f[0], 1) if polys.degree(f) == 1
+               else polys.isolate_largest_real_root(f))
         if ivl is None:
             continue
-        if best is None or _interval_compare(f, ivl, best[0], best[1]) > 0:
+        if best is None or _compare_roots(f, ivl, *best) > 0:
             best = (f, ivl)
     if best is None:
         raise FactorizationFailed("polynomial has no real root")
-    minpoly, (lo, hi) = best
-    field = NumberField(minpoly, lo, hi)
-    return field
+    minpoly, (num_lo, num_hi, den) = best
+    return NumberField(minpoly, Fraction(num_lo, den), Fraction(num_hi, den))
 
 
 # ---------------------------------------------------------------------------
@@ -659,7 +656,7 @@ def has_root_on_unit_circle(q):
         # palindromic odd degree has root -1, contradicting irreducibility
         return polys.eval_at(q, -1) == 0
     r = _halved_palindrome(q)
-    return polys.count_real_roots(r, Fraction(-2), Fraction(2)) > 0
+    return polys.count_real_roots(r, -2, 2) > 0
 
 
 def _circle_image(q):

@@ -42,6 +42,9 @@ from .spectrum import _frac_str
 # replays; a witness replay grows its patch with the window.
 WINDOW_CAP = 1024
 
+# The report's beta_interval is at most 2^-BETA_WIDTH_BITS wide.
+BETA_WIDTH_BITS = 20
+
 # The checks of a report, in the order analyze runs them; a report also
 # holds the combined "spectral" verdict of the last two.
 CHECKS = ("prefix_strong", "suffix_strong", "geometric_strong",
@@ -377,6 +380,13 @@ def run_analysis(spec: SpecFile, overrides: dict | None = None) -> dict:
     error in place; later checks still run.  A window outside
     [1, WINDOW_CAP], or any other bound that is not a non-negative int,
     raises InvalidBound before any check runs.
+
+    Only a substitution that is not primitive runs `polys.is_irreducible`
+    on its characteristic polynomial; for a primitive one `derive`
+    compares it with the minimal polynomial, which the suspension's
+    setup factors out.  A setup that raises a SubtilingError, such as a
+    factor search that runs out, ends the report with its message as
+    `characteristic_irreducible.error` and `checks.error`.
     """
     bounds = Bounds(**{
         **{_SPEC_BOUNDS[k]: v for k, v in spec.bounds.items()
@@ -417,17 +427,21 @@ def run_analysis(spec: SpecFile, overrides: dict | None = None) -> dict:
     facts["primitive"] = primitive
     cp = algebraic.char_poly(matrix)
     facts["characteristic_polynomial"] = cp
-    try:
-        facts["characteristic_irreducible"] = polys.is_irreducible(cp)
-    except SubtilingError as exc:
-        facts["characteristic_irreducible"] = {"error": str(exc)}
-
     if not primitive:
+        try:
+            facts["characteristic_irreducible"] = polys.is_irreducible(cp)
+        except SubtilingError as exc:
+            facts["characteristic_irreducible"] = {"error": str(exc)}
         checks["error"] = "substitution is not primitive; no suspension"
         return report
-
-    system = suspension.SuspensionSystem(sub)
-    system.field.ensure_width(Fraction(1, 1 << 20))
+    try:
+        system = suspension.SuspensionSystem(sub)
+    except SubtilingError as exc:
+        facts["characteristic_irreducible"] = {"error": str(exc)}
+        checks["error"] = f"no suspension: {exc}"
+        return report
+    facts["characteristic_irreducible"] = None      # from derive
+    system.field.ensure_width(Fraction(1, 1 << BETA_WIDTH_BITS))
     ivl = system.field.interval()
     pisot = algebraic.is_pisot(system.field)
     refpoints, kind = _reference_points(system, spec)
@@ -536,9 +550,11 @@ def derive(report: dict) -> list:
     """Every leaf of a report that is a function of its other leaves, as
     (path, value) pairs in report order; a path is a tuple of keys.
 
-    It reads only the report.  A check that holds an error derives
-    nothing, and makes `spectral` the not-applicable UNKNOWN; a value of
-    ABSENT is a key the report leaves out.
+    It reads only the report.  A report with no suspension (not
+    primitive, or no minimal polynomial) derives `primitive` alone.  A
+    check that holds an error derives nothing, and makes `spectral` the
+    not-applicable UNKNOWN; a value of ABSENT is a key the report leaves
+    out.
     """
     facts, checks = report["facts"], report["checks"]
     out = []
@@ -548,14 +564,12 @@ def derive(report: dict) -> list:
 
     primitive = words.is_primitive(facts["substitution_matrix"])
     put("facts.primitive", primitive)
-    if not primitive:
+    if not primitive or "minimal_polynomial" not in facts:
         return out
-    irreducible = facts["characteristic_irreducible"]
-    if type(irreducible) is bool:
-        irreducible = (facts["characteristic_polynomial"] ==
-                       facts["minimal_polynomial"])
-        put("facts.characteristic_irreducible", irreducible)
-    advisory = not (facts["pisot"] and irreducible is True)
+    irreducible = (facts["characteristic_polynomial"] ==
+                   facts["minimal_polynomial"])
+    put("facts.characteristic_irreducible", irreducible)
+    advisory = not (facts["pisot"] and irreducible)
     ran = {name: "error" not in checks[name] for name in CHECKS}
     for name in ("prefix_strong", "suffix_strong", "geometric_strong"):
         if ran[name]:
@@ -626,6 +640,24 @@ def _derived_leaves_hold(report) -> bool:
     return boxed(found) == boxed(value for _, value in derived)
 
 
+def _beta_interval_holds(interval, field) -> bool:
+    """Whether a report's `beta_interval` encloses beta as `analyze`
+    writes it: it lies inside the field's current interval, which is not
+    refined; the minimal polynomial changes sign at its ends, or it is
+    the point of an integer beta; and it is at most 2^-BETA_WIDTH_BITS
+    wide."""
+    try:
+        ((num_lo, num_hi),), den = spectrum.parse_shifts((interval,), 2)
+    except (TypeError, ValueError, ZeroDivisionError):
+        return False
+    lo_sign, hi_sign = (polys.sign_at(field.minpoly, num, den)
+                        for num in (num_lo, num_hi))
+    return (field.num_lo * den <= num_lo * field.den <= num_hi * field.den
+            <= field.num_hi * den
+            and (lo_sign * hi_sign < 0 or num_lo == num_hi and lo_sign == 0)
+            and (num_hi - num_lo) << BETA_WIDTH_BITS <= den)
+
+
 def _walk_statuses(node):
     if isinstance(node, dict):
         for key, value in node.items():
@@ -668,12 +700,15 @@ def verify_report(report: dict) -> dict:
 
     The facts the rebuilt SuspensionSystem and reference points fix
     (`_core_facts`) must equal the report's, and so must every leaf that
-    `derive` recomputes from the report's other leaves: `primitive`, a
-    bool `characteristic_irreducible`, each pair check's aggregate, the
+    `derive` recomputes from the report's other leaves: `primitive`,
+    `characteristic_irreducible`, each pair check's aggregate, the
     geometric check's `admissible`, the height group's status, group and
     lattice ranks, eventual return's status, max_power and bound, the
     balanced-pair `advisory` flag, `spectral` and the `cost` counters;
-    all as one replay "facts", which a report derive cannot read fails.
+    and `beta_interval` must enclose beta inside the field's interval,
+    at most 2^-BETA_WIDTH_BITS wide (`_beta_interval_holds`).  All of
+    these are one replay "facts", which a report derive cannot read
+    fails.
     The involution of each prefix and suffix FAILS pair is checked against
     the rules (`coincidence.replay_involution_certificate`).  Geometric
     and simultaneous HOLDS witnesses are all parsed, then replayed on the
@@ -719,7 +754,8 @@ def verify_report(report: dict) -> dict:
     core = _core_facts(spec, system, refpoints, kind)
     results = {"facts": isinstance(facts, dict) and all(
         facts.get(key) == value for key, value in core.items())
-        and _derived_leaves_hold(report)}
+        and _derived_leaves_hold(report)
+        and _beta_interval_holds(facts.get("beta_interval"), system.field)}
 
     def replay(check, *args):
         try:

@@ -53,9 +53,6 @@ class BoundedVerdict:
     bound: int | None = None
     bound_hit: str | None = None    # the cap an UNKNOWN ran into, if any
 
-    def holds(self):
-        return self.status == "HOLDS"
-
 
 @dataclass
 class PrefixWitness:

@@ -5,7 +5,8 @@ the rows of `basis`, divided by `denom`, are coordinate vectors of field
 elements in the power basis.  The pair (denom, basis) is canonical, so
 equality of modules is equality of the representation.  Quotients of
 nested modules are computed through the Smith normal form of the
-change-of-basis matrix.
+change-of-basis matrix, which alternates Hermite normal forms of its rows
+and of its columns: one integer elimination serves both.
 
 Everything past setup is an integer vector over a denominator: the
 reference points come as the (vectors, denominator) pair of
@@ -88,45 +89,22 @@ def _xgcd(a, b):
 
 
 def smith_normal_form(matrix):
-    """Diagonal invariant factors d1 | d2 | ... of an integer matrix."""
-    mat = [list(r) for r in matrix]
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    diag = []
-    top = 0
-    while top < rows and top < cols:
-        # find a nonzero entry of least absolute value
-        best = None
-        for i in range(top, rows):
-            for j in range(top, cols):
-                v = abs(mat[i][j])
-                if v and (best is None or v < best[0]):
-                    best = (v, i, j)
-        if best is None:
+    """Diagonal invariant factors d1 | d2 | ... of an integer matrix.
+
+    `hermite_normal_form` runs on the rows and on the columns in turn
+    until one nonzero entry is left in each row.  Each pass multiplies by
+    a unimodular matrix on one side, and the passes end: a pass makes the
+    first pivot the gcd of its column, so it falls to a proper divisor at
+    every pass until its row and column hold nothing else, and the rows
+    below follow in turn.  The nonzero entries are then brought into a
+    divisibility chain."""
+    rows, width = matrix, len(matrix[0]) if matrix else 0
+    while True:
+        rows = hermite_normal_form(rows, width)
+        if all(sum(1 for v in row if v) == 1 for row in rows):
             break
-        _, bi, bj = best
-        mat[top], mat[bi] = mat[bi], mat[top]
-        for r in mat:
-            r[top], r[bj] = r[bj], r[top]
-        again = False
-        for i in range(top + 1, rows):
-            if mat[i][top]:
-                q = mat[i][top] // mat[top][top]
-                for t in range(cols):
-                    mat[i][t] -= q * mat[top][t]
-                if mat[i][top]:
-                    again = True
-        for j in range(top + 1, cols):
-            if mat[top][j]:
-                q = mat[top][j] // mat[top][top]
-                for r in mat:
-                    r[j] -= q * r[top]
-                if mat[top][j]:
-                    again = True
-        if again:
-            continue
-        diag.append(abs(mat[top][top]))
-        top += 1
+        rows, width = list(zip(*rows)), len(rows)
+    diag = [next(v for v in row if v) for row in rows]
     # enforce the divisibility chain
     for i in range(len(diag)):
         for j in range(i + 1, len(diag)):

@@ -1,4 +1,4 @@
-"""Exact univariate polynomial arithmetic over Z and Q.
+"""Exact univariate polynomial arithmetic over Z.
 
 A polynomial is a list of coefficients in ascending degree, so
 [a0, a1, a2] stands for a0 + a1*x + a2*x**2.  The zero polynomial is
@@ -7,20 +7,21 @@ the empty list.  Nothing here ever touches a float.  Degrees stay small
 remainder sequences for Sturm chains and Tarski queries, a primitive
 remainder sequence for gcds, Yun's algorithm for squarefree parts, Rabin's
 test by a Frobenius matrix, and a bounded integer factor search for monic
-polynomials.
+polynomials, which `factor_monic` runs and `is_irreducible` reads.
 
 Everything that takes a polynomial computes over Z.  Remainders are
 pseudo-remainders (a positive multiple of the remainder over Q, so the
 same signs and the same primitive part), exact division is integer
 division, and a sign at a rational point a/b is the sign of the
-homogeneous integer sum of c_k a^k b^(n-k).  Fractions remain in two
-places only: the endpoints of root intervals, and divmod_rational, which
-serves FieldElem.inverse.
+homogeneous integer sum of c_k a^k b^(n-k).  A rational interval is a
+triple (num_lo, num_hi, den) of ints, standing for
+[num_lo / den, num_hi / den], and one bisection step, `bisect`, serves
+root isolation here and the refinement of beta's interval in
+`algebraic`.  No Fraction is made.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, isqrt
 
 from .errors import DegreeCapExceeded, FactorizationFailed
@@ -86,25 +87,6 @@ def eval_at(p, x):
 
 def derivative(p):
     return normalize([i * c for i, c in enumerate(p)][1:])
-
-
-def divmod_rational(p, q):
-    """Exact division with remainder over Q."""
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = [Fraction(c) for c in p]
-    lead = Fraction(q[-1])
-    dq = degree(q)
-    quo = [Fraction(0)] * max(len(rem) - dq, 1)
-    while len(normalize(rem)) - 1 >= dq:
-        rem = normalize(rem)
-        k = len(rem) - 1 - dq
-        c = rem[-1] / lead
-        quo[k] = c
-        for i, b in enumerate(q):
-            rem[k + i] -= c * b
-        rem[-1] = 0
-    return normalize(quo), normalize(rem)
 
 
 def exact_int_divide(p, q):
@@ -295,9 +277,8 @@ def sign_at(p, num, den):
     return _sign(acc)
 
 
-def variations_at(chain, x):
-    """Sign variations of the chain at a rational or integer x."""
-    num, den = x.numerator, x.denominator
+def variations_at(chain, num, den):
+    """Sign variations of the chain at num / den for den > 0."""
     return sign_variations([sign_at(p, num, den) for p in chain])
 
 
@@ -313,13 +294,16 @@ def variations_at_neg_inf(chain):
 
 def count_real_roots(p, lo=None, hi=None):
     """Distinct real roots of p in (lo, hi]; None endpoint means infinity.
-    Finite endpoints must not be roots of p."""
+    Finite endpoints are ints or rationals with numerator and denominator,
+    and must not be roots of p."""
     p = squarefree_part(p)
     if degree(p) < 1:
         return 0
     chain = sturm_chain(p)
-    va = variations_at_neg_inf(chain) if lo is None else variations_at(chain, lo)
-    vb = variations_at_pos_inf(chain) if hi is None else variations_at(chain, hi)
+    va = (variations_at_neg_inf(chain) if lo is None else
+          variations_at(chain, lo.numerator, lo.denominator))
+    vb = (variations_at_pos_inf(chain) if hi is None else
+          variations_at(chain, hi.numerator, hi.denominator))
     return va - vb
 
 
@@ -332,15 +316,39 @@ def tarski_query(g, f):
 
 
 def cauchy_root_bound(p):
-    """Rational B with all real roots of p in [-B, B]."""
+    """(num, den) with every real root of p in [-num / den, num / den]."""
     p = normalize(p)
     lead = abs(p[-1])
-    return Fraction(lead + max(map(abs, p[:-1]), default=0), lead)
+    return lead + max(map(abs, p[:-1]), default=0), lead
+
+
+def bisect(p, interval, above):
+    """One bisection step of the interval (num_lo, num_hi, den), which
+    stands for [num_lo / den, num_hi / den], over the doubled denominator:
+    the upper half (mid, 2 num_hi, 2 den) when above(mid, 2 den, s), else
+    the lower half (2 num_lo, mid, 2 den), where mid = num_lo + num_hi and
+    s is the sign of p at the midpoint mid / (2 den).  A midpoint that is
+    a root of p raises FactorizationFailed.
+
+    On an interval where p changes sign, `above` is s == the sign at the
+    lower end, which keeps the sign change."""
+    num_lo, num_hi, den = interval
+    mid, den = num_lo + num_hi, 2 * den
+    s = sign_at(p, mid, den)
+    if s == 0:
+        raise FactorizationFailed("bisection midpoint is a rational root")
+    if above(mid, den, s):
+        return mid, 2 * num_hi, den
+    return 2 * num_lo, mid, den
 
 
 def isolate_largest_real_root(p):
-    """Isolating interval (lo, hi] for the largest real root of p, or None.
+    """Isolating interval (num_lo, num_hi, den) of the largest real root
+    of p, which lies in (num_lo / den, num_hi / den], or None when p has
+    no real root.
 
+    The Cauchy interval is bisected, keeping the half above the midpoint
+    while the Sturm chain counts a root there, until one root is left.
     Requires that bisection midpoints are never roots, which holds when p
     has no rational roots (callers factor those out first).
     """
@@ -348,34 +356,19 @@ def isolate_largest_real_root(p):
     if degree(sf) < 1:
         return None
     chain = sturm_chain(sf)
-    bound = cauchy_root_bound(sf)
-    lo, hi = -bound, bound
-    v_lo, v_hi = variations_at(chain, lo), variations_at(chain, hi)
+    bound, den = cauchy_root_bound(sf)
+    interval = (-bound, bound, den)
+    v_lo = variations_at(chain, -bound, den)
+    v_hi = variations_at(chain, bound, den)
     if v_lo == v_hi:
         return None
-    # Invariant: the largest root lies in (lo, hi] and none lies above hi;
-    # v_lo - v_hi roots lie in (lo, hi].
+    # Invariant: the largest root lies in (lo, hi] and none lies above hi,
+    # so v_hi stays; v_lo - v_hi roots lie in (lo, hi].
     while v_lo - v_hi > 1:
-        mid = (lo + hi) / 2
-        if sign_at(sf, mid.numerator, mid.denominator) == 0:
-            raise FactorizationFailed("bisection midpoint hit a rational root")
-        v_mid = variations_at(chain, mid)
-        if v_mid - v_hi >= 1:
-            lo, v_lo = mid, v_mid
-        else:
-            hi, v_hi = mid, v_mid
-    return lo, hi
-
-
-def refine_root_interval(p, lo, hi):
-    """One bisection step on an isolating interval with a sign change."""
-    mid = (lo + hi) / 2
-    s_mid = sign_at(p, mid.numerator, mid.denominator)
-    if s_mid == 0:
-        raise FactorizationFailed("rational root inside isolating interval")
-    if s_mid == sign_at(p, lo.numerator, lo.denominator):
-        return mid, hi
-    return lo, mid
+        interval = bisect(sf, interval, lambda mid, den, s:
+                          variations_at(chain, mid, den) > v_hi)
+        v_lo = variations_at(chain, interval[0], interval[2])
+    return interval
 
 
 # ---------------------------------------------------------------------------
@@ -570,11 +563,13 @@ def _find_monic_factor(p):
 
 
 def is_irreducible(p):
-    """Irreducibility over Q for an integer polynomial of degree >= 1.
+    """Irreducibility over Q for an integer polynomial of degree >= 1:
+    whether `factor_monic` finds exactly one factor of its primitive part.
 
-    Fast paths: rational root test, then reduction mod small primes.
-    Complete path (monic inputs): bounded search for an integer factor.
-    A degree above DEGREE_CAP raises DegreeCapExceeded.
+    Degree 1 is irreducible.  A degree above DEGREE_CAP raises
+    DegreeCapExceeded, a primitive part of degree >= 2 that is not monic
+    raises FactorizationFailed, and so does a factor search that exceeds
+    FACTOR_WORK_CAP.
     """
     p = primitive_part(p)
     n = degree(p)
@@ -584,25 +579,11 @@ def is_irreducible(p):
         raise DegreeCapExceeded(f"degree {n} exceeds cap {DEGREE_CAP}")
     if n == 1:
         return True
-    if p[0] == 0:
-        return False
-    roots, _ = integer_roots(p)
-    if roots:
-        return False
-    if n <= 3:
-        # No rational roots: degree 2 and 3 are settled already
-        # (monic + primitive means rational roots are integral).
-        if abs(p[-1]) == 1:
-            return True
-    for m in IRREDUCIBILITY_PRIMES:
-        if p[-1] % m != 0 and is_irreducible_mod_p(p, m):
-            return True
-    if abs(p[-1]) != 1:
+    if p[-1] != 1:
         raise FactorizationFailed(
             "complete factor search supports monic polynomials only"
         )
-    q = p if p[-1] == 1 else neg(p)
-    return _find_monic_factor(q) is None
+    return len(factor_monic(p)) == 1
 
 
 def factor_monic(p):

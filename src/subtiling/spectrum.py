@@ -315,7 +315,6 @@ def _seed_keys(system: SuspensionSystem, refpoints, window):
 
 @dataclass
 class SpectralHalf:
-    name: str
     status: str                   # HOLDS | FAILS | UNKNOWN
     certificate: dict = field(default_factory=dict)
     bound_hit: str | None = None
@@ -339,7 +338,7 @@ def overlap_coincidence(system: SuspensionSystem, refpoints, window,
         step, seeds = _seed_keys(system, refpoints, window)
     except EmptyWindow:
         ends = [_frac_str(window[0]), _frac_str(window[1])]
-        return SpectralHalf("overlap", "UNKNOWN",
+        return SpectralHalf("UNKNOWN",
                             certificate={"window": ends},
                             bound_hit=f"window [{ends[0]}, {ends[1]}]")
     classes = dict(seeds)
@@ -348,7 +347,7 @@ def overlap_coincidence(system: SuspensionSystem, refpoints, window,
     while queue:
         if len(classes) > node_cap:
             return SpectralHalf(
-                "overlap", "UNKNOWN",
+                "UNKNOWN",
                 certificate={"nodes_seen": len(classes)},
                 bound_hit=f"node cap {node_cap}",
             )
@@ -369,7 +368,7 @@ def overlap_coincidence(system: SuspensionSystem, refpoints, window,
         "window": [_frac_str(window[0]), _frac_str(window[1])],
     }
     if not stuck:
-        return SpectralHalf("overlap", "HOLDS", certificate=dict(
+        return SpectralHalf("HOLDS", certificate=dict(
             meta, uniform_steps=max(dist.values(), default=0)))
     if not _is_closed(set(stuck), _is_coincidence_key, edges.__getitem__):
         raise AssertionError("stuck set is not a closed coincidence-free set")
@@ -379,7 +378,7 @@ def overlap_coincidence(system: SuspensionSystem, refpoints, window,
          "shift": format_shift(k[2], step.denom)}
         for k in stuck
     ]
-    return SpectralHalf("overlap", "FAILS", certificate=cert)
+    return SpectralHalf("FAILS", certificate=cert)
 
 
 def _coincidence_distances(edges, coincidences):
@@ -510,7 +509,7 @@ def balanced_pairs(sub: Substitution,
             u, v = pair
             if len(u) * max(len(r) for r in sub.rules) > PAIR_LENGTH_CAP:
                 return SpectralHalf(
-                    "balanced-pairs", "UNKNOWN", certificate=meta,
+                    "UNKNOWN", certificate=meta,
                     bound_hit=f"pair length cap {PAIR_LENGTH_CAP}",
                 )
             image = (sub.apply(u), sub.apply(v))
@@ -524,13 +523,13 @@ def balanced_pairs(sub: Substitution,
             edges[pair] = succ
             if len(nodes) > pair_cap:
                 return SpectralHalf(
-                    "balanced-pairs", "UNKNOWN", certificate=meta,
+                    "UNKNOWN", certificate=meta,
                     bound_hit=f"pair cap {pair_cap}",
                 )
         frontier = nxt
     if frontier:
         return SpectralHalf(
-            "balanced-pairs", "UNKNOWN", certificate=meta,
+            "UNKNOWN", certificate=meta,
             bound_hit=f"iteration cap {ITER_CAP}",
         )
     dist = _coincidence_distances(
@@ -538,12 +537,12 @@ def balanced_pairs(sub: Substitution,
     stuck = sorted(nodes.keys() - dist.keys())
     meta["irreducible_pairs"] = len(nodes)
     if not stuck:
-        return SpectralHalf("balanced-pairs", "HOLDS", certificate=meta)
+        return SpectralHalf("HOLDS", certificate=meta)
     cert = dict(meta)
     cert["coincidence_free_closed_set"] = [
         [list(u), list(v)] for u, v in stuck
     ]
-    return SpectralHalf("balanced-pairs", "FAILS", certificate=cert)
+    return SpectralHalf("FAILS", certificate=cert)
 
 
 # ---------------------------------------------------------------------------

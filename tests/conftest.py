@@ -342,9 +342,28 @@ def corpus_reports():
 # -- references: the field setup over Q that the integer routines replaced ----
 
 
+def ref_divmod_rational(p, q):
+    """Reference: exact division with remainder over Q."""
+    if not q:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = [Fraction(c) for c in p]
+    lead = Fraction(q[-1])
+    dq = P.degree(q)
+    quo = [Fraction(0)] * max(len(rem) - dq, 1)
+    while len(P.normalize(rem)) - 1 >= dq:
+        rem = P.normalize(rem)
+        k = len(rem) - 1 - dq
+        c = rem[-1] / lead
+        quo[k] = c
+        for i, b in enumerate(q):
+            rem[k + i] -= c * b
+        rem[-1] = 0
+    return P.normalize(quo), P.normalize(rem)
+
+
 def ref_exact_int_divide(p, q):
     """Reference: p // q over Z through division over Q, else None."""
-    quo, rem = P.divmod_rational(p, q)
+    quo, rem = ref_divmod_rational(p, q)
     if rem or any(Fraction(c).denominator != 1 for c in quo):
         return None
     return P.normalize([int(c) for c in quo])
@@ -373,7 +392,7 @@ def ref_poly_gcd(p, q):
     a = [Fraction(c) for c in P.normalize(p)]
     b = [Fraction(c) for c in P.normalize(q)]
     while b:
-        a, b = b, P.divmod_rational(a, b)[1]
+        a, b = b, ref_divmod_rational(a, b)[1]
     return ref_to_integer(a)
 
 
@@ -381,7 +400,7 @@ def ref_squarefree_part(p):
     g = ref_poly_gcd(p, P.derivative(p))
     if P.degree(g) < 1:
         return P.primitive_part(p)
-    return ref_to_integer(P.divmod_rational(p, g)[0])
+    return ref_to_integer(ref_divmod_rational(p, g)[0])
 
 
 def ref_yun_squarefree_decomposition(p):
@@ -394,16 +413,16 @@ def ref_yun_squarefree_decomposition(p):
     if P.degree(g) < 1:
         return [(p, 1)]
     out = []
-    w = P.divmod_rational(p, g)[0]
-    z = P.sub(P.divmod_rational(dp, g)[0], P.derivative(w))
+    w = ref_divmod_rational(p, g)[0]
+    z = P.sub(ref_divmod_rational(dp, g)[0], P.derivative(w))
     i = 1
     while P.degree(w) >= 1:
         q = ref_poly_gcd(w, z)
         y = z
         if P.degree(q) >= 1:
             out.append((q, i))
-            w = P.divmod_rational(w, q)[0]
-            y = P.divmod_rational(z, q)[0]
+            w = ref_divmod_rational(w, q)[0]
+            y = ref_divmod_rational(z, q)[0]
         z = P.sub(y, P.derivative(w))
         i += 1
     return out
@@ -417,21 +436,29 @@ def ref_remainder_chain(f, g):
     if g:
         chain.append(g)
     while len(chain) >= 2 and chain[-1]:
-        r = P.divmod_rational(chain[-2], chain[-1])[1]
+        r = ref_divmod_rational(chain[-2], chain[-1])[1]
         if not r:
             break
         chain.append(ref_positive_rescale(P.neg(r)))
     return chain
 
 
-def ref_variations_at(chain, x):
+def ref_variations_at(chain, num, den=1):
     """Reference: sign variations by Horner evaluation over Q."""
-    signs = [P._sign(P.eval_at(p, Fraction(x))) for p in chain]
+    signs = [P._sign(P.eval_at(p, Fraction(num, den))) for p in chain]
     return P.sign_variations(signs)
 
 
+def interval_ends(interval):
+    """The ends (lo, hi) of an interval (num_lo, num_hi, den), as
+    Fractions."""
+    num_lo, num_hi, den = interval
+    return Fraction(num_lo, den), Fraction(num_hi, den)
+
+
 def ref_isolate_largest_real_root(p):
-    """Reference: bisection with every sign taken over Q."""
+    """Reference: bisection with every sign taken over Q, to the interval
+    (num_lo, num_hi, den) over the lcm of the ends' denominators."""
     sf = ref_squarefree_part(p)
     if P.degree(sf) < 1:
         return None
@@ -452,10 +479,14 @@ def ref_isolate_largest_real_root(p):
             lo = mid
         else:
             hi = mid
-    return lo, hi
+    den = math.lcm(lo.denominator, hi.denominator)
+    return (lo.numerator * (den // lo.denominator),
+            hi.numerator * (den // hi.denominator), den)
 
 
 def ref_refine_root_interval(p, lo, hi):
+    """Reference: one bisection step of [lo, hi], on which p changes sign,
+    over Q."""
     mid = (lo + hi) / 2
     s_mid = P._sign(P.eval_at(p, mid))
     if s_mid == 0:
@@ -498,6 +529,70 @@ def ref_is_irreducible_mod_p(p, m):
         if P.degree(g) >= 1:
             return False
     return True
+
+
+def ref_smith_normal_form(matrix):
+    """Reference: the invariant factors by pivoting on an entry of least
+    absolute value, then the divisibility fix."""
+    mat = [list(r) for r in matrix]
+    rows = len(mat)
+    cols = len(mat[0]) if rows else 0
+    diag = []
+    top = 0
+    while top < rows and top < cols:
+        best = None
+        for i in range(top, rows):
+            for j in range(top, cols):
+                v = abs(mat[i][j])
+                if v and (best is None or v < best[0]):
+                    best = (v, i, j)
+        if best is None:
+            break
+        _, bi, bj = best
+        mat[top], mat[bi] = mat[bi], mat[top]
+        for r in mat:
+            r[top], r[bj] = r[bj], r[top]
+        again = False
+        for i in range(top + 1, rows):
+            if mat[i][top]:
+                q = mat[i][top] // mat[top][top]
+                for t in range(cols):
+                    mat[i][t] -= q * mat[top][t]
+                if mat[i][top]:
+                    again = True
+        for j in range(top + 1, cols):
+            if mat[top][j]:
+                q = mat[top][j] // mat[top][top]
+                for r in mat:
+                    r[j] -= q * r[top]
+                if mat[top][j]:
+                    again = True
+        if again:
+            continue
+        diag.append(abs(mat[top][top]))
+        top += 1
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            if diag[j] % diag[i]:
+                g = math.gcd(diag[i], diag[j])
+                diag[j] = diag[i] * diag[j] // g
+                diag[i] = g
+    return diag
+
+
+def ref_inverse(elem):
+    """Reference: FieldElem.inverse by the extended Euclidean algorithm
+    against the minimal polynomial, over Q."""
+    field = elem.field
+    r0, r1 = [Fraction(c) for c in field.minpoly], P.normalize(
+        list(elem.coords))
+    u0, u1 = [], [Fraction(1)]
+    while P.degree(r1) > 0:
+        q, r = ref_divmod_rational(r0, r1)
+        r0, r1 = r1, r
+        u0, u1 = u1, P.sub(u0, P.mul(q, u1))
+    c = Fraction(r1[0])
+    return FieldElem(field, field._reduce([Fraction(x) / c for x in u1]))
 
 
 def ref_is_primitive(matrix):
@@ -628,7 +723,6 @@ RATIONAL_SETUP = (
     (P, "signed_remainder_chain", ref_remainder_chain),
     (P, "variations_at", ref_variations_at),
     (P, "isolate_largest_real_root", ref_isolate_largest_real_root),
-    (P, "refine_root_interval", ref_refine_root_interval),
     (P, "is_irreducible_mod_p", ref_is_irreducible_mod_p),
     (suspension, "prototile_lengths", ref_prototile_lengths),
     (NumberField, "_minpoly_sign", ref_minpoly_sign),

@@ -10,13 +10,16 @@ from hypothesis import strategies as st
 from subtiling import algebraic as A
 from subtiling import polys as P
 
+from conftest import interval_ends, ref_inverse
+
 
 def field_from(minpoly):
     if P.degree(minpoly) == 1:
         r = -minpoly[0]
         return A.NumberField(minpoly, r, r)
-    lo, hi = P.isolate_largest_real_root(minpoly)
-    return A.NumberField(minpoly, lo, hi)
+    num_lo, num_hi, den = P.isolate_largest_real_root(minpoly)
+    return A.NumberField(minpoly, Fraction(num_lo, den),
+                         Fraction(num_hi, den))
 
 
 PHI = field_from([-1, -1, 1])
@@ -146,6 +149,28 @@ def test_division_inverts_multiplication(ca, cb):
             a / b
     else:
         assert (a * b) / b == a
+
+
+INVERSE_FIELDS = ((-2, 1), (-1, -1, 1), (-3, -1, 1), (2, -4, 1),
+                  (-1, -1, 0, 1), (-1, -1, -1, 1), (-1, -1, -1, -1, -1, 1))
+
+
+@pytest.mark.parametrize("minpoly", INVERSE_FIELDS)
+def test_inverse_matches_the_euclidean_one(minpoly):
+    # the adjugate column over the norm against Euclid over Q
+    field = field_from(list(minpoly))
+    rng = random.Random(sum(minpoly) + 31 * len(minpoly))
+    for _ in range(200):
+        coords = [Fraction(rng.randint(-30, 30), rng.choice([1, 1, 2, 3, 7]))
+                  if rng.random() < 0.8 else 0 for _ in range(field.degree)]
+        x = field.element(coords)
+        if x.is_zero():
+            continue
+        got = x.inverse()
+        assert got.coords == ref_inverse(x).coords, coords
+        assert [type(c) for c in got.coords] == \
+            [int if c.denominator == 1 else Fraction for c in got.coords]
+        assert x * got == 1
 
 
 def test_degree_one_field_is_rational_arithmetic():
@@ -330,8 +355,8 @@ _REF_ENDS = {}
 def _ref_ends(minpoly, generation):
     """The ends (lo, hi) of the Fraction bisection at a generation, from
     the isolating interval the field starts from."""
-    ends = _REF_ENDS.setdefault(minpoly,
-                                [P.isolate_largest_real_root(list(minpoly))])
+    ends = _REF_ENDS.setdefault(
+        minpoly, [interval_ends(P.isolate_largest_real_root(list(minpoly)))])
     while len(ends) <= generation:
         lo, hi = ends[-1]
         mid = (lo + hi) / 2

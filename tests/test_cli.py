@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from subtiling import algebraic, cli, coincidence, spectrum, suspension
+from subtiling import (algebraic, cli, coincidence, polys, spectrum,
+                       suspension)
 from subtiling.errors import (InvalidBound, LengthCapExceeded,
                               SpecSyntaxError, SubtilingError,
                               UnknownCorpusEntry)
@@ -925,6 +926,8 @@ FACT_EDITS = {
     "reference_points": [["1/2", "0/1"], ["0/1", "0/1"]],
     "admissible": False,
     "reference_point_kind": "tile-map",
+    # the interval of item 2: not inside the field's, nor 2^-20 wide
+    "beta_interval": ["1/1", "2/1"],
 }
 
 
@@ -1006,6 +1009,42 @@ def test_verify_fails_malformed_facts(edit):
     assert outcome["passed"] is False
 
 
+# edits of fibonacci's beta_interval [1696631, 1696632] / 2^20 that verify
+# rejects, each for one of its conditions
+BETA_INTERVAL_EDITS = {
+    "outside": ["1/1", "2/1"],
+    "too-wide": ["1696630/1048576", "1696632/1048576"],
+    "no-sign-change": ["1696630/1048576", "1696631/1048576"],
+    "rational-point": ["1696631/1048576", "1696631/1048576"],
+    "reversed": ["212079/131072", "1696631/1048576"],
+    "not-a-pair": ["1696631/1048576"],
+    "floats": [1.6, 1.7],
+    "zero-denominator": ["1/0", "2/1"],
+}
+
+
+def test_beta_interval_edits_start_from_the_fixture():
+    assert _fixture("fibonacci")["facts"]["beta_interval"] == \
+        ["1696631/1048576", "212079/131072"]
+
+
+@pytest.mark.parametrize("edit", BETA_INTERVAL_EDITS)
+def test_verify_fails_tampered_beta_interval(edit):
+    untampered = cli.verify_report(_fixture("fibonacci"))
+    report = _fixture("fibonacci")
+    report["facts"]["beta_interval"] = BETA_INTERVAL_EDITS[edit]
+    assert cli.verify_report(report) == {"passed": False, "replayed": dict(
+        untampered["replayed"], facts=False)}
+
+
+def test_verify_accepts_the_point_of_an_integer_beta():
+    report = report_for("thue-morse")
+    assert report["facts"]["beta_interval"] == ["2/1", "2/1"]
+    assert cli.verify_report(report)["replayed"]["facts"] is True
+    report["facts"]["beta_interval"] = ["3/1", "3/1"]
+    assert cli.verify_report(report)["replayed"]["facts"] is False
+
+
 # -- the reports of the error paths -------------------------------------------
 
 
@@ -1017,6 +1056,81 @@ def test_report_of_a_substitution_that_is_not_primitive():
         "error": "substitution is not primitive; no suspension"}
     assert report["cost"] == {}
     assert "spectral" not in report["checks"]
+
+
+# A two-to-one extension whose characteristic polynomial
+# (x^6 - x^5 - 1)(x^6 - x^5 + 1) is reducible modulo every prime, so that
+# the factor search of the suspension's setup runs out.
+TWELVE_LETTERS = """
+letters a b c d e f A B C D E F
+rule a = a B
+rule b = c
+rule c = d
+rule d = e
+rule e = f
+rule f = a
+rule A = A b
+rule B = C
+rule C = D
+rule D = E
+rule E = F
+rule F = A
+"""
+
+
+def test_report_of_a_setup_that_raises(tmp_path, monkeypatch):
+    monkeypatch.setattr(polys, "FACTOR_WORK_CAP", 1000)
+    path = tmp_path / "twelve.spec"
+    path.write_text(TWELVE_LETTERS)
+    code, out, err = run_cli(["analyze", str(path)])
+    assert code == 2
+    assert "Traceback" not in err
+    report = json.loads(out)
+    message = "factor search exceeded 1000 candidates"
+    assert report["facts"]["primitive"] is True
+    assert report["facts"]["characteristic_polynomial"] == polys.mul(
+        [-1, 0, 0, 0, 0, -1, 1], [1, 0, 0, 0, 0, -1, 1])
+    assert report["facts"]["characteristic_irreducible"] == {
+        "error": message}
+    assert report["checks"] == {"error": f"no suspension: {message}"}
+    assert report["cost"] == {}
+    assert cli.derive(report) == [(("facts", "primitive"), True)]
+
+
+def test_primitive_input_above_the_degree_cap_is_irreducible():
+    # a -> ab, b -> c, ..., l -> m, m -> a: x^13 - x^12 - 1 is irreducible
+    letters = "abcdefghijklm"
+    rules = [f"rule {x} = {y}\n" for x, y in zip(letters[1:], letters[2:])]
+    spec = cli.parse_spec(
+        "letters " + " ".join(letters) + "\nrule a = a b\n" +
+        "".join(rules) + "rule m = a\n", name="thirteen")
+    assert polys.degree(algebraic.char_poly(
+        cli.words.substitution_matrix(spec.substitution()))) > \
+        polys.DEGREE_CAP
+    report = cli.run_analysis(spec, overrides={
+        "level_bound": 4, "window": 16, "node_cap": 200, "pair_cap": 200})
+    facts = report["facts"]
+    assert facts["characteristic_polynomial"] == facts["minimal_polynomial"]
+    assert facts["characteristic_irreducible"] is True
+    assert cli.verify_report(report)["replayed"]["facts"] is True
+
+
+def test_analysis_of_a_primitive_input_factors_once(monkeypatch):
+    # the suspension's setup factors the characteristic polynomial, and
+    # derive reads characteristic_irreducible off the minimal polynomial
+    calls = []
+    factor_monic = polys.factor_monic
+
+    def counted(p):
+        calls.append(p)
+        return factor_monic(p)
+
+    monkeypatch.setattr(polys, "factor_monic", counted)
+    for name in ("fibonacci", "fib2", "thue-morse"):
+        calls.clear()
+        report = cli.run_analysis(cli.corpus_lookup(name))
+        assert len(calls) == 1, name
+        assert calls[0] == report["facts"]["characteristic_polynomial"]
 
 
 def test_report_of_an_overlap_check_that_raises(monkeypatch):

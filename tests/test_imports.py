@@ -103,3 +103,25 @@ def test_guard_catches_an_unread_function():
                 "def dead(): pass\n"),
     }
     assert unread_functions(sources) == [("mod", "dead"), ("mod", "unread")]
+
+
+def imported_modules(source):
+    """Top-level names of the modules a source imports from."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_polys_imports_no_fractions():
+    # every polys routine runs on ints, interval ends included
+    source = (SRC / "polys.py").read_text(encoding="utf-8")
+    assert "fractions" not in imported_modules(source)
+
+
+def test_guard_catches_an_import_of_fractions():
+    assert "fractions" in imported_modules("from fractions import Fraction\n")
+    assert "fractions" in imported_modules("import fractions as fr\n")

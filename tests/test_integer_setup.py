@@ -1,11 +1,13 @@
 """The per-input field setup over Z against its references over Q.
 
 `polys` factors the characteristic polynomial, isolates the Perron root
-and tests irreducibility in integers, `suspension.prototile_lengths`
-reads the lengths off the adjugate, and `words.is_primitive` multiplies
-bitmask rows.  The routines they replaced live in conftest as
-references; every result must be equal, down to the isolating intervals
-and the number of refinements of beta's interval.
+and tests irreducibility in integers, with one bisection step for root
+isolation, root comparison and beta's refinements;
+`suspension.prototile_lengths` reads the lengths off the adjugate, and
+`words.is_primitive` multiplies bitmask rows.  The routines they
+replaced live in conftest as references; every result must be equal,
+down to the isolating intervals and the number of refinements of beta's
+interval.
 """
 
 import random
@@ -20,11 +22,12 @@ from subtiling import polys as P
 from subtiling import suspension as S
 from subtiling import words as W
 
-from conftest import (ref_exact_int_divide, ref_is_irreducible_mod_p,
-                      ref_is_primitive, ref_isolate_largest_real_root,
-                      ref_poly_gcd, ref_refine_root_interval,
-                      ref_remainder_chain, ref_squarefree_part,
-                      ref_yun_squarefree_decomposition, with_rational_setup)
+from conftest import (interval_ends, ref_exact_int_divide,
+                      ref_is_irreducible_mod_p, ref_is_primitive,
+                      ref_isolate_largest_real_root, ref_poly_gcd,
+                      ref_refine_root_interval, ref_remainder_chain,
+                      ref_squarefree_part, ref_yun_squarefree_decomposition,
+                      with_rational_setup)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -107,23 +110,34 @@ def test_remainders_and_divisions_match_rational_ones_on_random_polynomials():
             ref_yun_squarefree_decomposition(pq)
 
 
+def _ends_or_outcome(outcome):
+    """The ends of an interval as Fractions; None or an exception type
+    as it is."""
+    return interval_ends(outcome) if isinstance(outcome, tuple) else outcome
+
+
 def test_root_isolation_matches_rational_signs_on_random_polynomials():
+    # the shared bisection step keeps the sign change as the rational one
     rng = random.Random(17)
     isolated = 0
     for _ in range(150):
         p = _random_poly(rng)
         got = _outcome(P.isolate_largest_real_root, p)
-        assert got == _outcome(ref_isolate_largest_real_root, p), p
+        assert _ends_or_outcome(got) == \
+            _ends_or_outcome(_outcome(ref_isolate_largest_real_root, p)), p
         if isinstance(got, tuple) and got[0] < got[1]:
             isolated += 1
             sf = P.squarefree_part(p)
-            lo, hi = got
+            interval, (lo, hi) = got, interval_ends(got)
+            lo_sign = P.sign_at(sf, got[0], got[2])
             for _ in range(8):
-                step = _outcome(P.refine_root_interval, sf, lo, hi)
-                assert step == _outcome(ref_refine_root_interval, sf, lo, hi)
+                step = _outcome(P.bisect, sf, interval,
+                                lambda mid, den, s: s == lo_sign)
+                ref = _outcome(ref_refine_root_interval, sf, lo, hi)
+                assert _ends_or_outcome(step) == ref
                 if not isinstance(step, tuple):
                     break
-                lo, hi = step
+                interval, (lo, hi) = step, ref
     assert isolated > 50
 
 
@@ -154,8 +168,8 @@ def test_setup_matches_the_rational_setup(name, sub):
     sf = P.squarefree_part(cp)
     assert P.sturm_chain(sf) == ref_remainder_chain(sf, P.derivative(sf))
     for f in factors:
-        assert P.isolate_largest_real_root(f) == \
-            ref_isolate_largest_real_root(f)
+        assert _ends_or_outcome(P.isolate_largest_real_root(f)) == \
+            _ends_or_outcome(ref_isolate_largest_real_root(f))
     # the Tarski chain of the Pisot test's disk count
     system = S.SuspensionSystem(sub)
     re, im = A._circle_image(list(system.field.minpoly))
@@ -176,31 +190,20 @@ def test_setup_matches_the_rational_setup(name, sub):
 
 
 def test_field_setup_divides_over_q_only_in_its_one_inverse(monkeypatch):
-    # perron_factor runs on integers alone, and a SuspensionSystem makes
-    # one FieldElem.inverse, which is the only caller of divmod_rational
-    outside, inverses, inside = [], [], []
-    divmod_rational = P.divmod_rational
+    # perron_factor runs on integers alone (polys imports no fractions,
+    # tests/test_imports.py), and a SuspensionSystem makes one
+    # FieldElem.inverse, whose one division is by the norm
+    inverses = []
     inverse = A.FieldElem.inverse
-
-    def counted_divmod(p, q):
-        if not inside:
-            outside.append((p, q))
-        return divmod_rational(p, q)
 
     def counted_inverse(self):
         inverses.append(self)
-        inside.append(1)
-        try:
-            return inverse(self)
-        finally:
-            inside.pop()
+        return inverse(self)
 
-    monkeypatch.setattr(P, "divmod_rational", counted_divmod)
     monkeypatch.setattr(A.FieldElem, "inverse", counted_inverse)
     for name, sub in INPUTS:
         A.perron_factor(A.char_poly(W.substitution_matrix(sub)))
-        assert outside == [] and inverses == [], name
+        assert inverses == [], name
         S.SuspensionSystem(sub)
-        assert outside == [], name
         assert len(inverses) == 1, name
         inverses.clear()

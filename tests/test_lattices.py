@@ -11,7 +11,8 @@ from subtiling import suspension as S
 from subtiling.errors import NotASubmodule
 
 from conftest import (fieldelem_differences, fieldelem_point_sets,
-                      module_from_vectors, report_for, system_for)
+                      module_from_vectors, ref_smith_normal_form, report_for,
+                      system_for)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRIVIAL = L.AbelianGroup(())
@@ -109,6 +110,25 @@ def test_smith_normal_form():
     assert L.smith_normal_form([[1, 0], [0, 1]]) == [1, 1]
     assert L.smith_normal_form([[2, 4], [4, 8]]) == [2]
     assert L.smith_normal_form([[0, 0], [0, 0]]) == []
+
+
+def test_smith_normal_form_matches_the_pivot_elimination():
+    # alternating Hermite forms against the least-entry pivot search
+    rng = random.Random(22)
+    ranks = set()
+    for _ in range(600):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        scale = rng.choice([1, 2, 3, 6, 12])
+        sparse = rng.random() < 0.4
+        matrix = [[0 if sparse and rng.random() < 0.6 else
+                   scale * rng.randint(-9, 9) for _ in range(cols)]
+                  for _ in range(rows)]
+        if rng.random() < 0.2:
+            matrix.append([sum(row[j] for row in matrix) for j in range(cols)])
+        got = L.smith_normal_form(matrix)
+        assert got == ref_smith_normal_form(matrix), matrix
+        ranks.add(len(got))
+    assert ranks == set(range(7))
 
 
 def _group(res):
