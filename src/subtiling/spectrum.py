@@ -484,54 +484,53 @@ def balanced_pairs(sub: Substitution,
     finite and every irreducible pair reaches a single-letter coincidence
     pair.  FAILS: the closure is finite but some closed subset never
     reaches one; that subset is the certificate.  Any cap ends in UNKNOWN.
+    The pair length cap is checked where a split component, seed or image,
+    becomes a node: one over PAIR_LENGTH_CAP // (longest rule) letters
+    ends the run before another image is built.  The pair cap is checked
+    after each image is split, the iteration cap after ITER_CAP rounds.
     """
     m = sub.size
+    widest = max(len(r) for r in sub.rules)
     letter, seed_words, seeds = return_word_seeds(sub)
     meta = {
         "seed_letter": letter,
         "seed_return_words": [list(w) for w in seed_words],
         "seed_pair_count": len(seeds),
     }
-    nodes = {}
-    frontier = []
-    for pair in seeds:
-        for comp in split_balanced(*pair, m):
-            comp = _canonical(comp)
+    nodes, edges = {}, {}
+
+    def unknown(bound_hit):
+        return SpectralHalf("UNKNOWN", certificate=meta, bound_hit=bound_hit)
+
+    def cut(pair, new):
+        """The pair's canonical components, unseen ones made nodes and put
+        in `new`; None at the first one over the pair length cap."""
+        comps = [_canonical(c) for c in split_balanced(*pair, m)]
+        for comp in comps:
             if comp not in nodes:
+                if len(comp[0]) * widest > PAIR_LENGTH_CAP:
+                    return None
                 nodes[comp] = None
-                frontier.append(comp)
-    edges = {}
+                new.append(comp)
+        return comps
+
+    frontier = []
+    if any(cut(pair, frontier) is None for pair in seeds):
+        return unknown(f"pair length cap {PAIR_LENGTH_CAP}")
     for _ in range(ITER_CAP):
         if not frontier:
             break
         nxt = []
-        for pair in frontier:
-            u, v = pair
-            if len(u) * max(len(r) for r in sub.rules) > PAIR_LENGTH_CAP:
-                return SpectralHalf(
-                    "UNKNOWN", certificate=meta,
-                    bound_hit=f"pair length cap {PAIR_LENGTH_CAP}",
-                )
-            image = (sub.apply(u), sub.apply(v))
-            succ = []
-            for comp in split_balanced(*image, m):
-                comp = _canonical(comp)
-                succ.append(comp)
-                if comp not in nodes:
-                    nodes[comp] = None
-                    nxt.append(comp)
-            edges[pair] = succ
+        for u, v in frontier:
+            succ = cut((sub.apply(u), sub.apply(v)), nxt)
+            if succ is None:
+                return unknown(f"pair length cap {PAIR_LENGTH_CAP}")
+            edges[u, v] = succ
             if len(nodes) > pair_cap:
-                return SpectralHalf(
-                    "UNKNOWN", certificate=meta,
-                    bound_hit=f"pair cap {pair_cap}",
-                )
+                return unknown(f"pair cap {pair_cap}")
         frontier = nxt
     if frontier:
-        return SpectralHalf(
-            "UNKNOWN", certificate=meta,
-            bound_hit=f"iteration cap {ITER_CAP}",
-        )
+        return unknown(f"iteration cap {ITER_CAP}")
     dist = _coincidence_distances(
         edges, [p for p in nodes if _is_coincidence_pair(p)])
     stuck = sorted(nodes.keys() - dist.keys())
@@ -610,13 +609,19 @@ def replay_overlap_certificate(system: SuspensionSystem, cert) -> bool:
 def replay_balanced_certificate(sub: Substitution, cert) -> bool:
     """Re-verify a balanced-pair FAILS certificate the same way.  Every
     entry must be a pair of nonempty words over 1..m with equal letter
-    counts; a malformed certificate or entry fails."""
+    counts and no longer than a node of `balanced_pairs` can be,
+    PAIR_LENGTH_CAP // (longest rule) letters; all of this is checked
+    before sigma is applied, and a malformed certificate or entry fails.
+    The pair and iteration caps are not checked: the replay takes one
+    substitution step of each listed entry and no more."""
     m = sub.size
+    longest = PAIR_LENGTH_CAP // max(len(r) for r in sub.rules)
     pairs = set()
     try:
         for entry in cert["coincidence_free_closed_set"]:
             u, v = map(bytes, entry)
-            if not (u and words_mod.abelianization(u, m) ==
+            if not (u and len(u) <= longest and
+                    words_mod.abelianization(u, m) ==
                     words_mod.abelianization(v, m)):
                 return False
             pairs.add(_canonical((u, v)))

@@ -177,6 +177,94 @@ def test_tampered_balanced_certificates_rejected(tm):
 def test_balanced_pair_cap_gives_unknown(rauzy):
     half = SP.balanced_pairs(rauzy, pair_cap=2)
     assert half.status == "UNKNOWN"
+    assert half.bound_hit == "pair cap 2"
+
+
+def _watch_balanced_pairs(monkeypatch, sub, cap):
+    """Run balanced_pairs with PAIR_LENGTH_CAP = cap.  Returns the half
+    and the number of `Substitution.apply` calls made after the first
+    split and after the first split with a component over the cap."""
+    widest = max(len(r) for r in sub.rules)
+    split = SP.split_balanced
+    apply = Substitution.apply
+    seen = {"split": False, "over": False}
+    calls = {"split": 0, "over": 0}
+
+    def watched_split(u, v, m):
+        comps = split(u, v, m)
+        seen["split"] = True
+        seen["over"] |= any(len(c[0]) * widest > cap for c in comps)
+        return comps
+
+    def watched_apply(self, word, *args, **kwargs):
+        for moment in calls:
+            calls[moment] += seen[moment]
+        return apply(self, word, *args, **kwargs)
+
+    monkeypatch.setattr(SP, "PAIR_LENGTH_CAP", cap)
+    monkeypatch.setattr(SP, "split_balanced", watched_split)
+    monkeypatch.setattr(Substitution, "apply", watched_apply)
+    half = SP.balanced_pairs(sub)
+    assert seen["over"]
+    return half, calls
+
+
+def test_balanced_pairs_stop_at_the_first_component_over_the_length_cap(
+        monkeypatch, fib2, rauzy2):
+    """Work guard on the pair length cap: once a split has made a
+    component over it, no further image is built."""
+    for sub in (fib2, rauzy2):
+        half, calls = _watch_balanced_pairs(monkeypatch, sub, 2000)
+        assert (half.status, half.bound_hit) == (
+            "UNKNOWN", "pair length cap 2000")
+        assert calls["split"] > 0
+        assert calls["over"] == 0
+
+
+def test_balanced_pairs_stop_at_a_seed_component_over_the_length_cap(
+        monkeypatch, fib2, rauzy2):
+    for sub in (fib2, rauzy2):
+        _, _, seeds = SP.return_word_seeds(sub)
+        longest = max(len(c[0]) for pair in seeds
+                      for c in SP.split_balanced(*pair, sub.size))
+        cap = longest * max(len(r) for r in sub.rules) - 1
+        half, calls = _watch_balanced_pairs(monkeypatch, sub, cap)
+        assert (half.status, half.bound_hit) == (
+            "UNKNOWN", f"pair length cap {cap}")
+        assert calls["split"] == 0
+
+
+def test_period_doubling_balanced_half_hits_the_length_cap():
+    spec = cli.parse_spec((SPECS / "period-doubling.spec").read_text(
+        encoding="utf-8"), name="period-doubling")
+    half = SP.balanced_pairs(spec.substitution())
+    assert (half.status, half.bound_hit) == (
+        "UNKNOWN", "pair length cap 100000")
+    assert half.certificate == {"seed_letter": 1,
+                                "seed_return_words": [[1, 2], [1]],
+                                "seed_pair_count": 2}
+
+
+def test_balanced_replay_rejects_an_entry_over_the_length_cap(monkeypatch,
+                                                              tm):
+    """An entry longer than any node of balanced_pairs can be is rejected
+    before sigma is applied; one at the limit reaches the closure test."""
+    limit = SP.PAIR_LENGTH_CAP // max(len(r) for r in tm.rules)
+    apply = Substitution.apply
+    calls = []
+
+    def counting(self, word, *args, **kwargs):
+        calls.append(len(word))
+        return apply(self, word, *args, **kwargs)
+
+    monkeypatch.setattr(Substitution, "apply", counting)
+    for length, applied in ((limit + 1, False), (limit, True)):
+        u = bytes([1, 2]) * (length // 2) + bytes([1]) * (length % 2)
+        cert = {"coincidence_free_closed_set": [
+            [list(u), list(u[1:] + u[:1])]]}
+        calls.clear()
+        assert not SP.replay_balanced_certificate(tm, cert)
+        assert bool(calls) == applied
 
 
 def test_spectral_verdict_reconciliation():
