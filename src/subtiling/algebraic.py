@@ -45,13 +45,14 @@ Signs of nonzero elements are certified in two stages, filter then exact.
 
 Both stages compute with ints only, and neither has a tolerance.  The
 dominant root is chosen among the factors of `polys.factor_monic` by
-bisecting copies of their isolating intervals until they are apart, and
-an inverse is a column of the integer adjugate that `char_poly` computes
-too, divided by the norm.  The Pisot test counts conjugates in the open
-unit disk exactly, by a winding number computed from signed remainder
-sequences; roots on the unit circle are detected through the
-reciprocal-polynomial criterion.  Every verdict of this module is
-decided in exact arithmetic.
+bisecting copies of their isolating intervals until they are apart.  A
+product is Horner's rule over one factor's coordinates on the companion
+step `times_beta`, and an inverse is a column of the integer adjugate
+that `char_poly` computes too, divided by the norm.  The Pisot test
+counts conjugates in the open unit disk exactly, by a winding number
+computed from signed remainder sequences; roots on the unit circle are
+detected through the reciprocal-polynomial criterion.  Every verdict of
+this module is decided in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -213,19 +214,6 @@ class NumberField:
                 raise ValueError("dominant root is not greater than one")
             self._refine_once()
             guard += 1
-        # rows: coordinates of beta^(degree+j) for j = 0..degree-2
-        table = []
-        if self.degree >= 2:
-            base = [-c for c in self.minpoly[:-1]]
-            table.append(base)
-            row = base
-            for _ in range(self.degree - 2):
-                overflow = row[-1]
-                row = [0] + row[:-1]
-                if overflow:
-                    row = [a + overflow * b for a, b in zip(row, base)]
-                table.append(row)
-        self._reduction_rows = table
 
     # -- interval management -------------------------------------------
 
@@ -371,7 +359,8 @@ class NumberField:
         raise AssertionError("sign refinement failed to converge")
 
     def times_beta(self, ints):
-        """beta times an integer coordinate tuple (companion matrix)."""
+        """beta times a coordinate tuple (companion matrix); the
+        coordinates may be Fractions too."""
         top = ints[-1]
         base = (0,) + ints[:-1]
         if top:
@@ -397,17 +386,6 @@ class NumberField:
         if self.degree == 1:
             return self.rational(-self.minpoly[0])
         return self.element([0, 1])
-
-    def _reduce(self, coords):
-        """Reduce a coordinate list of length <= 2*degree-1 mod minpoly."""
-        n = self.degree
-        out = list(coords[:n]) + [0] * max(0, n - len(coords))
-        for j, c in enumerate(coords[n:]):
-            if c:
-                row = self._reduction_rows[j]
-                for t in range(n):
-                    out[t] += c * row[t]
-        return tuple(map(_canon, out))
 
     def __repr__(self):
         return f"NumberField(minpoly={list(self.minpoly)})"
@@ -470,14 +448,14 @@ class FieldElem:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        n = self.field.degree
-        prod = [0] * (2 * n - 1)
-        for i, a in enumerate(self.coords):
-            if a:
-                for j, b in enumerate(other.coords):
-                    if b:
-                        prod[i + j] += a * b
-        return FieldElem(self.field, self.field._reduce(prod))
+        # Horner over the other factor: acc = beta * acc + b_j * self
+        field = self.field
+        acc = (0,) * field.degree
+        for b in reversed(other.coords):
+            acc = field.times_beta(acc)
+            if b:
+                acc = tuple([c + b * a for c, a in zip(acc, self.coords)])
+        return FieldElem(field, tuple(map(_canon, acc)))
 
     __rmul__ = __mul__
 

@@ -3,7 +3,7 @@ and JSON report emission.
 
 Spec grammar (line oriented, # starts a comment):
 
-    letters <tok> <tok> ...
+    letters <tok> <tok> ...       # 2 to 255 letters
     rule <tok> = <tok> <tok> ...
     tilemap <tok> -> <index>      # 1-based subtile choice, optional
     bound L <int>                 # coincidence level bound
@@ -61,6 +61,15 @@ class Bounds:
     pair_cap: int = spectrum.DEFAULT_PAIR_CAP
 
 
+# The settable bounds, in report order: (report and spec key, Bounds
+# field, flag, whether a spec line may set it).
+BOUNDS = (("L", "level_bound", "--Lmax", True),
+          ("window", "window", "--window", True),
+          ("k", "kmax", "--kmax", True),
+          ("node_cap", "node_cap", "--node-cap", False),
+          ("pair_cap", "pair_cap", "--pair-cap", False))
+
+
 @dataclass
 class SpecFile:
     name: str
@@ -84,6 +93,7 @@ def parse_spec(text: str, name: str = "spec") -> SpecFile:
     rules = {}
     tilemap = {}
     bounds = {}
+    spec_keys = [key for key, _, _, spec_line in BOUNDS if spec_line]
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -95,41 +105,38 @@ def parse_spec(text: str, name: str = "spec") -> SpecFile:
                 raise SpecSyntaxError(line_no, "duplicate letters line")
             if len(parts) < 3:
                 raise SpecSyntaxError(line_no, "need at least two letters")
+            if len(parts) > 256:    # a letter is one byte, 0 excluded
+                raise SpecSyntaxError(line_no, "more than 255 letters")
             if len(set(parts[1:])) != len(parts[1:]):
                 raise SpecSyntaxError(line_no, "repeated letter token")
             letters = tuple(parts[1:])
-        elif head == "rule":
+        elif head in ("rule", "tilemap"):
             if letters is None:
-                raise SpecSyntaxError(line_no, "rule before letters line")
-            if len(parts) < 4 or parts[2] != "=":
+                raise SpecSyntaxError(line_no, f"{head} before letters line")
+            if head == "rule" and (len(parts) < 4 or parts[2] != "="):
                 raise SpecSyntaxError(line_no, "expected: rule <tok> = <tok>...")
-            tok = parts[1]
-            if tok not in letters:
-                raise SpecSyntaxError(line_no, f"unknown letter {tok!r}")
-            if tok in rules:
-                raise SpecSyntaxError(line_no, f"duplicate rule for {tok!r}")
-            body = parts[3:]
-            for t in body:
-                if t not in letters:
-                    raise SpecSyntaxError(line_no, f"unknown letter {t!r}")
-            rules[tok] = tuple(body)
-        elif head == "tilemap":
-            if letters is None:
-                raise SpecSyntaxError(line_no, "tilemap before letters line")
-            if len(parts) != 4 or parts[2] != "->":
+            if head == "tilemap" and (len(parts) != 4 or parts[2] != "->"):
                 raise SpecSyntaxError(line_no, "expected: tilemap <tok> -> <index>")
-            tok = parts[1]
+            tok, seen = parts[1], rules if head == "rule" else tilemap
             if tok not in letters:
                 raise SpecSyntaxError(line_no, f"unknown letter {tok!r}")
-            if tok in tilemap:
-                raise SpecSyntaxError(line_no, f"duplicate tilemap for {tok!r}")
-            try:
-                tilemap[tok] = int(parts[3])
-            except ValueError:
-                raise SpecSyntaxError(line_no, "tile map index must be an integer")
+            if tok in seen:
+                raise SpecSyntaxError(line_no, f"duplicate {head} for {tok!r}")
+            if head == "rule":
+                for t in parts[3:]:
+                    if t not in letters:
+                        raise SpecSyntaxError(line_no, f"unknown letter {t!r}")
+                rules[tok] = tuple(parts[3:])
+            else:
+                try:
+                    tilemap[tok] = int(parts[3])
+                except ValueError:
+                    raise SpecSyntaxError(
+                        line_no, "tile map index must be an integer")
         elif head == "bound":
-            if len(parts) != 3 or parts[1] not in ("L", "window", "k"):
-                raise SpecSyntaxError(line_no, "expected: bound L|window|k <int>")
+            if len(parts) != 3 or parts[1] not in spec_keys:
+                raise SpecSyntaxError(
+                    line_no, f"expected: bound {'|'.join(spec_keys)} <int>")
             try:
                 bounds[parts[1]] = int(parts[2])
             except ValueError:
@@ -317,6 +324,30 @@ def _half_json(half: spectrum.SpectralHalf, **derived):
     return out
 
 
+def _height_json(res: lattices.HeightGroupResult) -> dict:
+    """The height group's entry, with placeholders for derive's keys."""
+    return {
+        "status": None, "group": None,
+        "stabilized_at_window": res.stabilized_at,
+        "windows": list(lattices.WINDOW_SCHEDULE),
+        "cross_lattice": res.sup.describe(),
+        "samecolor_lattice": res.sub.describe(),
+    }
+
+
+def _return_json(res: lattices.ReturnModuleResult) -> dict:
+    """Eventual return's entry, with placeholders for derive's keys."""
+    out = {
+        "status": None, "max_power": None, "bound": None,
+        "generators": [spectrum.format_shift(row, res.sup.denom)
+                       for row in res.sup.basis],
+        "powers": list(res.witnesses),
+    }
+    if res.bound_hit:
+        out["bound_hit"] = res.bound_hit
+    return out
+
+
 def _core_facts(spec: SpecFile, system, refpoints, kind) -> dict:
     """The facts a SuspensionSystem and its reference points fix, as the
     report writes them; `verify` compares a report's facts to these."""
@@ -350,9 +381,6 @@ def _reference_points(system, spec: SpecFile):
     return suspension.left_endpoint_points(system), "left-endpoints"
 
 
-_SPEC_BOUNDS = {"L": "level_bound", "window": "window", "k": "kmax"}
-
-
 def _check_window(window):
     """Raise InvalidBound unless the window is an int in [1, WINDOW_CAP]."""
     if type(window) is not int or not 1 <= window <= WINDOW_CAP:
@@ -364,12 +392,11 @@ def _check_bounds(bounds: Bounds):
     """Raise InvalidBound unless the window passes _check_window and every
     other bound is a non-negative int."""
     _check_window(bounds.window)
-    for name, value in (("L", bounds.level_bound), ("k", bounds.kmax),
-                        ("node_cap", bounds.node_cap),
-                        ("pair_cap", bounds.pair_cap)):
-        if type(value) is not int or value < 0:
+    for key, attr, _, _ in BOUNDS:
+        value = getattr(bounds, attr)
+        if key != "window" and (type(value) is not int or value < 0):
             raise InvalidBound(
-                f"bound {name} {value!r} is not a non-negative integer")
+                f"bound {key} {value!r} is not a non-negative integer")
 
 
 def run_analysis(spec: SpecFile, overrides: dict | None = None) -> dict:
@@ -389,8 +416,8 @@ def run_analysis(spec: SpecFile, overrides: dict | None = None) -> dict:
     `characteristic_irreducible.error` and `checks.error`.
     """
     bounds = Bounds(**{
-        **{_SPEC_BOUNDS[k]: v for k, v in spec.bounds.items()
-           if k in _SPEC_BOUNDS},
+        **{attr: spec.bounds[key] for key, attr, _, _ in BOUNDS
+           if key in spec.bounds},
         **(overrides or {}),
     })
     _check_bounds(bounds)
@@ -404,11 +431,7 @@ def run_analysis(spec: SpecFile, overrides: dict | None = None) -> dict:
             "tilemap": (None if spec.tilemap is None
                         else {t: i for t, i in zip(spec.letters, spec.tilemap)}),
             "bounds": {
-                "L": bounds.level_bound,
-                "window": bounds.window,
-                "k": bounds.kmax,
-                "node_cap": bounds.node_cap,
-                "pair_cap": bounds.pair_cap,
+                **{key: getattr(bounds, attr) for key, attr, _, _ in BOUNDS},
                 "iter_cap": spectrum.ITER_CAP,
             },
             "note": spec.note,
@@ -453,88 +476,34 @@ def run_analysis(spec: SpecFile, overrides: dict | None = None) -> dict:
     facts.update((key, value) for key, value in core.items()
                  if key not in facts)
 
-    def guarded(name, fn):
+    level = bounds.level_bound
+    runners = (     # one per check, in the order of CHECKS
+        lambda: _pairs_json(spec, coincidence.prefix_strong(sub, level),
+                            _prefix_witness_json),
+        lambda: _pairs_json(spec, coincidence.prefix_strong(
+            sub, level, suffixes=True), _prefix_witness_json),
+        lambda: _pairs_json(spec, coincidence.geometric_strong(
+            system, refpoints, level), _geometric_witness_json),
+        lambda: _verdict_json(spec, coincidence.simultaneous(
+            system, refpoints, level), _geometric_witness_json),
+        lambda: _verdict_json(spec, coincidence.prefix_simultaneous(
+            sub, level), _prefix_simultaneous_witness_json),
+        lambda: _height_json(lattices.height_group(system, refpoints)),
+        lambda: _return_json(lattices.differences_in_return_module(
+            system, refpoints, bounds.kmax, bounds.window)),
+        lambda: _half_json(spectrum.overlap_coincidence(
+            system, refpoints, system.window(bounds.window),
+            bounds.node_cap)),
+        lambda: _half_json(spectrum.balanced_pairs(
+            sub, pair_cap=bounds.pair_cap), advisory=None),
+    )
+    for name, run in zip(CHECKS, runners):
         try:
-            fn()
+            checks[name] = run()
         except SubtilingError as exc:
             checks[name] = {"error": str(exc)}
         except (ValueError, ZeroDivisionError, AssertionError) as exc:
             checks[name] = {"error": f"{type(exc).__name__}: {exc}"}
-
-    def do_prefix():
-        per_pair = coincidence.prefix_strong(sub, bounds.level_bound)
-        checks["prefix_strong"] = _pairs_json(
-            spec, per_pair, _prefix_witness_json
-        )
-
-    def do_suffix():
-        per_pair = coincidence.prefix_strong(
-            sub, bounds.level_bound, suffixes=True
-        )
-        checks["suffix_strong"] = _pairs_json(
-            spec, per_pair, _prefix_witness_json
-        )
-
-    def do_geometric():
-        per_pair = coincidence.geometric_strong(
-            system, refpoints, bounds.level_bound
-        )
-        checks["geometric_strong"] = _pairs_json(
-            spec, per_pair, _geometric_witness_json
-        )
-
-    def do_simultaneous():
-        verdict = coincidence.simultaneous(
-            system, refpoints, bounds.level_bound
-        )
-        checks["simultaneous"] = _verdict_json(
-            spec, verdict, _geometric_witness_json
-        )
-
-    def do_prefix_simultaneous():
-        verdict = coincidence.prefix_simultaneous(sub, bounds.level_bound)
-        checks["prefix_simultaneous"] = _verdict_json(
-            spec, verdict, _prefix_simultaneous_witness_json
-        )
-
-    def do_height():
-        res = lattices.height_group(system, refpoints)
-        checks["height_group"] = {
-            "status": None, "group": None,  # from derive
-            "stabilized_at_window": res.stabilized_at,
-            "windows": list(lattices.WINDOW_SCHEDULE),
-            "cross_lattice": res.sup.describe(),
-            "samecolor_lattice": res.sub.describe(),
-        }
-
-    def do_return_module():
-        res = lattices.differences_in_return_module(
-            system, refpoints, bounds.kmax, bounds.window
-        )
-        checks["eventual_return_module"] = {
-            "status": None, "max_power": None, "bound": None,  # from derive
-            "generators": [spectrum.format_shift(row, res.sup.denom)
-                           for row in res.sup.basis],
-            "powers": list(res.witnesses),
-        }
-        if res.bound_hit:
-            checks["eventual_return_module"]["bound_hit"] = res.bound_hit
-
-    def do_overlap():
-        half = spectrum.overlap_coincidence(
-            system, refpoints, system.window(bounds.window), bounds.node_cap
-        )
-        checks["overlap_coincidence"] = _half_json(half)
-
-    def do_balanced():
-        half = spectrum.balanced_pairs(sub, pair_cap=bounds.pair_cap)
-        checks["balanced_pairs"] = _half_json(half, advisory=None)
-
-    for name, fn in zip(CHECKS, (
-            do_prefix, do_suffix, do_geometric, do_simultaneous,
-            do_prefix_simultaneous, do_height, do_return_module, do_overlap,
-            do_balanced)):
-        guarded(name, fn)
     for path, value in derive(report):
         if value is ABSENT:
             del _parent(report, path)[path[-1]]
@@ -854,22 +823,6 @@ def _load_spec(source: str) -> SpecFile:
     return parse_spec(text, name=source)
 
 
-def _overrides_from_args(args) -> dict:
-    """Only the flags the user actually passed."""
-    overrides = {}
-    if args.Lmax is not None:
-        overrides["level_bound"] = args.Lmax
-    if args.window is not None:
-        overrides["window"] = args.window
-    if args.kmax is not None:
-        overrides["kmax"] = args.kmax
-    if args.node_cap is not None:
-        overrides["node_cap"] = args.node_cap
-    if args.pair_cap is not None:
-        overrides["pair_cap"] = args.pair_cap
-    return overrides
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="subtiling",
@@ -882,13 +835,8 @@ def main(argv=None) -> int:
         "analyze", help="run every check on a spec file or corpus id"
     )
     p_analyze.add_argument("source", help="spec file path or corpus id")
-    p_analyze.add_argument("--Lmax", type=int, default=None)
-    p_analyze.add_argument("--window", type=int, default=None)
-    p_analyze.add_argument("--kmax", type=int, default=None)
-    p_analyze.add_argument("--node-cap", dest="node_cap", type=int,
-                           default=None)
-    p_analyze.add_argument("--pair-cap", dest="pair_cap", type=int,
-                           default=None)
+    for _, attr, flag, _ in BOUNDS:
+        p_analyze.add_argument(flag, dest=attr, metavar="N", type=int)
     p_analyze.add_argument("--verify", action="store_true",
                            help="replay all witnesses before reporting")
     p_analyze.add_argument("-o", "--output", default=None,
@@ -953,7 +901,9 @@ def main(argv=None) -> int:
         return 1
     started = time.monotonic()
     try:
-        report = run_analysis(spec, overrides=_overrides_from_args(args))
+        report = run_analysis(spec, overrides={
+            attr: getattr(args, attr) for _, attr, _, _ in BOUNDS
+            if getattr(args, attr) is not None})
     except InvalidBound as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

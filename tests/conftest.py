@@ -592,7 +592,7 @@ def ref_inverse(elem):
         r0, r1 = r1, r
         u0, u1 = u1, P.sub(u0, P.mul(q, u1))
     c = Fraction(r1[0])
-    return FieldElem(field, field._reduce([Fraction(x) / c for x in u1]))
+    return field.element([Fraction(x) / c for x in u1])
 
 
 def ref_is_primitive(matrix):

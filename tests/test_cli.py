@@ -15,7 +15,8 @@ from subtiling.errors import (InvalidBound, LengthCapExceeded,
 
 from conftest import CORPUS_IDS, report_for
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 FIXTURES = PERFBENCH / "fixtures"
 # Off-corpus spec files, made into fixtures at the off-corpus bounds.
 SPEC_FIXTURES = ("plastic", "pentanacci", "nonunimodular", "nonpisot")
@@ -60,6 +61,11 @@ def test_parse_tilemap():
     ("letters a b\nrule a = a c\nrule b = a", "unknown letter"),
     ("letters a b\nrule a = a b", "missing rule"),
     ("rule a = a b", "before letters"),
+    # tilemap lines share the letter checks of rule lines
+    ("tilemap a -> 1\nletters a b", "line 1: tilemap before letters line"),
+    ("letters a b\ntilemap c -> 1", "line 2: unknown letter 'c'"),
+    ("letters a b\ntilemap a -> 1\ntilemap a -> 1",
+     "line 3: duplicate tilemap for 'a'"),
     ("letters a\nrule a = a", "two letters"),
     ("letters a b\nrule a = a b\nrule b = a\ntilemap a -> 3\ntilemap b -> 1",
      "outside rule"),
@@ -70,6 +76,23 @@ def test_parse_errors(text, fragment):
     with pytest.raises(SpecSyntaxError) as err:
         cli.parse_spec(text)
     assert fragment in str(err.value)
+
+
+def _letters_spec(m):
+    tokens = [f"x{i}" for i in range(m)]
+    return ("letters " + " ".join(tokens) + "\n"
+            + "".join(f"rule {t} = {tokens[0]} {t}\n" for t in tokens))
+
+
+def test_analyze_rejects_more_than_255_letters(tmp_path):
+    path = tmp_path / "wide.sub"
+    path.write_text(_letters_spec(256))
+    code, out, err = run_cli(["analyze", str(path)])
+    assert code == 1 and out == ""
+    assert err.startswith("error: line 1:") and "255 letters" in err
+    assert "Traceback" not in err
+    # a letter is one byte, so 255 letters still make a substitution
+    assert cli.parse_spec(_letters_spec(255)).substitution().size == 255
 
 
 def test_corpus_lookup():
@@ -229,15 +252,43 @@ def test_spec_bounds_flow_into_analysis():
     assert report["input"]["bounds"]["L"] == 3
 
 
-def test_cli_flags_beat_spec_file_bounds(tmp_path):
+def _echoed_bound(path, key, *argv):
+    code, out, _ = run_cli(["analyze", str(path), *argv])
+    return json.loads(out)["input"]["bounds"][key]
+
+
+@pytest.mark.parametrize("key,attr,flag,spec_line", cli.BOUNDS,
+                         ids=[key for key, *_ in cli.BOUNDS])
+def test_cli_flags_beat_spec_file_bounds(tmp_path, key, attr, flag,
+                                         spec_line):
+    # a flag beats a spec line, which beats the default
+    default = getattr(cli.Bounds(), attr)
+    text = "letters a b\nrule a = a b\nrule b = a\n"
+    line = f"bound {key} {default // 2}\n"
     path = tmp_path / "bounded.sub"
-    path.write_text("letters a b\nrule a = a b\nrule b = a\nbound L 3\n")
-    code, out, _ = run_cli(["analyze", str(path), "--Lmax", "5"])
-    report = json.loads(out)
-    assert report["input"]["bounds"]["L"] == 5
-    code, out, _ = run_cli(["analyze", str(path)])
-    report = json.loads(out)
-    assert report["input"]["bounds"]["L"] == 3
+    path.write_text(text)
+    assert _echoed_bound(path, key) == default
+    assert _echoed_bound(path, key, flag, str(default // 4)) == default // 4
+    if not spec_line:
+        with pytest.raises(SpecSyntaxError) as err:
+            cli.parse_spec(text + line)
+        assert str(err.value) == "line 4: expected: bound L|window|k <int>"
+        return
+    path.write_text(text + line)
+    assert _echoed_bound(path, key) == default // 2
+    assert _echoed_bound(path, key, flag, str(default // 4)) == default // 4
+
+
+def test_readme_bounds_table_matches_cli():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| bound | flag | spec line | default |", 1)[1]
+    rows = [[cell.strip() for cell in row.strip("|").split("|")]
+            for row in table.split("\n\n", 1)[0].splitlines()[2:]]
+    assert [(flag, spec, int(default.replace(",", "")))
+            for _, flag, spec, default, _ in rows] == [
+        (f"`{flag}`", f"`bound {key} <int>`" if spec_line else "-",
+         getattr(cli.Bounds(), attr))
+        for key, attr, flag, spec_line in cli.BOUNDS]
 
 
 def _fixture(name):
@@ -596,23 +647,31 @@ def test_analyze_rejects_window_outside_cap(window):
     assert str(cli.WINDOW_CAP) in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("flag", ["--Lmax", "--kmax", "--node-cap",
-                                  "--pair-cap"])
-def test_analyze_rejects_negative_bound(flag):
+def _negative_bound_error(key):
+    if key == "window":
+        return f"window -1 is not an integer in [1, {cli.WINDOW_CAP}]"
+    return f"bound {key} -1 is not a non-negative integer"
+
+
+@pytest.mark.parametrize("key,flag", [(key, flag)
+                                      for key, _, flag, _ in cli.BOUNDS],
+                         ids=[flag for _, _, flag, _ in cli.BOUNDS])
+def test_analyze_rejects_negative_bound(key, flag):
     code, out, err = run_cli(["analyze", "fibonacci", flag, "-1"])
     assert code == 2 and out == ""
-    assert "-1 is not a non-negative integer" in err
+    assert _negative_bound_error(key) in err
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("name", ["L", "k"])
+@pytest.mark.parametrize("name", [key for key, _, _, spec_line in cli.BOUNDS
+                                  if spec_line])
 def test_analyze_rejects_negative_spec_line_bound(tmp_path, name):
     path = tmp_path / "negative.sub"
     path.write_text("letters a b\nrule a = a b\nrule b = a\n"
                     f"bound {name} -1\n")
     code, out, err = run_cli(["analyze", str(path)])
     assert code == 2 and out == ""
-    assert f"bound {name} -1 is not a non-negative integer" in err
+    assert _negative_bound_error(name) in err
     with pytest.raises(InvalidBound):
         cli.run_analysis(cli.parse_spec(path.read_text()))
 

@@ -1,13 +1,14 @@
 """No module of `src/subtiling` imports a name it does not use, and no
-function of it goes unread.
+function, dataclass field or module-level constant of it goes unread.
 
 Stdlib `ast` checks in place of a linter.  Every name an `import` or
 `from ... import` binds must be read somewhere in the module.  Re-exports
 in `__init__.py` and `from __future__` imports are exempt; the names in
 `KEPT` are the only other exceptions, each with its reason.  Every
-function and method defined in `src/subtiling` must be read somewhere in
-it, as a name or an attribute, or be exported in `__all__`.  Dunders are
-exempt; the names in `KEPT_UNREAD` are the only other exceptions.
+function and method, every field of a `@dataclass` and every name a
+module-level assignment binds in `src/subtiling` must be read somewhere
+in it, as a name or an attribute, or be exported in `__all__`.  Dunders
+are exempt; the names in `KEPT_UNREAD` are the only other exceptions.
 """
 
 import ast
@@ -61,19 +62,41 @@ def test_guard_catches_a_leftover_import():
     assert unused_imports(source) == ["FieldElem", "math"]
 
 
-def unread_functions(sources):
-    """(module, name) of every function or method defined in the sources,
-    a dict of module name to source text, that is neither read by a node
-    of any of them nor in the `__all__` of the module "__init__"; dunders
-    are exempt."""
+def _is_dataclass(node):
+    """Whether a class has a `dataclass` decorator, called or not."""
+    return any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+
+
+def definitions(tree):
+    """Names of the functions and methods, dataclass fields and
+    module-level assignments of a module's syntax tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name
+        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            yield from (item.target.id for item in node.body
+                        if isinstance(item, ast.AnnAssign))
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign) else
+                   [node.target] if isinstance(node, ast.AnnAssign) else [])
+        yield from (t.id for t in targets if isinstance(t, ast.Name))
+
+
+def unread_definitions(sources):
+    """(module, name) of every function, method, dataclass field or
+    module-level constant defined in the sources, a dict of module name
+    to source text, that is neither read by a node of any of them nor in
+    the `__all__` of the module "__init__"; dunders are exempt."""
     defined, read, exported = set(), set(), set()
     for module, source in sources.items():
-        for node in ast.walk(ast.parse(source)):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                defined.add((module, node.name))
-            elif isinstance(node, ast.Name):
+        tree = ast.parse(source)
+        defined.update((module, name) for name in definitions(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and \
+                    not isinstance(node.ctx, ast.Store):
                 read.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and \
+                    not isinstance(node.ctx, ast.Store):
                 read.add(node.attr)
             elif module == "__init__" and isinstance(node, ast.Assign) and \
                     [t.id for t in node.targets] == ["__all__"]:
@@ -83,8 +106,8 @@ def unread_functions(sources):
                   and not (name.startswith("__") and name.endswith("__")))
 
 
-def test_every_function_in_src_is_read():
-    found = set(unread_functions({
+def test_every_definition_in_src_is_read():
+    found = set(unread_definitions({
         path.stem: path.read_text(encoding="utf-8")
         for path in SRC.glob("*.py")}))
     assert sorted(found - KEPT_UNREAD.keys()) == []
@@ -102,7 +125,27 @@ def test_guard_catches_an_unread_function():
                 "def exported(): pass\n"
                 "def dead(): pass\n"),
     }
-    assert unread_functions(sources) == [("mod", "dead"), ("mod", "unread")]
+    assert unread_definitions(sources) == [("mod", "dead"), ("mod", "unread")]
+
+
+def test_guard_catches_an_unread_field_and_constant():
+    sources = {
+        "__init__": "__all__ = ['run']\n",
+        "mod": ("from dataclasses import dataclass\n"
+                "LIMIT = 3\n"
+                "UNUSED = 4\n"
+                "@dataclass(frozen=True)\n"
+                "class Result:\n"
+                "    status: str\n"
+                "    name: str = ''\n"
+                "class Plain:\n"
+                "    note: str = ''\n"
+                "def run():\n"
+                "    r = Result('HOLDS')\n"
+                "    r.name = 'set, never read'\n"
+                "    return r.status, LIMIT\n"),
+    }
+    assert unread_definitions(sources) == [("mod", "UNUSED"), ("mod", "name")]
 
 
 def imported_modules(source):
