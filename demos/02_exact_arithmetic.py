@@ -31,7 +31,7 @@ num_lo, num_hi, den = polys.isolate_largest_real_root(salem)
 salem_field = algebraic.NumberField(salem, Fraction(num_lo, den),
                                     Fraction(num_hi, den))
 print("salem quartic has circle conjugates:",
-      algebraic.has_root_on_unit_circle(salem))
+      algebraic.count_roots_in_open_unit_disk(salem) is None)
 print("pisot (salem quartic):", algebraic.is_pisot(salem_field))
 
 # root counting in the open unit disk is exact

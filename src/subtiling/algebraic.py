@@ -50,9 +50,9 @@ product is Horner's rule over one factor's coordinates on the companion
 step `times_beta`, and an inverse is a column of the integer adjugate
 that `char_poly` computes too, divided by the norm.  The Pisot test
 counts conjugates in the open unit disk exactly, by a winding number
-computed from signed remainder sequences; roots on the unit circle are
-detected through the reciprocal-polynomial criterion.  Every verdict of
-this module is decided in exact arithmetic.
+computed from signed remainder sequences; the same circle image finds a
+root on the unit circle, as q(-1) = 0 or as a real common root of its
+two parts.  Every verdict of this module is decided in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -594,49 +594,6 @@ def perron_factor(p):
 # ---------------------------------------------------------------------------
 
 
-def _reciprocal(p):
-    return polys.normalize(list(reversed(p)))
-
-
-def _halved_palindrome(q):
-    """For palindromic q of even degree 2k, the degree-k polynomial r with
-    q(x) = x^k * r(x + 1/x).  Uses p_j(y) = x^j + x^-j, p_j = y*p_(j-1) - p_(j-2)."""
-    n = polys.degree(q)
-    k = n // 2
-    p_prev = [2]          # p_0
-    p_cur = [0, 1]        # p_1
-    r = [q[k]]
-    for j in range(1, k + 1):
-        r = polys.add(r, polys.scale(p_cur if j > 0 else p_prev, q[k + j]))
-        p_prev, p_cur = p_cur, polys.sub(polys.mul([0, 1], p_cur), p_prev)
-    return r
-
-
-def has_root_on_unit_circle(q):
-    """Exact test for an irreducible integer polynomial.
-
-    A root on the unit circle forces q to agree with its reciprocal up to
-    sign.  The anti-palindromic case is reducible for degree >= 2, so only
-    the palindromic one remains; there the circle roots correspond to real
-    roots of the halved polynomial in (-2, 2), counted by Sturm chains.
-    """
-    n = polys.degree(q)
-    if n == 1:
-        return abs(q[0]) == abs(q[1])
-    rec = _reciprocal(q)
-    if polys.normalize(polys.sub(q, rec)) and \
-       polys.normalize(polys.add(q, rec)):
-        return False
-    if not polys.normalize(polys.add(q, rec)):
-        # anti-palindromic: x = 1 is a root, contradicting irreducibility
-        return polys.eval_at(q, 1) == 0
-    if n % 2 == 1:
-        # palindromic odd degree has root -1, contradicting irreducibility
-        return polys.eval_at(q, -1) == 0
-    r = _halved_palindrome(q)
-    return polys.count_real_roots(r, -2, 2) > 0
-
-
 def _circle_image(q):
     """Real and imaginary parts of (1+t^2)^n * q(z(t)) where
     z(t) = (1-t^2 + 2it)/(1+t^2) sweeps the unit circle."""
@@ -663,19 +620,20 @@ def _circle_image(q):
 
 
 def count_roots_in_open_unit_disk(q):
-    """Number of complex roots of q strictly inside the unit circle,
-    assuming none lie on the circle.  Winding number of the circle image,
-    computed as a signed count of ray crossings via Tarski queries."""
+    """Number of complex roots of q strictly inside the unit circle, or
+    None when a root lies on the circle.  Winding number of the circle
+    image, computed as a signed count of ray crossings via Tarski queries.
+    The image misses z = -1, found as q(-1) = 0; any other root on the
+    circle is a real common root of the image's two parts."""
     n = polys.degree(q)
     if n < 1:
         return 0
-    re, im = _circle_image(q)
-    common = polys.poly_gcd(re, im)
-    if polys.count_real_roots(common) > 0:
-        raise AssertionError("unexpected root on the unit circle")
     q_at_minus1 = polys.eval_at(q, -1)
     if q_at_minus1 == 0:
-        raise ValueError("q(-1) = 0: root on the unit circle")
+        return None
+    re, im = _circle_image(q)
+    if polys.count_real_roots(polys.poly_gcd(re, im)) > 0:
+        return None
     crossings = polys.odd_multiplicity_part(im)
     if polys.degree(crossings) < 1:
         return 0
@@ -697,6 +655,4 @@ def is_pisot(field: NumberField) -> bool:
     n = field.degree
     if n == 1:
         return -q[0] >= 2
-    if has_root_on_unit_circle(q):
-        return False
     return count_roots_in_open_unit_disk(q) == n - 1

@@ -184,7 +184,10 @@ class AbelianGroup:
 
 
 def quotient(sup: ZModule, sub: ZModule) -> AbelianGroup:
-    """The group sup / sub for nested lattices."""
+    """The group sup / sub for nested lattices.  A ZModule is canonical,
+    so equal lattices compare equal and their quotient is trivial."""
+    if sup == sub:
+        return AbelianGroup(())
     if sup.width != sub.width:
         raise NotASubmodule("lattices live in different spaces")
     change = []

@@ -292,19 +292,13 @@ def variations_at_neg_inf(chain):
     )
 
 
-def count_real_roots(p, lo=None, hi=None):
-    """Distinct real roots of p in (lo, hi]; None endpoint means infinity.
-    Finite endpoints are ints or rationals with numerator and denominator,
-    and must not be roots of p."""
+def count_real_roots(p):
+    """Distinct real roots of p."""
     p = squarefree_part(p)
     if degree(p) < 1:
         return 0
     chain = sturm_chain(p)
-    va = (variations_at_neg_inf(chain) if lo is None else
-          variations_at(chain, lo.numerator, lo.denominator))
-    vb = (variations_at_pos_inf(chain) if hi is None else
-          variations_at(chain, hi.numerator, hi.denominator))
-    return va - vb
+    return variations_at_neg_inf(chain) - variations_at_pos_inf(chain)
 
 
 def tarski_query(g, f):

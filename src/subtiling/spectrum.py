@@ -217,10 +217,11 @@ class _Packing:
         return tuple(out)
 
 
-def _sweep(patch, packing, translations):
+def _sweep(patch, packing, translations, node_cap):
     """Keys over the patch's denominator of the tile pairs brought to
     overlap by each translation y, first seen first; the moved tile is
-    taken at -y.
+    taken at -y.  The sweep stops at the first moved tile after which
+    there are more than node_cap keys.
 
     Each translation is an integer vector over the patch's denominator,
     packed by `packing`, whose range must hold a boundary minus a
@@ -244,9 +245,13 @@ def _sweep(patch, packing, translations):
     # per color, the packed starts of the moved tiles swept so far
     swept = [set() for _ in range(max(colors, default=0) + 1)]
     for y in translations:
+        if len(out) > node_cap:
+            break
         y_lo, y_hi = field_.fixed_point_bounds(unpack(y))
         anchor_idx = 0
         for i, moved_color in enumerate(colors):
+            if len(out) > node_cap:
+                break
             start = bounds[i] - y
             seen = swept[moved_color]
             if start in seen:
@@ -278,11 +283,11 @@ def _sweep(patch, packing, translations):
             for moved, anchor, shift in out}
 
 
-def _seed_keys(system: SuspensionSystem, refpoints, window):
+def _seed_keys(system: SuspensionSystem, refpoints, window, node_cap):
     """(step, seed keys): the overlap classes seeded by every nonzero
     same-color return vector found in the window, as keys over the
     patch's denominator, and the inflation step over it; EmptyWindow when
-    there is none.
+    there is none.  More than node_cap keys mean the sweep stopped early.
 
     A same-color difference of reference points is a difference of tile
     starts, so the translations are the differences of the packed patch
@@ -305,7 +310,7 @@ def _seed_keys(system: SuspensionSystem, refpoints, window):
     if not translations:
         raise EmptyWindow("window holds no same-color return vector")
     step = _Inflation(system, patch.denom)
-    seeds = _sweep(patch, packing, translations)
+    seeds = _sweep(patch, packing, translations, node_cap)
     # checks the integer sweep against the exact signs
     for key in seeds:
         if not step.overlaps(*key):
@@ -335,7 +340,7 @@ def overlap_coincidence(system: SuspensionSystem, refpoints, window,
     closure runs on the integer keys of `_seed_keys`.
     """
     try:
-        step, seeds = _seed_keys(system, refpoints, window)
+        step, seeds = _seed_keys(system, refpoints, window, node_cap)
     except EmptyWindow:
         ends = [_frac_str(window[0]), _frac_str(window[1])]
         return SpectralHalf("UNKNOWN",

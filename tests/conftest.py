@@ -196,7 +196,8 @@ def sweep_translation(patch, y):
     largest = max(abs(a) for v in patch.points for a in v)
     packing = SP._Packing(patch.field.degree,
                           2 * largest + max(map(abs, shift)))
-    keys = SP._sweep(patch, packing, [packing.pack(shift)])
+    keys = SP._sweep(patch, packing, [packing.pack(shift)],
+                     SP.DEFAULT_NODE_CAP)
     return key_coords(keys, patch.denom)
 
 

@@ -208,7 +208,8 @@ def test_criterion_7_exact_identities_and_node_invariants():
                 assert diff.is_zero(), (name, j, n)
         # regenerate the closure and re-verify each node
         refs = suspension.left_endpoint_points(system)
-        step, seeds = spectrum._seed_keys(system, refs, system.window(64))
+        step, seeds = spectrum._seed_keys(system, refs, system.window(64),
+                                          spectrum.DEFAULT_NODE_CAP)
         classes = dict(seeds)
         queue = list(seeds)
         while queue:

@@ -23,6 +23,9 @@ def field_from(minpoly):
 
 
 PHI = field_from([-1, -1, 1])
+# Lehmer's polynomial, whose Salem root 1.17628... has eight conjugates
+# on the unit circle
+LEHMER = [1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1]
 
 
 def scaled(x):
@@ -188,16 +191,47 @@ def test_is_pisot_examples():
     assert A.is_pisot(field_from([1, -3, 1]))            # phi^2, palindromic
     assert A.is_pisot(field_from([-1, -1, 0, 1]))        # plastic number
     assert A.is_pisot(field_from([-1, -1, -1, 1]))       # tribonacci
-    # Salem polynomial: conjugates on the unit circle
+    # Salem polynomials: conjugates on the unit circle
     assert not A.is_pisot(field_from([1, -1, -1, -1, 1]))
+    assert not A.is_pisot(field_from(LEHMER))
+
+
+def test_is_pisot_against_numpy_oracle():
+    """Random monic irreducible polynomials, every other one palindromic,
+    with a real root beyond 1; draws with a root within 1e-6 of the
+    circle are skipped."""
+    rng = random.Random(25)
+    checked = pisot = 0
+    while checked < 60:
+        if checked % 2:
+            # an odd palindromic polynomial has the root -1
+            deg = 2 * rng.randint(1, 3)
+            half = [1] + [rng.randint(-3, 3) for _ in range(deg // 2)]
+            coeffs = [half[min(i, deg - i)] for i in range(deg + 1)]
+        else:
+            deg = rng.randint(2, 6)
+            coeffs = [rng.randint(-3, 3) for _ in range(deg)] + [1]
+        roots = np.roots(list(reversed(coeffs)))
+        real = roots[np.abs(roots.imag) < 1e-9].real
+        if np.abs(np.abs(roots) - 1.0).min() < 1e-6 or \
+                not len(real) or real.max() <= 1.0 or \
+                not P.is_irreducible(coeffs):
+            continue
+        expected = int(np.sum(np.abs(roots) < 1.0)) == deg - 1
+        assert A.is_pisot(field_from(coeffs)) == expected, coeffs
+        checked += 1
+        pisot += expected
+    assert pisot > 0
 
 
 def test_unit_circle_detection():
-    assert A.has_root_on_unit_circle([1, -1, -1, -1, 1])
-    assert not A.has_root_on_unit_circle([1, -3, 1])
-    assert not A.has_root_on_unit_circle([-1, -1, 1])
-    assert A.has_root_on_unit_circle([1, 1])      # x + 1
-    assert not A.has_root_on_unit_circle([-2, 1])
+    # the disk count is None exactly when a root lies on the circle
+    assert A.count_roots_in_open_unit_disk([1, -1, -1, -1, 1]) is None
+    assert A.count_roots_in_open_unit_disk([1, -3, 1]) == 1
+    assert A.count_roots_in_open_unit_disk([-1, -1, 1]) == 1
+    assert A.count_roots_in_open_unit_disk([1, 1]) is None       # x + 1
+    assert A.count_roots_in_open_unit_disk([-2, 1]) == 0
+    assert A.count_roots_in_open_unit_disk(LEHMER) is None
 
 
 def test_disk_count_hand_values():

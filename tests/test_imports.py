@@ -168,3 +168,24 @@ def test_polys_imports_no_fractions():
 def test_guard_catches_an_import_of_fractions():
     assert "fractions" in imported_modules("from fractions import Fraction\n")
     assert "fractions" in imported_modules("import fractions as fr\n")
+
+
+def fraction_attributes(source):
+    """The `.numerator` and `.denominator` attributes the source reads."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute)
+            and node.attr in ("numerator", "denominator")}
+
+
+def test_polys_reads_no_fraction_attributes():
+    # a rational point is a pair of ints, never a Fraction-like object
+    source = (SRC / "polys.py").read_text(encoding="utf-8")
+    assert not fraction_attributes(source)
+
+
+def test_guard_catches_a_fraction_attribute():
+    assert fraction_attributes("def f(x):\n    return x.numerator\n") == \
+        {"numerator"}
+    assert fraction_attributes("n, d = 1, r.denominator\n") == \
+        {"denominator"}
+    assert not fraction_attributes("numerator = 1  # .denominator\n")

@@ -73,6 +73,15 @@ def test_quotient_examples():
         L.quotient(two, z)
 
 
+def test_quotient_of_equal_lattices_runs_no_smith_form(monkeypatch):
+    monkeypatch.setattr(L, "smith_normal_form", None)
+    plane = module_from_vectors([[Fraction(1, 2), 1], [0, 3]], 2)
+    # the same module from other generators is the same canonical ZModule
+    again = module_from_vectors([[Fraction(1, 2), 4], [Fraction(1, 2), 1]], 2)
+    assert plane == again
+    assert L.quotient(plane, again) == TRIVIAL
+
+
 def test_quotient_order_matches_determinant_index():
     rng = random.Random(21)
     for _ in range(25):

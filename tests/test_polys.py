@@ -45,8 +45,11 @@ def test_yun_decomposition():
 def test_sturm_counts():
     assert P.count_real_roots([-1, -1, 1]) == 2
     assert P.count_real_roots([1, 0, 1]) == 0
-    assert P.count_real_roots([-1, -1, 1], Fraction(0), Fraction(2)) == 1
-    assert P.count_real_roots([-1, -1, 1], Fraction(-2), Fraction(0)) == 1
+    # roots in (a, b] are variations at a minus variations at b
+    chain = P.sturm_chain([-1, -1, 1])
+    assert P.variations_at(chain, 0, 1) - P.variations_at(chain, 2, 1) == 1
+    assert P.variations_at(chain, -2, 1) - P.variations_at(chain, 0, 1) == 1
+    assert P.variations_at(chain, -1, 2) - P.variations_at(chain, 1, 2) == 0
     # double root counted once
     assert P.count_real_roots(P.mul([-1, 1], [-1, 1])) == 1
 

@@ -303,7 +303,8 @@ def test_overlap_verdict_independent_of_reference_points(sys_rauzy2):
 def test_closure_is_order_independent(sys_fib):
     # the reachable class set is a fixpoint, not an artifact of BFS order
     refs = zeros(sys_fib)
-    step, seeds = SP._seed_keys(sys_fib, refs, sys_fib.window(48))
+    step, seeds = SP._seed_keys(sys_fib, refs, sys_fib.window(48),
+                                SP.DEFAULT_NODE_CAP)
 
     def closure(seed_keys):
         classes = dict(seeds)
@@ -490,7 +491,7 @@ def _fieldelem_inflate(system, moved, anchor, shift):
 
 def _seed_classes(system, refs, window):
     """`_seed_keys` as `key_coords`."""
-    step, seeds = SP._seed_keys(system, refs, window)
+    step, seeds = SP._seed_keys(system, refs, window, SP.DEFAULT_NODE_CAP)
     return key_coords(seeds, step.denom)
 
 
@@ -534,7 +535,8 @@ def test_window_sample_makes_no_field_element_per_tile(monkeypatch, name):
     for sample in (lambda system, refs, size, _:
                    L.return_lattices(system, refs, size),
                    lambda system, refs, _, window:
-                   SP._seed_keys(system, refs, window)):
+                   SP._seed_keys(system, refs, window,
+                                 SP.DEFAULT_NODE_CAP)):
         assert counted(sample, 16) == counted(sample, 128) == 0
 
 
@@ -610,6 +612,19 @@ def test_nonpisot_nodes_seen_is_pinned(node_cap, nodes_seen):
                                   node_cap=node_cap)
     assert half.status == "UNKNOWN"
     assert half.certificate == {"nodes_seen": nodes_seen}
+
+
+def test_node_cap_bounds_overlap_seeding():
+    # a non-Pisot input whose window-16 patch has 161,502 tiles and 7,487
+    # seed classes: the sweep stops at the cap instead of seeding them all
+    spec = cli.parse_spec("letters a b c d\nrule a = d\nrule b = a d\n"
+                          "rule c = b b b a\nrule d = c c b c\n", name="abcd")
+    system = S.SuspensionSystem(spec.substitution())
+    half = SP.overlap_coincidence(system, S.left_endpoint_points(system),
+                                  system.window(16), node_cap=50)
+    assert half.status == "UNKNOWN"
+    assert half.bound_hit == "node cap 50"
+    assert half.certificate["nodes_seen"] <= 60
 
 
 @pytest.mark.parametrize("name", ["nonpisot", "plastic"])
