@@ -411,9 +411,9 @@ def run_analysis(spec: SpecFile, overrides: dict | None = None) -> dict:
     Only a substitution that is not primitive runs `polys.is_irreducible`
     on its characteristic polynomial; for a primitive one `derive`
     compares it with the minimal polynomial, which the suspension's
-    setup factors out.  A setup that raises a SubtilingError, such as a
-    factor search that runs out, ends the report with its message as
-    `characteristic_irreducible.error` and `checks.error`.
+    setup factors out.  A setup that raises a SubtilingError, such as too
+    many factors mod a prime (`polys.DEGREE_CAP`), ends the report with
+    its message as `characteristic_irreducible.error` and `checks.error`.
     """
     bounds = Bounds(**{
         **{attr: spec.bounds[key] for key, attr, _, _ in BOUNDS

@@ -18,11 +18,11 @@ class NoSeedFound(SubtilingError):
 
 
 class FactorizationFailed(SubtilingError):
-    """The bounded integer factor search was exhausted without a certificate."""
+    """A rational bisection midpoint, no real root, or a non-monic input."""
 
 
 class DegreeCapExceeded(SubtilingError):
-    """Polynomial degree exceeds the configured irreducibility-test limit."""
+    """A degree, or a number of factors mod a prime, exceeds DEGREE_CAP."""
 
 
 class EigenvectorDefect(SubtilingError):

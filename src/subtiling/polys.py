@@ -5,9 +5,10 @@ A polynomial is a list of coefficients in ascending degree, so
 the empty list.  Nothing here ever touches a float.  Degrees stay small
 (below ~20), so the classical algorithms are used throughout: signed
 remainder sequences for Sturm chains and Tarski queries, a primitive
-remainder sequence for gcds, Yun's algorithm for squarefree parts, Rabin's
-test by a Frobenius matrix, and a bounded integer factor search for monic
-polynomials, which `factor_monic` runs and `is_irreducible` reads.
+remainder sequence for gcds, Yun's algorithm for squarefree parts, and
+for monic polynomials `factor_monic`, which `is_irreducible` reads:
+Berlekamp's algorithm modulo a prime, Hensel lifting and Zassenhaus's
+recombination of the lifted factors.
 
 Everything that takes a polynomial computes over Z.  Remainders are
 pseudo-remainders (a positive multiple of the remainder over Q, so the
@@ -22,6 +23,7 @@ root isolation here and the refinement of beta's interval in
 
 from __future__ import annotations
 
+from itertools import combinations, count
 from math import gcd, isqrt
 
 from .errors import DegreeCapExceeded, FactorizationFailed
@@ -366,39 +368,48 @@ def isolate_largest_real_root(p):
 
 
 # ---------------------------------------------------------------------------
-# Irreducibility and factorization over Z (monic inputs)
+# Factorization over Z (monic inputs): Berlekamp, Hensel, Zassenhaus
 # ---------------------------------------------------------------------------
 
-IRREDUCIBILITY_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
 DEGREE_CAP = 12
-FACTOR_WORK_CAP = 2_000_000
 
 
 def _modp_normalize(p, m):
     return normalize([c % m for c in p])
 
 
-def _modp_rem(p, q, m):
+def _modp_divmod(p, q, m):
+    """Quotient and remainder of p by q over F_m; q[-1] is a unit mod m."""
     inv = pow(q[-1], -1, m)
-    rem = list(p)
+    rem = [c % m for c in p]
     dq = len(q) - 1
-    while len(rem) - 1 >= dq and rem:
-        rem = normalize(rem)
-        if len(rem) - 1 < dq:
-            break
-        c = rem[-1] * inv % m
-        k = len(rem) - 1 - dq
-        for i, b in enumerate(q):
-            rem[k + i] = (rem[k + i] - c * b) % m
-        rem[-1] = 0
-    return normalize(rem)
+    quo = [0] * max(len(rem) - dq, 0)
+    for k in reversed(range(len(quo))):
+        c = quo[k] = rem[k + dq] * inv % m
+        if c:
+            for i, b in enumerate(q):
+                rem[k + i] = (rem[k + i] - c * b) % m
+    return normalize(quo), normalize(rem[:dq])
 
 
 def _modp_gcd(p, q, m):
+    """Monic gcd over F_m of p and q, not both zero mod m."""
     a, b = _modp_normalize(p, m), _modp_normalize(q, m)
     while b:
-        a, b = b, _modp_rem(a, b, m)
-    return a
+        a, b = b, _modp_divmod(a, b, m)[1]
+    inv = pow(a[-1], -1, m)
+    return [c * inv % m for c in a]
+
+
+def _modp_inverse(h, g, m):
+    """The inverse of h modulo g over F_m, for h and g coprime mod m, by
+    the extended Euclidean algorithm: r_i = t_i h mod g throughout."""
+    r0, r1, t0, t1 = _modp_normalize(g, m), _modp_normalize(h, m), [], [1]
+    while r1:
+        q, r = _modp_divmod(r0, r1, m)
+        r0, r1, t0, t1 = r1, r, t1, _modp_normalize(sub(t0, mul(q, t1)), m)
+    inv = pow(r0[0], -1, m)
+    return [c * inv % m for c in t0]
 
 
 def _modp_frobenius(f, m):
@@ -421,56 +432,123 @@ def _modp_frobenius(f, m):
     return rows
 
 
-def _modp_frobenius_apply(rows, g, m):
-    """g^m mod (f, m) for a length-n coefficient list g, by the rows of
-    _modp_frobenius."""
-    out = [0] * len(rows)
-    for c, row in zip(g, rows):
-        if c:
-            out = [a + c * b for a, b in zip(out, row)]
-    return [a % m for a in out]
+def _berlekamp_kernel(f, m):
+    """A basis, 1 first, of the g in F_m[x]/(f) with g^m = g, as length-n
+    coefficient lists: the left kernel of Q - I for the matrix Q of
+    `_modp_frobenius`.  Its dimension is the number of distinct monic
+    irreducible factors of f over F_m (Berlekamp), so for f squarefree
+    mod m a kernel of dimension 1 proves f irreducible mod m."""
+    rows = _modp_frobenius(f, m)
+    n = len(rows)
+    pivots = {}     # pivot column -> its equation, reduced at every pivot
+    for j in range(n):
+        # equation j: sum_i g_i (Q - I)[i][j] = 0
+        eq = [(rows[i][j] - (i == j)) % m for i in range(n)]
+        for col, row in pivots.items():
+            c = eq[col]
+            eq = [(a - c * b) % m for a, b in zip(eq, row)]
+        col = next((i for i, a in enumerate(eq) if a), None)
+        if col is not None:
+            inv = pow(eq[col], -1, m)
+            eq = [a * inv % m for a in eq]
+            for i, row in pivots.items():
+                c = row[col]
+                pivots[i] = [(a - c * b) % m for a, b in zip(row, eq)]
+            pivots[col] = eq
+    return [[int(i == free) if i not in pivots else -pivots[i][free] % m
+             for i in range(n)] for free in range(n) if free not in pivots]
 
 
-def _prime_divisors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+def _berlekamp_split(f, kernel, m):
+    """The monic irreducible factors of f over F_m, f squarefree mod m:
+    each kernel element g splits every factor u into the gcds of u and
+    g - s for s in F_m, since u divides g^m - g = prod_s (g - s)."""
+    factors = [_modp_normalize(f, m)]
+    for g in kernel[1:]:
+        if len(factors) == len(kernel):
+            break
+        factors = [d for u in factors for s in range(m)
+                   if degree(d := _modp_gcd(u, [g[0] - s] + g[1:], m)) >= 1]
+    return factors
 
 
-def is_irreducible_mod_p(p, m):
-    """Rabin's test over F_m; requires the leading coefficient to be a unit.
+def _hensel_lift(f, factors, m, modulus):
+    """Monic lifts mod `modulus`, a power of m, of the monic factors of f
+    over F_m, which are pairwise coprime with product f.  Each factor g
+    is lifted with its cofactor h by the linear Hensel step: with
+    f = g h mod q, the corrections dg h + dh g = (f - g h) / q mod m are
+    dg = (f - g h) / (q h) mod (g, m) and the exact quotient dh.  The
+    lift of h is then split on."""
+    lifted = []
+    for g in factors[:-1]:
+        h = _modp_divmod(f, g, m)[0]
+        h_inv = _modp_inverse(h, g, m)
+        q = m
+        while q < modulus:
+            e = _modp_normalize([c // q for c in sub(f, mul(g, h))], m)
+            dg = _modp_divmod(mul(h_inv, e), g, m)[1]
+            dh = _modp_divmod(sub(e, mul(dg, h)), g, m)[0]
+            g, h, q = add(g, scale(dg, q)), add(h, scale(dh, q)), q * m
+        lifted.append(g)
+        f = h
+    return lifted + [f]
 
-    f of degree n is irreducible iff x^(m^n) = x mod f and
-    gcd(x^(m^(n/q)) - x, f) = 1 for every prime q dividing n.  The powers
-    x^(m^k) come from k applications of the Frobenius matrix."""
-    f = _modp_normalize(p, m)
-    n = degree(p)
-    if len(f) - 1 != n:
-        return False
-    if n == 1:
-        return True
-    frobenius = _modp_frobenius(f, m)
-    x = [0, 1] + [0] * (n - 2)
-    # x^(m^k) mod (f, m) for k = 0..n
-    powers = [x]
-    for _ in range(n):
-        powers.append(_modp_frobenius_apply(frobenius, powers[-1], m))
-    if powers[n] != x:
-        return False
-    for q in _prime_divisors(n):
-        xq = powers[n // q]
-        g = _modp_gcd(_modp_normalize(sub(xq, [0, 1]), m), f, m)
-        if degree(g) >= 1:
-            return False
-    return True
+
+def _recombine(f, lifted, modulus):
+    """The irreducible factors of f over Z from its monic lifts mod
+    `modulus`: the product of each subset of at most half of the lifts,
+    smallest subsets first, is taken to symmetric residues and tried as
+    a divisor of f (Zassenhaus)."""
+    factors = []
+    size = 1
+    while 2 * size <= len(lifted):
+        for subset in combinations(range(len(lifted)), size):
+            g = [1]
+            for i in subset:
+                g = [c % modulus for c in mul(g, lifted[i])]
+            g = [c - modulus if 2 * c > modulus else c for c in g]
+            quo = exact_int_divide(f, g)
+            if quo is not None:
+                factors.append(g)
+                f = quo
+                lifted = [u for i, u in enumerate(lifted) if i not in subset]
+                break
+        else:
+            size += 1
+    return factors + [f]
+
+
+def _factor_squarefree(f):
+    """Irreducible factors of a monic squarefree integer polynomial f of
+    degree n >= 1.
+
+    The primes m for which f stays squarefree mod m are walked from 2;
+    the others are the finitely many prime factors of the discriminant.
+    The walk stops at the first that proves f irreducible, or else at
+    the third, and keeps the one with the fewest factors r mod m.  The
+    recombination tries up to 2^(r-1) subsets, so r above DEGREE_CAP
+    raises DegreeCapExceeded.  The factors are lifted to m^k above twice
+    the Landau-Mignotte bound 2^n |f|_2 on the coefficients of a factor.
+    """
+    df = derivative(f)
+    good = []
+    for m in count(2):
+        if all(m % d for d in range(2, isqrt(m) + 1)) and \
+                degree(_modp_gcd(f, df, m)) == 0:
+            kernel = _berlekamp_kernel(f, m)
+            good.append((len(kernel), m, kernel))
+            if len(kernel) == 1 or len(good) == 3:
+                break
+    r, m, kernel = min(good)
+    if r > DEGREE_CAP:
+        raise DegreeCapExceeded(
+            f"{r} factors modulo {m} exceed cap {DEGREE_CAP}")
+    bound = 2 * (1 << degree(f)) * (isqrt(sum(c * c for c in f)) + 1)
+    modulus = m
+    while modulus <= bound:
+        modulus *= m
+    lifted = _hensel_lift(f, _berlekamp_split(f, kernel, m), m, modulus)
+    return _recombine(f, lifted, modulus)
 
 
 def integer_roots(p):
@@ -494,76 +572,13 @@ def integer_roots(p):
     return roots, p
 
 
-def _divisor_pairs(n):
-    n = abs(n)
-    out = []
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            out.extend((d, -d))
-            if d != n // d:
-                out.extend((n // d, -(n // d)))
-    return sorted(out)
-
-
-def _l2_norm_ceiling(p):
-    s = sum(c * c for c in p)
-    r = isqrt(s)
-    return r if r * r == s else r + 1
-
-
-def _find_monic_factor(p):
-    """Smallest-degree monic integer factor of monic p with no integer
-    roots, or None if p is irreducible.  Coefficients are bounded by the
-    Landau-Mignotte bound 2**d * |p|_2; candidates are pruned by requiring
-    g(0) | p(0), g(1) | p(1) and g(-1) | p(-1).  More than
-    FACTOR_WORK_CAP candidates raise FactorizationFailed."""
-    n = degree(p)
-    norm = _l2_norm_ceiling(p)
-    p0, p1, pm1 = p[0], eval_at(p, 1), eval_at(p, -1)
-    work = 0
-    for d in range(2, n // 2 + 1):
-        bound = (1 << d) * norm
-        const_cands = [c for c in _divisor_pairs(p0) if abs(c) <= bound]
-        mids = range(-bound, bound + 1)
-
-        def candidates(level, coeffs):
-            nonlocal work
-            if level == d:
-                g = coeffs + [1]
-                g1, gm1 = eval_at(g, 1), eval_at(g, -1)
-                if g1 == 0 or gm1 == 0:
-                    return None
-                if p1 % g1 != 0 or pm1 % gm1 != 0:
-                    return None
-                if exact_int_divide(p, g) is not None:
-                    return g
-                return None
-            pool = const_cands if level == 0 else mids
-            for c in pool:
-                work += 1
-                if work > FACTOR_WORK_CAP:
-                    raise FactorizationFailed(
-                        f"factor search exceeded {FACTOR_WORK_CAP} candidates"
-                    )
-                found = candidates(level + 1, coeffs + [c])
-                if found is not None:
-                    return found
-            return None
-
-        g = candidates(0, [])
-        if g is not None:
-            return g
-    return None
-
-
 def is_irreducible(p):
     """Irreducibility over Q for an integer polynomial of degree >= 1:
     whether `factor_monic` finds exactly one factor of its primitive part.
 
     Degree 1 is irreducible.  A degree above DEGREE_CAP raises
-    DegreeCapExceeded, a primitive part of degree >= 2 that is not monic
-    raises FactorizationFailed, and so does a factor search that exceeds
-    FACTOR_WORK_CAP.
+    DegreeCapExceeded, and a primitive part of degree >= 2 that is not
+    monic raises FactorizationFailed.
     """
     p = primitive_part(p)
     n = degree(p)
@@ -575,37 +590,19 @@ def is_irreducible(p):
         return True
     if p[-1] != 1:
         raise FactorizationFailed(
-            "complete factor search supports monic polynomials only"
-        )
+            "factorization supports monic polynomials only")
     return len(factor_monic(p)) == 1
 
 
 def factor_monic(p):
     """Irreducible monic integer factors of a monic integer polynomial,
-    with multiplicity, sorted by (degree, coefficients)."""
+    with multiplicity, sorted by (degree, coefficients): its integer
+    roots, then `_factor_squarefree` of each part of Yun's squarefree
+    decomposition of the rest."""
     if not p or p[-1] != 1:
         raise ValueError("factor_monic expects a monic integer polynomial")
-    factors = []
     roots, rest = integer_roots(p)
-    factors.extend([-r, 1] for r in roots)
-    stack = [rest] if degree(rest) >= 1 else []
-    while stack:
-        q = stack.pop()
-        if degree(q) == 1:
-            factors.append(q)
-            continue
-        reducible = True
-        for m in IRREDUCIBILITY_PRIMES:
-            if is_irreducible_mod_p(q, m):
-                reducible = False
-                break
-        if not reducible:
-            factors.append(q)
-            continue
-        g = _find_monic_factor(q)
-        if g is None:
-            factors.append(q)
-        else:
-            stack.append(g)
-            stack.append(exact_int_divide(q, g))
+    factors = [[-r, 1] for r in roots]
+    for part, multiplicity in yun_squarefree_decomposition(rest):
+        factors += _factor_squarefree(part) * multiplicity
     return sorted(factors, key=lambda f: (degree(f), tuple(f)))

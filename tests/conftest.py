@@ -505,17 +505,37 @@ def _ref_modp_mul(p, q, m):
 
 def _ref_modp_pow_x(exp, f, m):
     """Reference: x**exp mod (f, m) by binary exponentiation."""
-    result, base = [1], P._modp_rem([0, 1], f, m)
+    def rem(p):
+        return P._modp_divmod(p, f, m)[1]
+
+    result, base = [1], rem([0, 1])
     while exp:
         if exp & 1:
-            result = P._modp_rem(_ref_modp_mul(result, base, m), f, m)
-        base = P._modp_rem(_ref_modp_mul(base, base, m), f, m)
+            result = rem(_ref_modp_mul(result, base, m))
+        base = rem(_ref_modp_mul(base, base, m))
         exp >>= 1
     return result
 
 
+def ref_prime_divisors(n):
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def ref_is_irreducible_mod_p(p, m):
-    """Reference: Rabin's test with x^(m^k) by binary exponentiation."""
+    """Reference: Rabin's test with x^(m^k) by binary exponentiation.
+
+    f of degree n is irreducible iff x^(m^n) = x mod f and
+    gcd(x^(m^(n/q)) - x, f) = 1 for every prime q dividing n."""
     f = P._modp_normalize(p, m)
     n = P.degree(p)
     if len(f) - 1 != n:
@@ -524,12 +544,96 @@ def ref_is_irreducible_mod_p(p, m):
         return True
     if P._modp_normalize(P.sub(_ref_modp_pow_x(m ** n, f, m), [0, 1]), m):
         return False
-    for q in P._prime_divisors(n):
+    for q in ref_prime_divisors(n):
         xq = _ref_modp_pow_x(m ** (n // q), f, m)
         g = P._modp_gcd(P._modp_normalize(P.sub(xq, [0, 1]), m), f, m)
         if P.degree(g) >= 1:
             return False
     return True
+
+
+# The factorization that Berlekamp and Hensel lifting replaced: integer
+# roots, Rabin's test at nine primes, then a bounded search for a monic
+# factor with coefficients up to the Landau-Mignotte bound.
+REF_IRREDUCIBILITY_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+REF_FACTOR_WORK_CAP = 2_000_000
+
+
+def _ref_divisor_pairs(n):
+    n = abs(n)
+    out = []
+    for d in range(1, math.isqrt(n) + 1):
+        if n % d == 0:
+            out.extend((d, -d))
+            if d != n // d:
+                out.extend((n // d, -(n // d)))
+    return sorted(out)
+
+
+def _ref_find_monic_factor(p):
+    """Smallest-degree monic integer factor of monic p with no integer
+    roots, or None if p is irreducible.  Coefficients are bounded by the
+    Landau-Mignotte bound 2**d * |p|_2; candidates are pruned by requiring
+    g(0) | p(0), g(1) | p(1) and g(-1) | p(-1).  More than
+    REF_FACTOR_WORK_CAP candidates raise FactorizationFailed."""
+    n = P.degree(p)
+    norm = math.isqrt(sum(c * c for c in p) - 1) + 1
+    p0, p1, pm1 = p[0], P.eval_at(p, 1), P.eval_at(p, -1)
+    work = 0
+    for d in range(2, n // 2 + 1):
+        bound = (1 << d) * norm
+        const_cands = [c for c in _ref_divisor_pairs(p0) if abs(c) <= bound]
+        mids = range(-bound, bound + 1)
+
+        def candidates(level, coeffs):
+            nonlocal work
+            if level == d:
+                g = coeffs + [1]
+                g1, gm1 = P.eval_at(g, 1), P.eval_at(g, -1)
+                if g1 == 0 or gm1 == 0:
+                    return None
+                if p1 % g1 != 0 or pm1 % gm1 != 0:
+                    return None
+                if P.exact_int_divide(p, g) is not None:
+                    return g
+                return None
+            pool = const_cands if level == 0 else mids
+            for c in pool:
+                work += 1
+                if work > REF_FACTOR_WORK_CAP:
+                    raise P.FactorizationFailed(
+                        f"factor search exceeded {REF_FACTOR_WORK_CAP} "
+                        "candidates")
+                found = candidates(level + 1, coeffs + [c])
+                if found is not None:
+                    return found
+            return None
+
+        g = candidates(0, [])
+        if g is not None:
+            return g
+    return None
+
+
+def ref_factor_monic(p):
+    """Reference: irreducible monic factors by Rabin's test and the
+    bounded candidate search, sorted by (degree, coefficients)."""
+    factors = []
+    roots, rest = P.integer_roots(p)
+    factors.extend([-r, 1] for r in roots)
+    stack = [rest] if P.degree(rest) >= 1 else []
+    while stack:
+        q = stack.pop()
+        if P.degree(q) == 1 or any(ref_is_irreducible_mod_p(q, m)
+                                   for m in REF_IRREDUCIBILITY_PRIMES):
+            factors.append(q)
+            continue
+        g = _ref_find_monic_factor(q)
+        if g is None:
+            factors.append(q)
+        else:
+            stack.extend((g, P.exact_int_divide(q, g)))
+    return sorted(factors, key=lambda f: (P.degree(f), tuple(f)))
 
 
 def ref_smith_normal_form(matrix):
@@ -724,7 +828,6 @@ RATIONAL_SETUP = (
     (P, "signed_remainder_chain", ref_remainder_chain),
     (P, "variations_at", ref_variations_at),
     (P, "isolate_largest_real_root", ref_isolate_largest_real_root),
-    (P, "is_irreducible_mod_p", ref_is_irreducible_mod_p),
     (suspension, "prototile_lengths", ref_prototile_lengths),
     (NumberField, "_minpoly_sign", ref_minpoly_sign),
 )

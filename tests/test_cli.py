@@ -1,6 +1,8 @@
 import contextlib
+import importlib
 import io
 import json
+import re
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -289,6 +291,35 @@ def test_readme_bounds_table_matches_cli():
         (f"`{flag}`", f"`bound {key} <int>`" if spec_line else "-",
          getattr(cli.Bounds(), attr))
         for key, attr, flag, spec_line in cli.BOUNDS]
+
+
+def _stale_cap_rows(readme):
+    """The rows of the README's cap table whose constant, the first
+    `module.NAME` of the row, is missing from src/ or does not hold the
+    integers of the value column."""
+    table = readme.split("| cap | value | constant |", 1)[1]
+    stale = []
+    for row in table.split("\n\n", 1)[0].splitlines()[2:]:
+        _, value, constant = [c.strip() for c in row.strip("|").split("|")][:3]
+        module, name = re.match(r"`(\w+)\.(\w+)`", constant).groups()
+        held = getattr(importlib.import_module(f"subtiling.{module}"),
+                       name, None)
+        stated = [int(n.replace(",", ""))
+                  for n in re.findall(r"\d+(?:,\d{3})*", value)]
+        if list(held if isinstance(held, tuple) else [held]) != stated:
+            stale.append(row)
+    return stale
+
+
+def test_readme_cap_table_matches_src():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert _stale_cap_rows(readme) == []
+    planted = readme.replace(
+        "| cap | value | constant | when it runs out |\n|---|---|---|---|\n",
+        "| cap | value | constant | when it runs out |\n|---|---|---|---|\n"
+        "| factor search | 2,000,000 candidates | `polys.FACTOR_WORK_CAP` "
+        "| - |\n| iteration | 300 rounds | `spectrum.ITER_CAP` | - |\n")
+    assert len(_stale_cap_rows(planted)) == 2
 
 
 def _fixture(name):
@@ -1118,8 +1149,8 @@ def test_report_of_a_substitution_that_is_not_primitive():
 
 
 # A two-to-one extension whose characteristic polynomial
-# (x^6 - x^5 - 1)(x^6 - x^5 + 1) is reducible modulo every prime, so that
-# the factor search of the suspension's setup runs out.
+# (x^6 - x^5 - 1)(x^6 - x^5 + 1) has at least two factors modulo every
+# prime.
 TWELVE_LETTERS = """
 letters a b c d e f A B C D E F
 rule a = a B
@@ -1137,15 +1168,28 @@ rule F = A
 """
 
 
+# A primitive 6-letter substitution whose characteristic polynomial is an
+# irreducible sextic with at least two factors modulo every prime.
+SIX_LETTERS = """
+letters a b c d e f
+rule a = a b c c d
+rule b = a c d d e e
+rule c = a f f
+rule d = b b c e f
+rule e = a a c c d
+rule f = a c c e e
+"""
+
+
 def test_report_of_a_setup_that_raises(tmp_path, monkeypatch):
-    monkeypatch.setattr(polys, "FACTOR_WORK_CAP", 1000)
+    monkeypatch.setattr(polys, "DEGREE_CAP", 1)
     path = tmp_path / "twelve.spec"
     path.write_text(TWELVE_LETTERS)
     code, out, err = run_cli(["analyze", str(path)])
     assert code == 2
     assert "Traceback" not in err
     report = json.loads(out)
-    message = "factor search exceeded 1000 candidates"
+    message = "4 factors modulo 3 exceed cap 1"
     assert report["facts"]["primitive"] is True
     assert report["facts"]["characteristic_polynomial"] == polys.mul(
         [-1, 0, 0, 0, 0, -1, 1], [1, 0, 0, 0, 0, -1, 1])
@@ -1154,6 +1198,21 @@ def test_report_of_a_setup_that_raises(tmp_path, monkeypatch):
     assert report["checks"] == {"error": f"no suspension: {message}"}
     assert report["cost"] == {}
     assert cli.derive(report) == [(("facts", "primitive"), True)]
+
+
+@pytest.mark.parametrize("text, minimal_polynomial, irreducible", [
+    (SIX_LETTERS, [20, 31, -5, -20, -12, -1, 1], True),
+    (TWELVE_LETTERS, [-1, 0, 0, 0, 0, -1, 1], False),
+], ids=["six-letters", "twelve-letters"])
+def test_inputs_reducible_modulo_every_prime_get_a_field(
+        text, minimal_polynomial, irreducible):
+    report = cli.run_analysis(cli.parse_spec(text), overrides={
+        "level_bound": 4, "window": 16, "node_cap": 200, "pair_cap": 200})
+    facts = report["facts"]
+    assert facts["minimal_polynomial"] == minimal_polynomial
+    assert facts["characteristic_irreducible"] is irreducible
+    assert "error" not in report["checks"]
+    assert cli.verify_report(report)["passed"] is True
 
 
 def test_primitive_input_above_the_degree_cap_is_irreducible():

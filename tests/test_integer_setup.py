@@ -22,7 +22,8 @@ from subtiling import polys as P
 from subtiling import suspension as S
 from subtiling import words as W
 
-from conftest import (interval_ends, ref_exact_int_divide,
+from conftest import (REF_IRREDUCIBILITY_PRIMES, interval_ends,
+                      ref_exact_int_divide, ref_factor_monic,
                       ref_is_irreducible_mod_p, ref_is_primitive,
                       ref_isolate_largest_real_root, ref_poly_gcd,
                       ref_refine_root_interval, ref_remainder_chain,
@@ -79,17 +80,33 @@ def _random_poly(rng):
     return p if P.degree(p) >= 1 else [1, 1]
 
 
-def test_rabin_matches_binary_exponentiation_on_random_polynomials():
+def test_berlekamp_counts_one_factor_exactly_when_rabin_says_irreducible():
     rng = random.Random(15)
     tested = irreducible = 0
     for _ in range(60):
         p = _random_poly(rng)
-        for m in P.IRREDUCIBILITY_PRIMES:
+        for m in REF_IRREDUCIBILITY_PRIMES:
             if p[-1] % m:
-                got = P.is_irreducible_mod_p(p, m)
+                f = P._modp_normalize(p, m)
+                squarefree = P.degree(
+                    P._modp_gcd(f, P.derivative(f), m)) == 0
+                kernel = P._berlekamp_kernel(f, m)
+                got = squarefree and len(kernel) == 1
                 assert got == ref_is_irreducible_mod_p(p, m), (p, m)
                 tested += 1
                 irreducible += got
+                if squarefree:
+                    # the split is into len(kernel) irreducible factors
+                    # whose product is f up to a unit
+                    factors = P._berlekamp_split(f, kernel, m)
+                    assert len(factors) == len(kernel)
+                    assert all(ref_is_irreducible_mod_p(g, m)
+                               for g in factors)
+                    prod = [1]
+                    for g in factors:
+                        prod = P._modp_normalize(P.mul(prod, g), m)
+                    assert P._modp_gcd(prod, prod, m) == \
+                        P._modp_gcd(f, f, m)
     assert tested > 400 and irreducible > 40
 
 
@@ -165,6 +182,7 @@ def test_setup_matches_the_rational_setup(name, sub):
     cp = A.char_poly(W.substitution_matrix(sub))
     factors = P.factor_monic(cp)
     assert factors == with_rational_setup(P.factor_monic, cp)
+    assert factors == ref_factor_monic(cp)
     sf = P.squarefree_part(cp)
     assert P.sturm_chain(sf) == ref_remainder_chain(sf, P.derivative(sf))
     for f in factors:

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from subtiling import algebraic as A
 from subtiling import polys as P
 
-from conftest import ref_divmod_rational
+from conftest import ref_divmod_rational, ref_factor_monic
 
 
 def test_arithmetic_basics():
@@ -107,17 +108,71 @@ def test_factor_monic():
     assert fs == sorted([(-1, -1, 1), (1, 1, 1)])
 
 
+def test_factor_monic_matches_the_reference_on_characteristic_polynomials():
+    rng = random.Random(26)
+    compared = reducible = 0
+    for _ in range(120):
+        n = rng.randint(2, 5)
+        cp = A.char_poly([[rng.randint(0, 3) for _ in range(n)]
+                          for _ in range(n)])
+        try:
+            expected = ref_factor_monic(cp)
+        except P.FactorizationFailed:
+            continue
+        assert P.factor_monic(cp) == expected, cp
+        compared += 1
+        reducible += len(expected) > 1
+    assert compared > 100 and reducible > 20
+
+
+# monic irreducibles over Q, several of them reducible modulo every prime:
+# x^4 + 1, the Swinnerton-Dyer x^4 - 10x^2 + 1, the cyclotomic
+# polynomials of order 3, 4, 5, 6, 7, 9 and 12, x^6 - x^5 - 1 and
+# x^6 - x^5 + 1 (the 12-letter extension), and the 6-letter sextic
+IRREDUCIBLES = (
+    [1, 0, 0, 0, 1], [1, 0, -10, 0, 1], [1, 1, 1], [1, 0, 1],
+    [1, 1, 1, 1, 1], [1, -1, 1], [1] * 7, [1, 0, 0, 1, 0, 0, 1],
+    [1, 0, -1, 0, 1], [-1, 0, 0, 0, 0, -1, 1], [1, 0, 0, 0, 0, -1, 1],
+    [20, 31, -5, -20, -12, -1, 1], [-2, 1], [3, 1], [1, 1],
+    [-1, -1, 1], [-1, -1, -1, 1],
+)
+
+
+def _product(factors):
+    p = [1]
+    for f in factors:
+        p = P.mul(p, f)
+    return p
+
+
 def test_factor_random_products():
     rng = random.Random(11)
-    for _ in range(25):
-        irreducibles = [[-1, -1, 1], [1, 1, 1], [-2, 1], [1, 1], [-1, -1, -1, 1]]
-        chosen = [irreducibles[rng.randrange(len(irreducibles))]
-                  for _ in range(rng.randint(1, 3))]
-        p = [1]
-        for f in chosen:
-            p = P.mul(p, f)
-        got = sorted(map(tuple, P.factor_monic(p)))
-        assert got == sorted(map(tuple, chosen))
+    cases = [[f] for f in IRREDUCIBLES]
+    cases.append([[-1] + [0] * 11 + [-1, 1]])       # x^13 - x^12 - 1
+    while len(cases) < 100:
+        chosen = []
+        for f in rng.sample(IRREDUCIBLES, rng.randint(2, 4)):
+            for _ in range(rng.choice([1, 1, 2])):
+                if sum(map(P.degree, chosen)) + P.degree(f) <= 12:
+                    chosen.append(f)
+        if len(chosen) > 1:
+            cases.append(chosen)
+    for chosen in cases:
+        got = P.factor_monic(_product(chosen))
+        assert got == sorted(chosen, key=lambda f: (P.degree(f), tuple(f)))
+        assert _product(got) == _product(chosen)
+
+
+def test_modular_factor_count_is_capped(monkeypatch):
+    # both have at least two factors modulo every prime; the least count
+    # for x^4 + 1 is first met at 3
+    monkeypatch.setattr(P, "DEGREE_CAP", 1)
+    with pytest.raises(P.DegreeCapExceeded) as err:
+        P.factor_monic([1, 0, 0, 0, 1])
+    assert str(err.value) == "2 factors modulo 3 exceed cap 1"
+    with pytest.raises(P.DegreeCapExceeded):
+        P.factor_monic([1, 0, -10, 0, 1])
+    assert P.factor_monic([-1, -1, 1]) == [[-1, -1, 1]]
 
 
 def test_pseudo_remainder_is_a_positive_multiple_of_the_remainder():
