@@ -688,7 +688,10 @@ def verify_report(report: dict) -> dict:
     so does a witness that does not parse or whose scope is not that of
     its check, the two letters of its pair key or "all"; so does a
     malformed claim (a check or pair verdict that is not an object, a
-    HOLDS with no witness, a FAILS with no certificate), and a
+    HOLDS with no witness, a FAILS with no certificate, a status its
+    check never emits: geometric_strong pairs, simultaneous and
+    prefix_simultaneous have no FAILS certificate, so they emit HOLDS or
+    UNKNOWN only), and a
     prefix_strong, suffix_strong or geometric_strong whose pairs are not
     exactly the m(m+1)/2 letter pairs.  A report whose window
     _check_window rejects, whose input section names no primitive
@@ -763,6 +766,13 @@ def verify_report(report: dict) -> dict:
         results[name or key] = False
         return {}
 
+    def emitted(name, claim, statuses=("HOLDS", "UNKNOWN")):
+        """The replay `name` fails unless the claim's status is one of
+        the statuses its check emits; a check that raised holds its
+        error in place of a status."""
+        if claim.get("status") not in statuses and "error" not in claim:
+            results[name] = False
+
     def pairs_of(check):
         """A check's pair verdicts; it fails unless keyed by every pair."""
         pairs = part(part(checks, check), "pairs", check)
@@ -783,26 +793,33 @@ def verify_report(report: dict) -> dict:
             elif verdict.get("status") == "HOLDS" and \
                     not isinstance(verdict.get("witness"), dict):
                 results[name] = False
+            else:
+                emitted(name, verdict)
     pairs = pairs_of("geometric_strong")
     for key in pairs:
         name = f"geometric_strong[{key}]"
         verdict = part(pairs, key, name)
+        emitted(name, verdict)
         if verdict.get("status") == "HOLDS":
             take_witness(name, verdict.get("witness"), pair_scopes.get(key))
     sim = part(checks, "simultaneous")
+    emitted("simultaneous", sim)
     if sim.get("status") == "HOLDS":
         take_witness("simultaneous", sim.get("witness"), "all")
+    emitted("prefix_simultaneous", part(checks, "prefix_simultaneous"))
     setting = coincidence.IntegerSetting(
         system, refpoints, math.lcm(*(w.denom for w in witnesses.values())))
     for name, witness in witnesses.items():
         results[name] = replay(coincidence.verify_witness, system,
                                refpoints, witness, setting)
     overlap = part(checks, "overlap_coincidence")
+    emitted("overlap_coincidence", overlap, ("HOLDS", "FAILS", "UNKNOWN"))
     if overlap.get("status") == "FAILS":
         results["overlap_coincidence"] = replay(
             spectrum.replay_overlap_certificate, system,
             overlap.get("certificate"))
     balanced = part(checks, "balanced_pairs")
+    emitted("balanced_pairs", balanced, ("HOLDS", "FAILS", "UNKNOWN"))
     if balanced.get("status") == "FAILS":
         results["balanced_pairs"] = replay(
             spectrum.replay_balanced_certificate, system.sub,

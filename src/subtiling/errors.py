@@ -14,7 +14,10 @@ class LengthCapExceeded(SubtilingError):
 
 
 class NoSeedFound(SubtilingError):
-    """No legal two-sided fixed-point seed exists within the search bound."""
+    """No legal two-letter word has a left letter on a cycle of the
+    last-letter map and a right letter on a cycle of the first-letter
+    map, so no power of the substitution has a legal two-sided fixed
+    point."""
 
 
 class FactorizationFailed(SubtilingError):

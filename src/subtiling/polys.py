@@ -142,15 +142,18 @@ def content(p):
     return g
 
 
+def _positive_rescale(p):
+    """Divide an integer polynomial by its content, a positive integer;
+    the sign pattern is preserved."""
+    p = normalize(p)
+    g = content(p)
+    return [c // g for c in p]
+
+
 def primitive_part(p):
     """Integer polynomial divided by its content, leading coefficient > 0."""
-    p = normalize(p)
-    if not p:
-        return []
-    g = content(p)
-    if p[-1] < 0:
-        g = -g
-    return [c // g for c in p]
+    p = _positive_rescale(p)
+    return neg(p) if p and p[-1] < 0 else p
 
 
 def poly_gcd(p, q):
@@ -233,16 +236,6 @@ def sign_variations(signs):
             v += 1
         prev = s
     return v
-
-
-def _positive_rescale(p):
-    """Divide an integer polynomial by its content, a positive integer;
-    the sign pattern is preserved."""
-    p = normalize(p)
-    if not p:
-        return []
-    g = content(p)
-    return [c // g for c in p]
 
 
 def signed_remainder_chain(f, g):

@@ -3,7 +3,8 @@
 Prototile i is the interval [0, len_i) where the lengths form the left
 eigenvector of the substitution matrix for the dominant eigenvalue beta,
 normalized so the last letter has unit length.  A two-sided fixed point
-of sigma^k, found by fixed_point_seed, realizes the tiling.  A patch
+of sigma^k realizes the tiling; fixed_point_seed reads k and the seed
+pair off the cycles of the first- and last-letter maps.  A patch
 holds its tile boundaries in one integer form only: prefix sums of the
 integer length vectors over their common denominator, as are the
 subtile offsets.  A system caches its fixed-point patches per (seed,
@@ -323,9 +324,9 @@ def reference_point_sets(patch: Patch, refpoints, window) -> PointSets:
 
     The window must lie inside the patch support (reference shifts are
     allowed to move points slightly past the edge tiles, so coverage is
-    checked on tile supports).  The window ends are rationals or field
-    elements, and the reference points the (vectors, denominator) pair of
-    `control_points`.  The points are integer vectors over the lcm of the
+    checked on tile supports).  The window ends are rationals, as
+    `SuspensionSystem.window` gives them, and the reference points the
+    (vectors, denominator) pair of `control_points`.  The points are integer vectors over the lcm of the
     patch denominator and the reference points' denominator.
 
     Each tile is first placed on integers alone: the enclosure of its
@@ -376,19 +377,14 @@ def reference_point_sets(patch: Patch, refpoints, window) -> PointSets:
 
 
 def _ints(field, value):
-    """(ints, d): a rational or a field element as an integer vector over
-    d, the least common denominator of its power-basis coordinates."""
-    if isinstance(value, algebraic.FieldElem):
-        coords = value.coords
-    else:
-        coords = (value,) + (0,) * (field.degree - 1)
-    d = algebraic.common_denominator(coords)
-    return algebraic.scaled_coords(coords, d), d
+    """(ints, d): a rational as an integer vector over its denominator d."""
+    return ((value.numerator,) + (0,) * (field.degree - 1),
+            value.denominator)
 
 
 def _sign_minus(field, ints, denom, value):
-    """Certified sign of ints / denom - value for a rational or a field
-    element: `NumberField.int_sign` of the difference over the lcm of the
+    """Certified sign of ints / denom - value for a rational:
+    `NumberField.int_sign` of the difference over the lcm of the
     denominators.  That vector is a positive multiple of the scaled
     coordinates FieldElem.sign() takes, so the decision and the
     refinements are those of the field-element difference."""

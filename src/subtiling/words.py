@@ -8,6 +8,7 @@ surfaces as LengthCapExceeded instead of memory exhaustion.
 
 from __future__ import annotations
 
+import math
 import operator
 from array import array
 from functools import lru_cache
@@ -268,53 +269,37 @@ def is_primitive(matrix):
     return all(row == full for row in result)
 
 
-def first_letter_map(sub: Substitution):
-    return tuple(r[0] for r in sub.rules)
-
-
-def last_letter_map(sub: Substitution):
-    return tuple(r[-1] for r in sub.rules)
-
-
-def _iterate_map(f, k, x):
-    for _ in range(k):
-        x = f[x - 1]
-    return x
+def _periods(f):
+    """The period of each letter under the letter map f (f[c - 1] is the
+    image of letter c), in letter order, or None for a letter on no
+    cycle.  A cycle of f has at most m letters."""
+    m = len(f)
+    periods = []
+    for c in range(1, m + 1):
+        x, k = f[c - 1], 1
+        while x != c and k < m:
+            x, k = f[x - 1], k + 1
+        periods.append(k if x == c else None)
+    return periods
 
 
 def legal_two_letter_words(sub: Substitution):
-    """All length-2 factors occurring in iterated rule images.
+    """The two-letter factors inside the rules, closed under
+    xy -> (last letter of sigma(x), first letter of sigma(y)).
 
-    Seeded with the factors of sigma^k(c) for the least k making every
-    image at least two letters long, then closed under taking factors of
-    the image of a known factor.  For a primitive substitution this is the
-    exact set of legal adjacencies.
+    A factor of sigma(w) lies inside one rule image or straddles the
+    images of two neighbours in w, so for a primitive substitution, where
+    every letter occurs, this is the exact set of legal adjacencies.
     """
-    # for a primitive matrix all column sums of the Wielandt power are
-    # at least the alphabet size, so this terminates well before the cap
-    cap = sub.size * sub.size + 2
-    k = 1
-    while any(sub.image_length(c, k) < 2 for c in range(1, sub.size + 1)):
-        k += 1
-        if k > cap:
-            raise NoSeedFound("rule images never reach length two")
-    seen = set()
-    stack = []
-    for c in range(1, sub.size + 1):
-        w = sub.iterate(c, k)
-        for i in range(len(w) - 1):
-            pair = w[i : i + 2]
-            if pair not in seen:
-                seen.add(pair)
-                stack.append(pair)
+    rules = sub.rules
+    seen = {r[i:i + 2] for r in rules for i in range(len(r) - 1)}
+    stack = list(seen)
     while stack:
-        pair = stack.pop()
-        w = sub.apply(pair)
-        for i in range(len(w) - 1):
-            nxt = w[i : i + 2]
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
+        x, y = stack.pop()
+        pair = bytes((rules[x - 1][-1], rules[y - 1][0]))
+        if pair not in seen:
+            seen.add(pair)
+            stack.append(pair)
     return seen
 
 
@@ -325,39 +310,27 @@ def fixed_point_seed(sub: Substitution):
     Returns (k, left, right) where sigma^k(left) ends with left,
     sigma^k(right) starts with right, and the two-letter word left,right
     is a legal factor.  The bi-infinite fixed point of sigma^k seeded at
-    left|right is then well defined.  Pairs are ordered lexicographically
-    by (left, right) for determinism.
+    left|right is then well defined.  A legal pair works at k exactly
+    when k is a multiple of the lcm of the period of left under the
+    last-letter map and that of right under the first-letter map, so the
+    least k and, for it, the lexicographically least (left, right) are
+    the least (lcm, left, right) over the legal pairs of periodic letters.
     """
-    legal = legal_two_letter_words(sub)
-    first = first_letter_map(sub)
-    last = last_letter_map(sub)
-    m = sub.size
-    bound = m
-    for i in range(2, m + 1):
-        bound *= i
-    bound *= m
-    for k in range(1, bound + 1):
-        rights = [c for c in range(1, m + 1) if _iterate_map(first, k, c) == c]
-        if not rights:
-            continue
-        lefts = [c for c in range(1, m + 1) if _iterate_map(last, k, c) == c]
-        if not lefts:
-            continue
-        for left in lefts:
-            for right in rights:
-                if bytes([left, right]) in legal:
-                    return k, left, right
-    raise NoSeedFound("no legal seed pair within the search bound")
+    lefts = _periods([r[-1] for r in sub.rules])
+    rights = _periods([r[0] for r in sub.rules])
+    seeds = [(math.lcm(lefts[left - 1], rights[right - 1]), left, right)
+             for left, right in legal_two_letter_words(sub)
+             if lefts[left - 1] and rights[right - 1]]
+    if not seeds:
+        raise NoSeedFound("no legal pair of periodic letters")
+    return min(seeds)
 
 
 def one_sided_seed(sub: Substitution):
-    """Least (k, letter) with sigma^k(letter) starting with that letter."""
-    first = first_letter_map(sub)
-    for k in range(1, sub.size + 1):
-        for c in range(1, sub.size + 1):
-            if _iterate_map(first, k, c) == c:
-                return k, c
-    raise NoSeedFound("first-letter map has no periodic letter")
+    """Least (k, letter) with sigma^k(letter) starting with that letter:
+    the least (period, letter) of the first-letter map."""
+    periods = _periods([r[0] for r in sub.rules])
+    return min((k, c) for c, k in enumerate(periods, 1) if k)
 
 
 def _forced_swaps(sub: Substitution, tau, a, b):

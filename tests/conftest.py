@@ -11,6 +11,7 @@ from subtiling import suspension
 from subtiling import words as W
 from subtiling.algebraic import (FieldElem, NumberField, common_denominator,
                                  scaled_coords)
+from subtiling.errors import NoSeedFound
 from subtiling.lattices import module_from_int_rows
 from subtiling.suspension import SuspensionSystem
 
@@ -317,6 +318,39 @@ def sys_rauzy():
 @pytest.fixture(scope="session")
 def sys_rauzy2():
     return system_for("rauzy2-left")
+
+
+# A two-to-one extension whose characteristic polynomial
+# (x^6 - x^5 - 1)(x^6 - x^5 + 1) has at least two factors modulo every
+# prime.
+TWELVE_LETTERS = """
+letters a b c d e f A B C D E F
+rule a = a B
+rule b = c
+rule c = d
+rule d = e
+rule e = f
+rule f = a
+rule A = A b
+rule B = C
+rule C = D
+rule D = E
+rule E = F
+rule F = A
+"""
+
+
+# A primitive 6-letter substitution whose characteristic polynomial is an
+# irreducible sextic with at least two factors modulo every prime.
+SIX_LETTERS = """
+letters a b c d e f
+rule a = a b c c d
+rule b = a c d d e e
+rule c = a f f
+rule d = b b c e f
+rule e = a a c c d
+rule f = a c c e e
+"""
 
 
 _REPORTS = {}
@@ -818,6 +852,86 @@ def ref_prototile_lengths(sub, field):
     lengths = tuple(v * inv for v in vec)
     assert all(length.sign() > 0 for length in lengths)
     return lengths
+
+
+def ref_first_letter_map(sub):
+    return tuple(r[0] for r in sub.rules)
+
+
+def ref_last_letter_map(sub):
+    return tuple(r[-1] for r in sub.rules)
+
+
+def ref_iterate_map(f, k, x):
+    for _ in range(k):
+        x = f[x - 1]
+    return x
+
+
+def ref_legal_two_letter_words(sub):
+    """Reference: the factors of sigma^k(c), for the least k making every
+    image at least two letters long, closed under taking factors of the
+    image of a known factor."""
+    cap = sub.size * sub.size + 2
+    k = 1
+    while any(sub.image_length(c, k) < 2 for c in range(1, sub.size + 1)):
+        k += 1
+        if k > cap:
+            raise NoSeedFound("rule images never reach length two")
+    seen = set()
+    stack = []
+    for c in range(1, sub.size + 1):
+        w = sub.iterate(c, k)
+        for i in range(len(w) - 1):
+            pair = w[i : i + 2]
+            if pair not in seen:
+                seen.add(pair)
+                stack.append(pair)
+    while stack:
+        pair = stack.pop()
+        w = sub.apply(pair)
+        for i in range(len(w) - 1):
+            nxt = w[i : i + 2]
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
+
+
+def ref_fixed_point_seed(sub):
+    """Reference: the least power k, searched up to m^2 m!, at which a
+    legal pair left|right has sigma^k(left) ending with left and
+    sigma^k(right) starting with right, and the least such pair."""
+    legal = ref_legal_two_letter_words(sub)
+    first = ref_first_letter_map(sub)
+    last = ref_last_letter_map(sub)
+    m = sub.size
+    bound = m * m * math.factorial(m)
+    for k in range(1, bound + 1):
+        rights = [c for c in range(1, m + 1)
+                  if ref_iterate_map(first, k, c) == c]
+        if not rights:
+            continue
+        lefts = [c for c in range(1, m + 1)
+                 if ref_iterate_map(last, k, c) == c]
+        if not lefts:
+            continue
+        for left in lefts:
+            for right in rights:
+                if bytes([left, right]) in legal:
+                    return k, left, right
+    raise NoSeedFound("no legal seed pair within the search bound")
+
+
+def ref_one_sided_seed(sub):
+    """Reference: the least (k, letter) with f^k(letter) = letter for the
+    first-letter map f, searched up to k = m."""
+    first = ref_first_letter_map(sub)
+    for k in range(1, sub.size + 1):
+        for c in range(1, sub.size + 1):
+            if ref_iterate_map(first, k, c) == c:
+                return k, c
+    raise NoSeedFound("first-letter map has no periodic letter")
 
 
 # the module attributes the references stand in for

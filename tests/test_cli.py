@@ -15,7 +15,7 @@ from subtiling.errors import (InvalidBound, LengthCapExceeded,
                               SpecSyntaxError, SubtilingError,
                               UnknownCorpusEntry)
 
-from conftest import CORPUS_IDS, report_for
+from conftest import CORPUS_IDS, SIX_LETTERS, TWELVE_LETTERS, report_for
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -595,6 +595,43 @@ def test_verify_fails_malformed_checks(tmp_path, edit, name, failed):
     assert "Traceback" not in err
 
 
+def _rederive(report):
+    """Rewrite the derived leaves from the other leaves, as analyze does."""
+    for path, value in cli.derive(report):
+        node = report
+        for key in path[:-1]:
+            node = node[key]
+        if value is cli.ABSENT:
+            node.pop(path[-1], None)
+        else:
+            node[path[-1]] = value
+
+
+# a status the check never emits, each with its derived leaves rewritten
+# so that only the status itself is forged
+@pytest.mark.parametrize("path, value, failed", [
+    (("geometric_strong", "pairs", "a|b", "status"), "FAILS",
+     "geometric_strong[a|b]"),
+    (("simultaneous",), {"status": "FAILS"}, "simultaneous"),
+    (("prefix_simultaneous",), {"status": "FAILS"}, "prefix_simultaneous"),
+    (("geometric_strong", "pairs", "a|b", "status"), "MAYBE",
+     "geometric_strong[a|b]"),
+    (("prefix_strong", "pairs", "a|b", "status"), "MAYBE",
+     "prefix_strong[a|b]"),
+    (("overlap_coincidence", "status"), "MAYBE", "overlap_coincidence"),
+], ids=["geometric-fails", "simultaneous-fails", "prefix-simultaneous-fails",
+        "geometric-maybe", "prefix-maybe", "overlap-maybe"])
+def test_verify_fails_a_status_its_check_never_emits(path, value, failed):
+    untampered = cli.verify_report(_fixture("fibonacci"))
+    assert untampered["passed"]
+    report = _fixture("fibonacci")
+    _put(report, ("checks",) + path, value)
+    _rederive(report)
+    assert cli.verify_report(report) == {
+        "passed": False,
+        "replayed": dict(untampered["replayed"], **{failed: False})}
+
+
 @pytest.mark.parametrize("check", cli.CHECKS + ("spectral",))
 def test_verify_fails_a_deleted_check(check):
     report = _fixture("fibonacci")
@@ -1146,39 +1183,6 @@ def test_report_of_a_substitution_that_is_not_primitive():
         "error": "substitution is not primitive; no suspension"}
     assert report["cost"] == {}
     assert "spectral" not in report["checks"]
-
-
-# A two-to-one extension whose characteristic polynomial
-# (x^6 - x^5 - 1)(x^6 - x^5 + 1) has at least two factors modulo every
-# prime.
-TWELVE_LETTERS = """
-letters a b c d e f A B C D E F
-rule a = a B
-rule b = c
-rule c = d
-rule d = e
-rule e = f
-rule f = a
-rule A = A b
-rule B = C
-rule C = D
-rule D = E
-rule E = F
-rule F = A
-"""
-
-
-# A primitive 6-letter substitution whose characteristic polynomial is an
-# irreducible sextic with at least two factors modulo every prime.
-SIX_LETTERS = """
-letters a b c d e f
-rule a = a b c c d
-rule b = a c d d e e
-rule c = a f f
-rule d = b b c e f
-rule e = a a c c d
-rule f = a c c e e
-"""
 
 
 def test_report_of_a_setup_that_raises(tmp_path, monkeypatch):

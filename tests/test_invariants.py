@@ -12,20 +12,24 @@ from conftest import (elements, inflated_prototile, module_from_vectors,
                       sweep_translation)
 
 
-def test_point_sets_with_exact_irrational_window(sys_fib):
-    # window [0, phi + 1] on the twice-inflated 'a' prototile
+def test_point_sets_with_a_rational_window_end_on_a_point(sys_fib):
+    # the twice-inflated 'a' prototile aba has points 0, phi and phi + 1;
+    # the window's lower end lies on the first one
     patch = inflated_prototile(sys_fib, 1, 2)
-    lo = sys_fib.field.zero()
-    hi = sys_fib.beta + 1
-    pts = S.reference_point_sets(
-        patch, S.left_endpoint_points(sys_fib), (lo, hi)
-    )
+    refpoints = S.left_endpoint_points(sys_fib)
+    pts = S.reference_point_sets(patch, refpoints, (Fraction(0), 3))
     assert [p.coords for p in elements(sys_fib.field, pts.points[0],
                                        pts.denom)] == \
         [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))]
     assert [p.coords for p in elements(sys_fib.field, pts.points[1],
                                        pts.denom)] == \
         [(Fraction(0), Fraction(1))]
+    # 13/5 lies just below phi + 1 = 2.618...
+    pts = S.reference_point_sets(patch, refpoints,
+                                 (Fraction(0), Fraction(13, 5)))
+    assert [p.coords for p in elements(sys_fib.field, pts.points[0],
+                                       pts.denom)] == \
+        [(Fraction(0), Fraction(0))]
 
 
 def test_fibonacci_overlap_classes_for_golden_shift(sys_fib):

@@ -512,8 +512,9 @@ def _fresh_setting(name, tile_map, size):
 
 @st.composite
 def _window_end(draw, system, refs, patch, size):
-    """Coordinates of a window end, or a Fraction: a rational, a reference
-    point, a point off one by +-beta^-k, or a cut through a tile."""
+    """A rational window end: any rational, or one in the enclosure of a
+    reference point, of a point off one by +-beta^-k, or of a cut through
+    a tile."""
     kind = draw(st.sampled_from(["rational", "point", "near", "cut"]))
     if kind == "rational":
         # inside the window of `size`, as every tile is at least 1 long
@@ -531,26 +532,27 @@ def _window_end(draw, system, refs, patch, size):
     else:
         end = pos + system.lengths[c - 1] * draw(
             st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(5, 7)]))
-    return end.coords
+    enclosure = end.interval()
+    return draw(st.sampled_from([enclosure.lo, enclosure.hi,
+                                 (enclosure.lo + enclosure.hi) / 2]))
 
 
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_pruned_point_sets_match_fieldelem_loop(data):
     # same points in the same order after the same refinements, each side
-    # on a fresh system, for rational and field-element window ends
+    # on a fresh system, for rational window ends on, near and between
+    # the points; the probe's beta interval is 2^-40 wide, so that the
+    # enclosures of points are close to them
     name, tile_map = data.draw(st.sampled_from(POINT_SET_CASES))
     size = data.draw(st.sampled_from([4, 16]))
-    system = system_for(name)
-    probe = (system, (S.left_endpoint_points(system) if tile_map is None
-                      else S.control_points(system, tile_map)),
-             system.patch_covering(*system.window(size + 4)))
+    probe = _fresh_setting(name, tile_map, size)
+    probe[0].field.ensure_width(Fraction(1, 1 << 40))
     ends = [data.draw(_window_end(*probe, size)) for _ in range(2)]
     results = []
     for point_sets in (fieldelem_point_sets, _integer_point_sets):
         system, refs, patch = _fresh_setting(name, tile_map, size)
-        window = tuple(e if isinstance(e, Fraction)
-                       else system.field.element(e) for e in ends)
+        window = tuple(ends)
         before = system.field.generation
         per_color = point_sets(patch, refs, window)
         results.append(([[x.coords for x in pts] for pts in per_color],

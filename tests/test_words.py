@@ -3,11 +3,15 @@ import tracemalloc
 
 import pytest
 
+from subtiling import cli
 from subtiling import words as W
-from subtiling.errors import InvalidBound, InvalidWord, LengthCapExceeded
+from subtiling.errors import (InvalidBound, InvalidWord, LengthCapExceeded,
+                              NoSeedFound)
 
-from conftest import (CORPUS_IDS, WALK_BASE, _sub, false_zero_pairs,
-                      involutions_by_matching, swap_commuting_substitution)
+from conftest import (CORPUS_IDS, SIX_LETTERS, TWELVE_LETTERS, WALK_BASE,
+                      _sub, false_zero_pairs, involutions_by_matching,
+                      ref_fixed_point_seed, ref_legal_two_letter_words,
+                      ref_one_sided_seed, swap_commuting_substitution)
 
 
 def test_abelianization():
@@ -131,6 +135,40 @@ def test_legal_factors_aba(aba):
     legal = W.legal_two_letter_words(aba)
     # the fixed points alternate, so equal neighbors never occur
     assert legal == {bytes([1, 2]), bytes([2, 1])}
+
+
+def test_seeds_match_the_power_search():
+    subs = [_sub(name) for name in CORPUS_IDS]
+    subs += [cli.parse_spec(text).substitution()
+             for text in (SIX_LETTERS, TWELVE_LETTERS)]
+    rng = random.Random(27)
+    drawn = 0
+    while drawn < 1000:
+        m = rng.randint(2, 7)
+        sub = W.Substitution([bytes(rng.randint(1, m)
+                                    for _ in range(rng.randint(1, 4)))
+                              for _ in range(m)])
+        if W.is_primitive(W.substitution_matrix(sub)):
+            subs.append(sub)
+            drawn += 1
+    powers = set()
+    for sub in subs:
+        assert W.legal_two_letter_words(sub) == \
+            ref_legal_two_letter_words(sub), sub
+        seed = W.fixed_point_seed(sub)
+        assert seed == ref_fixed_point_seed(sub), sub
+        assert W.one_sided_seed(sub) == ref_one_sided_seed(sub), sub
+        powers.add(seed[0])
+    # the draws reach seed powers above the least ones, up to 6
+    assert {1, 2, 3, 4, 6} <= powers
+
+
+def test_no_seed_without_a_legal_pair():
+    # no rule has two letters, so no two-letter word is legal
+    with pytest.raises(NoSeedFound):
+        W.fixed_point_seed(W.Substitution([bytes([2]), bytes([1])]))
+    assert W.one_sided_seed(W.Substitution([bytes([2]), bytes([1])])) == \
+        (2, 1)
 
 
 def test_involutions(fib, aba, fib2, rauzy2):
