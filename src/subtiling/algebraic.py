@@ -98,6 +98,30 @@ def scaled_coords(coords, denom):
     return tuple([c.numerator * (denom // c.denominator) for c in coords])
 
 
+def _lowest_terms(text):
+    """(p, q) in lowest terms of a string Fraction reads; "p/q" directly."""
+    p, slash, q = text.partition("/")
+    if not (slash and q.isdigit() and p.removeprefix("-").isdigit() and
+            text.isascii() and q.strip("0")):
+        return Fraction(text).as_integer_ratio()
+    g = math.gcd(int(p), int(q))
+    return int(p) // g, int(q) // g
+
+
+def parse_shifts(values, degree, denom=1):
+    """Shifts of a report as (integer vectors, D), D the lcm of `denom` and
+    their denominators.  A shift that is not a list of exactly `degree`
+    strings that Fraction reads raises ValueError or ZeroDivisionError."""
+    rows = []
+    for value in values:
+        if (type(value) is not list or len(value) != degree or
+                not all(type(s) is str for s in value)):
+            raise ValueError(f"shift {value!r} is not {degree} fractions")
+        rows.append(list(map(_lowest_terms, value)))
+        denom = math.lcm(denom, *(q for _, q in rows[-1]))
+    return [tuple([p * (denom // q) for p, q in row]) for row in rows], denom
+
+
 class RatInterval:
     """Closed interval with rational endpoints."""
 

@@ -30,6 +30,7 @@ from . import __version__
 from . import (algebraic, coincidence, lattices, polys, spectrum,
                suspension, words)
 from .errors import (
+    FactRejected,
     InvalidBound,
     SpecSyntaxError,
     SubtilingError,
@@ -616,7 +617,7 @@ def _beta_interval_holds(interval, field) -> bool:
     the point of an integer beta; and it is at most 2^-BETA_WIDTH_BITS
     wide."""
     try:
-        ((num_lo, num_hi),), den = spectrum.parse_shifts((interval,), 2)
+        ((num_lo, num_hi),), den = algebraic.parse_shifts((interval,), 2)
     except (TypeError, ValueError, ZeroDivisionError):
         return False
     lo_sign, hi_sign = (polys.sign_at(field.minpoly, num, den)
@@ -667,7 +668,16 @@ def _spec_from_report(report: dict) -> SpecFile:
 def verify_report(report: dict) -> dict:
     """Replay every replayable certificate in a report.
 
-    The facts the rebuilt SuspensionSystem and reference points fix
+    The setup is checked, not found again: `SuspensionSystem.from_facts`
+    recomputes the matrix and the characteristic polynomial and checks
+    the report's `minimal_polynomial` (it divides the characteristic
+    polynomial, `polys.factor_monic` of it alone finds one factor, since
+    `polys.is_irreducible` refuses a 13-letter input's degree, and its
+    largest root is the Perron root) and `prototile_lengths` (the left
+    beta-eigenvector with last entry 1, each entry positive).  A setup
+    fact that fails ends the replay with "facts" false and an error that
+    names it.  The seed and reference points are recomputed.
+    The facts the SuspensionSystem and reference points fix
     (`_core_facts`) must equal the report's, and so must every leaf that
     `derive` recomputes from the report's other leaves: `primitive`,
     `characteristic_irreducible`, each pair check's aggregate, the
@@ -693,16 +703,21 @@ def verify_report(report: dict) -> dict:
     prefix_simultaneous have no FAILS certificate, so they emit HOLDS or
     UNKNOWN only), and a
     prefix_strong, suffix_strong or geometric_strong whose pairs are not
-    exactly the m(m+1)/2 letter pairs.  A report whose window
-    _check_window rejects, whose input section names no primitive
-    substitution, or whose checks section is not an object or lacks one
-    of CHECKS or "spectral", fails with an error.
+    exactly the m(m+1)/2 letter pairs.  A check that raised, exactly
+    {"error": <str>}, was not run and has nothing to judge.  A report
+    whose window _check_window rejects, whose input section names no
+    primitive substitution, or whose checks section is not an object or
+    lacks one of CHECKS or "spectral", fails with an error.
     """
     try:
         _check_window(report["input"]["bounds"]["window"])
         spec = _spec_from_report(report)
-        system = suspension.SuspensionSystem(spec.substitution())
+        system = suspension.SuspensionSystem.from_facts(
+            spec.substitution(), report.get("facts"))
         refpoints, kind = _reference_points(system, spec)
+    except FactRejected as exc:
+        return {"passed": False, "replayed": {"facts": False},
+                "error": f"facts: {exc}"}
     except (KeyError, TypeError, ValueError, SubtilingError) as exc:
         return {"passed": False, "replayed": {},
                 "error": f"input: {type(exc).__name__}: {exc}"}
@@ -722,10 +737,11 @@ def verify_report(report: dict) -> dict:
                     for j in range(i, system.size + 1)}
     pair_scopes = {key: [spec.token(c) for c in pair]
                    for key, pair in pair_letters.items()}
-    facts = report.get("facts")
+    facts = report["facts"]     # an object, or from_facts had raised
     core = _core_facts(spec, system, refpoints, kind)
-    results = {"facts": isinstance(facts, dict) and all(
-        facts.get(key) == value for key, value in core.items())
+    results = {"facts": all(    # as JSON, so that 1.0 and true are not 1
+        json.dumps(facts.get(key), sort_keys=True) ==
+        json.dumps(value, sort_keys=True) for key, value in core.items())
         and _derived_leaves_hold(report)
         and _beta_interval_holds(facts.get("beta_interval"), system.field)}
 
@@ -746,7 +762,7 @@ def verify_report(report: dict) -> dict:
             levels = w["level"], w["replay_level"]
             if w["scope"] != scope or {type(x) for x in levels} != {int}:
                 return
-            (shift, replay_shift), denom = spectrum.parse_shifts(
+            (shift, replay_shift), denom = algebraic.parse_shifts(
                 (w["shift"], w["replay_shift"]), system.field.degree)
             witnesses[name] = coincidence.CoincidenceWitness(
                 level=levels[0], color=index[w["color"]], shift=shift,
@@ -774,8 +790,12 @@ def verify_report(report: dict) -> dict:
             results[name] = False
 
     def pairs_of(check):
-        """A check's pair verdicts; it fails unless keyed by every pair."""
-        pairs = part(part(checks, check), "pairs", check)
+        """A check's pair verdicts; it fails unless keyed by every pair.
+        A check that raised, exactly {"error": <str>}, has none."""
+        claim = part(checks, check)
+        if claim.keys() == {"error"} and isinstance(claim["error"], str):
+            return {}
+        pairs = part(claim, "pairs", check)
         if pairs.keys() != pair_letters.keys():
             results[check] = False
         return pairs

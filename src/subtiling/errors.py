@@ -32,6 +32,15 @@ class EigenvectorDefect(SubtilingError):
     """The dominant eigenspace is not one-dimensional over the base field."""
 
 
+class FactRejected(SubtilingError):
+    """A report's setup fact fails its check in
+    `SuspensionSystem.from_facts`; the message starts with the fact's
+    name."""
+
+    def __init__(self, fact: str, message: str):
+        super().__init__(f"{fact}: {message}")
+
+
 class WindowNotCovered(SubtilingError):
     """A requested window sticks out of the available patch support."""
 

@@ -517,8 +517,9 @@ def _factor_squarefree(f):
 
     The primes m for which f stays squarefree mod m are walked from 2;
     the others are the finitely many prime factors of the discriminant.
-    The walk stops at the first that proves f irreducible, or else at
-    the third, and keeps the one with the fewest factors r mod m.  The
+    The first whose Berlekamp kernel has dimension 1 proves f irreducible,
+    and f is returned with no lifting.  Otherwise the walk stops at the
+    third and keeps the one with the fewest factors r mod m.  The
     recombination tries up to 2^(r-1) subsets, so r above DEGREE_CAP
     raises DegreeCapExceeded.  The factors are lifted to m^k above twice
     the Landau-Mignotte bound 2^n |f|_2 on the coefficients of a factor.
@@ -529,8 +530,10 @@ def _factor_squarefree(f):
         if all(m % d for d in range(2, isqrt(m) + 1)) and \
                 degree(_modp_gcd(f, df, m)) == 0:
             kernel = _berlekamp_kernel(f, m)
+            if len(kernel) == 1:
+                return [f]
             good.append((len(kernel), m, kernel))
-            if len(kernel) == 1 or len(good) == 3:
+            if len(good) == 3:
                 break
     r, m, kernel = min(good)
     if r > DEGREE_CAP:

@@ -29,11 +29,11 @@ gets fraction strings.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import algebraic
 from . import words as words_mod
 from .errors import EmptyWindow, InvalidWord
 # return_vectors is no longer called here, but stays importable from this
@@ -57,30 +57,6 @@ def _frac_str(x) -> str:
 def format_shift(ints, denom):
     """The vector ints / denom as reduced "p/q" strings."""
     return [_frac_str(Fraction(a, denom)) for a in ints]
-
-
-def _lowest_terms(text):
-    """(p, q) in lowest terms of a string Fraction reads; "p/q" directly."""
-    p, slash, q = text.partition("/")
-    if not (slash and q.isdigit() and p.removeprefix("-").isdigit() and
-            text.isascii() and q.strip("0")):
-        return Fraction(text).as_integer_ratio()
-    g = math.gcd(int(p), int(q))
-    return int(p) // g, int(q) // g
-
-
-def parse_shifts(values, degree, denom=1):
-    """Shifts of a report as (integer vectors, D), D the lcm of `denom` and
-    their denominators.  A shift that is not a list of exactly `degree`
-    strings that Fraction reads raises ValueError or ZeroDivisionError."""
-    rows = []
-    for value in values:
-        if (type(value) is not list or len(value) != degree or
-                not all(type(s) is str for s in value)):
-            raise ValueError(f"shift {value!r} is not {degree} fractions")
-        rows.append(list(map(_lowest_terms, value)))
-        denom = math.lcm(denom, *(q for _, q in rows[-1]))
-    return [tuple([p * (denom // q) for p, q in row]) for row in rows], denom
 
 
 def _is_coincidence_key(key):
@@ -592,7 +568,7 @@ def replay_overlap_certificate(system: SuspensionSystem, cert) -> bool:
     string per power-basis coordinate."""
     try:
         entries = list(cert["coincidence_free_closed_set"])
-        shifts, denom = parse_shifts(
+        shifts, denom = algebraic.parse_shifts(
             [e["shift"] for e in entries], system.field.degree,
             system._length_denom)
         letters = [(e["moved"], e["anchor"]) for e in entries]

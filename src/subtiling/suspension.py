@@ -2,7 +2,9 @@
 
 Prototile i is the interval [0, len_i) where the lengths form the left
 eigenvector of the substitution matrix for the dominant eigenvalue beta,
-normalized so the last letter has unit length.  A two-sided fixed point
+normalized so the last letter has unit length; a system is built from
+them found (`SuspensionSystem(sub)`) or from a report's, checked
+(`SuspensionSystem.from_facts`).  A two-sided fixed point
 of sigma^k realizes the tiling; fixed_point_seed reads k and the seed
 pair off the cycles of the first- and last-letter maps.  A patch
 holds its tile boundaries in one integer form only: prefix sums of the
@@ -25,7 +27,8 @@ from fractions import Fraction
 from itertools import accumulate
 
 from . import algebraic, polys, words
-from .errors import EigenvectorDefect, WindowNotCovered
+from .errors import (EigenvectorDefect, FactRejected, SubtilingError,
+                     WindowNotCovered)
 from .words import Substitution
 
 
@@ -61,18 +64,65 @@ def prototile_lengths(sub: Substitution, field: algebraic.NumberField):
 
 
 class SuspensionSystem:
-    """A substitution together with its exact geometric realization."""
+    """A substitution together with its exact geometric realization.
+
+    `SuspensionSystem(sub)` finds beta and the lengths:
+    `algebraic.perron_factor` factors the characteristic polynomial and
+    `prototile_lengths` solves for the eigenvector.
+    `SuspensionSystem.from_facts(sub, facts)` checks a report's instead.
+    Both end in `_realize`, which lays out the length columns, the seed
+    and the subtile offsets."""
 
     def __init__(self, sub: Substitution):
-        matrix = words.substitution_matrix(sub)
-        if not words.is_primitive(matrix):
-            raise ValueError("substitution is not primitive")
+        matrix, char_poly = _primitive_matrix(sub)
+        field = algebraic.perron_factor(char_poly)
+        self._realize(sub, matrix, char_poly, field,
+                      prototile_lengths(sub, field))
+
+    @classmethod
+    def from_facts(cls, sub: Substitution, facts):
+        """The system of a report's setup facts, each checked, none found
+        by factoring or solving.  A fact that is missing or fails raises
+        FactRejected naming it.
+
+        Recomputed: the matrix and the characteristic polynomial chi,
+        which must equal `characteristic_polynomial`.  Checked:
+        - `minimal_polynomial` is monic with integer coefficients, divides
+          chi exactly, and `polys.factor_monic` of it alone finds one
+          factor.  (`polys.is_irreducible` refuses a degree above
+          DEGREE_CAP, which a 13-letter input reaches.)
+        - beta, its largest real root isolated as `perron_factor` isolates
+          it, exceeds every real root of the cofactor (`_dominates`), so
+          beta is the Perron root; the field starts from that interval.
+        - `prototile_lengths` are m vectors of rationals with the last
+          one 1, sum_i M_ij len_i = beta len_j for each j, and each
+          len_i > 0 by `int_sign`, in the order and with the refinements
+          of `prototile_lengths`' signs.  beta is a simple root of chi, so
+          these are the lengths it would solve for.
+        """
+        matrix, char_poly = _primitive_matrix(sub)
+        facts = facts if isinstance(facts, dict) else {}
+        for key in ("characteristic_polynomial", "minimal_polynomial",
+                    "prototile_lengths"):
+            if key not in facts:
+                raise FactRejected(key, "missing")
+        stated = facts["characteristic_polynomial"]
+        if not _int_list(stated) or stated != char_poly:
+            raise FactRejected("characteristic_polynomial",
+                               "not that of the substitution matrix")
+        field = _perron_field(facts["minimal_polynomial"], char_poly)
+        lengths = _eigenvector(facts["prototile_lengths"], field, matrix)
+        system = cls.__new__(cls)
+        system._realize(sub, matrix, char_poly, field, lengths)
+        return system
+
+    def _realize(self, sub, matrix, char_poly, field, lengths):
         self.sub = sub
         self.matrix = matrix
-        self.char_poly = algebraic.char_poly(matrix)
-        self.field = algebraic.perron_factor(self.char_poly)
-        self.beta = self.field.beta()
-        self.lengths = prototile_lengths(sub, self.field)
+        self.char_poly = char_poly
+        self.field = field
+        self.beta = field.beta()
+        self.lengths = lengths
         # the lengths as integer vectors over one common denominator, by
         # coordinate: column k holds coordinate k of each letter's length,
         # indexed by letter
@@ -146,6 +196,107 @@ class SuspensionSystem:
             if patch.covers(lo, hi):
                 return patch
             steps += 1
+
+
+def _primitive_matrix(sub: Substitution):
+    """The substitution matrix and its characteristic polynomial; a
+    matrix that is not primitive raises ValueError."""
+    matrix = words.substitution_matrix(sub)
+    if not words.is_primitive(matrix):
+        raise ValueError("substitution is not primitive")
+    return matrix, algebraic.char_poly(matrix)
+
+
+def _int_list(value) -> bool:
+    """Whether a report value is a list of ints (a bool or 1.0 is not)."""
+    return type(value) is list and all(type(c) is int for c in value)
+
+
+def _perron_field(minpoly, char_poly):
+    """The field of `SuspensionSystem.from_facts`: a minimal polynomial
+    fact checked against chi, with beta isolated as `perron_factor`
+    isolates it."""
+
+    def reject(message):
+        raise FactRejected("minimal_polynomial", message)
+
+    if not (_int_list(minpoly) and len(minpoly) >= 2 and minpoly[-1] == 1):
+        reject("not a monic integer polynomial")
+    cofactor = polys.exact_int_divide(char_poly, minpoly)
+    if cofactor is None:
+        reject("does not divide the characteristic polynomial")
+    try:
+        factors = polys.factor_monic(minpoly)
+    except SubtilingError as exc:
+        reject(str(exc))
+    if len(factors) != 1:
+        reject("reducible")
+    interval = ((-minpoly[0], -minpoly[0], 1) if len(minpoly) == 2
+                else polys.isolate_largest_real_root(minpoly))
+    if interval is None:
+        reject("no real root")
+    if not _dominates(minpoly, interval, cofactor):
+        reject("its largest root is not the Perron root")
+    num_lo, num_hi, den = interval
+    return algebraic.NumberField(minpoly, Fraction(num_lo, den),
+                                 Fraction(num_hi, den))
+
+
+def _eigenvector(lengths, field, matrix):
+    """The lengths of `SuspensionSystem.from_facts`: a prototile lengths
+    fact checked to be the left beta-eigenvector of the matrix with last
+    entry 1, each entry certified positive."""
+
+    def reject(message):
+        raise FactRejected("prototile_lengths", message)
+
+    if type(lengths) is not list or len(lengths) != len(matrix):
+        reject(f"not {len(matrix)} lengths")
+    try:
+        vectors, denom = algebraic.parse_shifts(lengths, field.degree)
+    except (ValueError, ZeroDivisionError) as exc:
+        reject(str(exc))
+    if vectors[-1] != (denom,) + (0,) * (field.degree - 1):
+        reject("the last is not 1")
+    for column, vector in zip(zip(*matrix), vectors):
+        image = tuple(sum(n * v[k] for n, v in zip(column, vectors))
+                      for k in range(field.degree))
+        if image != field.times_beta(vector):
+            reject("not a beta-eigenvector")
+    if any(field.int_sign(v) <= 0 for v in vectors):
+        reject("not all positive")
+    return tuple(field.element([Fraction(a, denom) for a in v])
+                 for v in vectors)
+
+
+def _dominates(minpoly, interval, cofactor) -> bool:
+    """Whether the root beta of the irreducible monic `minpoly` in the
+    isolating interval (num_lo / den, num_hi / den] (its point for degree
+    1) exceeds every real root of the integer polynomial `cofactor`.
+
+    A cofactor that minpoly divides has beta as a root.  Otherwise Sturm
+    counts of its squarefree part decide on a copy of the interval,
+    bisected as the field would bisect it: a root at or above the upper
+    end lies above beta, and none above the lower end puts them all
+    below beta.  Bisection ends, since no root of the cofactor is beta."""
+    if polys.exact_int_divide(cofactor, minpoly) is not None:
+        return False
+    q = polys.squarefree_part(cofactor)
+    if polys.degree(q) < 1:
+        return True
+    chain = polys.sturm_chain(q)
+    at_infinity = polys.variations_at_pos_inf(chain)
+    num_lo, num_hi, den = interval
+    lo_sign = polys.sign_at(minpoly, num_lo, den)
+    while True:
+        v_hi = polys.variations_at(chain, num_hi, den)
+        if v_hi > at_infinity or polys.sign_at(q, num_hi, den) == 0:
+            return False
+        if polys.variations_at(chain, num_lo, den) == v_hi:
+            return True
+        num_lo, num_hi, den = polys.bisect(
+            minpoly, (num_lo, num_hi, den),
+            lambda mid, d, s: s == lo_sign)
 
 
 class Patch:

@@ -1172,6 +1172,117 @@ def test_verify_accepts_the_point_of_an_integer_beta():
     assert cli.verify_report(report)["replayed"]["facts"] is False
 
 
+# -- the setup facts: checked by SuspensionSystem.from_facts, never rebuilt ---
+
+
+def _negate_a_coordinate(facts):
+    lengths = [list(length) for length in facts["prototile_lengths"]]
+    lengths[1][1] = str(-Fraction(lengths[1][1]))
+    return lengths
+
+
+# (fixture, fact, edit of the fact's value, the error it ends the replay with)
+SETUP_FACT_EDITS = {
+    "reducible-minimal-polynomial": (
+        "fib2", "minimal_polynomial",
+        lambda facts: facts["characteristic_polynomial"], "reducible"),
+    "no-real-root": ("fib2", "minimal_polynomial", lambda facts: [1, -1, 1],
+                     "no real root"),
+    "not-the-perron-root": ("rauzy2-left", "minimal_polynomial",
+                            lambda facts: [-1, 1],
+                            "its largest root is not the Perron root"),
+    "lengths-doubled": (
+        "fib2", "prototile_lengths",
+        lambda facts: [[str(2 * Fraction(c)) for c in length]
+                       for length in facts["prototile_lengths"]],
+        "the last is not 1"),
+    "coordinate-negated": ("rauzy2-left", "prototile_lengths",
+                           _negate_a_coordinate, "not a beta-eigenvector"),
+}
+
+
+@pytest.mark.parametrize("edit", SETUP_FACT_EDITS)
+def test_verify_ends_at_a_rejected_setup_fact(tmp_path, edit):
+    name, fact, change, message = SETUP_FACT_EDITS[edit]
+    report = _fixture(name)
+    edited = change(report["facts"])
+    assert edited != report["facts"][fact]
+    report["facts"][fact] = edited
+    assert cli.verify_report(report) == {
+        "passed": False, "replayed": {"facts": False},
+        "error": f"facts: {fact}: {message}"}
+    code, out, err = _verify_file(tmp_path, report)
+    assert code == 1 and json.loads(out)["passed"] is False
+    assert "Traceback" not in err
+
+
+# fibonacci's facts with a float or a bool for an int: equal in Python,
+# not in JSON
+JSON_TYPE_EDITS = {
+    "characteristic_polynomial": [-1.0, -1, True],
+    "minimal_polynomial": [-1, -1, 1.0],
+    "substitution_matrix": [[1.0, True], [1, 0.0]],
+}
+
+
+@pytest.mark.parametrize("fact", JSON_TYPE_EDITS)
+def test_verify_fails_a_fact_of_another_json_type(fact):
+    report = _fixture("fibonacci")
+    assert report["facts"][fact] == JSON_TYPE_EDITS[fact]
+    report["facts"][fact] = JSON_TYPE_EDITS[fact]
+    outcome = cli.verify_report(report)
+    assert outcome["replayed"]["facts"] is False
+    assert outcome["passed"] is False
+
+
+def test_verify_checks_the_setup_without_rebuilding_it(monkeypatch):
+    # with the solving setup disabled, every fixture replays to its pinned
+    # output, and only its minimal polynomial is factored, once
+    from test_pinned_outputs import VERIFY, _sha256
+
+    def disabled(*args):
+        raise AssertionError("verify rebuilt the setup")
+
+    monkeypatch.setattr(algebraic, "perron_factor", disabled)
+    monkeypatch.setattr(suspension, "prototile_lengths", disabled)
+    factored = []
+    factor_monic = polys.factor_monic
+    monkeypatch.setattr(polys, "factor_monic",
+                        lambda p: factored.append(p) or factor_monic(p))
+    for name in FIXTURE_NAMES:
+        report = _fixture(name)
+        factored.clear()
+        outcome = cli.verify_report(report)
+        assert _sha256(json.dumps(outcome, indent=2, sort_keys=True)) == \
+            VERIFY[name], name
+        assert factored == [report["facts"]["minimal_polynomial"]], name
+
+
+def test_a_check_that_raised_is_not_run_for_verify(monkeypatch):
+    # a pair check and a whole-tiling check that raised get one answer
+    def forced(*args, **kwargs):
+        raise LengthCapExceeded("forced")
+
+    outcomes = []
+    for check in ("prefix_strong", "simultaneous"):
+        with monkeypatch.context() as patch:
+            patch.setattr(coincidence, check, forced)
+            report = cli.run_analysis(cli.corpus_lookup("fibonacci"))
+        assert report["checks"][check] == {"error": "forced"}
+        outcomes.append(cli.verify_report(report))
+    assert [outcome["passed"] for outcome in outcomes] == [True, True]
+    for outcome in outcomes:
+        assert all(outcome["replayed"].values()), outcome
+    # an error beside other keys is still judged
+    report = _fixture("fibonacci")
+    report["checks"]["prefix_strong"]["error"] = "forced"
+    assert cli.verify_report(report)["passed"] is True
+    del report["checks"]["prefix_strong"]["pairs"]
+    outcome = cli.verify_report(report)
+    assert outcome["replayed"]["prefix_strong"] is False
+    assert outcome["passed"] is False
+
+
 # -- the reports of the error paths -------------------------------------------
 
 

@@ -175,6 +175,21 @@ def test_modular_factor_count_is_capped(monkeypatch):
     assert P.factor_monic([-1, -1, 1]) == [[-1, -1, 1]]
 
 
+def test_a_prime_that_proves_irreducibility_ends_the_factorization(
+        monkeypatch):
+    # a Berlekamp kernel of dimension 1 returns f with no Hensel lifting;
+    # x^4 + 1, reducible modulo every prime, is still lifted
+    lifted = []
+    hensel_lift = P._hensel_lift
+    monkeypatch.setattr(P, "_hensel_lift", lambda *args: lifted.append(
+        args[0]) or hensel_lift(*args))
+    for f in ([-1, -1, 1], [-1, -1, -1, 1], [-1, 0, 1, 1]):
+        assert P.factor_monic(f) == [f]
+    assert lifted == []
+    assert P.factor_monic([1, 0, 0, 0, 1]) == [[1, 0, 0, 0, 1]]
+    assert lifted == [[1, 0, 0, 0, 1]]
+
+
 def test_pseudo_remainder_is_a_positive_multiple_of_the_remainder():
     rng = random.Random(3)
     for _ in range(40):

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subtiling import algebraic, cli
+from subtiling import algebraic, cli, polys
 from subtiling import suspension as S
 from subtiling.algebraic import scaled_coords
-from subtiling.errors import EigenvectorDefect, WindowNotCovered
+from subtiling.errors import (EigenvectorDefect, FactRejected,
+                              WindowNotCovered)
 
 from conftest import (CORPUS_IDS, as_refpoints, elements, exact_tiles,
                       fieldelem_differences, fieldelem_point_sets,
@@ -55,6 +56,87 @@ def test_lengths_satisfy_tile_equation(sys_fib, sys_tm, sys_aba, sys_fib2,
 def test_lengths_positive(sys_rauzy2):
     for length in sys_rauzy2.lengths:
         assert length.sign() == 1
+
+
+FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
+
+
+def _state(system):
+    """What setup fixes: the field, its interval and generation, and the
+    layout of the lengths."""
+    field = system.field
+    return (system.matrix, system.char_poly, field.minpoly,
+            (field.num_lo, field.num_hi, field.den, field.generation),
+            [length.coords for length in system.lengths],
+            system._length_denom, system._length_columns, system.seed,
+            system.subtile_offsets)
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.json")),
+                         ids=lambda path: path.stem)
+def test_from_facts_is_the_computed_system(path):
+    # the same field, interval and refinements, and the same layout
+    report = cli.json.loads(path.read_text(encoding="utf-8"))
+    sub = cli._spec_from_report(report).substitution()
+    assert _state(S.SuspensionSystem.from_facts(sub, report["facts"])) == \
+        _state(S.SuspensionSystem(sub))
+
+
+def test_from_facts_names_a_missing_or_changed_fact(fib):
+    facts = {"characteristic_polynomial": [-1, -1, 1],
+             "minimal_polynomial": [-1, -1, 1],
+             "prototile_lengths": [["0/1", "1/1"], ["1/1", "0/1"]]}
+    assert S.SuspensionSystem.from_facts(fib, facts).lengths[0] == \
+        algebraic.perron_factor([-1, -1, 1]).beta()
+    for key, value, message in (
+            ("characteristic_polynomial", [-1, -1, 2],
+             "not that of the substitution matrix"),
+            ("minimal_polynomial", [-1, -1, 2],
+             "not a monic integer polynomial"),
+            ("minimal_polynomial", [-1.0, -1, 1],
+             "not a monic integer polynomial"),
+            ("minimal_polynomial", [-1, -1, -1, 1],
+             "does not divide the characteristic polynomial"),
+            ("prototile_lengths", [["0/1", "1/1"]], "not 2 lengths"),
+            ("prototile_lengths", [["0/1", "1/1"], ["1/1"]],
+             "shift ['1/1'] is not 2 fractions"),
+            ("prototile_lengths", [["0/1", "-1/1"], ["1/1", "0/1"]],
+             "not a beta-eigenvector"),
+            (None, None, "missing")):
+        edited = {k: v for k, v in facts.items() if k != "prototile_lengths"}
+        if key is not None:
+            edited = dict(facts, **{key: value})
+        with pytest.raises(FactRejected) as err:
+            S.SuspensionSystem.from_facts(fib, edited)
+        assert str(err.value) == f"{key or 'prototile_lengths'}: {message}"
+
+
+# beta = the golden mean, about 1.618, with x^2 - x - 1; (cofactor,
+# whether beta exceeds each of its real roots)
+DOMINANCE = (
+    ([1], True), ([-1, 1], True), ([-2, 1], False), ([-8, 5], True),
+    ([-21, 13], True), ([-34, 21], False), ([-2, 0, 1], True),
+    ([-3, 0, 1], False), ([-1, -1, 1], False), ([1, 1, 1], True),
+    ([-2, 1, 0, 0, 1], True),
+)
+
+
+@pytest.mark.parametrize("cofactor, dominates", DOMINANCE)
+def test_dominance_by_sturm_counts(cofactor, dominates):
+    minpoly = [-1, -1, 1]
+    interval = polys.isolate_largest_real_root(minpoly)
+    assert S._dominates(minpoly, interval, cofactor) is dominates
+    # a root at the upper end of the interval lies above beta
+    num_lo, num_hi, den = interval
+    assert S._dominates(minpoly, interval, [-num_hi, den]) is False
+    assert S._dominates(minpoly, interval, [-num_lo, den]) is True
+
+
+def test_dominance_over_an_integer_beta():
+    # thue-morse: beta = 2 with the cofactor x; beta = 1 is dominated
+    assert S._dominates([-2, 1], (2, 2, 1), [0, 1]) is True
+    assert S._dominates([-2, 1], (2, 2, 1), [-2, 1]) is False
+    assert S._dominates([-1, 1], (1, 1, 1), [-2, 1]) is False
 
 
 def test_generate_patch_examples(sys_fib, sys_tm, sys_aba):
