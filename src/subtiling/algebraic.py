@@ -44,8 +44,8 @@ Signs of nonzero elements are certified in two stages, filter then exact.
   boundary (interval()).
 
 Both stages compute with ints only, and neither has a tolerance.  The
-dominant root is chosen among the factors of `polys.factor_monic` by
-bisecting copies of their isolating intervals until they are apart.  A
+dominant root is that of the factor whose largest root exceeds every
+real root of its cofactor (`dominant_field`, also `verify`'s test).  A
 product is Horner's rule over one factor's coordinates on the companion
 step `times_beta`, and an inverse is a column of the integer adjugate
 that `char_poly` computes too, divided by the norm.  The Pisot test
@@ -568,49 +568,28 @@ class FieldElem:
 # ---------------------------------------------------------------------------
 
 
-def _compare_roots(p1, ivl1, p2, ivl2):
-    """-1/+1 comparing the real roots of p1 and p2 isolated by the
-    intervals (num_lo, num_hi, den); the roots belong to distinct
-    irreducible polynomials so they are never equal.  The wider interval
-    is bisected (`polys.bisect`) until the two are apart; the caller's
-    intervals are left as they are."""
-    (lo1, hi1, d1), (lo2, hi2, d2) = ivl1, ivl2
-    s1, s2 = polys.sign_at(p1, lo1, d1), polys.sign_at(p2, lo2, d2)
-    while True:
-        if hi1 * d2 < lo2 * d1:
-            return -1
-        if hi2 * d1 < lo1 * d2:
-            return 1
-        if (hi1 - lo1) * d2 >= (hi2 - lo2) * d1 and hi1 > lo1:
-            lo1, hi1, d1 = polys.bisect(p1, (lo1, hi1, d1),
-                                        lambda mid, den, s: s == s1)
-        elif hi2 > lo2:
-            lo2, hi2, d2 = polys.bisect(p2, (lo2, hi2, d2),
-                                        lambda mid, den, s: s == s2)
-        else:
-            # both intervals are points; distinct rationals
-            return -1 if lo1 * d2 < lo2 * d1 else 1
+def dominant_field(factor, cofactor):
+    """NumberField of the largest real root of the irreducible monic
+    `factor` when it exceeds every real root of `cofactor`
+    (`polys.dominates`), else None; the field starts from the factor's
+    isolating interval, or from the point of an integer root."""
+    interval = ((-factor[0], -factor[0], 1) if polys.degree(factor) == 1
+                else polys.isolate_largest_real_root(factor))
+    if interval is None or not polys.dominates(factor, interval, cofactor):
+        return None
+    num_lo, num_hi, den = interval
+    return NumberField(factor, Fraction(num_lo, den), Fraction(num_hi, den))
 
 
 def perron_factor(p):
-    """NumberField generated by the largest real root of a monic integer
-    polynomial, e.g. a characteristic polynomial of a primitive matrix.
-    The field starts from the isolating interval of its factor, or from
-    the point of an integer root."""
-    factors = polys.factor_monic(p)
-    best = None
-    for f in sorted(set(map(tuple, factors))):
-        f = list(f)
-        ivl = ((-f[0], -f[0], 1) if polys.degree(f) == 1
-               else polys.isolate_largest_real_root(f))
-        if ivl is None:
-            continue
-        if best is None or _compare_roots(f, ivl, *best) > 0:
-            best = (f, ivl)
-    if best is None:
-        raise FactorizationFailed("polynomial has no real root")
-    minpoly, (num_lo, num_hi, den) = best
-    return NumberField(minpoly, Fraction(num_lo, den), Fraction(num_hi, den))
+    """NumberField of the largest real root of a monic integer polynomial
+    p, a simple root as a primitive matrix's Perron root is: that of the
+    first distinct factor, in sorted order, passing `dominant_field`."""
+    for f in sorted(set(map(tuple, polys.factor_monic(p)))):
+        field = dominant_field(f, polys.exact_int_divide(p, f))
+        if field is not None:
+            return field
+    raise FactorizationFailed("polynomial has no simple largest real root")
 
 
 # ---------------------------------------------------------------------------

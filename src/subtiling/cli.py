@@ -110,6 +110,8 @@ def parse_spec(text: str, name: str = "spec") -> SpecFile:
                 raise SpecSyntaxError(line_no, "more than 255 letters")
             if len(set(parts[1:])) != len(parts[1:]):
                 raise SpecSyntaxError(line_no, "repeated letter token")
+            if any("|" in tok for tok in parts[1:]):
+                raise SpecSyntaxError(line_no, "'|' in a letter token")
             letters = tuple(parts[1:])
         elif head in ("rule", "tilemap"):
             if letters is None:
@@ -658,6 +660,8 @@ def report_exit_code(report: dict) -> int:
 def _spec_from_report(report: dict) -> SpecFile:
     inp = report["input"]
     letters = tuple(inp["letters"])
+    if any("|" in tok for tok in letters):
+        raise ValueError("'|' in a letter token")
     rules = tuple(tuple(inp["rules"][t]) for t in letters)
     tilemap = None
     if inp.get("tilemap"):
@@ -789,6 +793,13 @@ def verify_report(report: dict) -> dict:
         if claim.get("status") not in statuses and "error" not in claim:
             results[name] = False
 
+    def witnessed(name, claim):
+        """`emitted`, and a HOLDS with no witness object fails."""
+        emitted(name, claim)
+        if claim.get("status") == "HOLDS" and \
+                not isinstance(claim.get("witness"), dict):
+            results[name] = False
+
     def pairs_of(check):
         """A check's pair verdicts; it fails unless keyed by every pair.
         A check that raised, exactly {"error": <str>}, has none."""
@@ -810,11 +821,8 @@ def verify_report(report: dict) -> dict:
                     coincidence.replay_involution_certificate(
                         system.sub, verdict.get("certificate"),
                         pair_letters[key])
-            elif verdict.get("status") == "HOLDS" and \
-                    not isinstance(verdict.get("witness"), dict):
-                results[name] = False
             else:
-                emitted(name, verdict)
+                witnessed(name, verdict)
     pairs = pairs_of("geometric_strong")
     for key in pairs:
         name = f"geometric_strong[{key}]"
@@ -826,7 +834,7 @@ def verify_report(report: dict) -> dict:
     emitted("simultaneous", sim)
     if sim.get("status") == "HOLDS":
         take_witness("simultaneous", sim.get("witness"), "all")
-    emitted("prefix_simultaneous", part(checks, "prefix_simultaneous"))
+    witnessed("prefix_simultaneous", part(checks, "prefix_simultaneous"))
     setting = coincidence.IntegerSetting(
         system, refpoints, math.lcm(*(w.denom for w in witnesses.values())))
     for name, witness in witnesses.items():

@@ -17,8 +17,8 @@ division, and a sign at a rational point a/b is the sign of the
 homogeneous integer sum of c_k a^k b^(n-k).  A rational interval is a
 triple (num_lo, num_hi, den) of ints, standing for
 [num_lo / den, num_hi / den], and one bisection step, `bisect`, serves
-root isolation here and the refinement of beta's interval in
-`algebraic`.  No Fraction is made.
+root isolation and the dominance test (`dominates`) here and the
+refinement of beta's interval in `algebraic`.  No Fraction is made.
 """
 
 from __future__ import annotations
@@ -358,6 +358,33 @@ def isolate_largest_real_root(p):
                           variations_at(chain, mid, den) > v_hi)
         v_lo = variations_at(chain, interval[0], interval[2])
     return interval
+
+
+def dominates(minpoly, interval, cofactor) -> bool:
+    """Whether the root beta of the irreducible monic `minpoly` in the
+    isolating interval (num_lo / den, num_hi / den] (its point for degree
+    1) exceeds every real root of the integer polynomial `cofactor`.
+
+    A cofactor that minpoly divides has beta as a root.  Otherwise Sturm
+    counts of its squarefree part decide on a copy of the interval,
+    bisected as the field would bisect it: a root at or above the upper
+    end lies above beta, and none above the lower end puts them all
+    below beta.  Bisection ends, since no root of the cofactor is beta."""
+    if exact_int_divide(cofactor, minpoly) is not None:
+        return False
+    q = squarefree_part(cofactor)
+    chain = sturm_chain(q)
+    at_infinity = variations_at_pos_inf(chain)
+    num_lo, num_hi, den = interval
+    lo_sign = sign_at(minpoly, num_lo, den)
+    while True:
+        v_hi = variations_at(chain, num_hi, den)
+        if v_hi > at_infinity or sign_at(q, num_hi, den) == 0:
+            return False
+        if variations_at(chain, num_lo, den) == v_hi:
+            return True
+        num_lo, num_hi, den = bisect(minpoly, (num_lo, num_hi, den),
+                                     lambda mid, d, s: s == lo_sign)
 
 
 # ---------------------------------------------------------------------------

@@ -91,9 +91,9 @@ class SuspensionSystem:
           chi exactly, and `polys.factor_monic` of it alone finds one
           factor.  (`polys.is_irreducible` refuses a degree above
           DEGREE_CAP, which a 13-letter input reaches.)
-        - beta, its largest real root isolated as `perron_factor` isolates
-          it, exceeds every real root of the cofactor (`_dominates`), so
-          beta is the Perron root; the field starts from that interval.
+        - its largest real root beta exceeds every real root of the
+          cofactor (`algebraic.dominant_field`, as in `perron_factor`), so
+          beta is the Perron root and the field starts from its interval.
         - `prototile_lengths` are m vectors of rationals with the last
           one 1, sum_i M_ij len_i = beta len_j for each j, and each
           len_i > 0 by `int_sign`, in the order and with the refinements
@@ -214,8 +214,8 @@ def _int_list(value) -> bool:
 
 def _perron_field(minpoly, char_poly):
     """The field of `SuspensionSystem.from_facts`: a minimal polynomial
-    fact checked against chi, with beta isolated as `perron_factor`
-    isolates it."""
+    fact checked against chi, and its largest root against the cofactor
+    by `algebraic.dominant_field`, as `perron_factor` checks it."""
 
     def reject(message):
         raise FactRejected("minimal_polynomial", message)
@@ -231,15 +231,11 @@ def _perron_field(minpoly, char_poly):
         reject(str(exc))
     if len(factors) != 1:
         reject("reducible")
-    interval = ((-minpoly[0], -minpoly[0], 1) if len(minpoly) == 2
-                else polys.isolate_largest_real_root(minpoly))
-    if interval is None:
-        reject("no real root")
-    if not _dominates(minpoly, interval, cofactor):
-        reject("its largest root is not the Perron root")
-    num_lo, num_hi, den = interval
-    return algebraic.NumberField(minpoly, Fraction(num_lo, den),
-                                 Fraction(num_hi, den))
+    field = algebraic.dominant_field(minpoly, cofactor)
+    if field is None:
+        reject("its largest root is not the Perron root"
+               if polys.count_real_roots(minpoly) else "no real root")
+    return field
 
 
 def _eigenvector(lengths, field, matrix):
@@ -267,36 +263,6 @@ def _eigenvector(lengths, field, matrix):
         reject("not all positive")
     return tuple(field.element([Fraction(a, denom) for a in v])
                  for v in vectors)
-
-
-def _dominates(minpoly, interval, cofactor) -> bool:
-    """Whether the root beta of the irreducible monic `minpoly` in the
-    isolating interval (num_lo / den, num_hi / den] (its point for degree
-    1) exceeds every real root of the integer polynomial `cofactor`.
-
-    A cofactor that minpoly divides has beta as a root.  Otherwise Sturm
-    counts of its squarefree part decide on a copy of the interval,
-    bisected as the field would bisect it: a root at or above the upper
-    end lies above beta, and none above the lower end puts them all
-    below beta.  Bisection ends, since no root of the cofactor is beta."""
-    if polys.exact_int_divide(cofactor, minpoly) is not None:
-        return False
-    q = polys.squarefree_part(cofactor)
-    if polys.degree(q) < 1:
-        return True
-    chain = polys.sturm_chain(q)
-    at_infinity = polys.variations_at_pos_inf(chain)
-    num_lo, num_hi, den = interval
-    lo_sign = polys.sign_at(minpoly, num_lo, den)
-    while True:
-        v_hi = polys.variations_at(chain, num_hi, den)
-        if v_hi > at_infinity or polys.sign_at(q, num_hi, den) == 0:
-            return False
-        if polys.variations_at(chain, num_lo, den) == v_hi:
-            return True
-        num_lo, num_hi, den = polys.bisect(
-            minpoly, (num_lo, num_hi, den),
-            lambda mid, d, s: s == lo_sign)
 
 
 class Patch:

@@ -670,6 +670,45 @@ def ref_factor_monic(p):
     return sorted(factors, key=lambda f: (P.degree(f), tuple(f)))
 
 
+def _ref_compare_roots(p1, ivl1, p2, ivl2):
+    """-1/+1 comparing the real roots of the distinct irreducible p1 and
+    p2 isolated by the intervals (num_lo, num_hi, den): the wider
+    interval is bisected until the two are apart."""
+    (lo1, hi1, d1), (lo2, hi2, d2) = ivl1, ivl2
+    s1, s2 = P.sign_at(p1, lo1, d1), P.sign_at(p2, lo2, d2)
+    while True:
+        if hi1 * d2 < lo2 * d1:
+            return -1
+        if hi2 * d1 < lo1 * d2:
+            return 1
+        if (hi1 - lo1) * d2 >= (hi2 - lo2) * d1 and hi1 > lo1:
+            lo1, hi1, d1 = P.bisect(p1, (lo1, hi1, d1),
+                                    lambda mid, den, s: s == s1)
+        elif hi2 > lo2:
+            lo2, hi2, d2 = P.bisect(p2, (lo2, hi2, d2),
+                                    lambda mid, den, s: s == s2)
+        else:
+            # both intervals are points; distinct rationals
+            return -1 if lo1 * d2 < lo2 * d1 else 1
+
+
+def ref_perron_factor(p):
+    """Reference: algebraic.perron_factor by a tournament, the largest
+    root of the distinct factors found by pairwise comparison of their
+    isolating intervals; the field starts from the winner's interval."""
+    best = None
+    for f in sorted(set(map(tuple, P.factor_monic(p)))):
+        f = list(f)
+        ivl = ((-f[0], -f[0], 1) if P.degree(f) == 1
+               else P.isolate_largest_real_root(f))
+        if ivl is None:
+            continue
+        if best is None or _ref_compare_roots(f, ivl, *best) > 0:
+            best = (f, ivl)
+    minpoly, (num_lo, num_hi, den) = best
+    return NumberField(minpoly, Fraction(num_lo, den), Fraction(num_hi, den))
+
+
 def ref_smith_normal_form(matrix):
     """Reference: the invariant factors by pivoting on an entry of least
     absolute value, then the divisibility fix."""

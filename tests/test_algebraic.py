@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from subtiling import algebraic as A
 from subtiling import polys as P
+from subtiling import words as W
 
-from conftest import interval_ends, ref_inverse
+from conftest import interval_ends, ref_inverse, ref_perron_factor
 
 
 def field_from(minpoly):
@@ -86,6 +87,31 @@ def test_perron_factor_examples():
     assert P.eval_at([-1, -1, 1], ivl.lo) * P.eval_at([-1, -1, 1], ivl.hi) < 0
     f.ensure_width(Fraction(1, 64))
     assert Fraction(3, 2) < f.interval().lo < f.interval().hi < Fraction(17, 10)
+
+
+def test_perron_factor_matches_the_tournament_on_primitive_matrices():
+    # the dominance test picks the field the pairwise tournament picked:
+    # the same minimal polynomial, interval and refinements of it
+    def state(field):
+        return (field.minpoly, field.num_lo, field.num_hi, field.den,
+                field.generation)
+
+    rng = random.Random(29)
+    drawn = reducible = later = 0
+    while drawn < 300:
+        m = rng.randint(2, 6)
+        matrix = [[rng.randint(0, 3) for _ in range(m)] for _ in range(m)]
+        if not W.is_primitive(matrix):
+            continue
+        cp = A.char_poly(matrix)
+        field = A.perron_factor(cp)
+        assert state(field) == state(ref_perron_factor(cp)), matrix
+        drawn += 1
+        factors = sorted(set(map(tuple, P.factor_monic(cp))))
+        reducible += len(factors) > 1
+        later += factors[0] != field.minpoly
+    # some draws reach the Perron factor after another factor
+    assert reducible > 40 and later > 10
 
 
 def test_number_field_rejects_an_interval_without_a_root():

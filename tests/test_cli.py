@@ -80,6 +80,26 @@ def test_parse_errors(text, fragment):
     assert fragment in str(err.value)
 
 
+# the pairs (a, b|c) and (a|b, c) would share the report key a|b|c
+PIPE_LETTERS = ("letters a b|c a|b c\nrule a = a b|c\nrule b|c = a|b\n"
+                "rule a|b = c a\nrule c = a\n")
+
+
+def test_a_letter_token_with_a_pipe_is_rejected():
+    with pytest.raises(SpecSyntaxError) as err:
+        cli.parse_spec(PIPE_LETTERS)
+    assert str(err.value) == "line 1: '|' in a letter token"
+    # a report of those letters, made around the parser, keeps 9 of its
+    # 10 pair verdicts, and verify rejects its input
+    spec = cli.SpecFile("pipes", ("a", "b|c", "a|b", "c"),
+                        (("a", "b|c"), ("a|b",), ("c", "a"), ("a",)), None)
+    report = json.loads(json.dumps(cli.run_analysis(spec)))
+    assert len(report["checks"]["prefix_strong"]["pairs"]) == 9
+    assert cli.verify_report(report) == {
+        "passed": False, "replayed": {},
+        "error": "input: ValueError: '|' in a letter token"}
+
+
 def _letters_spec(m):
     tokens = [f"x{i}" for i in range(m)]
     return ("letters " + " ".join(tokens) + "\n"
@@ -550,6 +570,10 @@ def _checks_edit(report, edit):
                                                    "witness": {}}
     elif edit == "overlap-deleted":
         del checks["overlap_coincidence"]
+    elif edit == "prefix-simultaneous-no-witness":
+        checks["prefix_simultaneous"] = {"status": "HOLDS"}
+    elif edit == "prefix-simultaneous-string-witness":
+        checks["prefix_simultaneous"]["witness"] = "level 1"
     else:
         del checks["simultaneous"]["witness"]
 
@@ -575,6 +599,9 @@ CHECKS_EDITS = (
     ("prefix-pair-added", "fibonacci", "prefix_strong"),
     ("overlap-deleted", "thue-morse", None),
     ("simultaneous-no-witness", "fibonacci", "simultaneous"),
+    ("prefix-simultaneous-no-witness", "thue-morse", "prefix_simultaneous"),
+    ("prefix-simultaneous-string-witness", "fibonacci",
+     "prefix_simultaneous"),
 )
 
 

@@ -125,18 +125,18 @@ DOMINANCE = (
 def test_dominance_by_sturm_counts(cofactor, dominates):
     minpoly = [-1, -1, 1]
     interval = polys.isolate_largest_real_root(minpoly)
-    assert S._dominates(minpoly, interval, cofactor) is dominates
+    assert polys.dominates(minpoly, interval, cofactor) is dominates
     # a root at the upper end of the interval lies above beta
     num_lo, num_hi, den = interval
-    assert S._dominates(minpoly, interval, [-num_hi, den]) is False
-    assert S._dominates(minpoly, interval, [-num_lo, den]) is True
+    assert polys.dominates(minpoly, interval, [-num_hi, den]) is False
+    assert polys.dominates(minpoly, interval, [-num_lo, den]) is True
 
 
 def test_dominance_over_an_integer_beta():
     # thue-morse: beta = 2 with the cofactor x; beta = 1 is dominated
-    assert S._dominates([-2, 1], (2, 2, 1), [0, 1]) is True
-    assert S._dominates([-2, 1], (2, 2, 1), [-2, 1]) is False
-    assert S._dominates([-1, 1], (1, 1, 1), [-2, 1]) is False
+    assert polys.dominates([-2, 1], (2, 2, 1), [0, 1]) is True
+    assert polys.dominates([-2, 1], (2, 2, 1), [-2, 1]) is False
+    assert polys.dominates([-1, 1], (1, 1, 1), [-2, 1]) is False
 
 
 def test_generate_patch_examples(sys_fib, sys_tm, sys_aba):
