@@ -693,7 +693,11 @@ def verify_report(report: dict) -> dict:
     these are one replay "facts", which a report derive cannot read
     fails.
     The involution of each prefix and suffix FAILS pair is checked against
-    the rules (`coincidence.replay_involution_certificate`).  Geometric
+    the rules (`coincidence.replay_involution_certificate`).  A prefix or
+    suffix HOLDS for a pair that a commuting fixed-point-free involution
+    swaps fails, and so does a prefix_simultaneous HOLDS when there is
+    such an involution: by the lemma of `coincidence.prefix_strong`,
+    neither can hold.  Geometric
     and simultaneous HOLDS witnesses are all parsed, then replayed on the
     inflation tree of one setting, both claims for every scope letter
     (`coincidence.verify_witness`); FAILS certificates of both spectral
@@ -811,6 +815,9 @@ def verify_report(report: dict) -> dict:
             results[check] = False
         return pairs
 
+    # reversing the rules keeps every condition on an involution, so
+    # these serve the suffix check too
+    involutions = words.commuting_fixed_point_free_involutions(system.sub)
     for check in ("prefix_strong", "suffix_strong"):
         pairs = pairs_of(check)
         for key in pairs:
@@ -823,6 +830,10 @@ def verify_report(report: dict) -> dict:
                         pair_letters[key])
             else:
                 witnessed(name, verdict)
+                pair = pair_letters.get(key)
+                if verdict.get("status") == "HOLDS" and pair and any(
+                        tau[pair[0]] == pair[1] for tau in involutions):
+                    results[name] = False
     pairs = pairs_of("geometric_strong")
     for key in pairs:
         name = f"geometric_strong[{key}]"
@@ -834,7 +845,10 @@ def verify_report(report: dict) -> dict:
     emitted("simultaneous", sim)
     if sim.get("status") == "HOLDS":
         take_witness("simultaneous", sim.get("witness"), "all")
-    witnessed("prefix_simultaneous", part(checks, "prefix_simultaneous"))
+    prefix_sim = part(checks, "prefix_simultaneous")
+    witnessed("prefix_simultaneous", prefix_sim)
+    if prefix_sim.get("status") == "HOLDS" and involutions:
+        results["prefix_simultaneous"] = False
     setting = coincidence.IntegerSetting(
         system, refpoints, math.lcm(*(w.denom for w in witnesses.values())))
     for name, witness in witnesses.items():

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
-from array import array
 from functools import lru_cache
-from itertools import accumulate
 
 from .errors import InvalidBound, InvalidWord, LengthCapExceeded, NoSeedFound
 
@@ -23,6 +21,18 @@ COLUMN_WIDTH_MAX = 16
 # takes about 90 bytes per item while it runs, so joining in chunks keeps
 # the peak near twice the image
 JOIN_CHUNK = 4096
+# walk_zeros reads the walk in chunks of FIRST_CHUNK letters, doubling up
+# to CHUNK, one FIELD-byte field per letter.  A walk step is at most 126
+# in size, so over a chunk that starts within 126 * CHUNK of zero the
+# biased walk stays within 2 * 126 * CHUNK of _BIAS: it must stay below
+# the divisor, and above 2^(8 * (FIELD - 1)) so that every field's high
+# byte is nonzero and no match of _ZERO straddles two fields
+FIELD = 3
+FIRST_CHUNK = 4096
+CHUNK = 16_384
+_DIVISOR = (1 << 8 * FIELD) - 1
+_BIAS = 1 << 8 * FIELD - 1
+_ZERO = _BIAS.to_bytes(FIELD, "big")
 
 
 class Substitution:
@@ -149,10 +159,11 @@ def abelianization(word, m):
 
 
 @lru_cache(maxsize=None)
-def _weight_tables(m):
-    """Translate tables of the letter weights w_c and of 127 - w_c, where
-    w_c = 1 + K^(c-1) for c < m and w_m = 1, with K the largest integer
-    such that K^(m-2) <= 126, so that every weight is at most 127.
+def _weight_table(m):
+    """Translate table of the letter weights w_c, where w_c = 1 + K^(c-1)
+    for c < m and w_m = 1, with K the largest integer such that
+    K^(m-2) <= 126, so that every weight is at most 127 and a step
+    w(u_i) - w(v_i) of the walk at most 126 in size.
 
     Over two prefixes of one length, the weighted letter count difference
     is sum_{c<m} K^(c-1) d_c, where d_c is the count difference of letter
@@ -164,12 +175,7 @@ def _weight_tables(m):
     while m > 2 and (k + 1) ** (m - 2) <= 126:
         k += 1
     weights = [1 + k ** (c - 1) for c in range(1, m)] + [1]
-    return (bytes([0] + weights).ljust(256, b"\0"),
-            bytes([0] + [127 - w for w in weights]).ljust(256, b"\0"))
-
-
-# the byte e as the signed byte e - 127
-_UNBIAS = bytes((e - 127) % 256 for e in range(256))
+    return bytes([0] + weights).ljust(256, b"\0")
 
 
 def walk_zeros(u, v, m):
@@ -178,24 +184,43 @@ def walk_zeros(u, v, m):
     vanishes: every t at which the two prefixes have the same letter
     counts, and possibly some others.  An iterator.
 
-    The steps w(u_i) - w(v_i) are made without a loop in Python: the
-    bytes w(u_i) + 127 - w(v_i) lie in 0..253, so one integer sum of the
-    two translated words adds them with no carry between bytes, and a
-    translate takes off the 127.  The walk runs over the signed bytes.
+    The walk is read a chunk at a time, with no loop in Python over the
+    letters.  Each word's chunk of k letters is laid out as k + 2
+    big-endian FIELD-byte fields: an offset, the k letter weights and a
+    zero, the offset being _BIAS plus the walk at the chunk's start for
+    u, and 0 for v.  The difference of the two buffers read as integers,
+    floor-divided by 2^(8 * FIELD) - 1, holds in fields 1..k + 1 the
+    biased walk at the chunk's k + 1 positions, exactly, as every biased
+    walk value lies between 0 and the divisor.  The walk vanishes at the
+    fields that read _ZERO.  A chunk that starts more than 126 * k away
+    from zero cannot reach it and is only summed.
     """
-    plus, minus = _weight_tables(m)
+    weights = _weight_table(m)
     n = min(len(u), len(v))
-    biased = (int.from_bytes(u[:n].translate(plus), "little") +
-              int.from_bytes(v[:n].translate(minus), "little"))
-    steps = array("b", biased.to_bytes(n, "little").translate(_UNBIAS))
-    walk = accumulate(steps, initial=0)
-    t = -1
-    while True:
-        try:
-            t += operator.indexOf(walk, 0) + 1
-        except ValueError:
-            return
-        yield t
+    yield 0
+    walk, start, k = 0, 0, FIRST_CHUNK
+    while start < n:
+        end = min(start + k, n)
+        a = u[start:end].translate(weights)
+        b = v[start:end].translate(weights)
+        if abs(walk) > 126 * len(a):
+            walk += sum(a) - sum(b)
+        else:
+            size = FIELD * (len(a) + 2)
+            bu, bv = bytearray(size), bytearray(size)
+            bu[:FIELD] = (_BIAS + walk).to_bytes(FIELD, "big")
+            bu[2 * FIELD - 1:-FIELD:FIELD] = a
+            bv[2 * FIELD - 1:-FIELD:FIELD] = b
+            sums = (int.from_bytes(bu, "big") -
+                    int.from_bytes(bv, "big")) // _DIVISOR
+            walk = (sums & _DIVISOR) - _BIAS
+            fields = sums.to_bytes(size, "big")
+            # field 1 is the chunk's start, already yielded
+            i = fields.find(_ZERO, 2 * FIELD)
+            while i >= 0:
+                yield start + i // FIELD - 1
+                i = fields.find(_ZERO, i + FIELD)
+        start, k = end, min(2 * k, CHUNK)
 
 
 class CountGap:

@@ -1,6 +1,9 @@
 import math
+import operator
 import random
+from array import array
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -22,10 +25,39 @@ def _sub(name):
 
 _SYSTEMS = {}
 
-# The base K of the letter weights 1 + K^(c-1) of words.walk_zeros: the
-# largest K with K^(m-2) <= 126.  A zero of the weighted walk where the
-# letter counts differ needs a count gap of at least K in some letter.
+# The base K of the letter weights 1 + K^(c-1) that words.walk_zeros
+# walks by (words._weight_table): the largest K with K^(m-2) <= 126, and
+# 1 from m = 9 on.  A zero of the weighted walk where the letter counts
+# differ needs a count gap of at least K in some letter.
 WALK_BASE = {4: 11, 6: 3, 12: 1, 40: 1}
+
+# the byte e as the signed byte e - 127
+_UNBIAS = bytes((e - 127) % 256 for e in range(256))
+
+
+def ref_walk_zeros(u, v, m):
+    """Reference for words.walk_zeros: the zeros of the weighted walk,
+    one Python int per letter.
+
+    The steps w(u_i) - w(v_i) are made without a loop in Python: the
+    bytes w(u_i) + 127 - w(v_i) lie in 0..253, so one integer sum of the
+    two translated words adds them with no carry between bytes, and a
+    translate takes off the 127.  The walk runs over the signed bytes.
+    """
+    plus = W._weight_table(m)
+    minus = bytes(127 - w if w else 0 for w in plus)
+    n = min(len(u), len(v))
+    biased = (int.from_bytes(u[:n].translate(plus), "little") +
+              int.from_bytes(v[:n].translate(minus), "little"))
+    steps = array("b", biased.to_bytes(n, "little").translate(_UNBIAS))
+    walk = accumulate(steps, initial=0)
+    t = -1
+    while True:
+        try:
+            t += operator.indexOf(walk, 0) + 1
+        except ValueError:
+            return
+        yield t
 
 
 def false_zero_pairs(m, count=30, seed=41):

@@ -659,6 +659,33 @@ def test_verify_fails_a_status_its_check_never_emits(path, value, failed):
         "replayed": dict(untampered["replayed"], **{failed: False})}
 
 
+# a HOLDS that a commuting fixed-point-free involution refutes, with the
+# derived leaves rewritten; analysis reports these pairs FAILS and the
+# prefix-simultaneous check UNKNOWN
+@pytest.mark.parametrize("name, path, value, failed", [
+    ("thue-morse", ("prefix_strong", "pairs", "0|1"),
+     {"status": "HOLDS", "witness": {}}, "prefix_strong[0|1]"),
+    ("thue-morse", ("suffix_strong", "pairs", "0|1"),
+     {"status": "HOLDS", "witness": {}}, "suffix_strong[0|1]"),
+    ("fib2", ("prefix_strong", "pairs", "a|A"),
+     {"status": "HOLDS", "witness": {}}, "prefix_strong[a|A]"),
+    ("thue-morse", ("prefix_simultaneous",),
+     {"status": "HOLDS", "witness": {"level": 1, "prefix_length": 0}},
+     "prefix_simultaneous"),
+], ids=["thue-morse-prefix", "thue-morse-suffix", "fib2-prefix",
+        "thue-morse-prefix-simultaneous"])
+def test_verify_fails_a_holds_an_involution_refutes(name, path, value,
+                                                   failed):
+    untampered = cli.verify_report(_fixture(name))
+    assert untampered["passed"]
+    report = _fixture(name)
+    _put(report, ("checks",) + path, value)
+    _rederive(report)
+    assert cli.verify_report(report) == {
+        "passed": False,
+        "replayed": dict(untampered["replayed"], **{failed: False})}
+
+
 @pytest.mark.parametrize("check", cli.CHECKS + ("spectral",))
 def test_verify_fails_a_deleted_check(check):
     report = _fixture("fibonacci")

@@ -1,5 +1,7 @@
+import operator
 import random
 import tracemalloc
+from itertools import accumulate
 
 import pytest
 
@@ -11,7 +13,8 @@ from subtiling.errors import (InvalidBound, InvalidWord, LengthCapExceeded,
 from conftest import (CORPUS_IDS, SIX_LETTERS, TWELVE_LETTERS, WALK_BASE,
                       _sub, false_zero_pairs, involutions_by_matching,
                       ref_fixed_point_seed, ref_legal_two_letter_words,
-                      ref_one_sided_seed, swap_commuting_substitution)
+                      ref_one_sided_seed, ref_walk_zeros,
+                      swap_commuting_substitution)
 
 
 def test_abelianization():
@@ -332,6 +335,80 @@ def test_balanced_cuts_are_the_prefixes_with_equal_counts():
                 # zero of the walk
                 assert cuts == _cuts_by_letter_counts(u, v, m)
                 assert set(cuts) <= set(zeros)
+
+
+def _chunk_starts(n):
+    """The positions at which walk_zeros starts a chunk over n letters."""
+    starts, k = [0], W.FIRST_CHUNK
+    while starts[-1] + k < n:
+        starts.append(starts[-1] + k)
+        k = min(2 * k, W.CHUNK)
+    return starts
+
+
+def _walk_draws(m, rng):
+    """Word pairs over 1..m: empty, short and longer than four chunks;
+    of unequal lengths; balanced (a few letters swapped), reversed, and
+    drifting (v drawn with other letter frequencies, or u's letter runs
+    of the heaviest and lightest letters swapped)."""
+    letters = range(1, m + 1)
+    yield b"", b""
+    yield b"", bytes([m])
+    for length in (rng.randint(1, 300), rng.randint(46_000, 50_000)):
+        u = bytes(rng.choices(letters, k=length))
+        yield u, bytes(rng.choices(letters, k=length + rng.randint(-9, 9)))
+        swapped = bytearray(u)
+        for _ in range(length // 20 + 1):
+            i = rng.randrange(length)
+            j = min(length - 1, i + rng.randint(1, 3))
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+        yield u, bytes(swapped)
+        yield u, u[::-1]
+        yield u, bytes(rng.choices(letters, weights=range(m, 0, -1),
+                                   k=length))
+    heavy = bytes([max(m - 1, 1)]) * 40_000
+    light = bytes([m]) * 40_000
+    yield heavy + light, light + heavy
+
+
+def test_walk_zeros_matches_the_reference_walk():
+    """walk_zeros against the letter-by-letter walk of conftest, with the
+    draws shown to reach a zero at a chunk boundary, a skipped chunk and
+    chunks read from both sides of zero."""
+    rng = random.Random(30)
+    boundary = skipped = below = above = 0
+    for m in [*range(2, 13), 40]:
+        weights = W._weight_table(m)
+        for u, v in _walk_draws(m, rng):
+            zeros = list(W.walk_zeros(u, v, m))
+            assert zeros == list(ref_walk_zeros(u, v, m))
+            n = min(len(u), len(v))
+            steps = map(operator.sub, u[:n].translate(weights),
+                        v[:n].translate(weights))
+            walk = list(accumulate(steps, initial=0))
+            starts = _chunk_starts(n)
+            boundary += len(set(starts[1:]) & set(zeros))
+            for start, end in zip(starts, starts[1:] + [n]):
+                if abs(walk[start]) > 126 * (end - start):
+                    skipped += 1
+                else:
+                    below += walk[start] < 0
+                    above += walk[start] > 0
+    assert boundary and skipped and below and above
+
+
+def test_walk_fields_hold_every_biased_walk_value():
+    """A chunk that walk_zeros reads starts within 126 * CHUNK of zero and
+    moves by at most 126 per letter.  Every biased walk value must stay
+    below the divisor, or a prefix sum carries into its neighbour, and
+    keep a nonzero high byte, or a match of the zero pattern could
+    straddle two fields."""
+    reach = 2 * 126 * W.CHUNK
+    assert W._BIAS + reach < (1 << 8 * W.FIELD) - 1
+    assert W._BIAS - reach >= 1 << 8 * (W.FIELD - 1)
+    assert W.FIRST_CHUNK <= W.CHUNK
+    assert all(1 <= w <= 127 for m in range(2, 41)
+               for w in W._weight_table(m)[1:m + 1])
 
 
 @pytest.mark.parametrize("m", sorted(WALK_BASE))
