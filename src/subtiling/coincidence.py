@@ -82,11 +82,14 @@ def _least_balanced_prefix(word_list, m):
 
     The weighted count walk of the first two words then vanishes at t
     and t + 1, so only such consecutive zeros are confirmed, on the
-    letters at t and the letter counts of every word.
+    letters at t and the letter counts of every word.  No walk backs the
+    words after the second, so letters 1..m-1 are counted for each (m is
+    implied by the length), not the m-2 of `words.balanced_cuts`.
     """
     n = min(map(len, word_list))
     first, *rest = word_list
-    gaps = [words_mod.CountGap(first, w, m) for w in rest]
+    counted = [(c, c) for c in range(1, m)]
+    gaps = [words_mod.CountGap(first, w, counted) for w in rest]
     prev = None
     for t in words_mod.walk_zeros(first, rest[0], m):
         if t > n:

@@ -395,16 +395,17 @@ def _is_closed(nodes, is_coincidence, successors):
 # ---------------------------------------------------------------------------
 
 
-def split_balanced(u, v, m):
+def split_balanced(u, v, m, tau=None):
     """Split a balanced pair into its irreducible balanced components.
 
     The cuts are the prefix lengths at which the letter counts of the
-    two words agree (`words.balanced_cuts`)."""
+    two words agree (`words.balanced_cuts`, which confirms them on u
+    alone when v is u under the letter involution tau)."""
     if len(u) != len(v):
         raise ValueError("pair is not balanced")
     comps = []
     start = 0
-    for cut in words_mod.balanced_cuts(u, v, m):
+    for cut in words_mod.balanced_cuts(u, v, m, tau):
         comps.append((u[start:cut], v[start:cut]))
         start = cut
     if start != len(u):
@@ -464,54 +465,18 @@ def balanced_pairs(sub: Substitution,
     HOLDS: the closure of the seed pairs under substitution-and-split is
     finite and every irreducible pair reaches a single-letter coincidence
     pair.  FAILS: the closure is finite but some closed subset never
-    reaches one; that subset is the certificate.  Any cap ends in UNKNOWN.
-    The pair length cap is checked where a split component, seed or image,
-    becomes a node: one over PAIR_LENGTH_CAP // (longest rule) letters
-    ends the run before another image is built.  The pair cap is checked
-    after each image is split, the iteration cap after ITER_CAP rounds.
+    reaches one; that subset is the certificate.  Any cap ends in UNKNOWN
+    (`_pair_closure`).
     """
-    m = sub.size
-    widest = max(len(r) for r in sub.rules)
     letter, seed_words, seeds = return_word_seeds(sub)
     meta = {
         "seed_letter": letter,
         "seed_return_words": [list(w) for w in seed_words],
         "seed_pair_count": len(seeds),
     }
-    nodes, edges = {}, {}
-
-    def unknown(bound_hit):
+    nodes, edges, bound_hit = _pair_closure(sub, seeds, pair_cap)
+    if bound_hit:
         return SpectralHalf("UNKNOWN", certificate=meta, bound_hit=bound_hit)
-
-    def cut(pair, new):
-        """The pair's canonical components, unseen ones made nodes and put
-        in `new`; None at the first one over the pair length cap."""
-        comps = [_canonical(c) for c in split_balanced(*pair, m)]
-        for comp in comps:
-            if comp not in nodes:
-                if len(comp[0]) * widest > PAIR_LENGTH_CAP:
-                    return None
-                nodes[comp] = None
-                new.append(comp)
-        return comps
-
-    frontier = []
-    if any(cut(pair, frontier) is None for pair in seeds):
-        return unknown(f"pair length cap {PAIR_LENGTH_CAP}")
-    for _ in range(ITER_CAP):
-        if not frontier:
-            break
-        nxt = []
-        for u, v in frontier:
-            succ = cut((sub.apply(u), sub.apply(v)), nxt)
-            if succ is None:
-                return unknown(f"pair length cap {PAIR_LENGTH_CAP}")
-            edges[u, v] = succ
-            if len(nodes) > pair_cap:
-                return unknown(f"pair cap {pair_cap}")
-        frontier = nxt
-    if frontier:
-        return unknown(f"iteration cap {ITER_CAP}")
     dist = _coincidence_distances(
         edges, [p for p in nodes if _is_coincidence_pair(p)])
     stuck = sorted(nodes.keys() - dist.keys())
@@ -523,6 +488,76 @@ def balanced_pairs(sub: Substitution,
         [list(u), list(v)] for u, v in stuck
     ]
     return SpectralHalf("FAILS", certificate=cert)
+
+
+def _pair_closure(sub: Substitution, seeds, pair_cap):
+    """The closure of the seed pairs under substitution-and-split:
+    (nodes, edges, bound_hit), nodes in the order they were made and
+    edges mapping each expanded node to its canonical components, with
+    bound_hit None unless a cap ended the run.
+
+    The pair length cap is checked where a split component, seed or
+    image, becomes a node: one over PAIR_LENGTH_CAP // (longest rule)
+    letters ends the run before another image is built.  The pair cap is
+    checked after each image is split, the iteration cap after ITER_CAP
+    rounds.
+
+    Each letter involution tau that commutes with sigma
+    (`words.commuting_fixed_point_free_involutions`) gives
+    sigma(tau w) = tau(sigma w), which saves work and changes nothing:
+    - a twin, a pair whose canonical image under tau is already
+      expanded, has as components the tau-images of that node's;
+    - a symmetric pair (y, tau y) has the image (sigma y, tau sigma y),
+      so one word is substituted and its cuts confirmed on it alone.
+    """
+    m = sub.size
+    widest = max(len(r) for r in sub.rules)
+    swaps = [bytes([0] + [tau[c] for c in range(1, m + 1)]).ljust(256, b"\0")
+             for tau in words_mod.commuting_fixed_point_free_involutions(sub)]
+    nodes, edges = {}, {}
+
+    def add(comps, new):
+        """The canonical components, unseen ones made nodes and put in
+        `new`; None at the first one over the pair length cap."""
+        comps = [_canonical(c) for c in comps]
+        for comp in comps:
+            if comp not in nodes:
+                if len(comp[0]) * widest > PAIR_LENGTH_CAP:
+                    return None
+                nodes[comp] = None
+                new.append(comp)
+        return comps
+
+    def image(u, v):
+        """The components of (sigma(u), sigma(v)), not canonical."""
+        for tau in swaps:
+            tu, tv = u.translate(tau), v.translate(tau)
+            if tu == v:
+                y = sub.apply(u)
+                return split_balanced(y, y.translate(tau), m, tau)
+            twin = edges.get(_canonical((tu, tv)))
+            if twin is not None:
+                return [(a.translate(tau), b.translate(tau)) for a, b in twin]
+        return split_balanced(sub.apply(u), sub.apply(v), m)
+
+    length_cap = f"pair length cap {PAIR_LENGTH_CAP}"
+    frontier = []
+    if any(add(split_balanced(*pair, m), frontier) is None
+           for pair in seeds):
+        return nodes, edges, length_cap
+    for _ in range(ITER_CAP):
+        if not frontier:
+            break
+        nxt = []
+        for u, v in frontier:
+            succ = add(image(u, v), nxt)
+            if succ is None:
+                return nodes, edges, length_cap
+            edges[u, v] = succ
+            if len(nodes) > pair_cap:
+                return nodes, edges, f"pair cap {pair_cap}"
+        frontier = nxt
+    return nodes, edges, f"iteration cap {ITER_CAP}" if frontier else None
 
 
 # ---------------------------------------------------------------------------

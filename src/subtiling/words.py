@@ -224,31 +224,47 @@ def walk_zeros(u, v, m):
 
 
 class CountGap:
-    """Letter count differences of prefixes of two words over 1..m, for
-    prefix lengths asked in increasing order.  Each call counts only the
-    letters since the previous one; letter m is implied by the length."""
+    """Letter count differences of prefixes of two words, for prefix
+    lengths asked in increasing order: for each (a, b) in `pairs`, the
+    count of letter a in u[:t] minus that of letter b in v[:t].  Each
+    call counts only the letters since the previous one."""
 
-    def __init__(self, u, v, m):
+    def __init__(self, u, v, pairs):
         self.u, self.v = u, v
-        self.letters = range(1, m)
-        self.gaps = [0] * (m - 1)
+        self.pairs = pairs
+        self.gaps = [0] * len(pairs)
         self.done = 0
 
     def balanced_at(self, t):
-        """True when u[:t] and v[:t] have the same letter counts."""
+        """True when every listed count difference vanishes at t."""
         u, v, s = self.u, self.v, self.done
-        self.gaps = [g + u.count(c, s, t) - v.count(c, s, t)
-                     for g, c in zip(self.gaps, self.letters)]
+        self.gaps = [g + u.count(a, s, t) - v.count(b, s, t)
+                     for g, (a, b) in zip(self.gaps, self.pairs)]
         self.done = t
         return not any(self.gaps)
 
 
-def balanced_cuts(u, v, m):
+def balanced_cuts(u, v, m, tau=None):
     """The prefix lengths t in 1..min(|u|, |v|), in increasing order, at
-    which u[:t] and v[:t] have the same letter counts.  Exact: each zero
-    of the weighted walk is confirmed on the letter counts.  An
-    iterator."""
-    gap = CountGap(u, v, m)
+    which u[:t] and v[:t] have the same letter counts.  An iterator.
+
+    Exact: each zero of the weighted walk is confirmed on letter counts.
+    At a zero, sum_{c<m} K^(c-1) d_c = 0 (`_weight_table`), so when the
+    counts of letters 1..m-2 agree, K^(m-2) d_(m-1) = 0 and letter m-1
+    agrees too: only letters 1..m-2 are counted, none for m = 2.
+
+    With tau, a fixed-point-free letter involution c -> tau[c] (a dict or
+    a translate table), v must be u with every letter c replaced by
+    tau(c).  Then d_c = e_c, the count of c in u[:t] minus that of
+    tau(c), and e_tau(c) = -e_c; once e vanishes on every orbit
+    {c, tau(c)} without m, the walk is K^(tau(m)-1) e_tau(m), so m's
+    orbit agrees too.  One letter per other orbit is counted, on u alone.
+    """
+    if tau is None:
+        gap = CountGap(u, v, [(c, c) for c in range(1, m - 1)])
+    else:
+        gap = CountGap(u, u, [(c, tau[c]) for c in range(1, m)
+                              if c < tau[c] != m])
     return (t for t in walk_zeros(u, v, m) if t and gap.balanced_at(t))
 
 

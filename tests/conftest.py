@@ -29,7 +29,7 @@ _SYSTEMS = {}
 # walks by (words._weight_table): the largest K with K^(m-2) <= 126, and
 # 1 from m = 9 on.  A zero of the weighted walk where the letter counts
 # differ needs a count gap of at least K in some letter.
-WALK_BASE = {4: 11, 6: 3, 12: 1, 40: 1}
+WALK_BASE = {3: 126, 4: 11, 6: 3, 9: 1, 12: 1, 40: 1}
 
 # the byte e as the signed byte e - 127
 _UNBIAS = bytes((e - 127) % 256 for e in range(256))
@@ -64,14 +64,17 @@ def false_zero_pairs(m, count=30, seed=41):
     """Balanced word pairs over 1..m, m a key of WALK_BASE, whose weighted
     count walk vanishes at prefixes with different letter counts.
 
-    The first pair holds the least such gap: K ones against one two, made
-    up in the last letter.  The others shuffle runs of one letter up to
-    K + 2 long between the two words."""
+    The first two pairs hold the least such gaps: K ones against one two,
+    and K letters m - 2 against one m - 1, each made up in the last
+    letter; at the second, letters 1..m - 3 agree.  The others shuffle
+    runs of one letter up to K + 2 long between the two words."""
     k = WALK_BASE[m]
-    head, tail = bytes([1] * k + [m]), bytes([2] + [m] * k)
-    pairs = [(head + tail, tail + head)]
+    pairs = []
+    for a, b in ((1, 2), (m - 2, m - 1)):
+        head, tail = bytes([a] * k + [m]), bytes([b] + [m] * k)
+        pairs.append((head + tail, tail + head))
     rng = random.Random(seed + m)
-    for _ in range(count - 1):
+    for _ in range(count - 2):
         runs = [bytes([rng.randint(1, m)]) * rng.randint(1, k + 2)
                 for _ in range(rng.randint(1, 12))]
         u = b"".join(runs)

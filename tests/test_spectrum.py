@@ -4,13 +4,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from subtiling import algebraic, cli
 from subtiling import lattices as L
 from subtiling import spectrum as SP
 from subtiling import suspension as S
+from subtiling import words as W
 from subtiling.words import CountGap, Substitution
 
 from conftest import (WALK_BASE, exact_tiles, false_zero_pairs,
@@ -190,8 +191,8 @@ def _watch_balanced_pairs(monkeypatch, sub, cap):
     seen = {"split": False, "over": False}
     calls = {"split": 0, "over": 0}
 
-    def watched_split(u, v, m):
-        comps = split(u, v, m)
+    def watched_split(u, v, m, tau=None):
+        comps = split(u, v, m, tau)
         seen["split"] = True
         seen["over"] |= any(len(c[0]) * widest > cap for c in comps)
         return comps
@@ -232,6 +233,120 @@ def test_balanced_pairs_stop_at_a_seed_component_over_the_length_cap(
         assert (half.status, half.bound_hit) == (
             "UNKNOWN", f"pair length cap {cap}")
         assert calls["split"] == 0
+
+
+def _with_and_without_involutions(monkeypatch, sub,
+                                  pair_cap=SP.DEFAULT_PAIR_CAP):
+    """balanced_pairs on a fresh copy of sub with its commuting
+    involutions in use, then hidden.  For each run: the half, the nodes
+    and the edges in the order they were made, and the letters passed to
+    `Substitution.apply` and walked by `words.walk_zeros`."""
+    closure, apply, walk = SP._pair_closure, Substitution.apply, W.walk_zeros
+    runs = []
+
+    def recorded(*args):
+        nodes, edges, bound_hit = closure(*args)
+        runs[-1].update(nodes=list(nodes), edges=list(edges.items()))
+        return nodes, edges, bound_hit
+
+    def counted_apply(self, word, *args, **kwargs):
+        runs[-1]["applied"] += len(word)
+        return apply(self, word, *args, **kwargs)
+
+    def counted_walk(u, v, m):
+        runs[-1]["walked"] += min(len(u), len(v))
+        return walk(u, v, m)
+
+    for hidden in (False, True):
+        with monkeypatch.context() as patch:
+            patch.setattr(SP, "_pair_closure", recorded)
+            patch.setattr(Substitution, "apply", counted_apply)
+            patch.setattr(W, "walk_zeros", counted_walk)
+            if hidden:
+                patch.setattr(W, "commuting_fixed_point_free_involutions",
+                              lambda sub: [])
+            runs.append({"applied": 0, "walked": 0})
+            runs[-1]["half"] = SP.balanced_pairs(Substitution(sub.rules),
+                                                 pair_cap)
+    return runs
+
+
+def _same_closure(used, hidden):
+    for key in ("half", "nodes", "edges"):
+        assert used[key] == hidden[key]
+    assert used["walked"] <= hidden["walked"]
+
+
+@pytest.mark.parametrize("cap", [2000, 20_000])
+def test_involution_shortcuts_keep_every_node_and_edge(monkeypatch, fib2,
+                                                      rauzy2, cap):
+    monkeypatch.setattr(SP, "PAIR_LENGTH_CAP", cap)
+    for sub in (fib2, rauzy2):
+        used, hidden = _with_and_without_involutions(monkeypatch, sub)
+        _same_closure(used, hidden)
+        assert used["half"].bound_hit == f"pair length cap {cap}"
+        assert used["applied"] < hidden["applied"]
+
+
+def test_involution_shortcuts_keep_a_failing_closure(monkeypatch, tm, aba):
+    for sub in (tm, aba):
+        used, hidden = _with_and_without_involutions(monkeypatch, sub)
+        _same_closure(used, hidden)
+        assert used["half"].status == "FAILS"
+        assert used["applied"] < hidden["applied"]
+
+
+def test_balanced_pairs_without_an_involution_do_the_same_work(monkeypatch):
+    spec = cli.parse_spec((SPECS / "period-doubling.spec").read_text(
+        encoding="utf-8"), name="period-doubling")
+    sub = spec.substitution()
+    assert W.commuting_fixed_point_free_involutions(sub) == []
+    used, hidden = _with_and_without_involutions(monkeypatch, sub)
+    assert used == hidden
+
+
+@st.composite
+def skew_products(draw):
+    """A Z/2 skew product of a random substitution rho on 2-3 letters:
+    letter (c, s), numbered c + k * s, maps to (rho(c)_i, s xor g(c, i))
+    for random bits g, so the sheet swap (c, s) <-> (c, 1 - s) commutes
+    with the rules.  Only primitive draws are kept."""
+    k = draw(st.integers(2, 3))
+    rules = [draw(st.lists(st.integers(1, k), min_size=1, max_size=3))
+             for _ in range(k)]
+    flips = [draw(st.lists(st.integers(0, 1), min_size=len(r),
+                           max_size=len(r))) for r in rules]
+    sub = Substitution([bytes(c + k * (s ^ g) for c, g in zip(r, f))
+                        for s in (0, 1) for r, f in zip(rules, flips)])
+    assume(W.is_primitive(W.substitution_matrix(sub)))
+    return sub
+
+
+@given(sub=skew_products())
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.filter_too_much])
+def test_involution_shortcuts_on_skew_products(monkeypatch, sub):
+    k = sub.size // 2
+    sheets = {c: (c + k - 1) % sub.size + 1 for c in range(1, sub.size + 1)}
+    assert sheets in W.commuting_fixed_point_free_involutions(sub)
+    with monkeypatch.context() as patch:
+        patch.setattr(SP, "PAIR_LENGTH_CAP", 2000)
+        used, hidden = _with_and_without_involutions(patch, sub, 300)
+    _same_closure(used, hidden)
+    assert used["applied"] <= hidden["applied"]
+
+
+def test_involutions_halve_the_letters_substituted(monkeypatch, rauzy2):
+    """Deterministic work guard on the involution shortcuts: on rauzy2,
+    whose symmetric pairs hold most letters, the letters substituted
+    fall to about half (56.9 % at a pair length cap of 2,000, 52.4 % at
+    20,000, 51.4 % at the default), and no more letters are walked."""
+    for cap, share in ((2000, 0.6), (20_000, 0.55)):
+        monkeypatch.setattr(SP, "PAIR_LENGTH_CAP", cap)
+        used, hidden = _with_and_without_involutions(monkeypatch, rauzy2)
+        assert used["applied"] <= share * hidden["applied"]
+        assert used["walked"] <= hidden["walked"]
 
 
 def test_period_doubling_balanced_half_hits_the_length_cap():

@@ -1,3 +1,4 @@
+import math
 import operator
 import random
 import tracemalloc
@@ -411,11 +412,107 @@ def test_walk_fields_hold_every_biased_walk_value():
                for w in W._weight_table(m)[1:m + 1])
 
 
+def _counted_letters(monkeypatch):
+    """Record the (u letter, v letter) pairs of every CountGap made."""
+    made = []
+    init = W.CountGap.__init__
+
+    def recording(self, u, v, pairs):
+        made.append(list(pairs))
+        init(self, u, v, pairs)
+
+    monkeypatch.setattr(W.CountGap, "__init__", recording)
+    return made
+
+
 @pytest.mark.parametrize("m", sorted(WALK_BASE))
-def test_balanced_cuts_confirm_false_walk_zeros(m):
+def test_balanced_cuts_confirm_false_walk_zeros(monkeypatch, m):
+    """A walk zero is confirmed on letters 1..m-2 only, and the cuts are
+    still the prefixes with equal counts: on the false-zero pairs, the
+    second of which agrees on letters 1..m-3 at a false zero, and on
+    random balanced pairs."""
+    made = _counted_letters(monkeypatch)
+    rng = random.Random(m)
+    pairs = false_zero_pairs(m)
+    for _ in range(20):
+        u = bytes(rng.choices(range(1, m + 1), k=rng.randint(1, 80)))
+        pairs.append((u, bytes(rng.sample(u, len(u)))))
     false_zeros = 0
-    for u, v in false_zero_pairs(m):
+    for u, v in pairs:
         cuts = list(W.balanced_cuts(u, v, m))
         assert cuts == _cuts_by_letter_counts(u, v, m)
         false_zeros += len(set(W.walk_zeros(u, v, m)) - set(cuts) - {0})
     assert false_zeros
+    assert all(p == [(c, c) for c in range(1, m - 1)] for p in made)
+
+
+def test_two_letter_cuts_count_no_letter(monkeypatch):
+    """Over two letters the walk is the count difference of letter 1, so
+    a zero is a cut with nothing counted."""
+    made = _counted_letters(monkeypatch)
+    rng = random.Random(2)
+    for _ in range(40):
+        u = bytes(rng.choices((1, 2), k=rng.randint(0, 60)))
+        v = bytes(rng.sample(u, len(u)))
+        cuts = list(W.balanced_cuts(u, v, 2))
+        assert cuts == _cuts_by_letter_counts(u, v, 2)
+    assert made and all(pairs == [] for pairs in made)
+
+
+def _random_involution(rng, m):
+    letters = rng.sample(range(1, m + 1), m)
+    tau = {}
+    for a, b in zip(letters[::2], letters[1::2]):
+        tau[a], tau[b] = b, a
+    return tau
+
+
+def _orbit_false_zero(tau, a, m):
+    """A word Y whose walk against tau(Y) vanishes, with counts that
+    differ only on the orbits of a and m: e_lo letters lo and e_c letters
+    c = tau(m) ahead of their partners, where lo < hi are a and tau(a).
+    The orbit {lo, hi} adds (K^(lo-1) - K^(hi-1)) e_lo to the walk and
+    m's orbit K^(c-1) e_c, so e_lo : e_c = K^(c-1) : K^(hi-1) - K^(lo-1)."""
+    k = WALK_BASE[m]
+    lo, hi = sorted((a, tau[a]))
+    c = tau[m]
+    x, y = k ** (c - 1), k ** (hi - 1) - k ** (lo - 1)
+    g = math.gcd(x, y)
+    e_lo, e_c = x // g, y // g
+    return bytes([lo] * e_lo + [c] * e_c + [hi] * e_lo + [m] * e_c)
+
+
+def _table(tau):
+    return bytes([0] + [tau[c] for c in range(1, len(tau) + 1)]).ljust(
+        256, b"\0")
+
+
+@pytest.mark.parametrize("m", [2, 4, 6, 12, 40])
+def test_orbit_confirmation_matches_the_plain_cuts(monkeypatch, m):
+    """With tau, a zero of the walk of (Y, tau Y) is confirmed on Y alone,
+    one letter per orbit without m.  The cuts equal the plain ones and
+    the letter-count loop on random symmetric pairs and on a false zero
+    built for each orbit other than m's, so that confirming on fewer
+    orbits would cut there."""
+    rng = random.Random(100 + m)
+    false_zeros = 0
+    for _ in range(8):
+        tau = _random_involution(rng, m)
+        table = _table(tau)
+        words = [bytes(rng.choices(range(1, m + 1), k=rng.randint(0, 90)))
+                 for _ in range(6)]
+        if m in WALK_BASE:
+            built = [_orbit_false_zero(tau, a, m) for a in tau
+                     if a < tau[a] and m not in (a, tau[a])]
+            words += built + [w + words[0] for w in built]
+        for y in words:
+            ty = y.translate(table)
+            with monkeypatch.context() as patch:
+                made = _counted_letters(patch)
+                cuts = list(W.balanced_cuts(y, ty, m, tau))
+            assert made == [[(c, tau[c]) for c in range(1, m)
+                             if c < tau[c] != m]]
+            assert cuts == list(W.balanced_cuts(y, ty, m))
+            assert cuts == _cuts_by_letter_counts(y, ty, m)
+            false_zeros += len(set(W.walk_zeros(y, ty, m)) - set(cuts) - {0})
+    assert false_zeros or m == 2
