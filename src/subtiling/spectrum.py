@@ -29,6 +29,7 @@ gets fraction strings.
 
 from __future__ import annotations
 
+import heapq
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -395,17 +396,17 @@ def _is_closed(nodes, is_coincidence, successors):
 # ---------------------------------------------------------------------------
 
 
-def split_balanced(u, v, m, tau=None):
+def split_balanced(u, v, m):
     """Split a balanced pair into its irreducible balanced components.
 
     The cuts are the prefix lengths at which the letter counts of the
-    two words agree (`words.balanced_cuts`, which confirms them on u
-    alone when v is u under the letter involution tau)."""
+    two words agree (`words.balanced_cuts`); ValueError when the words
+    differ in length or in letter counts."""
     if len(u) != len(v):
         raise ValueError("pair is not balanced")
     comps = []
     start = 0
-    for cut in words_mod.balanced_cuts(u, v, m, tau):
+    for cut in words_mod.balanced_cuts(u, v, m):
         comps.append((u[start:cut], v[start:cut]))
         start = cut
     if start != len(u):
@@ -465,8 +466,10 @@ def balanced_pairs(sub: Substitution,
     HOLDS: the closure of the seed pairs under substitution-and-split is
     finite and every irreducible pair reaches a single-letter coincidence
     pair.  FAILS: the closure is finite but some closed subset never
-    reaches one; that subset is the certificate.  Any cap ends in UNKNOWN
-    (`_pair_closure`).
+    reaches one; that subset is the certificate.  The closure
+    (`_pair_closure`) expands the longest pair first, which changes no
+    finite closure and so no verdict or certificate.  Any cap ends in
+    UNKNOWN.
     """
     letter, seed_words, seeds = return_word_seeds(sub)
     meta = {
@@ -496,68 +499,52 @@ def _pair_closure(sub: Substitution, seeds, pair_cap):
     edges mapping each expanded node to its canonical components, with
     bound_hit None unless a cap ended the run.
 
+    The longest unexpanded pair is expanded first, the oldest among
+    equals.  Every node is expanded once whatever the order, so a finite
+    closure has the same nodes and edges as in any other order; on an
+    infinite one the pairs that grow are the long ones, and following
+    them reaches the length cap after one growing line of pairs instead
+    of whole breadth-first levels.
+
     The pair length cap is checked where a split component, seed or
     image, becomes a node: one over PAIR_LENGTH_CAP // (longest rule)
     letters ends the run before another image is built.  The pair cap is
-    checked after each image is split, the iteration cap after ITER_CAP
-    rounds.
-
-    Each letter involution tau that commutes with sigma
-    (`words.commuting_fixed_point_free_involutions`) gives
-    sigma(tau w) = tau(sigma w), which saves work and changes nothing:
-    - a twin, a pair whose canonical image under tau is already
-      expanded, has as components the tau-images of that node's;
-    - a symmetric pair (y, tau y) has the image (sigma y, tau sigma y),
-      so one word is substituted and its cuts confirmed on it alone.
+    checked after each image is split.  The iteration cap is a depth
+    cap: a node found ITER_CAP substitution steps from a seed component
+    ends the run when it comes up for expansion.
     """
     m = sub.size
     widest = max(len(r) for r in sub.rules)
-    swaps = [bytes([0] + [tau[c] for c in range(1, m + 1)]).ljust(256, b"\0")
-             for tau in words_mod.commuting_fixed_point_free_involutions(sub)]
     nodes, edges = {}, {}
+    heap = []
 
-    def add(comps, new):
-        """The canonical components, unseen ones made nodes and put in
-        `new`; None at the first one over the pair length cap."""
+    def add(comps, depth):
+        """The canonical components, unseen ones made nodes found at
+        `depth` and queued; None at the first one over the pair length
+        cap."""
         comps = [_canonical(c) for c in comps]
         for comp in comps:
             if comp not in nodes:
                 if len(comp[0]) * widest > PAIR_LENGTH_CAP:
                     return None
                 nodes[comp] = None
-                new.append(comp)
+                heapq.heappush(heap, (-len(comp[0]), len(nodes), depth, comp))
         return comps
 
-    def image(u, v):
-        """The components of (sigma(u), sigma(v)), not canonical."""
-        for tau in swaps:
-            tu, tv = u.translate(tau), v.translate(tau)
-            if tu == v:
-                y = sub.apply(u)
-                return split_balanced(y, y.translate(tau), m, tau)
-            twin = edges.get(_canonical((tu, tv)))
-            if twin is not None:
-                return [(a.translate(tau), b.translate(tau)) for a, b in twin]
-        return split_balanced(sub.apply(u), sub.apply(v), m)
-
     length_cap = f"pair length cap {PAIR_LENGTH_CAP}"
-    frontier = []
-    if any(add(split_balanced(*pair, m), frontier) is None
-           for pair in seeds):
+    if any(add(split_balanced(*pair, m), 0) is None for pair in seeds):
         return nodes, edges, length_cap
-    for _ in range(ITER_CAP):
-        if not frontier:
-            break
-        nxt = []
-        for u, v in frontier:
-            succ = add(image(u, v), nxt)
-            if succ is None:
-                return nodes, edges, length_cap
-            edges[u, v] = succ
-            if len(nodes) > pair_cap:
-                return nodes, edges, f"pair cap {pair_cap}"
-        frontier = nxt
-    return nodes, edges, f"iteration cap {ITER_CAP}" if frontier else None
+    while heap:
+        _, _, depth, (u, v) = heapq.heappop(heap)
+        if depth >= ITER_CAP:
+            return nodes, edges, f"iteration cap {ITER_CAP}"
+        succ = add(split_balanced(sub.apply(u), sub.apply(v), m), depth + 1)
+        if succ is None:
+            return nodes, edges, length_cap
+        edges[u, v] = succ
+        if len(nodes) > pair_cap:
+            return nodes, edges, f"pair cap {pair_cap}"
+    return nodes, edges, None
 
 
 # ---------------------------------------------------------------------------

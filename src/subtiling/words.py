@@ -244,7 +244,7 @@ class CountGap:
         return not any(self.gaps)
 
 
-def balanced_cuts(u, v, m, tau=None):
+def balanced_cuts(u, v, m):
     """The prefix lengths t in 1..min(|u|, |v|), in increasing order, at
     which u[:t] and v[:t] have the same letter counts.  An iterator.
 
@@ -252,19 +252,8 @@ def balanced_cuts(u, v, m, tau=None):
     At a zero, sum_{c<m} K^(c-1) d_c = 0 (`_weight_table`), so when the
     counts of letters 1..m-2 agree, K^(m-2) d_(m-1) = 0 and letter m-1
     agrees too: only letters 1..m-2 are counted, none for m = 2.
-
-    With tau, a fixed-point-free letter involution c -> tau[c] (a dict or
-    a translate table), v must be u with every letter c replaced by
-    tau(c).  Then d_c = e_c, the count of c in u[:t] minus that of
-    tau(c), and e_tau(c) = -e_c; once e vanishes on every orbit
-    {c, tau(c)} without m, the walk is K^(tau(m)-1) e_tau(m), so m's
-    orbit agrees too.  One letter per other orbit is counted, on u alone.
     """
-    if tau is None:
-        gap = CountGap(u, v, [(c, c) for c in range(1, m - 1)])
-    else:
-        gap = CountGap(u, u, [(c, tau[c]) for c in range(1, m)
-                              if c < tau[c] != m])
+    gap = CountGap(u, v, [(c, c) for c in range(1, m - 1)])
     return (t for t in walk_zeros(u, v, m) if t and gap.balanced_at(t))
 
 

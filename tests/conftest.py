@@ -1,9 +1,11 @@
 import math
 import operator
 import random
+import sys
 from array import array
 from fractions import Fraction
 from itertools import accumulate
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,11 @@ from subtiling.algebraic import (FieldElem, NumberField, common_denominator,
 from subtiling.errors import NoSeedFound
 from subtiling.lattices import module_from_int_rows
 from subtiling.suspension import SuspensionSystem
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+
+import workloads  # noqa: E402
 
 
 def _sub(name):
@@ -124,6 +131,59 @@ def swap_commuting_substitution(rng, tau, max_len=3):
         sub = W.Substitution(rules)
         if W.is_primitive(W.substitution_matrix(sub)):
             return sub
+
+
+def benchmark_substitutions():
+    """(name, substitution) for every corpus entry, every spec of the
+    benchmark and every member of its beta family."""
+    out = [(spec.name, spec.substitution()) for spec in cli.corpus()]
+    for path in sorted((PERFBENCH / "specs").glob("*.spec")):
+        spec = cli.parse_spec(path.read_text(encoding="utf-8"),
+                              name=path.stem)
+        out.append((path.stem, spec.substitution()))
+    for ks in workloads.BETA_FAMILY:
+        spec = cli.parse_spec(workloads.beta_spec_text(ks))
+        out.append((workloads.beta_name(ks), spec.substitution()))
+    return out
+
+
+def ref_pair_closure(sub, seeds, pair_cap):
+    """Reference for spectrum._pair_closure: the closure by breadth-first
+    levels, (nodes, edges, bound_hit) as it returns them.  A component
+    over the pair length cap ends the run where it is made, the pair cap
+    is checked after each image is split, and the iteration cap ends the
+    run after ITER_CAP levels."""
+    m = sub.size
+    widest = max(len(r) for r in sub.rules)
+    nodes, edges = {}, {}
+
+    def add(pair, new):
+        comps = [SP._canonical(c) for c in SP.split_balanced(*pair, m)]
+        for comp in comps:
+            if comp not in nodes:
+                if len(comp[0]) * widest > SP.PAIR_LENGTH_CAP:
+                    return None
+                nodes[comp] = None
+                new.append(comp)
+        return comps
+
+    length_cap = f"pair length cap {SP.PAIR_LENGTH_CAP}"
+    frontier = []
+    if any(add(pair, frontier) is None for pair in seeds):
+        return nodes, edges, length_cap
+    for _ in range(SP.ITER_CAP):
+        if not frontier:
+            break
+        nxt = []
+        for u, v in frontier:
+            succ = add((sub.apply(u), sub.apply(v)), nxt)
+            if succ is None:
+                return nodes, edges, length_cap
+            edges[u, v] = succ
+            if len(nodes) > pair_cap:
+                return nodes, edges, f"pair cap {pair_cap}"
+        frontier = nxt
+    return nodes, edges, f"iteration cap {SP.ITER_CAP}" if frontier else None
 
 
 def power(x, k):

@@ -11,46 +11,23 @@ interval.
 """
 
 import random
-import sys
-from pathlib import Path
 
 import pytest
 
 from subtiling import algebraic as A
-from subtiling import cli
 from subtiling import polys as P
 from subtiling import suspension as S
 from subtiling import words as W
 
-from conftest import (REF_IRREDUCIBILITY_PRIMES, interval_ends,
-                      ref_exact_int_divide, ref_factor_monic,
+from conftest import (REF_IRREDUCIBILITY_PRIMES, benchmark_substitutions,
+                      interval_ends, ref_exact_int_divide, ref_factor_monic,
                       ref_is_irreducible_mod_p, ref_is_primitive,
                       ref_isolate_largest_real_root, ref_poly_gcd,
                       ref_refine_root_interval, ref_remainder_chain,
                       ref_squarefree_part, ref_yun_squarefree_decomposition,
                       with_rational_setup)
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-sys.path.insert(0, str(PERFBENCH))
-
-import workloads  # noqa: E402
-
-
-def _inputs():
-    """(name, substitution) for every corpus entry, every spec of the
-    benchmark and every member of its beta family."""
-    out = [(spec.name, spec.substitution()) for spec in cli.corpus()]
-    for path in sorted((PERFBENCH / "specs").glob("*.spec")):
-        spec = cli.parse_spec(path.read_text(encoding="utf-8"),
-                              name=path.stem)
-        out.append((path.stem, spec.substitution()))
-    for ks in workloads.BETA_FAMILY:
-        spec = cli.parse_spec(workloads.beta_spec_text(ks))
-        out.append((workloads.beta_name(ks), spec.substitution()))
-    return out
-
-
-INPUTS = _inputs()
+INPUTS = benchmark_substitutions()
 
 
 def _outcome(fn, *args):

@@ -14,9 +14,10 @@ from subtiling import suspension as S
 from subtiling import words as W
 from subtiling.words import CountGap, Substitution
 
-from conftest import (WALK_BASE, exact_tiles, false_zero_pairs,
-                      fieldelem_differences, fieldelem_point_sets,
-                      key_coords, position, power, ref_children,
+from conftest import (WALK_BASE, benchmark_substitutions, exact_tiles,
+                      false_zero_pairs, fieldelem_differences,
+                      fieldelem_point_sets, key_coords, position, power,
+                      ref_children, ref_pair_closure,
                       subtile_offset_elements, successors, sweep_translation)
 
 SPECS = Path(__file__).resolve().parents[1] / "perfbench" / "specs"
@@ -191,8 +192,8 @@ def _watch_balanced_pairs(monkeypatch, sub, cap):
     seen = {"split": False, "over": False}
     calls = {"split": 0, "over": 0}
 
-    def watched_split(u, v, m, tau=None):
-        comps = split(u, v, m, tau)
+    def watched_split(u, v, m):
+        comps = split(u, v, m)
         seen["split"] = True
         seen["over"] |= any(len(c[0]) * widest > cap for c in comps)
         return comps
@@ -235,74 +236,70 @@ def test_balanced_pairs_stop_at_a_seed_component_over_the_length_cap(
         assert calls["split"] == 0
 
 
-def _with_and_without_involutions(monkeypatch, sub,
-                                  pair_cap=SP.DEFAULT_PAIR_CAP):
-    """balanced_pairs on a fresh copy of sub with its commuting
-    involutions in use, then hidden.  For each run: the half, the nodes
-    and the edges in the order they were made, and the letters passed to
-    `Substitution.apply` and walked by `words.walk_zeros`."""
-    closure, apply, walk = SP._pair_closure, Substitution.apply, W.walk_zeros
+def _closures(monkeypatch, sub, pair_cap=SP.DEFAULT_PAIR_CAP):
+    """balanced_pairs on a fresh copy of sub, by `_pair_closure` and then
+    by conftest's breadth-first `ref_pair_closure`.  For each run: the
+    half, the nodes and the edges, and the letters walked by
+    `words.walk_zeros`."""
+    walk = W.walk_zeros
     runs = []
 
-    def recorded(*args):
-        nodes, edges, bound_hit = closure(*args)
-        runs[-1].update(nodes=list(nodes), edges=list(edges.items()))
-        return nodes, edges, bound_hit
-
-    def counted_apply(self, word, *args, **kwargs):
-        runs[-1]["applied"] += len(word)
-        return apply(self, word, *args, **kwargs)
+    def recorded(closure):
+        def run(*args):
+            nodes, edges, bound_hit = closure(*args)
+            runs[-1].update(nodes=set(nodes), edges=edges)
+            return nodes, edges, bound_hit
+        return run
 
     def counted_walk(u, v, m):
         runs[-1]["walked"] += min(len(u), len(v))
         return walk(u, v, m)
 
-    for hidden in (False, True):
+    for closure in (SP._pair_closure, ref_pair_closure):
         with monkeypatch.context() as patch:
-            patch.setattr(SP, "_pair_closure", recorded)
-            patch.setattr(Substitution, "apply", counted_apply)
+            patch.setattr(SP, "_pair_closure", recorded(closure))
             patch.setattr(W, "walk_zeros", counted_walk)
-            if hidden:
-                patch.setattr(W, "commuting_fixed_point_free_involutions",
-                              lambda sub: [])
-            runs.append({"applied": 0, "walked": 0})
+            runs.append({"walked": 0})
             runs[-1]["half"] = SP.balanced_pairs(Substitution(sub.rules),
                                                  pair_cap)
     return runs
 
 
-def _same_closure(used, hidden):
-    for key in ("half", "nodes", "edges"):
-        assert used[key] == hidden[key]
-    assert used["walked"] <= hidden["walked"]
+def _same_closure(new, ref):
+    """The longest-first closure decides as the breadth-first one: same
+    status, cap and certificate, and on a complete closure the same nodes
+    and edges.  Where the reference ends at the pair cap, the other may
+    first reach the pair length cap instead."""
+    got, want = new["half"], ref["half"]
+    if want.bound_hit and want.bound_hit.startswith("pair cap"):
+        assert got.status == "UNKNOWN"
+        assert got.bound_hit.startswith(("pair cap", "pair length cap"))
+        return
+    assert (got.status, got.bound_hit, got.certificate) == (
+        want.status, want.bound_hit, want.certificate)
+    if want.bound_hit is None:
+        assert new["nodes"] == ref["nodes"]
+        assert new["edges"] == ref["edges"]
+
+
+BENCHMARK_SUBSTITUTIONS = benchmark_substitutions()
+
+
+@pytest.mark.parametrize("sub", [s for _, s in BENCHMARK_SUBSTITUTIONS],
+                         ids=[n for n, _ in BENCHMARK_SUBSTITUTIONS])
+def test_pair_closure_matches_the_reference(monkeypatch, sub):
+    _same_closure(*_closures(monkeypatch, sub))
 
 
 @pytest.mark.parametrize("cap", [2000, 20_000])
-def test_involution_shortcuts_keep_every_node_and_edge(monkeypatch, fib2,
-                                                      rauzy2, cap):
+def test_pair_closure_matches_the_reference_at_a_length_cap(monkeypatch,
+                                                            fib2, rauzy2,
+                                                            cap):
     monkeypatch.setattr(SP, "PAIR_LENGTH_CAP", cap)
     for sub in (fib2, rauzy2):
-        used, hidden = _with_and_without_involutions(monkeypatch, sub)
-        _same_closure(used, hidden)
-        assert used["half"].bound_hit == f"pair length cap {cap}"
-        assert used["applied"] < hidden["applied"]
-
-
-def test_involution_shortcuts_keep_a_failing_closure(monkeypatch, tm, aba):
-    for sub in (tm, aba):
-        used, hidden = _with_and_without_involutions(monkeypatch, sub)
-        _same_closure(used, hidden)
-        assert used["half"].status == "FAILS"
-        assert used["applied"] < hidden["applied"]
-
-
-def test_balanced_pairs_without_an_involution_do_the_same_work(monkeypatch):
-    spec = cli.parse_spec((SPECS / "period-doubling.spec").read_text(
-        encoding="utf-8"), name="period-doubling")
-    sub = spec.substitution()
-    assert W.commuting_fixed_point_free_involutions(sub) == []
-    used, hidden = _with_and_without_involutions(monkeypatch, sub)
-    assert used == hidden
+        new, ref = _closures(monkeypatch, sub)
+        _same_closure(new, ref)
+        assert new["half"].bound_hit == f"pair length cap {cap}"
 
 
 @st.composite
@@ -326,27 +323,47 @@ def skew_products(draw):
 @settings(max_examples=40, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture,
                                  HealthCheck.filter_too_much])
-def test_involution_shortcuts_on_skew_products(monkeypatch, sub):
-    k = sub.size // 2
-    sheets = {c: (c + k - 1) % sub.size + 1 for c in range(1, sub.size + 1)}
-    assert sheets in W.commuting_fixed_point_free_involutions(sub)
+def test_pair_closure_matches_the_reference_on_skew_products(monkeypatch,
+                                                             sub):
     with monkeypatch.context() as patch:
         patch.setattr(SP, "PAIR_LENGTH_CAP", 2000)
-        used, hidden = _with_and_without_involutions(patch, sub, 300)
-    _same_closure(used, hidden)
-    assert used["applied"] <= hidden["applied"]
+        new, ref = _closures(patch, sub, 300)
+    _same_closure(new, ref)
 
 
-def test_involutions_halve_the_letters_substituted(monkeypatch, rauzy2):
-    """Deterministic work guard on the involution shortcuts: on rauzy2,
-    whose symmetric pairs hold most letters, the letters substituted
-    fall to about half (56.9 % at a pair length cap of 2,000, 52.4 % at
-    20,000, 51.4 % at the default), and no more letters are walked."""
-    for cap, share in ((2000, 0.6), (20_000, 0.55)):
-        monkeypatch.setattr(SP, "PAIR_LENGTH_CAP", cap)
-        used, hidden = _with_and_without_involutions(monkeypatch, rauzy2)
-        assert used["applied"] <= share * hidden["applied"]
-        assert used["walked"] <= hidden["walked"]
+def test_longest_first_closure_walks_fewer_letters(monkeypatch, fib2,
+                                                   rauzy2):
+    """Deterministic work guard on the expansion order: at default caps
+    fib2 and rauzy2 reach the pair length cap after 22 and 30 expansions
+    (266 and 441 breadth-first), walking 50.2 % and 22.8 % of the
+    reference's letters."""
+    for sub, expanded, share in ((fib2, 22, 0.55), (rauzy2, 30, 0.25)):
+        new, ref = _closures(monkeypatch, sub)
+        for run in (new, ref):
+            assert run["half"].bound_hit == "pair length cap 100000"
+        assert len(new["edges"]) <= expanded
+        assert new["walked"] <= share * ref["walked"]
+
+
+def test_iteration_cap_bounds_the_depth_expanded(monkeypatch, fib2):
+    """ITER_CAP is a depth cap: a node found ITER_CAP substitution steps
+    from a seed component is not expanded.  Depths are the least numbers
+    of steps over the edges made."""
+    monkeypatch.setattr(SP, "ITER_CAP", 3)
+    new, _ = _closures(monkeypatch, fib2)
+    assert new["half"].bound_hit == "iteration cap 3"
+    _, _, seeds = SP.return_word_seeds(fib2)
+    level = {SP._canonical(c) for pair in seeds
+             for c in SP.split_balanced(*pair, fib2.size)}
+    depth, d = dict.fromkeys(level, 0), 0
+    while level:
+        d += 1
+        level = {s for node in level for s in new["edges"].get(node, ())
+                 if s not in depth}
+        depth.update(dict.fromkeys(level, d))
+    assert depth.keys() == new["nodes"]
+    assert max(depth[node] for node in new["edges"]) < 3
+    assert max(depth.values()) == 3
 
 
 def test_period_doubling_balanced_half_hits_the_length_cap():
@@ -844,7 +861,10 @@ def test_balanced_pair_runs_confirm_few_false_walk_zeros(monkeypatch, fib2,
                                                         rauzy2):
     """Deterministic work guard on the balanced-cut kernel: on the two
     longest balanced-pair runs of the corpus, zeros of the weighted walk
-    where the letter counts differ stay under 5% of the true cuts."""
+    where the letter counts differ stay under 5% of the true cuts.  The
+    runs take the breadth-first `ref_pair_closure`, which cuts every pair
+    of the first levels; the longest-first closure makes too few cuts on
+    fib2 to measure the rate."""
     confirmed = []
     balanced_at = CountGap.balanced_at
 
@@ -853,6 +873,7 @@ def test_balanced_pair_runs_confirm_few_false_walk_zeros(monkeypatch, fib2,
         return confirmed[-1]
 
     monkeypatch.setattr(CountGap, "balanced_at", counting)
+    monkeypatch.setattr(SP, "_pair_closure", ref_pair_closure)
     for sub in (fib2, rauzy2):
         confirmed.clear()
         SP.balanced_pairs(sub)

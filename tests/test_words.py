@@ -1,4 +1,3 @@
-import math
 import operator
 import random
 import tracemalloc
@@ -457,62 +456,3 @@ def test_two_letter_cuts_count_no_letter(monkeypatch):
         cuts = list(W.balanced_cuts(u, v, 2))
         assert cuts == _cuts_by_letter_counts(u, v, 2)
     assert made and all(pairs == [] for pairs in made)
-
-
-def _random_involution(rng, m):
-    letters = rng.sample(range(1, m + 1), m)
-    tau = {}
-    for a, b in zip(letters[::2], letters[1::2]):
-        tau[a], tau[b] = b, a
-    return tau
-
-
-def _orbit_false_zero(tau, a, m):
-    """A word Y whose walk against tau(Y) vanishes, with counts that
-    differ only on the orbits of a and m: e_lo letters lo and e_c letters
-    c = tau(m) ahead of their partners, where lo < hi are a and tau(a).
-    The orbit {lo, hi} adds (K^(lo-1) - K^(hi-1)) e_lo to the walk and
-    m's orbit K^(c-1) e_c, so e_lo : e_c = K^(c-1) : K^(hi-1) - K^(lo-1)."""
-    k = WALK_BASE[m]
-    lo, hi = sorted((a, tau[a]))
-    c = tau[m]
-    x, y = k ** (c - 1), k ** (hi - 1) - k ** (lo - 1)
-    g = math.gcd(x, y)
-    e_lo, e_c = x // g, y // g
-    return bytes([lo] * e_lo + [c] * e_c + [hi] * e_lo + [m] * e_c)
-
-
-def _table(tau):
-    return bytes([0] + [tau[c] for c in range(1, len(tau) + 1)]).ljust(
-        256, b"\0")
-
-
-@pytest.mark.parametrize("m", [2, 4, 6, 12, 40])
-def test_orbit_confirmation_matches_the_plain_cuts(monkeypatch, m):
-    """With tau, a zero of the walk of (Y, tau Y) is confirmed on Y alone,
-    one letter per orbit without m.  The cuts equal the plain ones and
-    the letter-count loop on random symmetric pairs and on a false zero
-    built for each orbit other than m's, so that confirming on fewer
-    orbits would cut there."""
-    rng = random.Random(100 + m)
-    false_zeros = 0
-    for _ in range(8):
-        tau = _random_involution(rng, m)
-        table = _table(tau)
-        words = [bytes(rng.choices(range(1, m + 1), k=rng.randint(0, 90)))
-                 for _ in range(6)]
-        if m in WALK_BASE:
-            built = [_orbit_false_zero(tau, a, m) for a in tau
-                     if a < tau[a] and m not in (a, tau[a])]
-            words += built + [w + words[0] for w in built]
-        for y in words:
-            ty = y.translate(table)
-            with monkeypatch.context() as patch:
-                made = _counted_letters(patch)
-                cuts = list(W.balanced_cuts(y, ty, m, tau))
-            assert made == [[(c, tau[c]) for c in range(1, m)
-                             if c < tau[c] != m]]
-            assert cuts == list(W.balanced_cuts(y, ty, m))
-            assert cuts == _cuts_by_letter_counts(y, ty, m)
-            false_zeros += len(set(W.walk_zeros(y, ty, m)) - set(cuts) - {0})
-    assert false_zeros or m == 2
