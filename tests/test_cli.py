@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import importlib
 import io
 import json
@@ -646,8 +647,14 @@ def _rederive(report):
     (("prefix_strong", "pairs", "a|b", "status"), "MAYBE",
      "prefix_strong[a|b]"),
     (("overlap_coincidence", "status"), "MAYBE", "overlap_coincidence"),
+    (("suffix_strong", "pairs", "a|b", "status"), "MAYBE",
+     "suffix_strong[a|b]"),
+    (("simultaneous", "status"), "MAYBE", "simultaneous"),
+    (("prefix_simultaneous", "status"), "MAYBE", "prefix_simultaneous"),
+    (("balanced_pairs", "status"), "MAYBE", "balanced_pairs"),
 ], ids=["geometric-fails", "simultaneous-fails", "prefix-simultaneous-fails",
-        "geometric-maybe", "prefix-maybe", "overlap-maybe"])
+        "geometric-maybe", "prefix-maybe", "overlap-maybe", "suffix-maybe",
+        "simultaneous-maybe", "prefix-simultaneous-maybe", "balanced-maybe"])
 def test_verify_fails_a_status_its_check_never_emits(path, value, failed):
     untampered = cli.verify_report(_fixture("fibonacci"))
     assert untampered["passed"]
@@ -672,8 +679,13 @@ def test_verify_fails_a_status_its_check_never_emits(path, value, failed):
     ("thue-morse", ("prefix_simultaneous",),
      {"status": "HOLDS", "witness": {"level": 1, "prefix_length": 0}},
      "prefix_simultaneous"),
+    ("rauzy2-left", ("prefix_simultaneous",),
+     {"status": "HOLDS", "witness": {}}, "prefix_simultaneous"),
+    ("fib2", ("suffix_strong", "pairs", "b|B"),
+     {"status": "HOLDS", "witness": {}}, "suffix_strong[b|B]"),
 ], ids=["thue-morse-prefix", "thue-morse-suffix", "fib2-prefix",
-        "thue-morse-prefix-simultaneous"])
+        "thue-morse-prefix-simultaneous", "rauzy2-left-prefix-simultaneous",
+        "fib2-suffix"])
 def test_verify_fails_a_holds_an_involution_refutes(name, path, value,
                                                    failed):
     untampered = cli.verify_report(_fixture(name))
@@ -684,6 +696,56 @@ def test_verify_fails_a_holds_an_involution_refutes(name, path, value,
     assert cli.verify_report(report) == {
         "passed": False,
         "replayed": dict(untampered["replayed"], **{failed: False})}
+
+
+SWEEP_FIXTURES = ("thue-morse", "fibonacci", "fib2", "rauzy2-gamma", "plastic")
+CLAIM_EDITS = (("HOLDS",), ("FAILS",), ("UNKNOWN",), ("X",), [],
+               {"error": "e"})
+
+
+def _claim_tampers(report):
+    """(path, edit) for each check object and each pair verdict of a
+    report: an edit is a 1-tuple of the status to set, or the JSON value
+    that replaces the claim."""
+    for check, claim in report["checks"].items():
+        paths = [("checks", check)] + [
+            ("checks", check, "pairs", key) for key in claim.get("pairs", ())]
+        for path in paths:
+            for edit in CLAIM_EDITS:
+                yield path, edit
+
+
+def _rederive_where_readable(report):
+    try:
+        _rederive(report)
+    except (LookupError, TypeError, AttributeError, ArithmeticError,
+            StopIteration, SubtilingError):
+        pass            # derive cannot read the tampered report
+
+
+# sha256 of every outcome of the sweep below, as `analyze --verify` prints
+# it (key order included), taken before verify_report read its claims
+# from one table
+SWEEP_SHA256 = (
+    "5f214c7e9138a484d8e5eaecbc8a77dd55cacfc3f704a2f97e2a25bbbd4631ad")
+
+
+def test_verify_outcomes_on_tampered_claims_are_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for name in SWEEP_FIXTURES:
+        for path, edit in _claim_tampers(_fixture(name)):
+            report = _fixture(name)
+            if isinstance(edit, tuple):
+                _put(report, path + ("status",), edit[0])
+            else:
+                _put(report, path, edit)
+            _rederive_where_readable(report)
+            outcome = cli.verify_report(report)
+            digest.update(json.dumps(outcome, indent=2).encode())
+            count += 1
+    assert count == 1074
+    assert digest.hexdigest() == SWEEP_SHA256
 
 
 @pytest.mark.parametrize("check", cli.CHECKS + ("spectral",))
