@@ -19,6 +19,7 @@ counters, never wall-clock times (those go to stderr).
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import math
 import sys
@@ -46,11 +47,41 @@ WINDOW_CAP = 1024
 # The report's beta_interval is at most 2^-BETA_WIDTH_BITS wide.
 BETA_WIDTH_BITS = 20
 
+# A check of a report, as `verify_report` judges its claims: its name;
+# whether it holds one verdict per letter pair; the statuses it emits,
+# none when `derive` alone judges it; how a HOLDS is judged, "word",
+# "tile" or None; and what replays a FAILS certificate, called with the
+# system, the certificate and the claim's letters, or None.
+Check = collections.namedtuple("Check", "name pairs statuses holds fails",
+                               defaults=(False, (), None, None))
+
+
 # The checks of a report, in the order analyze runs them; a report also
 # holds the combined "spectral" verdict of the last two.
-CHECKS = ("prefix_strong", "suffix_strong", "geometric_strong",
-          "simultaneous", "prefix_simultaneous", "height_group",
-          "eventual_return_module", "overlap_coincidence", "balanced_pairs")
+CHECK_TABLE = (
+    Check("prefix_strong", True, ("HOLDS", "FAILS", "UNKNOWN"), "word",
+          lambda system, certificate, pair:
+          coincidence.replay_involution_certificate(
+              system.sub, certificate, pair)),
+    # reversing the rules keeps every condition on an involution, so the
+    # suffix check replays the same certificate
+    Check("suffix_strong", True, ("HOLDS", "FAILS", "UNKNOWN"), "word",
+          lambda system, certificate, pair:
+          coincidence.replay_involution_certificate(
+              system.sub, certificate, pair)),
+    Check("geometric_strong", True, ("HOLDS", "UNKNOWN"), "tile"),
+    Check("simultaneous", False, ("HOLDS", "UNKNOWN"), "tile"),
+    Check("prefix_simultaneous", False, ("HOLDS", "UNKNOWN"), "word"),
+    Check("height_group"),
+    Check("eventual_return_module"),
+    Check("overlap_coincidence", False, ("HOLDS", "FAILS", "UNKNOWN"), None,
+          lambda system, certificate, _:
+          spectrum.replay_overlap_certificate(system, certificate)),
+    Check("balanced_pairs", False, ("HOLDS", "FAILS", "UNKNOWN"), None,
+          lambda system, certificate, _:
+          spectrum.replay_balanced_certificate(system.sub, certificate)),
+)
+CHECKS = tuple(check.name for check in CHECK_TABLE)
 
 
 @dataclass
@@ -543,7 +574,7 @@ def derive(report: dict) -> list:
     put("facts.characteristic_irreducible", irreducible)
     advisory = not (facts["pisot"] and irreducible)
     ran = {name: "error" not in checks[name] for name in CHECKS}
-    for name in ("prefix_strong", "suffix_strong", "geometric_strong"):
+    for name in (check.name for check in CHECK_TABLE if check.pairs):
         if ran[name]:
             statuses = {v["status"] for v in checks[name]["pairs"].values()}
             put(f"checks.{name}.aggregate", next(
@@ -675,47 +706,33 @@ def verify_report(report: dict) -> dict:
     The setup is checked, not found again: `SuspensionSystem.from_facts`
     recomputes the matrix and the characteristic polynomial and checks
     the report's `minimal_polynomial` (it divides the characteristic
-    polynomial, `polys.factor_monic` of it alone finds one factor, since
-    `polys.is_irreducible` refuses a 13-letter input's degree, and its
-    largest root is the Perron root) and `prototile_lengths` (the left
-    beta-eigenvector with last entry 1, each entry positive).  A setup
-    fact that fails ends the replay with "facts" false and an error that
-    names it.  The seed and reference points are recomputed.
-    The facts the SuspensionSystem and reference points fix
-    (`_core_facts`) must equal the report's, and so must every leaf that
-    `derive` recomputes from the report's other leaves: `primitive`,
-    `characteristic_irreducible`, each pair check's aggregate, the
-    geometric check's `admissible`, the height group's status, group and
-    lattice ranks, eventual return's status, max_power and bound, the
-    balanced-pair `advisory` flag, `spectral` and the `cost` counters;
-    and `beta_interval` must enclose beta inside the field's interval,
-    at most 2^-BETA_WIDTH_BITS wide (`_beta_interval_holds`).  All of
-    these are one replay "facts", which a report derive cannot read
-    fails.
-    The involution of each prefix and suffix FAILS pair is checked against
-    the rules (`coincidence.replay_involution_certificate`).  A prefix or
-    suffix HOLDS for a pair that a commuting fixed-point-free involution
-    swaps fails, and so does a prefix_simultaneous HOLDS when there is
-    such an involution: by the lemma of `coincidence.prefix_strong`,
-    neither can hold.  Geometric
-    and simultaneous HOLDS witnesses are all parsed, then replayed on the
-    inflation tree of one setting, both claims for every scope letter
-    (`coincidence.verify_witness`); FAILS certificates of both spectral
-    procedures are rerun through one inflation or substitution pass.
-    A replay that raises a SubtilingError (a cap it ran into) fails, and
-    so does a witness that does not parse or whose scope is not that of
-    its check, the two letters of its pair key or "all"; so does a
-    malformed claim (a check or pair verdict that is not an object, a
-    HOLDS with no witness, a FAILS with no certificate, a status its
-    check never emits: geometric_strong pairs, simultaneous and
-    prefix_simultaneous have no FAILS certificate, so they emit HOLDS or
-    UNKNOWN only), and a
-    prefix_strong, suffix_strong or geometric_strong whose pairs are not
-    exactly the m(m+1)/2 letter pairs.  A check that raised, exactly
-    {"error": <str>}, was not run and has nothing to judge.  A report
-    whose window _check_window rejects, whose input section names no
-    primitive substitution, or whose checks section is not an object or
-    lacks one of CHECKS or "spectral", fails with an error.
+    polynomial, `polys.factor_monic` of it alone finds one factor, and
+    its largest root is the Perron root) and `prototile_lengths` (the
+    left beta-eigenvector with last entry 1, each entry positive).  A
+    setup fact that fails ends the replay with "facts" false and an
+    error that names it.  The seed and reference points are recomputed.
+    The facts they fix (`_core_facts`) must equal the report's, every
+    leaf of `derive` must be the report's, and `beta_interval` must
+    enclose beta (`_beta_interval_holds`); all of these are the one
+    replay "facts", which a report derive cannot read fails.
+
+    Then each check of CHECK_TABLE that emits a status is judged claim by
+    claim: a pair check's claims are its verdicts, named check[x|y], and
+    must be keyed by exactly the m(m+1)/2 letter pairs; any other check
+    makes one claim over every letter.  A claim fails when it is not an
+    object, or its status is not one its check emits.  A FAILS replays
+    its certificate.  A word HOLDS needs a witness object, and fails when
+    a commuting fixed-point-free involution maps one of its letters to
+    another, by the lemma of `coincidence`.  Tile HOLDS witnesses must
+    parse with the claim's scope, its pair or "all"; they are then all
+    replayed on the inflation tree of one setting
+    (`coincidence.verify_witness`).  A replay that raises a
+    SubtilingError (a cap it ran into) fails.  A check that raised, which
+    holds an "error" in place of a status (a pair check exactly
+    {"error": <str>}), has nothing to judge.  A report whose window
+    _check_window rejects, whose input section names no primitive
+    substitution, or whose checks section is not an object or lacks one
+    of CHECKS or "spectral", fails with an error.
     """
     try:
         _check_window(report["input"]["bounds"]["window"])
@@ -738,13 +755,9 @@ def verify_report(report: dict) -> dict:
         return {"passed": False, "replayed": {},
                 "error": "checks: missing " + ", ".join(missing)}
     index = {tok: i + 1 for i, tok in enumerate(spec.letters)}
-    # the letters of each pair key, and the scope its geometric witness
-    # must carry
+    letters = tuple(range(1, system.size + 1))
     pair_letters = {_pair_key(spec, (i, j)): (i, j)
-                    for i in range(1, system.size + 1)
-                    for j in range(i, system.size + 1)}
-    pair_scopes = {key: [spec.token(c) for c in pair]
-                   for key, pair in pair_letters.items()}
+                    for i in letters for j in letters if i <= j}
     facts = report["facts"]     # an object, or from_facts had raised
     core = _core_facts(spec, system, refpoints, kind)
     results = {"facts": all(    # as JSON, so that 1.0 and true are not 1
@@ -753,33 +766,11 @@ def verify_report(report: dict) -> dict:
         and _derived_leaves_hold(report)
         and _beta_interval_holds(facts.get("beta_interval"), system.field)}
 
-    def replay(check, *args):
+    def replay(fn, *args):
         try:
-            return check(*args)
+            return fn(*args)
         except SubtilingError:
             return False
-
-    # the geometric witnesses by replay name, all parsed before a replay
-    witnesses = {}
-
-    def take_witness(name, w, scope):
-        """Parse a witness; one that does not parse (a level that is not
-        an int too), or whose scope is not the given one, fails."""
-        results[name] = False
-        try:
-            levels = w["level"], w["replay_level"]
-            if w["scope"] != scope or {type(x) for x in levels} != {int}:
-                return
-            (shift, replay_shift), denom = algebraic.parse_shifts(
-                (w["shift"], w["replay_shift"]), system.field.degree)
-            witnesses[name] = coincidence.CoincidenceWitness(
-                level=levels[0], color=index[w["color"]], shift=shift,
-                scope=(None if scope == "all" else
-                       tuple(index[t] for t in scope)),
-                replay_level=levels[1], replay_color=index[w["replay_color"]],
-                replay_shift=replay_shift, denom=denom)
-        except (KeyError, TypeError, ValueError, ZeroDivisionError):
-            pass
 
     def part(obj, key, name=None):
         """obj[key], or {} when it is absent; one that is not an object is
@@ -790,82 +781,69 @@ def verify_report(report: dict) -> dict:
         results[name or key] = False
         return {}
 
-    def emitted(name, claim, statuses=("HOLDS", "UNKNOWN")):
-        """The replay `name` fails unless the claim's status is one of
-        the statuses its check emits; a check that raised holds its
-        error in place of a status."""
-        if claim.get("status") not in statuses and "error" not in claim:
-            results[name] = False
+    def claims(check):
+        """(replay name, its letters, claim) for each claim of a check,
+        read one at a time so that names enter `results` in report
+        order; a pair key that names no pair has letters None.  A check
+        that emits no status has none."""
+        if not check.statuses:
+            return
+        claim = part(checks, check.name)
+        if not check.pairs:
+            yield check.name, letters, claim
+        elif claim.keys() != {"error"} or not isinstance(claim["error"], str):
+            pairs = part(claim, "pairs", check.name)
+            if pairs.keys() != pair_letters.keys():
+                results[check.name] = False
+            for key in pairs:
+                name = f"{check.name}[{key}]"
+                yield name, pair_letters.get(key), part(pairs, key, name)
 
-    def witnessed(name, claim):
-        """`emitted`, and a HOLDS with no witness object fails."""
-        emitted(name, claim)
-        if claim.get("status") == "HOLDS" and \
-                not isinstance(claim.get("witness"), dict):
-            results[name] = False
+    # the tile witnesses by replay name, all parsed before a replay
+    witnesses = {}
 
-    def pairs_of(check):
-        """A check's pair verdicts; it fails unless keyed by every pair.
-        A check that raised, exactly {"error": <str>}, has none."""
-        claim = part(checks, check)
-        if claim.keys() == {"error"} and isinstance(claim["error"], str):
-            return {}
-        pairs = part(claim, "pairs", check)
-        if pairs.keys() != pair_letters.keys():
-            results[check] = False
-        return pairs
+    def take_witness(name, w, check, claimed):
+        """Parse a witness; one that does not parse (a level that is not
+        an int too), or whose scope is not the claim's, fails."""
+        results[name] = False
+        try:
+            levels = w["level"], w["replay_level"]
+            scope = [spec.token(c) for c in claimed] if check.pairs else "all"
+            (shift, replay_shift), denom = algebraic.parse_shifts(
+                (w["shift"], w["replay_shift"]), system.field.degree)
+            if w["scope"] == scope and {type(x) for x in levels} == {int}:
+                witnesses[name] = coincidence.CoincidenceWitness(
+                    level=levels[0], color=index[w["color"]], shift=shift,
+                    scope=claimed if check.pairs else None,
+                    replay_level=levels[1],
+                    replay_color=index[w["replay_color"]],
+                    replay_shift=replay_shift, denom=denom)
+        except (KeyError, TypeError, ValueError, ZeroDivisionError):
+            pass
 
     # reversing the rules keeps every condition on an involution, so
-    # these serve the suffix check too
+    # these refute suffix claims too
     involutions = words.commuting_fixed_point_free_involutions(system.sub)
-    for check in ("prefix_strong", "suffix_strong"):
-        pairs = pairs_of(check)
-        for key in pairs:
-            name = f"{check}[{key}]"
-            verdict = part(pairs, key, name)
-            if verdict.get("status") == "FAILS":
-                results[name] = key in pair_letters and \
-                    coincidence.replay_involution_certificate(
-                        system.sub, verdict.get("certificate"),
-                        pair_letters[key])
-            else:
-                witnessed(name, verdict)
-                pair = pair_letters.get(key)
-                if verdict.get("status") == "HOLDS" and pair and any(
-                        tau[pair[0]] == pair[1] for tau in involutions):
-                    results[name] = False
-    pairs = pairs_of("geometric_strong")
-    for key in pairs:
-        name = f"geometric_strong[{key}]"
-        verdict = part(pairs, key, name)
-        emitted(name, verdict)
-        if verdict.get("status") == "HOLDS":
-            take_witness(name, verdict.get("witness"), pair_scopes.get(key))
-    sim = part(checks, "simultaneous")
-    emitted("simultaneous", sim)
-    if sim.get("status") == "HOLDS":
-        take_witness("simultaneous", sim.get("witness"), "all")
-    prefix_sim = part(checks, "prefix_simultaneous")
-    witnessed("prefix_simultaneous", prefix_sim)
-    if prefix_sim.get("status") == "HOLDS" and involutions:
-        results["prefix_simultaneous"] = False
+    for check in CHECK_TABLE:
+        for name, claimed, claim in claims(check):
+            status = claim.get("status")
+            if status not in check.statuses and "error" not in claim:
+                results[name] = False
+            if status == "FAILS" and check.fails:
+                results[name] = claimed is not None and replay(
+                    check.fails, system, claim.get("certificate"), claimed)
+            elif status == "HOLDS" and check.holds == "tile":
+                take_witness(name, claim.get("witness"), check, claimed)
+            elif status == "HOLDS" and check.holds == "word" and (
+                    not isinstance(claim.get("witness"), dict)
+                    or claimed and any(tau[c] in claimed for c in claimed
+                                       for tau in involutions)):
+                results[name] = False
     setting = coincidence.IntegerSetting(
         system, refpoints, math.lcm(*(w.denom for w in witnesses.values())))
     for name, witness in witnesses.items():
         results[name] = replay(coincidence.verify_witness, system,
                                refpoints, witness, setting)
-    overlap = part(checks, "overlap_coincidence")
-    emitted("overlap_coincidence", overlap, ("HOLDS", "FAILS", "UNKNOWN"))
-    if overlap.get("status") == "FAILS":
-        results["overlap_coincidence"] = replay(
-            spectrum.replay_overlap_certificate, system,
-            overlap.get("certificate"))
-    balanced = part(checks, "balanced_pairs")
-    emitted("balanced_pairs", balanced, ("HOLDS", "FAILS", "UNKNOWN"))
-    if balanced.get("status") == "FAILS":
-        results["balanced_pairs"] = replay(
-            spectrum.replay_balanced_certificate, system.sub,
-            balanced.get("certificate"))
     return {"passed": all(results.values()), "replayed": results}
 
 
