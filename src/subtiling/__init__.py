@@ -22,7 +22,6 @@ from .lattices import (
     height_group,
     quotient,
 )
-from .polys import is_irreducible
 from .spectrum import (
     SpectralHalf,
     balanced_pairs,
@@ -56,7 +55,7 @@ __all__ = [
     "abelianization", "balanced_pairs", "char_poly", "control_points",
     "differences_in_return_module", "eventual_membership",
     "fixed_point_seed", "generate_patch", "geometric_strong", "height_group",
-    "is_admissible", "is_irreducible", "is_pisot", "is_primitive",
+    "is_admissible", "is_pisot", "is_primitive",
     "left_endpoint_points", "overlap_coincidence", "perron_factor",
     "prefix_simultaneous", "prefix_strong", "prototile_lengths", "quotient",
     "reference_point_sets",

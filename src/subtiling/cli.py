@@ -442,12 +442,13 @@ def run_analysis(spec: SpecFile, overrides: dict | None = None) -> dict:
     [1, WINDOW_CAP], or any other bound that is not a non-negative int,
     raises InvalidBound before any check runs.
 
-    Only a substitution that is not primitive runs `polys.is_irreducible`
-    on its characteristic polynomial; for a primitive one `derive`
-    compares it with the minimal polynomial, which the suspension's
-    setup factors out.  A setup that raises a SubtilingError, such as too
-    many factors mod a prime (`polys.DEGREE_CAP`), ends the report with
-    its message as `characteristic_irreducible.error` and `checks.error`.
+    For a substitution that is not primitive, `characteristic_irreducible`
+    is whether `polys.factor_monic` finds one factor of the characteristic
+    polynomial; for a primitive one `derive` compares it with the minimal
+    polynomial, which the suspension's setup factors out.  A setup that
+    raises a SubtilingError, such as too many factors mod a prime
+    (`polys.DEGREE_CAP`), ends the report with its message as
+    `characteristic_irreducible.error` and `checks.error`.
     """
     bounds = Bounds(**{
         **{attr: spec.bounds[key] for key, attr, _, _ in BOUNDS
@@ -486,7 +487,8 @@ def run_analysis(spec: SpecFile, overrides: dict | None = None) -> dict:
     facts["characteristic_polynomial"] = cp
     if not primitive:
         try:
-            facts["characteristic_irreducible"] = polys.is_irreducible(cp)
+            facts["characteristic_irreducible"] = \
+                len(polys.factor_monic(cp)) == 1
         except SubtilingError as exc:
             facts["characteristic_irreducible"] = {"error": str(exc)}
         checks["error"] = "substitution is not primitive; no suspension"

@@ -25,7 +25,7 @@ class FactorizationFailed(SubtilingError):
 
 
 class DegreeCapExceeded(SubtilingError):
-    """A degree, or a number of factors mod a prime, exceeds DEGREE_CAP."""
+    """The number of factors modulo a prime exceeds DEGREE_CAP."""
 
 
 class EigenvectorDefect(SubtilingError):

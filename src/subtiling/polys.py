@@ -6,9 +6,9 @@ the empty list.  Nothing here ever touches a float.  Degrees stay small
 (below ~20), so the classical algorithms are used throughout: signed
 remainder sequences for Sturm chains and Tarski queries, a primitive
 remainder sequence for gcds, Yun's algorithm for squarefree parts, and
-for monic polynomials `factor_monic`, which `is_irreducible` reads:
-Berlekamp's algorithm modulo a prime, Hensel lifting and Zassenhaus's
-recombination of the lifted factors.
+for monic polynomials `factor_monic`: Berlekamp's algorithm modulo a
+prime, Hensel lifting and Zassenhaus's recombination of the lifted
+factors.
 
 Everything that takes a polynomial computes over Z.  Remainders are
 pseudo-remainders (a positive multiple of the remainder over Q, so the
@@ -391,6 +391,8 @@ def dominates(minpoly, interval, cofactor) -> bool:
 # Factorization over Z (monic inputs): Berlekamp, Hensel, Zassenhaus
 # ---------------------------------------------------------------------------
 
+# The most factors modulo a prime whose subsets `_factor_squarefree`
+# recombines.
 DEGREE_CAP = 12
 
 
@@ -593,28 +595,6 @@ def integer_roots(p):
             roots.append(r)
             p = exact_int_divide(p, [-r, 1])
     return roots, p
-
-
-def is_irreducible(p):
-    """Irreducibility over Q for an integer polynomial of degree >= 1:
-    whether `factor_monic` finds exactly one factor of its primitive part.
-
-    Degree 1 is irreducible.  A degree above DEGREE_CAP raises
-    DegreeCapExceeded, and a primitive part of degree >= 2 that is not
-    monic raises FactorizationFailed.
-    """
-    p = primitive_part(p)
-    n = degree(p)
-    if n < 1:
-        return False
-    if n > DEGREE_CAP:
-        raise DegreeCapExceeded(f"degree {n} exceeds cap {DEGREE_CAP}")
-    if n == 1:
-        return True
-    if p[-1] != 1:
-        raise FactorizationFailed(
-            "factorization supports monic polynomials only")
-    return len(factor_monic(p)) == 1
 
 
 def factor_monic(p):

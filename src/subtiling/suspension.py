@@ -89,8 +89,7 @@ class SuspensionSystem:
         which must equal `characteristic_polynomial`.  Checked:
         - `minimal_polynomial` is monic with integer coefficients, divides
           chi exactly, and `polys.factor_monic` of it alone finds one
-          factor.  (`polys.is_irreducible` refuses a degree above
-          DEGREE_CAP, which a 13-letter input reaches.)
+          factor.
         - its largest real root beta exceeds every real root of the
           cofactor (`algebraic.dominant_field`, as in `perron_factor`), so
           beta is the Perron root and the field starts from its interval.

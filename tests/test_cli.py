@@ -1412,6 +1412,25 @@ def test_report_of_a_substitution_that_is_not_primitive():
     assert "spectral" not in report["checks"]
 
 
+def test_a_substitution_that_is_not_primitive_of_any_degree_is_factored():
+    # the primitive 13-letter cycle of x^13 - x^12 - 1 beside n -> n n:
+    # the characteristic polynomial has degree 14, above the cap on
+    # factors mod p, and two factors over Z
+    letters = "abcdefghijklm"
+    rules = "".join(f"rule {x} = {y}\n" for x, y in zip(letters[1:],
+                                                        letters[2:]))
+    spec = cli.parse_spec(
+        "letters " + " ".join(letters) + " n\nrule a = a b\n" + rules +
+        "rule m = a\nrule n = n n\n", name="fourteen")
+    report = cli.run_analysis(spec)
+    facts = report["facts"]
+    assert facts["primitive"] is False
+    assert polys.degree(facts["characteristic_polynomial"]) == 14
+    assert facts["characteristic_irreducible"] is False
+    assert report["checks"] == {
+        "error": "substitution is not primitive; no suspension"}
+
+
 def test_report_of_a_setup_that_raises(tmp_path, monkeypatch):
     monkeypatch.setattr(polys, "DEGREE_CAP", 1)
     path = tmp_path / "twelve.spec"
