@@ -724,8 +724,8 @@ def _rederive_where_readable(report):
 
 
 # sha256 of every outcome of the sweep below, as `analyze --verify` prints
-# it (key order included), taken before verify_report read its claims
-# from one table
+# it (key order included); a change that only restructures verify_report
+# leaves it as it is
 SWEEP_SHA256 = (
     "5f214c7e9138a484d8e5eaecbc8a77dd55cacfc3f704a2f97e2a25bbbd4631ad")
 
