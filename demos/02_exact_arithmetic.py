@@ -12,7 +12,9 @@ cp = algebraic.char_poly([[1, 1], [1, 0]])
 print("characteristic polynomial (ascending):", cp)
 field = algebraic.perron_factor(cp)
 print("minimal polynomial of the dominant root:", list(field.minpoly))
-print("isolating interval:", field.interval())
+# beta lies in [num_lo / den, num_hi / den], kept as three ints
+print("isolating interval (num_lo, num_hi, den):",
+      (field.num_lo, field.num_hi, field.den))
 
 b = field.beta()
 print("beta^2 == beta + 1:", b * b == b + 1)
@@ -21,7 +23,8 @@ print("1/beta == beta - 1:", b.inverse() == b - 1)
 x = 10 * b - 16
 print("sign of 10*beta - 16:", x.sign())
 field.ensure_width(Fraction(1, 10**12))
-print("interval after refinement:", field.interval().width <= Fraction(1, 10**12))
+print("interval at most 10^-12 wide after refinement:",
+      (field.num_hi - field.num_lo) * 10**12 <= field.den)
 
 print("pisot (golden mean):", algebraic.is_pisot(field))
 

@@ -11,9 +11,11 @@ spec = cli.corpus_lookup("rauzy2-gamma")
 system = suspension.SuspensionSystem(spec.substitution())
 
 print("expansion minimal polynomial:", list(system.field.minpoly))
+# the lengths are integer vectors over their least common denominator too
+vectors, denom = system.lengths
 print("prototile lengths (coordinates in 1, beta, beta^2):")
-for tok, length in zip(spec.letters, system.lengths):
-    print(f"  {tok}: {[str(c) for c in length.coords]}")
+for tok, length in zip(spec.letters, vectors):
+    print(f"  {tok}: {spectrum.format_shift(length, denom)}")
 
 # the control points are integer vectors over their least common
 # denominator, as every later step takes them

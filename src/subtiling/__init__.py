@@ -3,8 +3,8 @@ one-dimensional substitution tilings."""
 
 __version__ = "0.1.0"
 
-from .algebraic import FieldElem, NumberField, RatInterval, char_poly, \
-    is_pisot, perron_factor
+from .algebraic import FieldElem, NumberField, char_poly, is_pisot, \
+    perron_factor
 from .coincidence import (
     BoundedVerdict,
     CoincidenceWitness,
@@ -50,7 +50,7 @@ from .words import (
 
 __all__ = [
     "AbelianGroup", "BoundedVerdict", "CoincidenceWitness", "FieldElem",
-    "NumberField", "Patch", "PointSets", "RatInterval", "SpectralHalf",
+    "NumberField", "Patch", "PointSets", "SpectralHalf",
     "Substitution", "SuspensionSystem", "ZModule",
     "abelianization", "balanced_pairs", "char_poly", "control_points",
     "differences_in_return_module", "eventual_membership",

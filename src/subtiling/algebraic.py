@@ -40,8 +40,8 @@ Signs of nonzero elements are certified in two stages, filter then exact.
   by `polys.bisect`, the step that also isolates the root: it doubles
   num_lo, num_hi and den and takes the midpoint num_lo + num_hi of the
   old ends, decided by the sign of the minimal polynomial there in
-  homogeneous integer Horner form.  A RatInterval is built only at the
-  boundary (interval()).
+  homogeneous integer Horner form.  The interval and the enclosures
+  leave this module as these ints too; no rational interval is built.
 
 Both stages compute with ints only, and neither has a tolerance.  The
 dominant root is that of the factor whose largest root exceeds every
@@ -120,50 +120,6 @@ def parse_shifts(values, degree, denom=1):
         rows.append(list(map(_lowest_terms, value)))
         denom = math.lcm(denom, *(q for _, q in rows[-1]))
     return [tuple([p * (denom // q) for p, q in row]) for row in rows], denom
-
-
-class RatInterval:
-    """Closed interval with rational endpoints."""
-
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, lo, hi):
-        lo, hi = Fraction(lo), Fraction(hi)
-        if lo > hi:
-            raise ValueError("interval endpoints out of order")
-        self.lo = lo
-        self.hi = hi
-
-    def __repr__(self):
-        return f"RatInterval({self.lo}, {self.hi})"
-
-    @property
-    def width(self):
-        return self.hi - self.lo
-
-    def __add__(self, other):
-        if isinstance(other, RatInterval):
-            return RatInterval(self.lo + other.lo, self.hi + other.hi)
-        return RatInterval(self.lo + other, self.hi + other)
-
-    def __mul__(self, other):
-        if isinstance(other, RatInterval):
-            vals = (self.lo * other.lo, self.lo * other.hi,
-                    self.hi * other.lo, self.hi * other.hi)
-            return RatInterval(min(vals), max(vals))
-        if other >= 0:
-            return RatInterval(self.lo * other, self.hi * other)
-        return RatInterval(self.hi * other, self.lo * other)
-
-    def sign(self):
-        """+1, -1, or None when the interval straddles zero."""
-        if self.lo > 0:
-            return 1
-        if self.hi < 0:
-            return -1
-        if self.lo == self.hi == 0:
-            return 0
-        return None
 
 
 def _faddeev_leverrier(matrix):
@@ -254,10 +210,6 @@ class NumberField:
             lambda mid, den, s: s == self._lo_sign)
         self.generation += 1
         self._tables = {}
-
-    def interval(self):
-        return RatInterval(Fraction(self.num_lo, self.den),
-                           Fraction(self.num_hi, self.den))
 
     def ensure_width(self, width):
         width = Fraction(width)
@@ -411,9 +363,6 @@ class NumberField:
             return self.rational(-self.minpoly[0])
         return self.element([0, 1])
 
-    def __repr__(self):
-        return f"NumberField(minpoly={list(self.minpoly)})"
-
     def __eq__(self, other):
         return isinstance(other, NumberField) and self.minpoly == other.minpoly
 
@@ -430,9 +379,6 @@ class FieldElem:
     def __init__(self, field, coords):
         self.field = field
         self.coords = coords
-
-    def __repr__(self):
-        return f"FieldElem({[str(c) for c in self.coords]})"
 
     def _coerce(self, other):
         if isinstance(other, FieldElem):
@@ -527,20 +473,6 @@ class FieldElem:
         coords = self.coords
         scale = common_denominator(coords)
         return (coords if scale == 1 else scaled_coords(coords, scale)), scale
-
-    def _enclosure(self):
-        """Integers (lower, upper, scale), scale > 0, such that
-        [lower / scale, upper / scale] is the Horner enclosure of the
-        coordinate polynomial on the field's interval
-        (`NumberField._horner_enclosure` of the scaled coordinates)."""
-        ints, scale = self._ints()
-        lower, upper, den_pow = self.field._horner_enclosure(ints)
-        return lower, upper, scale * den_pow
-
-    def interval(self):
-        """Enclosing rational interval at the current refinement."""
-        lower, upper, scale = self._enclosure()
-        return RatInterval(Fraction(lower, scale), Fraction(upper, scale))
 
     def sign(self):
         """-1, 0, or +1, certified: `NumberField.int_sign` of the

@@ -37,7 +37,6 @@ from .errors import (
     SubtilingError,
     UnknownCorpusEntry,
 )
-from .spectrum import _frac_str
 
 
 # Largest window, in tile lengths, that analyze accepts and verify
@@ -296,10 +295,6 @@ def corpus_lookup(name: str) -> SpecFile:
 # ---------------------------------------------------------------------------
 
 
-def _elem(e) -> list:
-    return [_frac_str(c) for c in e.coords]
-
-
 def _pair_key(spec: SpecFile, pair) -> str:
     return f"{spec.token(pair[0])}|{spec.token(pair[1])}"
 
@@ -387,11 +382,13 @@ def _core_facts(spec: SpecFile, system, refpoints, kind) -> dict:
     report writes them; `verify` compares a report's facts to these."""
     k, left, right = system.seed
     vectors, denom = refpoints
+    lengths, length_denom = system.lengths
     return {
         "substitution_matrix": [list(r) for r in system.matrix],
         "characteristic_polynomial": system.char_poly,
         "minimal_polynomial": list(system.field.minpoly),
-        "prototile_lengths": [_elem(e) for e in system.lengths],
+        "prototile_lengths": [spectrum.format_shift(v, length_denom)
+                              for v in lengths],
         "fixed_point_seed": {
             "power": k, "left": spec.token(left), "right": spec.token(right),
         },
@@ -501,12 +498,13 @@ def run_analysis(spec: SpecFile, overrides: dict | None = None) -> dict:
         return report
     facts["characteristic_irreducible"] = None      # from derive
     system.field.ensure_width(Fraction(1, 1 << BETA_WIDTH_BITS))
-    ivl = system.field.interval()
+    beta_interval = spectrum.format_shift(
+        (system.field.num_lo, system.field.num_hi), system.field.den)
     pisot = algebraic.is_pisot(system.field)
     refpoints, kind = _reference_points(system, spec)
     core = _core_facts(spec, system, refpoints, kind)
     facts["minimal_polynomial"] = core["minimal_polynomial"]
-    facts["beta_interval"] = [_frac_str(ivl.lo), _frac_str(ivl.hi)]
+    facts["beta_interval"] = beta_interval
     facts["pisot"] = pisot
     # the rest of the core facts, in their order
     facts.update((key, value) for key, value in core.items()
@@ -729,12 +727,13 @@ def verify_report(report: dict) -> dict:
     parse with the claim's scope, its pair or "all"; they are then all
     replayed on the inflation tree of one setting
     (`coincidence.verify_witness`).  A replay that raises a
-    SubtilingError (a cap it ran into) fails.  A check that raised, which
-    holds an "error" in place of a status (a pair check exactly
-    {"error": <str>}), has nothing to judge.  A report whose window
-    _check_window rejects, whose input section names no primitive
-    substitution, or whose checks section is not an object or lacks one
-    of CHECKS or "spectral", fails with an error.
+    SubtilingError (a cap it ran into) fails.  A claim or a pair check
+    that raised is exactly {"error": <str>} and has nothing to judge;
+    any other claim is judged by its status, even one that holds an
+    "error".  A report whose window _check_window rejects, whose input
+    section names no primitive substitution, or whose checks section is
+    not an object or lacks one of CHECKS or "spectral", fails with an
+    error.
     """
     try:
         _check_window(report["input"]["bounds"]["window"])
@@ -783,6 +782,11 @@ def verify_report(report: dict) -> dict:
         results[name or key] = False
         return {}
 
+    def raised(claim):
+        """Whether a claim is that of a check that raised: exactly
+        {"error": <str>}, with nothing to judge."""
+        return claim.keys() == {"error"} and isinstance(claim["error"], str)
+
     def claims(check):
         """(replay name, its letters, claim) for each claim of a check,
         read one at a time so that names enter `results` in report
@@ -793,7 +797,7 @@ def verify_report(report: dict) -> dict:
         claim = part(checks, check.name)
         if not check.pairs:
             yield check.name, letters, claim
-        elif claim.keys() != {"error"} or not isinstance(claim["error"], str):
+        elif not raised(claim):
             pairs = part(claim, "pairs", check.name)
             if pairs.keys() != pair_letters.keys():
                 results[check.name] = False
@@ -828,8 +832,10 @@ def verify_report(report: dict) -> dict:
     involutions = words.commuting_fixed_point_free_involutions(system.sub)
     for check in CHECK_TABLE:
         for name, claimed, claim in claims(check):
+            if raised(claim):
+                continue
             status = claim.get("status")
-            if status not in check.statuses and "error" not in claim:
+            if status not in check.statuses:
                 results[name] = False
             if status == "FAILS" and check.fails:
                 results[name] = claimed is not None and replay(

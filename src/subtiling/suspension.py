@@ -13,9 +13,10 @@ subtile offsets.  A system caches its fixed-point patches per (seed,
 level), and each patch builds its fixed-point enclosures once.  Reference
 points leave this module as (vectors, D), integer vectors over their
 least common denominator, and turn a patch into a colored point set over
-one denominator.  FieldElems are made only in setup (the lengths, beta,
-one inverse per cycle of control points).  All values are immutable and
-all comparisons certified.
+one denominator; a system holds its lengths in the same form.  FieldElems
+are made only in setup: the solved eigenvector of `prototile_lengths`,
+and one inverse per cycle of control points.  All values are immutable
+and all comparisons certified.
 """
 
 from __future__ import annotations
@@ -76,8 +77,12 @@ class SuspensionSystem:
     def __init__(self, sub: Substitution):
         matrix, char_poly = _primitive_matrix(sub)
         field = algebraic.perron_factor(char_poly)
-        self._realize(sub, matrix, char_poly, field,
-                      prototile_lengths(sub, field))
+        lengths = prototile_lengths(sub, field)
+        denom = algebraic.common_denominator(
+            c for length in lengths for c in length.coords)
+        self._realize(sub, matrix, char_poly, field, (tuple(
+            algebraic.scaled_coords(length.coords, denom)
+            for length in lengths), denom))
 
     @classmethod
     def from_facts(cls, sub: Substitution, facts):
@@ -120,16 +125,14 @@ class SuspensionSystem:
         self.matrix = matrix
         self.char_poly = char_poly
         self.field = field
-        self.beta = field.beta()
+        # (vectors, D): each letter's length is its vector over D, the
+        # least common denominator
         self.lengths = lengths
-        # the lengths as integer vectors over one common denominator, by
-        # coordinate: column k holds coordinate k of each letter's length,
-        # indexed by letter
-        self._length_denom = algebraic.common_denominator(
-            c for length in self.lengths for c in length.coords)
-        self._length_columns = tuple((0,) + column for column in zip(*(
-            algebraic.scaled_coords(length.coords, self._length_denom)
-            for length in self.lengths)))
+        vectors, self._length_denom = lengths
+        # by coordinate: column k holds coordinate k of each letter's
+        # length, indexed by letter
+        self._length_columns = tuple((0,) + column
+                                     for column in zip(*vectors))
         self.seed = words.fixed_point_seed(sub)
         # fixed-point patches keyed (seed, level)
         self._patch_cache = {}
@@ -154,11 +157,14 @@ class SuspensionSystem:
         the largest upper end once every length's enclosure is at most
         1/16 wide.  Enclosures only shrink under refinement, so this is
         the generation a length-by-length refinement would reach."""
-        sixteenth = Fraction(1, 16)
+        vectors, denom = self.lengths
         while True:
-            ivls = [length.interval() for length in self.lengths]
-            if all(ivl.width <= sixteenth for ivl in ivls):
-                return max(ivl.hi for ivl in ivls)
+            # the enclosures of the vectors over D, each over the same
+            # scale den^(degree-1)
+            ends = list(map(self.field._horner_enclosure, vectors))
+            scale = denom * ends[0][2]
+            if all((hi - lo) * 16 <= scale for lo, hi, _ in ends):
+                return Fraction(max(hi for _, hi, _ in ends), scale)
             self.field._refine_once()
 
     def window(self, size_in_tiles):
@@ -260,8 +266,7 @@ def _eigenvector(lengths, field, matrix):
             reject("not a beta-eigenvector")
     if any(field.int_sign(v) <= 0 for v in vectors):
         reject("not all positive")
-    return tuple(field.element([Fraction(a, denom) for a in v])
-                 for v in vectors)
+    return tuple(vectors), denom
 
 
 class Patch:
@@ -400,8 +405,9 @@ def is_admissible(system: SuspensionSystem, refpoints) -> bool:
     share an interval of positive length: max(-c_i) < min(len_i - c_i),
     each extreme taken left to right by `int_sign` of differences."""
     vectors, denom = refpoints
-    wide = math.lcm(denom, system._length_denom)
-    s, t = wide // denom, wide // system._length_denom
+    lengths, length_denom = system.lengths
+    wide = math.lcm(denom, length_denom)
+    s, t = wide // denom, wide // length_denom
     sign = system.field.int_sign
 
     def extreme(candidates, beyond):
@@ -412,7 +418,6 @@ def is_admissible(system: SuspensionSystem, refpoints) -> bool:
         return kept
 
     lower = extreme([[-a * s for a in c] for c in vectors], 1)
-    lengths = list(zip(*system._length_columns))[1:]
     upper = extreme([[b * t - a * s for a, b in zip(c, length)]
                      for c, length in zip(vectors, lengths)], -1)
     return sign(tuple(map(operator.sub, upper, lower))) > 0

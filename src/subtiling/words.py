@@ -63,13 +63,8 @@ class Substitution:
             .ljust(256, b"\0")
             for k in range(width)) if width <= COLUMN_WIDTH_MAX else ()
         self._iterate_cache = {}
-        self._lengths_cache = {}
-
-    def __repr__(self):
-        body = ", ".join(
-            f"{i + 1}->{list(r)}" for i, r in enumerate(self.rules)
-        )
-        return f"Substitution({body})"
+        # row n holds |sigma^n(c)| at index c, for each letter c
+        self._image_lengths = [(0,) + (1,) * m]
 
     def rule(self, letter):
         return self.rules[letter - 1]
@@ -104,23 +99,17 @@ class Substitution:
         return bytes(image)
 
     def image_length(self, letter, n):
-        """|sigma^n(letter)| without expanding the word; InvalidBound for
-        a negative n."""
+        """|sigma^n(letter)| without expanding the word: |sigma^n(c)| is
+        the sum of |sigma^(n-1)(d)| over the letters d of c's rule, so
+        each row of the table follows from the one before.  InvalidBound
+        for a negative n."""
         if n < 0:
             raise InvalidBound(f"power {n} is negative")
-        key = (letter, n)
-        if key not in self._lengths_cache:
-            vec = [0] * self.size
-            vec[letter - 1] = 1
-            for _ in range(n):
-                nxt = [0] * self.size
-                for i, count in enumerate(vec):
-                    if count:
-                        for c in self.rules[i]:
-                            nxt[c - 1] += count
-                vec = nxt
-            self._lengths_cache[key] = sum(vec)
-        return self._lengths_cache[key]
+        rows = self._image_lengths
+        while len(rows) <= n:
+            rows.append((0,) + tuple(sum(map(rows[-1].__getitem__, rule))
+                                     for rule in self.rules))
+        return rows[n][letter]
 
     def iterate(self, letter, n, cap=DEFAULT_WORD_CAP):
         """sigma^n(letter), memoized incrementally; InvalidBound from

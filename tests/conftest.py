@@ -259,6 +259,27 @@ def elements(field, vectors, denom):
     return [FieldElem(field, unscaled_coords(v, denom)) for v in vectors]
 
 
+def length_elements(system):
+    """Reference: the prototile lengths as FieldElems, rebuilt from the
+    (vectors, denom) pair `SuspensionSystem.lengths` holds."""
+    return elements(system.field, *system.lengths)
+
+
+def interval_of(x):
+    """The Horner enclosure (lo, hi) of a FieldElem on its field's
+    current interval, as Fractions: `NumberField._horner_enclosure` of
+    its coordinates scaled to ints."""
+    scale = common_denominator(x.coords)
+    lower, upper, den_pow = x.field._horner_enclosure(
+        scaled_coords(x.coords, scale))
+    return Fraction(lower, scale * den_pow), Fraction(upper, scale * den_pow)
+
+
+def beta_interval(field):
+    """The field's current interval of beta, (lo, hi) as Fractions."""
+    return interval_ends((field.num_lo, field.num_hi, field.den))
+
+
 def subtile_offset_elements(system):
     """Reference: `SuspensionSystem.subtile_offsets` as FieldElems."""
     return [elements(system.field, offsets, system._length_denom)
@@ -948,7 +969,7 @@ def ref_control_points(system, tile_map):
     for j in range(m):
         idx = tile_map[j]
         row = [field.zero()] * m
-        row[j] = row[j] + system.beta
+        row[j] = row[j] + field.beta()
         g = system.sub.rule(j + 1)[idx - 1] - 1
         row[g] = row[g] - field.rational(1)
         rows.append(row + [-offsets[j][idx - 1]])
@@ -967,8 +988,9 @@ def ref_is_admissible(system, refpoints):
     for c in refs[1:]:
         if (-c - lower).sign() > 0:
             lower = -c
-    upper = system.lengths[0] - refs[0]
-    for length, c in zip(system.lengths[1:], refs[1:]):
+    lengths = length_elements(system)
+    upper = lengths[0] - refs[0]
+    for length, c in zip(lengths[1:], refs[1:]):
         if (length - c - upper).sign() < 0:
             upper = length - c
     return (upper - lower).sign() > 0

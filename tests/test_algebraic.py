@@ -11,7 +11,8 @@ from subtiling import algebraic as A
 from subtiling import polys as P
 from subtiling import words as W
 
-from conftest import interval_ends, ref_inverse, ref_perron_factor
+from conftest import (beta_interval, interval_ends, ref_inverse,
+                      ref_perron_factor)
 
 
 def field_from(minpoly):
@@ -81,12 +82,13 @@ def test_perron_factor_examples():
     assert list(A.perron_factor([3, -4, 1]).minpoly) == [-3, 1]
     f = A.perron_factor([-1, -1, 1])
     assert list(f.minpoly) == [-1, -1, 1]
-    ivl = f.interval()
+    lo, hi = beta_interval(f)
     # the dominant root lies in the stored interval and above 1
-    assert ivl.lo > 1
-    assert P.eval_at([-1, -1, 1], ivl.lo) * P.eval_at([-1, -1, 1], ivl.hi) < 0
+    assert lo > 1
+    assert P.eval_at([-1, -1, 1], lo) * P.eval_at([-1, -1, 1], hi) < 0
     f.ensure_width(Fraction(1, 64))
-    assert Fraction(3, 2) < f.interval().lo < f.interval().hi < Fraction(17, 10)
+    lo, hi = beta_interval(f)
+    assert Fraction(3, 2) < lo < hi < Fraction(17, 10)
 
 
 def test_perron_factor_matches_the_tournament_on_primitive_matrices():
@@ -122,18 +124,18 @@ def test_number_field_rejects_an_interval_without_a_root():
         A.NumberField([-1, -1, 1], 2, 1)
     with pytest.raises(ValueError):
         A.NumberField([-1, -1, 1], 1, 1)
-    assert A.NumberField([-1, -1, 1], 1, 2).interval().hi == 2
+    assert beta_interval(A.NumberField([-1, -1, 1], 1, 2))[1] == 2
 
 
 def test_minpoly_changes_sign_across_interval():
     for cp in ([0, -2, 1], [-1, -1, 1], [-1, -1, -1, 1]):
         f = A.perron_factor(cp)
-        ivl = f.interval()
-        if ivl.lo == ivl.hi:
-            assert P.eval_at(list(f.minpoly), ivl.lo) == 0
+        lo, hi = beta_interval(f)
+        if lo == hi:
+            assert P.eval_at(list(f.minpoly), lo) == 0
         else:
-            s1 = P.eval_at(list(f.minpoly), ivl.lo)
-            s2 = P.eval_at(list(f.minpoly), ivl.hi)
+            s1 = P.eval_at(list(f.minpoly), lo)
+            s2 = P.eval_at(list(f.minpoly), hi)
             assert s1 * s2 < 0
 
 
@@ -288,16 +290,6 @@ def test_disk_count_against_numpy_oracle():
         checked += 1
 
 
-def test_interval_arithmetic():
-    a = A.RatInterval(1, 2)
-    b = A.RatInterval(-3, -1)
-    assert (a + b).lo == -2 and (a + b).hi == 1
-    assert (a * b).lo == -6 and (a * b).hi == -1
-    assert a.sign() == 1 and b.sign() == -1
-    assert A.RatInterval(-1, 1).sign() is None
-    assert A.RatInterval(0, 0).sign() == 0
-
-
 RAUZY_MINPOLY = [-1, -1, -1, 1]
 
 filter_coord = st.one_of(
@@ -309,7 +301,7 @@ filter_coord = st.one_of(
 def beta_near(minpoly):
     field = field_from(minpoly)
     field.ensure_width(Fraction(1, 1 << 80))
-    return field.interval().lo
+    return beta_interval(field)[0]
 
 
 @pytest.mark.parametrize("minpoly", [[-1, -1, 1], RAUZY_MINPOLY],
@@ -428,12 +420,13 @@ def _ref_ends(minpoly, generation):
 
 
 def _ref_horner(coords, lo, hi):
-    """The rational interval Horner enclosure of sum coords[k] beta^k."""
-    acc = A.RatInterval(0, 0)
-    x = A.RatInterval(lo, hi)
+    """The rational interval Horner enclosure (lo, hi) of
+    sum coords[k] beta^k on [lo, hi], in Fractions."""
+    acc_lo = acc_hi = Fraction(0)
     for c in reversed(coords):
-        acc = acc * x + c
-    return acc
+        ends = (acc_lo * lo, acc_lo * hi, acc_hi * lo, acc_hi * hi)
+        acc_lo, acc_hi = min(ends) + c, max(ends) + c
+    return acc_lo, acc_hi
 
 
 def _ref_table(minpoly, generation, degree):
@@ -457,9 +450,9 @@ def _ref_sign(minpoly, coords, generation):
         return (1 if lower > 0 else -1), 0
     start = generation
     while True:
-        ivl = _ref_horner(coords, *_ref_ends(minpoly, generation))
-        if ivl.lo > 0 or ivl.hi < 0:
-            return (1 if ivl.lo > 0 else -1), generation - start
+        lo, hi = _ref_horner(coords, *_ref_ends(minpoly, generation))
+        if lo > 0 or hi < 0:
+            return (1 if lo > 0 else -1), generation - start
         generation += 1
 
 
@@ -492,9 +485,11 @@ def test_integer_enclosure_equals_the_fraction_horner(minpoly, data):
     generation = data.draw(st.integers(field.generation, 80))
     while field.generation < generation:
         field._refine_once()
-    ref = _ref_horner(coords, *_ref_ends(minpoly, generation))
-    got = field.element(coords).interval()
-    assert (got.lo, got.hi) == (ref.lo, ref.hi)
+    denom = A.common_denominator(coords)
+    lower, upper, scale = field._horner_enclosure(
+        A.scaled_coords(coords, denom))
+    assert (Fraction(lower, denom * scale), Fraction(upper, denom * scale)) \
+        == _ref_horner(coords, *_ref_ends(minpoly, generation))
 
 
 @pytest.mark.parametrize("minpoly", ROUTE_MINPOLYS.values(),
@@ -532,12 +527,11 @@ def test_integer_bisection_and_table_equal_the_fraction_ones(minpoly):
     field = field_from(list(minpoly))
     while field.generation < 300:
         ends = _ref_ends(minpoly, field.generation)
-        assert (field.interval().lo, field.interval().hi) == ends
+        assert beta_interval(field) == ends
         assert field._table(False) == _ref_table(
             minpoly, field.generation, field.degree)
         field._refine_once()
-    assert (field.interval().lo, field.interval().hi) == \
-        _ref_ends(minpoly, 300)
+    assert beta_interval(field) == _ref_ends(minpoly, 300)
 
 
 def _ref_matched_bits(minpoly, generation):
@@ -593,9 +587,9 @@ def test_later_matched_bounds_shifted_down_nest_in_earlier_ones(minpoly,
     lower, upper = field.fixed_point_bounds(ints, matched=True)
     lower, upper = lower >> drop, -(-upper >> drop)
     # 2^P x lies in 2^P times the Horner enclosure at generation 600
-    x = _ref_horner(ints, *_ref_ends(minpoly, 600))
-    assert kept_lo <= lower <= x.lo * (1 << bits)
-    assert x.hi * (1 << bits) <= upper <= kept_hi
+    x_lo, x_hi = _ref_horner(ints, *_ref_ends(minpoly, 600))
+    assert kept_lo <= lower <= x_lo * (1 << bits)
+    assert x_hi * (1 << bits) <= upper <= kept_hi
 
 
 def test_filter_decides_deep_in_the_refinement():

@@ -652,9 +652,14 @@ def _rederive(report):
     (("simultaneous", "status"), "MAYBE", "simultaneous"),
     (("prefix_simultaneous", "status"), "MAYBE", "prefix_simultaneous"),
     (("balanced_pairs", "status"), "MAYBE", "balanced_pairs"),
+    # an "error" beside a status, or one that is not a string, is no
+    # raised check: the claim is judged by its status
+    (("simultaneous",), {"error": "e", "status": "FAILS"}, "simultaneous"),
+    (("overlap_coincidence",), {"error": 5}, "overlap_coincidence"),
 ], ids=["geometric-fails", "simultaneous-fails", "prefix-simultaneous-fails",
         "geometric-maybe", "prefix-maybe", "overlap-maybe", "suffix-maybe",
-        "simultaneous-maybe", "prefix-simultaneous-maybe", "balanced-maybe"])
+        "simultaneous-maybe", "prefix-simultaneous-maybe", "balanced-maybe",
+        "simultaneous-error-fails", "overlap-error-not-a-string"])
 def test_verify_fails_a_status_its_check_never_emits(path, value, failed):
     untampered = cli.verify_report(_fixture("fibonacci"))
     assert untampered["passed"]
@@ -1038,14 +1043,13 @@ def test_pentanacci_replay_builds_no_patch(monkeypatch):
 def test_nonpisot_signs_and_bisection_run_on_integers(monkeypatch):
     # the undecided signs of the non-Pisot input (a conjugate outside the
     # unit disk grows its coordinates) are decided by integer Horner and
-    # integer bisection; a RatInterval is made only at the boundary.  The
-    # sign filter's scale follows the interval, so past den = 2^48 it
-    # still decides most signs: 8,412 fell through to Horner at 2^64.
+    # integer bisection.  The sign filter's scale follows the interval, so
+    # past den = 2^48 it still decides most signs: 8,412 fell through to
+    # Horner at 2^64.
     # Each _Inflation encloses the subtile pairs of a (moved, anchor) once,
     # whatever the refinements: 130 enclosures, not 5,654 by generation
-    intervals, refinements, horner = [], [], []
+    refinements, horner = [], []
     built, building, pair_bounds = [], [], []
-    init = algebraic.RatInterval.__init__
     refine = algebraic.NumberField._refine_once
     refined_sign = algebraic.NumberField._refined_sign
     bounds = algebraic.NumberField.fixed_point_bounds
@@ -1067,9 +1071,6 @@ def test_nonpisot_signs_and_bisection_run_on_integers(monkeypatch):
     monkeypatch.setattr(spectrum._Inflation, "_subtile_pairs", build)
     monkeypatch.setattr(algebraic.NumberField, "fixed_point_bounds",
                         counted_bounds)
-    monkeypatch.setattr(
-        algebraic.RatInterval, "__init__",
-        lambda self, lo, hi: intervals.append(1) or init(self, lo, hi))
     monkeypatch.setattr(algebraic.NumberField, "_refine_once",
                         lambda self: refinements.append(1) or refine(self))
     monkeypatch.setattr(
@@ -1079,7 +1080,6 @@ def test_nonpisot_signs_and_bisection_run_on_integers(monkeypatch):
     cli.run_analysis(cli.parse_spec(text, name="nonpisot"),
                      overrides=SPEC_BOUNDS)
     assert len(refinements) == 338
-    assert len(intervals) <= 16
     assert len(horner) <= 500
     assert len(built) == len(set(built))
     assert len(pair_bounds) <= 130

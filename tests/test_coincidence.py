@@ -12,7 +12,7 @@ from subtiling import suspension as S
 from subtiling import words as W
 
 from conftest import (CORPUS_IDS, WALK_BASE, elements, false_zero_pairs,
-                      power, swap_commuting_substitution)
+                      length_elements, power, swap_commuting_substitution)
 
 
 def test_prefix_strong_fibonacci(fib):
@@ -424,14 +424,15 @@ def _layout(system, refs, letter, level):
     """Reference: the tiles of sigma^level(letter) laid from
     -beta^level c_letter, as (D * start, color) over one denominator D."""
     refs = elements(system.field, *refs)
-    values = [x for v in (*system.lengths, *refs) for x in v.coords]
+    length_elems = length_elements(system)
+    values = [x for v in (*length_elems, *refs) for x in v.coords]
     denom = math.lcm(*(Fraction(x).denominator for x in values))
 
     def ints(v):
         return [int(Fraction(x) * denom) for x in v.coords]
 
-    lengths = [ints(v) for v in system.lengths]
-    start = ints(power(system.beta, level) * refs[letter - 1])
+    lengths = [ints(v) for v in length_elems]
+    start = ints(power(system.field.beta(), level) * refs[letter - 1])
     word = system.sub.iterate(letter, level)
     # per coordinate, the steps indexed by letter
     steps = [(0, *column) for column in zip(*lengths)]

@@ -174,8 +174,7 @@ def test_setup_matches_the_rational_setup(name, sub):
         ref_remainder_chain(crossings, g)
     # same lengths, field, interval, and refinements of it
     reference = with_rational_setup(S.SuspensionSystem, sub)
-    assert [e.coords for e in system.lengths] == \
-        [e.coords for e in reference.lengths]
+    assert system.lengths == reference.lengths
 
     def state(field):
         return (field.minpoly, field.num_lo, field.num_hi, field.den,

@@ -8,8 +8,8 @@ from math import gcd
 from subtiling import lattices as L
 from subtiling import suspension as S
 
-from conftest import (elements, inflated_prototile, module_from_vectors,
-                      sweep_translation)
+from conftest import (elements, inflated_prototile, length_elements,
+                      module_from_vectors, sweep_translation)
 
 
 def test_point_sets_with_a_rational_window_end_on_a_point(sys_fib):
@@ -34,16 +34,17 @@ def test_point_sets_with_a_rational_window_end_on_a_point(sys_fib):
 
 def test_fibonacci_overlap_classes_for_golden_shift(sys_fib):
     patch = sys_fib.patch_covering(*sys_fib.window(24))
-    y = sys_fib.beta + 1
+    y = sys_fib.field.beta() + 1
     keys = set(sweep_translation(patch, y))
     assert (1, 1, (Fraction(0), Fraction(0))) in keys
     # the displaced classes sit at exactly phi - 1 and -1
     assert (2, 1, (Fraction(-1), Fraction(1))) in keys
     assert (1, 1, (Fraction(-1), Fraction(0))) in keys
+    lengths = length_elements(sys_fib)
     for moved, anchor, shift in keys:
         elem = sys_fib.field.element(list(shift))
-        assert (elem + sys_fib.lengths[moved - 1]).sign() > 0
-        assert (sys_fib.lengths[anchor - 1] - elem).sign() > 0
+        assert (elem + lengths[moved - 1]).sign() > 0
+        assert (lengths[anchor - 1] - elem).sign() > 0
 
 
 def test_hnf_is_canonical_under_row_operations():

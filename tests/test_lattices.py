@@ -30,7 +30,7 @@ def test_module_from_thirds():
 
 def test_module_rank_two(sys_fib):
     one = sys_fib.field.rational(1)
-    phi = sys_fib.beta
+    phi = sys_fib.field.beta()
     m = module_from_vectors([one.coords, phi.coords], 2)
     assert m.rank == 2
     assert m.coordinates_of((one + phi * 3).coords, 1) == [1, 3]

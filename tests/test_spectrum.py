@@ -16,7 +16,8 @@ from subtiling.words import CountGap, Substitution
 
 from conftest import (WALK_BASE, benchmark_substitutions, exact_tiles,
                       false_zero_pairs, fieldelem_differences,
-                      fieldelem_point_sets, key_coords, position, power,
+                      fieldelem_point_sets, key_coords, length_elements,
+                      position, power,
                       ref_children, ref_pair_closure,
                       subtile_offset_elements, successors, sweep_translation)
 
@@ -54,11 +55,12 @@ def test_inflate_tm_swap_cycle(sys_tm):
 
 def test_inflate_respects_displacement_bound(sys_fib):
     # start from a genuine overlap with an irrational displacement
-    x = sys_fib.beta - 1          # 0 < phi - 1 < 1 <= both lengths
+    x = sys_fib.field.beta() - 1    # 0 < phi - 1 < 1 <= both lengths
+    lengths = length_elements(sys_fib)
     for moved, anchor, coords in successors(sys_fib, 1, 1, x):
         shift = sys_fib.field.element(coords)
-        lo = -sys_fib.lengths[moved - 1]
-        hi = sys_fib.lengths[anchor - 1]
+        lo = -lengths[moved - 1]
+        hi = lengths[anchor - 1]
         assert (shift - lo).sign() > 0
         assert (hi - shift).sign() > 0
 
@@ -486,15 +488,16 @@ def _fieldelem_sweep(system, patch, y):
     FieldElem.sign() on a newly formed element, as (moved, anchor, shift)
     keys to the shift, first seen first."""
     tiles = exact_tiles(patch)
+    lengths = length_elements(system)
     out = {}
     anchor_idx = 0
     n = len(tiles)
     for pos, moved_color in tiles:
         start = pos - y
-        end = start + system.lengths[moved_color - 1]
+        end = start + lengths[moved_color - 1]
         while anchor_idx < n:
             a_pos, a_color = tiles[anchor_idx]
-            a_end = a_pos + system.lengths[a_color - 1]
+            a_end = a_pos + lengths[a_color - 1]
             if (a_end - start).sign() <= 0:
                 anchor_idx += 1
             else:
@@ -577,7 +580,7 @@ def test_integer_sweep_matches_fieldelem_sweep(data):
         if kind == "near-boundary":
             k = data.draw(st.integers(4, 24))
             y = y + data.draw(st.sampled_from([1, -1])) * \
-                power(system.beta, -k)
+                power(system.field.beta(), -k)
     # the sweep takes translations over the patch's denominator only
     assume(patch.denom % algebraic.common_denominator(y.coords) == 0)
     assert sweep_translation(patch, y) == list(_fieldelem_sweep(system,
@@ -586,8 +589,9 @@ def test_integer_sweep_matches_fieldelem_sweep(data):
 
 def _fieldelem_overlaps(system, moved, anchor, shift):
     """Reference: -len_moved < shift < len_anchor by FieldElem signs."""
-    return ((shift + system.lengths[moved - 1]).sign() > 0 and
-            (system.lengths[anchor - 1] - shift).sign() > 0)
+    lengths = length_elements(system)
+    return ((shift + lengths[moved - 1]).sign() > 0 and
+            (lengths[anchor - 1] - shift).sign() > 0)
 
 
 def _fieldelem_seeds(system, refs, window):
@@ -610,7 +614,7 @@ def _fieldelem_seeds(system, refs, window):
 def _fieldelem_inflate(system, moved, anchor, shift):
     """Reference: one inflation step in FieldElem arithmetic, as
     (moved, anchor, shift coordinates)."""
-    base = system.beta * shift
+    base = system.field.beta() * shift
     offsets = subtile_offset_elements(system)
     out = []
     for mc, m_off in zip(system.sub.rule(moved), offsets[moved - 1]):
@@ -698,7 +702,7 @@ def test_inflation_matches_fieldelem_inflation(data):
         moved, anchor, shift = data.draw(st.sampled_from(seeds))
         k = data.draw(st.integers(0, 8))
         r = data.draw(st.integers(-2, 2))
-        shift = shift + Fraction(r, q) * power(system.beta, -k)
+        shift = shift + Fraction(r, q) * power(system.field.beta(), -k)
     else:
         coords = data.draw(st.lists(st.integers(-4, 4), min_size=field.degree,
                                     max_size=field.degree))

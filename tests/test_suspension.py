@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subtiling import algebraic, cli, polys
+from subtiling import algebraic, cli, polys, spectrum
 from subtiling import suspension as S
 from subtiling.algebraic import scaled_coords
 from subtiling.errors import (EigenvectorDefect, FactRejected,
@@ -16,23 +16,25 @@ from subtiling.errors import (EigenvectorDefect, FactRejected,
 
 from conftest import (CORPUS_IDS, as_refpoints, elements, exact_tiles,
                       fieldelem_differences, fieldelem_point_sets,
-                      inflated_prototile, position, power, ref_control_points,
-                      ref_is_admissible, subtile_offset_elements,
-                      system_for)
+                      inflated_prototile, interval_of, length_elements,
+                      position, power, ref_control_points, ref_is_admissible,
+                      subtile_offset_elements, system_for)
 
 SPECS = Path(__file__).resolve().parents[1] / "perfbench" / "specs"
 
 
 def test_prototile_lengths(sys_fib, sys_tm, sys_fib2):
     # golden mean system: lengths (phi, 1)
-    assert sys_fib.lengths[0] == sys_fib.beta
-    assert sys_fib.lengths[1] == 1
+    lengths = length_elements(sys_fib)
+    assert lengths[0] == sys_fib.field.beta()
+    assert lengths[1] == 1
     # constant length: all ones
-    assert all(length == 1 for length in sys_tm.lengths)
+    assert all(length == 1 for length in length_elements(sys_tm))
     # the four-letter extension keeps the two-letter lengths
-    b = sys_fib2.beta
-    assert sys_fib2.lengths[0] == b and sys_fib2.lengths[2] == b
-    assert sys_fib2.lengths[1] == 1 and sys_fib2.lengths[3] == 1
+    b = sys_fib2.field.beta()
+    lengths = length_elements(sys_fib2)
+    assert lengths[0] == b and lengths[2] == b
+    assert lengths[1] == 1 and lengths[3] == 1
 
 
 def test_prototile_lengths_need_beta_to_be_an_eigenvalue(fib):
@@ -46,15 +48,16 @@ def test_prototile_lengths_need_beta_to_be_an_eigenvalue(fib):
 def test_lengths_satisfy_tile_equation(sys_fib, sys_tm, sys_aba, sys_fib2,
                                        sys_rauzy, sys_rauzy2):
     for system in (sys_fib, sys_tm, sys_aba, sys_fib2, sys_rauzy, sys_rauzy2):
+        lengths = length_elements(system)
         for j in range(1, system.size + 1):
             total = system.field.zero()
             for c in system.sub.rule(j):
-                total = total + system.lengths[c - 1]
-            assert total == system.beta * system.lengths[j - 1]
+                total = total + lengths[c - 1]
+            assert total == system.field.beta() * lengths[j - 1]
 
 
 def test_lengths_positive(sys_rauzy2):
-    for length in sys_rauzy2.lengths:
+    for length in length_elements(sys_rauzy2):
         assert length.sign() == 1
 
 
@@ -67,9 +70,8 @@ def _state(system):
     field = system.field
     return (system.matrix, system.char_poly, field.minpoly,
             (field.num_lo, field.num_hi, field.den, field.generation),
-            [length.coords for length in system.lengths],
-            system._length_denom, system._length_columns, system.seed,
-            system.subtile_offsets)
+            system.lengths, system._length_denom, system._length_columns,
+            system.seed, system.subtile_offsets)
 
 
 @pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.json")),
@@ -86,7 +88,7 @@ def test_from_facts_names_a_missing_or_changed_fact(fib):
     facts = {"characteristic_polynomial": [-1, -1, 1],
              "minimal_polynomial": [-1, -1, 1],
              "prototile_lengths": [["0/1", "1/1"], ["1/1", "0/1"]]}
-    assert S.SuspensionSystem.from_facts(fib, facts).lengths[0] == \
+    assert length_elements(S.SuspensionSystem.from_facts(fib, facts))[0] == \
         algebraic.perron_factor([-1, -1, 1]).beta()
     for key, value, message in (
             ("characteristic_polynomial", [-1, -1, 2],
@@ -143,8 +145,8 @@ def test_generate_patch_examples(sys_fib, sys_tm, sys_aba):
     p = inflated_prototile(sys_fib, 1, 2)
     assert list(p.colors) == [1, 2, 1]
     assert position(p, 0) == 0
-    assert position(p, 1) == sys_fib.beta
-    assert position(p, 2) == sys_fib.beta + 1
+    assert position(p, 1) == sys_fib.field.beta()
+    assert position(p, 2) == sys_fib.field.beta() + 1
 
     p = inflated_prototile(sys_tm, 1, 2)
     assert [(t[0].coords, t[1]) for t in exact_tiles(p)] == \
@@ -157,10 +159,11 @@ def test_generate_patch_examples(sys_fib, sys_tm, sys_aba):
 
 def test_patch_length_scales(sys_fib, sys_rauzy2):
     for system in (sys_fib, sys_rauzy2):
+        lengths = length_elements(system)
         for j in range(1, system.size + 1):
             for n in range(0, 5):
                 patch = inflated_prototile(system, j, n)
-                expected = power(system.beta, n) * system.lengths[j - 1]
+                expected = power(system.field.beta(), n) * lengths[j - 1]
                 assert position(patch, len(patch)) - position(patch, 0) == \
                     expected
 
@@ -172,7 +175,7 @@ def test_subdivision_self_consistency(sys_fib):
         big = inflated_prototile(sys_fib, 1, n + 1)
         rebuilt = []
         for pos, c in exact_tiles(small):
-            base = sys_fib.beta * pos
+            base = sys_fib.field.beta() * pos
             for off, sub_c in zip(subtile_offset_elements(sys_fib)[c - 1],
                                   sys_fib.sub.rule(c)):
                 rebuilt.append((base + off, sub_c))
@@ -248,7 +251,7 @@ def test_control_points_rauzy2(sys_rauzy2):
     gamma = (2, 2, 1, 1, 1, 1)
     refs = S.control_points(sys_rauzy2, gamma)
     cp = elements(sys_rauzy2.field, *refs)
-    b = sys_rauzy2.beta
+    b = sys_rauzy2.field.beta()
     assert cp[0] == 1 and cp[1] == 1
     assert cp[2] == b.inverse()
     assert all(cp[i].is_zero() for i in (3, 4, 5))
@@ -302,7 +305,7 @@ def test_admissibility_fails_a_full_tile_length_away(push):
     for admissible in (S.is_admissible, ref_is_admissible):
         system = S.SuspensionSystem(spec.substitution())
         refs = elements(system.field, *S.left_endpoint_points(system))
-        refs[0] = refs[0] + push * system.lengths[0]
+        refs[0] = refs[0] + push * length_elements(system)[0]
         before = system.field.generation
         outcomes.append((admissible(system, as_refpoints(refs)),
                          system.field.generation - before))
@@ -425,7 +428,7 @@ def test_length_coordinate_rank(sys_fib, sys_rauzy):
     # irreducible systems: the m lengths are linearly independent over Q
     for system in (sys_fib, sys_rauzy):
         m = system.size
-        rows = [list(length.coords) for length in system.lengths]
+        rows = [list(length.coords) for length in length_elements(system)]
         rank = 0
         cols = list(range(len(rows[0])))
         mat = [row[:] for row in rows]
@@ -451,7 +454,7 @@ def test_generate_patch_two_sided_junction(sys_fib):
     junction = patch.junction_index
     assert position(patch, junction).is_zero()
     prev_pos, prev_color = exact_tiles(patch)[junction - 1]
-    assert prev_pos + sys_fib.lengths[prev_color - 1] == 0
+    assert prev_pos + length_elements(sys_fib)[prev_color - 1] == 0
 
 
 def test_patch_embedding_matches_exact_boundaries(sys_fib, sys_rauzy2):
@@ -470,13 +473,13 @@ def test_patch_embedding_matches_exact_boundaries(sys_fib, sys_rauzy2):
                 zip(bounds, patch.points, lows, highs)):
             assert [Fraction(a, patch.denom) for a in point] == list(b.coords)
             assert position(patch, k).coords == b.coords
-            ivl = b.interval()
-            assert low <= scale * patch.denom * ivl.hi
-            assert scale * patch.denom * ivl.lo <= high
+            lo, hi = interval_of(b)
+            assert low <= scale * patch.denom * hi
+            assert scale * patch.denom * lo <= high
+        lengths = length_elements(system)
         for k, color in enumerate(patch.colors):
             # contiguous: tile k ends where tile k + 1 starts
-            assert position(patch, k) + system.lengths[color - 1] == \
-                bounds[k + 1]
+            assert position(patch, k) + lengths[color - 1] == bounds[k + 1]
 
 
 def test_dropped_system_is_freed_without_cyclic_gc():
@@ -503,9 +506,10 @@ def _addition_chain(system, word, start):
     """Reference: tile positions by one field addition per tile."""
     tiles = []
     pos = start
+    lengths = length_elements(system)
     for c in word:
         tiles.append((pos, c))
-        pos = pos + system.lengths[c - 1]
+        pos = pos + lengths[c - 1]
     return tiles, pos
 
 
@@ -514,7 +518,7 @@ def test_prefix_sum_patch_equals_addition_chain(name):
     system = system_for(name)
     k, left, right = system.seed
     word = system.sub.iterate(left, 2 * k) + system.sub.iterate(right, 2 * k)
-    for start in (system.field.zero(), system.lengths[0]):
+    for start in (system.field.zero(), length_elements(system)[0]):
         patch = system.patch_from_word(
             word, scaled_coords(start.coords, system._length_denom))
         tiles, end = _addition_chain(system, word, start)
@@ -556,7 +560,7 @@ def test_patch_command_prints_the_addition_chain(name, tmp_path, capsys):
     if name == "halves":
         assert any(type(c) is Fraction
                    for pos, _ in tiles for c in pos.coords)
-    expected = [" ".join([spec.token(c)] + [cli._frac_str(x)
+    expected = [" ".join([spec.token(c)] + [spectrum._frac_str(x)
                                             for x in pos.coords])
                 for pos, c in tiles]
     assert cli.main(["patch", source, "--n", "2"]) == 0
@@ -609,14 +613,13 @@ def _window_end(draw, system, refs, patch, size):
         end = pos + ref
     elif kind == "near":
         sign = draw(st.sampled_from([1, -1]))
-        end = pos + ref + sign * power(system.beta,
+        end = pos + ref + sign * power(system.field.beta(),
                                        -draw(st.integers(4, 24)))
     else:
-        end = pos + system.lengths[c - 1] * draw(
+        end = pos + length_elements(system)[c - 1] * draw(
             st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(5, 7)]))
-    enclosure = end.interval()
-    return draw(st.sampled_from([enclosure.lo, enclosure.hi,
-                                 (enclosure.lo + enclosure.hi) / 2]))
+    lo, hi = interval_of(end)
+    return draw(st.sampled_from([lo, hi, (lo + hi) / 2]))
 
 
 @given(data=st.data())
