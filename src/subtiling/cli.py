@@ -46,59 +46,21 @@ WINDOW_CAP = 1024
 # The report's beta_interval is at most 2^-BETA_WIDTH_BITS wide.
 BETA_WIDTH_BITS = 20
 
-# A check of a report, as `verify_report` judges its claims: its name;
-# whether it holds one verdict per letter pair; the statuses it emits,
-# none when `derive` alone judges it; how a HOLDS is judged, "word",
-# "tile" or None; and what replays a FAILS certificate, called with the
-# system, the certificate and the claim's letters, or None.
-Check = collections.namedtuple("Check", "name pairs statuses holds fails",
-                               defaults=(False, (), None, None))
+# A settable bound: its key in the report and in a spec line; its name as
+# a run_analysis override and as its flag's dest; its flag; whether a spec
+# line may set it; and its default.
+Bound = collections.namedtuple("Bound", "key override flag spec_line default")
 
-
-# The checks of a report, in the order analyze runs them; a report also
-# holds the combined "spectral" verdict of the last two.
-CHECK_TABLE = (
-    Check("prefix_strong", True, ("HOLDS", "FAILS", "UNKNOWN"), "word",
-          lambda system, certificate, pair:
-          coincidence.replay_involution_certificate(
-              system.sub, certificate, pair)),
-    # reversing the rules keeps every condition on an involution, so the
-    # suffix check replays the same certificate
-    Check("suffix_strong", True, ("HOLDS", "FAILS", "UNKNOWN"), "word",
-          lambda system, certificate, pair:
-          coincidence.replay_involution_certificate(
-              system.sub, certificate, pair)),
-    Check("geometric_strong", True, ("HOLDS", "UNKNOWN"), "tile"),
-    Check("simultaneous", False, ("HOLDS", "UNKNOWN"), "tile"),
-    Check("prefix_simultaneous", False, ("HOLDS", "UNKNOWN"), "word"),
-    Check("height_group"),
-    Check("eventual_return_module"),
-    Check("overlap_coincidence", False, ("HOLDS", "FAILS", "UNKNOWN"), None,
-          lambda system, certificate, _:
-          spectrum.replay_overlap_certificate(system, certificate)),
-    Check("balanced_pairs", False, ("HOLDS", "FAILS", "UNKNOWN"), None,
-          lambda system, certificate, _:
-          spectrum.replay_balanced_certificate(system.sub, certificate)),
+# The settable bounds, in report order.
+BOUNDS = (
+    Bound("L", "level_bound", "--Lmax", True, coincidence.DEFAULT_LEVEL_BOUND),
+    Bound("window", "window", "--window", True, 64),
+    Bound("k", "kmax", "--kmax", True, 16),
+    Bound("node_cap", "node_cap", "--node-cap", False,
+          spectrum.DEFAULT_NODE_CAP),
+    Bound("pair_cap", "pair_cap", "--pair-cap", False,
+          spectrum.DEFAULT_PAIR_CAP),
 )
-CHECKS = tuple(check.name for check in CHECK_TABLE)
-
-
-@dataclass
-class Bounds:
-    level_bound: int = coincidence.DEFAULT_LEVEL_BOUND
-    window: int = 64
-    kmax: int = 16
-    node_cap: int = spectrum.DEFAULT_NODE_CAP
-    pair_cap: int = spectrum.DEFAULT_PAIR_CAP
-
-
-# The settable bounds, in report order: (report and spec key, Bounds
-# field, flag, whether a spec line may set it).
-BOUNDS = (("L", "level_bound", "--Lmax", True),
-          ("window", "window", "--window", True),
-          ("k", "kmax", "--kmax", True),
-          ("node_cap", "node_cap", "--node-cap", False),
-          ("pair_cap", "pair_cap", "--pair-cap", False))
 
 
 @dataclass
@@ -124,7 +86,7 @@ def parse_spec(text: str, name: str = "spec") -> SpecFile:
     rules = {}
     tilemap = {}
     bounds = {}
-    spec_keys = [key for key, _, _, spec_line in BOUNDS if spec_line]
+    spec_keys = [bound.key for bound in BOUNDS if bound.spec_line]
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -377,6 +339,83 @@ def _return_json(res: lattices.ReturnModuleResult) -> dict:
     return out
 
 
+def _replay_involution(system, certificate, pair):
+    """Replay the involution certificate of a word pair check's FAILS;
+    reversing the rules keeps every condition on an involution, so the
+    suffix check replays the same certificate."""
+    return coincidence.replay_involution_certificate(system.sub, certificate,
+                                                     pair)
+
+
+# A check of a report.  As `run_analysis` runs it: its name; its run,
+# called with (sub, system, refpoints, bounds); and how its entry is
+# written, the witness encoder of `_pairs_json` or `_verdict_json` for a
+# row with `pairs` or `holds` set, else the encoder of the whole entry.
+# As `verify_report` judges its claims: whether it holds one verdict per
+# letter pair; the statuses it emits, none when `derive` alone judges it;
+# how a HOLDS is judged, "word", "tile" or None; and what replays a FAILS
+# certificate, called with the system, the certificate and the claim's
+# letters, or None.  A run looks its function up in its module when it is
+# called, so that a wrapper set there is the one that runs.
+Check = collections.namedtuple(
+    "Check", "name run encode pairs statuses holds fails",
+    defaults=(False, (), None, None))
+
+
+# The checks of a report, in the order analyze runs them; a report also
+# holds the combined "spectral" verdict of the last two.
+CHECK_TABLE = (
+    Check("prefix_strong",
+          lambda sub, system, refpoints, bounds:
+          coincidence.prefix_strong(sub, bounds["L"]),
+          _prefix_witness_json, True, ("HOLDS", "FAILS", "UNKNOWN"), "word",
+          _replay_involution),
+    Check("suffix_strong",
+          lambda sub, system, refpoints, bounds:
+          coincidence.prefix_strong(sub, bounds["L"], suffixes=True),
+          _prefix_witness_json, True, ("HOLDS", "FAILS", "UNKNOWN"), "word",
+          _replay_involution),
+    Check("geometric_strong",
+          lambda sub, system, refpoints, bounds:
+          coincidence.geometric_strong(system, refpoints, bounds["L"]),
+          _geometric_witness_json, True, ("HOLDS", "UNKNOWN"), "tile"),
+    Check("simultaneous",
+          lambda sub, system, refpoints, bounds:
+          coincidence.simultaneous(system, refpoints, bounds["L"]),
+          _geometric_witness_json, False, ("HOLDS", "UNKNOWN"), "tile"),
+    Check("prefix_simultaneous",
+          lambda sub, system, refpoints, bounds:
+          coincidence.prefix_simultaneous(sub, bounds["L"]),
+          _prefix_simultaneous_witness_json, False, ("HOLDS", "UNKNOWN"),
+          "word"),
+    Check("height_group",
+          lambda sub, system, refpoints, bounds:
+          lattices.height_group(system, refpoints),
+          _height_json),
+    Check("eventual_return_module",
+          lambda sub, system, refpoints, bounds:
+          lattices.differences_in_return_module(
+              system, refpoints, bounds["k"], bounds["window"]),
+          _return_json),
+    Check("overlap_coincidence",
+          lambda sub, system, refpoints, bounds:
+          spectrum.overlap_coincidence(
+              system, refpoints, system.window(bounds["window"]),
+              bounds["node_cap"]),
+          _half_json, False, ("HOLDS", "FAILS", "UNKNOWN"), None,
+          lambda system, certificate, _:
+          spectrum.replay_overlap_certificate(system, certificate)),
+    Check("balanced_pairs",
+          lambda sub, system, refpoints, bounds:
+          spectrum.balanced_pairs(sub, pair_cap=bounds["pair_cap"]),
+          lambda half: _half_json(half, advisory=None), False,
+          ("HOLDS", "FAILS", "UNKNOWN"), None,
+          lambda system, certificate, _:
+          spectrum.replay_balanced_certificate(system.sub, certificate)),
+)
+CHECKS = tuple(check.name for check in CHECK_TABLE)
+
+
 def _core_facts(spec: SpecFile, system, refpoints, kind) -> dict:
     """The facts a SuspensionSystem and its reference points fix, as the
     report writes them; `verify` compares a report's facts to these."""
@@ -412,32 +451,35 @@ def _reference_points(system, spec: SpecFile):
     return suspension.left_endpoint_points(system), "left-endpoints"
 
 
-def _check_window(window):
-    """Raise InvalidBound unless the window is an int in [1, WINDOW_CAP]."""
-    if type(window) is not int or not 1 <= window <= WINDOW_CAP:
-        raise InvalidBound(
-            f"window {window!r} is not an integer in [1, {WINDOW_CAP}]")
-
-
-def _check_bounds(bounds: Bounds):
-    """Raise InvalidBound unless the window passes _check_window and every
-    other bound is a non-negative int."""
-    _check_window(bounds.window)
-    for key, attr, _, _ in BOUNDS:
-        value = getattr(bounds, attr)
-        if key != "window" and (type(value) is not int or value < 0):
+def _check_bounds(bounds: dict):
+    """Raise InvalidBound unless every bound of BOUNDS is an int, the
+    window in [1, WINDOW_CAP] and every other one at least 0, and
+    `iter_cap` is the int spectrum.ITER_CAP."""
+    for key, *_ in BOUNDS:
+        value = bounds[key]
+        if key == "window" and (type(value) is not int
+                                or not 1 <= value <= WINDOW_CAP):
+            raise InvalidBound(
+                f"window {value!r} is not an integer in [1, {WINDOW_CAP}]")
+        if type(value) is not int or value < 0:
             raise InvalidBound(
                 f"bound {key} {value!r} is not a non-negative integer")
+    if type(bounds["iter_cap"]) is not int or \
+            bounds["iter_cap"] != spectrum.ITER_CAP:
+        raise InvalidBound(f"bound iter_cap {bounds['iter_cap']!r} is not "
+                           f"{spectrum.ITER_CAP}")
 
 
 def run_analysis(spec: SpecFile, overrides: dict | None = None) -> dict:
-    """Execute every check on one substitution spec and build the report.
+    """Execute every check of CHECK_TABLE on one substitution spec and
+    build the report.
 
-    Bound lines in the spec file refine the defaults; explicit overrides
-    (command-line flags) win over both.  A check that raises records its
-    error in place; later checks still run.  A window outside
-    [1, WINDOW_CAP], or any other bound that is not a non-negative int,
-    raises InvalidBound before any check runs.
+    Each bound is its BOUNDS default, unless a bound line of the spec file
+    sets it; explicit overrides (command-line flags), keyed by the rows'
+    `override` names, win over both, and a name that no row has raises
+    KeyError.  A check that raises records its error in place; later
+    checks still run.  Bounds that _check_bounds rejects raise
+    InvalidBound before any check runs.
 
     For a substitution that is not primitive, `characteristic_irreducible`
     is whether `polys.factor_monic` finds one factor of the characteristic
@@ -447,11 +489,12 @@ def run_analysis(spec: SpecFile, overrides: dict | None = None) -> dict:
     (`polys.DEGREE_CAP`), ends the report with its message as
     `characteristic_irreducible.error` and `checks.error`.
     """
-    bounds = Bounds(**{
-        **{attr: spec.bounds[key] for key, attr, _, _ in BOUNDS
-           if key in spec.bounds},
-        **(overrides or {}),
-    })
+    key_of = {bound.override: bound.key for bound in BOUNDS}
+    bounds = {key: spec.bounds.get(key, default)
+              for key, *_, default in BOUNDS}
+    bounds.update({key_of[name]: value
+                   for name, value in (overrides or {}).items()},
+                  iter_cap=spectrum.ITER_CAP)
     _check_bounds(bounds)
     report = {
         "schema": 1,
@@ -462,10 +505,7 @@ def run_analysis(spec: SpecFile, overrides: dict | None = None) -> dict:
             "rules": {t: list(r) for t, r in zip(spec.letters, spec.rules)},
             "tilemap": (None if spec.tilemap is None
                         else {t: i for t, i in zip(spec.letters, spec.tilemap)}),
-            "bounds": {
-                **{key: getattr(bounds, attr) for key, attr, _, _ in BOUNDS},
-                "iter_cap": spectrum.ITER_CAP,
-            },
+            "bounds": bounds,
             "note": spec.note,
         },
         "facts": {},
@@ -510,34 +550,17 @@ def run_analysis(spec: SpecFile, overrides: dict | None = None) -> dict:
     facts.update((key, value) for key, value in core.items()
                  if key not in facts)
 
-    level = bounds.level_bound
-    runners = (     # one per check, in the order of CHECKS
-        lambda: _pairs_json(spec, coincidence.prefix_strong(sub, level),
-                            _prefix_witness_json),
-        lambda: _pairs_json(spec, coincidence.prefix_strong(
-            sub, level, suffixes=True), _prefix_witness_json),
-        lambda: _pairs_json(spec, coincidence.geometric_strong(
-            system, refpoints, level), _geometric_witness_json),
-        lambda: _verdict_json(spec, coincidence.simultaneous(
-            system, refpoints, level), _geometric_witness_json),
-        lambda: _verdict_json(spec, coincidence.prefix_simultaneous(
-            sub, level), _prefix_simultaneous_witness_json),
-        lambda: _height_json(lattices.height_group(system, refpoints)),
-        lambda: _return_json(lattices.differences_in_return_module(
-            system, refpoints, bounds.kmax, bounds.window)),
-        lambda: _half_json(spectrum.overlap_coincidence(
-            system, refpoints, system.window(bounds.window),
-            bounds.node_cap)),
-        lambda: _half_json(spectrum.balanced_pairs(
-            sub, pair_cap=bounds.pair_cap), advisory=None),
-    )
-    for name, run in zip(CHECKS, runners):
+    for check in CHECK_TABLE:
         try:
-            checks[name] = run()
+            result = check.run(sub, system, refpoints, bounds)
+            checks[check.name] = (
+                _pairs_json(spec, result, check.encode) if check.pairs
+                else _verdict_json(spec, result, check.encode) if check.holds
+                else check.encode(result))
         except SubtilingError as exc:
-            checks[name] = {"error": str(exc)}
+            checks[check.name] = {"error": str(exc)}
         except (ValueError, ZeroDivisionError, AssertionError) as exc:
-            checks[name] = {"error": f"{type(exc).__name__}: {exc}"}
+            checks[check.name] = {"error": f"{type(exc).__name__}: {exc}"}
     for path, value in derive(report):
         if value is ABSENT:
             del _parent(report, path)[path[-1]]
@@ -730,13 +753,13 @@ def verify_report(report: dict) -> dict:
     SubtilingError (a cap it ran into) fails.  A claim or a pair check
     that raised is exactly {"error": <str>} and has nothing to judge;
     any other claim is judged by its status, even one that holds an
-    "error".  A report whose window _check_window rejects, whose input
+    "error".  A report whose bounds _check_bounds rejects, whose input
     section names no primitive substitution, or whose checks section is
     not an object or lacks one of CHECKS or "spectral", fails with an
     error.
     """
     try:
-        _check_window(report["input"]["bounds"]["window"])
+        _check_bounds(report["input"]["bounds"])
         spec = _spec_from_report(report)
         system = suspension.SuspensionSystem.from_facts(
             spec.substitution(), report.get("facts"))
@@ -880,8 +903,9 @@ def main(argv=None) -> int:
         "analyze", help="run every check on a spec file or corpus id"
     )
     p_analyze.add_argument("source", help="spec file path or corpus id")
-    for _, attr, flag, _ in BOUNDS:
-        p_analyze.add_argument(flag, dest=attr, metavar="N", type=int)
+    for bound in BOUNDS:
+        p_analyze.add_argument(bound.flag, dest=bound.override, metavar="N",
+                               type=int)
     p_analyze.add_argument("--verify", action="store_true",
                            help="replay all witnesses before reporting")
     p_analyze.add_argument("-o", "--output", default=None,
@@ -947,8 +971,8 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         report = run_analysis(spec, overrides={
-            attr: getattr(args, attr) for _, attr, _, _ in BOUNDS
-            if getattr(args, attr) is not None})
+            bound.override: getattr(args, bound.override) for bound in BOUNDS
+            if getattr(args, bound.override) is not None})
     except InvalidBound as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

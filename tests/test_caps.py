@@ -1,7 +1,7 @@
 """Every cap has one home.
 
-The settable bounds are `node_cap` and `pair_cap` (flags and `Bounds`
-fields) and the symbol cap of `Substitution.apply`/`iterate`, where the
+The settable bounds are `node_cap` and `pair_cap` (flags and `cli.BOUNDS`
+rows) and the symbol cap of `Substitution.apply`/`iterate`, where the
 word cap is enforced.  Every other cap is a module constant, so no public
 function, method or dataclass may take one as a parameter or field.
 """
@@ -18,7 +18,7 @@ MODULES = (algebraic, cli, coincidence, lattices, polys, spectrum,
            suspension, words)
 
 ALLOWED = {
-    ("Bounds", "node_cap"), ("Bounds", "pair_cap"),
+    ("BOUNDS", "node_cap"), ("BOUNDS", "pair_cap"),
     ("overlap_coincidence", "node_cap"), ("balanced_pairs", "pair_cap"),
     ("Substitution.apply", "cap"), ("Substitution.iterate", "cap"),
 }
@@ -53,6 +53,9 @@ def _cap_names(module):
                 and value.__module__ == module.__name__:
             found.update((name, f.name) for f in dataclasses.fields(value)
                          if "cap" in f.name)
+    found.update(("BOUNDS", bound.override)
+                 for bound in getattr(module, "BOUNDS", ())
+                 if "cap" in bound.override)
     return found
 
 

@@ -74,6 +74,16 @@ def test_parse_tilemap():
      "outside rule"),
     ("letters a b\nrule a = a b\nrule b = a\nbound Q 3", "bound"),
     ("letters a b\nfrobnicate", "unknown directive"),
+    ("letters a b\nletters a b", "line 2: duplicate letters line"),
+    ("letters a b a", "line 1: repeated letter token"),
+    ("letters a b\ntilemap a 2", "line 2: expected: tilemap <tok> -> <index>"),
+    ("letters a b\ntilemap a -> x",
+     "line 2: tile map index must be an integer"),
+    ("letters a b\nrule a = a b\nrule b = a\nbound L x",
+     "line 4: bound value must be an integer"),
+    ("# no letters\nbound L 3", "line 0: missing letters line"),
+    ("letters a b\nrule a = a b\nrule b = a\ntilemap a -> 1",
+     "line 0: tile map incomplete: missing 'b'"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(SpecSyntaxError) as err:
@@ -213,6 +223,32 @@ def test_patch_rejects_a_substitution_that_is_not_primitive(tmp_path):
     assert err == "error: substitution is not primitive\n"
 
 
+def test_patch_of_a_missing_file_exits_1(tmp_path):
+    code, out, err = run_cli(["patch", str(tmp_path / "missing.sub")])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("content", [None, "{not json"],
+                         ids=["missing", "not-json"])
+def test_verify_of_an_unreadable_file_exits_1(tmp_path, content):
+    path = tmp_path / "report.json"
+    if content is not None:
+        path.write_text(content)
+    code, out, err = run_cli(["verify", str(path)])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_analyze_verify_exits_1_when_the_replay_fails(monkeypatch):
+    monkeypatch.setattr(cli, "verify_report",
+                        lambda report: {"passed": False, "replayed": {}})
+    code, out, _ = run_cli(["analyze", "fibonacci", "--verify"])
+    assert code == 1
+    assert json.loads(out)["verification"] == {"passed": False,
+                                               "replayed": {}}
+
+
 def test_witness_embedding_invariants():
     for name in ("fibonacci", "rauzy2-gamma", "thue-morse", "fib2"):
         report = report_for(name)
@@ -280,12 +316,11 @@ def _echoed_bound(path, key, *argv):
     return json.loads(out)["input"]["bounds"][key]
 
 
-@pytest.mark.parametrize("key,attr,flag,spec_line", cli.BOUNDS,
+@pytest.mark.parametrize("key,override,flag,spec_line,default", cli.BOUNDS,
                          ids=[key for key, *_ in cli.BOUNDS])
-def test_cli_flags_beat_spec_file_bounds(tmp_path, key, attr, flag,
-                                         spec_line):
+def test_cli_flags_beat_spec_file_bounds(tmp_path, key, override, flag,
+                                         spec_line, default):
     # a flag beats a spec line, which beats the default
-    default = getattr(cli.Bounds(), attr)
     text = "letters a b\nrule a = a b\nrule b = a\n"
     line = f"bound {key} {default // 2}\n"
     path = tmp_path / "bounded.sub"
@@ -309,9 +344,30 @@ def test_readme_bounds_table_matches_cli():
             for row in table.split("\n\n", 1)[0].splitlines()[2:]]
     assert [(flag, spec, int(default.replace(",", "")))
             for _, flag, spec, default, _ in rows] == [
-        (f"`{flag}`", f"`bound {key} <int>`" if spec_line else "-",
-         getattr(cli.Bounds(), attr))
-        for key, attr, flag, spec_line in cli.BOUNDS]
+        (f"`{flag}`", f"`bound {key} <int>`" if spec_line else "-", default)
+        for key, _, flag, spec_line, default in cli.BOUNDS]
+
+
+def test_readme_verify_table_matches_check_table():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| check | per pair | statuses it emits "
+                         "| a `HOLDS` is judged | a `FAILS` replays |", 1)[1]
+    rows = [[cell.strip() for cell in row.strip("|").split("|")]
+            for row in table.split("\n\n", 1)[0].splitlines()[2:]]
+    judged = {check.name: check for check in cli.CHECK_TABLE
+              if check.statuses}
+    listed = []
+    for names, pairs, statuses, holds, fails in rows:
+        group = [judged[name] for name in re.findall(r"`(\w+)`", names)]
+        # the checks of one row share their FAILS replay
+        assert len({check.fails for check in group}) == 1, names
+        listed += [(check.name, pairs, statuses, holds, fails == "-")
+                   for check in group]
+    assert listed == [
+        (check.name, "yes" if check.pairs else "no",
+         ", ".join(f"`{status}`" for status in check.statuses),
+         check.holds or "-", check.fails is None)
+        for check in judged.values()]
 
 
 def _stale_cap_rows(readme):
@@ -842,9 +898,9 @@ def _negative_bound_error(key):
     return f"bound {key} -1 is not a non-negative integer"
 
 
-@pytest.mark.parametrize("key,flag", [(key, flag)
-                                      for key, _, flag, _ in cli.BOUNDS],
-                         ids=[flag for _, _, flag, _ in cli.BOUNDS])
+@pytest.mark.parametrize("key,flag", [(bound.key, bound.flag)
+                                      for bound in cli.BOUNDS],
+                         ids=[bound.flag for bound in cli.BOUNDS])
 def test_analyze_rejects_negative_bound(key, flag):
     code, out, err = run_cli(["analyze", "fibonacci", flag, "-1"])
     assert code == 2 and out == ""
@@ -852,8 +908,8 @@ def test_analyze_rejects_negative_bound(key, flag):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("name", [key for key, _, _, spec_line in cli.BOUNDS
-                                  if spec_line])
+@pytest.mark.parametrize("name", [bound.key for bound in cli.BOUNDS
+                                  if bound.spec_line])
 def test_analyze_rejects_negative_spec_line_bound(tmp_path, name):
     path = tmp_path / "negative.sub"
     path.write_text("letters a b\nrule a = a b\nrule b = a\n"
@@ -887,6 +943,25 @@ def test_verify_fails_report_window_outside_cap(tmp_path, window):
     code, out, err = _verify_file(tmp_path, report)
     assert code == 1 and json.loads(out)["passed"] is False
     assert "Traceback" not in err
+
+
+# each edit of a report's bounds, with its derived leaves rewritten, is a
+# value that analyze refuses
+@pytest.mark.parametrize("key, value, message", [
+    ("L", -1, "bound L -1 is not a non-negative integer"),
+    ("L", True, "bound L True is not a non-negative integer"),
+    ("k", "banana", "bound k 'banana' is not a non-negative integer"),
+    ("node_cap", -7, "bound node_cap -7 is not a non-negative integer"),
+    ("pair_cap", 1.5, "bound pair_cap 1.5 is not a non-negative integer"),
+    ("iter_cap", "x", f"bound iter_cap 'x' is not {spectrum.ITER_CAP}"),
+])
+def test_verify_fails_a_bound_that_analyze_refuses(key, value, message):
+    report = _fixture("fibonacci")
+    report["input"]["bounds"][key] = value
+    _rederive(report)
+    assert cli.verify_report(report) == {
+        "passed": False, "replayed": {},
+        "error": f"input: InvalidBound: {message}"}
 
 
 # -- no HOLDS from an empty sample ------------------------------------------
@@ -1515,6 +1590,38 @@ def test_report_of_an_overlap_check_that_raises(monkeypatch):
     assert list(report["cost"]) == ["balanced_pairs", "seed_power"]
     assert report["cost"] == {"balanced_pairs": 3, "seed_power": 2}
     assert cli.verify_report(report)["passed"] is True
+
+
+def test_a_check_that_raises_a_value_error_is_recorded_in_place(
+        monkeypatch):
+    def raises(*args, **kwargs):
+        raise ValueError("no height")
+
+    monkeypatch.setattr(cli.lattices, "height_group", raises)
+    checks = cli.run_analysis(cli.corpus_lookup("fibonacci"))["checks"]
+    assert checks["height_group"] == {"error": "ValueError: no height"}
+    assert list(checks) == [*cli.CHECKS, "spectral"]
+    assert all("error" not in checks[name] for name in cli.CHECKS
+               if name != "height_group")
+
+
+def test_a_substitution_that_is_not_primitive_and_not_factored(monkeypatch):
+    def raises(p):
+        raise SubtilingError("no factors")
+
+    monkeypatch.setattr(polys, "factor_monic", raises)
+    spec = cli.parse_spec("letters a b\nrule a = a\nrule b = a b\n")
+    report = cli.run_analysis(spec)
+    assert report["facts"]["characteristic_irreducible"] == {
+        "error": "no factors"}
+    assert report["checks"] == {
+        "error": "substitution is not primitive; no suspension"}
+
+
+def test_an_override_that_names_no_bound_raises():
+    with pytest.raises(KeyError):
+        cli.run_analysis(cli.corpus_lookup("fibonacci"),
+                         overrides={"Lmax": 3})
 
 
 # -- the derived leaves: analyze writes them, verify compares them ------------

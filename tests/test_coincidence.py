@@ -60,6 +60,8 @@ INVOLUTION_CASES = {
                        {"involution": {"1": 2}}, (1, 2)),
     "extra-letter": (_sub_of([1, 2, 2, 1], [2, 1, 1, 2]),
                      {"involution": {"1": 2, "2": 1, "3": 3}}, (1, 2)),
+    "not-an-object": (_sub_of([1, 2, 2, 1], [2, 1, 1, 2]),
+                      {"involution": [2, 1]}, (1, 2)),
     "letter-out-of-range": (_sub_of([1, 2, 2, 1], [2, 1, 1, 2]),
                             _cert(2, 3), (1, 2)),
     "bool-letter": (_sub_of([1, 2, 2, 1], [2, 1, 1, 2]),

@@ -114,6 +114,13 @@ def test_quotient_free_rank():
     assert g.free_rank == 1 and g.invariant_factors == (2,)
 
 
+def test_quotient_by_the_zero_module_is_free():
+    plane = module_from_vectors([[Fraction(1, 2), 1], [0, 3]], 2)
+    zero = module_from_vectors([[0, 0]], 2)
+    assert zero.is_zero()
+    assert L.quotient(plane, zero) == L.AbelianGroup((), free_rank=2)
+
+
 def test_smith_normal_form():
     assert L.smith_normal_form([[2, 0], [0, 3]]) == [1, 6]
     assert L.smith_normal_form([[1, 0], [0, 1]]) == [1, 1]

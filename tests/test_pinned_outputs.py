@@ -18,8 +18,9 @@ import pytest
 
 from subtiling import cli
 
+import workloads
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-OFF_CORPUS_BOUNDS = {"window": 16, "node_cap": 2000}
 
 ANALYZE = {
     "period-doubling":
@@ -66,22 +67,11 @@ def _sha256(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def beta_spec_text(ks):
-    """Spec text of the beta-substitution a_i -> a_1^(k_i) a_(i+1),
-    a_m -> a_1^(k_m), as the off-corpus workload writes it."""
-    letters = [chr(ord("a") + i) for i in range(len(ks))]
-    lines = [f"# beta-substitution k = {list(ks)}",
-             "letters " + " ".join(letters)]
-    for i, k in enumerate(ks):
-        body = [letters[0]] * k + letters[i + 1:i + 2]
-        lines.append(f"rule {letters[i]} = " + " ".join(body))
-    return "\n".join(lines) + "\n"
-
-
 def _analysis(name):
     if name.startswith("beta-"):
-        text = beta_spec_text([int(k) for k in name[len("beta-"):]])
-        overrides = OFF_CORPUS_BOUNDS
+        text = workloads.beta_spec_text(
+            [int(k) for k in name[len("beta-"):]])
+        overrides = workloads.OFF_CORPUS_BOUNDS
     else:
         text = (PERFBENCH / "specs" / f"{name}.spec").read_text(
             encoding="utf-8")
