@@ -21,7 +21,8 @@ from conftest import CORPUS_IDS, SIX_LETTERS, TWELVE_LETTERS, report_for
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 FIXTURES = PERFBENCH / "fixtures"
-# Off-corpus spec files, made into fixtures at the off-corpus bounds.
+GOLDEN = ROOT / "tests" / "golden"
+# Off-corpus spec files, made into golden reports at the off-corpus bounds.
 SPEC_FIXTURES = ("plastic", "pentanacci", "nonunimodular", "nonpisot")
 SPEC_BOUNDS = {"window": 16, "node_cap": 2000}
 
@@ -154,6 +155,9 @@ def test_reports_are_byte_stable():
 
 @pytest.mark.parametrize("name", CORPUS_IDS + SPEC_FIXTURES)
 def test_reports_match_committed_fixtures(name):
+    """analyze writes each input's golden report, tests/golden/<name>.json,
+    byte for byte.  perfbench/fixtures, the benchmark's frozen copy, is
+    only replayed by verify here."""
     if name in SPEC_FIXTURES:
         spec_text = (PERFBENCH / "specs" / f"{name}.spec").read_text(
             encoding="utf-8")
@@ -162,8 +166,8 @@ def test_reports_match_committed_fixtures(name):
     else:
         report = report_for(name)
     text = json.dumps(report, indent=2)
-    fixture = FIXTURES / f"{name}.json"
-    assert text + "\n" == fixture.read_text(encoding="utf-8")
+    golden = GOLDEN / f"{name}.json"
+    assert text + "\n" == golden.read_text(encoding="utf-8")
     assert cli.verify_report(json.loads(text))["passed"]
 
 

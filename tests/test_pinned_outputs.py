@@ -1,11 +1,12 @@
 """Byte identity of the benchmark outputs that no committed fixture pins.
 
 `test_cli.test_reports_match_committed_fixtures` compares the reports of
-the eight corpus entries and the four off-corpus specs with the files in
-perfbench/fixtures.  This file pins the other outputs the benchmark makes
-by their sha256: `analyze` on period doubling at default bounds, on the
-four beta-substitutions of the off-corpus workload at its bounds, and
-`verify` on each committed fixture.  They are serialized as
+the eight corpus entries and the four off-corpus specs with their golden
+copies in tests/golden.  This file pins the other outputs the benchmark
+makes by their sha256: `analyze` on period doubling at default bounds, on
+the four beta-substitutions of the off-corpus workload at its bounds, and
+`verify` on each of the benchmark's committed fixtures, perfbench/fixtures,
+which a new `verify` must still pass.  They are serialized as
 perfbench/workloads.py serializes them.  A change that alters one of
 these outputs updates its hash here and says so in CHANGES.md.
 """
