@@ -347,10 +347,23 @@ def _replay_involution(system, certificate, pair):
                                                      pair)
 
 
+def _irreducible(facts) -> bool:
+    """Whether the characteristic polynomial is the minimal polynomial."""
+    return facts["characteristic_polynomial"] == facts["minimal_polynomial"]
+
+
+def _advisory(facts) -> bool:
+    """Whether the balanced-pair half is advisory: the input is not
+    irreducible Pisot, the scope in which balanced pairs decide pure
+    discreteness.  `derive` and the run of balanced pairs both ask."""
+    return not (facts["pisot"] and _irreducible(facts))
+
+
 # A check of a report.  As `run_analysis` runs it: its name; its run,
-# called with (sub, system, refpoints, bounds); and how its entry is
-# written, the witness encoder of `_pairs_json` or `_verdict_json` for a
-# row with `pairs` or `holds` set, else the encoder of the whole entry.
+# called with (sub, system, refpoints, bounds, facts), facts being the
+# report's, complete by then; and how its entry is written, the witness
+# encoder of `_pairs_json` or `_verdict_json` for a row with `pairs` or
+# `holds` set, else the encoder of the whole entry.
 # As `verify_report` judges its claims: whether it holds one verdict per
 # letter pair; the statuses it emits, none when `derive` alone judges it;
 # how a HOLDS is judged, "word", "tile" or None; and what replays a FAILS
@@ -366,39 +379,39 @@ Check = collections.namedtuple(
 # holds the combined "spectral" verdict of the last two.
 CHECK_TABLE = (
     Check("prefix_strong",
-          lambda sub, system, refpoints, bounds:
+          lambda sub, system, refpoints, bounds, facts:
           coincidence.prefix_strong(sub, bounds["L"]),
           _prefix_witness_json, True, ("HOLDS", "FAILS", "UNKNOWN"), "word",
           _replay_involution),
     Check("suffix_strong",
-          lambda sub, system, refpoints, bounds:
+          lambda sub, system, refpoints, bounds, facts:
           coincidence.prefix_strong(sub, bounds["L"], suffixes=True),
           _prefix_witness_json, True, ("HOLDS", "FAILS", "UNKNOWN"), "word",
           _replay_involution),
     Check("geometric_strong",
-          lambda sub, system, refpoints, bounds:
+          lambda sub, system, refpoints, bounds, facts:
           coincidence.geometric_strong(system, refpoints, bounds["L"]),
           _geometric_witness_json, True, ("HOLDS", "UNKNOWN"), "tile"),
     Check("simultaneous",
-          lambda sub, system, refpoints, bounds:
+          lambda sub, system, refpoints, bounds, facts:
           coincidence.simultaneous(system, refpoints, bounds["L"]),
           _geometric_witness_json, False, ("HOLDS", "UNKNOWN"), "tile"),
     Check("prefix_simultaneous",
-          lambda sub, system, refpoints, bounds:
+          lambda sub, system, refpoints, bounds, facts:
           coincidence.prefix_simultaneous(sub, bounds["L"]),
           _prefix_simultaneous_witness_json, False, ("HOLDS", "UNKNOWN"),
           "word"),
     Check("height_group",
-          lambda sub, system, refpoints, bounds:
+          lambda sub, system, refpoints, bounds, facts:
           lattices.height_group(system, refpoints),
           _height_json),
     Check("eventual_return_module",
-          lambda sub, system, refpoints, bounds:
+          lambda sub, system, refpoints, bounds, facts:
           lattices.differences_in_return_module(
               system, refpoints, bounds["k"], bounds["window"]),
           _return_json),
     Check("overlap_coincidence",
-          lambda sub, system, refpoints, bounds:
+          lambda sub, system, refpoints, bounds, facts:
           spectrum.overlap_coincidence(
               system, refpoints, system.window(bounds["window"]),
               bounds["node_cap"]),
@@ -406,8 +419,9 @@ CHECK_TABLE = (
           lambda system, certificate, _:
           spectrum.replay_overlap_certificate(system, certificate)),
     Check("balanced_pairs",
-          lambda sub, system, refpoints, bounds:
-          spectrum.balanced_pairs(sub, pair_cap=bounds["pair_cap"]),
+          lambda sub, system, refpoints, bounds, facts:
+          spectrum.balanced_pairs(sub, pair_cap=bounds["pair_cap"],
+                                  advisory=_advisory(facts)),
           lambda half: _half_json(half, advisory=None), False,
           ("HOLDS", "FAILS", "UNKNOWN"), None,
           lambda system, certificate, _:
@@ -552,7 +566,7 @@ def run_analysis(spec: SpecFile, overrides: dict | None = None) -> dict:
 
     for check in CHECK_TABLE:
         try:
-            result = check.run(sub, system, refpoints, bounds)
+            result = check.run(sub, system, refpoints, bounds, facts)
             checks[check.name] = (
                 _pairs_json(spec, result, check.encode) if check.pairs
                 else _verdict_json(spec, result, check.encode) if check.holds
@@ -592,10 +606,8 @@ def derive(report: dict) -> list:
     put("facts.primitive", primitive)
     if not primitive or "minimal_polynomial" not in facts:
         return out
-    irreducible = (facts["characteristic_polynomial"] ==
-                   facts["minimal_polynomial"])
-    put("facts.characteristic_irreducible", irreducible)
-    advisory = not (facts["pisot"] and irreducible)
+    put("facts.characteristic_irreducible", _irreducible(facts))
+    advisory = _advisory(facts)
     ran = {name: "error" not in checks[name] for name in CHECKS}
     for name in (check.name for check in CHECK_TABLE if check.pairs):
         if ran[name]:

@@ -47,6 +47,7 @@ DEFAULT_NODE_CAP = 100_000
 DEFAULT_PAIR_CAP = 50_000
 ITER_CAP = 200
 PAIR_LENGTH_CAP = 100_000
+ADVISORY_PAIR_LENGTH_CAP = 2_000
 SEED_RETURN_WORDS = 10
 
 
@@ -459,8 +460,8 @@ def return_word_seeds(sub: Substitution):
     return letter, seen, pairs
 
 
-def balanced_pairs(sub: Substitution,
-                   pair_cap=DEFAULT_PAIR_CAP) -> SpectralHalf:
+def balanced_pairs(sub: Substitution, pair_cap=DEFAULT_PAIR_CAP,
+                   advisory=False) -> SpectralHalf:
     """Run the balanced pair iteration to a verdict.
 
     HOLDS: the closure of the seed pairs under substitution-and-split is
@@ -470,6 +471,10 @@ def balanced_pairs(sub: Substitution,
     (`_pair_closure`) expands the longest pair first, which changes no
     finite closure and so no verdict or certificate.  Any cap ends in
     UNKNOWN.
+
+    An advisory run, on an input that is not irreducible Pisot, decides
+    nothing of the spectral verdict, so its pairs stop at
+    ADVISORY_PAIR_LENGTH_CAP letters instead of PAIR_LENGTH_CAP.
     """
     letter, seed_words, seeds = return_word_seeds(sub)
     meta = {
@@ -477,7 +482,8 @@ def balanced_pairs(sub: Substitution,
         "seed_return_words": [list(w) for w in seed_words],
         "seed_pair_count": len(seeds),
     }
-    nodes, edges, bound_hit = _pair_closure(sub, seeds, pair_cap)
+    length_cap = ADVISORY_PAIR_LENGTH_CAP if advisory else PAIR_LENGTH_CAP
+    nodes, edges, bound_hit = _pair_closure(sub, seeds, pair_cap, length_cap)
     if bound_hit:
         return SpectralHalf("UNKNOWN", certificate=meta, bound_hit=bound_hit)
     dist = _coincidence_distances(
@@ -493,7 +499,7 @@ def balanced_pairs(sub: Substitution,
     return SpectralHalf("FAILS", certificate=cert)
 
 
-def _pair_closure(sub: Substitution, seeds, pair_cap):
+def _pair_closure(sub: Substitution, seeds, pair_cap, length_cap):
     """The closure of the seed pairs under substitution-and-split:
     (nodes, edges, bound_hit), nodes in the order they were made and
     edges mapping each expanded node to its canonical components, with
@@ -507,8 +513,8 @@ def _pair_closure(sub: Substitution, seeds, pair_cap):
     of whole breadth-first levels.
 
     The pair length cap is checked where a split component, seed or
-    image, becomes a node: one over PAIR_LENGTH_CAP // (longest rule)
-    letters ends the run before another image is built.  The pair cap is
+    image, becomes a node: one over length_cap // (longest rule) letters
+    ends the run before another image is built.  The pair cap is
     checked after each image is split.  The iteration cap is a depth
     cap: a node found ITER_CAP substitution steps from a seed component
     ends the run when it comes up for expansion.
@@ -525,22 +531,22 @@ def _pair_closure(sub: Substitution, seeds, pair_cap):
         comps = [_canonical(c) for c in comps]
         for comp in comps:
             if comp not in nodes:
-                if len(comp[0]) * widest > PAIR_LENGTH_CAP:
+                if len(comp[0]) * widest > length_cap:
                     return None
                 nodes[comp] = None
                 heapq.heappush(heap, (-len(comp[0]), len(nodes), depth, comp))
         return comps
 
-    length_cap = f"pair length cap {PAIR_LENGTH_CAP}"
+    length_hit = f"pair length cap {length_cap}"
     if any(add(split_balanced(*pair, m), 0) is None for pair in seeds):
-        return nodes, edges, length_cap
+        return nodes, edges, length_hit
     while heap:
         _, _, depth, (u, v) = heapq.heappop(heap)
         if depth >= ITER_CAP:
             return nodes, edges, f"iteration cap {ITER_CAP}"
         succ = add(split_balanced(sub.apply(u), sub.apply(v), m), depth + 1)
         if succ is None:
-            return nodes, edges, length_cap
+            return nodes, edges, length_hit
         edges[u, v] = succ
         if len(nodes) > pair_cap:
             return nodes, edges, f"pair cap {pair_cap}"

@@ -147,12 +147,12 @@ def benchmark_substitutions():
     return out
 
 
-def ref_pair_closure(sub, seeds, pair_cap):
+def ref_pair_closure(sub, seeds, pair_cap, length_cap):
     """Reference for spectrum._pair_closure: the closure by breadth-first
     levels, (nodes, edges, bound_hit) as it returns them.  A component
-    over the pair length cap ends the run where it is made, the pair cap
-    is checked after each image is split, and the iteration cap ends the
-    run after ITER_CAP levels."""
+    over the pair length cap, length_cap // (longest rule) letters, ends
+    the run where it is made, the pair cap is checked after each image is
+    split, and the iteration cap ends the run after ITER_CAP levels."""
     m = sub.size
     widest = max(len(r) for r in sub.rules)
     nodes, edges = {}, {}
@@ -161,16 +161,16 @@ def ref_pair_closure(sub, seeds, pair_cap):
         comps = [SP._canonical(c) for c in SP.split_balanced(*pair, m)]
         for comp in comps:
             if comp not in nodes:
-                if len(comp[0]) * widest > SP.PAIR_LENGTH_CAP:
+                if len(comp[0]) * widest > length_cap:
                     return None
                 nodes[comp] = None
                 new.append(comp)
         return comps
 
-    length_cap = f"pair length cap {SP.PAIR_LENGTH_CAP}"
+    length_hit = f"pair length cap {length_cap}"
     frontier = []
     if any(add(pair, frontier) is None for pair in seeds):
-        return nodes, edges, length_cap
+        return nodes, edges, length_hit
     for _ in range(SP.ITER_CAP):
         if not frontier:
             break
@@ -178,7 +178,7 @@ def ref_pair_closure(sub, seeds, pair_cap):
         for u, v in frontier:
             succ = add((sub.apply(u), sub.apply(v)), nxt)
             if succ is None:
-                return nodes, edges, length_cap
+                return nodes, edges, length_hit
             edges[u, v] = succ
             if len(nodes) > pair_cap:
                 return nodes, edges, f"pair cap {pair_cap}"

@@ -25,7 +25,7 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 ANALYZE = {
     "period-doubling":
-        "b8ddf1c7648d2918fd5ea984a821cf978b8ed05c718d2759035ceb3ef843ed9f",
+        "1167b3316541689d75d685921dfb30646319d7f43fbbe4804a457137a6807b1b",
     "beta-211":
         "bff801b0c3afc6ede045c537adc7dc5d249b7f08779f528537d91e82deacb4a5",
     "beta-221":

@@ -21,6 +21,8 @@ from conftest import (WALK_BASE, benchmark_substitutions, exact_tiles,
                       ref_children, ref_pair_closure,
                       subtile_offset_elements, successors, sweep_translation)
 
+import workloads
+
 SPECS = Path(__file__).resolve().parents[1] / "perfbench" / "specs"
 
 
@@ -377,6 +379,80 @@ def test_period_doubling_balanced_half_hits_the_length_cap():
     assert half.certificate == {"seed_letter": 1,
                                 "seed_return_words": [[1, 2], [1]],
                                 "seed_pair_count": 2}
+
+
+def _analyzed(name):
+    """analyze's report on a corpus entry or a benchmark spec, a spec of
+    the off-corpus workload at its bounds."""
+    if name in workloads.OFF_CORPUS_SPECS + workloads.CONSTANT_LENGTH_SPECS:
+        spec = cli.parse_spec((SPECS / f"{name}.spec").read_text(
+            encoding="utf-8"), name=name)
+    else:
+        spec = cli.corpus_lookup(name)
+    return cli.run_analysis(spec, overrides=(
+        workloads.OFF_CORPUS_BOUNDS if name in workloads.OFF_CORPUS_SPECS
+        else None))
+
+
+@pytest.mark.parametrize("name", ["fib2", "rauzy2-left", "period-doubling",
+                                  "nonpisot"])
+def test_advisory_balanced_pairs_stop_at_the_advisory_length_cap(name):
+    """Out of scope the balanced half decides nothing of the spectral
+    verdict, so analyze stops its pairs at ADVISORY_PAIR_LENGTH_CAP."""
+    half = _analyzed(name)["checks"]["balanced_pairs"]
+    assert (half["status"], half["advisory"], half["bound_hit"]) == (
+        "UNKNOWN", True,
+        f"pair length cap {SP.ADVISORY_PAIR_LENGTH_CAP}")
+    assert SP.ADVISORY_PAIR_LENGTH_CAP == 2000
+
+
+def test_an_in_scope_run_keeps_the_full_length_cap(fib2, rauzy2):
+    for sub in (fib2, rauzy2):
+        assert SP.balanced_pairs(sub).bound_hit == "pair length cap 100000"
+        assert SP.balanced_pairs(sub, advisory=True).bound_hit == \
+            "pair length cap 2000"
+
+
+@pytest.mark.parametrize("name", ["thue-morse", "aba-left", "aba-gamma"])
+def test_advisory_failures_keep_their_certificates(name):
+    """The advisory mismatches of acceptance criterion 6 close within the
+    advisory cap: analyze finds the certificate an in-scope run finds."""
+    report = _analyzed(name)
+    half = SP.balanced_pairs(cli.corpus_lookup(name).substitution())
+    assert half.status == "FAILS"
+    assert report["checks"]["balanced_pairs"]["advisory"] is True
+    assert report["checks"]["balanced_pairs"]["status"] == "FAILS"
+    assert report["checks"]["balanced_pairs"]["certificate"] == \
+        half.certificate
+
+
+def test_analyze_tests_pisot_once(monkeypatch):
+    calls = []
+    is_pisot = algebraic.is_pisot
+    monkeypatch.setattr(algebraic, "is_pisot",
+                        lambda field: calls.append(1) or is_pisot(field))
+    for name in ("fib2", "fibonacci"):
+        calls.clear()
+        _analyzed(name)
+        assert len(calls) == 1, name
+
+
+def test_advisory_closure_walks_a_bounded_number_of_letters(monkeypatch):
+    """Deterministic work guard on the advisory cap: analyze splits 4,790
+    and 5,469 letters of balanced pairs on fib2 and rauzy2-left (197,527
+    and 207,115 at the in-scope cap)."""
+    split = SP.split_balanced
+    for name, bound in (("fib2", 5000), ("rauzy2-left", 6000)):
+        letters = []
+
+        def counted(u, v, m):
+            letters.append(len(u))
+            return split(u, v, m)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(SP, "split_balanced", counted)
+            _analyzed(name)
+        assert 0 < sum(letters) <= bound, name
 
 
 def test_balanced_replay_rejects_an_entry_over_the_length_cap(monkeypatch,
