@@ -27,6 +27,7 @@ it; blank lines and lines that start with # are skipped.
 """
 
 import argparse
+import collections
 import io
 import json
 import subprocess
@@ -127,9 +128,7 @@ def _cell(value):
 
 def table(rows, allowed=frozenset()):
     """The summary line and the Markdown table of the rows."""
-    counts = {}
-    for row in rows:
-        counts[row[4]] = counts.get(row[4], 0) + 1
+    counts = collections.Counter(row[4] for row in rows)
     summary = ", ".join(f"{n} {cls}" for cls, n in counts.items())
     lines = [f"{len(rows)} changed leaves" + (f": {summary}" if rows else ""),
              "", "| input | leaf | before | after | class |",
@@ -144,7 +143,6 @@ def table(rows, allowed=frozenset()):
 
 def inputs():
     """Each input as the benchmark's workloads.Input fields, as JSON."""
-    sys.path.insert(0, str(ROOT / "tests"))
     import golden_reports
     import make_fixtures
     import workloads

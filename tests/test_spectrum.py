@@ -401,9 +401,7 @@ def test_advisory_balanced_pairs_stop_at_the_advisory_length_cap(name):
     verdict, so analyze stops its pairs at ADVISORY_PAIR_LENGTH_CAP."""
     half = _analyzed(name)["checks"]["balanced_pairs"]
     assert (half["status"], half["advisory"], half["bound_hit"]) == (
-        "UNKNOWN", True,
-        f"pair length cap {SP.ADVISORY_PAIR_LENGTH_CAP}")
-    assert SP.ADVISORY_PAIR_LENGTH_CAP == 2000
+        "UNKNOWN", True, "pair length cap 2000")
 
 
 def test_an_in_scope_run_keeps_the_full_length_cap(fib2, rauzy2):
