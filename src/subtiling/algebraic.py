@@ -14,23 +14,18 @@ hot additions and subtractions in integer arithmetic.
 Signs of nonzero elements are certified in two stages, filter then exact.
 
 * Fixed-point filter.  Since lo > 1, lo^k <= beta^k <= hi^k for every
-  k >= 0.  Rounding outward, L_k = floor(2^P lo^k) and
+  k >= 0.  Rounding outward at P = FILTER_BITS, L_k = floor(2^P lo^k) and
   H_k = ceil(2^P hi^k) are integers with L_k <= 2^P beta^k <= H_k.
   Scaled by the lcm of its denominators, an element has integer
   coordinates a_k, and 2^P times its value lies between
   sum a_k (L_k if a_k > 0 else H_k) and sum a_k (H_k if a_k > 0 else L_k).
   A lower sum above zero or an upper sum below zero is the sign.  The
-  rounding adds about sum |a_k| 2^-P to the width the interval induces,
-  so the filter takes its table at the matched scale
-  P = max(FILTER_BITS, bits of den + FILTER_MARGIN), which keeps the
-  rounding below that width however far the interval is refined.  The
   filter never refines the interval.  The two sums are also exposed as
-  an enclosure (fixed_point_bounds): at P = FILTER_BITS, as a patch
-  keeps one per tile boundary, or at the matched scale, as the inflation
-  step of `spectrum` keeps one per subtile pair.  Each table is cached
-  per generation.  A refinement only tightens a table and never lowers
-  the matched scale, so an enclosure taken earlier stays valid at its
-  own scale, and whatever it decides the filter decides too.
+  an enclosure (fixed_point_bounds), as a patch keeps one per tile
+  boundary and the inflation step of `spectrum` one per subtile pair.
+  The table is cached per generation.  A refinement only tightens it, so
+  an enclosure taken earlier stays valid, and whatever it decides the
+  filter decides too.
 * Exact route.  When the filter cannot decide, the coordinate polynomial
   is evaluated by Horner's rule in integer interval arithmetic on
   [num_lo, num_hi]: scaled by the lcm of its denominators, the element's
@@ -64,14 +59,9 @@ from fractions import Fraction
 from . import polys
 from .errors import FactorizationFailed
 
-# Fixed-point scales: an enclosure kept across refinements has beta^k
-# enclosed by integers over 2^FILTER_BITS.  That rounding, up to 2^-64 per
-# unit of coordinate, outgrows the width of the interval once den passes
-# about 2^48, so the sign filter works at the matched scale instead:
-# FILTER_MARGIN bits beyond den, which holds the rounding near 2^-16 of
-# the width, or FILTER_BITS when that is more.
+# Fixed-point scale: the filter encloses beta^k by integers over
+# 2^FILTER_BITS.
 FILTER_BITS = 64
-FILTER_MARGIN = 16
 
 
 def _canon(x):
@@ -185,9 +175,8 @@ class NumberField:
         # beta^degree in the power basis
         self._companion = tuple(-c for c in self.minpoly[:-1])
         self.generation = 0
-        # this generation's tables: at the matched scale under True, at
-        # 2^FILTER_BITS under False
-        self._tables = {}
+        # this generation's table at 2^FILTER_BITS, built on first use
+        self._filter_table = None
         guard = 0
         while self.num_lo <= self.den:
             if self.num_hi <= self.den or guard > 512:
@@ -209,7 +198,7 @@ class NumberField:
             self.minpoly, (self.num_lo, self.num_hi, self.den),
             lambda mid, den, s: s == self._lo_sign)
         self.generation += 1
-        self._tables = {}
+        self._filter_table = None
 
     def ensure_width(self, width):
         width = Fraction(width)
@@ -217,49 +206,33 @@ class NumberField:
                width.numerator * self.den):
             self._refine_once()
 
-    def _table_at(self, bits):
-        """(L, H) with L[k] <= 2^bits * beta^k <= H[k] for k < degree,
-        from the current interval."""
-        lows, highs = [], []
-        lo_pow = hi_pow = 1 << bits
-        den_pow = 1
-        for _ in range(self.degree):
-            lows.append(lo_pow // den_pow)
-            highs.append(-(-hi_pow // den_pow))
-            lo_pow *= self.num_lo
-            hi_pow *= self.num_hi
-            den_pow *= self.den
-        return tuple(lows), tuple(highs)
+    def _table(self):
+        """(L, H) with L[k] <= 2^FILTER_BITS * beta^k <= H[k] for
+        k < degree, from the current interval, built once per generation."""
+        if self._filter_table is None:
+            lows, highs = [], []
+            lo_pow = hi_pow = 1 << FILTER_BITS
+            den_pow = 1
+            for _ in range(self.degree):
+                lows.append(lo_pow // den_pow)
+                highs.append(-(-hi_pow // den_pow))
+                lo_pow *= self.num_lo
+                hi_pow *= self.num_hi
+                den_pow *= self.den
+            self._filter_table = tuple(lows), tuple(highs)
+        return self._filter_table
 
-    def matched_bits(self):
-        """The matched scale P of this generation: FILTER_BITS, or
-        FILTER_MARGIN bits beyond den when that is more."""
-        return max(FILTER_BITS, self.den.bit_length() + FILTER_MARGIN)
-
-    def _table(self, matched):
-        """The table at 2^matched_bits() with matched, else at
-        2^FILTER_BITS, built once per generation."""
-        table = self._tables.get(matched)
-        if table is None:
-            bits = self.matched_bits() if matched else FILTER_BITS
-            table = self._tables[matched] = self._table_at(bits)
-        return table
-
-    def fixed_point_bounds(self, ints, matched=False):
+    def fixed_point_bounds(self, ints):
         """Integers (lower, upper) enclosing 2^FILTER_BITS times
-        sum ints[k] * beta^k, for integer coordinates ints; with matched,
-        2^matched_bits() times it.  Matched bounds of two generations
-        compare once the later ones are shifted down to the earlier
-        scale, lower ends by floor and upper ends by ceiling.
+        sum ints[k] * beta^k, for integer coordinates ints.
 
         Each coordinate contributes min(a L_k, a H_k) to the lower sum and
         max(a L_k, a H_k) to the upper one.  These are superadditive and
         subadditive in a, so bounds of summands add up to bounds of the
         sum that are no tighter than the sum's own.  A refinement only
-        tightens the table and never lowers its scale, so bounds taken
-        earlier, divided by their scale, stay valid and contain the
-        bounds taken later."""
-        lows, highs = self._table(matched)
+        tightens the table, so bounds taken earlier stay valid and contain
+        the bounds taken later."""
+        lows, highs = self._table()
         lower = upper = 0
         for a, low, high in zip(ints, lows, highs):
             if a > 0:
@@ -272,8 +245,8 @@ class NumberField:
 
     def filter_sign(self, ints):
         """Sign of sum ints[k] * beta^k for integer coordinates when the
-        table at the matched scale decides it, else 0.  Never refines."""
-        lower, upper = self.fixed_point_bounds(ints, matched=True)
+        table decides it, else 0.  Never refines."""
+        lower, upper = self.fixed_point_bounds(ints)
         if lower > 0:
             return 1
         if upper < 0:

@@ -376,7 +376,9 @@ Check = collections.namedtuple(
 
 
 # The checks of a report, in the order analyze runs them; a report also
-# holds the combined "spectral" verdict of the last two.
+# holds the combined "spectral" verdict of the last two.  The overlap
+# closure is finite when beta is Pisot, and runs on Pisot inputs only;
+# any other input gets the UNKNOWN "not Pisot".
 CHECK_TABLE = (
     Check("prefix_strong",
           lambda sub, system, refpoints, bounds, facts:
@@ -414,7 +416,8 @@ CHECK_TABLE = (
           lambda sub, system, refpoints, bounds, facts:
           spectrum.overlap_coincidence(
               system, refpoints, system.window(bounds["window"]),
-              bounds["node_cap"]),
+              bounds["node_cap"]) if facts["pisot"]
+          else spectrum.SpectralHalf("UNKNOWN", bound_hit="not Pisot"),
           _half_json, False, ("HOLDS", "FAILS", "UNKNOWN"), None,
           lambda system, certificate, _:
           spectrum.replay_overlap_certificate(system, certificate)),

@@ -72,13 +72,12 @@ class _Inflation:
     Multiplying by beta is `NumberField.times_beta`.  The overlap test
     of a child first adds the fixed-point enclosure of beta * shift, taken
     once per parent, to an enclosure of its offset difference plus the
-    tile length, taken once at the matched scale P of its first use
-    (`fixed_point_bounds(matched=True)`); past P the parent's enclosure
-    is shifted down to P.  Tables only tighten and P never falls, so a
-    kept enclosure contains a fresh one, and a sum of enclosures is no
-    tighter than the enclosure of the sum: whatever the sums decide
-    `int_sign` would have decided by its filter, with no refinement, and
-    the rest goes to `int_sign` in the order of `overlaps`."""
+    tile length, taken once at its first use (`fixed_point_bounds`).
+    Tables only tighten, so a kept enclosure contains a fresh one, and a
+    sum of enclosures is no tighter than the enclosure of the sum:
+    whatever the sums decide `int_sign` would have decided by its filter,
+    with no refinement, and the rest goes to `int_sign` in the order of
+    `overlaps`."""
 
     def __init__(self, system: SuspensionSystem, denom):
         self.system = system
@@ -93,7 +92,7 @@ class _Inflation:
         self.lengths = tuple(map(scaled, zip(*system._length_columns)))
         self.offsets = tuple(tuple(map(scaled, offsets))
                              for offsets in system.subtile_offsets)
-        # per (moved, anchor): the matched scale and the subtile pairs
+        # the subtile pairs per (moved, anchor)
         self._pairs = {}
 
     def overlaps(self, moved, anchor, shift):
@@ -106,18 +105,13 @@ class _Inflation:
                                shift))) > 0)
 
     def _subtile_pairs(self, moved, anchor):
-        """Build and keep (P, pairs) for (moved, anchor): P the current
-        matched scale, and over the subtile pairs of the two inflated
-        tiles, moved subtile first, (moved subtile index and color, anchor
-        subtile color, offset difference delta, enclosure of
-        delta + len_moved, enclosure of len_anchor - delta) at scale P."""
-        field_ = self.field
+        """Build and keep the subtile pairs of the two inflated tiles of
+        (moved, anchor), moved subtile first, each as (moved subtile index
+        and color, anchor subtile color, offset difference delta,
+        enclosure of delta + len_moved, enclosure of len_anchor - delta)."""
+        bounds = self.field.fixed_point_bounds
         rules, lengths = self.system.sub.rule, self.lengths
         add, sub = operator.add, operator.sub
-
-        def bounds(ints):
-            return field_.fixed_point_bounds(ints, matched=True)
-
         pairs = []
         for k, (mc, m_off) in enumerate(zip(rules(moved),
                                             self.offsets[moved - 1])):
@@ -127,8 +121,8 @@ class _Inflation:
                     (k, mc, ac, delta,
                      *bounds(tuple(map(add, delta, lengths[mc]))),
                      *bounds(tuple(map(sub, lengths[ac], delta)))))
-        kept = self._pairs[(moved, anchor)] = (field_.matched_bits(), pairs)
-        return kept
+        self._pairs[(moved, anchor)] = pairs
+        return pairs
 
     def successors(self, key):
         """The overlapping subtile pairs of a class after one inflation."""
@@ -138,13 +132,10 @@ class _Inflation:
         """(index of the moved subtile, class) for the overlapping subtile
         pairs of a class after one inflation, moved subtile first."""
         moved, anchor, shift = key
-        bits, pairs = (self._pairs.get((moved, anchor)) or
-                       self._subtile_pairs(moved, anchor))
+        pairs = (self._pairs.get((moved, anchor)) or
+                 self._subtile_pairs(moved, anchor))
         base = self.field.times_beta(shift)
-        base_lo, base_hi = self.field.fixed_point_bounds(base, matched=True)
-        drop = self.field.matched_bits() - bits
-        if drop:
-            base_lo, base_hi = base_lo >> drop, -(-base_hi >> drop)
+        base_lo, base_hi = self.field.fixed_point_bounds(base)
         sign, lengths = self.field.int_sign, self.lengths
         add, sub = operator.add, operator.sub
         out = []

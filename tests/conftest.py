@@ -330,13 +330,11 @@ def successors(system, moved, anchor, shift):
 
 def ref_children(step, key):
     """Reference: `spectrum._Inflation.children` with every subtile-pair
-    enclosure taken afresh at the current matched scale, so that it and
-    the parent's enclosure always share one generation."""
+    enclosure taken afresh, so that it and the parent's enclosure always
+    share one generation."""
     field, lengths = step.field, step.lengths
     moved, anchor, shift = key
-
-    def bounds(ints):
-        return field.fixed_point_bounds(ints, matched=True)
+    bounds = field.fixed_point_bounds
 
     def add(u, v):
         return tuple(a + b for a, b in zip(u, v))

@@ -528,74 +528,18 @@ def test_integer_bisection_and_table_equal_the_fraction_ones(minpoly):
     while field.generation < 300:
         ends = _ref_ends(minpoly, field.generation)
         assert beta_interval(field) == ends
-        assert field._table(False) == _ref_table(
+        assert field._table() == _ref_table(
             minpoly, field.generation, field.degree)
         field._refine_once()
     assert beta_interval(field) == _ref_ends(minpoly, 300)
 
 
-def _ref_matched_bits(minpoly, generation):
-    """The matched scale at a generation: den is the lcm of the isolating
-    interval's denominators times 2^generation."""
-    lo, hi = _ref_ends(minpoly, 0)
-    den = math.lcm(lo.denominator, hi.denominator) << generation
-    return max(A.FILTER_BITS, den.bit_length() + A.FILTER_MARGIN)
-
-
-@pytest.mark.parametrize("minpoly", [(-1, -1, 1), (-3, -1, 1), (-1, -1, 0, 1)],
-                         ids=["golden", "nonpisot", "plastic"])
-def test_matched_table_equals_the_fraction_one_at_its_scale(minpoly):
-    field = field_from(list(minpoly))
-    while field.generation <= 400:
-        bits = _ref_matched_bits(minpoly, field.generation)
-        assert field.matched_bits() == bits
-        lo, hi = _ref_ends(minpoly, field.generation)
-        scale = 1 << bits
-        assert field._table(True) == (
-            tuple(math.floor(scale * lo ** k) for k in range(field.degree)),
-            tuple(math.ceil(scale * hi ** k) for k in range(field.degree)))
-        field._refine_once()
-    assert field.matched_bits() > A.FILTER_BITS
-
-
-@pytest.mark.parametrize("minpoly", [(-1, -1, 1), (-3, -1, 1), (-1, -1, 0, 1)],
-                         ids=["golden", "nonpisot", "plastic"])
-@given(data=st.data())
-@settings(max_examples=30, deadline=None, derandomize=True)
-def test_later_matched_bounds_shifted_down_nest_in_earlier_ones(minpoly,
-                                                                 data):
-    # matched bounds kept from generation g at scale P, and fresh ones at
-    # a later generation g' shifted down by P' - P (lower end by floor,
-    # upper end by ceiling), both contain 2^P x, the fresh inside the kept
-    field = field_from(list(minpoly))
-    n = field.degree
-    coord = st.one_of(int_coord, st.integers(-2**100, 2**100))
-    ints = data.draw(st.lists(coord, min_size=n, max_size=n))
-    if data.draw(st.booleans()):
-        beta = _ref_ends(minpoly, 400)[0]
-        ints[0] -= round(sum(a * beta ** k for k, a in enumerate(ints)))
-    generation = data.draw(st.integers(field.generation, 400))
-    later = data.draw(st.integers(generation, 400))
-    while field.generation < generation:
-        field._refine_once()
-    bits = field.matched_bits()
-    kept_lo, kept_hi = field.fixed_point_bounds(ints, matched=True)
-    while field.generation < later:
-        field._refine_once()
-    drop = field.matched_bits() - bits
-    assert drop >= 0
-    lower, upper = field.fixed_point_bounds(ints, matched=True)
-    lower, upper = lower >> drop, -(-upper >> drop)
-    # 2^P x lies in 2^P times the Horner enclosure at generation 600
-    x_lo, x_hi = _ref_horner(ints, *_ref_ends(minpoly, 600))
-    assert kept_lo <= lower <= x_lo * (1 << bits)
-    assert x_hi * (1 << bits) <= upper <= kept_hi
-
-
 def test_filter_decides_deep_in_the_refinement():
     # at width 2^-200 the value of a1 beta + a0, with both coordinates
     # above 2^80, is far above the width the interval induces but far
-    # below the 2^-64 rounding of a coordinate that large
+    # below the 2^-64 rounding of a coordinate that large: the fixed-point
+    # enclosure straddles zero, and the Horner enclosure on the current
+    # interval decides the sign with no refinement
     minpoly = (-3, -1, 1)
     field = field_from(list(minpoly))
     field.ensure_width(Fraction(1, 1 << 200))
@@ -610,6 +554,5 @@ def test_filter_decides_deep_in_the_refinement():
     for vector, expected in ((ints, 1), (tuple(-a for a in ints), -1)):
         lower, upper = field.fixed_point_bounds(vector)
         assert lower <= 0 <= upper
-        assert field.filter_sign(vector) == expected
         assert field.int_sign(vector) == expected
     assert field.generation == before

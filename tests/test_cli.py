@@ -1120,11 +1120,12 @@ def test_pentanacci_replay_builds_no_patch(monkeypatch):
 
 
 def test_nonpisot_signs_and_bisection_run_on_integers(monkeypatch):
-    # the undecided signs of the non-Pisot input (a conjugate outside the
-    # unit disk grows its coordinates) are decided by integer Horner and
-    # integer bisection.  The sign filter's scale follows the interval, so
-    # past den = 2^48 it still decides most signs: 8,412 fell through to
-    # Horner at 2^64.
+    # the undecided signs of the non-Pisot overlap closure at window 16,
+    # node cap 2,000 (a conjugate outside the unit disk grows its
+    # coordinates) are decided by integer Horner and integer bisection.
+    # Past den = 2^48 the rounding of the 2^64 sign filter outgrows the
+    # width of the interval, so most signs fall through to Horner: the
+    # count is exact, to show a change in the filter or the closure.
     # Each _Inflation encloses the subtile pairs of a (moved, anchor) once,
     # whatever the refinements: 130 enclosures, not 5,654 by generation
     refinements, horner = [], []
@@ -1142,10 +1143,10 @@ def test_nonpisot_signs_and_bisection_run_on_integers(monkeypatch):
         finally:
             building.pop()
 
-    def counted_bounds(field, ints, matched=False):
+    def counted_bounds(field, ints):
         if building:
             pair_bounds.append(1)
-        return bounds(field, ints, matched)
+        return bounds(field, ints)
 
     monkeypatch.setattr(spectrum._Inflation, "_subtile_pairs", build)
     monkeypatch.setattr(algebraic.NumberField, "fixed_point_bounds",
@@ -1156,12 +1157,41 @@ def test_nonpisot_signs_and_bisection_run_on_integers(monkeypatch):
         algebraic.NumberField, "_refined_sign",
         lambda self, ints: horner.append(1) or refined_sign(self, ints))
     text = (PERFBENCH / "specs" / "nonpisot.spec").read_text(encoding="utf-8")
-    cli.run_analysis(cli.parse_spec(text, name="nonpisot"),
-                     overrides=SPEC_BOUNDS)
+    spec = cli.parse_spec(text, name="nonpisot")
+    system = suspension.SuspensionSystem(spec.substitution())
+    refpoints, _ = cli._reference_points(system, spec)
+    half = spectrum.overlap_coincidence(system, refpoints, system.window(16),
+                                        node_cap=2000)
+    assert half.bound_hit == "node cap 2000"
     assert len(refinements) == 338
-    assert len(horner) <= 500
+    assert len(horner) == 8_420
     assert len(built) == len(set(built))
     assert len(pair_bounds) <= 130
+
+
+def test_nonpisot_analysis_runs_no_overlap_closure(monkeypatch):
+    # runaway pin: at default bounds the non-Pisot overlap closure runs
+    # about 30 s into node cap 100,000.  The closure is finite only for a
+    # Pisot beta, so analyze runs none here, and asks is_pisot once
+    pisot_calls = []
+    is_pisot = algebraic.is_pisot
+
+    def closure(*args, **kwargs):
+        raise AssertionError("overlap closure on a non-Pisot input")
+
+    monkeypatch.setattr(spectrum, "overlap_coincidence", closure)
+    monkeypatch.setattr(algebraic, "is_pisot",
+                        lambda field: pisot_calls.append(1) or
+                        is_pisot(field))
+    text = (PERFBENCH / "specs" / "nonpisot.spec").read_text(encoding="utf-8")
+    report = cli.run_analysis(cli.parse_spec(text, name="nonpisot"))
+    assert report["input"]["bounds"]["node_cap"] == spectrum.DEFAULT_NODE_CAP
+    assert report["facts"]["pisot"] is False
+    assert pisot_calls == [1]
+    assert report["checks"]["overlap_coincidence"] == {
+        "status": "UNKNOWN", "certificate": {}, "bound_hit": "not Pisot"}
+    assert report["checks"]["spectral"]["status"] == "UNKNOWN"
+    assert cli.verify_report(report)["passed"]
 
 
 # -- the involution certificates and the core facts --------------------------

@@ -1,12 +1,14 @@
-"""Pinned interval refinements of every benchmark analysis input.
+"""Pinned certified signs of every benchmark analysis input.
 
 A refactor that keeps reports byte-identical must also keep the sequence
-of certified signs that reaches them; the number of bisections of the
-beta interval is its cheapest fingerprint.  The counts pin the eight
-corpus entries at default bounds, and the five `perfbench/specs` and the
-four beta-substitutions the off-corpus workload draws from at the
-off-corpus bounds (window 16, node cap 2000).  A change that moves a
-count must say why and pin the new number.
+of certified signs that reaches them.  Its cheapest fingerprint is three
+counts: the calls of `NumberField.int_sign`, the bisections of the beta
+interval, and the signs the fixed-point filter leaves to the Horner
+enclosure (`_refined_sign`).  The counts pin the eight corpus entries at
+default bounds, and the five `perfbench/specs` and the four
+beta-substitutions the off-corpus workload draws from at the off-corpus
+bounds (window 16, node cap 2000).  A change that moves a count must say
+why and pin the new number.
 """
 
 from pathlib import Path
@@ -18,40 +20,53 @@ from subtiling import algebraic, cli
 SPECS = Path(__file__).resolve().parents[1] / "perfbench" / "specs"
 SPEC_BOUNDS = {"window": 16, "node_cap": 2000}
 
-CORPUS_REFINEMENTS = {
-    "thue-morse": 0, "fibonacci": 21, "aba-left": 0, "aba-gamma": 0,
-    "fib2": 21, "rauzy": 22, "rauzy2-left": 22, "rauzy2-gamma": 22,
+# per input: (int_sign calls, refinements, Horner fallbacks)
+CORPUS_COUNTS = {
+    "thue-morse": (65, 0, 0), "fibonacci": (65, 21, 0),
+    "aba-left": (74, 0, 0), "aba-gamma": (66, 0, 0), "fib2": (165, 21, 0),
+    "rauzy": (219, 22, 0), "rauzy2-left": (445, 22, 0),
+    "rauzy2-gamma": (430, 22, 0),
 }
-SPEC_REFINEMENTS = {
-    "period-doubling": 0, "plastic": 22, "pentanacci": 22,
-    "nonunimodular": 22, "nonpisot": 338,
+# an analysis of nonpisot runs no overlap closure, since beta is not Pisot
+SPEC_COUNTS = {
+    "period-doubling": (58, 0, 0), "plastic": (502, 22, 1),
+    "pentanacci": (812, 22, 2), "nonunimodular": (91, 22, 0),
+    "nonpisot": (29, 22, 0),
 }
-BETA_REFINEMENTS = {"beta-211": 23, "beta-221": 23, "beta-222": 23,
-                    "beta-1111": 21}
+BETA_COUNTS = {"beta-211": (231, 23, 1), "beta-221": (251, 23, 1),
+               "beta-222": (332, 23, 1), "beta-1111": (324, 21, 1)}
 
 
-def _refinements(monkeypatch, spec, overrides=None):
-    """Refinements of one analysis from scratch."""
-    count = []
-    refine = algebraic.NumberField._refine_once
-    monkeypatch.setattr(algebraic.NumberField, "_refine_once",
-                        lambda self: count.append(1) or refine(self))
+def _counts(monkeypatch, spec, overrides=None):
+    """(int_sign calls, refinements, Horner fallbacks) of one analysis
+    from scratch."""
+    counts = {"int_sign": 0, "_refine_once": 0, "_refined_sign": 0}
+
+    def counted(name):
+        method = getattr(algebraic.NumberField, name)
+
+        def wrapper(self, *args):
+            counts[name] += 1
+            return method(self, *args)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(algebraic.NumberField, name, counted(name))
     cli.run_analysis(spec, overrides=overrides)
-    return len(count)
+    return tuple(counts.values())
 
 
-@pytest.mark.parametrize("name", sorted(CORPUS_REFINEMENTS))
+@pytest.mark.parametrize("name", sorted(CORPUS_COUNTS))
 def test_corpus_refinements_are_pinned(name, monkeypatch):
-    assert _refinements(monkeypatch, cli.corpus_lookup(name)) == \
-        CORPUS_REFINEMENTS[name]
+    assert _counts(monkeypatch, cli.corpus_lookup(name)) == \
+        CORPUS_COUNTS[name]
 
 
-@pytest.mark.parametrize("name", sorted(SPEC_REFINEMENTS))
+@pytest.mark.parametrize("name", sorted(SPEC_COUNTS))
 def test_spec_refinements_are_pinned(name, monkeypatch):
     text = (SPECS / f"{name}.spec").read_text(encoding="utf-8")
     spec = cli.parse_spec(text, name=name)
-    assert _refinements(monkeypatch, spec, SPEC_BOUNDS) == \
-        SPEC_REFINEMENTS[name]
+    assert _counts(monkeypatch, spec, SPEC_BOUNDS) == SPEC_COUNTS[name]
 
 
 def beta_spec(name):
@@ -65,7 +80,7 @@ def beta_spec(name):
     return cli.parse_spec(text, name=name)
 
 
-@pytest.mark.parametrize("name", sorted(BETA_REFINEMENTS))
+@pytest.mark.parametrize("name", sorted(BETA_COUNTS))
 def test_beta_refinements_are_pinned(name, monkeypatch):
-    assert _refinements(monkeypatch, beta_spec(name), SPEC_BOUNDS) == \
-        BETA_REFINEMENTS[name]
+    assert _counts(monkeypatch, beta_spec(name), SPEC_BOUNDS) == \
+        BETA_COUNTS[name]

@@ -839,10 +839,12 @@ def test_node_cap_bounds_overlap_seeding():
 
 @pytest.mark.parametrize("name", ["nonpisot", "plastic"])
 def test_kept_pair_enclosures_inflate_as_fresh_ones(monkeypatch, name):
-    # subtile-pair enclosures kept at the scale of their first use give
-    # the children of enclosures taken afresh in every generation, after
-    # the same refinements, along every inflation of one analysis (the
-    # closure and the shared-tile walks), each side on a fresh system
+    # subtile-pair enclosures kept from their first use give the children
+    # of enclosures taken afresh in every generation, after the same
+    # refinements, each side on a fresh system: along every inflation of
+    # one analysis of plastic (the closure and the shared-tile walks), and
+    # along the overlap closure of nonpisot at window 16, node cap 2,000,
+    # which an analysis of a non-Pisot input does not run
     spec = cli.parse_spec((SPECS / f"{name}.spec").read_text(encoding="utf-8"),
                           name=name)
 
@@ -855,6 +857,11 @@ def test_kept_pair_enclosures_inflate_as_fresh_ones(monkeypatch, name):
             return out
 
         monkeypatch.setattr(SP._Inflation, "children", recorded)
+        if name == "nonpisot":
+            system, refs = _system_and_refs(name)
+            return calls, SP.overlap_coincidence(system, refs,
+                                                 system.window(16),
+                                                 node_cap=2000)
         report = cli.run_analysis(spec, overrides={"window": 16,
                                                    "node_cap": 2000})
         return calls, report
@@ -864,7 +871,7 @@ def test_kept_pair_enclosures_inflate_as_fresh_ones(monkeypatch, name):
     assert kept_calls == fresh_calls
     assert kept_report == fresh_report
     if name == "nonpisot":
-        # the matched scale moves during the closure: 338 refinements
+        # the interval is refined all along the closure
         assert kept_calls[-1][2] - kept_calls[0][2] > 300
 
 
