@@ -39,9 +39,10 @@ from .errors import (
 )
 
 
-# Largest window, in tile lengths, that analyze accepts and verify
-# replays; a witness replay grows its patch with the window.
+# Largest window, in tile lengths, and level bound that analyze accepts
+# and verify replays; verify replays no witness above its report's L.
 WINDOW_CAP = 1024
+LEVEL_CAP = 1024
 
 # The report's beta_interval is at most 2^-BETA_WIDTH_BITS wide.
 BETA_WIDTH_BITS = 20
@@ -339,12 +340,12 @@ def _return_json(res: lattices.ReturnModuleResult) -> dict:
     return out
 
 
-def _replay_involution(system, certificate, pair):
-    """Replay the involution certificate of a word pair check's FAILS;
+def _replay_involution(system, refpoints, certificate, letters):
+    """Replay the involution certificate of a word check's FAILS;
     reversing the rules keeps every condition on an involution, so the
     suffix check replays the same certificate."""
     return coincidence.replay_involution_certificate(system.sub, certificate,
-                                                     pair)
+                                                     letters)
 
 
 def _irreducible(facts) -> bool:
@@ -367,9 +368,9 @@ def _advisory(facts) -> bool:
 # As `verify_report` judges its claims: whether it holds one verdict per
 # letter pair; the statuses it emits, none when `derive` alone judges it;
 # how a HOLDS is judged, "word", "tile" or None; and what replays a FAILS
-# certificate, called with the system, the certificate and the claim's
-# letters, or None.  A run looks its function up in its module when it is
-# called, so that a wrapper set there is the one that runs.
+# certificate, called with the system, reference points, certificate and
+# claim's letters, or None.  A run looks its function up in its module
+# when it is called, so that a wrapper set there is the one that runs.
 Check = collections.namedtuple(
     "Check", "name run encode pairs statuses holds fails",
     defaults=(False, (), None, None))
@@ -392,17 +393,21 @@ CHECK_TABLE = (
           _replay_involution),
     Check("geometric_strong",
           lambda sub, system, refpoints, bounds, facts:
-          coincidence.geometric_strong(system, refpoints, bounds["L"]),
-          _geometric_witness_json, True, ("HOLDS", "UNKNOWN"), "tile"),
+          coincidence.geometric_strong(system, refpoints, bounds["L"],
+                                       bounds["node_cap"]),
+          _geometric_witness_json, True, ("HOLDS", "FAILS", "UNKNOWN"), "tile",
+          coincidence.replay_walk_certificate),
     Check("simultaneous",
           lambda sub, system, refpoints, bounds, facts:
-          coincidence.simultaneous(system, refpoints, bounds["L"]),
-          _geometric_witness_json, False, ("HOLDS", "UNKNOWN"), "tile"),
+          coincidence.simultaneous(system, refpoints, bounds["L"],
+                                   bounds["node_cap"]),
+          _geometric_witness_json, False, ("HOLDS", "FAILS", "UNKNOWN"),
+          "tile", coincidence.replay_walk_certificate),
     Check("prefix_simultaneous",
           lambda sub, system, refpoints, bounds, facts:
           coincidence.prefix_simultaneous(sub, bounds["L"]),
-          _prefix_simultaneous_witness_json, False, ("HOLDS", "UNKNOWN"),
-          "word"),
+          _prefix_simultaneous_witness_json, False,
+          ("HOLDS", "FAILS", "UNKNOWN"), "word", _replay_involution),
     Check("height_group",
           lambda sub, system, refpoints, bounds, facts:
           lattices.height_group(system, refpoints),
@@ -419,7 +424,7 @@ CHECK_TABLE = (
               bounds["node_cap"]) if facts["pisot"]
           else spectrum.SpectralHalf("UNKNOWN", bound_hit="not Pisot"),
           _half_json, False, ("HOLDS", "FAILS", "UNKNOWN"), None,
-          lambda system, certificate, _:
+          lambda system, refpoints, certificate, _:
           spectrum.replay_overlap_certificate(system, certificate)),
     Check("balanced_pairs",
           lambda sub, system, refpoints, bounds, facts:
@@ -427,7 +432,7 @@ CHECK_TABLE = (
                                   advisory=_advisory(facts)),
           lambda half: _half_json(half, advisory=None), False,
           ("HOLDS", "FAILS", "UNKNOWN"), None,
-          lambda system, certificate, _:
+          lambda system, refpoints, certificate, _:
           spectrum.replay_balanced_certificate(system.sub, certificate)),
 )
 CHECKS = tuple(check.name for check in CHECK_TABLE)
@@ -469,8 +474,8 @@ def _reference_points(system, spec: SpecFile):
 
 
 def _check_bounds(bounds: dict):
-    """Raise InvalidBound unless every bound of BOUNDS is an int, the
-    window in [1, WINDOW_CAP] and every other one at least 0, and
+    """Raise InvalidBound unless every bound of BOUNDS is an int at least
+    0, the window in [1, WINDOW_CAP] and L at most LEVEL_CAP, and
     `iter_cap` is the int spectrum.ITER_CAP."""
     for key, *_ in BOUNDS:
         value = bounds[key]
@@ -481,6 +486,8 @@ def _check_bounds(bounds: dict):
         if type(value) is not int or value < 0:
             raise InvalidBound(
                 f"bound {key} {value!r} is not a non-negative integer")
+        if key == "L" and value > LEVEL_CAP:
+            raise InvalidBound(f"bound L {value} is above {LEVEL_CAP}")
     if type(bounds["iter_cap"]) is not int or \
             bounds["iter_cap"] != spectrum.ITER_CAP:
         raise InvalidBound(f"bound iter_cap {bounds['iter_cap']!r} is not "
@@ -848,14 +855,15 @@ def verify_report(report: dict) -> dict:
 
     def take_witness(name, w, check, claimed):
         """Parse a witness; one that does not parse (a level that is not
-        an int too), or whose scope is not the claim's, fails."""
+        an int too), above the report's L or of another scope, fails."""
         results[name] = False
         try:
             levels = w["level"], w["replay_level"]
             scope = [spec.token(c) for c in claimed] if check.pairs else "all"
             (shift, replay_shift), denom = algebraic.parse_shifts(
                 (w["shift"], w["replay_shift"]), system.field.degree)
-            if w["scope"] == scope and {type(x) for x in levels} == {int}:
+            if (w["scope"] == scope and {type(x) for x in levels} == {int}
+                    and levels[0] <= report["input"]["bounds"]["L"]):
                 witnesses[name] = coincidence.CoincidenceWitness(
                     level=levels[0], color=index[w["color"]], shift=shift,
                     scope=claimed if check.pairs else None,
@@ -877,7 +885,8 @@ def verify_report(report: dict) -> dict:
                 results[name] = False
             if status == "FAILS" and check.fails:
                 results[name] = claimed is not None and replay(
-                    check.fails, system, claim.get("certificate"), claimed)
+                    check.fails, system, refpoints, claim.get("certificate"),
+                    claimed)
             elif status == "HOLDS" and check.holds == "tile":
                 take_witness(name, claim.get("witness"), check, claimed)
             elif status == "HOLDS" and check.holds == "word" and (

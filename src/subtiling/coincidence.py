@@ -5,14 +5,14 @@ combinatorial one on rule words (equal prefix abelianizations followed by
 the same letter) and a geometric one, a level-by-level walk of overlap
 classes under `spectrum._Inflation` on integer vectors of Q(beta).  Both
 search levels up to a bound and return HOLDS with a witness, FAILS with a
-finite certificate (a commuting fixed-point-free letter involution), or
-UNKNOWN at the bound.  A geometric witness is the leftmost shared tile,
-also at a level divisible by the fixed-point power of the tiling, and
-`verify_witness` replays it by a descent of the inflation tree, on one
-`IntegerSetting` for all the witnesses of a report.
+finite certificate (a commuting fixed-point-free letter involution, or
+the walk's closed states), or UNKNOWN at a bound.  A geometric witness is
+the leftmost shared tile, also at a level divisible by the fixed-point
+power of the tiling, and `verify_witness` replays it by a descent of the
+inflation tree, on one `IntegerSetting` for all the witnesses of a report.
 
-The certificate rests on one lemma.  If a fixed-point-free letter
-involution tau commutes with sigma, then sigma^L(tau c) = tau(sigma^L(c))
+An involution certificate rests on one lemma.  If a fixed-point-free
+letter involution tau commutes with sigma, sigma^L(tau c) = tau(sigma^L(c))
 for every letter c and level L, so at every position t the letters of
 the two words are swapped by tau, and differ, as tau fixes no letter.
 No level then holds a common letter at one position of the words of c
@@ -27,7 +27,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from . import spectrum, words as words_mod
+from . import algebraic, spectrum, words as words_mod
 # reference_point_sets is unused here; perfbench's tracer test wraps it here
 from .suspension import SuspensionSystem, reference_point_sets  # noqa: F401
 from .words import Substitution
@@ -63,11 +63,6 @@ class PrefixWitness:
 
 
 DEFAULT_LEVEL_BOUND = 12
-
-# The geometric walks stop at the last level whose inflated prototiles
-# carry at most this many tiles and report it as their UNKNOWN bound;
-# verify_witness accepts no witness level beyond it.
-SUPERTILE_CAP = 65_536
 
 
 # ---------------------------------------------------------------------------
@@ -167,15 +162,16 @@ def prefix_strong(sub: Substitution, level_bound=DEFAULT_LEVEL_BOUND,
     return results
 
 
-def replay_involution_certificate(sub: Substitution, certificate, pair):
-    """True iff a `prefix_strong` FAILS certificate names a letter map tau,
-    keyed by letter index (an int, or its string after JSON), that covers
-    1..m, has no fixed point, is an involution, maps each rule letter by
-    letter onto the rule of tau(x), and swaps the pair's two letters.
+def replay_involution_certificate(sub: Substitution, certificate, claimed):
+    """True iff a word FAILS certificate names a letter map tau, keyed by
+    letter index (an int, or its string after JSON), that covers 1..m,
+    has no fixed point, is an involution, maps each rule letter by letter
+    onto the rule of tau(x), and maps the first `claimed` letter to
+    another: the other letter of a pair, or tau(1) among all letters.
 
-    Such a tau proves the pair apart at every level by the module's
-    lemma, for prefixes and suffixes alike: reversing the rules keeps
-    every condition."""
+    Such a tau proves them apart at every level by the module's lemma,
+    for prefixes and suffixes alike: reversing the rules keeps every
+    condition."""
     if not isinstance(certificate, dict):
         return False
     given = certificate.get("involution")
@@ -189,8 +185,7 @@ def replay_involution_certificate(sub: Substitution, certificate, pair):
     tau = [0] + [given[str(x)] for x in letters]
     if any(type(y) is not int or not 1 <= y <= m for y in tau[1:]):
         return False
-    i, j = pair
-    return tau[i] == j and tau[j] == i and all(
+    return tau[claimed[0]] in claimed and all(
         tau[x] != x and tau[tau[x]] == x
         and bytes(tau[c] for c in sub.rule(x)) == sub.rule(tau[x])
         for x in letters)
@@ -202,12 +197,13 @@ def prefix_simultaneous(sub: Substitution, level_bound=DEFAULT_LEVEL_BOUND):
 
     When a fixed-point-free letter involution tau commutes with the
     substitution, no level has one: the words of c and tau c differ at
-    every position (the module's lemma).  The verdict is then the one the
-    search would end with, UNKNOWN at the level bound, and no word is
-    built."""
+    every position (the module's lemma).  The check then FAILS with the
+    first such tau as its certificate, and no word is built."""
     m = sub.size
-    if words_mod.commuting_fixed_point_free_involutions(sub):
-        return BoundedVerdict("UNKNOWN", bound=level_bound)
+    involutions = words_mod.commuting_fixed_point_free_involutions(sub)
+    if involutions:
+        return BoundedVerdict("FAILS", bound=level_bound,
+                              certificate={"involution": involutions[0]})
     hit = _balanced_prefix_search(sub, range(1, m + 1), level_bound)
     if isinstance(hit, BoundedVerdict):
         return hit
@@ -232,17 +228,6 @@ def _replay_level(system, level):
     """Least multiple of the seed power that is at least `level`."""
     k = system.seed[0]
     return k * ((level + k - 1) // k)
-
-
-def _reachable_levels(system, letters, level_bound):
-    """Levels whose inflated prototiles all stay below the tile cap."""
-    top = 0
-    for level in range(1, level_bound + 1):
-        if any(system.sub.image_length(c, level) > SUPERTILE_CAP
-               for c in letters):
-            break
-        top = level
-    return top
 
 
 class IntegerSetting:
@@ -303,11 +288,16 @@ class IntegerSetting:
         return tile == color and not any(target)
 
 
+def _is_shared(state):
+    """Whether a walk state is a tile of coincidences only."""
+    return all(anchor == state[0] and not any(shift)
+               for anchor, shift in state[1])
+
+
 def _least_shared(states):
     """(path, color) of the first state of coincidences only, or None."""
-    return next(((path, color) for (color, classes), path in states.items()
-                 if all(anchor == color and not any(shift)
-                        for anchor, shift in classes)), None)
+    return next(((path, state[0]) for state, path in states.items()
+                 if _is_shared(state)), None)
 
 
 class _Walk(IntegerSetting):
@@ -318,7 +308,8 @@ class _Walk(IntegerSetting):
     overlapping tile of each other letter's, (color, ((anchor, shift),
     ...)), the root being the prototiles: shift c_j - c_i.  A level with
     a state of coincidences only holds a shared tile.  A state keeps the
-    least moved-subtile path to it, which is its leftmost tile."""
+    least moved-subtile path to it, which is its leftmost tile.  Once a
+    level meets no new state, the states met are closed under inflation."""
 
     def __init__(self, system: SuspensionSystem, refpoints):
         super().__init__(system, refpoints)
@@ -357,55 +348,103 @@ class _Walk(IntegerSetting):
             first = self.system.sub.rule(first)[k]
         return tuple(map(add, vector, self.refs[color - 1]))
 
-    def search(self, letters, scope, level_bound):
+    def root(self, letters):
+        """The state of the prototiles of `letters` at level 0."""
+        first = self.refs[letters[0] - 1]
+        return (letters[0], tuple(
+            (c, tuple(map(operator.sub, self.refs[c - 1], first)))
+            for c in letters[1:]))
+
+    def search(self, letters, scope, level_bound, node_cap):
         """Least level with a tile shared by the translated inflated
         prototiles of `letters`: HOLDS with a witness of the given scope,
-        or UNKNOWN at the deepest level walked under the tile cap."""
-        top = _reachable_levels(self.system, letters, level_bound)
-        first = self.refs[letters[0] - 1]
-        states = {(letters[0], tuple(
-            (c, tuple(map(operator.sub, self.refs[c - 1], first)))
-            for c in letters[1:])): ()}
-        level = 0
-        while (hit := _least_shared(states)) is None:
-            if level == top:
-                return BoundedVerdict("UNKNOWN", bound=top)
+        FAILS once a level meets no new state, with the states met, or
+        UNKNOWN at the level bound or once the states met through the
+        replay level pass node_cap, `bound` the last level searched with
+        no shared tile."""
+        states = {self.root(letters): ()}
+        seen, level, stop, hit = set(states), 0, level_bound, None
+        while True:
+            if hit is None and (hit := _least_shared(states)):
+                found, stop = level, _replay_level(self.system, level)
+            if level == stop:
+                break
             states = self.inflate(states)
             level += 1
-        replay_level = _replay_level(self.system, level)
-        for _ in range(level, replay_level):
-            states = self.inflate(states)
-        rehit = _least_shared(states)
-        if rehit is None:
+            if hit is None and seen.issuperset(states):
+                return BoundedVerdict("FAILS", certificate={"closed_states": [
+                    {"color": color, "classes": [
+                        {"anchor": anchor,
+                         "shift": spectrum.format_shift(shift, self.denom)}
+                        for anchor, shift in classes]}
+                    for color, classes in sorted(seen)]})
+            seen.update(states)
+            if len(seen) > node_cap:
+                return BoundedVerdict(
+                    "UNKNOWN", bound=(found if hit else level) - 1,
+                    bound_hit=f"node cap {node_cap}")
+        if hit is None:
+            return BoundedVerdict("UNKNOWN", bound=level,
+                                  bound_hit=f"level bound {level}")
+        if (rehit := _least_shared(states)) is None:
             raise AssertionError("coincidence did not persist under inflation")
         return BoundedVerdict("HOLDS", witness=CoincidenceWitness(
-            level=level, color=hit[1], scope=scope,
+            level=found, color=hit[1], scope=scope,
             shift=self.witness_shift(letters[0], *hit),
-            replay_level=replay_level, replay_color=rehit[1],
+            replay_level=level, replay_color=rehit[1],
             replay_shift=self.witness_shift(letters[0], *rehit),
             denom=self.denom))
 
 
+def replay_walk_certificate(system: SuspensionSystem, refpoints, certificate,
+                            letters):
+    """True iff a geometric FAILS certificate lists walk states, with
+    letters in 1..m and shifts over the walk's denominator, that hold the
+    root of `letters`, hold no shared tile and are closed under
+    `_Walk.inflate`: then no level holds a shared tile.  A malformed
+    certificate fails."""
+    walk = _Walk(system, refpoints)
+    try:
+        rows = [(e["color"], [(c["anchor"], c["shift"]) for c in e["classes"]])
+                for e in certificate["closed_states"]]
+        shifts, denom = algebraic.parse_shifts(
+            [shift for _, row in rows for _, shift in row],
+            system.field.degree, walk.denom)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError):
+        return False
+    named = [c for color, row in rows for c in (color, *(a for a, _ in row))]
+    if denom != walk.denom or not all(
+            type(c) is int and 1 <= c <= system.size for c in named):
+        return False
+    shifts = iter(shifts)
+    states = {(color, tuple((anchor, next(shifts)) for anchor, _ in row))
+              for color, row in rows}
+    return walk.root(letters) in states and spectrum._is_closed(
+        states, _is_shared, lambda state: walk.inflate({state: ()}))
+
+
 def geometric_strong(system: SuspensionSystem, refpoints,
-                     level_bound=DEFAULT_LEVEL_BOUND):
+                     level_bound=DEFAULT_LEVEL_BOUND,
+                     node_cap=spectrum.DEFAULT_NODE_CAP):
     """Exact shared-tile search for every unordered prototile pair.
 
     The inflated prototiles are translated by beta^L times their
     reference points; a shared tile is an exact coincidence of position
-    and color.  Identical pairs hold trivially at level 0.  Levels whose
-    supertiles would exceed the tile cap are not searched; the UNKNOWN
-    bound reports the deepest level actually exhausted."""
+    and color.  Identical pairs hold trivially at level 0.  Each pair is
+    one `_Walk.search`, which decides it or names the cap it ran into."""
     walk = _Walk(system, refpoints)
     m = system.size
-    return {(i, j): walk.search((i, j), (i, j), level_bound)
+    return {(i, j): walk.search((i, j), (i, j), level_bound, node_cap)
             for i in range(1, m + 1) for j in range(i, m + 1)}
 
 
 def simultaneous(system: SuspensionSystem, refpoints,
-                 level_bound=DEFAULT_LEVEL_BOUND):
+                 level_bound=DEFAULT_LEVEL_BOUND,
+                 node_cap=spectrum.DEFAULT_NODE_CAP):
     """Shared tile of all m translated inflated prototiles at one level."""
     letters = tuple(range(1, system.size + 1))
-    return _Walk(system, refpoints).search(letters, None, level_bound)
+    return _Walk(system, refpoints).search(letters, None, level_bound,
+                                           node_cap)
 
 
 def verify_witness(system: SuspensionSystem, refpoints,
@@ -415,15 +454,14 @@ def verify_witness(system: SuspensionSystem, refpoints,
     At its level L, and again at its replay level, a witness claims that
     T_color - c_color + shift / denom is a tile of beta^L (T_c - c_c) for
     each scope letter c (`IntegerSetting.holds`), on `setting` if its
-    denominator is a multiple of the witness's, else on one of its own.  A witness whose
-    level is beyond the supertile cap, or whose replay level is not the
+    denominator is a multiple of the witness's, else on one of its own.
+    A witness whose level is negative, or whose replay level is not the
     least seed-power multiple at or above it, fails first.
     """
     letters = (range(1, system.size + 1) if witness.scope is None
                else witness.scope)
     if (witness.level < 0 or
-            witness.replay_level != _replay_level(system, witness.level) or
-            _reachable_levels(system, letters, witness.level) < witness.level):
+            witness.replay_level != _replay_level(system, witness.level)):
         return False
     if setting is None or setting.denom % witness.denom:
         setting = IntegerSetting(system, refpoints, witness.denom)

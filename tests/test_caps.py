@@ -20,6 +20,7 @@ MODULES = (algebraic, cli, coincidence, lattices, polys, spectrum,
 ALLOWED = {
     ("BOUNDS", "node_cap"), ("BOUNDS", "pair_cap"),
     ("overlap_coincidence", "node_cap"), ("balanced_pairs", "pair_cap"),
+    ("geometric_strong", "node_cap"), ("simultaneous", "node_cap"),
     ("Substitution.apply", "cap"), ("Substitution.iterate", "cap"),
 }
 

@@ -175,8 +175,8 @@ def test_analyze_exit_codes():
     # fibonacci decides everything
     report = report_for("fibonacci")
     assert cli.report_exit_code(report) == 0
-    # thue-morse leaves geometric checks unknown
-    report = report_for("thue-morse")
+    # fib2 leaves word pairs unknown
+    report = report_for("fib2")
     assert cli.report_exit_code(report) == 2
 
 
@@ -830,8 +830,8 @@ def _witness(report, check):
 
 # fibonacci's seed power is 2; both witnesses sit at level 1, replay level 2.
 # Replaying at level 60 would grow patches past the word cap for minutes;
-# |sigma^60(a)| is far above the supertile cap, so analysis never searches
-# level 60.  A replay shift of 10^5 would need a patch of about 10^5 tiles.
+# level 60 is above the report's L = 12, which no witness level passes.
+# A replay shift of 10^5 would need a patch of about 10^5 tiles.
 @pytest.mark.parametrize("check", ["simultaneous", "geometric_strong"])
 @pytest.mark.parametrize("tamper", [
     {"replay_level": 60},
@@ -896,6 +896,14 @@ def test_analyze_rejects_window_outside_cap(window):
     assert str(cli.WINDOW_CAP) in err and "Traceback" not in err
 
 
+def test_analyze_rejects_level_bound_above_cap():
+    code, out, err = run_cli(["analyze", "fibonacci", "--Lmax",
+                              str(cli.LEVEL_CAP + 1)])
+    assert code == 2 and out == ""
+    assert f"bound L {cli.LEVEL_CAP + 1} is above {cli.LEVEL_CAP}" in err
+    assert "Traceback" not in err
+
+
 def _negative_bound_error(key):
     if key == "window":
         return f"window -1 is not an integer in [1, {cli.WINDOW_CAP}]"
@@ -954,6 +962,8 @@ def test_verify_fails_report_window_outside_cap(tmp_path, window):
 @pytest.mark.parametrize("key, value, message", [
     ("L", -1, "bound L -1 is not a non-negative integer"),
     ("L", True, "bound L True is not a non-negative integer"),
+    ("L", cli.LEVEL_CAP + 1,
+     f"bound L {cli.LEVEL_CAP + 1} is above {cli.LEVEL_CAP}"),
     ("k", "banana", "bound k 'banana' is not a non-negative integer"),
     ("node_cap", -7, "bound node_cap -7 is not a non-negative integer"),
     ("pair_cap", 1.5, "bound pair_cap 1.5 is not a non-negative integer"),
@@ -1265,6 +1275,224 @@ def test_verify_fails_involution_for_a_pair_it_does_not_swap():
     assert outcome["replayed"]["prefix_strong[a|A]"] is True
     assert outcome["replayed"]["prefix_strong[a|b]"] is False
     assert outcome["replayed"]["prefix_strong[x|y]"] is False
+
+
+def test_verify_replays_prefix_simultaneous_involution():
+    # fib2 commutes with (a A)(b B); fibonacci with no involution
+    report = json.loads((GOLDEN / "fib2.json").read_text(encoding="utf-8"))
+    claim = report["checks"]["prefix_simultaneous"]
+    assert claim == {"status": "FAILS", "certificate": {
+        "involution": {"1": 3, "2": 4, "3": 1, "4": 2}}}
+    assert cli.verify_report(report)["replayed"]["prefix_simultaneous"]
+    claim["certificate"]["involution"] = {"1": 2, "2": 1, "3": 4, "4": 3}
+    assert cli.verify_report(report)["replayed"]["prefix_simultaneous"] is \
+        False
+    report = _fixture("fibonacci")
+    report["checks"]["prefix_simultaneous"] = {
+        "status": "FAILS", "certificate": {"involution": {"1": 2, "2": 1}}}
+    outcome = cli.verify_report(report)
+    assert outcome["replayed"]["prefix_simultaneous"] is False
+    assert outcome["passed"] is False
+
+
+# -- the closed states of a shared-tile walk ---------------------------------
+
+
+def _golden(name):
+    return json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+
+
+def _state(color, anchor, *shift):
+    return {"color": color, "classes": [{"anchor": anchor,
+                                         "shift": list(shift)}]}
+
+
+# fib2 a|B: the root is a over B at the origin, and the walk closes on 5
+# states with no shared tile
+FIB2_ROOT = _state(1, 4, "0/1", "0/1")
+
+
+def _without_the_root(states):
+    return [state for state in states if state != FIB2_ROOT]
+
+
+def _with_shared_tiles(states):
+    # each letter over itself at the origin: closed, and all shared
+    return states + [_state(c, c, "0/1", "0/1") for c in range(1, 5)]
+
+
+def _edit_first(**fields):
+    def edit(states):
+        states[0].update(fields)
+        return states
+    return edit
+
+
+def _edit_first_class(**fields):
+    def edit(states):
+        states[0]["classes"][0].update(fields)
+        return states
+    return edit
+
+
+WALK_EDITS = {
+    "without-the-root": _without_the_root,
+    "with-shared-tiles": _with_shared_tiles,
+    "color-token": _edit_first(color="a"),
+    "color-true": _edit_first(color=True),
+    "color-zero": _edit_first(color=0),
+    "anchor-out-of-range": _edit_first_class(anchor=5),
+    "classes-object": _edit_first(classes={"anchor": 4}),
+    "no-classes": lambda states: [{"color": 1}] + states,
+    "no-shift": lambda states: [_state(1, 4)] + states,
+    "short-shift": _edit_first_class(shift=["0/1"]),
+    "shift-of-numbers": _edit_first_class(shift=[0, 0]),
+    "shift-not-a-fraction": _edit_first_class(shift=["a", "0/1"]),
+    "state-list": lambda states: [[1, 4, ["0/1", "0/1"]]] + states,
+    "states-object": lambda states: {"color": 1},
+}
+
+
+def _walk_outcome(report, check, key, certificate):
+    claim = {"status": "FAILS", "certificate": certificate}
+    if key is None:
+        report["checks"][check] = claim
+        name = check
+    else:
+        report["checks"][check]["pairs"][key] = claim
+        name = f"{check}[{key}]"
+    _rederive(report)
+    outcome = cli.verify_report(report)
+    return outcome["replayed"][name], outcome["passed"]
+
+
+@pytest.mark.parametrize("edit", WALK_EDITS)
+def test_verify_fails_tampered_walk_certificate(tmp_path, edit):
+    report = _golden("fib2")
+    states = report["checks"]["geometric_strong"]["pairs"]["a|B"][
+        "certificate"]["closed_states"]
+    assert len(states) == 5 and FIB2_ROOT in states
+    certificate = {"closed_states": WALK_EDITS[edit](states)}
+    assert _walk_outcome(report, "geometric_strong", "a|B",
+                         certificate) == (False, False)
+    code, out, err = _verify_file(tmp_path, report)
+    assert code == 1 and json.loads(out)["passed"] is False
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("certificate", [None, [], {}, {"closed_states": 1}])
+def test_verify_fails_malformed_walk_certificate(certificate):
+    assert _walk_outcome(_golden("fib2"), "simultaneous", None,
+                         certificate) == (False, False)
+
+
+def test_verify_fails_walk_certificate_with_a_state_dropped():
+    # every state but the root is a successor of another: dropping one
+    # leaves a set that is not closed
+    states = _golden("fib2")["checks"]["geometric_strong"]["pairs"]["a|B"][
+        "certificate"]["closed_states"]
+    for dropped in _without_the_root(states):
+        kept = [state for state in states if state is not dropped]
+        assert _walk_outcome(_golden("fib2"), "geometric_strong", "a|B",
+                             {"closed_states": kept}) == (False, False)
+
+
+# period doubling with the tile map a -> b, b -> a: reference points 2/3
+# and 1/3, and walk states with shifts in thirds
+PERIOD_DOUBLING_GAMMA = ("letters a b\nrule a = a b\nrule b = a a\n"
+                         "tilemap a -> 2\ntilemap b -> 1\n")
+
+
+def test_verify_fails_walk_certificate_over_another_denominator():
+    # every shift divided by 7 reads as the same integer vectors over a
+    # denominator 7 times the walk's: only the denominator tells them apart
+    report = cli.run_analysis(cli.parse_spec(PERIOD_DOUBLING_GAMMA))
+    report = json.loads(json.dumps(report))
+    assert cli.verify_report(report)["passed"]
+    states = report["checks"]["simultaneous"]["certificate"]["closed_states"]
+    shifts = [c["shift"] for state in states for c in state["classes"]]
+    assert any(Fraction(x) for shift in shifts for x in shift)
+    for shift in shifts:
+        shift[:] = [str(Fraction(x) / 7) for x in shift]
+    ints, denom = algebraic.parse_shifts(shifts, 1, 3)
+    assert denom == 21 and ints == algebraic.parse_shifts(
+        [[str(Fraction(x) * 7) for x in shift] for shift in shifts], 1, 3)[0]
+    assert _walk_outcome(report, "simultaneous", None,
+                         {"closed_states": states}) == (False, False)
+
+
+def _walk_closure(report, letters):
+    """The states that the walk of `letters` meets at any level, as a
+    FAILS certificate lists them: closed under inflation, with the root."""
+    spec = cli._spec_from_report(report)
+    system = suspension.SuspensionSystem(spec.substitution())
+    refs, _ = cli._reference_points(system, spec)
+    walk = coincidence._Walk(system, refs)
+    seen, states = set(), {walk.root(letters): ()}
+    while not seen.issuperset(states):
+        seen.update(states)
+        states = walk.inflate(states)
+    return {"closed_states": [
+        {"color": color, "classes": [
+            {"anchor": anchor,
+             "shift": spectrum.format_shift(shift, walk.denom)}
+            for anchor, shift in classes]}
+        for color, classes in sorted(seen)]}
+
+
+def test_verify_fails_walk_certificate_of_a_pair_that_holds():
+    # aba-gamma's a|b shares a tile at level 1: neither the closure of
+    # its root, which holds that tile, nor aba-left's certificate for the
+    # same rules at other reference points replays
+    report = _golden("aba-gamma")
+    assert report["checks"]["geometric_strong"]["pairs"]["a|b"][
+        "witness"]["level"] == 1
+    left = _golden("aba-left")["checks"]["geometric_strong"]["pairs"]["a|b"]
+    assert left["status"] == "FAILS"
+    for certificate in (_walk_closure(report, (1, 2)), left["certificate"]):
+        assert _walk_outcome(_golden("aba-gamma"), "geometric_strong", "a|b",
+                             certificate) == (False, False)
+
+
+def test_verify_fails_simultaneous_walk_certificate_on_fibonacci():
+    # fibonacci's prototiles share a tile at level 1; thue-morse's
+    # certificate is closed but holds another root
+    report = _fixture("fibonacci")
+    assert report["checks"]["simultaneous"]["status"] == "HOLDS"
+    tm = _golden("thue-morse")["checks"]["simultaneous"]["certificate"]
+    for certificate in (_walk_closure(report, (1, 2)), tm):
+        assert _walk_outcome(_fixture("fibonacci"), "simultaneous", None,
+                             certificate) == (False, False)
+
+
+def test_verify_fails_a_real_witness_above_the_level_bound():
+    # the walk's states at level 60 hold a shared tile, which the witness
+    # replay alone accepts; it is above the report's L = 12
+    report = _fixture("fibonacci")
+    system = suspension.SuspensionSystem(cli._spec_from_report(
+        report).substitution())
+    refs = suspension.left_endpoint_points(system)
+    walk = coincidence._Walk(system, refs)
+    states = {walk.root((1, 2)): ()}
+    for _ in range(60):
+        states = walk.inflate(states)
+    path, color = coincidence._least_shared(states)
+    shift = walk.witness_shift(1, path, color)
+    witness = coincidence.CoincidenceWitness(
+        level=60, color=color, shift=shift, scope=(1, 2), replay_level=60,
+        replay_color=color, replay_shift=shift, denom=walk.denom)
+    assert coincidence.verify_witness(system, refs, witness)
+    letter = report["input"]["letters"][color - 1]
+    report["checks"]["geometric_strong"]["pairs"]["a|b"]["witness"].update(
+        level=60, replay_level=60, color=letter, replay_color=letter,
+        shift=spectrum.format_shift(shift, walk.denom),
+        replay_shift=spectrum.format_shift(shift, walk.denom))
+    outcome = cli.verify_report(report)
+    assert outcome["replayed"]["geometric_strong[a|b]"] is False
+    assert outcome["passed"] is False
+    report["input"]["bounds"]["L"] = 60
+    _rederive(report)
+    assert cli.verify_report(report)["replayed"]["geometric_strong[a|b]"]
 
 
 FACT_EDITS = {

@@ -1,6 +1,9 @@
+import functools
 import itertools
+import json
 import math
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -132,11 +135,18 @@ def test_geometric_aba_gamma(sys_aba):
     assert not any(v.witness.shift)      # sitting at the origin
 
 
-def test_geometric_fib2_unknown(sys_fib2):
-    res = C.geometric_strong(sys_fib2, S.left_endpoint_points(sys_fib2))
-    assert res[(1, 3)].status == "UNKNOWN"
-    assert res[(1, 3)].bound == 12
-    assert res[(2, 4)].status == "UNKNOWN"
+def test_geometric_fib2_fails(sys_fib2):
+    # each lower-case letter against each capital: the walk closes on 4 or
+    # 5 states with no shared tile, and the closed states replay
+    refs = S.left_endpoint_points(sys_fib2)
+    res = C.geometric_strong(sys_fib2, refs)
+    for pair in ((1, 3), (1, 4), (2, 3), (2, 4)):
+        assert res[pair].status == "FAILS", pair
+        states = res[pair].certificate["closed_states"]
+        assert len(states) == (4 if pair in ((1, 3), (2, 4)) else 5)
+        assert C.replay_walk_certificate(sys_fib2, refs, res[pair].certificate,
+                                         pair)
+    assert res[(1, 2)].status == "HOLDS"
 
 
 def test_geometric_monotone_in_level(sys_fib, sys_aba):
@@ -164,10 +174,15 @@ def test_simultaneous_two_letters_matches_pairwise(sys_fib, sys_tm):
             assert sim.witness.level == pair.witness.level
 
 
-def test_simultaneous_thue_morse_unknown(sys_tm):
-    res = C.simultaneous(sys_tm, S.left_endpoint_points(sys_tm))
-    assert res.status == "UNKNOWN"
-    assert res.bound == 12
+def test_simultaneous_thue_morse_fails(sys_tm):
+    # the root and its swap: 0 at 0 over 1 at 0, then 1 over 0, and back
+    refs = S.left_endpoint_points(sys_tm)
+    res = C.simultaneous(sys_tm, refs)
+    assert res.status == "FAILS"
+    assert res.certificate == {"closed_states": [
+        {"color": 1, "classes": [{"anchor": 2, "shift": ["0/1"]}]},
+        {"color": 2, "classes": [{"anchor": 1, "shift": ["0/1"]}]}]}
+    assert C.replay_walk_certificate(sys_tm, refs, res.certificate, (1, 2))
 
 
 def test_simultaneous_rauzy2_gamma(sys_rauzy2):
@@ -232,7 +247,9 @@ def test_prefix_simultaneous_minima(fib, rauzy, fib2):
     v = C.prefix_simultaneous(rauzy)
     assert v.status == "HOLDS"
     assert (v.witness["level"], v.witness["prefix_length"]) == (1, 1)
-    assert C.prefix_simultaneous(fib2).status == "UNKNOWN"
+    assert C.prefix_simultaneous(fib2) == C.BoundedVerdict(
+        "FAILS", certificate={"involution": {1: 3, 2: 4, 3: 1, 4: 2}},
+        bound=C.DEFAULT_LEVEL_BOUND)
 
 
 # -- the involution lemma: no level holds a shared letter ------------------
@@ -270,17 +287,23 @@ def test_balanced_prefix_search_finds_nothing_under_an_involution():
 def test_prefix_simultaneous_under_an_involution_builds_no_word():
     for name in ("aba-left", "thue-morse", "fib2"):
         sub = cli.corpus_lookup(name).substitution()
-        assert C.prefix_simultaneous(sub) == \
-            C.BoundedVerdict("UNKNOWN", bound=C.DEFAULT_LEVEL_BOUND)
+        tau = W.commuting_fixed_point_free_involutions(sub)[0]
+        assert C.prefix_simultaneous(sub) == C.BoundedVerdict(
+            "FAILS", certificate={"involution": tau},
+            bound=C.DEFAULT_LEVEL_BOUND)
+        assert C.replay_involution_certificate(
+            sub, {"involution": tau}, range(1, sub.size + 1)), name
         assert sub._iterate_cache == {}, name
 
 
 def test_aba_left_prefix_simultaneous_at_level_16():
-    # the search used to run into the word cap at |sigma^15(a)| = 3^15
+    # the search used to run into the word cap at |sigma^15(a)| = 3^15;
+    # the swap of a and b decides it at any level, with no word built
     report = cli.run_analysis(cli.corpus_lookup("aba-left"),
                               {"level_bound": 16})
     assert report["checks"]["prefix_simultaneous"] == \
-        {"status": "UNKNOWN", "bound": 16}
+        {"status": "FAILS", "certificate": {"involution": {1: 2, 2: 1}}}
+    assert cli.verify_report(json.loads(json.dumps(report)))["passed"]
 
 
 # -- the word cap ends a balanced-prefix search in UNKNOWN -------------------
@@ -459,56 +482,59 @@ def _shared_tile(system, refs, letters, level):
     return level, color, shift
 
 
-def _reference_search(system, refs, letters,
-                      level_bound=C.DEFAULT_LEVEL_BOUND):
-    """Reference: (status, bound, claim, replay claim) by laying out the
-    inflated prototiles level by level and intersecting them."""
-    top = 0
-    while top < level_bound and all(
-            len(system.sub.iterate(c, top + 1)) <= C.SUPERTILE_CAP
-            for c in letters):
-        top += 1
+def _reference_search(system, refs, letters, top):
+    """Reference: the least level <= top at which the laid-out inflated
+    prototiles share a tile, as (claim, replay claim), or None."""
     k = system.seed[0]
     for level in range(1, top + 1):
         claim = _shared_tile(system, refs, letters, level)
         if claim is not None:
-            replay = _shared_tile(system, refs, letters,
-                                  k * -(-level // k))
-            return "HOLDS", None, claim, replay
-    return "UNKNOWN", top, None, None
+            return claim, _shared_tile(system, refs, letters,
+                                       k * -(-level // k))
+    return None
 
 
-def _walk_result(verdict):
-    w = verdict.witness
-    if w is None:
-        return verdict.status, verdict.bound, None, None
-    return (verdict.status, verdict.bound,
-            (w.level, w.color, tuple(Fraction(a, w.denom) for a in w.shift)),
-            (w.replay_level, w.replay_color,
-             tuple(Fraction(a, w.denom) for a in w.replay_shift)))
+def _walk_result(witness):
+    return ((witness.level, witness.color,
+             tuple(Fraction(a, witness.denom) for a in witness.shift)),
+            (witness.replay_level, witness.replay_color,
+             tuple(Fraction(a, witness.denom) for a in witness.replay_shift)))
 
 
 @pytest.mark.parametrize("name", WALK_INPUTS)
 def test_walk_matches_brute_force_layout(name):
+    # a HOLDS is the layout's least shared tile; the layout holds none up
+    # to L for a FAILS, whose certificate replays, and none up to its
+    # bound for an UNKNOWN
     spec = _walk_input(name)
     system = S.SuspensionSystem(spec.substitution())
     refs = (S.left_endpoint_points(system) if spec.tilemap is None
             else S.control_points(system, spec.tilemap))
-    m = system.size
-    pairs = C.geometric_strong(system, refs)
-    for (i, j), verdict in pairs.items():
-        if i != j:
-            assert _walk_result(verdict) == \
-                _reference_search(system, refs, (i, j)), (i, j)
-    letters = tuple(range(1, m + 1))
-    assert _walk_result(C.simultaneous(system, refs)) == \
-        _reference_search(system, refs, letters)
+    top = C.DEFAULT_LEVEL_BOUND
+    # on two letters the simultaneous claim is the pair's: lay it out once
+    reference = functools.cache(
+        lambda letters, top: _reference_search(system, refs, letters, top))
+    claims = [(pair, verdict)
+              for pair, verdict in C.geometric_strong(system, refs).items()
+              if pair[0] != pair[1]]
+    claims.append((tuple(range(1, system.size + 1)),
+                   C.simultaneous(system, refs)))
+    for letters, verdict in claims:
+        if verdict.status == "HOLDS":
+            assert _walk_result(verdict.witness) == \
+                reference(letters, top), letters
+        elif verdict.status == "FAILS":
+            assert C.replay_walk_certificate(system, refs,
+                                             verdict.certificate, letters)
+            assert reference(letters, top) is None, letters
+        else:
+            assert reference(letters, verdict.bound) is None, letters
 
 
 # -- a deterministic work guard for the shared-tile search -------------------
 
 # period doubling with the tile map a -> b, b -> a: control points 2/3 and
-# 1/3, no shared tile up to the level bound, so every level is walked
+# 1/3, and no shared tile at any level: the walks close and FAIL
 PERIOD_DOUBLING_GAMMA = ("letters a b\nrule a = a b\nrule b = a a\n"
                          "tilemap a -> 2\ntilemap b -> 1\n")
 
@@ -536,9 +562,47 @@ def test_shared_tile_search_builds_no_patch(monkeypatch):
         lambda self, *args: patches.append(1) or patch_init(self, *args))
     outcomes = []
     for system, refs in settings:
-        outcomes.append(C.simultaneous(system, refs).status)
-        outcomes.extend(v.status
-                        for v in C.geometric_strong(system, refs).values())
-    assert outcomes.count("UNKNOWN") == 4
+        claims = [((1, 2), C.simultaneous(system, refs)),
+                  *C.geometric_strong(system, refs).items()]
+        outcomes.extend(verdict.status for _, verdict in claims)
+        # the FAILS certificates replay on the same integer vectors
+        assert all(C.replay_walk_certificate(system, refs, v.certificate, p)
+                   for p, v in claims if v.status == "FAILS")
+    assert outcomes.count("FAILS") == 4
+    assert outcomes.count("HOLDS") == 8
     assert patches == []
     assert elems == []
+
+
+# -- the node cap ends the walks of two former runaway inputs ----------------
+
+# beta is not Pisot (x^4 - x^3 - 9x^2 - 2x - 2) and the seed power is 10:
+# pairs that share a tile at levels 1-4 walk on to level 10 to replay it
+RUNAWAY_SIX_LETTERS = (
+    "letters a b c d e f\nrule a = f f\nrule b = e c b c\n"
+    "rule c = d b d f\nrule d = c c b e\nrule e = d a b b\nrule f = d\n"
+    "tilemap a -> 1\ntilemap b -> 3\ntilemap c -> 2\ntilemap d -> 1\n"
+    "tilemap e -> 1\ntilemap f -> 1\n")
+# beta is not Pisot either (x^4 - x^2 - 13x - 9)
+RUNAWAY_FOUR_LETTERS = ("letters a b c d\nrule a = d\nrule b = a d\n"
+                        "rule c = b b b a\nrule d = c c b c\n")
+
+
+@pytest.mark.parametrize("text, level_bound, node_cap, holds", [
+    (RUNAWAY_SIX_LETTERS, 6, 500, 7), (RUNAWAY_FOUR_LETTERS, 12, 2000, 4)])
+def test_runaway_walks_end_at_the_node_cap(text, level_bound, node_cap,
+                                           holds):
+    spec = cli.parse_spec(text)
+    system = S.SuspensionSystem(spec.substitution())
+    refs = (S.left_endpoint_points(system) if spec.tilemap is None
+            else S.control_points(system, spec.tilemap))
+    started = time.monotonic()
+    verdicts = [*C.geometric_strong(system, refs, level_bound,
+                                    node_cap).values(),
+                C.simultaneous(system, refs, level_bound, node_cap)]
+    assert time.monotonic() - started < 1
+    held = [v for v in verdicts if v.status == "HOLDS"]
+    assert len(held) == holds
+    assert all(C.verify_witness(system, refs, v.witness) for v in held)
+    assert {(v.status, v.bound_hit) for v in verdicts
+            if v.status != "HOLDS"} == {("UNKNOWN", f"node cap {node_cap}")}

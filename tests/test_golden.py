@@ -19,9 +19,9 @@ from golden_reports import GOLDEN, NAMES, problems
 UNKNOWN_CENSUS = {
     "prefix_strong": 16,
     "suffix_strong": 31,
-    "geometric_strong": 17,
-    "simultaneous": 5,
-    "prefix_simultaneous": 7,
+    "geometric_strong": 2,
+    "simultaneous": 1,
+    "prefix_simultaneous": 1,
     "eventual_return_module": 2,
     "balanced_pairs": 4,
     "overlap_coincidence": 1,
@@ -66,4 +66,4 @@ def test_the_unknown_census_is_pinned():
         for check, entry in json.loads(_golden(name))["checks"].items():
             census[check] += _unknowns(entry)
     assert {check: n for check, n in census.items() if n} == UNKNOWN_CENSUS
-    assert sum(UNKNOWN_CENSUS.values()) == 84
+    assert sum(UNKNOWN_CENSUS.values()) == 59
