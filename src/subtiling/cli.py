@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import collections
 import json
-import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -340,7 +339,7 @@ def _return_json(res: lattices.ReturnModuleResult) -> dict:
     return out
 
 
-def _replay_involution(system, refpoints, certificate, letters):
+def _replay_involution(system, walk, certificate, letters):
     """Replay the involution certificate of a word check's FAILS;
     reversing the rules keeps every condition on an involution, so the
     suffix check replays the same certificate."""
@@ -368,8 +367,8 @@ def _advisory(facts) -> bool:
 # As `verify_report` judges its claims: whether it holds one verdict per
 # letter pair; the statuses it emits, none when `derive` alone judges it;
 # how a HOLDS is judged, "word", "tile" or None; and what replays a FAILS
-# certificate, called with the system, reference points, certificate and
-# claim's letters, or None.  A run looks its function up in its module
+# certificate, called with the system, the report's `coincidence._Walk`,
+# the certificate and the claim's letters, or None.  A run looks its function up in its module
 # when it is called, so that a wrapper set there is the one that runs.
 Check = collections.namedtuple(
     "Check", "name run encode pairs statuses holds fails",
@@ -424,7 +423,7 @@ CHECK_TABLE = (
               bounds["node_cap"]) if facts["pisot"]
           else spectrum.SpectralHalf("UNKNOWN", bound_hit="not Pisot"),
           _half_json, False, ("HOLDS", "FAILS", "UNKNOWN"), None,
-          lambda system, refpoints, certificate, _:
+          lambda system, walk, certificate, _:
           spectrum.replay_overlap_certificate(system, certificate)),
     Check("balanced_pairs",
           lambda sub, system, refpoints, bounds, facts:
@@ -432,7 +431,7 @@ CHECK_TABLE = (
                                   advisory=_advisory(facts)),
           lambda half: _half_json(half, advisory=None), False,
           ("HOLDS", "FAILS", "UNKNOWN"), None,
-          lambda system, refpoints, certificate, _:
+          lambda system, walk, certificate, _:
           spectrum.replay_balanced_certificate(system.sub, certificate)),
 )
 CHECKS = tuple(check.name for check in CHECK_TABLE)
@@ -766,12 +765,12 @@ def verify_report(report: dict) -> dict:
     must be keyed by exactly the m(m+1)/2 letter pairs; any other check
     makes one claim over every letter.  A claim fails when it is not an
     object, or its status is not one its check emits.  A FAILS replays
-    its certificate.  A word HOLDS needs a witness object, and fails when
-    a commuting fixed-point-free involution maps one of its letters to
-    another, by the lemma of `coincidence`.  Tile HOLDS witnesses must
-    parse with the claim's scope, its pair or "all"; they are then all
-    replayed on the inflation tree of one setting
-    (`coincidence.verify_witness`).  A replay that raises a
+    its certificate, a walk's on one `coincidence._Walk` of the report.
+    A word HOLDS needs a witness object, and fails when a commuting
+    fixed-point-free involution maps one of its letters to another, by
+    the lemma of `coincidence`.  Tile HOLDS witnesses must parse with the
+    claim's scope, its pair or "all"; they are then all replayed on the
+    inflation tree of that walk (`coincidence.verify_witness`).  A replay that raises a
     SubtilingError (a cap it ran into) fails.  A claim or a pair check
     that raised is exactly {"error": <str>} and has nothing to judge;
     any other claim is judged by its status, even one that holds an
@@ -873,6 +872,7 @@ def verify_report(report: dict) -> dict:
         except (KeyError, TypeError, ValueError, ZeroDivisionError):
             pass
 
+    walk = coincidence._Walk(system, refpoints)
     # reversing the rules keeps every condition on an involution, so
     # these refute suffix claims too
     involutions = words.commuting_fixed_point_free_involutions(system.sub)
@@ -885,7 +885,7 @@ def verify_report(report: dict) -> dict:
                 results[name] = False
             if status == "FAILS" and check.fails:
                 results[name] = claimed is not None and replay(
-                    check.fails, system, refpoints, claim.get("certificate"),
+                    check.fails, system, walk, claim.get("certificate"),
                     claimed)
             elif status == "HOLDS" and check.holds == "tile":
                 take_witness(name, claim.get("witness"), check, claimed)
@@ -894,11 +894,9 @@ def verify_report(report: dict) -> dict:
                     or claimed and any(tau[c] in claimed for c in claimed
                                        for tau in involutions)):
                 results[name] = False
-    setting = coincidence.IntegerSetting(
-        system, refpoints, math.lcm(*(w.denom for w in witnesses.values())))
     for name, witness in witnesses.items():
         results[name] = replay(coincidence.verify_witness, system,
-                               refpoints, witness, setting)
+                               refpoints, witness, walk)
     return {"passed": all(results.values()), "replayed": results}
 
 

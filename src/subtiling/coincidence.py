@@ -9,7 +9,7 @@ finite certificate (a commuting fixed-point-free letter involution, or
 the walk's closed states), or UNKNOWN at a bound.  A geometric witness is
 the leftmost shared tile, also at a level divisible by the fixed-point
 power of the tiling, and `verify_witness` replays it by a descent of the
-inflation tree, on one `IntegerSetting` for all the witnesses of a report.
+inflation tree, on one `IntegerSetting` for all the claims of a report.
 
 An involution certificate rests on one lemma.  If a fixed-point-free
 letter involution tau commutes with sigma, sigma^L(tau c) = tau(sigma^L(c))
@@ -200,10 +200,8 @@ def prefix_simultaneous(sub: Substitution, level_bound=DEFAULT_LEVEL_BOUND):
     every position (the module's lemma).  The check then FAILS with the
     first such tau as its certificate, and no word is built."""
     m = sub.size
-    involutions = words_mod.commuting_fixed_point_free_involutions(sub)
-    if involutions:
-        return BoundedVerdict("FAILS", bound=level_bound,
-                              certificate={"involution": involutions[0]})
+    if taus := words_mod.commuting_fixed_point_free_involutions(sub):
+        return BoundedVerdict("FAILS", certificate={"involution": taus[0]})
     hit = _balanced_prefix_search(sub, range(1, m + 1), level_bound)
     if isinstance(hit, BoundedVerdict):
         return hit
@@ -288,16 +286,11 @@ class IntegerSetting:
         return tile == color and not any(target)
 
 
-def _is_shared(state):
-    """Whether a walk state is a tile of coincidences only."""
-    return all(anchor == state[0] and not any(shift)
-               for anchor, shift in state[1])
-
-
 def _least_shared(states):
     """(path, color) of the first state of coincidences only, or None."""
-    return next(((path, state[0]) for state, path in states.items()
-                 if _is_shared(state)), None)
+    return next(((path, color) for (color, classes), path in states.items()
+                 if all(anchor == color and not any(shift)
+                        for anchor, shift in classes)), None)
 
 
 class _Walk(IntegerSetting):
@@ -308,8 +301,7 @@ class _Walk(IntegerSetting):
     overlapping tile of each other letter's, (color, ((anchor, shift),
     ...)), the root being the prototiles: shift c_j - c_i.  A level with
     a state of coincidences only holds a shared tile.  A state keeps the
-    least moved-subtile path to it, which is its leftmost tile.  Once a
-    level meets no new state, the states met are closed under inflation."""
+    least moved-subtile path to it, which is its leftmost tile."""
 
     def __init__(self, system: SuspensionSystem, refpoints):
         super().__init__(system, refpoints)
@@ -358,10 +350,9 @@ class _Walk(IntegerSetting):
     def search(self, letters, scope, level_bound, node_cap):
         """Least level with a tile shared by the translated inflated
         prototiles of `letters`: HOLDS with a witness of the given scope,
-        FAILS once a level meets no new state, with the states met, or
-        UNKNOWN at the level bound or once the states met through the
-        replay level pass node_cap, `bound` the last level searched with
-        no shared tile."""
+        FAILS with the states met, closed, once a level meets no new one,
+        or UNKNOWN at the level bound or past node_cap states met through
+        the replay level, `bound` the last level without a shared tile."""
         states = {self.root(letters): ()}
         seen, level, stop, hit = set(states), 0, level_bound, None
         while True:
@@ -396,14 +387,14 @@ class _Walk(IntegerSetting):
             denom=self.denom))
 
 
-def replay_walk_certificate(system: SuspensionSystem, refpoints, certificate,
+def replay_walk_certificate(system: SuspensionSystem, walk, certificate,
                             letters):
-    """True iff a geometric FAILS certificate lists walk states, with
-    letters in 1..m and shifts over the walk's denominator, that hold the
-    root of `letters`, hold no shared tile and are closed under
-    `_Walk.inflate`: then no level holds a shared tile.  A malformed
-    certificate fails."""
-    walk = _Walk(system, refpoints)
+    """True iff a geometric FAILS certificate lists walk states, each of
+    one class per letter after the first, with letters in 1..m and shifts
+    over the denominator of `walk`, a `_Walk`, that hold the root of
+    `letters`, hold no shared tile and are closed under `_Walk.inflate`:
+    then no level holds a shared tile.  A malformed certificate fails:
+    in the walk's shape, a state inflates to no more than the walk's do."""
     try:
         rows = [(e["color"], [(c["anchor"], c["shift"]) for c in e["classes"]])
                 for e in certificate["closed_states"]]
@@ -413,14 +404,16 @@ def replay_walk_certificate(system: SuspensionSystem, refpoints, certificate,
     except (KeyError, TypeError, ValueError, ZeroDivisionError):
         return False
     named = [c for color, row in rows for c in (color, *(a for a, _ in row))]
-    if denom != walk.denom or not all(
+    if denom != walk.denom or any(len(row) != len(letters) - 1
+                                  for _, row in rows) or not all(
             type(c) is int and 1 <= c <= system.size for c in named):
         return False
     shifts = iter(shifts)
     states = {(color, tuple((anchor, next(shifts)) for anchor, _ in row))
               for color, row in rows}
     return walk.root(letters) in states and spectrum._is_closed(
-        states, _is_shared, lambda state: walk.inflate({state: ()}))
+        states, lambda state: _least_shared({state: ()}),
+        lambda state: walk.inflate({state: ()}))
 
 
 def geometric_strong(system: SuspensionSystem, refpoints,

@@ -1321,6 +1321,13 @@ def _with_shared_tiles(states):
     return states + [_state(c, c, "0/1", "0/1") for c in range(1, 5)]
 
 
+def _with_a_class_repeated(states):
+    # a over a at shift 1 - beta overlaps two subtiles of the inflated a:
+    # inflating 64 copies of that class at once would build 2^64 states
+    return [{"color": 1, "classes": [
+        {"anchor": 1, "shift": ["-1/1", "1/1"]}] * 64}] + states
+
+
 def _edit_first(**fields):
     def edit(states):
         states[0].update(fields)
@@ -1338,6 +1345,7 @@ def _edit_first_class(**fields):
 WALK_EDITS = {
     "without-the-root": _without_the_root,
     "with-shared-tiles": _with_shared_tiles,
+    "class-repeated": _with_a_class_repeated,
     "color-token": _edit_first(color="a"),
     "color-true": _edit_first(color=True),
     "color-zero": _edit_first(color=0),
@@ -1373,8 +1381,10 @@ def test_verify_fails_tampered_walk_certificate(tmp_path, edit):
         "certificate"]["closed_states"]
     assert len(states) == 5 and FIB2_ROOT in states
     certificate = {"closed_states": WALK_EDITS[edit](states)}
+    started = time.monotonic()
     assert _walk_outcome(report, "geometric_strong", "a|B",
                          certificate) == (False, False)
+    assert time.monotonic() - started < 1
     code, out, err = _verify_file(tmp_path, report)
     assert code == 1 and json.loads(out)["passed"] is False
     assert "Traceback" not in err

@@ -144,8 +144,8 @@ def test_geometric_fib2_fails(sys_fib2):
         assert res[pair].status == "FAILS", pair
         states = res[pair].certificate["closed_states"]
         assert len(states) == (4 if pair in ((1, 3), (2, 4)) else 5)
-        assert C.replay_walk_certificate(sys_fib2, refs, res[pair].certificate,
-                                         pair)
+        assert C.replay_walk_certificate(sys_fib2, C._Walk(sys_fib2, refs),
+                                         res[pair].certificate, pair)
     assert res[(1, 2)].status == "HOLDS"
 
 
@@ -182,7 +182,8 @@ def test_simultaneous_thue_morse_fails(sys_tm):
     assert res.certificate == {"closed_states": [
         {"color": 1, "classes": [{"anchor": 2, "shift": ["0/1"]}]},
         {"color": 2, "classes": [{"anchor": 1, "shift": ["0/1"]}]}]}
-    assert C.replay_walk_certificate(sys_tm, refs, res.certificate, (1, 2))
+    assert C.replay_walk_certificate(sys_tm, C._Walk(sys_tm, refs),
+                                     res.certificate, (1, 2))
 
 
 def test_simultaneous_rauzy2_gamma(sys_rauzy2):
@@ -248,8 +249,7 @@ def test_prefix_simultaneous_minima(fib, rauzy, fib2):
     assert v.status == "HOLDS"
     assert (v.witness["level"], v.witness["prefix_length"]) == (1, 1)
     assert C.prefix_simultaneous(fib2) == C.BoundedVerdict(
-        "FAILS", certificate={"involution": {1: 3, 2: 4, 3: 1, 4: 2}},
-        bound=C.DEFAULT_LEVEL_BOUND)
+        "FAILS", certificate={"involution": {1: 3, 2: 4, 3: 1, 4: 2}})
 
 
 # -- the involution lemma: no level holds a shared letter ------------------
@@ -289,8 +289,7 @@ def test_prefix_simultaneous_under_an_involution_builds_no_word():
         sub = cli.corpus_lookup(name).substitution()
         tau = W.commuting_fixed_point_free_involutions(sub)[0]
         assert C.prefix_simultaneous(sub) == C.BoundedVerdict(
-            "FAILS", certificate={"involution": tau},
-            bound=C.DEFAULT_LEVEL_BOUND)
+            "FAILS", certificate={"involution": tau})
         assert C.replay_involution_certificate(
             sub, {"involution": tau}, range(1, sub.size + 1)), name
         assert sub._iterate_cache == {}, name
@@ -524,7 +523,7 @@ def test_walk_matches_brute_force_layout(name):
             assert _walk_result(verdict.witness) == \
                 reference(letters, top), letters
         elif verdict.status == "FAILS":
-            assert C.replay_walk_certificate(system, refs,
+            assert C.replay_walk_certificate(system, C._Walk(system, refs),
                                              verdict.certificate, letters)
             assert reference(letters, top) is None, letters
         else:
@@ -566,7 +565,8 @@ def test_shared_tile_search_builds_no_patch(monkeypatch):
                   *C.geometric_strong(system, refs).items()]
         outcomes.extend(verdict.status for _, verdict in claims)
         # the FAILS certificates replay on the same integer vectors
-        assert all(C.replay_walk_certificate(system, refs, v.certificate, p)
+        walk = C._Walk(system, refs)
+        assert all(C.replay_walk_certificate(system, walk, v.certificate, p)
                    for p, v in claims if v.status == "FAILS")
     assert outcomes.count("FAILS") == 4
     assert outcomes.count("HOLDS") == 8
