@@ -365,11 +365,12 @@ def _advisory(facts) -> bool:
 # encoder of `_pairs_json` or `_verdict_json` for a row with `pairs` or
 # `holds` set, else the encoder of the whole entry.
 # As `verify_report` judges its claims: whether it holds one verdict per
-# letter pair; the statuses it emits, none when `derive` alone judges it;
-# how a HOLDS is judged, "word", "tile" or None; and what replays a FAILS
-# certificate, called with the system, the report's `coincidence._Walk`,
-# the certificate and the claim's letters, or None.  A run looks its function up in its module
-# when it is called, so that a wrapper set there is the one that runs.
+# letter pair; the statuses it emits, none when `derive` alone judges it; how
+# a HOLDS is judged, "word", "tile" or None; and what replays a FAILS
+# certificate, called with the system, the report's `coincidence._Walk`, the
+# certificate and the claim's letters, or None.  A run looks its function up
+# in its module when it is called, so that a wrapper set there is the one
+# that runs.
 Check = collections.namedtuple(
     "Check", "name run encode pairs statuses holds fails",
     defaults=(False, (), None, None))
@@ -764,20 +765,19 @@ def verify_report(report: dict) -> dict:
     claim: a pair check's claims are its verdicts, named check[x|y], and
     must be keyed by exactly the m(m+1)/2 letter pairs; any other check
     makes one claim over every letter.  A claim fails when it is not an
-    object, or its status is not one its check emits.  A FAILS replays
-    its certificate, a walk's on one `coincidence._Walk` of the report.
-    A word HOLDS needs a witness object, and fails when a commuting
-    fixed-point-free involution maps one of its letters to another, by
-    the lemma of `coincidence`.  Tile HOLDS witnesses must parse with the
+    object, or its status is not one its check emits.  A FAILS replays its
+    certificate, a walk's on one `coincidence._Walk` of the report.  A word
+    HOLDS needs a witness object, and fails when a commuting
+    fixed-point-free involution maps one of its letters to another, by the
+    lemma of `coincidence`.  Tile HOLDS witnesses must parse with the
     claim's scope, its pair or "all"; they are then all replayed on the
-    inflation tree of that walk (`coincidence.verify_witness`).  A replay that raises a
-    SubtilingError (a cap it ran into) fails.  A claim or a pair check
-    that raised is exactly {"error": <str>} and has nothing to judge;
-    any other claim is judged by its status, even one that holds an
+    inflation tree of that walk (`coincidence.verify_witness`).  A replay
+    that raises a SubtilingError (a cap it ran into) fails.  A claim or a
+    pair check that raised is exactly {"error": <str>} and has nothing to
+    judge; any other claim is judged by its status, even one that holds an
     "error".  A report whose bounds _check_bounds rejects, whose input
-    section names no primitive substitution, or whose checks section is
-    not an object or lacks one of CHECKS or "spectral", fails with an
-    error.
+    section names no primitive substitution, or whose checks section is not
+    an object or lacks one of CHECKS or "spectral", fails with an error.
     """
     try:
         _check_bounds(report["input"]["bounds"])
