@@ -40,6 +40,6 @@ for q in (Fraction(1, 2), Fraction(1, 4), Fraction(1, 3)):
                                      tm.field, 16)
     print(f"least k with 2^k * {q} integral:", k)
 
-check = lattices.differences_in_return_module(system, left, 16, 64)
+check = lattices.differences_in_return_module(system, left, 16)
 print("least powers returning the cross generators (left endpoints):",
       check.witnesses, "(None: not within 16)")

@@ -7,7 +7,7 @@ Spec grammar (line oriented, # starts a comment):
     rule <tok> = <tok> <tok> ...
     tilemap <tok> -> <index>      # 1-based subtile choice, optional
     bound L <int>                 # coincidence level bound
-    bound window <int>            # window size in tile lengths
+    bound window <int>            # overlap-seed window in tile lengths
     bound k <int>                 # eventual-return power bound
 
 Reports are a single JSON document with every exact rational serialized
@@ -377,9 +377,10 @@ Check = collections.namedtuple(
 
 
 # The checks of a report, in the order analyze runs them; a report also
-# holds the combined "spectral" verdict of the last two.  The overlap
-# closure is finite when beta is Pisot, and runs on Pisot inputs only;
-# any other input gets the UNKNOWN "not Pisot".
+# holds the combined "spectral" verdict of the last two.  Eventual return
+# reads the height group's lattices, so the window sizes the overlap seeds
+# only.  The overlap closure is finite when beta is Pisot, and runs on
+# Pisot inputs only; any other input gets the UNKNOWN "not Pisot".
 CHECK_TABLE = (
     Check("prefix_strong",
           lambda sub, system, refpoints, bounds, facts:
@@ -414,8 +415,8 @@ CHECK_TABLE = (
           _height_json),
     Check("eventual_return_module",
           lambda sub, system, refpoints, bounds, facts:
-          lattices.differences_in_return_module(
-              system, refpoints, bounds["k"], bounds["window"]),
+          lattices.differences_in_return_module(system, refpoints,
+                                                bounds["k"]),
           _return_json),
     Check("overlap_coincidence",
           lambda sub, system, refpoints, bounds, facts:
@@ -745,6 +746,25 @@ def _spec_from_report(report: dict) -> SpecFile:
     return SpecFile(inp["name"], letters, rules, tilemap)
 
 
+def _word_witness_holds(spec, witness, level_bound, pairs) -> bool:
+    """Whether the arithmetic of a word witness holds: an int level in
+    [0, level_bound], a letter of the input, and m non-negative int letter
+    counts whose sum t is the prefix length: [t, t] for a letter pair, and
+    at least 1 for prefix_simultaneous, whose prefix holds its last letter."""
+    keys = (("level", "letter", "prefix_counts", "prefix_lengths") if pairs
+            else ("level", "final_letter", "counts", "prefix_length"))
+    try:
+        level, letter, counts, length = (witness[key] for key in keys)
+        t = sum(counts)
+        ints = [level, *counts, *(length if pairs else [length])]
+    except (KeyError, TypeError):
+        return False
+    return (all(type(x) is int and x >= 0 for x in ints)
+            and level <= level_bound and letter in spec.letters
+            and len(counts) == len(spec.letters)
+            and (length == [t, t] if pairs else length == t >= 1))
+
+
 def verify_report(report: dict) -> dict:
     """Replay every replayable certificate in a report.
 
@@ -767,17 +787,18 @@ def verify_report(report: dict) -> dict:
     makes one claim over every letter.  A claim fails when it is not an
     object, or its status is not one its check emits.  A FAILS replays its
     certificate, a walk's on one `coincidence._Walk` of the report.  A word
-    HOLDS needs a witness object, and fails when a commuting
-    fixed-point-free involution maps one of its letters to another, by the
-    lemma of `coincidence`.  Tile HOLDS witnesses must parse with the
-    claim's scope, its pair or "all"; they are then all replayed on the
-    inflation tree of that walk (`coincidence.verify_witness`).  A replay
-    that raises a SubtilingError (a cap it ran into) fails.  A claim or a
-    pair check that raised is exactly {"error": <str>} and has nothing to
-    judge; any other claim is judged by its status, even one that holds an
-    "error".  A report whose bounds _check_bounds rejects, whose input
-    section names no primitive substitution, or whose checks section is not
-    an object or lacks one of CHECKS or "spectral", fails with an error.
+    HOLDS needs a witness whose arithmetic holds (`_word_witness_holds`),
+    and fails when a commuting fixed-point-free involution maps one of its
+    letters to another, by the lemma of `coincidence`.  Tile HOLDS
+    witnesses must parse with the claim's scope, its pair or "all"; they
+    are then all replayed on the inflation tree of that walk
+    (`coincidence.verify_witness`).  A replay that raises a SubtilingError
+    (a cap it ran into) fails.  A claim or a pair check that raised is
+    exactly {"error": <str>} and has nothing to judge; any other claim is
+    judged by its status, even one that holds an "error".  A report whose
+    bounds _check_bounds rejects, whose input section names no primitive
+    substitution, or whose checks section is not an object or lacks one of
+    CHECKS or "spectral", fails with an error.
     """
     try:
         _check_bounds(report["input"]["bounds"])
@@ -890,7 +911,9 @@ def verify_report(report: dict) -> dict:
             elif status == "HOLDS" and check.holds == "tile":
                 take_witness(name, claim.get("witness"), check, claimed)
             elif status == "HOLDS" and check.holds == "word" and (
-                    not isinstance(claim.get("witness"), dict)
+                    not _word_witness_holds(spec, claim.get("witness"),
+                                            report["input"]["bounds"]["L"],
+                                            check.pairs)
                     or claimed and any(tau[c] in claimed for c in claimed
                                        for tau in involutions)):
                 results[name] = False

@@ -250,16 +250,11 @@ def return_lattices(system, refpoints, size):
     return system.lattice_samples[key]
 
 
-def height_group(system, refpoints):
-    """The cross-difference and same-color lattices of the height group.
-
-    Both lattices are sampled on the windows of WINDOW_SCHEDULE in order,
-    and sampling stops at the first window whose lattices agree with the
-    previous window's; the result is taken at the earlier of the two.  It
-    has no stable window, and the last window's lattices, when no two
-    consecutive windows agree.  A report's `windows` names the schedule,
-    not the windows sampled.
-    """
+def _stable_lattices(system, refpoints):
+    """The cross-difference and same-color lattices of the first window of
+    WINDOW_SCHEDULE that agrees with the next one, and that window; the
+    last window's lattices, and None, when no two consecutive windows
+    agree.  Sampling stops at the next window, the one that agrees."""
     pair = prev_size = None
     for size in WINDOW_SCHEDULE:
         prev, pair = pair, return_lattices(system, refpoints, size)
@@ -267,6 +262,12 @@ def height_group(system, refpoints):
             return HeightGroupResult(prev_size, *pair)
         prev_size = size
     return HeightGroupResult(None, *pair)
+
+
+def height_group(system, refpoints):
+    """The height group's lattices, those of `_stable_lattices`.  A
+    report's `windows` names the schedule, not the windows sampled."""
+    return _stable_lattices(system, refpoints)
 
 
 def eventual_membership(ints, denom, lattice: ZModule, field, kmax):
@@ -290,18 +291,21 @@ class ReturnModuleResult:
     bound_hit: str | None = None
 
 
-def differences_in_return_module(system, refpoints, kmax, window_size):
-    """Check that every sampled cross difference eventually returns.
+def differences_in_return_module(system, refpoints, kmax):
+    """Check that every cross difference eventually returns.
 
-    For each basis generator v of the cross-difference lattice, search the
-    least k <= kmax with beta^k * v inside the same-color difference
-    lattice; None where there is none.  A window that holds no same-color
-    return vector samples nothing, and the result names the window.
+    For each basis generator v of the height group's cross-difference
+    lattice, search the least k <= kmax with beta^k * v inside its
+    same-color lattice; None where there is none.  The lattices are read,
+    not sampled again (`_stable_lattices`).  The result names the window
+    read when none is stable or its same-color lattice is zero, else the
+    power bound when some generator has no k.
     """
-    sup_mod, sub_mod = return_lattices(system, refpoints, window_size)
+    res = _stable_lattices(system, refpoints)
     witnesses = tuple(
-        eventual_membership(row, sup_mod.denom, sub_mod, system.field, kmax)
-        for row in sup_mod.basis)
-    return ReturnModuleResult(
-        witnesses, sup_mod,
-        bound_hit=f"window {window_size}" if sub_mod.is_zero() else None)
+        eventual_membership(row, res.sup.denom, res.sub, system.field, kmax)
+        for row in res.sup.basis)
+    window = res.stabilized_at or WINDOW_SCHEDULE[-1]
+    return ReturnModuleResult(witnesses, res.sup, bound_hit=(
+        f"window {window}" if res.stabilized_at is None or res.sub.is_zero()
+        else f"power bound {kmax}" if None in witnesses else None))

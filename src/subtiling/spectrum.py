@@ -214,13 +214,9 @@ def _sweep(patch, packing, translations, node_cap):
     # per color, the packed starts of the moved tiles swept so far
     swept = [set() for _ in range(max(colors, default=0) + 1)]
     for y in translations:
-        if len(out) > node_cap:
-            break
         y_lo, y_hi = field_.fixed_point_bounds(unpack(y))
         anchor_idx = 0
         for i, moved_color in enumerate(colors):
-            if len(out) > node_cap:
-                break
             start = bounds[i] - y
             seen = swept[moved_color]
             if start in seen:
@@ -248,8 +244,9 @@ def _sweep(patch, packing, translations, node_cap):
                     break
                 out.setdefault((moved_color, colors[idx], start - bounds[idx]))
                 idx += 1
-    return {(moved, anchor, unpack(shift)): None
-            for moved, anchor, shift in out}
+            if len(out) > node_cap:
+                return {(c, a, unpack(s)): None for c, a, s in out}
+    return {(c, a, unpack(s)): None for c, a, s in out}
 
 
 def _seed_keys(system: SuspensionSystem, refpoints, window, node_cap):

@@ -763,6 +763,53 @@ def test_verify_fails_a_holds_an_involution_refutes(name, path, value,
         "replayed": dict(untampered["replayed"], **{failed: False})}
 
 
+# (path, value): edits inside a word witness of the fibonacci fixture whose
+# arithmetic fails, the first two from ROADMAP item 2
+WORD_WITNESS_EDITS = {
+    "prefix-lengths": (("prefix_strong", "pairs", "a|b", "witness",
+                        "prefix_lengths"), [999, 5]),
+    "prefix-length": (("prefix_simultaneous", "witness", "prefix_length"),
+                      777),
+    "lengths-not-counts": (("suffix_strong", "pairs", "a|b", "witness",
+                            "prefix_lengths"), [3, 3]),
+    "level-above-L": (("suffix_strong", "pairs", "a|b", "witness", "level"),
+                      13),
+    "level-negative": (("prefix_strong", "pairs", "a|a", "witness",
+                        "level"), -1),
+    "level-bool": (("prefix_strong", "pairs", "a|b", "witness", "level"),
+                   True),
+    "letter": (("prefix_strong", "pairs", "b|b", "witness", "letter"), "z"),
+    "count-negative": (("suffix_strong", "pairs", "a|b", "witness",
+                        "prefix_counts"), [3, -1]),
+    "counts-short": (("prefix_strong", "pairs", "a|b", "witness",
+                      "prefix_counts"), [0]),
+    "counts-string": (("prefix_strong", "pairs", "a|b", "witness",
+                       "prefix_counts"), "00"),
+    "lengths-missing": (("prefix_strong", "pairs", "a|b", "witness"),
+                        {"level": 1, "letter": "a", "prefix_counts": [0, 0]}),
+    "empty-prefix": (("prefix_simultaneous", "witness"), {
+        "level": 1, "prefix_length": 0, "final_letter": "a",
+        "counts": [0, 0]}),
+    "final-letter": (("prefix_simultaneous", "witness", "final_letter"),
+                     ["a"]),
+    "counts-float": (("prefix_simultaneous", "witness", "counts"),
+                     [1.0, 0]),
+}
+
+
+@pytest.mark.parametrize("edit", WORD_WITNESS_EDITS)
+def test_verify_fails_word_witness_arithmetic(edit):
+    untampered = cli.verify_report(_fixture("fibonacci"))
+    report = _fixture("fibonacci")
+    path, value = WORD_WITNESS_EDITS[edit]
+    _put(report, ("checks",) + path, value)
+    name = (path[0] if path[0] == "prefix_simultaneous"
+            else f"{path[0]}[{path[2]}]")
+    assert cli.verify_report(report) == {
+        "passed": False,
+        "replayed": dict(untampered["replayed"], **{name: False})}
+
+
 SWEEP_FIXTURES = ("thue-morse", "fibonacci", "fib2", "rauzy2-gamma", "plastic")
 CLAIM_EDITS = (("HOLDS",), ("FAILS",), ("UNKNOWN",), ("X",), [],
                {"error": "e"})
@@ -984,15 +1031,15 @@ def test_verify_fails_a_bound_that_analyze_refuses(key, value, message):
 @pytest.mark.parametrize("name", ["rauzy2-left", "thue-morse", "fib2"])
 def test_window_without_returns_is_unknown(name):
     # a window of one tile length holds no two points of one color: the
-    # overlap closure has no seed and the return module no sample
+    # overlap closure has no seed; eventual return reads the height
+    # group's stable window, which the window bound does not size
     report = cli.run_analysis(cli.corpus_lookup(name), {"window": 1})
     overlap = report["checks"]["overlap_coincidence"]
     assert overlap["status"] == "UNKNOWN"
     assert overlap["bound_hit"].startswith("window [")
     assert "total_classes" not in overlap["certificate"]
-    returns = report["checks"]["eventual_return_module"]
-    assert returns["status"] == "UNKNOWN"
-    assert returns["bound_hit"] == "window 1"
+    assert report["checks"]["eventual_return_module"] == \
+        report_for(name)["checks"]["eventual_return_module"]
     assert report["checks"]["spectral"]["status"] == "UNKNOWN"
     assert cli.report_exit_code(report) == 2
 

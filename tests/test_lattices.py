@@ -10,6 +10,7 @@ from subtiling import lattices as L
 from subtiling import suspension as S
 from subtiling.errors import NotASubmodule
 
+import workloads
 from conftest import (fieldelem_differences, fieldelem_point_sets,
                       module_from_vectors, ref_smith_normal_form, report_for,
                       system_for)
@@ -225,22 +226,23 @@ def test_eventual_membership_tm(sys_tm):
 
 def test_return_module_verdicts(sys_fib, sys_fib2, sys_aba):
     res = L.differences_in_return_module(
-        sys_fib, S.left_endpoint_points(sys_fib), 16, 64
+        sys_fib, S.left_endpoint_points(sys_fib), 16
     )
     assert set(res.witnesses) == {0} and res.bound_hit is None
     res2 = L.differences_in_return_module(
-        sys_fib2, S.left_endpoint_points(sys_fib2), 16, 64
+        sys_fib2, S.left_endpoint_points(sys_fib2), 16
     )
     assert set(res2.witnesses) == {0} and res2.bound_hit is None
     res3 = L.differences_in_return_module(
-        sys_aba, S.left_endpoint_points(sys_aba), 16, 64
+        sys_aba, S.left_endpoint_points(sys_aba), 16
     )
     assert None in res3.witnesses    # odd powers of 3 never land in 2Z
+    assert res3.bound_hit == "power bound 16"
 
 
 def test_window_lattices_sampled_once(monkeypatch):
     # fib2 agrees at 16, so height_group samples windows 16 and 32 only;
-    # the return-module check samples the window of 64 itself, once
+    # eventual return reads the same lattices and builds none of its own
     system = S.SuspensionSystem(cli.corpus_lookup("fib2").substitution())
     refs = S.left_endpoint_points(system)
     calls = []
@@ -250,11 +252,41 @@ def test_window_lattices_sampled_once(monkeypatch):
     res = L.height_group(system, refs)
     assert res.stabilized_at == 16
     assert len(calls) == 4
-    L.differences_in_return_module(system, refs, 16, 64)
-    assert len(calls) == 6
-    ret = L.differences_in_return_module(system, refs, 16, 64)
-    assert len(calls) == 6
-    assert ret.sup == L.return_lattices(system, refs, 64)[0]
+    ret = L.differences_in_return_module(system, refs, 16)
+    assert len(calls) == 4
+    assert ret.sup == res.sup
+    assert len(system.lattice_samples) == 2
+
+
+def _off_corpus_spec(name):
+    if name.startswith("beta-"):
+        text = workloads.beta_spec_text([int(k) for k in name[5:]])
+    else:
+        text = (PERFBENCH / "specs" / f"{name}.spec").read_text(
+            encoding="utf-8")
+    return cli.parse_spec(text, name=name)
+
+
+@pytest.mark.parametrize("name", ["pentanacci", "beta-222"])
+def test_eventual_return_reads_every_color(monkeypatch, name):
+    # the window of 16 holds no point of pentanacci's e and one of
+    # beta-222's c; eventual return reads the height group's stable
+    # window, where every color has two points or more
+    spec = _off_corpus_spec(name)
+    system = S.SuspensionSystem(spec.substitution())
+    refs, _ = cli._reference_points(system, spec)
+    samples = {}
+    sample = L.reference_point_sets
+    monkeypatch.setattr(
+        L, "reference_point_sets", lambda patch, refpoints, window:
+        samples.setdefault(window, sample(patch, refpoints, window)))
+    ret = L.differences_in_return_module(system, refs, 16)
+    size = L.height_group(system, refs).stabilized_at
+    assert min(map(len, samples[system.window(16)].points)) < 2
+    assert size > 16 and ret.bound_hit is None
+    assert ret.sup == L.return_lattices(system, refs, size)[0]
+    points = samples[system.window(size)].points
+    assert len(points) == system.size and min(map(len, points)) >= 2
 
 
 def test_height_group_samples_until_two_windows_agree():
@@ -287,6 +319,23 @@ def test_height_group_unstable_samples_every_window(monkeypatch):
     assert res.stabilized_at is None
     assert _group(res) == L.AbelianGroup((L.WINDOW_SCHEDULE[-1],))
     assert (res.sup, res.sub) == fake(None, (), L.WINDOW_SCHEDULE[-1])
+
+
+def test_return_module_names_the_window_it_read(monkeypatch, sys_tm):
+    # no stable window: the last window's lattices are read, and named,
+    # although every generator returns; a stable window with no same-color
+    # return vector is named too
+    def unstable(system, refpoints, size):
+        return (module_from_vectors([[Fraction(1, size)]], 1),
+                module_from_vectors([[1]], 1))
+
+    monkeypatch.setattr(L, "return_lattices", unstable)
+    res = L.differences_in_return_module(sys_tm, (), 16)
+    assert res.witnesses == (7,) and res.bound_hit == "window 128"
+    monkeypatch.setattr(L, "return_lattices", lambda *args: (
+        module_from_vectors([[1]], 1), L.ZModule(1, (), 1)))
+    res = L.differences_in_return_module(sys_tm, (), 16)
+    assert res.witnesses == (None,) and res.bound_hit == "window 16"
 
 
 @pytest.mark.parametrize("name", ["fibonacci", "aba-left"])

@@ -31,7 +31,7 @@ ANALYZE = {
     "beta-221":
         "0f52a49fda7b940d611d15d5d9cf08a7e0c228b571db3f533619783477cf553e",
     "beta-222":
-        "6db6f0b6349534fb4a09f5d175af070e0ce5b89cf752a075a0dc0c6cfa86a4f8",
+        "43ed94ec7b68c8a0385921f90274c182494e8f95ca36325ecb24b0264626dc72",
     "beta-1111":
         "ffd9cba4ff975d2eb1503e19743d35e923feafe90852682a41db1d32f709ae9a",
 }

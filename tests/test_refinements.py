@@ -22,10 +22,10 @@ SPEC_BOUNDS = {"window": 16, "node_cap": 2000}
 
 # per input: (int_sign calls, refinements, Horner fallbacks)
 CORPUS_COUNTS = {
-    "thue-morse": (65, 0, 0), "fibonacci": (65, 21, 0),
-    "aba-left": (74, 0, 0), "aba-gamma": (66, 0, 0), "fib2": (165, 21, 0),
-    "rauzy": (219, 22, 0), "rauzy2-left": (445, 22, 0),
-    "rauzy2-gamma": (430, 22, 0),
+    "thue-morse": (55, 0, 0), "fibonacci": (58, 21, 0),
+    "aba-left": (63, 0, 0), "aba-gamma": (55, 0, 0), "fib2": (160, 21, 0),
+    "rauzy": (214, 22, 0), "rauzy2-left": (440, 22, 0),
+    "rauzy2-gamma": (425, 22, 0),
 }
 # an analysis of nonpisot runs no overlap closure, since beta is not Pisot
 SPEC_COUNTS = {
