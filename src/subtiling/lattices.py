@@ -228,40 +228,40 @@ def return_lattices(system, refpoints, size):
     of its point set: every pairwise difference x - y is
     (x - x0) - (y - x0), and the canonical form makes the result equal to
     the lattice of all pairwise differences.  The differences are integer
-    vectors over the sample's denominator.  The pair is kept on the
-    system, keyed on the exact window and the reference points' (vectors,
-    denominator) pair: the window moves when the beta interval is
-    refined, so its size alone does not fix the sample.
+    vectors over the sample's denominator.
     """
     lo, hi = system.window(size)
-    key = (lo, hi, refpoints)
-    if key not in system.lattice_samples:
-        patch = system.patch_covering(lo, hi)
-        pts = reference_point_sets(patch, refpoints, (lo, hi))
+    patch = system.patch_covering(lo, hi)
+    pts = reference_point_sets(patch, refpoints, (lo, hi))
 
-        def span(point_sets):
-            return module_from_int_rows(
-                [[a - b for a, b in zip(x, p[0])]
-                 for p in point_sets for x in p[1:]],
-                pts.denom, system.field.degree)
+    def span(point_sets):
+        return module_from_int_rows(
+            [[a - b for a, b in zip(x, p[0])]
+             for p in point_sets for x in p[1:]],
+            pts.denom, system.field.degree)
 
-        system.lattice_samples[key] = (
-            span([[x for p in pts.points for x in p]]), span(pts.points))
-    return system.lattice_samples[key]
+    return span([[x for p in pts.points for x in p]]), span(pts.points)
 
 
 def _stable_lattices(system, refpoints):
     """The cross-difference and same-color lattices of the first window of
     WINDOW_SCHEDULE that agrees with the next one, and that window; the
     last window's lattices, and None, when no two consecutive windows
-    agree.  Sampling stops at the next window, the one that agrees."""
-    pair = prev_size = None
-    for size in WINDOW_SCHEDULE:
-        prev, pair = pair, return_lattices(system, refpoints, size)
-        if pair == prev:
-            return HeightGroupResult(prev_size, *pair)
-        prev_size = size
-    return HeightGroupResult(None, *pair)
+    agree.  Sampling stops at the next window, the one that agrees.  The
+    result is kept on the system per reference points: the windows move as
+    the beta interval is refined, and a second walk could read others."""
+    kept = system.stable_lattices
+    if refpoints not in kept:
+        pair = prev_size = None
+        for size in WINDOW_SCHEDULE:
+            prev, pair = pair, return_lattices(system, refpoints, size)
+            if pair == prev:
+                kept[refpoints] = HeightGroupResult(prev_size, *pair)
+                break
+            prev_size = size
+        else:
+            kept[refpoints] = HeightGroupResult(None, *pair)
+    return kept[refpoints]
 
 
 def height_group(system, refpoints):
@@ -296,10 +296,10 @@ def differences_in_return_module(system, refpoints, kmax):
 
     For each basis generator v of the height group's cross-difference
     lattice, search the least k <= kmax with beta^k * v inside its
-    same-color lattice; None where there is none.  The lattices are read,
-    not sampled again (`_stable_lattices`).  The result names the window
-    read when none is stable or its same-color lattice is zero, else the
-    power bound when some generator has no k.
+    same-color lattice; None where there is none.  The lattices are the
+    ones kept by `_stable_lattices`.  The result names the window read
+    when none is stable or its same-color lattice is zero, else the power
+    bound when some generator has no k.
     """
     res = _stable_lattices(system, refpoints)
     witnesses = tuple(

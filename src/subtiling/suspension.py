@@ -136,9 +136,8 @@ class SuspensionSystem:
         self.seed = words.fixed_point_seed(sub)
         # fixed-point patches keyed (seed, level)
         self._patch_cache = {}
-        # lattices.return_lattices results, keyed on the exact window and
-        # the reference points
-        self.lattice_samples = {}
+        # lattices._stable_lattices results, keyed on the reference points
+        self.stable_lattices = {}
         # exact left offsets of each subtile within the inflated prototile
         # over the lengths' denominator: the first |sigma(j)| boundaries of
         # the level-one prototile patch, laid out by _layout so that

@@ -240,11 +240,16 @@ def test_return_module_verdicts(sys_fib, sys_fib2, sys_aba):
     assert res3.bound_hit == "power bound 16"
 
 
-def test_window_lattices_sampled_once(monkeypatch):
-    # fib2 agrees at 16, so height_group samples windows 16 and 32 only;
-    # eventual return reads the same lattices and builds none of its own
-    system = S.SuspensionSystem(cli.corpus_lookup("fib2").substitution())
-    refs = S.left_endpoint_points(system)
+@pytest.mark.parametrize("name", ["fib2", "nonunimodular"])
+def test_window_lattices_sampled_once(monkeypatch, name):
+    # both agree at 16, so height_group samples windows 16 and 32 only;
+    # eventual return reads the same lattices and builds none of its own,
+    # also on nonunimodular, whose walk refines beta's interval and moves
+    # the windows of a fresh system
+    spec = (cli.corpus_lookup(name) if name == "fib2"
+            else _off_corpus_spec(name))
+    system = S.SuspensionSystem(spec.substitution())
+    refs, _ = cli._reference_points(system, spec)
     calls = []
     build = L.module_from_int_rows
     monkeypatch.setattr(L, "module_from_int_rows",
@@ -255,7 +260,6 @@ def test_window_lattices_sampled_once(monkeypatch):
     ret = L.differences_in_return_module(system, refs, 16)
     assert len(calls) == 4
     assert ret.sup == res.sup
-    assert len(system.lattice_samples) == 2
 
 
 def _off_corpus_spec(name):
@@ -271,36 +275,38 @@ def _off_corpus_spec(name):
 def test_eventual_return_reads_every_color(monkeypatch, name):
     # the window of 16 holds no point of pentanacci's e and one of
     # beta-222's c; eventual return reads the height group's stable
-    # window, where every color has two points or more
+    # window of 32, where every color has two points or more
     spec = _off_corpus_spec(name)
     system = S.SuspensionSystem(spec.substitution())
     refs, _ = cli._reference_points(system, spec)
-    samples = {}
+    samples = []        # the point sets of the windows, in schedule order
     sample = L.reference_point_sets
-    monkeypatch.setattr(
-        L, "reference_point_sets", lambda patch, refpoints, window:
-        samples.setdefault(window, sample(patch, refpoints, window)))
+    monkeypatch.setattr(L, "reference_point_sets", lambda *args:
+                        samples.append(sample(*args)) or samples[-1])
     ret = L.differences_in_return_module(system, refs, 16)
-    size = L.height_group(system, refs).stabilized_at
-    assert min(map(len, samples[system.window(16)].points)) < 2
-    assert size > 16 and ret.bound_hit is None
-    assert ret.sup == L.return_lattices(system, refs, size)[0]
-    points = samples[system.window(size)].points
-    assert len(points) == system.size and min(map(len, points)) >= 2
+    res = L.height_group(system, refs)
+    assert res.stabilized_at == 32 and len(samples) == 3
+    assert ret.sup == res.sup and ret.bound_hit is None
+    assert min(map(len, samples[0].points)) < 2
+    assert len(samples[1].points) == system.size
+    assert min(map(len, samples[1].points)) >= 2
 
 
-def test_height_group_samples_until_two_windows_agree():
-    # pentanacci first agrees at 32, so the window of 128 is never sampled
-    text = (PERFBENCH / "specs" / "pentanacci.spec").read_text(
-        encoding="utf-8")
-    spec = cli.parse_spec(text, name="pentanacci")
+def test_height_group_samples_until_two_windows_agree(monkeypatch):
+    # pentanacci first agrees at 32, so the window of 128 is never sampled;
+    # a second call reads the kept result and samples nothing
+    spec = _off_corpus_spec("pentanacci")
     system = S.SuspensionSystem(spec.substitution())
     refs, _ = cli._reference_points(system, spec)
+    sampled = []
+    sample = L.return_lattices
+    monkeypatch.setattr(L, "return_lattices", lambda system, refs, size:
+                        sampled.append(size) or sample(system, refs, size))
     res = L.height_group(system, refs)
     assert res.stabilized_at == 32
-    assert {key[:2] for key in system.lattice_samples} == {
-        system.window(size) for size in (16, 32, 64)}
-    assert len(system.lattice_samples) == 3
+    assert sampled == [16, 32, 64]
+    assert L.height_group(system, refs) is res
+    assert sampled == [16, 32, 64]
 
 
 def test_height_group_unstable_samples_every_window(monkeypatch):
@@ -314,27 +320,30 @@ def test_height_group_unstable_samples_every_window(monkeypatch):
                 module_from_vectors([[1]], 1))
 
     monkeypatch.setattr(L, "return_lattices", fake)
-    res = L.height_group(None, ())
+    tm = cli.corpus_lookup("thue-morse").substitution()
+    res = L.height_group(S.SuspensionSystem(tm), ())
     assert sampled == list(L.WINDOW_SCHEDULE)
     assert res.stabilized_at is None
     assert _group(res) == L.AbelianGroup((L.WINDOW_SCHEDULE[-1],))
     assert (res.sup, res.sub) == fake(None, (), L.WINDOW_SCHEDULE[-1])
 
 
-def test_return_module_names_the_window_it_read(monkeypatch, sys_tm):
+def test_return_module_names_the_window_it_read(monkeypatch):
     # no stable window: the last window's lattices are read, and named,
     # although every generator returns; a stable window with no same-color
     # return vector is named too
+    tm = cli.corpus_lookup("thue-morse").substitution()
+
     def unstable(system, refpoints, size):
         return (module_from_vectors([[Fraction(1, size)]], 1),
                 module_from_vectors([[1]], 1))
 
     monkeypatch.setattr(L, "return_lattices", unstable)
-    res = L.differences_in_return_module(sys_tm, (), 16)
+    res = L.differences_in_return_module(S.SuspensionSystem(tm), (), 16)
     assert res.witnesses == (7,) and res.bound_hit == "window 128"
     monkeypatch.setattr(L, "return_lattices", lambda *args: (
         module_from_vectors([[1]], 1), L.ZModule(1, (), 1)))
-    res = L.differences_in_return_module(sys_tm, (), 16)
+    res = L.differences_in_return_module(S.SuspensionSystem(tm), (), 16)
     assert res.witnesses == (None,) and res.bound_hit == "window 16"
 
 
