@@ -240,14 +240,21 @@ def test_return_module_verdicts(sys_fib, sys_fib2, sys_aba):
     assert res3.bound_hit == "power bound 16"
 
 
-@pytest.mark.parametrize("name", ["fib2", "nonunimodular"])
-def test_window_lattices_sampled_once(monkeypatch, name):
-    # both agree at 16, so height_group samples windows 16 and 32 only;
-    # eventual return reads the same lattices and builds none of its own,
-    # also on nonunimodular, whose walk refines beta's interval and moves
-    # the windows of a fresh system
-    spec = (cli.corpus_lookup(name) if name == "fib2"
-            else _off_corpus_spec(name))
+def test_window_lattices_sampled_once(monkeypatch):
+    # fib2 agrees at 16, so height_group samples windows 16 and 32 only;
+    # eventual return reads the same lattices and builds none of its own
+    _assert_window_lattices_sampled_once(monkeypatch,
+                                         cli.corpus_lookup("fib2"))
+
+
+def test_window_lattices_sampled_once_nonunimodular(monkeypatch):
+    # the same on nonunimodular, whose walk refines beta's interval and
+    # moves the windows of a fresh system
+    _assert_window_lattices_sampled_once(monkeypatch,
+                                         _off_corpus_spec("nonunimodular"))
+
+
+def _assert_window_lattices_sampled_once(monkeypatch, spec):
     system = S.SuspensionSystem(spec.substitution())
     refs, _ = cli._reference_points(system, spec)
     calls = []
