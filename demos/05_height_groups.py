@@ -37,9 +37,9 @@ tm = suspension.SuspensionSystem(cli.corpus_lookup("thue-morse")
 z = lattices.module_from_int_rows([[1]], 1, 1)    # the integers
 for q in (Fraction(1, 2), Fraction(1, 4), Fraction(1, 3)):
     k = lattices.eventual_membership((q.numerator,), q.denominator, z,
-                                     tm.field, 16)
+                                     tm.field)
     print(f"least k with 2^k * {q} integral:", k)
 
-check = lattices.differences_in_return_module(system, left, 16)
+check = lattices.differences_in_return_module(system, left)
 print("least powers returning the cross generators (left endpoints):",
-      check.witnesses, "(None: not within 16)")
+      check.witnesses, f"(None: not within {lattices.POWER_BOUND})")

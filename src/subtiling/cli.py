@@ -8,7 +8,6 @@ Spec grammar (line oriented, # starts a comment):
     tilemap <tok> -> <index>      # 1-based subtile choice, optional
     bound L <int>                 # coincidence level bound
     bound window <int>            # overlap-seed window in tile lengths
-    bound k <int>                 # eventual-return power bound
 
 Reports are a single JSON document with every exact rational serialized
 as "p/q" and every field element as a coordinate array.  Reports are
@@ -46,20 +45,21 @@ LEVEL_CAP = 1024
 # The report's beta_interval is at most 2^-BETA_WIDTH_BITS wide.
 BETA_WIDTH_BITS = 20
 
-# A settable bound: its key in the report and in a spec line; its name as
-# a run_analysis override and as its flag's dest; its flag; whether a spec
-# line may set it; and its default.
+# A bound of a report: its key in the report and in a spec line; its name
+# as a run_analysis override and as its flag's dest; its flag; whether a
+# spec line may set it; and its default.  One with no flag is fixed at its
+# default, the constant of the module that enforces it.
 Bound = collections.namedtuple("Bound", "key override flag spec_line default")
 
-# The settable bounds, in report order.
+# The bounds, in report order.
 BOUNDS = (
     Bound("L", "level_bound", "--Lmax", True, coincidence.DEFAULT_LEVEL_BOUND),
     Bound("window", "window", "--window", True, 64),
-    Bound("k", "kmax", "--kmax", True, 16),
+    Bound("k", None, None, False, lattices.POWER_BOUND),
     Bound("node_cap", "node_cap", "--node-cap", False,
           spectrum.DEFAULT_NODE_CAP),
-    Bound("pair_cap", "pair_cap", "--pair-cap", False,
-          spectrum.DEFAULT_PAIR_CAP),
+    Bound("pair_cap", None, None, False, spectrum.PAIR_CAP),
+    Bound("iter_cap", None, None, False, spectrum.ITER_CAP),
 )
 
 
@@ -415,8 +415,7 @@ CHECK_TABLE = (
           _height_json),
     Check("eventual_return_module",
           lambda sub, system, refpoints, bounds, facts:
-          lattices.differences_in_return_module(system, refpoints,
-                                                bounds["k"]),
+          lattices.differences_in_return_module(system, refpoints),
           _return_json),
     Check("overlap_coincidence",
           lambda sub, system, refpoints, bounds, facts:
@@ -429,8 +428,7 @@ CHECK_TABLE = (
           spectrum.replay_overlap_certificate(system, certificate)),
     Check("balanced_pairs",
           lambda sub, system, refpoints, bounds, facts:
-          spectrum.balanced_pairs(sub, pair_cap=bounds["pair_cap"],
-                                  advisory=_advisory(facts)),
+          spectrum.balanced_pairs(sub, advisory=_advisory(facts)),
           lambda half: _half_json(half, advisory=None), False,
           ("HOLDS", "FAILS", "UNKNOWN"), None,
           lambda system, walk, certificate, _:
@@ -476,9 +474,9 @@ def _reference_points(system, spec: SpecFile):
 
 def _check_bounds(bounds: dict):
     """Raise InvalidBound unless every bound of BOUNDS is an int at least
-    0, the window in [1, WINDOW_CAP] and L at most LEVEL_CAP, and
-    `iter_cap` is the int spectrum.ITER_CAP."""
-    for key, *_ in BOUNDS:
+    0, the window in [1, WINDOW_CAP], L at most LEVEL_CAP and a bound with
+    no flag its default."""
+    for key, _, flag, _, default in BOUNDS:
         value = bounds[key]
         if key == "window" and (type(value) is not int
                                 or not 1 <= value <= WINDOW_CAP):
@@ -489,10 +487,8 @@ def _check_bounds(bounds: dict):
                 f"bound {key} {value!r} is not a non-negative integer")
         if key == "L" and value > LEVEL_CAP:
             raise InvalidBound(f"bound L {value} is above {LEVEL_CAP}")
-    if type(bounds["iter_cap"]) is not int or \
-            bounds["iter_cap"] != spectrum.ITER_CAP:
-        raise InvalidBound(f"bound iter_cap {bounds['iter_cap']!r} is not "
-                           f"{spectrum.ITER_CAP}")
+        if flag is None and value != default:
+            raise InvalidBound(f"bound {key} {value} is not {default}")
 
 
 def run_analysis(spec: SpecFile, overrides: dict | None = None) -> dict:
@@ -514,12 +510,11 @@ def run_analysis(spec: SpecFile, overrides: dict | None = None) -> dict:
     (`polys.DEGREE_CAP`), ends the report with its message as
     `characteristic_irreducible.error` and `checks.error`.
     """
-    key_of = {bound.override: bound.key for bound in BOUNDS}
+    key_of = {bound.override: bound.key for bound in BOUNDS if bound.flag}
     bounds = {key: spec.bounds.get(key, default)
               for key, *_, default in BOUNDS}
     bounds.update({key_of[name]: value
-                   for name, value in (overrides or {}).items()},
-                  iter_cap=spectrum.ITER_CAP)
+                   for name, value in (overrides or {}).items()})
     _check_bounds(bounds)
     report = {
         "schema": 1,
@@ -790,15 +785,15 @@ def verify_report(report: dict) -> dict:
     HOLDS needs a witness whose arithmetic holds (`_word_witness_holds`),
     and fails when a commuting fixed-point-free involution maps one of its
     letters to another, by the lemma of `coincidence`.  Tile HOLDS
-    witnesses must parse with the claim's scope, its pair or "all"; they
-    are then all replayed on the inflation tree of that walk
-    (`coincidence.verify_witness`).  A replay that raises a SubtilingError
-    (a cap it ran into) fails.  A claim or a pair check that raised is
-    exactly {"error": <str>} and has nothing to judge; any other claim is
-    judged by its status, even one that holds an "error".  A report whose
-    bounds _check_bounds rejects, whose input section names no primitive
-    substitution, or whose checks section is not an object or lacks one of
-    CHECKS or "spectral", fails with an error.
+    witnesses must parse with the claim's scope, its pair or "all"; each
+    is then replayed, as its claim is read, on the inflation tree of that
+    walk (`coincidence.verify_witness`).  A replay that raises a
+    SubtilingError (a cap it ran into) fails.  A claim or a pair check that
+    raised is exactly {"error": <str>} and has nothing to judge; any other
+    claim is judged by its status, even one that holds an "error".  A
+    report whose bounds _check_bounds rejects, whose input section names no
+    primitive substitution, or whose checks section is not an object or
+    lacks one of CHECKS or "spectral", fails with an error.
     """
     try:
         _check_bounds(report["input"]["bounds"])
@@ -870,30 +865,30 @@ def verify_report(report: dict) -> dict:
                 name = f"{check.name}[{key}]"
                 yield name, pair_letters.get(key), part(pairs, key, name)
 
-    # the tile witnesses by replay name, all parsed before a replay
-    witnesses = {}
+    walk = coincidence._Walk(system, refpoints)
 
-    def take_witness(name, w, check, claimed):
-        """Parse a witness; one that does not parse (a level that is not
-        an int too), above the report's L or of another scope, fails."""
-        results[name] = False
+    def tile_witness_holds(w, check, claimed):
+        """Replay a tile witness on `walk`; one that does not parse (a
+        level that is not an int too), above the report's L or of another
+        scope, fails."""
         try:
             levels = w["level"], w["replay_level"]
             scope = [spec.token(c) for c in claimed] if check.pairs else "all"
             (shift, replay_shift), denom = algebraic.parse_shifts(
                 (w["shift"], w["replay_shift"]), system.field.degree)
-            if (w["scope"] == scope and {type(x) for x in levels} == {int}
-                    and levels[0] <= report["input"]["bounds"]["L"]):
-                witnesses[name] = coincidence.CoincidenceWitness(
-                    level=levels[0], color=index[w["color"]], shift=shift,
-                    scope=claimed if check.pairs else None,
-                    replay_level=levels[1],
-                    replay_color=index[w["replay_color"]],
-                    replay_shift=replay_shift, denom=denom)
+            if (w["scope"] != scope or {type(x) for x in levels} != {int}
+                    or levels[0] > report["input"]["bounds"]["L"]):
+                return False
+            witness = coincidence.CoincidenceWitness(
+                level=levels[0], color=index[w["color"]], shift=shift,
+                scope=claimed if check.pairs else None,
+                replay_level=levels[1], replay_color=index[w["replay_color"]],
+                replay_shift=replay_shift, denom=denom)
         except (KeyError, TypeError, ValueError, ZeroDivisionError):
-            pass
+            return False
+        return replay(coincidence.verify_witness, system, refpoints, witness,
+                      walk)
 
-    walk = coincidence._Walk(system, refpoints)
     # reversing the rules keeps every condition on an involution, so
     # these refute suffix claims too
     involutions = words.commuting_fixed_point_free_involutions(system.sub)
@@ -909,7 +904,8 @@ def verify_report(report: dict) -> dict:
                     check.fails, system, walk, claim.get("certificate"),
                     claimed)
             elif status == "HOLDS" and check.holds == "tile":
-                take_witness(name, claim.get("witness"), check, claimed)
+                results[name] = tile_witness_holds(claim.get("witness"),
+                                                   check, claimed)
             elif status == "HOLDS" and check.holds == "word" and (
                     not _word_witness_holds(spec, claim.get("witness"),
                                             report["input"]["bounds"]["L"],
@@ -917,9 +913,6 @@ def verify_report(report: dict) -> dict:
                     or claimed and any(tau[c] in claimed for c in claimed
                                        for tau in involutions)):
                 results[name] = False
-    for name, witness in witnesses.items():
-        results[name] = replay(coincidence.verify_witness, system,
-                               refpoints, witness, walk)
     return {"passed": all(results.values()), "replayed": results}
 
 
@@ -949,8 +942,9 @@ def main(argv=None) -> int:
     )
     p_analyze.add_argument("source", help="spec file path or corpus id")
     for bound in BOUNDS:
-        p_analyze.add_argument(bound.flag, dest=bound.override, metavar="N",
-                               type=int)
+        if bound.flag:
+            p_analyze.add_argument(bound.flag, dest=bound.override,
+                                   metavar="N", type=int)
     p_analyze.add_argument("--verify", action="store_true",
                            help="replay all witnesses before reporting")
     p_analyze.add_argument("-o", "--output", default=None,
@@ -1017,7 +1011,7 @@ def main(argv=None) -> int:
     try:
         report = run_analysis(spec, overrides={
             bound.override: getattr(args, bound.override) for bound in BOUNDS
-            if getattr(args, bound.override) is not None})
+            if bound.flag and getattr(args, bound.override) is not None})
     except InvalidBound as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -102,8 +102,8 @@ def _balanced_prefix_search(sub: Substitution, letters, level_bound):
     letter: (L, t, sigma^L(letters[0])) with t the prefix length.  Else
     an UNKNOWN verdict at the deepest level searched: the level bound,
     or the last level before one of the words would pass the word cap,
-    with a `bound_hit` naming that cap."""
-    cap = words_mod.DEFAULT_WORD_CAP
+    with a `bound_hit` naming the one it ran into."""
+    cap = words_mod.WORD_CAP
     for level in range(1, level_bound + 1):
         if any(sub.image_length(c, level) > cap for c in letters):
             return BoundedVerdict("UNKNOWN", bound=level - 1,
@@ -112,7 +112,8 @@ def _balanced_prefix_search(sub: Substitution, letters, level_bound):
         t = _least_balanced_prefix(images, sub.size)
         if t is not None:
             return level, t, images[0]
-    return BoundedVerdict("UNKNOWN", bound=level_bound)
+    return BoundedVerdict("UNKNOWN", bound=level_bound,
+                          bound_hit=f"level bound {level_bound}")
 
 
 def prefix_strong(sub: Substitution, level_bound=DEFAULT_LEVEL_BOUND,
@@ -145,9 +146,7 @@ def prefix_strong(sub: Substitution, level_bound=DEFAULT_LEVEL_BOUND,
             if tau is not None:
                 results[(i, j)] = BoundedVerdict(
                     "FAILS",
-                    certificate={"involution": dict(sorted(tau.items()))},
-                    bound=level_bound,
-                )
+                    certificate={"involution": dict(sorted(tau.items()))})
                 continue
             hit = _balanced_prefix_search(working, (i, j), level_bound)
             if isinstance(hit, BoundedVerdict):

@@ -218,6 +218,8 @@ class HeightGroupResult:
 
 
 WINDOW_SCHEDULE = (16, 32, 64, 128)
+# the largest power of beta that eventual return tries
+POWER_BOUND = 16
 
 
 def return_lattices(system, refpoints, size):
@@ -270,14 +272,15 @@ def height_group(system, refpoints):
     return _stable_lattices(system, refpoints)
 
 
-def eventual_membership(ints, denom, lattice: ZModule, field, kmax):
-    """Least k <= kmax with beta^k * ints / denom in the lattice, else None.
+def eventual_membership(ints, denom, lattice: ZModule, field):
+    """Least k <= POWER_BOUND with beta^k * ints / denom in the lattice,
+    else None.
 
     beta is an algebraic integer, so each step is `NumberField.times_beta`
     on the integer vector over the same denominator.  Non-membership is
-    never asserted: exhausting kmax only reports the bound that was tried.
+    never asserted: exhausting POWER_BOUND only reports the bound tried.
     """
-    for k in range(kmax + 1):
+    for k in range(POWER_BOUND + 1):
         if lattice.coordinates_of(ints, denom) is not None:
             return k
         ints = field.times_beta(ints)
@@ -291,11 +294,11 @@ class ReturnModuleResult:
     bound_hit: str | None = None
 
 
-def differences_in_return_module(system, refpoints, kmax):
+def differences_in_return_module(system, refpoints):
     """Check that every cross difference eventually returns.
 
     For each basis generator v of the height group's cross-difference
-    lattice, search the least k <= kmax with beta^k * v inside its
+    lattice, search the least k <= POWER_BOUND with beta^k * v inside its
     same-color lattice; None where there is none.  The lattices are the
     ones kept by `_stable_lattices`.  The result names the window read
     when none is stable or its same-color lattice is zero, else the power
@@ -303,9 +306,9 @@ def differences_in_return_module(system, refpoints, kmax):
     """
     res = _stable_lattices(system, refpoints)
     witnesses = tuple(
-        eventual_membership(row, res.sup.denom, res.sub, system.field, kmax)
+        eventual_membership(row, res.sup.denom, res.sub, system.field)
         for row in res.sup.basis)
     window = res.stabilized_at or WINDOW_SCHEDULE[-1]
     return ReturnModuleResult(witnesses, res.sup, bound_hit=(
         f"window {window}" if res.stabilized_at is None or res.sub.is_zero()
-        else f"power bound {kmax}" if None in witnesses else None))
+        else f"power bound {POWER_BOUND}" if None in witnesses else None))

@@ -44,7 +44,7 @@ from .suspension import (SuspensionSystem, reference_point_sets,  # noqa: F401
 from .words import Substitution
 
 DEFAULT_NODE_CAP = 100_000
-DEFAULT_PAIR_CAP = 50_000
+PAIR_CAP = 50_000
 ITER_CAP = 200
 PAIR_LENGTH_CAP = 100_000
 ADVISORY_PAIR_LENGTH_CAP = 2_000
@@ -424,7 +424,7 @@ def _fixed_point_prefix(sub: Substitution):
         if prefix.count(letter) > SEED_RETURN_WORDS + 1:
             return letter, prefix
         if (len(prefix) * max(len(r) for r in sub.rules) >
-                words_mod.DEFAULT_WORD_CAP):
+                words_mod.WORD_CAP):
             return letter, prefix
         steps += 1
 
@@ -448,8 +448,7 @@ def return_word_seeds(sub: Substitution):
     return letter, seen, pairs
 
 
-def balanced_pairs(sub: Substitution, pair_cap=DEFAULT_PAIR_CAP,
-                   advisory=False) -> SpectralHalf:
+def balanced_pairs(sub: Substitution, advisory=False) -> SpectralHalf:
     """Run the balanced pair iteration to a verdict.
 
     HOLDS: the closure of the seed pairs under substitution-and-split is
@@ -471,7 +470,7 @@ def balanced_pairs(sub: Substitution, pair_cap=DEFAULT_PAIR_CAP,
         "seed_pair_count": len(seeds),
     }
     length_cap = ADVISORY_PAIR_LENGTH_CAP if advisory else PAIR_LENGTH_CAP
-    nodes, edges, bound_hit = _pair_closure(sub, seeds, pair_cap, length_cap)
+    nodes, edges, bound_hit = _pair_closure(sub, seeds, length_cap)
     if bound_hit:
         return SpectralHalf("UNKNOWN", certificate=meta, bound_hit=bound_hit)
     dist = _coincidence_distances(
@@ -487,7 +486,7 @@ def balanced_pairs(sub: Substitution, pair_cap=DEFAULT_PAIR_CAP,
     return SpectralHalf("FAILS", certificate=cert)
 
 
-def _pair_closure(sub: Substitution, seeds, pair_cap, length_cap):
+def _pair_closure(sub: Substitution, seeds, length_cap):
     """The closure of the seed pairs under substitution-and-split:
     (nodes, edges, bound_hit), nodes in the order they were made and
     edges mapping each expanded node to its canonical components, with
@@ -502,10 +501,10 @@ def _pair_closure(sub: Substitution, seeds, pair_cap, length_cap):
 
     The pair length cap is checked where a split component, seed or
     image, becomes a node: one over length_cap // (longest rule) letters
-    ends the run before another image is built.  The pair cap is
-    checked after each image is split.  The iteration cap is a depth
-    cap: a node found ITER_CAP substitution steps from a seed component
-    ends the run when it comes up for expansion.
+    ends the run before another image is built.  More than PAIR_CAP
+    nodes end it, checked after each image is split.  The iteration cap
+    is a depth cap: a node found ITER_CAP substitution steps from a seed
+    component ends the run when it comes up for expansion.
     """
     m = sub.size
     widest = max(len(r) for r in sub.rules)
@@ -536,8 +535,8 @@ def _pair_closure(sub: Substitution, seeds, pair_cap, length_cap):
         if succ is None:
             return nodes, edges, length_hit
         edges[u, v] = succ
-        if len(nodes) > pair_cap:
-            return nodes, edges, f"pair cap {pair_cap}"
+        if len(nodes) > PAIR_CAP:
+            return nodes, edges, f"pair cap {PAIR_CAP}"
     return nodes, edges, None
 
 

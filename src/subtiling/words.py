@@ -2,8 +2,8 @@
 
 Words are bytes objects whose values are the letters; rules are one word
 per letter.  Iteration is memoized per substitution instance, and every
-expanding operation takes an explicit symbol cap so that runaway growth
-surfaces as LengthCapExceeded instead of memory exhaustion.
+expanding operation checks its result's length against WORD_CAP so that
+runaway growth surfaces as LengthCapExceeded instead of memory exhaustion.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from functools import lru_cache
 
 from .errors import InvalidBound, InvalidWord, LengthCapExceeded, NoSeedFound
 
-DEFAULT_WORD_CAP = 10_000_000
+# the longest word, in letters, that apply and iterate build
+WORD_CAP = 10_000_000
 # longest rule for which Substitution.apply builds images by column
 COLUMN_WIDTH_MAX = 16
 # letters per join when Substitution.apply joins rule images: a join
@@ -69,7 +70,7 @@ class Substitution:
     def rule(self, letter):
         return self.rules[letter - 1]
 
-    def apply(self, word, cap=DEFAULT_WORD_CAP):
+    def apply(self, word):
         """The image of a word; InvalidWord for a letter outside 1..m.
 
         When the rule lengths are close to uniform, column k of the image,
@@ -83,8 +84,9 @@ class Substitution:
         letter by letter, JOIN_CHUNK letters at a time."""
         counts = abelianization(word, self.size)
         total = sum(map(operator.mul, counts, self._rule_lengths))
-        if total > cap:
-            raise LengthCapExceeded(f"image length {total} exceeds cap {cap}")
+        if total > WORD_CAP:
+            raise LengthCapExceeded(
+                f"image length {total} exceeds cap {WORD_CAP}")
         width = len(self._columns)
         if not width or len(word) * (width - 1) > total:
             table = self._rule_table
@@ -111,7 +113,7 @@ class Substitution:
                                      for rule in self.rules))
         return rows[n][letter]
 
-    def iterate(self, letter, n, cap=DEFAULT_WORD_CAP):
+    def iterate(self, letter, n):
         """sigma^n(letter), memoized incrementally; InvalidBound from
         image_length for a negative n."""
         if not 1 <= letter <= self.size:
@@ -122,13 +124,13 @@ class Substitution:
         cached = self._iterate_cache.get(key)
         if cached is not None:
             return cached
-        if self.image_length(letter, n) > cap:
+        if self.image_length(letter, n) > WORD_CAP:
             raise LengthCapExceeded(
                 f"|sigma^{n}({letter})| = {self.image_length(letter, n)} "
-                f"exceeds cap {cap}"
+                f"exceeds cap {WORD_CAP}"
             )
-        word = self.iterate(letter, n - 1, cap)
-        result = self.apply(word, cap)
+        word = self.iterate(letter, n - 1)
+        result = self.apply(word)
         self._iterate_cache[key] = result
         return result
 

@@ -147,12 +147,13 @@ def benchmark_substitutions():
     return out
 
 
-def ref_pair_closure(sub, seeds, pair_cap, length_cap):
+def ref_pair_closure(sub, seeds, length_cap):
     """Reference for spectrum._pair_closure: the closure by breadth-first
     levels, (nodes, edges, bound_hit) as it returns them.  A component
     over the pair length cap, length_cap // (longest rule) letters, ends
-    the run where it is made, the pair cap is checked after each image is
-    split, and the iteration cap ends the run after ITER_CAP levels."""
+    the run where it is made, more than PAIR_CAP nodes end it, checked
+    after each image is split, and the iteration cap ends the run after
+    ITER_CAP levels."""
     m = sub.size
     widest = max(len(r) for r in sub.rules)
     nodes, edges = {}, {}
@@ -180,8 +181,8 @@ def ref_pair_closure(sub, seeds, pair_cap, length_cap):
             if succ is None:
                 return nodes, edges, length_hit
             edges[u, v] = succ
-            if len(nodes) > pair_cap:
-                return nodes, edges, f"pair cap {pair_cap}"
+            if len(nodes) > SP.PAIR_CAP:
+                return nodes, edges, f"pair cap {SP.PAIR_CAP}"
         frontier = nxt
     return nodes, edges, f"iteration cap {SP.ITER_CAP}" if frontier else None
 

@@ -34,8 +34,8 @@ def test_criterion_1_corpus_verdict_table():
     lat0 = lattices.module_from_int_rows(per_color[0], pts.denom, 1)
     assert lat0 == lattices.ZModule(1, ((1,),), 1)
     f = sys_tm.field
-    assert lattices.eventual_membership((1,), 2, lat0, f, 16) == 1
-    assert lattices.eventual_membership((1,), 4, lat0, f, 16) == 2
+    assert lattices.eventual_membership((1,), 2, lat0, f) == 1
+    assert lattices.eventual_membership((1,), 4, lat0, f) == 2
 
     fib2 = report_for("fib2")
     assert fib2["checks"]["overlap_coincidence"]["status"] == "FAILS"

@@ -1,9 +1,12 @@
 """Every cap has one home.
 
-The settable bounds are `node_cap` and `pair_cap` (flags and `cli.BOUNDS`
-rows) and the symbol cap of `Substitution.apply`/`iterate`, where the
-word cap is enforced.  Every other cap is a module constant, so no public
-function, method or dataclass may take one as a parameter or field.
+The settable bounds are `L`, `window` and `node_cap`: the rows of
+`cli.BOUNDS` with a flag, and the parameters that carry them to the
+checks.  Every other cap is a module constant, so no public function,
+method or dataclass may take one as a parameter or field.  A name reads
+as a cap when it holds `cap` or `max` or ends in `_bound`, so that
+`kmax` or `level_bound` is caught as `pair_cap` is; a verdict's `bound`
+and `bound_hit` report the cap a run met and are not caps.
 """
 
 import dataclasses
@@ -17,12 +20,21 @@ from subtiling import (algebraic, cli, coincidence, lattices, polys,
 MODULES = (algebraic, cli, coincidence, lattices, polys, spectrum,
            suspension, words)
 
+# the window reaches overlap_coincidence as a parameter named `window`,
+# which reads as no cap
 ALLOWED = {
-    ("BOUNDS", "node_cap"), ("BOUNDS", "pair_cap"),
-    ("overlap_coincidence", "node_cap"), ("balanced_pairs", "pair_cap"),
+    # L, the level bound of the word searches and of the walks
+    ("BOUNDS", "level_bound"), ("prefix_strong", "level_bound"),
+    ("prefix_simultaneous", "level_bound"),
+    ("geometric_strong", "level_bound"), ("simultaneous", "level_bound"),
+    # node_cap, of the overlap closure and of the walks
+    ("BOUNDS", "node_cap"), ("overlap_coincidence", "node_cap"),
     ("geometric_strong", "node_cap"), ("simultaneous", "node_cap"),
-    ("Substitution.apply", "cap"), ("Substitution.iterate", "cap"),
 }
+
+
+def _names_a_cap(name):
+    return "cap" in name or "max" in name or name.endswith("_bound")
 
 
 def _public_callables(module):
@@ -47,16 +59,16 @@ def _cap_names(module):
     found = set()
     for name, fn in _public_callables(module):
         for param in inspect.signature(fn).parameters:
-            if "cap" in param:
+            if _names_a_cap(param):
                 found.add((name, param))
     for name, value in vars(module).items():
         if inspect.isclass(value) and dataclasses.is_dataclass(value) \
                 and value.__module__ == module.__name__:
             found.update((name, f.name) for f in dataclasses.fields(value)
-                         if "cap" in f.name)
+                         if _names_a_cap(f.name))
     found.update(("BOUNDS", bound.override)
                  for bound in getattr(module, "BOUNDS", ())
-                 if "cap" in bound.override)
+                 if bound.override and _names_a_cap(bound.override))
     return found
 
 
@@ -73,3 +85,13 @@ def test_the_settable_caps_are_still_there():
 def test_suspension_system_holds_no_word_cap():
     fib = words.Substitution([b"\x01\x02", b"\x01"])
     assert not hasattr(suspension.SuspensionSystem(fib), "word_cap")
+
+
+def test_only_the_settable_bounds_have_a_flag():
+    # k, pair_cap and iter_cap are reported, fixed at their constants
+    assert [(b.key, b.flag) for b in cli.BOUNDS
+            if b.flag or b.override or b.spec_line] == [
+        ("L", "--Lmax"), ("window", "--window"), ("node_cap", "--node-cap")]
+    assert [(b.key, b.default) for b in cli.BOUNDS if not b.flag] == [
+        ("k", lattices.POWER_BOUND), ("pair_cap", spectrum.PAIR_CAP),
+        ("iter_cap", spectrum.ITER_CAP)]

@@ -10,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from subtiling import (algebraic, cli, coincidence, polys, spectrum,
-                       suspension)
+from subtiling import (algebraic, cli, coincidence, lattices, polys,
+                       spectrum, suspension)
 from subtiling.errors import (InvalidBound, LengthCapExceeded,
                               SpecSyntaxError, SubtilingError,
                               UnknownCorpusEntry)
@@ -47,9 +47,9 @@ def test_parse_fibonacci_spec():
 def test_parse_comments_and_bounds():
     spec = cli.parse_spec(
         "# golden mean\nletters a b\nrule a = a b  # rule\nrule b = a\n"
-        "bound L 6\nbound window 32\nbound k 8\n"
+        "bound L 6\nbound window 32\n"
     )
-    assert spec.bounds == {"L": 6, "window": 32, "k": 8}
+    assert spec.bounds == {"L": 6, "window": 32}
 
 
 def test_parse_tilemap():
@@ -324,17 +324,20 @@ def _echoed_bound(path, key, *argv):
                          ids=[key for key, *_ in cli.BOUNDS])
 def test_cli_flags_beat_spec_file_bounds(tmp_path, key, override, flag,
                                          spec_line, default):
-    # a flag beats a spec line, which beats the default
+    # a flag beats a spec line, which beats the default; a bound with no
+    # flag stays at its default
     text = "letters a b\nrule a = a b\nrule b = a\n"
     line = f"bound {key} {default // 2}\n"
     path = tmp_path / "bounded.sub"
     path.write_text(text)
     assert _echoed_bound(path, key) == default
-    assert _echoed_bound(path, key, flag, str(default // 4)) == default // 4
+    if flag:
+        assert _echoed_bound(path, key, flag, str(default // 4)) == \
+            default // 4
     if not spec_line:
         with pytest.raises(SpecSyntaxError) as err:
             cli.parse_spec(text + line)
-        assert str(err.value) == "line 4: expected: bound L|window|k <int>"
+        assert str(err.value) == "line 4: expected: bound L|window <int>"
         return
     path.write_text(text + line)
     assert _echoed_bound(path, key) == default // 2
@@ -349,7 +352,7 @@ def test_readme_bounds_table_matches_cli():
     assert [(flag, spec, int(default.replace(",", "")))
             for _, flag, spec, default, _ in rows] == [
         (f"`{flag}`", f"`bound {key} <int>`" if spec_line else "-", default)
-        for key, _, flag, spec_line, default in cli.BOUNDS]
+        for key, _, flag, spec_line, default in cli.BOUNDS if flag]
 
 
 def test_readme_verify_table_matches_check_table():
@@ -958,13 +961,25 @@ def _negative_bound_error(key):
 
 
 @pytest.mark.parametrize("key,flag", [(bound.key, bound.flag)
-                                      for bound in cli.BOUNDS],
-                         ids=[bound.flag for bound in cli.BOUNDS])
+                                      for bound in cli.BOUNDS if bound.flag],
+                         ids=[bound.flag for bound in cli.BOUNDS
+                              if bound.flag])
 def test_analyze_rejects_negative_bound(key, flag):
     code, out, err = run_cli(["analyze", "fibonacci", flag, "-1"])
     assert code == 2 and out == ""
     assert _negative_bound_error(key) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag, value", [("--kmax", "16"),
+                                         ("--pair-cap", "10")],
+                         ids=["--kmax", "--pair-cap"])
+def test_analyze_refuses_a_removed_bound_flag(capsys, flag, value):
+    # k and pair_cap are fixed at their defaults: argparse knows no flag
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["analyze", "fibonacci", flag, value])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", [bound.key for bound in cli.BOUNDS
@@ -978,6 +993,23 @@ def test_analyze_rejects_negative_spec_line_bound(tmp_path, name):
     assert _negative_bound_error(name) in err
     with pytest.raises(InvalidBound):
         cli.run_analysis(cli.parse_spec(path.read_text()))
+
+
+@pytest.mark.parametrize("name,default", [
+    (bound.key, bound.default) for bound in cli.BOUNDS if not bound.flag],
+    ids=[bound.key for bound in cli.BOUNDS if not bound.flag])
+def test_analyze_refuses_a_spec_line_of_a_fixed_bound(tmp_path, name,
+                                                      default):
+    # `bound k 16` too: a bound with no flag has no spec line
+    text = f"letters a b\nrule a = a b\nrule b = a\nbound {name} {default}\n"
+    with pytest.raises(SpecSyntaxError,
+                       match="line 4: expected: bound L\\|window <int>"):
+        cli.parse_spec(text)
+    path = tmp_path / "fixed.sub"
+    path.write_text(text)
+    code, out, err = run_cli(["analyze", str(path)])
+    assert (code, out) == (1, "")
+    assert "line 4: expected: bound L|window <int>" in err
 
 
 def test_analyze_rejects_spec_line_window_outside_cap(tmp_path):
@@ -1012,9 +1044,12 @@ def test_verify_fails_report_window_outside_cap(tmp_path, window):
     ("L", cli.LEVEL_CAP + 1,
      f"bound L {cli.LEVEL_CAP + 1} is above {cli.LEVEL_CAP}"),
     ("k", "banana", "bound k 'banana' is not a non-negative integer"),
+    ("k", 20, f"bound k 20 is not {lattices.POWER_BOUND}"),
     ("node_cap", -7, "bound node_cap -7 is not a non-negative integer"),
     ("pair_cap", 1.5, "bound pair_cap 1.5 is not a non-negative integer"),
-    ("iter_cap", "x", f"bound iter_cap 'x' is not {spectrum.ITER_CAP}"),
+    ("pair_cap", 60_000, f"bound pair_cap 60000 is not {spectrum.PAIR_CAP}"),
+    ("iter_cap", "x", "bound iter_cap 'x' is not a non-negative integer"),
+    ("iter_cap", 300, f"bound iter_cap 300 is not {spectrum.ITER_CAP}"),
 ])
 def test_verify_fails_a_bound_that_analyze_refuses(key, value, message):
     report = _fixture("fibonacci")
@@ -1851,7 +1886,7 @@ def test_report_of_a_setup_that_raises(tmp_path, monkeypatch):
 def test_inputs_reducible_modulo_every_prime_get_a_field(
         text, minimal_polynomial, irreducible):
     report = cli.run_analysis(cli.parse_spec(text), overrides={
-        "level_bound": 4, "window": 16, "node_cap": 200, "pair_cap": 200})
+        "level_bound": 4, "window": 16, "node_cap": 200})
     facts = report["facts"]
     assert facts["minimal_polynomial"] == minimal_polynomial
     assert facts["characteristic_irreducible"] is irreducible
@@ -1870,7 +1905,7 @@ def test_primitive_input_above_the_degree_cap_is_irreducible():
         cli.words.substitution_matrix(spec.substitution()))) > \
         polys.DEGREE_CAP
     report = cli.run_analysis(spec, overrides={
-        "level_bound": 4, "window": 16, "node_cap": 200, "pair_cap": 200})
+        "level_bound": 4, "window": 16, "node_cap": 200})
     facts = report["facts"]
     assert facts["characteristic_polynomial"] == facts["minimal_polynomial"]
     assert facts["characteristic_irreducible"] is True

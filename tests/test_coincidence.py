@@ -30,11 +30,10 @@ def test_prefix_strong_fibonacci(fib):
 
 def test_prefix_strong_aba_fails_by_involution(aba):
     per_pair = C.prefix_strong(aba)
-    v = per_pair[(1, 2)]
-    assert v.status == "FAILS"
-    assert v.certificate["involution"] == {1: 2, 2: 1}
+    assert per_pair[(1, 2)] == C.BoundedVerdict(
+        "FAILS", certificate={"involution": {1: 2, 2: 1}})
     suffix = C.prefix_strong(aba, suffixes=True)
-    assert suffix[(1, 2)].status == "FAILS"
+    assert suffix[(1, 2)] == per_pair[(1, 2)]
 
 
 def _sub_of(*rules):
@@ -281,7 +280,8 @@ def test_balanced_prefix_search_finds_nothing_under_an_involution():
         m = sub.size
         for letters in (range(1, m + 1), *((c, tau[c]) for c in tau)):
             hit = C._balanced_prefix_search(sub, tuple(letters), 6)
-            assert hit == C.BoundedVerdict("UNKNOWN", bound=6), (sub, letters)
+            assert hit == C.BoundedVerdict(
+                "UNKNOWN", bound=6, bound_hit="level bound 6"), (sub, letters)
 
 
 def test_prefix_simultaneous_under_an_involution_builds_no_word():
@@ -315,13 +315,13 @@ def test_balanced_prefix_search_stops_below_the_word_cap(monkeypatch):
     # sigma^L(a) and sigma^L(b) differ at every level, so no level holds
     # a shared letter and the search runs until |sigma^L| = 2^L > cap
     sub = cli.parse_spec(PERIOD_DOUBLING).substitution().reversed()
-    monkeypatch.setattr(W, "DEFAULT_WORD_CAP", 1000)
+    monkeypatch.setattr(W, "WORD_CAP", 1000)
     want = C.BoundedVerdict("UNKNOWN", bound=9, bound_hit="word cap 1000")
     assert C.prefix_strong(sub)[(1, 2)] == want
     assert C.prefix_simultaneous(sub) == want
     assert max(map(len, sub._iterate_cache.values())) == 512
-    assert C.prefix_simultaneous(sub, 9) == C.BoundedVerdict("UNKNOWN",
-                                                             bound=9)
+    assert C.prefix_simultaneous(sub, 9) == C.BoundedVerdict(
+        "UNKNOWN", bound=9, bound_hit="level bound 9")
 
 
 def test_period_doubling_suffixes_at_level_24_keep_their_pairs():
@@ -332,7 +332,7 @@ def test_period_doubling_suffixes_at_level_24_keep_their_pairs():
     suffix = report["checks"]["suffix_strong"]
     assert suffix["pairs"]["a|b"] == {
         "status": "UNKNOWN", "bound": 23,
-        "bound_hit": f"word cap {W.DEFAULT_WORD_CAP}"}
+        "bound_hit": f"word cap {W.WORD_CAP}"}
     assert [suffix["pairs"][k]["status"] for k in ("a|a", "b|b")] == \
         ["HOLDS", "HOLDS"]
     assert suffix["aggregate"] == "UNKNOWN"

@@ -38,7 +38,7 @@ def test_checks_make_no_field_element_after_setup(monkeypatch, name):
 
     count(S.is_admissible, system, refs)
     count(L.height_group, system, refs)
-    count(L.differences_in_return_module, system, refs, 16)
+    count(L.differences_in_return_module, system, refs)
     pairs = count(C.geometric_strong, system, refs)
     sim = count(C.simultaneous, system, refs)
     count(SP.overlap_coincidence, system, refs, window)

@@ -218,24 +218,21 @@ def test_return_lattices_match_all_pair_differences(name):
 def test_eventual_membership_tm(sys_tm):
     zmod = module_from_vectors([[1]], 1)
     f = sys_tm.field
-    assert L.eventual_membership((1,), 2, zmod, f, 10) == 1
-    assert L.eventual_membership((1,), 4, zmod, f, 10) == 2
-    assert L.eventual_membership((1,), 3, zmod, f, 24) is None
-    assert L.eventual_membership((5,), 1, zmod, f, 10) == 0
+    assert L.eventual_membership((1,), 2, zmod, f) == 1
+    assert L.eventual_membership((1,), 4, zmod, f) == 2
+    assert L.eventual_membership((1,), 3, zmod, f) is None
+    assert L.eventual_membership((5,), 1, zmod, f) == 0
 
 
 def test_return_module_verdicts(sys_fib, sys_fib2, sys_aba):
     res = L.differences_in_return_module(
-        sys_fib, S.left_endpoint_points(sys_fib), 16
-    )
+        sys_fib, S.left_endpoint_points(sys_fib))
     assert set(res.witnesses) == {0} and res.bound_hit is None
     res2 = L.differences_in_return_module(
-        sys_fib2, S.left_endpoint_points(sys_fib2), 16
-    )
+        sys_fib2, S.left_endpoint_points(sys_fib2))
     assert set(res2.witnesses) == {0} and res2.bound_hit is None
     res3 = L.differences_in_return_module(
-        sys_aba, S.left_endpoint_points(sys_aba), 16
-    )
+        sys_aba, S.left_endpoint_points(sys_aba))
     assert None in res3.witnesses    # odd powers of 3 never land in 2Z
     assert res3.bound_hit == "power bound 16"
 
@@ -264,7 +261,7 @@ def _assert_window_lattices_sampled_once(monkeypatch, spec):
     res = L.height_group(system, refs)
     assert res.stabilized_at == 16
     assert len(calls) == 4
-    ret = L.differences_in_return_module(system, refs, 16)
+    ret = L.differences_in_return_module(system, refs)
     assert len(calls) == 4
     assert ret.sup == res.sup
 
@@ -290,7 +287,7 @@ def test_eventual_return_reads_every_color(monkeypatch, name):
     sample = L.reference_point_sets
     monkeypatch.setattr(L, "reference_point_sets", lambda *args:
                         samples.append(sample(*args)) or samples[-1])
-    ret = L.differences_in_return_module(system, refs, 16)
+    ret = L.differences_in_return_module(system, refs)
     res = L.height_group(system, refs)
     assert res.stabilized_at == 32 and len(samples) == 3
     assert ret.sup == res.sup and ret.bound_hit is None
@@ -346,11 +343,11 @@ def test_return_module_names_the_window_it_read(monkeypatch):
                 module_from_vectors([[1]], 1))
 
     monkeypatch.setattr(L, "return_lattices", unstable)
-    res = L.differences_in_return_module(S.SuspensionSystem(tm), (), 16)
+    res = L.differences_in_return_module(S.SuspensionSystem(tm), ())
     assert res.witnesses == (7,) and res.bound_hit == "window 128"
     monkeypatch.setattr(L, "return_lattices", lambda *args: (
         module_from_vectors([[1]], 1), L.ZModule(1, (), 1)))
-    res = L.differences_in_return_module(S.SuspensionSystem(tm), (), 16)
+    res = L.differences_in_return_module(S.SuspensionSystem(tm), ())
     assert res.witnesses == (None,) and res.bound_hit == "window 16"
 
 

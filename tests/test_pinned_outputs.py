@@ -25,7 +25,7 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 ANALYZE = {
     "period-doubling":
-        "1167b3316541689d75d685921dfb30646319d7f43fbbe4804a457137a6807b1b",
+        "b09c1d02e6c7e9b909d4a40a9768ee50cb5e5381768fe79650361d8b154259c8",
     "beta-211":
         "bff801b0c3afc6ede045c537adc7dc5d249b7f08779f528537d91e82deacb4a5",
     "beta-221":

@@ -180,8 +180,9 @@ def test_tampered_balanced_certificates_rejected(tm):
                 [[c], [c]] for c in range(1, sub.size + 1)]))
 
 
-def test_balanced_pair_cap_gives_unknown(rauzy):
-    half = SP.balanced_pairs(rauzy, pair_cap=2)
+def test_balanced_pair_cap_gives_unknown(rauzy, monkeypatch):
+    monkeypatch.setattr(SP, "PAIR_CAP", 2)
+    half = SP.balanced_pairs(rauzy)
     assert half.status == "UNKNOWN"
     assert half.bound_hit == "pair cap 2"
 
@@ -240,7 +241,7 @@ def test_balanced_pairs_stop_at_a_seed_component_over_the_length_cap(
         assert calls["split"] == 0
 
 
-def _closures(monkeypatch, sub, pair_cap=SP.DEFAULT_PAIR_CAP):
+def _closures(monkeypatch, sub):
     """balanced_pairs on a fresh copy of sub, by `_pair_closure` and then
     by conftest's breadth-first `ref_pair_closure`.  For each run: the
     half, the nodes and the edges, and the letters walked by
@@ -264,8 +265,7 @@ def _closures(monkeypatch, sub, pair_cap=SP.DEFAULT_PAIR_CAP):
             patch.setattr(SP, "_pair_closure", recorded(closure))
             patch.setattr(W, "walk_zeros", counted_walk)
             runs.append({"walked": 0})
-            runs[-1]["half"] = SP.balanced_pairs(Substitution(sub.rules),
-                                                 pair_cap)
+            runs[-1]["half"] = SP.balanced_pairs(Substitution(sub.rules))
     return runs
 
 
@@ -331,7 +331,8 @@ def test_pair_closure_matches_the_reference_on_skew_products(monkeypatch,
                                                              sub):
     with monkeypatch.context() as patch:
         patch.setattr(SP, "PAIR_LENGTH_CAP", 2000)
-        new, ref = _closures(patch, sub, 300)
+        patch.setattr(SP, "PAIR_CAP", 300)
+        new, ref = _closures(patch, sub)
     _same_closure(new, ref)
 
 

@@ -60,11 +60,12 @@ def test_iterate(fib, tm, rauzy2):
     assert fib.iterate(2, 0) == bytes([2])
 
 
-def test_iterate_cap(fib):
+def test_iterate_cap(fib, monkeypatch):
+    monkeypatch.setattr(W, "WORD_CAP", 100)
     with pytest.raises(LengthCapExceeded):
-        fib.iterate(1, 40, cap=100)
+        fib.iterate(1, 40)
     # cap applies to the requested word, smaller powers still fine
-    assert len(fib.iterate(1, 8, cap=100)) <= 100
+    assert len(fib.iterate(1, 8)) <= 100
 
 
 @pytest.mark.parametrize("n", [-1, -5])
@@ -259,7 +260,7 @@ def test_apply_rejects_letters_outside_the_alphabet(fib):
             fib.apply(word)
 
 
-def test_apply_matches_letter_by_letter_images():
+def test_apply_matches_letter_by_letter_images(monkeypatch):
     rng = random.Random(5)
     subs = []
     for m in range(2, 7):
@@ -282,8 +283,10 @@ def test_apply_matches_letter_by_letter_images():
             want = b"".join(rules[c - 1] for c in word)
             assert sub.apply(word) == want
             if want:
-                with pytest.raises(LengthCapExceeded):
-                    sub.apply(word, cap=len(want) - 1)
+                with monkeypatch.context() as patch, \
+                        pytest.raises(LengthCapExceeded):
+                    patch.setattr(W, "WORD_CAP", len(want) - 1)
+                    sub.apply(word)
         # 0 is the pad byte of the column tables
         for bad in (0, m + 1, 255):
             with pytest.raises(InvalidWord):
@@ -294,7 +297,8 @@ def test_apply_matches_letter_by_letter_images():
     pytest.param(16, 20_000, id="16"), pytest.param(1000, 20_000, id="1000"),
     pytest.param(5000, 20_000, id="5000"),
     pytest.param(16, 200_000, id="16-200000")])
-def test_apply_memory_is_bounded_by_the_image_on_skewed_rules(width, letters):
+def test_apply_memory_is_bounded_by_the_image_on_skewed_rules(
+        monkeypatch, width, letters):
     # a -> a b^(width-1), b -> a on a word of b's: a column buffer would
     # take |word| * width bytes, far above the cap, for an image of |word|
     sub = W.Substitution([bytes([1] + [2] * (width - 1)), b"\1"])
@@ -302,9 +306,10 @@ def test_apply_memory_is_bounded_by_the_image_on_skewed_rules(width, letters):
     want = b"\1" * letters + sub.rule(1)
     cap = 2 * len(want)
     assert len(word) * width > 4 * cap
+    monkeypatch.setattr(W, "WORD_CAP", cap)
     tracemalloc.start()
     try:
-        assert sub.apply(word, cap=cap) == want
+        assert sub.apply(word) == want
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
