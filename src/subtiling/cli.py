@@ -473,9 +473,12 @@ def _reference_points(system, spec: SpecFile):
 
 
 def _check_bounds(bounds: dict):
-    """Raise InvalidBound unless every bound of BOUNDS is an int at least
-    0, the window in [1, WINDOW_CAP], L at most LEVEL_CAP and a bound with
-    no flag its default."""
+    """Raise InvalidBound unless the bounds are the keys of BOUNDS in
+    order, each an int at least 0, the window in [1, WINDOW_CAP], L at
+    most LEVEL_CAP and a bound with no flag its default."""
+    keys = [bound.key for bound in BOUNDS]
+    if list(bounds) != keys:
+        raise InvalidBound(f"bounds {list(bounds)} are not {keys}")
     for key, _, flag, _, default in BOUNDS:
         value = bounds[key]
         if key == "window" and (type(value) is not int

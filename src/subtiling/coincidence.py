@@ -1,12 +1,13 @@
 """Coincidence checks for suspension tilings.
 
-Two code paths decide whether iterated prototiles share a tile: a
-combinatorial one on rule words (equal prefix abelianizations followed by
-the same letter) and a geometric one, a level-by-level walk of overlap
-classes under `spectrum._Inflation` on integer vectors of Q(beta).  Both
-search levels up to a bound and return HOLDS with a witness, FAILS with a
-finite certificate (a commuting fixed-point-free letter involution, or
-the walk's closed states), or UNKNOWN at a bound.  A geometric witness is
+Two routines decide whether iterated prototiles share a tile, one call
+per claim: `_word_claim`, a combinatorial one on rule words (equal prefix
+abelianizations followed by the same letter), and `_Walk.search`, a
+geometric one, a level-by-level walk of overlap classes under
+`spectrum._Inflation` on integer vectors of Q(beta).  Both search levels
+up to a bound and return HOLDS with a witness, FAILS with a finite
+certificate (a commuting fixed-point-free letter involution, or the
+walk's closed states), or UNKNOWN at a bound.  A geometric witness is
 the leftmost shared tile, also at a level divisible by the fixed-point
 power of the tiling, and `verify_witness` replays it by a descent of the
 inflation tree, on one `IntegerSetting` for all the claims of a report.
@@ -96,22 +97,33 @@ def _least_balanced_prefix(word_list, m):
     return None
 
 
-def _balanced_prefix_search(sub: Substitution, letters, level_bound):
-    """Least level L <= level_bound at which the words sigma^L(c), c in
-    `letters`, have a common balanced prefix followed by one common
-    letter: (L, t, sigma^L(letters[0])) with t the prefix length.  Else
-    an UNKNOWN verdict at the deepest level searched: the level bound,
-    or the last level before one of the words would pass the word cap,
-    with a `bound_hit` naming the one it ran into."""
+def _word_claim(working: Substitution, letters, involutions, level_bound):
+    """The word form of strong coincidence for `letters`, on the rule
+    words of `working`: FAILS by the first of `involutions` that maps
+    letters[0] into `letters` (the module's lemma); HOLDS at level 0, with
+    no word built, when the letters are one letter; else HOLDS at the
+    least level L <= level_bound at which the words sigma^L(c) have a
+    common balanced prefix followed by one common letter.  Else UNKNOWN
+    at the level bound, or at the last level before a word would pass
+    the word cap, with a `bound_hit` naming the cap it ran into."""
+    m = working.size
+    tau = next((t for t in involutions if t[letters[0]] in letters), None)
+    if tau is not None:
+        return BoundedVerdict("FAILS", certificate={"involution": dict(tau)})
+    if len(set(letters)) == 1:
+        return BoundedVerdict("HOLDS", witness=PrefixWitness(
+            0, letters[0], (0,) * len(letters), (0,) * m))
     cap = words_mod.WORD_CAP
     for level in range(1, level_bound + 1):
-        if any(sub.image_length(c, level) > cap for c in letters):
+        if any(working.image_length(c, level) > cap for c in letters):
             return BoundedVerdict("UNKNOWN", bound=level - 1,
                                   bound_hit=f"word cap {cap}")
-        images = [sub.iterate(c, level) for c in letters]
-        t = _least_balanced_prefix(images, sub.size)
+        images = [working.iterate(c, level) for c in letters]
+        t = _least_balanced_prefix(images, m)
         if t is not None:
-            return level, t, images[0]
+            return BoundedVerdict("HOLDS", witness=PrefixWitness(
+                level, images[0][t], (t,) * len(letters),
+                words_mod.abelianization(images[0][:t], m)))
     return BoundedVerdict("UNKNOWN", bound=level_bound,
                           bound_hit=f"level bound {level_bound}")
 
@@ -125,40 +137,17 @@ def prefix_strong(sub: Substitution, level_bound=DEFAULT_LEVEL_BOUND,
     sigma^L(j) with the same letter counts, followed by one common letter.
     The suffix variant runs the same check on reversed rule words.
 
-    FAILS carries a certificate: a fixed-point-free letter involution
-    commuting with the substitution forces the paired letters apart at
-    every level (equal counts force equal prefix lengths, and the common
-    letter would have to be its own swap).
+    Each pair is one `_word_claim`.  An identical pair holds at level 0.
+    A fixed-point-free letter involution commuting with the substitution
+    that swaps i and j fails the pair: it forces them apart at every
+    level (equal counts force equal prefix lengths, and the common letter
+    would have to be its own swap).
     """
     working = sub.reversed() if suffixes else sub
     m = sub.size
     involutions = words_mod.commuting_fixed_point_free_involutions(working)
-    results = {}
-    for i in range(1, m + 1):
-        for j in range(i, m + 1):
-            if i == j:
-                results[(i, j)] = BoundedVerdict(
-                    "HOLDS",
-                    witness=PrefixWitness(0, i, (0, 0), tuple([0] * m)),
-                )
-                continue
-            tau = next((t for t in involutions if t[i] == j), None)
-            if tau is not None:
-                results[(i, j)] = BoundedVerdict(
-                    "FAILS",
-                    certificate={"involution": dict(sorted(tau.items()))})
-                continue
-            hit = _balanced_prefix_search(working, (i, j), level_bound)
-            if isinstance(hit, BoundedVerdict):
-                results[(i, j)] = hit
-                continue
-            level, t, u = hit
-            results[(i, j)] = BoundedVerdict(
-                "HOLDS",
-                witness=PrefixWitness(level, u[t], (t, t),
-                                      words_mod.abelianization(u[:t], m)),
-            )
-    return results
+    return {(i, j): _word_claim(working, (i, j), involutions, level_bound)
+            for i in range(1, m + 1) for j in range(i, m + 1)}
 
 
 def replay_involution_certificate(sub: Substitution, certificate, claimed):
@@ -192,28 +181,26 @@ def replay_involution_certificate(sub: Substitution, certificate, claimed):
 
 def prefix_simultaneous(sub: Substitution, level_bound=DEFAULT_LEVEL_BOUND):
     """Least (L, M) in lexicographic order such that the length-M prefixes
-    of all iterated letters share their letter counts and final letter.
+    of all iterated letters share their letter counts and final letter:
+    the `_word_claim` of all letters, with the letter after its prefix.
 
     When a fixed-point-free letter involution tau commutes with the
     substitution, no level has one: the words of c and tau c differ at
     every position (the module's lemma).  The check then FAILS with the
     first such tau as its certificate, and no word is built."""
-    m = sub.size
-    if taus := words_mod.commuting_fixed_point_free_involutions(sub):
-        return BoundedVerdict("FAILS", certificate={"involution": taus[0]})
-    hit = _balanced_prefix_search(sub, range(1, m + 1), level_bound)
-    if isinstance(hit, BoundedVerdict):
-        return hit
-    level, t, word = hit
-    return BoundedVerdict(
-        "HOLDS",
-        witness={
-            "level": level,
-            "prefix_length": t + 1,
-            "final_letter": word[t],
-            "counts": words_mod.abelianization(word[:t + 1], m),
-        },
-    )
+    letters = tuple(range(1, sub.size + 1))
+    verdict = _word_claim(
+        sub, letters, words_mod.commuting_fixed_point_free_involutions(sub),
+        level_bound)
+    if (w := verdict.witness) is not None:
+        verdict.witness = {
+            "level": w.level,
+            "prefix_length": w.prefix_lengths[0] + 1,
+            "final_letter": w.color,
+            "counts": tuple(n + (c == w.color)
+                            for c, n in enumerate(w.counts, 1)),
+        }
+    return verdict
 
 
 # ---------------------------------------------------------------------------

@@ -245,13 +245,15 @@ def return_lattices(system, refpoints, size):
     return span([[x for p in pts.points for x in p]]), span(pts.points)
 
 
-def _stable_lattices(system, refpoints):
-    """The cross-difference and same-color lattices of the first window of
-    WINDOW_SCHEDULE that agrees with the next one, and that window; the
-    last window's lattices, and None, when no two consecutive windows
-    agree.  Sampling stops at the next window, the one that agrees.  The
-    result is kept on the system per reference points: the windows move as
-    the beta interval is refined, and a second walk could read others."""
+def height_group(system, refpoints):
+    """The height group's lattices: the cross-difference and same-color
+    lattices of the first window of WINDOW_SCHEDULE that agrees with the
+    next one, and that window; the last window's lattices, and None, when
+    no two consecutive windows agree.  Sampling stops at the next window,
+    the one that agrees.  A report's `windows` names the schedule, not the
+    windows sampled.  The result is kept on the system per reference
+    points: the windows move as the beta interval is refined, and a second
+    walk could read others."""
     kept = system.stable_lattices
     if refpoints not in kept:
         pair = prev_size = None
@@ -264,12 +266,6 @@ def _stable_lattices(system, refpoints):
         else:
             kept[refpoints] = HeightGroupResult(None, *pair)
     return kept[refpoints]
-
-
-def height_group(system, refpoints):
-    """The height group's lattices, those of `_stable_lattices`.  A
-    report's `windows` names the schedule, not the windows sampled."""
-    return _stable_lattices(system, refpoints)
 
 
 def eventual_membership(ints, denom, lattice: ZModule, field):
@@ -300,11 +296,11 @@ def differences_in_return_module(system, refpoints):
     For each basis generator v of the height group's cross-difference
     lattice, search the least k <= POWER_BOUND with beta^k * v inside its
     same-color lattice; None where there is none.  The lattices are the
-    ones kept by `_stable_lattices`.  The result names the window read
+    ones kept by `height_group`.  The result names the window read
     when none is stable or its same-color lattice is zero, else the power
     bound when some generator has no k.
     """
-    res = _stable_lattices(system, refpoints)
+    res = height_group(system, refpoints)
     witnesses = tuple(
         eventual_membership(row, res.sup.denom, res.sub, system.field)
         for row in res.sup.basis)

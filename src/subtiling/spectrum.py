@@ -8,7 +8,8 @@ reaches an exact same-color alignment.  The balanced-pair route works on
 words: cyclic rotations of return words of the fixed point seed balanced
 pairs, the substitution maps pairs to pairs, and the criterion asks the
 closure to stay finite with every irreducible pair reaching a trivial
-(letter, letter) pair.  Both routes emit replayable certificates and are
+(letter, letter) pair.  `_settle` decides both closures and checks each
+FAILS set closed.  Both routes emit replayable certificates and are
 reconciled into one spectral verdict.
 
 The overlap route runs on integer vectors over one denominator D: a
@@ -329,20 +330,16 @@ def overlap_coincidence(system: SuspensionSystem, refpoints, window,
                 classes[nk] = None
                 queue.append(nk)
         edges[key] = succ
-    coincidences = set(filter(_is_coincidence_key, classes))
-    dist = _coincidence_distances(edges, coincidences)
-    stuck = sorted(classes.keys() - dist.keys())
+    dist, stuck = _settle(classes, edges, _is_coincidence_key)
     meta = {
         "initial_classes": len(seeds),
         "total_classes": len(classes),
-        "coincidence_classes": len(coincidences),
+        "coincidence_classes": sum(map(_is_coincidence_key, classes)),
         "window": [_frac_str(window[0]), _frac_str(window[1])],
     }
     if not stuck:
         return SpectralHalf("HOLDS", certificate=dict(
             meta, uniform_steps=max(dist.values(), default=0)))
-    if not _is_closed(set(stuck), _is_coincidence_key, edges.__getitem__):
-        raise AssertionError("stuck set is not a closed coincidence-free set")
     cert = dict(meta)
     cert["coincidence_free_closed_set"] = [
         {"moved": k[0], "anchor": k[1],
@@ -352,15 +349,16 @@ def overlap_coincidence(system: SuspensionSystem, refpoints, window,
     return SpectralHalf("FAILS", certificate=cert)
 
 
-def _coincidence_distances(edges, coincidences):
-    """Least number of edges from each node to a coincidence, by reverse
-    breadth-first search; nodes that reach no coincidence are absent."""
+def _settle(nodes, edges, is_coincidence):
+    """The least number of edges from each node of a closure to a
+    coincidence, by reverse breadth-first search, and the sorted nodes
+    that reach none, checked to be a closed coincidence-free set."""
     reverse = {}
     for key, succ in edges.items():
         for s in succ:
             reverse.setdefault(s, []).append(key)
-    dist = dict.fromkeys(coincidences, 0)
-    frontier = list(coincidences)
+    frontier = list(filter(is_coincidence, nodes))
+    dist = dict.fromkeys(frontier, 0)
     while frontier:
         nxt = []
         for node in frontier:
@@ -369,7 +367,11 @@ def _coincidence_distances(edges, coincidences):
                     dist[pred] = dist[node] + 1
                     nxt.append(pred)
         frontier = nxt
-    return dist
+    stuck = sorted(nodes.keys() - dist.keys())
+    if stuck and not _is_closed(set(stuck), is_coincidence,
+                                edges.__getitem__):
+        raise AssertionError("stuck set is not a closed coincidence-free set")
+    return dist, stuck
 
 
 def _is_closed(nodes, is_coincidence, successors):
@@ -473,9 +475,7 @@ def balanced_pairs(sub: Substitution, advisory=False) -> SpectralHalf:
     nodes, edges, bound_hit = _pair_closure(sub, seeds, length_cap)
     if bound_hit:
         return SpectralHalf("UNKNOWN", certificate=meta, bound_hit=bound_hit)
-    dist = _coincidence_distances(
-        edges, [p for p in nodes if _is_coincidence_pair(p)])
-    stuck = sorted(nodes.keys() - dist.keys())
+    _, stuck = _settle(nodes, edges, _is_coincidence_pair)
     meta["irreducible_pairs"] = len(nodes)
     if not stuck:
         return SpectralHalf("HOLDS", certificate=meta)

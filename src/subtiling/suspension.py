@@ -136,7 +136,7 @@ class SuspensionSystem:
         self.seed = words.fixed_point_seed(sub)
         # fixed-point patches keyed (seed, level)
         self._patch_cache = {}
-        # lattices._stable_lattices results, keyed on the reference points
+        # lattices.height_group results, keyed on the reference points
         self.stable_lattices = {}
         # exact left offsets of each subtile within the inflated prototile
         # over the lengths' denominator: the first |sigma(j)| boundaries of

@@ -1060,6 +1060,24 @@ def test_verify_fails_a_bound_that_analyze_refuses(key, value, message):
         "error": f"input: InvalidBound: {message}"}
 
 
+@pytest.mark.parametrize("tamper", ["extra-key", "reordered"])
+def test_verify_fails_bounds_that_are_not_the_bound_keys(tamper):
+    report = json.loads((GOLDEN / "fibonacci.json").read_text(
+        encoding="utf-8"))
+    bounds = report["input"]["bounds"]
+    keys = [bound.key for bound in cli.BOUNDS]
+    assert list(bounds) == keys
+    if tamper == "extra-key":
+        bounds["kmax"] = 99
+    else:
+        report["input"]["bounds"] = dict(reversed(bounds.items()))
+    outcome = cli.verify_report(report)
+    assert outcome["passed"] is False
+    assert outcome["error"] == (
+        f"input: InvalidBound: bounds {list(report['input']['bounds'])} "
+        f"are not {keys}")
+
+
 # -- no HOLDS from an empty sample ------------------------------------------
 
 
@@ -1951,12 +1969,16 @@ def test_a_check_that_raises_a_value_error_is_recorded_in_place(
     def raises(*args, **kwargs):
         raise ValueError("no height")
 
+    # the eventual return check reads the height group's lattices, so it
+    # records the same error; every other check runs clean
     monkeypatch.setattr(cli.lattices, "height_group", raises)
     checks = cli.run_analysis(cli.corpus_lookup("fibonacci"))["checks"]
-    assert checks["height_group"] == {"error": "ValueError: no height"}
+    readers = ("height_group", "eventual_return_module")
+    for name in readers:
+        assert checks[name] == {"error": "ValueError: no height"}
     assert list(checks) == [*cli.CHECKS, "spectral"]
     assert all("error" not in checks[name] for name in cli.CHECKS
-               if name != "height_group")
+               if name not in readers)
 
 
 def test_a_substitution_that_is_not_primitive_and_not_factored(monkeypatch):

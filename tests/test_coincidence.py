@@ -279,9 +279,20 @@ def test_balanced_prefix_search_finds_nothing_under_an_involution():
     for sub, tau in cases:
         m = sub.size
         for letters in (range(1, m + 1), *((c, tau[c]) for c in tau)):
-            hit = C._balanced_prefix_search(sub, tuple(letters), 6)
+            hit = C._word_claim(sub, tuple(letters), (), 6)
             assert hit == C.BoundedVerdict(
                 "UNKNOWN", bound=6, bound_hit="level bound 6"), (sub, letters)
+
+
+def test_word_claim_decides_a_diagonal_claim_with_no_word():
+    for name in ("fibonacci", "rauzy2-left", "thue-morse"):
+        sub = cli.corpus_lookup(name).substitution()
+        involutions = W.commuting_fixed_point_free_involutions(sub)
+        for i in range(1, sub.size + 1):
+            assert C._word_claim(sub, (i, i), involutions, 12) == \
+                C.BoundedVerdict("HOLDS", witness=C.PrefixWitness(
+                    0, i, (0, 0), (0,) * sub.size)), (name, i)
+        assert sub._iterate_cache == {}, name
 
 
 def test_prefix_simultaneous_under_an_involution_builds_no_word():

@@ -160,6 +160,36 @@ def test_tm_balanced_certificate_is_the_swap_cycle(tm):
     assert [[1, 2], [2, 1]] in cert
 
 
+def test_settle_refuses_a_stuck_set_that_is_not_closed():
+    # node a reaches no coincidence, and its successor b is no node: the
+    # edges were cut short, and its stuck set is no certificate
+    def is_coincidence(node):
+        return node == "c"
+
+    with pytest.raises(AssertionError, match="not a closed"):
+        SP._settle({"a": None, "c": None}, {"a": ["b"], "c": ["c"]},
+                   is_coincidence)
+    assert SP._settle({"a": None, "c": None}, {"a": ["c"], "c": ["c"]},
+                      is_coincidence) == ({"c": 0, "a": 1}, [])
+
+
+def test_tm_balanced_fails_passes_the_closed_set_check(tm, monkeypatch):
+    checked = []
+    is_closed = SP._is_closed
+
+    def watched(nodes, is_coincidence, successors):
+        checked.append((sorted(nodes), is_coincidence,
+                        is_closed(nodes, is_coincidence, successors)))
+        return checked[-1][2]
+
+    monkeypatch.setattr(SP, "_is_closed", watched)
+    half = SP.balanced_pairs(tm)
+    assert half.status == "FAILS"
+    stuck = [[list(u), list(v)] for u, v in checked[0][0]]
+    assert checked == [(checked[0][0], SP._is_coincidence_pair, True)]
+    assert stuck == half.certificate["coincidence_free_closed_set"]
+
+
 def test_tampered_balanced_certificates_rejected(tm):
     # a -> abc, b -> bca, c -> cab: a six-pair closed set in which
     # (abc, bca) is the image of another pair
