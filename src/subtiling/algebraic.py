@@ -21,8 +21,9 @@ Signs of nonzero elements are certified in two stages, filter then exact.
   sum a_k (L_k if a_k > 0 else H_k) and sum a_k (H_k if a_k > 0 else L_k).
   A lower sum above zero or an upper sum below zero is the sign.  The
   filter never refines the interval.  The two sums are also exposed as
-  an enclosure (fixed_point_bounds), as a patch keeps one per tile
-  boundary and the inflation step of `spectrum` one per subtile pair.
+  an enclosure (fixed_point_bounds), as a window sample takes one per
+  tile boundary it reads and the inflation step of `spectrum` one per
+  subtile pair.
   The table is cached per generation.  A refinement only tightens it, so
   an enclosure taken earlier stays valid, and whatever it decides the
   filter decides too.

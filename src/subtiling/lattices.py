@@ -10,14 +10,16 @@ and of its columns: one integer elimination serves both.
 
 Everything past setup is an integer vector over a denominator: the
 reference points come as the (vectors, denominator) pair of
-`suspension.control_points`, the sampled differences and the basis rows
-are integer rows, membership is `ZModule.coordinates_of(ints, denom)`,
-and eventual return multiplies by beta with `NumberField.times_beta`.
-No field element is made.
+`suspension.control_points`, a window's lattices are spanned by the
+distinct neighbour steps of its point sets (`return_lattices`), the steps
+and the basis rows are integer rows, membership is
+`ZModule.coordinates_of(ints, denom)`, and eventual return multiplies by
+beta with `NumberField.times_beta`.  No field element is made.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import gcd
 
@@ -226,23 +228,32 @@ def return_lattices(system, refpoints, size):
     """Cross-difference and same-color difference lattices of the
     reference points in the window of the given size.
 
-    Each lattice is spanned by the differences x - x0 to one base point x0
-    of its point set: every pairwise difference x - y is
-    (x - x0) - (y - x0), and the canonical form makes the result equal to
-    the lattice of all pairwise differences.  The differences are integer
-    vectors over the sample's denominator.
+    Each lattice is spanned by the distinct neighbour steps of its point
+    set, in patch order (`_step_span`): the cross lattice by the steps
+    between consecutive points of any colors, the same-color one by the
+    return vectors between consecutive points of one color.  The
+    differences are integer vectors over the sample's denominator.
     """
     lo, hi = system.window(size)
     patch = system.patch_covering(lo, hi)
     pts = reference_point_sets(patch, refpoints, (lo, hi))
+    width = system.field.degree
+    # every point of the sample in patch order
+    union = [x for _, x in sorted(
+        (k, x) for indices, points in zip(pts.indices, pts.points)
+        for k, x in zip(indices, points))]
+    return (_step_span([union], pts.denom, width),
+            _step_span(pts.points, pts.denom, width))
 
-    def span(point_sets):
-        return module_from_int_rows(
-            [[a - b for a, b in zip(x, p[0])]
-             for p in point_sets for x in p[1:]],
-            pts.denom, system.field.degree)
 
-    return span([[x for p in pts.points for x in p]]), span(pts.points)
+def _step_span(point_sets, denom, width):
+    """The lattice spanned by all differences within each point set, from
+    its distinct neighbour steps x_(i+1) - x_i alone: by telescoping,
+    x_j - x_i is a sum of the steps between them, so the steps span every
+    difference, and the canonical form is that of all of them."""
+    steps = {tuple(map(operator.sub, y, x)): None
+             for points in point_sets for x, y in zip(points, points[1:])}
+    return module_from_int_rows(list(steps), denom, width)
 
 
 def height_group(system, refpoints):

@@ -206,7 +206,7 @@ def _sweep(patch, packing, translations, node_cap):
     classes depend on nothing else, so a tile that an earlier translation
     brought to the same place adds no class."""
     field_, colors, points = patch.field, patch.colors, patch.points
-    lows, highs = patch.enclosures()
+    lows, highs = zip(*map(field_.fixed_point_bounds, points))
     bounds = list(map(packing.pack, points))
     unpack, sign = packing.unpack, field_.int_sign
 

@@ -10,13 +10,13 @@ pair off the cycles of the first- and last-letter maps.  A patch
 holds its tile boundaries in one integer form only: prefix sums of the
 integer length vectors over their common denominator, as are the
 subtile offsets.  A system caches its fixed-point patches per (seed,
-level), and each patch builds its fixed-point enclosures once.  Reference
-points leave this module as (vectors, D), integer vectors over their
-least common denominator, and turn a patch into a colored point set over
-one denominator; a system holds its lengths in the same form.  FieldElems
-are made only in setup: the solved eigenvector of `prototile_lengths`,
-and one inverse per cycle of control points.  All values are immutable
-and all comparisons certified.
+level); a window sample encloses only the boundaries near its window.
+Reference points leave this module as (vectors, D), integer vectors over
+their least common denominator, and turn a patch into a colored point
+set over one denominator; a system holds its lengths in the same form.
+FieldElems are made only in setup: the solved eigenvector of
+`prototile_lengths`, and one inverse per cycle of control points.  All
+values are immutable and all comparisons certified.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, takewhile
 
 from . import algebraic, polys, words
 from .errors import (EigenvectorDefect, FactRejected, SubtilingError,
@@ -284,7 +284,6 @@ class Patch:
         self.points = points
         self.colors = colors
         self.junction_index = None
-        self._enclosures = None
 
     def __len__(self):
         return len(self.colors)
@@ -293,17 +292,6 @@ class Patch:
         return (_sign_minus(self.field, self.points[0], self.denom, lo) <= 0
                 and _sign_minus(self.field, self.points[-1], self.denom,
                                 hi) >= 0)
-
-    def enclosures(self):
-        """(lows, highs) with lows[k] <= 2^FILTER_BITS * denom * boundary
-        k <= highs[k], the certified fixed-point sums of each boundary
-        (`NumberField.fixed_point_bounds`), built on first use.  An
-        enclosure of a sum of boundaries is the sum of their enclosures."""
-        if self._enclosures is None:
-            bounds = list(map(self.field.fixed_point_bounds, self.points))
-            self._enclosures = ([lo for lo, _ in bounds],
-                                [hi for _, hi in bounds])
-        return self._enclosures
 
 
 def generate_patch(system: SuspensionSystem, seed, n):
@@ -446,25 +434,29 @@ def reference_point_sets(patch: Patch, refpoints, window) -> PointSets:
     allowed to move points slightly past the edge tiles, so coverage is
     checked on tile supports).  The window ends are rationals, as
     `SuspensionSystem.window` gives them, and the reference points the
-    (vectors, denominator) pair of `control_points`.  The points are integer vectors over the lcm of the
-    patch denominator and the reference points' denominator.
+    (vectors, denominator) pair of `control_points`.  The points are
+    integer vectors over the lcm of the patch denominator and the
+    reference points' denominator.
 
     Each tile is first placed on integers alone: the enclosure of its
-    position in the patch plus the enclosure of its reference point is
-    compared with enclosures of the window ends.  A tile whose point lies
-    certainly below the lower end, or above both ends, is skipped, and
-    one whose point lies certainly between them is kept; only the others
-    get the exact test, `NumberField.int_sign` of the point minus a
-    window end.  Enclosures of summands add up to an enclosure no
-    tighter than the fixed-point filter's for the sum, so every tile
-    placed this way is one whose signs the filter would have decided:
-    placing it changes no refinement.
+    boundary in the patch (`NumberField.fixed_point_bounds`) plus the
+    enclosure of its reference point is compared with enclosures of the
+    window ends.  A tile whose point lies certainly below the lower end,
+    or above both ends, is skipped, and one whose point lies certainly
+    between them is kept; only the others get the exact test,
+    `NumberField.int_sign` of the point minus a window end.  Enclosures
+    of summands add up to an enclosure no tighter than the fixed-point
+    filter's for the sum, so every tile placed this way is one whose
+    signs the filter would have decided: placing it changes no
+    refinement.
+
+    Only the tiles of `_window_range` are placed, so a sample costs
+    enclosures in proportion to its window rather than to its patch.
     """
     lo, hi = window
     if not patch.covers(lo, hi):
         raise WindowNotCovered("window exceeds the computed patch")
     field, denom = patch.field, patch.denom
-    lows, highs = patch.enclosures()
     lo_low, lo_high = _enclosure(field, *_ints(field, lo), denom)
     hi_low, hi_high = _enclosure(field, *_ints(field, hi), denom)
     top = max(lo_high, hi_high)
@@ -480,9 +472,13 @@ def reference_point_sets(patch: Patch, refpoints, window) -> PointSets:
         c_low, c_high = _enclosure(field, c, ref_denom, denom)
         bands.append((lo_low - c_high, top - c_low, lo_high - c_low,
                       hi_low - c_high, tuple([a * ref_scale for a in c])))
+    first, enclosures = _window_range(
+        patch, min(band[0] for band in bands[1:]),
+        max(band[1] for band in bands[1:]))
     indices = [[] for _ in vectors]
     points = [[] for _ in vectors]
-    for k, (c, low, high) in enumerate(zip(patch.colors, lows, highs)):
+    for k, (low, high) in enumerate(enclosures, first):
+        c = patch.colors[k]
         out_lo, out_hi, in_lo, in_hi, ref = bands[c]
         if high < out_lo or low > out_hi:
             continue
@@ -494,6 +490,36 @@ def reference_point_sets(patch: Patch, refpoints, window) -> PointSets:
             points[c - 1].append(x)
     return PointSets(sample, tuple(map(tuple, indices)),
                      tuple(map(tuple, points)))
+
+
+def _window_range(patch: Patch, floor, ceiling):
+    """(first, enclosures): the fixed-point enclosures (low, high) of the
+    starts of tiles first, first + 1, ...; every tile left out starts at
+    a boundary whose enclosure lies wholly below floor or above ceiling.
+
+    When every tile length in the patch has a lower enclosure >= 0, the
+    enclosures of the boundaries never decrease along the patch: lower
+    ends are superadditive and upper ends subadditive, so boundary k + 1
+    encloses no lower than boundary k.  Then the range is found by
+    walking out from the junction, and each side stops at the first
+    boundary whose enclosure lies wholly beyond its bound: every tile
+    past it does too.  Otherwise, or when the patch has no junction,
+    every tile of the patch is in the range."""
+    colors, points = patch.colors, patch.points
+    bounds = patch.field.fixed_point_bounds
+    j = patch.junction_index
+    if j is None or any(
+            bounds(tuple(map(operator.sub, points[k + 1], points[k])))[0] < 0
+            for k in map(colors.index, set(colors))):
+        return 0, list(map(bounds, points[:-1]))
+
+    def walk(ks, inside):
+        return list(takewhile(inside, (bounds(points[k]) for k in ks)))
+
+    left = walk(range(j - 1, -1, -1), lambda enclosure: enclosure[1] >= floor)
+    right = walk(range(j, len(colors)),
+                 lambda enclosure: enclosure[0] <= ceiling)
+    return j - len(left), left[::-1] + right
 
 
 def _ints(field, value):

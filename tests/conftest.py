@@ -468,6 +468,13 @@ rule f = a c c e e
 """
 
 
+# A runaway non-Pisot four-letter input (x^4 - x^2 - 13x - 9) whose
+# fixed-point patches are far wider than their windows: 161,502 tiles
+# cover the window of 16 tile lengths.
+FOUR_LETTERS = ("letters a b c d\nrule a = d\nrule b = a d\n"
+                "rule c = b b b a\nrule d = c c b c\n")
+
+
 _REPORTS = {}
 
 CORPUS_IDS = (

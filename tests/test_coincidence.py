@@ -14,8 +14,9 @@ from subtiling import coincidence as C
 from subtiling import suspension as S
 from subtiling import words as W
 
-from conftest import (CORPUS_IDS, WALK_BASE, elements, false_zero_pairs,
-                      length_elements, power, swap_commuting_substitution)
+from conftest import (CORPUS_IDS, FOUR_LETTERS, WALK_BASE, elements,
+                      false_zero_pairs, length_elements, power,
+                      swap_commuting_substitution)
 
 
 def test_prefix_strong_fibonacci(fib):
@@ -594,13 +595,10 @@ RUNAWAY_SIX_LETTERS = (
     "rule c = d b d f\nrule d = c c b e\nrule e = d a b b\nrule f = d\n"
     "tilemap a -> 1\ntilemap b -> 3\ntilemap c -> 2\ntilemap d -> 1\n"
     "tilemap e -> 1\ntilemap f -> 1\n")
-# beta is not Pisot either (x^4 - x^2 - 13x - 9)
-RUNAWAY_FOUR_LETTERS = ("letters a b c d\nrule a = d\nrule b = a d\n"
-                        "rule c = b b b a\nrule d = c c b c\n")
 
 
 @pytest.mark.parametrize("text, level_bound, node_cap, holds", [
-    (RUNAWAY_SIX_LETTERS, 6, 500, 7), (RUNAWAY_FOUR_LETTERS, 12, 2000, 4)])
+    (RUNAWAY_SIX_LETTERS, 6, 500, 7), (FOUR_LETTERS, 12, 2000, 4)])
 def test_runaway_walks_end_at_the_node_cap(text, level_bound, node_cap,
                                            holds):
     spec = cli.parse_spec(text)

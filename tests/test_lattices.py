@@ -4,16 +4,18 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from subtiling import cli
+from subtiling import algebraic, cli
 from subtiling import lattices as L
 from subtiling import suspension as S
 from subtiling.errors import NotASubmodule
 
 import workloads
-from conftest import (fieldelem_differences, fieldelem_point_sets,
-                      module_from_vectors, ref_smith_normal_form, report_for,
-                      system_for)
+from conftest import (FOUR_LETTERS, fieldelem_differences,
+                      fieldelem_point_sets, module_from_vectors,
+                      ref_smith_normal_form, report_for, system_for)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRIVIAL = L.AbelianGroup(())
@@ -192,12 +194,16 @@ def test_height_lattices_nest_with_window(sys_aba):
 
 
 @pytest.mark.parametrize("name", ["thue-morse", "aba-gamma", "fib2",
-                                  "rauzy2-gamma"])
+                                  "rauzy2-gamma", "pentanacci"])
 def test_return_lattices_match_all_pair_differences(name):
-    # base-point differences span the lattices of all pairwise ones; the
+    # neighbour steps span the lattices of all pairwise differences; the
     # window of 2 tile lengths leaves some colors with one point or none
-    spec = cli.corpus_lookup(name)
-    system = system_for(name)
+    if name == "pentanacci":
+        spec = _off_corpus_spec(name)
+        system = S.SuspensionSystem(spec.substitution())
+    else:
+        spec = cli.corpus_lookup(name)
+        system = system_for(name)
     refs = (S.control_points(system, spec.tilemap) if spec.tilemap
             else S.left_endpoint_points(system))
     width = system.field.degree
@@ -213,6 +219,21 @@ def test_return_lattices_match_all_pair_differences(name):
                  for d in fieldelem_differences(pc)], width),
         )
         assert L.return_lattices(system, refs, size) == expected
+
+
+@given(st.integers(1, 5).flatmap(lambda width: st.tuples(
+    st.just(width), st.lists(st.lists(st.integers(-50, 50), min_size=width,
+                                      max_size=width), max_size=12))),
+       st.integers(1, 12))
+def test_neighbour_steps_span_the_differences_to_the_first_point(sample,
+                                                                denom):
+    # by telescoping, the distinct steps x_(i+1) - x_i span the module of
+    # the differences x - x_0, for no point, one or many
+    width, points = sample
+    expected = L.module_from_int_rows(
+        [[a - b for a, b in zip(x, points[0])] for x in points[1:]],
+        denom, width)
+    assert L._step_span([points], denom, width) == expected
 
 
 def test_eventual_membership_tm(sys_tm):
@@ -311,6 +332,24 @@ def test_height_group_samples_until_two_windows_agree(monkeypatch):
     assert sampled == [16, 32, 64]
     assert L.height_group(system, refs) is res
     assert sampled == [16, 32, 64]
+
+
+def test_four_letter_height_group_encloses_only_its_windows(monkeypatch):
+    # a deterministic work guard on a runaway input: its windows of 16, 32
+    # and 64 lie in one fixed-point patch of 161,502 tiles, and the three
+    # samples enclose the boundaries near each window, not every one
+    spec = cli.parse_spec(FOUR_LETTERS)
+    system = S.SuspensionSystem(spec.substitution())
+    refs, _ = cli._reference_points(system, spec)
+    calls = []
+    bounds = algebraic.NumberField.fixed_point_bounds
+    monkeypatch.setattr(algebraic.NumberField, "fixed_point_bounds",
+                        lambda self, ints: calls.append(1) or
+                        bounds(self, ints))
+    res = L.height_group(system, refs)
+    assert len(calls) <= 300
+    assert res.stabilized_at == 32 and _group(res) == TRIVIAL
+    assert len(system.patch_covering(*system.window(64))) == 161502
 
 
 def test_height_group_unstable_samples_every_window(monkeypatch):

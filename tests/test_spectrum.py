@@ -14,7 +14,8 @@ from subtiling import suspension as S
 from subtiling import words as W
 from subtiling.words import CountGap, Substitution
 
-from conftest import (WALK_BASE, benchmark_substitutions, exact_tiles,
+from conftest import (FOUR_LETTERS, WALK_BASE, benchmark_substitutions,
+                      exact_tiles,
                       false_zero_pairs, fieldelem_differences,
                       fieldelem_point_sets, key_coords, length_elements,
                       position, power,
@@ -858,8 +859,7 @@ def test_nonpisot_nodes_seen_is_pinned(node_cap, nodes_seen):
 def test_node_cap_bounds_overlap_seeding():
     # a non-Pisot input whose window-16 patch has 161,502 tiles and 7,487
     # seed classes: the sweep stops at the cap instead of seeding them all
-    spec = cli.parse_spec("letters a b c d\nrule a = d\nrule b = a d\n"
-                          "rule c = b b b a\nrule d = c c b c\n", name="abcd")
+    spec = cli.parse_spec(FOUR_LETTERS, name="abcd")
     system = S.SuspensionSystem(spec.substitution())
     half = SP.overlap_coincidence(system, S.left_endpoint_points(system),
                                   system.window(16), node_cap=50)

@@ -14,11 +14,11 @@ from subtiling.algebraic import scaled_coords
 from subtiling.errors import (EigenvectorDefect, FactRejected,
                               WindowNotCovered)
 
-from conftest import (CORPUS_IDS, as_refpoints, elements, exact_tiles,
-                      fieldelem_differences, fieldelem_point_sets,
-                      inflated_prototile, interval_of, length_elements,
-                      position, power, ref_control_points, ref_is_admissible,
-                      subtile_offset_elements, system_for)
+from conftest import (CORPUS_IDS, FOUR_LETTERS, as_refpoints, elements,
+                      exact_tiles, fieldelem_differences,
+                      fieldelem_point_sets, inflated_prototile, interval_of,
+                      length_elements, position, power, ref_control_points,
+                      ref_is_admissible, subtile_offset_elements, system_for)
 
 SPECS = Path(__file__).resolve().parents[1] / "perfbench" / "specs"
 
@@ -461,9 +461,8 @@ def test_patch_embedding_matches_exact_boundaries(sys_fib, sys_rauzy2):
     scale = 1 << 64
     for system in (sys_fib, sys_rauzy2):
         patch = system.patch_covering(*system.window(16))
-        lows, highs = patch.enclosures()
-        assert patch.enclosures() == (lows, highs)
-        assert patch.enclosures()[0] is lows
+        lows, highs = zip(*map(system.field.fixed_point_bounds,
+                               patch.points))
         tiles, end = _addition_chain(system, patch.colors,
                                      position(patch, 0))
         bounds = [pos for pos, _ in tiles] + [end]
@@ -490,9 +489,7 @@ def test_dropped_system_is_freed_without_cyclic_gc():
     try:
         system = S.SuspensionSystem(cli.corpus_lookup("rauzy").substitution())
         patch = system.two_sided_patch(2)
-        patch.enclosures()
         covering = system.patch_covering(*system.window(64))
-        covering.enclosures()
         refs = (weakref.ref(system), weakref.ref(patch),
                 weakref.ref(covering))
         del system, patch, covering
@@ -622,13 +619,73 @@ def _window_end(draw, system, refs, patch, size):
     return draw(st.sampled_from([lo, hi, (lo + hi) / 2]))
 
 
+# the lattice sampler's own windows, by size, on patches far wider than
+# the window: pentanacci covers the windows of 64 and 128 with 1,824
+# tiles, and FOUR_LETTERS the window of 16 with 161,502; and a rational
+# window on beta's first interval, where the lower enclosure of one of
+# pentanacci's lengths is below zero, so that the whole patch is read
+PENTANACCI = (SPECS / "pentanacci.spec").read_text(encoding="utf-8")
+SAMPLED_WINDOWS = ((PENTANACCI, 64), (PENTANACCI, 128), (FOUR_LETTERS, 16),
+                   (PENTANACCI, (Fraction(-16), Fraction(16))))
+
+
+def test_pruned_point_sets_match_fieldelem_loop():
+    # same points in the same order after the same refinements, each side
+    # on a fresh system: on the sampled windows above, then on drawn ones
+    for text, size in SAMPLED_WINDOWS:
+        results = []
+        for point_sets in (fieldelem_point_sets, _integer_point_sets):
+            system = S.SuspensionSystem(cli.parse_spec(text).substitution())
+            refs = S.left_endpoint_points(system)
+            window = system.window(size) if type(size) is int else size
+            patch = system.patch_covering(*window)
+            if point_sets is fieldelem_point_sets:
+                patch = _middle(patch, 2000)
+            before = system.field.generation
+            per_color = point_sets(patch, refs, window)
+            results.append(([[x.coords for x in pts] for pts in per_color],
+                             system.field.generation - before))
+        assert results[0] == results[1]
+    _drawn_windows_match()
+
+
+def test_window_sample_encloses_only_its_window(monkeypatch):
+    # a deterministic work guard: pentanacci's window of 64 holds 67
+    # points of a 1,824-tile patch, and its sample encloses the boundaries
+    # near the window, not all 1,825 of the patch
+    system = S.SuspensionSystem(cli.parse_spec(PENTANACCI).substitution())
+    window = system.window(64)
+    patch = system.patch_covering(*window)
+    calls = []
+    bounds = algebraic.NumberField.fixed_point_bounds
+    monkeypatch.setattr(algebraic.NumberField, "fixed_point_bounds",
+                        lambda self, ints: calls.append(1) or
+                        bounds(self, ints))
+    pts = S.reference_point_sets(patch, S.left_endpoint_points(system),
+                                 window)
+    assert len(patch) == 1824 and sum(map(len, pts.points)) == 67
+    assert len(calls) <= 100
+
+
+def _middle(patch, half):
+    """The patch cut to at most `half` tiles each side of its junction:
+    the FieldElem loop over a whole patch of 161,502 tiles takes seconds.
+    The loop checks that the middle still covers the window, so that it
+    holds every tile whose left endpoint lies in the window."""
+    j = patch.junction_index
+    first, last = max(j - half, 0), min(j + half, len(patch))
+    middle = S.Patch(patch.field, patch.denom,
+                     patch.points[first:last + 1], patch.colors[first:last])
+    middle.junction_index = j - first
+    return middle
+
+
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
-def test_pruned_point_sets_match_fieldelem_loop(data):
-    # same points in the same order after the same refinements, each side
-    # on a fresh system, for rational window ends on, near and between
-    # the points; the probe's beta interval is 2^-40 wide, so that the
-    # enclosures of points are close to them
+def _drawn_windows_match(data):
+    # rational window ends on, near and between the points; the probe's
+    # beta interval is 2^-40 wide, so that the enclosures of points are
+    # close to them
     name, tile_map = data.draw(st.sampled_from(POINT_SET_CASES))
     size = data.draw(st.sampled_from([4, 16]))
     probe = _fresh_setting(name, tile_map, size)
