@@ -20,7 +20,10 @@ print("  certificate:", word_level[(1, 2)].certificate)
 # the control points (1/3, 0), as integer vectors over their denominator
 refs = suspension.control_points(system, spec.tilemap)
 print("control points:", refs)
-tile_level = coincidence.geometric_strong(system, refs)
+# one walk holds the integer setting of these reference points: the
+# geometric checks search on it and their witnesses replay on it
+walk = coincidence.Walk(system, refs)
+tile_level = coincidence.geometric_strong(walk)
 verdict = tile_level[(1, 2)]
 w = verdict.witness
 print("tile-level verdict for (a, b):", verdict.status)
@@ -28,16 +31,13 @@ print("tile-level verdict for (a, b):", verdict.status)
 print(f"  shared tile: color {spec.token(w.color)}, level {w.level}, "
       f"shift {spectrum.format_shift(w.shift, w.denom)}")
 
-print("replay on the inflation tree:",
-      coincidence.verify_witness(system, refs, w))
+print("replay on the inflation tree:", coincidence.verify_witness(walk, w))
 
-# a report's witnesses replay on one integer setting, built once; its
-# denominator covers the witnesses' as the walk's did
-sim = coincidence.simultaneous(system, refs)
-setting = coincidence.IntegerSetting(system, refs)
-print("both replayed on one setting:",
-      all(coincidence.verify_witness(system, refs, x, setting)
-          for x in (w, sim.witness)))
+# a report's witnesses replay on the one walk of the report, whose
+# denominator is theirs
+sim = coincidence.simultaneous(walk)
+print("both replayed on one walk:",
+      all(coincidence.verify_witness(walk, x) for x in (w, sim.witness)))
 
 print("simultaneous coincidence:", sim.status, "at level",
       sim.witness.level)

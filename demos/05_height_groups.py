@@ -40,6 +40,8 @@ for q in (Fraction(1, 2), Fraction(1, 4), Fraction(1, 3)):
                                      tm.field)
     print(f"least k with 2^k * {q} integral:", k)
 
-check = lattices.differences_in_return_module(system, left)
+# eventual return reads the lattices of a height group, as an analysis
+# reads them from its report
+check = lattices.differences_in_return_module(system, res)
 print("least powers returning the cross generators (left endpoints):",
       check.witnesses, f"(None: not within {lattices.POWER_BOUND})")

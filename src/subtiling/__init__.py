@@ -8,6 +8,7 @@ from .algebraic import FieldElem, NumberField, char_poly, is_pisot, \
 from .coincidence import (
     BoundedVerdict,
     CoincidenceWitness,
+    Walk,
     geometric_strong,
     prefix_simultaneous,
     prefix_strong,
@@ -51,7 +52,7 @@ from .words import (
 __all__ = [
     "AbelianGroup", "BoundedVerdict", "CoincidenceWitness", "FieldElem",
     "NumberField", "Patch", "PointSets", "SpectralHalf",
-    "Substitution", "SuspensionSystem", "ZModule",
+    "Substitution", "SuspensionSystem", "Walk", "ZModule",
     "abelianization", "balanced_pairs", "char_poly", "control_points",
     "differences_in_return_module", "eventual_membership",
     "fixed_point_seed", "generate_patch", "geometric_strong", "height_group",

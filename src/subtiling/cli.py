@@ -339,12 +339,12 @@ def _return_json(res: lattices.ReturnModuleResult) -> dict:
     return out
 
 
-def _replay_involution(system, walk, certificate, letters):
+def _replay_involution(walk, certificate, letters):
     """Replay the involution certificate of a word check's FAILS;
     reversing the rules keeps every condition on an involution, so the
     suffix check replays the same certificate."""
-    return coincidence.replay_involution_certificate(system.sub, certificate,
-                                                     letters)
+    return coincidence.replay_involution_certificate(walk.system.sub,
+                                                     certificate, letters)
 
 
 def _irreducible(facts) -> bool:
@@ -359,18 +359,30 @@ def _advisory(facts) -> bool:
     return not (facts["pisot"] and _irreducible(facts))
 
 
+def _height_group(report) -> lattices.HeightGroupResult:
+    """The height group as the report's entry holds it, for `derive` and
+    eventual return; an entry that holds an error raises it again."""
+    height = report["checks"]["height_group"]
+    if "error" in height:
+        raise SubtilingError(height["error"])
+    width = len(report["facts"]["minimal_polynomial"]) - 1
+    return lattices.HeightGroupResult(height["stabilized_at_window"], *(
+        lattices.ZModule(height[key]["denominator"],
+                         tuple(map(tuple, height[key]["basis"])), width)
+        for key in ("cross_lattice", "samecolor_lattice")))
+
+
 # A check of a report.  As `run_analysis` runs it: its name; its run,
-# called with (sub, system, refpoints, bounds, facts), facts being the
-# report's, complete by then; and how its entry is written, the witness
-# encoder of `_pairs_json` or `_verdict_json` for a row with `pairs` or
-# `holds` set, else the encoder of the whole entry.
+# called with (sub, walk, bounds, report), the report so far, with its
+# facts, and its one `coincidence.Walk`; and how its entry is written,
+# the witness encoder of `_pairs_json` or `_verdict_json` for a row with
+# `pairs` or `holds` set, else the encoder of the whole entry.
 # As `verify_report` judges its claims: whether it holds one verdict per
 # letter pair; the statuses it emits, none when `derive` alone judges it; how
 # a HOLDS is judged, "word", "tile" or None; and what replays a FAILS
-# certificate, called with the system, the report's `coincidence._Walk`, the
-# certificate and the claim's letters, or None.  A run looks its function up
-# in its module when it is called, so that a wrapper set there is the one
-# that runs.
+# certificate, called with the report's walk, the certificate and the
+# claim's letters, or None.  A run looks its function up in its module
+# when it is called, so that a wrapper set there is the one that runs.
 Check = collections.namedtuple(
     "Check", "name run encode pairs statuses holds fails",
     defaults=(False, (), None, None))
@@ -378,61 +390,60 @@ Check = collections.namedtuple(
 
 # The checks of a report, in the order analyze runs them; a report also
 # holds the combined "spectral" verdict of the last two.  Eventual return
-# reads the height group's lattices, so the window sizes the overlap seeds
+# reads the height group's entry, so the window sizes the overlap seeds
 # only.  The overlap closure is finite when beta is Pisot, and runs on
 # Pisot inputs only; any other input gets the UNKNOWN "not Pisot".
 CHECK_TABLE = (
     Check("prefix_strong",
-          lambda sub, system, refpoints, bounds, facts:
+          lambda sub, walk, bounds, report:
           coincidence.prefix_strong(sub, bounds["L"]),
           _prefix_witness_json, True, ("HOLDS", "FAILS", "UNKNOWN"), "word",
           _replay_involution),
     Check("suffix_strong",
-          lambda sub, system, refpoints, bounds, facts:
+          lambda sub, walk, bounds, report:
           coincidence.prefix_strong(sub, bounds["L"], suffixes=True),
           _prefix_witness_json, True, ("HOLDS", "FAILS", "UNKNOWN"), "word",
           _replay_involution),
     Check("geometric_strong",
-          lambda sub, system, refpoints, bounds, facts:
-          coincidence.geometric_strong(system, refpoints, bounds["L"],
-                                       bounds["node_cap"]),
+          lambda sub, walk, bounds, report:
+          coincidence.geometric_strong(walk, bounds["L"], bounds["node_cap"]),
           _geometric_witness_json, True, ("HOLDS", "FAILS", "UNKNOWN"), "tile",
           coincidence.replay_walk_certificate),
     Check("simultaneous",
-          lambda sub, system, refpoints, bounds, facts:
-          coincidence.simultaneous(system, refpoints, bounds["L"],
-                                   bounds["node_cap"]),
+          lambda sub, walk, bounds, report:
+          coincidence.simultaneous(walk, bounds["L"], bounds["node_cap"]),
           _geometric_witness_json, False, ("HOLDS", "FAILS", "UNKNOWN"),
           "tile", coincidence.replay_walk_certificate),
     Check("prefix_simultaneous",
-          lambda sub, system, refpoints, bounds, facts:
+          lambda sub, walk, bounds, report:
           coincidence.prefix_simultaneous(sub, bounds["L"]),
           _prefix_simultaneous_witness_json, False,
           ("HOLDS", "FAILS", "UNKNOWN"), "word", _replay_involution),
     Check("height_group",
-          lambda sub, system, refpoints, bounds, facts:
-          lattices.height_group(system, refpoints),
+          lambda sub, walk, bounds, report:
+          lattices.height_group(walk.system, walk.refpoints),
           _height_json),
     Check("eventual_return_module",
-          lambda sub, system, refpoints, bounds, facts:
-          lattices.differences_in_return_module(system, refpoints),
+          lambda sub, walk, bounds, report:
+          lattices.differences_in_return_module(walk.system,
+                                                _height_group(report)),
           _return_json),
     Check("overlap_coincidence",
-          lambda sub, system, refpoints, bounds, facts:
+          lambda sub, walk, bounds, report:
           spectrum.overlap_coincidence(
-              system, refpoints, system.window(bounds["window"]),
-              bounds["node_cap"]) if facts["pisot"]
+              walk, walk.system.window(bounds["window"]), bounds["node_cap"])
+          if report["facts"]["pisot"]
           else spectrum.SpectralHalf("UNKNOWN", bound_hit="not Pisot"),
           _half_json, False, ("HOLDS", "FAILS", "UNKNOWN"), None,
-          lambda system, walk, certificate, _:
-          spectrum.replay_overlap_certificate(system, certificate)),
+          lambda walk, certificate, _:
+          spectrum.replay_overlap_certificate(walk, certificate)),
     Check("balanced_pairs",
-          lambda sub, system, refpoints, bounds, facts:
-          spectrum.balanced_pairs(sub, advisory=_advisory(facts)),
+          lambda sub, walk, bounds, report:
+          spectrum.balanced_pairs(sub, advisory=_advisory(report["facts"])),
           lambda half: _half_json(half, advisory=None), False,
           ("HOLDS", "FAILS", "UNKNOWN"), None,
-          lambda system, walk, certificate, _:
-          spectrum.replay_balanced_certificate(system.sub, certificate)),
+          lambda walk, certificate, _:
+          spectrum.replay_balanced_certificate(walk.system.sub, certificate)),
 )
 CHECKS = tuple(check.name for check in CHECK_TABLE)
 
@@ -573,9 +584,10 @@ def run_analysis(spec: SpecFile, overrides: dict | None = None) -> dict:
     facts.update((key, value) for key, value in core.items()
                  if key not in facts)
 
+    walk = coincidence.Walk(system, refpoints)
     for check in CHECK_TABLE:
         try:
-            result = check.run(sub, system, refpoints, bounds, facts)
+            result = check.run(sub, walk, bounds, report)
             checks[check.name] = (
                 _pairs_json(spec, result, check.encode) if check.pairs
                 else _verdict_json(spec, result, check.encode) if check.holds
@@ -625,20 +637,16 @@ def derive(report: dict) -> list:
                 (s for s in ("FAILS", "UNKNOWN") if s in statuses), "HOLDS"))
     if ran["geometric_strong"]:
         put("checks.geometric_strong.admissible", facts["admissible"])
-    height = checks["height_group"]
     if ran["height_group"]:
-        sup, sub = (lattices.ZModule(height[key]["denominator"],
-                                     height[key]["basis"],
-                                     len(facts["minimal_polynomial"]) - 1)
-                    for key in ("cross_lattice", "samecolor_lattice"))
-        group = lattices.quotient(sup, sub)
+        height = _height_group(report)
+        group = lattices.quotient(height.sup, height.sub)
         put("checks.height_group.status", "DECIDED"
-            if height["stabilized_at_window"] is not None else "UNSTABLE")
+            if height.stabilized_at is not None else "UNSTABLE")
         put("checks.height_group.group", {
             "invariant_factors": list(group.invariant_factors),
             "free_rank": group.free_rank, "display": str(group)})
-        put("checks.height_group.cross_lattice.rank", sup.rank)
-        put("checks.height_group.samecolor_lattice.rank", sub.rank)
+        put("checks.height_group.cross_lattice.rank", height.sup.rank)
+        put("checks.height_group.samecolor_lattice.rank", height.sub.rank)
     returns = checks["eventual_return_module"]
     if ran["eventual_return_module"]:
         holds = None not in returns["powers"] and "bound_hit" not in returns
@@ -784,7 +792,7 @@ def verify_report(report: dict) -> dict:
     must be keyed by exactly the m(m+1)/2 letter pairs; any other check
     makes one claim over every letter.  A claim fails when it is not an
     object, or its status is not one its check emits.  A FAILS replays its
-    certificate, a walk's on one `coincidence._Walk` of the report.  A word
+    certificate on one `coincidence.Walk` of the report.  A word
     HOLDS needs a witness whose arithmetic holds (`_word_witness_holds`),
     and fails when a commuting fixed-point-free involution maps one of its
     letters to another, by the lemma of `coincidence`.  Tile HOLDS
@@ -868,7 +876,7 @@ def verify_report(report: dict) -> dict:
                 name = f"{check.name}[{key}]"
                 yield name, pair_letters.get(key), part(pairs, key, name)
 
-    walk = coincidence._Walk(system, refpoints)
+    walk = coincidence.Walk(system, refpoints)
 
     def tile_witness_holds(w, check, claimed):
         """Replay a tile witness on `walk`; one that does not parse (a
@@ -889,8 +897,7 @@ def verify_report(report: dict) -> dict:
                 replay_shift=replay_shift, denom=denom)
         except (KeyError, TypeError, ValueError, ZeroDivisionError):
             return False
-        return replay(coincidence.verify_witness, system, refpoints, witness,
-                      walk)
+        return replay(coincidence.verify_witness, walk, witness)
 
     # reversing the rules keeps every condition on an involution, so
     # these refute suffix claims too
@@ -904,8 +911,7 @@ def verify_report(report: dict) -> dict:
                 results[name] = False
             if status == "FAILS" and check.fails:
                 results[name] = claimed is not None and replay(
-                    check.fails, system, walk, claim.get("certificate"),
-                    claimed)
+                    check.fails, walk, claim.get("certificate"), claimed)
             elif status == "HOLDS" and check.holds == "tile":
                 results[name] = tile_witness_holds(claim.get("witness"),
                                                    check, claimed)

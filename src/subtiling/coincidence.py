@@ -2,7 +2,7 @@
 
 Two routines decide whether iterated prototiles share a tile, one call
 per claim: `_word_claim`, a combinatorial one on rule words (equal prefix
-abelianizations followed by the same letter), and `_Walk.search`, a
+abelianizations followed by the same letter), and `Walk.search`, a
 geometric one, a level-by-level walk of overlap classes under
 `spectrum._Inflation` on integer vectors of Q(beta).  Both search levels
 up to a bound and return HOLDS with a witness, FAILS with a finite
@@ -10,7 +10,8 @@ certificate (a commuting fixed-point-free letter involution, or the
 walk's closed states), or UNKNOWN at a bound.  A geometric witness is
 the leftmost shared tile, also at a level divisible by the fixed-point
 power of the tiling, and `verify_witness` replays it by a descent of the
-inflation tree, on one `IntegerSetting` for all the claims of a report.
+inflation tree.  A report's geometric checks, overlap closure and
+replays all take its one `Walk`.
 
 An involution certificate rests on one lemma.  If a fixed-point-free
 letter involution tau commutes with sigma, sigma^L(tau c) = tau(sigma^L(c))
@@ -214,24 +215,42 @@ def _replay_level(system, level):
     return k * ((level + k - 1) // k)
 
 
-class IntegerSetting:
-    """The inflation step over the lcm of `denom` and the denominators of
-    the lengths and of the reference points, a (vectors, denominator)
-    pair (beta is an algebraic integer, so that clears beta times them
-    too), and the points as vectors over it.  `int_sign` decides a
-    positive multiple of a vector as the vector, so witnesses replay on
-    one setting as each would on its own."""
+def _least_shared(states):
+    """(path, color) of the first state of coincidences only, or None."""
+    return next(((path, color) for (color, classes), path in states.items()
+                 if all(anchor == color and not any(shift)
+                        for anchor, shift in classes)), None)
 
-    def __init__(self, system: SuspensionSystem, refpoints, denom=1):
+
+class Walk:
+    """The integer setting of a report and its shared-tile walk: one
+    inflation step (`spectrum._Inflation`) over the lcm D of the
+    denominators of the lengths and of the reference points (beta is an
+    algebraic integer, so D clears beta times them too), the points as
+    vectors over D, and the children kept per class.  Every tile and
+    overlap class lies over D, and `int_sign` decides a positive multiple
+    of a vector as the vector, so every walk, overlap closure and replay
+    of a report runs on one Walk.
+
+    A state is a tile of the first letter's inflated prototile with one
+    overlapping tile of each other letter's, (color, ((anchor, shift),
+    ...)), the root being the prototiles: shift c_j - c_i.  A level with
+    a state of coincidences only holds a shared tile.  A state keeps the
+    least moved-subtile path to it, which is its leftmost tile."""
+
+    def __init__(self, system: SuspensionSystem, refpoints):
         vectors, ref_denom = refpoints
         self.system = system
-        self.denom = math.lcm(denom, system._length_denom, ref_denom)
+        self.refpoints = refpoints
+        self.denom = math.lcm(system._length_denom, ref_denom)
         self.step = spectrum._Inflation(system, self.denom)
         scale = self.denom // ref_denom
         self.refs = [tuple([a * scale for a in c]) for c in vectors]
         # per scale and letter, beta^scale times each subtile end with its
         # enclosure, which stays valid after a refinement
         self._ends = []
+        # per class, the overlapping (anchor, shift) per moved subtile
+        self._children = {}
 
     def ends(self, letter, scale):
         field_, table, step = self.system.field, self._ends, self.step
@@ -271,28 +290,18 @@ class IntegerSetting:
             tile = rule(tile)[k]
         return tile == color and not any(target)
 
+    def children(self, key):
+        """`spectrum._Inflation.children` of a class, kept."""
+        kids = self._children.get(key)
+        if kids is None:
+            kids = self._children[key] = self.step.children(key)
+        return kids
 
-def _least_shared(states):
-    """(path, color) of the first state of coincidences only, or None."""
-    return next(((path, color) for (color, classes), path in states.items()
-                 if all(anchor == color and not any(shift)
-                        for anchor, shift in classes)), None)
-
-
-class _Walk(IntegerSetting):
-    """Shared tiles of the translated inflated prototiles, found on the
-    overlap-class inflation graph of `spectrum._Inflation`.
-
-    A state is a tile of the first letter's inflated prototile with one
-    overlapping tile of each other letter's, (color, ((anchor, shift),
-    ...)), the root being the prototiles: shift c_j - c_i.  A level with
-    a state of coincidences only holds a shared tile.  A state keeps the
-    least moved-subtile path to it, which is its leftmost tile."""
-
-    def __init__(self, system: SuspensionSystem, refpoints):
-        super().__init__(system, refpoints)
-        # per class, the overlapping (anchor, shift) per moved subtile
-        self._children = {}
+    def successors(self, key):
+        """The children of a class as classes (moved, anchor, shift)."""
+        return [(color, anchor, shift) for color, kids in
+                zip(self.system.sub.rule(key[0]), self.children(key))
+                for anchor, shift in kids]
 
     def inflate(self, states):
         """The states one inflation further, in the order of their least
@@ -300,15 +309,8 @@ class _Walk(IntegerSetting):
         of their moved subtiles, so a state is first met on that path."""
         out = {}
         for (moved, classes), path in states.items():
-            per_class = []
-            for anchor, shift in classes:
-                key = (moved, anchor, shift)
-                if key not in self._children:
-                    kids = [[] for _ in self.system.sub.rule(moved)]
-                    for k, child in self.step.children(key):
-                        kids[k].append(child[1:])
-                    self._children[key] = kids
-                per_class.append(self._children[key])
+            per_class = [self.children((moved, anchor, shift))
+                         for anchor, shift in classes]
             for k, color in enumerate(self.system.sub.rule(moved)):
                 for combo in itertools.product(*(c[k] for c in per_class)):
                     out.setdefault((color, combo), path + (k,))
@@ -373,26 +375,25 @@ class _Walk(IntegerSetting):
             denom=self.denom))
 
 
-def replay_walk_certificate(system: SuspensionSystem, walk, certificate,
-                            letters):
+def replay_walk_certificate(walk: Walk, certificate, letters):
     """True iff a geometric FAILS certificate lists walk states, each of
     one class per letter after the first, with letters in 1..m and shifts
-    over the denominator of `walk`, a `_Walk`, that hold the root of
-    `letters`, hold no shared tile and are closed under `_Walk.inflate`:
-    then no level holds a shared tile.  A malformed certificate fails:
-    in the walk's shape, a state inflates to no more than the walk's do."""
+    over the denominator of `walk`, that hold the root of `letters`, hold
+    no shared tile and are closed under `Walk.inflate`: then no level
+    holds a shared tile.  A malformed certificate fails: in the walk's
+    shape, a state inflates to no more than the walk's do."""
     try:
         rows = [(e["color"], [(c["anchor"], c["shift"]) for c in e["classes"]])
                 for e in certificate["closed_states"]]
         shifts, denom = algebraic.parse_shifts(
             [shift for _, row in rows for _, shift in row],
-            system.field.degree, walk.denom)
+            walk.system.field.degree, walk.denom)
     except (KeyError, TypeError, ValueError, ZeroDivisionError):
         return False
     named = [c for color, row in rows for c in (color, *(a for a, _ in row))]
     if denom != walk.denom or any(len(row) != len(letters) - 1
                                   for _, row in rows) or not all(
-            type(c) is int and 1 <= c <= system.size for c in named):
+            type(c) is int and 1 <= c <= walk.system.size for c in named):
         return False
     shifts = iter(shifts)
     states = {(color, tuple((anchor, next(shifts)) for anchor, _ in row))
@@ -402,52 +403,46 @@ def replay_walk_certificate(system: SuspensionSystem, walk, certificate,
         lambda state: walk.inflate({state: ()}))
 
 
-def geometric_strong(system: SuspensionSystem, refpoints,
-                     level_bound=DEFAULT_LEVEL_BOUND,
+def geometric_strong(walk: Walk, level_bound=DEFAULT_LEVEL_BOUND,
                      node_cap=spectrum.DEFAULT_NODE_CAP):
     """Exact shared-tile search for every unordered prototile pair.
 
     The inflated prototiles are translated by beta^L times their
     reference points; a shared tile is an exact coincidence of position
     and color.  Identical pairs hold trivially at level 0.  Each pair is
-    one `_Walk.search`, which decides it or names the cap it ran into."""
-    walk = _Walk(system, refpoints)
-    m = system.size
+    one `Walk.search`, which decides it or names the cap it ran into."""
+    m = walk.system.size
     return {(i, j): walk.search((i, j), (i, j), level_bound, node_cap)
             for i in range(1, m + 1) for j in range(i, m + 1)}
 
 
-def simultaneous(system: SuspensionSystem, refpoints,
-                 level_bound=DEFAULT_LEVEL_BOUND,
+def simultaneous(walk: Walk, level_bound=DEFAULT_LEVEL_BOUND,
                  node_cap=spectrum.DEFAULT_NODE_CAP):
     """Shared tile of all m translated inflated prototiles at one level."""
-    letters = tuple(range(1, system.size + 1))
-    return _Walk(system, refpoints).search(letters, None, level_bound,
-                                           node_cap)
+    letters = tuple(range(1, walk.system.size + 1))
+    return walk.search(letters, None, level_bound, node_cap)
 
 
-def verify_witness(system: SuspensionSystem, refpoints,
-                   witness: CoincidenceWitness, setting=None) -> bool:
+def verify_witness(walk: Walk, witness: CoincidenceWitness) -> bool:
     """Replay a coincidence witness on the inflation tree.
 
     At its level L, and again at its replay level, a witness claims that
     T_color - c_color + shift / denom is a tile of beta^L (T_c - c_c) for
-    each scope letter c (`IntegerSetting.holds`), on `setting` if its
-    denominator is a multiple of the witness's, else on one of its own.
-    A witness whose level is negative, or whose replay level is not the
-    least seed-power multiple at or above it, fails first.
+    each scope letter c (`Walk.holds`).  A witness whose level is
+    negative, whose replay level is not the least seed-power multiple at
+    or above it, or whose denominator does not divide the walk's fails
+    first: a true tile lies over the walk's denominator.
     """
-    letters = (range(1, system.size + 1) if witness.scope is None
+    letters = (range(1, walk.system.size + 1) if witness.scope is None
                else witness.scope)
-    if (witness.level < 0 or
-            witness.replay_level != _replay_level(system, witness.level)):
+    if (witness.level < 0 or walk.denom % witness.denom or
+            witness.replay_level != _replay_level(walk.system,
+                                                  witness.level)):
         return False
-    if setting is None or setting.denom % witness.denom:
-        setting = IntegerSetting(system, refpoints, witness.denom)
-    scale = setting.denom // witness.denom
+    scale = walk.denom // witness.denom
     claims = ((witness.level, witness.color, witness.shift),
               (witness.replay_level, witness.replay_color,
                witness.replay_shift))
-    return all(setting.holds(letter, level, color,
-                             tuple([a * scale for a in shift]))
+    return all(walk.holds(letter, level, color,
+                          tuple([a * scale for a in shift]))
                for level, color, shift in claims for letter in set(letters))

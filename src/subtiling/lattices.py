@@ -262,21 +262,14 @@ def height_group(system, refpoints):
     next one, and that window; the last window's lattices, and None, when
     no two consecutive windows agree.  Sampling stops at the next window,
     the one that agrees.  A report's `windows` names the schedule, not the
-    windows sampled.  The result is kept on the system per reference
-    points: the windows move as the beta interval is refined, and a second
-    walk could read others."""
-    kept = system.stable_lattices
-    if refpoints not in kept:
-        pair = prev_size = None
-        for size in WINDOW_SCHEDULE:
-            prev, pair = pair, return_lattices(system, refpoints, size)
-            if pair == prev:
-                kept[refpoints] = HeightGroupResult(prev_size, *pair)
-                break
-            prev_size = size
-        else:
-            kept[refpoints] = HeightGroupResult(None, *pair)
-    return kept[refpoints]
+    windows sampled."""
+    pair = prev_size = None
+    for size in WINDOW_SCHEDULE:
+        prev, pair = pair, return_lattices(system, refpoints, size)
+        if pair == prev:
+            return HeightGroupResult(prev_size, *pair)
+        prev_size = size
+    return HeightGroupResult(None, *pair)
 
 
 def eventual_membership(ints, denom, lattice: ZModule, field):
@@ -301,17 +294,15 @@ class ReturnModuleResult:
     bound_hit: str | None = None
 
 
-def differences_in_return_module(system, refpoints):
+def differences_in_return_module(system, res: HeightGroupResult):
     """Check that every cross difference eventually returns.
 
-    For each basis generator v of the height group's cross-difference
-    lattice, search the least k <= POWER_BOUND with beta^k * v inside its
-    same-color lattice; None where there is none.  The lattices are the
-    ones kept by `height_group`.  The result names the window read
-    when none is stable or its same-color lattice is zero, else the power
-    bound when some generator has no k.
+    For each basis generator v of the cross-difference lattice of a
+    height group `res`, search the least k <= POWER_BOUND with beta^k * v
+    inside its same-color lattice; None where there is none.  The result
+    names the window read when none is stable or its same-color lattice
+    is zero, else the power bound when some generator has no k.
     """
-    res = height_group(system, refpoints)
     witnesses = tuple(
         eventual_membership(row, res.sup.denom, res.sub, system.field)
         for row in res.sup.basis)

@@ -13,11 +13,12 @@ FAILS set closed.  Both routes emit replayable certificates and are
 reconciled into one spectral verdict.
 
 The overlap route runs on integer vectors over one denominator D: a
-class is the key (moved, anchor, D * shift coordinates), and the seeding,
-the closure, the certificate replay and the shared-tile walk of
-`coincidence` share one integer step (`_Inflation`).  Multiplying by
-beta is the companion-matrix step on ints (beta is an algebraic
-integer), so D never grows.  Every sign is
+class is the key (moved, anchor, D * shift coordinates).  The seeding,
+the closure and the certificate replay take the report's
+`coincidence.Walk`, and share its integer step (`_Inflation`) over D
+and its kept children with the shared-tile walks.  Multiplying by beta
+is the companion-matrix step on ints (beta is an algebraic integer), so
+D never grows.  Every sign is
 `NumberField.int_sign` of an integer vector, which decides it as
 FieldElem.sign() decides the same element: exactly when it is rational,
 then by the fixed-point filter, then by the Horner enclosure, refining
@@ -83,7 +84,6 @@ class _Inflation:
     def __init__(self, system: SuspensionSystem, denom):
         self.system = system
         self.field = system.field
-        self.denom = denom
         scale = denom // system._length_denom
 
         def scaled(v):
@@ -125,13 +125,10 @@ class _Inflation:
         self._pairs[(moved, anchor)] = pairs
         return pairs
 
-    def successors(self, key):
-        """The overlapping subtile pairs of a class after one inflation."""
-        return [child for _, child in self.children(key)]
-
     def children(self, key):
-        """(index of the moved subtile, class) for the overlapping subtile
-        pairs of a class after one inflation, moved subtile first."""
+        """The overlapping subtile pairs of a class after one inflation,
+        per moved subtile k: the (anchor, shift) of each pair, whose moved
+        color is the color of subtile k."""
         moved, anchor, shift = key
         pairs = (self._pairs.get((moved, anchor)) or
                  self._subtile_pairs(moved, anchor))
@@ -139,7 +136,7 @@ class _Inflation:
         base_lo, base_hi = self.field.fixed_point_bounds(base)
         sign, lengths = self.field.int_sign, self.lengths
         add, sub = operator.add, operator.sub
-        out = []
+        out = [[] for _ in self.offsets[moved - 1]]
         for k, mc, ac, delta, m_lo, m_hi, a_lo, a_hi in pairs:
             child = None
             # -len_mc < child, then child < len_ac
@@ -155,7 +152,7 @@ class _Inflation:
                 child = child or tuple(map(add, base, delta))
                 if sign(tuple(map(sub, lengths[ac], child))) <= 0:
                     continue
-            out.append((k, (mc, ac, child or tuple(map(add, base, delta)))))
+            out[k].append((ac, child or tuple(map(add, base, delta))))
         return out
 
 
@@ -250,21 +247,21 @@ def _sweep(patch, packing, translations, node_cap):
     return {(c, a, unpack(s)): None for c, a, s in out}
 
 
-def _seed_keys(system: SuspensionSystem, refpoints, window, node_cap):
-    """(step, seed keys): the overlap classes seeded by every nonzero
-    same-color return vector found in the window, as keys over the
-    patch's denominator, and the inflation step over it; EmptyWindow when
-    there is none.  More than node_cap keys mean the sweep stopped early.
+def _seed_keys(walk, window, node_cap):
+    """The overlap classes seeded by every nonzero same-color return
+    vector found in the window, as keys over the denominator of `walk`, a
+    `coincidence.Walk`; EmptyWindow when there is none.  More than
+    node_cap keys mean the sweep stopped early.
 
     A same-color difference of reference points is a difference of tile
     starts, so the translations are the differences of the packed patch
     boundaries at the point set's indices, taken in the first-seen order
     of `suspension.return_vectors(cross=False)` with zero left out."""
     lo, hi = window
-    patch = system.patch_covering(lo, hi)
-    pts = reference_point_sets(patch, refpoints, window)
+    patch = walk.system.patch_covering(lo, hi)
+    pts = reference_point_sets(patch, walk.refpoints, window)
     # a translation is a difference of two boundaries
-    packing = _Packing(system.field.degree,
+    packing = _Packing(patch.field.degree,
                        4 * max(abs(a) for v in patch.points for a in v))
     translations = {}
     for indices in pts.indices:
@@ -276,13 +273,14 @@ def _seed_keys(system: SuspensionSystem, refpoints, window, node_cap):
                     translations.setdefault(x - y)
     if not translations:
         raise EmptyWindow("window holds no same-color return vector")
-    step = _Inflation(system, patch.denom)
     seeds = _sweep(patch, packing, translations, node_cap)
+    if (scale := walk.denom // patch.denom) > 1:
+        seeds = {(moved, anchor, tuple([a * scale for a in shift])): None
+                 for moved, anchor, shift in seeds}
     # checks the integer sweep against the exact signs
-    for key in seeds:
-        if not step.overlaps(*key):
-            raise AssertionError("overlap displacement out of range")
-    return step, seeds
+    if not all(walk.step.overlaps(*key) for key in seeds):
+        raise AssertionError("overlap displacement out of range")
+    return seeds
 
 
 @dataclass
@@ -292,7 +290,7 @@ class SpectralHalf:
     bound_hit: str | None = None
 
 
-def overlap_coincidence(system: SuspensionSystem, refpoints, window,
+def overlap_coincidence(walk, window,
                         node_cap=DEFAULT_NODE_CAP) -> SpectralHalf:
     """Close the initial overlaps under inflation and test reachability of
     a coincidence class from every node.
@@ -304,10 +302,10 @@ def overlap_coincidence(system: SuspensionSystem, refpoints, window,
     under inflation and is re-verified by one inflation pass before being
     emitted.  Exceeding the node cap yields UNKNOWN, and so does a window
     that holds no same-color return vector to seed the closure.  The
-    closure runs on the integer keys of `_seed_keys`.
-    """
+    closure runs on the integer keys of `_seed_keys` and the successors
+    that `walk`, a `coincidence.Walk`, keeps."""
     try:
-        step, seeds = _seed_keys(system, refpoints, window, node_cap)
+        seeds = _seed_keys(walk, window, node_cap)
     except EmptyWindow:
         ends = [_frac_str(window[0]), _frac_str(window[1])]
         return SpectralHalf("UNKNOWN",
@@ -324,7 +322,7 @@ def overlap_coincidence(system: SuspensionSystem, refpoints, window,
                 bound_hit=f"node cap {node_cap}",
             )
         key = queue.pop()
-        succ = step.successors(key)
+        succ = walk.successors(key)
         for nk in succ:
             if nk not in classes:
                 classes[nk] = None
@@ -343,7 +341,7 @@ def overlap_coincidence(system: SuspensionSystem, refpoints, window,
     cert = dict(meta)
     cert["coincidence_free_closed_set"] = [
         {"moved": k[0], "anchor": k[1],
-         "shift": format_shift(k[2], step.denom)}
+         "shift": format_shift(k[2], walk.denom)}
         for k in stuck
     ]
     return SpectralHalf("FAILS", certificate=cert)
@@ -574,32 +572,33 @@ def spectral_verdict(overlap, balanced, advisory) -> dict:
             "disagreement_detected": agreement == "DISAGREE"}
 
 
-def replay_overlap_certificate(system: SuspensionSystem, cert) -> bool:
-    """Re-verify a FAILS certificate: the listed classes are nonempty,
-    distinct, are overlaps of two letters of the system, are
-    coincidence-free, and are closed under one inflation step.  A
-    malformed certificate fails: one with no list of classes, a letter
-    outside 1..m, or a shift that is not a list of exactly one fraction
-    string per power-basis coordinate."""
+def replay_overlap_certificate(walk, cert) -> bool:
+    """Re-verify a FAILS certificate on `walk`, a `coincidence.Walk`: the
+    listed classes are nonempty, distinct, are overlaps of two letters of
+    the system, are coincidence-free, and are closed under one inflation
+    step.  A malformed certificate fails: one with no list of classes, a
+    letter outside 1..m, or a shift that is not a list of exactly one
+    fraction string per power-basis coordinate, and so does a shift
+    whose denominator does not divide the walk's, as no class has one."""
     try:
         entries = list(cert["coincidence_free_closed_set"])
         shifts, denom = algebraic.parse_shifts(
-            [e["shift"] for e in entries], system.field.degree,
-            system._length_denom)
+            [e["shift"] for e in entries], walk.system.field.degree,
+            walk.denom)
         letters = [(e["moved"], e["anchor"]) for e in entries]
     except (KeyError, TypeError, ValueError, ZeroDivisionError):
         return False
-    if not all(type(c) is int and 1 <= c <= system.size for pair in letters
-               for c in pair):
+    if denom != walk.denom or not all(
+            type(c) is int and 1 <= c <= walk.system.size
+            for pair in letters for c in pair):
         return False
-    step = _Inflation(system, denom)
     classes = {}
     for (moved, anchor), shift in zip(letters, shifts):
         key = (moved, anchor, shift)
-        if key in classes or not step.overlaps(*key):
+        if key in classes or not walk.step.overlaps(*key):
             return False
         classes[key] = None
-    return _is_closed(classes, _is_coincidence_key, step.successors)
+    return _is_closed(classes, _is_coincidence_key, walk.successors)
 
 
 def replay_balanced_certificate(sub: Substitution, cert) -> bool:

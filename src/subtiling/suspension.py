@@ -136,8 +136,6 @@ class SuspensionSystem:
         self.seed = words.fixed_point_seed(sub)
         # fixed-point patches keyed (seed, level)
         self._patch_cache = {}
-        # lattices.height_group results, keyed on the reference points
-        self.stable_lattices = {}
         # exact left offsets of each subtile within the inflated prototile
         # over the lengths' denominator: the first |sigma(j)| boundaries of
         # the level-one prototile patch, laid out by _layout so that

@@ -320,13 +320,15 @@ def sweep_translation(patch, y):
 
 
 def successors(system, moved, anchor, shift):
-    """`spectrum._Inflation.successors` of the class of a FieldElem shift,
-    over the lcm of the lengths' and the shift's denominators, as
-    `key_coords`."""
+    """The classes of `spectrum._Inflation.children` of the class of a
+    FieldElem shift, over the lcm of the lengths' and the shift's
+    denominators, as `key_coords`."""
     denom = math.lcm(system._length_denom, common_denominator(shift.coords))
     step = SP._Inflation(system, denom)
     key = (moved, anchor, scaled_coords(shift.coords, denom))
-    return key_coords(step.successors(key), denom)
+    return key_coords([(color, *child) for color, kids in
+                       zip(system.sub.rule(moved), step.children(key))
+                       for child in kids], denom)
 
 
 def ref_children(step, key):
@@ -353,7 +355,7 @@ def ref_children(step, key):
                           *bounds(sub(lengths[ac], delta))))
     base = field.times_beta(shift)
     base_lo, base_hi = bounds(base)
-    out = []
+    out = [[] for _ in rule(moved)]
     for k, mc, ac, delta, m_lo, m_hi, a_lo, a_hi in pairs:
         child = add(base, delta)
         if base_lo + m_lo <= 0:
@@ -364,7 +366,7 @@ def ref_children(step, key):
             if a_hi - base_lo < 0 or \
                     field.int_sign(sub(lengths[ac], child)) <= 0:
                 continue
-        out.append((k, (mc, ac, child)))
+        out[k].append((ac, child))
     return out
 
 

@@ -210,18 +210,19 @@ def test_criterion_7_exact_identities_and_node_invariants():
                 assert diff.is_zero(), (name, j, n)
         # regenerate the closure and re-verify each node
         refs = suspension.left_endpoint_points(system)
-        step, seeds = spectrum._seed_keys(system, refs, system.window(64),
-                                          spectrum.DEFAULT_NODE_CAP)
+        walk = coincidence.Walk(system, refs)
+        seeds = spectrum._seed_keys(walk, system.window(64),
+                                    spectrum.DEFAULT_NODE_CAP)
         classes = dict(seeds)
         queue = list(seeds)
         while queue:
             key = queue.pop()
-            children = step.successors(key)
+            children = walk.successors(key)
             if key[0] == key[1] and not any(key[2]):
                 assert all(m == a and not any(shift)
                            for m, a, shift in children), name
             for (moved, anchor, coords), child in zip(
-                    key_coords(children, step.denom), children):
+                    key_coords(children, walk.denom), children):
                 shift = system.field.element(coords)
                 lo = -lengths[moved - 1]
                 hi = lengths[anchor - 1]
@@ -241,7 +242,8 @@ def test_criterion_8_prefix_agrees_with_geometry_at_left_endpoints():
         sub = system.sub
         refs = suspension.left_endpoint_points(system)
         word_side = coincidence.prefix_strong(sub, level_bound=8)
-        tile_side = coincidence.geometric_strong(system, refs, level_bound=8)
+        tile_side = coincidence.geometric_strong(
+            coincidence.Walk(system, refs), level_bound=8)
         for pair in word_side:
             w, t = word_side[pair], tile_side[pair]
             assert (w.status == "HOLDS") == (t.status == "HOLDS"), \

@@ -27,9 +27,11 @@ ALLOWED = {
     ("BOUNDS", "level_bound"), ("prefix_strong", "level_bound"),
     ("prefix_simultaneous", "level_bound"),
     ("geometric_strong", "level_bound"), ("simultaneous", "level_bound"),
+    ("Walk.search", "level_bound"),
     # node_cap, of the overlap closure and of the walks
     ("BOUNDS", "node_cap"), ("overlap_coincidence", "node_cap"),
     ("geometric_strong", "node_cap"), ("simultaneous", "node_cap"),
+    ("Walk.search", "node_cap"),
 }
 
 

@@ -1226,6 +1226,71 @@ def test_pentanacci_replay_builds_no_patch(monkeypatch):
     assert len(signs) <= 200
 
 
+@pytest.mark.parametrize("name", CORPUS_IDS)
+def test_an_analysis_builds_one_walk_and_keeps_nothing_on_the_system(
+        monkeypatch, name):
+    # the geometric checks, the overlap closure and eventual return share
+    # one walk and one inflation step per report, and nothing of the
+    # analysis is kept on the system: the attributes it has once built
+    # are the ones it has after the analysis
+    walks, steps, systems = [], [], []
+    walk_init = coincidence.Walk.__init__
+    step_init = spectrum._Inflation.__init__
+    system_init = suspension.SuspensionSystem.__init__
+
+    def built(self, *args):
+        system_init(self, *args)
+        systems.append((self, set(vars(self))))
+
+    monkeypatch.setattr(coincidence.Walk, "__init__", lambda self, *args:
+                        walks.append(1) or walk_init(self, *args))
+    monkeypatch.setattr(spectrum._Inflation, "__init__", lambda self, *args:
+                        steps.append(1) or step_init(self, *args))
+    monkeypatch.setattr(suspension.SuspensionSystem, "__init__", built)
+    report = cli.run_analysis(cli.corpus_lookup(name))
+    assert "error" not in report["checks"]
+    assert len(walks) == len(steps) == len(systems) == 1
+    system, attributes = systems[0]
+    assert set(vars(system)) == attributes
+
+
+def _forged_overlap_failure():
+    """fibonacci's report with ROADMAP item 2's forged overlap FAILS: the
+    class (a, a, 1/2) closed under inflation, 22 coincidence-free
+    classes that no tiling holds (1/2 is not in Z[beta]), and the derived
+    leaves rewritten."""
+    report = _fixture("fibonacci")
+    system = suspension.SuspensionSystem(
+        cli._spec_from_report(report).substitution())
+    # the left endpoints, 0, over the denominator 2
+    walk = coincidence.Walk(system, (((0, 0), (0, 0)), 2))
+    classes, queue = {}, [(1, 1, (1, 0))]
+    while queue:
+        key = queue.pop()
+        if key not in classes:
+            classes[key] = None
+            queue.extend(walk.successors(key))
+    assert len(classes) == 22
+    assert spectrum._is_closed(classes, spectrum._is_coincidence_key,
+                               walk.successors)
+    report["checks"]["overlap_coincidence"].update(
+        status="FAILS", certificate={"coincidence_free_closed_set": [
+            {"moved": moved, "anchor": anchor,
+             "shift": spectrum.format_shift(shift, 2)}
+            for moved, anchor, shift in classes]})
+    _rederive(report)
+    return report
+
+
+def test_verify_fails_an_overlap_certificate_off_the_walk_denominator():
+    # the forged set is closed and coincidence-free; only its denominator,
+    # 2, which does not divide the walk's, 1, refutes it
+    outcome = cli.verify_report(_forged_overlap_failure())
+    assert [name for name, ok in outcome["replayed"].items() if not ok] == [
+        "overlap_coincidence"]
+    assert outcome["passed"] is False
+
+
 # -- a deterministic work guard for the exact sign route ----------------------
 
 
@@ -1270,8 +1335,8 @@ def test_nonpisot_signs_and_bisection_run_on_integers(monkeypatch):
     spec = cli.parse_spec(text, name="nonpisot")
     system = suspension.SuspensionSystem(spec.substitution())
     refpoints, _ = cli._reference_points(system, spec)
-    half = spectrum.overlap_coincidence(system, refpoints, system.window(16),
-                                        node_cap=2000)
+    half = spectrum.overlap_coincidence(coincidence.Walk(system, refpoints),
+                                        system.window(16), node_cap=2000)
     assert half.bound_hit == "node cap 2000"
     assert len(refinements) == 338
     assert len(horner) == 8_420
@@ -1537,7 +1602,7 @@ def _walk_closure(report, letters):
     spec = cli._spec_from_report(report)
     system = suspension.SuspensionSystem(spec.substitution())
     refs, _ = cli._reference_points(system, spec)
-    walk = coincidence._Walk(system, refs)
+    walk = coincidence.Walk(system, refs)
     seen, states = set(), {walk.root(letters): ()}
     while not seen.issuperset(states):
         seen.update(states)
@@ -1582,7 +1647,7 @@ def test_verify_fails_a_real_witness_above_the_level_bound():
     system = suspension.SuspensionSystem(cli._spec_from_report(
         report).substitution())
     refs = suspension.left_endpoint_points(system)
-    walk = coincidence._Walk(system, refs)
+    walk = coincidence.Walk(system, refs)
     states = {walk.root((1, 2)): ()}
     for _ in range(60):
         states = walk.inflate(states)
@@ -1591,7 +1656,7 @@ def test_verify_fails_a_real_witness_above_the_level_bound():
     witness = coincidence.CoincidenceWitness(
         level=60, color=color, shift=shift, scope=(1, 2), replay_level=60,
         replay_color=color, replay_shift=shift, denom=walk.denom)
-    assert coincidence.verify_witness(system, refs, witness)
+    assert coincidence.verify_witness(walk, witness)
     letter = report["input"]["letters"][color - 1]
     report["checks"]["geometric_strong"]["pairs"]["a|b"]["witness"].update(
         level=60, replay_level=60, color=letter, replay_color=letter,

@@ -119,7 +119,8 @@ def test_prefix_strong_thue_morse(tm):
 
 
 def test_geometric_identity_pairs(sys_fib):
-    res = C.geometric_strong(sys_fib, S.left_endpoint_points(sys_fib))
+    res = C.geometric_strong(C.Walk(sys_fib,
+                                    S.left_endpoint_points(sys_fib)))
     v = res[(1, 1)]
     assert v.status == "HOLDS" and v.witness.level == 0
     assert not any(v.witness.shift)
@@ -127,7 +128,7 @@ def test_geometric_identity_pairs(sys_fib):
 
 def test_geometric_aba_gamma(sys_aba):
     refs = S.control_points(sys_aba, (2, 1))
-    res = C.geometric_strong(sys_aba, refs)
+    res = C.geometric_strong(C.Walk(sys_aba, refs))
     v = res[(1, 2)]
     assert v.status == "HOLDS"
     assert v.witness.level == 1
@@ -139,13 +140,13 @@ def test_geometric_fib2_fails(sys_fib2):
     # each lower-case letter against each capital: the walk closes on 4 or
     # 5 states with no shared tile, and the closed states replay
     refs = S.left_endpoint_points(sys_fib2)
-    res = C.geometric_strong(sys_fib2, refs)
+    walk = C.Walk(sys_fib2, refs)
+    res = C.geometric_strong(walk)
     for pair in ((1, 3), (1, 4), (2, 3), (2, 4)):
         assert res[pair].status == "FAILS", pair
         states = res[pair].certificate["closed_states"]
         assert len(states) == (4 if pair in ((1, 3), (2, 4)) else 5)
-        assert C.replay_walk_certificate(sys_fib2, C._Walk(sys_fib2, refs),
-                                         res[pair].certificate, pair)
+        assert C.replay_walk_certificate(walk, res[pair].certificate, pair)
     assert res[(1, 2)].status == "HOLDS"
 
 
@@ -156,7 +157,7 @@ def test_geometric_monotone_in_level(sys_fib, sys_aba):
         (sys_aba, S.control_points(sys_aba, (2, 1))),
     ]
     for system, refs in cases:
-        res = C.geometric_strong(system, refs)
+        res = C.geometric_strong(C.Walk(system, refs))
         for (i, j), verdict in res.items():
             if i == j or verdict.status != "HOLDS":
                 continue
@@ -167,8 +168,9 @@ def test_geometric_monotone_in_level(sys_fib, sys_aba):
 def test_simultaneous_two_letters_matches_pairwise(sys_fib, sys_tm):
     for system in (sys_fib, sys_tm):
         refs = S.left_endpoint_points(system)
-        sim = C.simultaneous(system, refs)
-        pair = C.geometric_strong(system, refs)[(1, 2)]
+        walk = C.Walk(system, refs)
+        sim = C.simultaneous(walk)
+        pair = C.geometric_strong(walk)[(1, 2)]
         assert (sim.status == "HOLDS") == (pair.status == "HOLDS")
         if sim.status == "HOLDS":
             assert sim.witness.level == pair.witness.level
@@ -177,19 +179,19 @@ def test_simultaneous_two_letters_matches_pairwise(sys_fib, sys_tm):
 def test_simultaneous_thue_morse_fails(sys_tm):
     # the root and its swap: 0 at 0 over 1 at 0, then 1 over 0, and back
     refs = S.left_endpoint_points(sys_tm)
-    res = C.simultaneous(sys_tm, refs)
+    walk = C.Walk(sys_tm, refs)
+    res = C.simultaneous(walk)
     assert res.status == "FAILS"
     assert res.certificate == {"closed_states": [
         {"color": 1, "classes": [{"anchor": 2, "shift": ["0/1"]}]},
         {"color": 2, "classes": [{"anchor": 1, "shift": ["0/1"]}]}]}
-    assert C.replay_walk_certificate(sys_tm, C._Walk(sys_tm, refs),
-                                     res.certificate, (1, 2))
+    assert C.replay_walk_certificate(walk, res.certificate, (1, 2))
 
 
 def test_simultaneous_rauzy2_gamma(sys_rauzy2):
     refs = S.control_points(sys_rauzy2, (2, 2, 1, 1, 1, 1))
     assert S.is_admissible(sys_rauzy2, refs)
-    res = C.simultaneous(sys_rauzy2, refs)
+    res = C.simultaneous(C.Walk(sys_rauzy2, refs))
     assert res.status == "HOLDS"
     assert res.witness.level <= 12
     assert res.witness.replay_level % sys_rauzy2.seed[0] == 0
@@ -197,12 +199,12 @@ def test_simultaneous_rauzy2_gamma(sys_rauzy2):
 
 def test_verify_witness_simultaneous(sys_fib, sys_rauzy2):
     refs = S.left_endpoint_points(sys_fib)
-    w = C.simultaneous(sys_fib, refs).witness
-    assert C.verify_witness(sys_fib, refs, w)
+    walk = C.Walk(sys_fib, refs)
+    assert C.verify_witness(walk, C.simultaneous(walk).witness)
 
     refs2 = S.control_points(sys_rauzy2, (2, 2, 1, 1, 1, 1))
-    w2 = C.simultaneous(sys_rauzy2, refs2).witness
-    assert C.verify_witness(sys_rauzy2, refs2, w2)
+    walk2 = C.Walk(sys_rauzy2, refs2)
+    assert C.verify_witness(walk2, C.simultaneous(walk2).witness)
 
 
 def test_verify_witness_hand_built_aba(sys_aba):
@@ -212,7 +214,7 @@ def test_verify_witness_hand_built_aba(sys_aba):
         level=1, color=2, shift=(0,), scope=(1, 2),
         replay_level=1, replay_color=2, replay_shift=(0,),
     )
-    assert C.verify_witness(sys_aba, refs, witness)
+    assert C.verify_witness(C.Walk(sys_aba, refs), witness)
 
 
 def test_verify_witness_rejects_corruption(sys_aba):
@@ -221,7 +223,7 @@ def test_verify_witness_rejects_corruption(sys_aba):
         level=1, color=2, shift=(1,), scope=(1, 2),
         replay_level=1, replay_color=2, replay_shift=(1,),
     )
-    assert not C.verify_witness(sys_aba, refs, corrupted)
+    assert not C.verify_witness(C.Walk(sys_aba, refs), corrupted)
 
 
 def test_verify_witness_checks_each_scope_letter(sys_fib):
@@ -235,10 +237,10 @@ def test_verify_witness_checks_each_scope_letter(sys_fib):
             level=1, color=2, shift=(0, 1), scope=scope,
             replay_level=2, replay_color=1, replay_shift=(0, 0))
 
-    refs = S.left_endpoint_points(sys_fib)
-    assert C.verify_witness(sys_fib, refs, witness((1, 1)))
-    assert not C.verify_witness(sys_fib, refs, witness((1, 2)))
-    assert not C.verify_witness(sys_fib, refs, witness((2, 2)))
+    walk = C.Walk(sys_fib, S.left_endpoint_points(sys_fib))
+    assert C.verify_witness(walk, witness((1, 1)))
+    assert not C.verify_witness(walk, witness((1, 2)))
+    assert not C.verify_witness(walk, witness((2, 2)))
 
 
 def test_prefix_simultaneous_minima(fib, rauzy, fib2):
@@ -525,18 +527,19 @@ def test_walk_matches_brute_force_layout(name):
     # on two letters the simultaneous claim is the pair's: lay it out once
     reference = functools.cache(
         lambda letters, top: _reference_search(system, refs, letters, top))
+    walk = C.Walk(system, refs)
     claims = [(pair, verdict)
-              for pair, verdict in C.geometric_strong(system, refs).items()
+              for pair, verdict in C.geometric_strong(walk).items()
               if pair[0] != pair[1]]
     claims.append((tuple(range(1, system.size + 1)),
-                   C.simultaneous(system, refs)))
+                   C.simultaneous(walk)))
     for letters, verdict in claims:
         if verdict.status == "HOLDS":
             assert _walk_result(verdict.witness) == \
                 reference(letters, top), letters
         elif verdict.status == "FAILS":
-            assert C.replay_walk_certificate(system, C._Walk(system, refs),
-                                             verdict.certificate, letters)
+            assert C.replay_walk_certificate(walk, verdict.certificate,
+                                             letters)
             assert reference(letters, top) is None, letters
         else:
             assert reference(letters, verdict.bound) is None, letters
@@ -573,12 +576,12 @@ def test_shared_tile_search_builds_no_patch(monkeypatch):
         lambda self, *args: patches.append(1) or patch_init(self, *args))
     outcomes = []
     for system, refs in settings:
-        claims = [((1, 2), C.simultaneous(system, refs)),
-                  *C.geometric_strong(system, refs).items()]
+        walk = C.Walk(system, refs)
+        claims = [((1, 2), C.simultaneous(walk)),
+                  *C.geometric_strong(walk).items()]
         outcomes.extend(verdict.status for _, verdict in claims)
-        # the FAILS certificates replay on the same integer vectors
-        walk = C._Walk(system, refs)
-        assert all(C.replay_walk_certificate(system, walk, v.certificate, p)
+        # the FAILS certificates replay on the same walk
+        assert all(C.replay_walk_certificate(walk, v.certificate, p)
                    for p, v in claims if v.status == "FAILS")
     assert outcomes.count("FAILS") == 4
     assert outcomes.count("HOLDS") == 8
@@ -606,12 +609,12 @@ def test_runaway_walks_end_at_the_node_cap(text, level_bound, node_cap,
     refs = (S.left_endpoint_points(system) if spec.tilemap is None
             else S.control_points(system, spec.tilemap))
     started = time.monotonic()
-    verdicts = [*C.geometric_strong(system, refs, level_bound,
-                                    node_cap).values(),
-                C.simultaneous(system, refs, level_bound, node_cap)]
+    walk = C.Walk(system, refs)
+    verdicts = [*C.geometric_strong(walk, level_bound, node_cap).values(),
+                C.simultaneous(walk, level_bound, node_cap)]
     assert time.monotonic() - started < 1
     held = [v for v in verdicts if v.status == "HOLDS"]
     assert len(held) == holds
-    assert all(C.verify_witness(system, refs, v.witness) for v in held)
+    assert all(C.verify_witness(walk, v.witness) for v in held)
     assert {(v.status, v.bound_hit) for v in verdicts
             if v.status != "HOLDS"} == {("UNKNOWN", f"node cap {node_cap}")}

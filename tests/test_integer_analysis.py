@@ -36,18 +36,19 @@ def test_checks_make_no_field_element_after_setup(monkeypatch, name):
         counts[fn.__name__] = len(made) - before
         return result
 
+    walk = count(C.Walk, system, refs)
     count(S.is_admissible, system, refs)
-    count(L.height_group, system, refs)
-    count(L.differences_in_return_module, system, refs)
-    pairs = count(C.geometric_strong, system, refs)
-    sim = count(C.simultaneous, system, refs)
-    count(SP.overlap_coincidence, system, refs, window)
+    height = count(L.height_group, system, refs)
+    count(L.differences_in_return_module, system, height)
+    pairs = count(C.geometric_strong, walk)
+    sim = count(C.simultaneous, walk)
+    count(SP.overlap_coincidence, walk, window)
     witnesses = [v.witness for v in (*pairs.values(), sim)
                  if v.status == "HOLDS"]
 
     def verify_witness():
-        return [C.verify_witness(system, refs, w) for w in witnesses]
+        return [C.verify_witness(walk, w) for w in witnesses]
 
     assert all(count(verify_witness))
     assert counts == dict.fromkeys(counts, 0)
-    assert len(counts) == 7
+    assert len(counts) == 8

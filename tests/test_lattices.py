@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from subtiling import algebraic, cli
 from subtiling import lattices as L
+from subtiling import spectrum as SP
 from subtiling import suspension as S
 from subtiling.errors import NotASubmodule
 
@@ -245,15 +246,18 @@ def test_eventual_membership_tm(sys_tm):
     assert L.eventual_membership((5,), 1, zmod, f) == 0
 
 
+def _returns(system, refs):
+    """Eventual return on the height group of the reference points."""
+    return L.differences_in_return_module(system,
+                                          L.height_group(system, refs))
+
+
 def test_return_module_verdicts(sys_fib, sys_fib2, sys_aba):
-    res = L.differences_in_return_module(
-        sys_fib, S.left_endpoint_points(sys_fib))
+    res = _returns(sys_fib, S.left_endpoint_points(sys_fib))
     assert set(res.witnesses) == {0} and res.bound_hit is None
-    res2 = L.differences_in_return_module(
-        sys_fib2, S.left_endpoint_points(sys_fib2))
+    res2 = _returns(sys_fib2, S.left_endpoint_points(sys_fib2))
     assert set(res2.witnesses) == {0} and res2.bound_hit is None
-    res3 = L.differences_in_return_module(
-        sys_aba, S.left_endpoint_points(sys_aba))
+    res3 = _returns(sys_aba, S.left_endpoint_points(sys_aba))
     assert None in res3.witnesses    # odd powers of 3 never land in 2Z
     assert res3.bound_hit == "power bound 16"
 
@@ -282,7 +286,7 @@ def _assert_window_lattices_sampled_once(monkeypatch, spec):
     res = L.height_group(system, refs)
     assert res.stabilized_at == 16
     assert len(calls) == 4
-    ret = L.differences_in_return_module(system, refs)
+    ret = L.differences_in_return_module(system, res)
     assert len(calls) == 4
     assert ret.sup == res.sup
 
@@ -308,8 +312,8 @@ def test_eventual_return_reads_every_color(monkeypatch, name):
     sample = L.reference_point_sets
     monkeypatch.setattr(L, "reference_point_sets", lambda *args:
                         samples.append(sample(*args)) or samples[-1])
-    ret = L.differences_in_return_module(system, refs)
     res = L.height_group(system, refs)
+    ret = L.differences_in_return_module(system, res)
     assert res.stabilized_at == 32 and len(samples) == 3
     assert ret.sup == res.sup and ret.bound_hit is None
     assert min(map(len, samples[0].points)) < 2
@@ -319,7 +323,8 @@ def test_eventual_return_reads_every_color(monkeypatch, name):
 
 def test_height_group_samples_until_two_windows_agree(monkeypatch):
     # pentanacci first agrees at 32, so the window of 128 is never sampled;
-    # a second call reads the kept result and samples nothing
+    # an analysis samples the same windows once, as eventual return reads
+    # the height group's lattices from the report
     spec = _off_corpus_spec("pentanacci")
     system = S.SuspensionSystem(spec.substitution())
     refs, _ = cli._reference_points(system, spec)
@@ -330,8 +335,11 @@ def test_height_group_samples_until_two_windows_agree(monkeypatch):
     res = L.height_group(system, refs)
     assert res.stabilized_at == 32
     assert sampled == [16, 32, 64]
-    assert L.height_group(system, refs) is res
-    assert sampled == [16, 32, 64]
+    checks = cli.run_analysis(spec, overrides={"window": 16,
+                                               "node_cap": 2000})["checks"]
+    assert sampled == [16, 32, 64] * 2
+    assert checks["eventual_return_module"]["generators"] == [
+        SP.format_shift(row, res.sup.denom) for row in res.sup.basis]
 
 
 def test_four_letter_height_group_encloses_only_its_windows(monkeypatch):
@@ -382,11 +390,11 @@ def test_return_module_names_the_window_it_read(monkeypatch):
                 module_from_vectors([[1]], 1))
 
     monkeypatch.setattr(L, "return_lattices", unstable)
-    res = L.differences_in_return_module(S.SuspensionSystem(tm), ())
+    res = _returns(S.SuspensionSystem(tm), ())
     assert res.witnesses == (7,) and res.bound_hit == "window 128"
     monkeypatch.setattr(L, "return_lattices", lambda *args: (
         module_from_vectors([[1]], 1), L.ZModule(1, (), 1)))
-    res = L.differences_in_return_module(S.SuspensionSystem(tm), ())
+    res = _returns(S.SuspensionSystem(tm), ())
     assert res.witnesses == (None,) and res.bound_hit == "window 16"
 
 

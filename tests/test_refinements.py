@@ -8,7 +8,9 @@ enclosure (`_refined_sign`).  The counts pin the eight corpus entries at
 default bounds, and the five `perfbench/specs` and the four
 beta-substitutions the off-corpus workload draws from at the off-corpus
 bounds (window 16, node cap 2000).  A change that moves a count must say
-why and pin the new number.
+why and pin the new number.  An analysis runs its shared-tile walks and
+its overlap closure on one `coincidence.Walk`, so a class that two of
+them inflate is decided once.
 """
 
 from pathlib import Path
@@ -22,19 +24,19 @@ SPEC_BOUNDS = {"window": 16, "node_cap": 2000}
 
 # per input: (int_sign calls, refinements, Horner fallbacks)
 CORPUS_COUNTS = {
-    "thue-morse": (55, 0, 0), "fibonacci": (58, 21, 0),
-    "aba-left": (63, 0, 0), "aba-gamma": (55, 0, 0), "fib2": (160, 21, 0),
-    "rauzy": (214, 22, 0), "rauzy2-left": (440, 22, 0),
-    "rauzy2-gamma": (425, 22, 0),
+    "thue-morse": (47, 0, 0), "fibonacci": (52, 21, 0),
+    "aba-left": (55, 0, 0), "aba-gamma": (51, 0, 0), "fib2": (138, 21, 0),
+    "rauzy": (199, 22, 0), "rauzy2-left": (402, 22, 0),
+    "rauzy2-gamma": (386, 22, 0),
 }
 # an analysis of nonpisot runs no overlap closure, since beta is not Pisot
 SPEC_COUNTS = {
-    "period-doubling": (58, 0, 0), "plastic": (502, 22, 1),
-    "pentanacci": (812, 22, 2), "nonunimodular": (91, 22, 0),
-    "nonpisot": (29, 22, 0),
+    "period-doubling": (46, 0, 0), "plastic": (491, 22, 1),
+    "pentanacci": (773, 22, 2), "nonunimodular": (87, 22, 0),
+    "nonpisot": (22, 22, 0),
 }
-BETA_COUNTS = {"beta-211": (231, 23, 1), "beta-221": (251, 23, 1),
-               "beta-222": (332, 23, 1), "beta-1111": (324, 21, 1)}
+BETA_COUNTS = {"beta-211": (212, 23, 1), "beta-221": (224, 23, 1),
+               "beta-222": (299, 23, 1), "beta-1111": (298, 21, 1)}
 
 
 def _counts(monkeypatch, spec, overrides=None):

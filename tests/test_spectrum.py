@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from subtiling import algebraic, cli
+from subtiling import coincidence as C
 from subtiling import lattices as L
 from subtiling import spectrum as SP
 from subtiling import suspension as S
@@ -79,16 +80,16 @@ def test_overlap_verdicts(sys_tm, sys_fib, sys_aba, sys_fib2, sys_rauzy,
         "rauzy2": (sys_rauzy2, "HOLDS"),
     }
     for name, (system, expected) in cases.items():
-        half = SP.overlap_coincidence(
-            system, zeros(system), system.window(64)
-        )
+        walk = C.Walk(system, zeros(system))
+        half = SP.overlap_coincidence(walk, system.window(64))
         assert half.status == expected, name
         if expected == "FAILS":
-            assert SP.replay_overlap_certificate(system, half.certificate)
+            assert SP.replay_overlap_certificate(walk, half.certificate)
 
 
 def test_tm_failure_certificate_contains_swap_pair(sys_tm):
-    half = SP.overlap_coincidence(sys_tm, zeros(sys_tm), sys_tm.window(64))
+    half = SP.overlap_coincidence(C.Walk(sys_tm, zeros(sys_tm)),
+                                  sys_tm.window(64))
     stuck = {(e["moved"], e["anchor"], tuple(e["shift"]))
              for e in half.certificate["coincidence_free_closed_set"]}
     assert (1, 2, ("0/1",)) in stuck
@@ -97,29 +98,32 @@ def test_tm_failure_certificate_contains_swap_pair(sys_tm):
 
 def test_overlap_node_cap_gives_unknown(sys_rauzy2):
     half = SP.overlap_coincidence(
-        sys_rauzy2, zeros(sys_rauzy2), sys_rauzy2.window(64), node_cap=10
+        C.Walk(sys_rauzy2, zeros(sys_rauzy2)), sys_rauzy2.window(64),
+        node_cap=10
     )
     assert half.status == "UNKNOWN"
     assert "node cap" in half.bound_hit
 
 
 def test_corrupted_overlap_certificate_rejected(sys_tm):
-    half = SP.overlap_coincidence(sys_tm, zeros(sys_tm), sys_tm.window(64))
+    walk = C.Walk(sys_tm, zeros(sys_tm))
+    half = SP.overlap_coincidence(walk, sys_tm.window(64))
     cert = dict(half.certificate)
     cert["coincidence_free_closed_set"] = \
         cert["coincidence_free_closed_set"][:1]
-    assert not SP.replay_overlap_certificate(sys_tm, cert)
+    assert not SP.replay_overlap_certificate(walk, cert)
 
 
 def test_overlap_certificate_with_coincidences_rejected(sys_tm):
     # each coincidence inflates to the coincidences of both letters, so the
     # set stays closed and only the coincidence check can reject it
-    half = SP.overlap_coincidence(sys_tm, zeros(sys_tm), sys_tm.window(64))
+    walk = C.Walk(sys_tm, zeros(sys_tm))
+    half = SP.overlap_coincidence(walk, sys_tm.window(64))
     cert = dict(half.certificate)
     cert["coincidence_free_closed_set"] = \
         cert["coincidence_free_closed_set"] + [
             {"moved": c, "anchor": c, "shift": ["0/1"]} for c in (1, 2)]
-    assert not SP.replay_overlap_certificate(sys_tm, cert)
+    assert not SP.replay_overlap_certificate(walk, cert)
 
 
 def test_split_balanced():
@@ -531,11 +535,11 @@ def test_spectral_verdict_reconciliation():
 def test_overlap_verdict_independent_of_reference_points(sys_rauzy2):
     # translations between same-color points do not depend on the shift
     left = SP.overlap_coincidence(
-        sys_rauzy2, zeros(sys_rauzy2), sys_rauzy2.window(48)
+        C.Walk(sys_rauzy2, zeros(sys_rauzy2)), sys_rauzy2.window(48)
     )
     gamma_refs = S.control_points(sys_rauzy2, (2, 2, 1, 1, 1, 1))
     gamma = SP.overlap_coincidence(
-        sys_rauzy2, gamma_refs, sys_rauzy2.window(48)
+        C.Walk(sys_rauzy2, gamma_refs), sys_rauzy2.window(48)
     )
     assert left.status == gamma.status == "HOLDS"
 
@@ -543,15 +547,15 @@ def test_overlap_verdict_independent_of_reference_points(sys_rauzy2):
 def test_closure_is_order_independent(sys_fib):
     # the reachable class set is a fixpoint, not an artifact of BFS order
     refs = zeros(sys_fib)
-    step, seeds = SP._seed_keys(sys_fib, refs, sys_fib.window(48),
-                                SP.DEFAULT_NODE_CAP)
+    walk = C.Walk(sys_fib, refs)
+    seeds = SP._seed_keys(walk, sys_fib.window(48), SP.DEFAULT_NODE_CAP)
 
     def closure(seed_keys):
         classes = dict(seeds)
         queue = list(seed_keys)
         while queue:
             key = queue.pop(0)
-            for child in step.successors(key):
+            for child in walk.successors(key):
                 if child not in classes:
                     classes[child] = None
                     queue.append(child)
@@ -733,8 +737,9 @@ def _fieldelem_inflate(system, moved, anchor, shift):
 
 def _seed_classes(system, refs, window):
     """`_seed_keys` as `key_coords`."""
-    step, seeds = SP._seed_keys(system, refs, window, SP.DEFAULT_NODE_CAP)
-    return key_coords(seeds, step.denom)
+    walk = C.Walk(system, refs)
+    return key_coords(SP._seed_keys(walk, window, SP.DEFAULT_NODE_CAP),
+                      walk.denom)
 
 
 @pytest.mark.parametrize("name", ["fibonacci", "fib2", "rauzy2-gamma",
@@ -777,7 +782,7 @@ def test_window_sample_makes_no_field_element_per_tile(monkeypatch, name):
     for sample in (lambda system, refs, size, _:
                    L.return_lattices(system, refs, size),
                    lambda system, refs, _, window:
-                   SP._seed_keys(system, refs, window,
+                   SP._seed_keys(C.Walk(system, refs), window,
                                  SP.DEFAULT_NODE_CAP)):
         assert counted(sample, 16) == counted(sample, 128) == 0
 
@@ -850,7 +855,7 @@ def test_nonpisot_nodes_seen_is_pinned(node_cap, nodes_seen):
     # the class count at the cap depends on the order the closure takes
     # the seeds and the successors in
     system, refs = _system_and_refs("nonpisot")
-    half = SP.overlap_coincidence(system, refs, system.window(16),
+    half = SP.overlap_coincidence(C.Walk(system, refs), system.window(16),
                                   node_cap=node_cap)
     assert half.status == "UNKNOWN"
     assert half.certificate == {"nodes_seen": nodes_seen}
@@ -861,8 +866,9 @@ def test_node_cap_bounds_overlap_seeding():
     # seed classes: the sweep stops at the cap instead of seeding them all
     spec = cli.parse_spec(FOUR_LETTERS, name="abcd")
     system = S.SuspensionSystem(spec.substitution())
-    half = SP.overlap_coincidence(system, S.left_endpoint_points(system),
-                                  system.window(16), node_cap=50)
+    half = SP.overlap_coincidence(
+        C.Walk(system, S.left_endpoint_points(system)), system.window(16),
+        node_cap=50)
     assert half.status == "UNKNOWN"
     assert half.bound_hit == "node cap 50"
     assert half.certificate["nodes_seen"] <= 60
@@ -890,7 +896,7 @@ def test_kept_pair_enclosures_inflate_as_fresh_ones(monkeypatch, name):
         monkeypatch.setattr(SP._Inflation, "children", recorded)
         if name == "nonpisot":
             system, refs = _system_and_refs(name)
-            return calls, SP.overlap_coincidence(system, refs,
+            return calls, SP.overlap_coincidence(C.Walk(system, refs),
                                                  system.window(16),
                                                  node_cap=2000)
         report = cli.run_analysis(spec, overrides={"window": 16,
@@ -915,7 +921,8 @@ def test_overlap_closure_builds_few_field_elements(monkeypatch):
     init = algebraic.FieldElem.__init__
     monkeypatch.setattr(algebraic.FieldElem, "__init__",
                         lambda self, *a: made.append(1) or init(self, *a))
-    half = SP.overlap_coincidence(system, refs, window, node_cap=2000)
+    half = SP.overlap_coincidence(C.Walk(system, refs), window,
+                                  node_cap=2000)
     assert half.status == "HOLDS"
     assert made == []
 

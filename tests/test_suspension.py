@@ -667,6 +667,46 @@ def test_window_sample_encloses_only_its_window(monkeypatch):
     assert len(calls) <= 100
 
 
+def _window_range_matches_full_scan(patch, floor, ceiling):
+    """`_window_range` against the enclosures of every boundary: the
+    range's enclosures are the scan's, and every tile left out starts at
+    a boundary enclosed wholly below floor or above ceiling.  Returns the
+    number of tiles left out."""
+    first, enclosures = S._window_range(patch, floor, ceiling)
+    full = [patch.field.fixed_point_bounds(p) for p in patch.points[:-1]]
+    last = first + len(enclosures)
+    assert enclosures == full[first:last]
+    left_out = full[:first] + full[last:]
+    assert all(hi < floor or lo > ceiling for lo, hi in left_out)
+    return len(left_out)
+
+
+def test_window_range_scans_a_patch_whose_enclosures_decrease():
+    # beta is the golden ratio on its wide first interval [3/2, 2], where
+    # the tile length 20 beta - 31 (about 1.36) encloses to [-1, 9]: the
+    # boundary 2 encloses to [2, 2] above a window ending at 3/2, and the
+    # boundary after it, 20 beta - 29, to [1, 11], back inside it.  Only
+    # the full scan keeps that tile; a walk out from the junction would
+    # stop at 2 and leave it out
+    field = algebraic.NumberField([-1, -1, 1], 1, 3)
+    assert (Fraction(field.num_lo, field.den),
+            Fraction(field.num_hi, field.den)) == (Fraction(3, 2), 2)
+    one = 1 << algebraic.FILTER_BITS
+    patch = S.Patch(field, 1, [(0, 0), (1, 0), (2, 0), (-29, 20), (-28, 20)],
+                    bytes([1, 1, 2, 1]))
+    patch.junction_index = 1
+    assert field.fixed_point_bounds((-31, 20))[0] < 0
+    ceiling = 3 * one // 2
+    assert field.fixed_point_bounds((2, 0))[0] > ceiling
+    assert field.fixed_point_bounds((-29, 20))[0] <= ceiling
+    assert _window_range_matches_full_scan(patch, -10 * one, ceiling) == 0
+    # with 1 in place of that length every enclosure of a length is at
+    # least 0, and the walk out from the junction leaves out the tiles
+    # beyond the window's end
+    patch.points[3:] = [(3, 0), (4, 0)]
+    assert _window_range_matches_full_scan(patch, -10 * one, ceiling) == 2
+
+
 def _middle(patch, half):
     """The patch cut to at most `half` tiles each side of its junction:
     the FieldElem loop over a whole patch of 161,502 tiles takes seconds.
