@@ -3,8 +3,8 @@
 Two routines decide whether iterated prototiles share a tile, one call
 per claim: `_word_claim`, a combinatorial one on rule words (equal prefix
 abelianizations followed by the same letter), and `Walk.search`, a
-geometric one, a level-by-level walk of overlap classes under
-`spectrum._Inflation` on integer vectors of Q(beta).  Both search levels
+geometric one, a level-by-level walk of tuples of overlap classes under
+the inflation of `Walk` on integer vectors of Q(beta).  Both search levels
 up to a bound and return HOLDS with a witness, FAILS with a finite
 certificate (a commuting fixed-point-free letter involution, or the
 walk's closed states), or UNKNOWN at a bound.  A geometric witness is
@@ -217,49 +217,70 @@ def _replay_level(system, level):
 
 def _least_shared(states):
     """(path, color) of the first state of coincidences only, or None."""
-    return next(((path, color) for (color, classes), path in states.items()
-                 if all(anchor == color and not any(shift)
-                        for anchor, shift in classes)), None)
+    return next(((path, state[0][0]) for state, path in states.items()
+                 if all(map(spectrum._is_coincidence_key, state))), None)
 
 
 class Walk:
-    """The integer setting of a report and its shared-tile walk: one
-    inflation step (`spectrum._Inflation`) over the lcm D of the
-    denominators of the lengths and of the reference points (beta is an
-    algebraic integer, so D clears beta times them too), the points as
-    vectors over D, and the children kept per class.  Every tile and
-    overlap class lies over D, and `int_sign` decides a positive multiple
-    of a vector as the vector, so every walk, overlap closure and replay
-    of a report runs on one Walk.
+    """The integer setting of a report and its one inflation graph, over
+    the lcm D of the denominators of the lengths and of the reference
+    points (beta is an algebraic integer, so D clears beta times them
+    too): the lengths, subtile offsets and reference points as vectors
+    over D, the subtile pairs per (moved, anchor) and the children kept
+    per class.  Every tile and overlap class lies over D, and `int_sign`
+    decides a positive multiple of a vector as the vector, so every walk,
+    overlap closure and replay of a report runs on one Walk.
+
+    An overlap class is (moved, anchor, shift), shift a vector over D.
+    Multiplying by beta is `NumberField.times_beta`.  The overlap test
+    of a child first adds the fixed-point enclosure of beta * shift, taken
+    once per parent, to an enclosure of its offset difference plus the
+    tile length, taken once at its first use (`fixed_point_bounds`).
+    Tables only tighten, so a kept enclosure contains a fresh one, and a
+    sum of enclosures is no tighter than the enclosure of the sum:
+    whatever the sums decide `int_sign` would have decided by its filter,
+    with no refinement, and the rest goes to `int_sign` in the order of
+    `overlaps`.
 
     A state is a tile of the first letter's inflated prototile with one
-    overlapping tile of each other letter's, (color, ((anchor, shift),
-    ...)), the root being the prototiles: shift c_j - c_i.  A level with
-    a state of coincidences only holds a shared tile.  A state keeps the
-    least moved-subtile path to it, which is its leftmost tile."""
+    overlapping tile of each other letter's: the tuple of their overlap
+    classes, which share the moved color.  The root is the prototiles,
+    shift c_j - c_i.  A level with a state of coincidences only holds a
+    shared tile.  A state keeps the least moved-subtile path to it, which
+    is its leftmost tile."""
 
     def __init__(self, system: SuspensionSystem, refpoints):
         vectors, ref_denom = refpoints
         self.system = system
         self.refpoints = refpoints
         self.denom = math.lcm(system._length_denom, ref_denom)
-        self.step = spectrum._Inflation(system, self.denom)
-        scale = self.denom // ref_denom
-        self.refs = [tuple([a * scale for a in c]) for c in vectors]
+
+        def over_denom(rows, denom):
+            scale = self.denom // denom
+            return tuple(tuple([a * scale for a in v]) for v in rows)
+
+        # indexed by letter, after a zero vector at index 0
+        self.lengths = over_denom(zip(*system._length_columns),
+                                  system._length_denom)
+        self.offsets = tuple(over_denom(offsets, system._length_denom)
+                             for offsets in system.subtile_offsets)
+        self.refs = over_denom(vectors, ref_denom)
         # per scale and letter, beta^scale times each subtile end with its
         # enclosure, which stays valid after a refinement
         self._ends = []
-        # per class, the overlapping (anchor, shift) per moved subtile
+        # the subtile pairs per (moved, anchor)
+        self._pairs = {}
+        # per class, its children per moved subtile
         self._children = {}
 
     def ends(self, letter, scale):
-        field_, table, step = self.system.field, self._ends, self.step
+        field_, table = self.system.field, self._ends
         while len(table) <= scale:
             rows = ([[field_.times_beta(end) for end, _, _ in row]
                      for row in table[-1]] if table else
-                    [[tuple(map(operator.add, start, step.lengths[c]))
+                    [[tuple(map(operator.add, start, self.lengths[c]))
                       for c, start in zip(self.system.sub.rule(x), offsets)]
-                     for x, offsets in enumerate(step.offsets, 1)])
+                     for x, offsets in enumerate(self.offsets, 1)])
             table.append([[(end, *field_.fixed_point_bounds(end))
                            for end in row] for row in rows])
         return table[scale][letter - 1]
@@ -290,50 +311,101 @@ class Walk:
             tile = rule(tile)[k]
         return tile == color and not any(target)
 
+    def overlaps(self, moved, anchor, shift):
+        """True when the open supports of the class's tiles intersect:
+        -len_moved < shift < len_anchor."""
+        sign = self.system.field.int_sign
+        return (sign(tuple(map(operator.add, shift,
+                               self.lengths[moved]))) > 0 and
+                sign(tuple(map(operator.sub, self.lengths[anchor],
+                               shift))) > 0)
+
+    def _subtile_pairs(self, moved, anchor):
+        """Build and keep the subtile pairs of the two inflated tiles of
+        (moved, anchor), moved subtile first, each as (moved subtile index
+        and color, anchor subtile color, offset difference delta,
+        enclosure of delta + len_moved, enclosure of len_anchor - delta)."""
+        bounds = self.system.field.fixed_point_bounds
+        rules, lengths = self.system.sub.rule, self.lengths
+        add, sub = operator.add, operator.sub
+        pairs = []
+        for k, (mc, m_off) in enumerate(zip(rules(moved),
+                                            self.offsets[moved - 1])):
+            for ac, a_off in zip(rules(anchor), self.offsets[anchor - 1]):
+                delta = tuple(map(sub, m_off, a_off))
+                pairs.append(
+                    (k, mc, ac, delta,
+                     *bounds(tuple(map(add, delta, lengths[mc]))),
+                     *bounds(tuple(map(sub, lengths[ac], delta)))))
+        self._pairs[(moved, anchor)] = pairs
+        return pairs
+
     def children(self, key):
-        """`spectrum._Inflation.children` of a class, kept."""
+        """The overlapping subtile pairs of a class after one inflation,
+        kept, per moved subtile k: the class (color of subtile k, anchor,
+        shift) of each pair."""
         kids = self._children.get(key)
-        if kids is None:
-            kids = self._children[key] = self.step.children(key)
+        if kids is not None:
+            return kids
+        moved, anchor, shift = key
+        pairs = (self._pairs.get((moved, anchor)) or
+                 self._subtile_pairs(moved, anchor))
+        field_, lengths = self.system.field, self.lengths
+        base = field_.times_beta(shift)
+        base_lo, base_hi = field_.fixed_point_bounds(base)
+        sign, add, sub = field_.int_sign, operator.add, operator.sub
+        kids = self._children[key] = [[] for _ in self.offsets[moved - 1]]
+        for k, mc, ac, delta, m_lo, m_hi, a_lo, a_hi in pairs:
+            child = None
+            # -len_mc < child, then child < len_ac
+            if base_lo + m_lo <= 0:
+                if base_hi + m_hi < 0:
+                    continue
+                child = tuple(map(add, base, delta))
+                if sign(tuple(map(add, child, lengths[mc]))) <= 0:
+                    continue
+            if a_lo - base_hi <= 0:
+                if a_hi - base_lo < 0:
+                    continue
+                child = child or tuple(map(add, base, delta))
+                if sign(tuple(map(sub, lengths[ac], child))) <= 0:
+                    continue
+            kids[k].append((mc, ac, child or tuple(map(add, base, delta))))
         return kids
 
     def successors(self, key):
-        """The children of a class as classes (moved, anchor, shift)."""
-        return [(color, anchor, shift) for color, kids in
-                zip(self.system.sub.rule(key[0]), self.children(key))
-                for anchor, shift in kids]
+        """The children of a class, in one list."""
+        return [c for kids in self.children(key) for c in kids]
 
     def inflate(self, states):
         """The states one inflation further, in the order of their least
         paths: parents come in that order, and their children in the order
         of their moved subtiles, so a state is first met on that path."""
         out = {}
-        for (moved, classes), path in states.items():
-            per_class = [self.children((moved, anchor, shift))
-                         for anchor, shift in classes]
-            for k, color in enumerate(self.system.sub.rule(moved)):
-                for combo in itertools.product(*(c[k] for c in per_class)):
-                    out.setdefault((color, combo), path + (k,))
+        for state, path in states.items():
+            per_subtile = zip(*map(self.children, state))
+            for k, kids in enumerate(per_subtile):
+                for combo in itertools.product(*kids):
+                    out.setdefault(combo, path + (k,))
         return out
 
     def witness_shift(self, first, path, color):
         """start + c_color, over denom, for the tile at the end of a path of
         the inflated prototile of `first` translated by -beta^L c_first."""
-        step, add = self.step, operator.add
-        times_beta = self.system.field.times_beta
+        add, times_beta = operator.add, self.system.field.times_beta
         vector = tuple(-a for a in self.refs[first - 1])
         for k in path:
             vector = tuple(map(add, times_beta(vector),
-                               step.offsets[first - 1][k]))
+                               self.offsets[first - 1][k]))
             first = self.system.sub.rule(first)[k]
         return tuple(map(add, vector, self.refs[color - 1]))
 
     def root(self, letters):
         """The state of the prototiles of `letters` at level 0."""
         first = self.refs[letters[0] - 1]
-        return (letters[0], tuple(
-            (c, tuple(map(operator.sub, self.refs[c - 1], first)))
-            for c in letters[1:]))
+        return tuple((letters[0], c,
+                      tuple(map(operator.sub, self.refs[c - 1], first)))
+                     for c in letters[1:])
 
     def search(self, letters, scope, level_bound, node_cap):
         """Least level with a tile shared by the translated inflated
@@ -352,11 +424,11 @@ class Walk:
             level += 1
             if hit is None and seen.issuperset(states):
                 return BoundedVerdict("FAILS", certificate={"closed_states": [
-                    {"color": color, "classes": [
+                    {"color": state[0][0], "classes": [
                         {"anchor": anchor,
                          "shift": spectrum.format_shift(shift, self.denom)}
-                        for anchor, shift in classes]}
-                    for color, classes in sorted(seen)]})
+                        for _, anchor, shift in state]}
+                    for state in sorted(seen)]})
             seen.update(states)
             if len(seen) > node_cap:
                 return BoundedVerdict(
@@ -396,10 +468,10 @@ def replay_walk_certificate(walk: Walk, certificate, letters):
             type(c) is int and 1 <= c <= walk.system.size for c in named):
         return False
     shifts = iter(shifts)
-    states = {(color, tuple((anchor, next(shifts)) for anchor, _ in row))
+    states = {tuple((color, anchor, next(shifts)) for anchor, _ in row)
               for color, row in rows}
     return walk.root(letters) in states and spectrum._is_closed(
-        states, lambda state: _least_shared({state: ()}),
+        states, lambda state: all(map(spectrum._is_coincidence_key, state)),
         lambda state: walk.inflate({state: ()}))
 
 

@@ -15,10 +15,10 @@ reconciled into one spectral verdict.
 The overlap route runs on integer vectors over one denominator D: a
 class is the key (moved, anchor, D * shift coordinates).  The seeding,
 the closure and the certificate replay take the report's
-`coincidence.Walk`, and share its integer step (`_Inflation`) over D
-and its kept children with the shared-tile walks.  Multiplying by beta
-is the companion-matrix step on ints (beta is an algebraic integer), so
-D never grows.  Every sign is
+`coincidence.Walk`, its one inflation graph over D, and share the
+children it keeps per class with the shared-tile walks.  Multiplying by
+beta is the companion-matrix step on ints (beta is an algebraic
+integer), so D never grows.  Every sign is
 `NumberField.int_sign` of an integer vector, which decides it as
 FieldElem.sign() decides the same element: exactly when it is rational,
 then by the fixed-point filter, then by the Horner enclosure, refining
@@ -32,17 +32,15 @@ gets fraction strings.
 from __future__ import annotations
 
 import heapq
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import algebraic
+from . import algebraic, lattices
 from . import words as words_mod
 from .errors import EmptyWindow, InvalidWord
 # return_vectors is no longer called here, but stays importable from this
 # module: perfbench's tracer wraps names where callers look them up
-from .suspension import (SuspensionSystem, reference_point_sets,  # noqa: F401
-                         return_vectors)
+from .suspension import reference_point_sets, return_vectors  # noqa: F401
 from .words import Substitution
 
 DEFAULT_NODE_CAP = 100_000
@@ -65,95 +63,6 @@ def format_shift(ints, denom):
 
 def _is_coincidence_key(key):
     return key[0] == key[1] and not any(key[2])
-
-
-class _Inflation:
-    """Overlap tests and one inflation step on integer shift vectors over
-    one denominator, a multiple of the lengths' common denominator.
-
-    Multiplying by beta is `NumberField.times_beta`.  The overlap test
-    of a child first adds the fixed-point enclosure of beta * shift, taken
-    once per parent, to an enclosure of its offset difference plus the
-    tile length, taken once at its first use (`fixed_point_bounds`).
-    Tables only tighten, so a kept enclosure contains a fresh one, and a
-    sum of enclosures is no tighter than the enclosure of the sum:
-    whatever the sums decide `int_sign` would have decided by its filter,
-    with no refinement, and the rest goes to `int_sign` in the order of
-    `overlaps`."""
-
-    def __init__(self, system: SuspensionSystem, denom):
-        self.system = system
-        self.field = system.field
-        scale = denom // system._length_denom
-
-        def scaled(v):
-            return tuple([a * scale for a in v])
-
-        # indexed by letter, after a zero vector at index 0
-        self.lengths = tuple(map(scaled, zip(*system._length_columns)))
-        self.offsets = tuple(tuple(map(scaled, offsets))
-                             for offsets in system.subtile_offsets)
-        # the subtile pairs per (moved, anchor)
-        self._pairs = {}
-
-    def overlaps(self, moved, anchor, shift):
-        """True when the open supports of the class's tiles intersect:
-        -len_moved < shift < len_anchor."""
-        sign = self.field.int_sign
-        return (sign(tuple(map(operator.add, shift,
-                               self.lengths[moved]))) > 0 and
-                sign(tuple(map(operator.sub, self.lengths[anchor],
-                               shift))) > 0)
-
-    def _subtile_pairs(self, moved, anchor):
-        """Build and keep the subtile pairs of the two inflated tiles of
-        (moved, anchor), moved subtile first, each as (moved subtile index
-        and color, anchor subtile color, offset difference delta,
-        enclosure of delta + len_moved, enclosure of len_anchor - delta)."""
-        bounds = self.field.fixed_point_bounds
-        rules, lengths = self.system.sub.rule, self.lengths
-        add, sub = operator.add, operator.sub
-        pairs = []
-        for k, (mc, m_off) in enumerate(zip(rules(moved),
-                                            self.offsets[moved - 1])):
-            for ac, a_off in zip(rules(anchor), self.offsets[anchor - 1]):
-                delta = tuple(map(sub, m_off, a_off))
-                pairs.append(
-                    (k, mc, ac, delta,
-                     *bounds(tuple(map(add, delta, lengths[mc]))),
-                     *bounds(tuple(map(sub, lengths[ac], delta)))))
-        self._pairs[(moved, anchor)] = pairs
-        return pairs
-
-    def children(self, key):
-        """The overlapping subtile pairs of a class after one inflation,
-        per moved subtile k: the (anchor, shift) of each pair, whose moved
-        color is the color of subtile k."""
-        moved, anchor, shift = key
-        pairs = (self._pairs.get((moved, anchor)) or
-                 self._subtile_pairs(moved, anchor))
-        base = self.field.times_beta(shift)
-        base_lo, base_hi = self.field.fixed_point_bounds(base)
-        sign, lengths = self.field.int_sign, self.lengths
-        add, sub = operator.add, operator.sub
-        out = [[] for _ in self.offsets[moved - 1]]
-        for k, mc, ac, delta, m_lo, m_hi, a_lo, a_hi in pairs:
-            child = None
-            # -len_mc < child, then child < len_ac
-            if base_lo + m_lo <= 0:
-                if base_hi + m_hi < 0:
-                    continue
-                child = tuple(map(add, base, delta))
-                if sign(tuple(map(add, child, lengths[mc]))) <= 0:
-                    continue
-            if a_lo - base_hi <= 0:
-                if a_hi - base_lo < 0:
-                    continue
-                child = child or tuple(map(add, base, delta))
-                if sign(tuple(map(sub, lengths[ac], child))) <= 0:
-                    continue
-            out[k].append((ac, child or tuple(map(add, base, delta))))
-        return out
 
 
 class _Packing:
@@ -278,7 +187,7 @@ def _seed_keys(walk, window, node_cap):
         seeds = {(moved, anchor, tuple([a * scale for a in shift])): None
                  for moved, anchor, shift in seeds}
     # checks the integer sweep against the exact signs
-    if not all(walk.step.overlaps(*key) for key in seeds):
+    if not all(walk.overlaps(*key) for key in seeds):
         raise AssertionError("overlap displacement out of range")
     return seeds
 
@@ -579,7 +488,10 @@ def replay_overlap_certificate(walk, cert) -> bool:
     step.  A malformed certificate fails: one with no list of classes, a
     letter outside 1..m, or a shift that is not a list of exactly one
     fraction string per power-basis coordinate, and so does a shift
-    whose denominator does not divide the walk's, as no class has one."""
+    whose denominator does not divide the walk's, or that is not in the
+    Z-span of the prototile lengths, as no class has one: a seed is a
+    difference of tile boundaries, and beta and the subtile offsets keep
+    the span."""
     try:
         entries = list(cert["coincidence_free_closed_set"])
         shifts, denom = algebraic.parse_shifts(
@@ -592,10 +504,13 @@ def replay_overlap_certificate(walk, cert) -> bool:
             type(c) is int and 1 <= c <= walk.system.size
             for pair in letters for c in pair):
         return False
+    span = lattices.module_from_int_rows(walk.lengths[1:], walk.denom,
+                                         walk.system.field.degree)
     classes = {}
     for (moved, anchor), shift in zip(letters, shifts):
         key = (moved, anchor, shift)
-        if key in classes or not walk.step.overlaps(*key):
+        if (key in classes or span.coordinates_of(shift, walk.denom) is None
+                or not walk.overlaps(*key)):
             return False
         classes[key] = None
     return _is_closed(classes, _is_coincidence_key, walk.successors)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from subtiling import cli
+from subtiling import cli, coincidence
 from subtiling import polys as P
 from subtiling import spectrum as SP
 from subtiling import suspension
@@ -320,22 +320,24 @@ def sweep_translation(patch, y):
 
 
 def successors(system, moved, anchor, shift):
-    """The classes of `spectrum._Inflation.children` of the class of a
-    FieldElem shift, over the lcm of the lengths' and the shift's
-    denominators, as `key_coords`."""
+    """`coincidence.Walk.successors` of the class of a FieldElem shift, on
+    a walk over the lcm of the lengths' and the shift's denominators, as
+    `key_coords`."""
     denom = math.lcm(system._length_denom, common_denominator(shift.coords))
-    step = SP._Inflation(system, denom)
+    origins = ((0,) * system.field.degree,) * system.size
+    walk = coincidence.Walk(system, (origins, denom))
     key = (moved, anchor, scaled_coords(shift.coords, denom))
-    return key_coords([(color, *child) for color, kids in
-                       zip(system.sub.rule(moved), step.children(key))
-                       for child in kids], denom)
+    return key_coords(walk.successors(key), denom)
 
 
-def ref_children(step, key):
-    """Reference: `spectrum._Inflation.children` with every subtile-pair
+def ref_children(walk, key):
+    """Reference: `coincidence.Walk.children` with every subtile-pair
     enclosure taken afresh, so that it and the parent's enclosure always
-    share one generation."""
-    field, lengths = step.field, step.lengths
+    share one generation; the children are kept per class, as the walk
+    keeps them."""
+    if key in walk._children:
+        return walk._children[key]
+    field, lengths = walk.system.field, walk.lengths
     moved, anchor, shift = key
     bounds = field.fixed_point_bounds
 
@@ -345,11 +347,11 @@ def ref_children(step, key):
     def sub(u, v):
         return tuple(a - b for a, b in zip(u, v))
 
-    rule = step.system.sub.rule
+    rule = walk.system.sub.rule
     pairs = []
     for k, (mc, m_off) in enumerate(zip(rule(moved),
-                                        step.offsets[moved - 1])):
-        for ac, a_off in zip(rule(anchor), step.offsets[anchor - 1]):
+                                        walk.offsets[moved - 1])):
+        for ac, a_off in zip(rule(anchor), walk.offsets[anchor - 1]):
             delta = sub(m_off, a_off)
             pairs.append((k, mc, ac, delta, *bounds(add(delta, lengths[mc])),
                           *bounds(sub(lengths[ac], delta))))
@@ -366,7 +368,8 @@ def ref_children(step, key):
             if a_hi - base_lo < 0 or \
                     field.int_sign(sub(lengths[ac], child)) <= 0:
                 continue
-        out[k].append((ac, child))
+        out[k].append((mc, ac, child))
+    walk._children[key] = out
     return out
 
 

@@ -30,6 +30,13 @@ from subtiling import cli  # noqa: E402
 
 NAMES = workloads.REPLAY_FIXTURES
 
+# rauzy with the tile map (2, 1, 1): control points in 1/2 Z[beta], so
+# its walk runs over the denominator 2 with an irrational beta, which no
+# golden input does.  It has no golden report: tests/test_golden.py pins
+# its `analyze` output by sha256, and tests/report_diff.py compares it
+RAUZY_211 = ("letters a b c\nrule a = a b\nrule b = a c\nrule c = a\n"
+             "tilemap a -> 2\ntilemap b -> 1\ntilemap c -> 1\n")
+
 
 def report_text(name):
     """The golden report of `name` as the checkout's `analyze` writes it."""

@@ -6,9 +6,10 @@ leaf by leaf.
 Extracts REV (default HEAD) with `git archive` into a temporary directory
 and runs `analyze` from its sources and then from the working tree's,
 each in a process of its own, on the same inputs: the golden inputs of
-tests/golden, and the other `analyze` outputs that
+tests/golden, the other `analyze` outputs that
 tests/test_pinned_outputs.py pins (period doubling at the default bounds,
-the beta-substitutions at the off-corpus bounds).  It prints a summary
+the beta-substitutions at the off-corpus bounds), and rauzy at the tile
+map (2, 1, 1), which tests/test_golden.py pins.  It prints a summary
 and a Markdown table of every JSON leaf that differs, for CHANGES.md.
 A changed leaf is one of:
 
@@ -155,6 +156,7 @@ def inputs():
                               overrides=tuple(sorted(
                                   workloads.OFF_CORPUS_BOUNDS.items())))
               for ks in workloads.BETA_FAMILY]
+    found.append(workloads.Input("rauzy-211", golden_reports.RAUZY_211))
     return [{"name": inp.name, "text": inp.text, "corpus": inp.corpus,
              "overrides": dict(inp.overrides)} for inp in found]
 

@@ -17,6 +17,7 @@ from subtiling.errors import (InvalidBound, LengthCapExceeded,
                               UnknownCorpusEntry)
 
 from conftest import CORPUS_IDS, SIX_LETTERS, TWELVE_LETTERS, report_for
+from golden_reports import RAUZY_211
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -1198,7 +1199,7 @@ def test_pentanacci_replay_builds_no_patch(monkeypatch):
     init = suspension.Patch.__init__
     int_sign = algebraic.NumberField.int_sign
     verify_witness = coincidence.verify_witness
-    inflation_init = spectrum._Inflation.__init__
+    walk_init = coincidence.Walk.__init__
 
     def replay(*args):
         replaying.append(1)
@@ -1216,9 +1217,8 @@ def test_pentanacci_replay_builds_no_patch(monkeypatch):
                         int_sign(self, ints))
     monkeypatch.setattr(coincidence, "verify_witness", replay)
     monkeypatch.setattr(
-        spectrum._Inflation, "__init__",
-        lambda self, *args: settings.append(1) or
-        inflation_init(self, *args))
+        coincidence.Walk, "__init__",
+        lambda self, *args: settings.append(1) or walk_init(self, *args))
     outcome = cli.verify_report(_fixture("pentanacci"))
     assert outcome["passed"] and len(outcome["replayed"]) == 17
     assert builds == []
@@ -1230,12 +1230,11 @@ def test_pentanacci_replay_builds_no_patch(monkeypatch):
 def test_an_analysis_builds_one_walk_and_keeps_nothing_on_the_system(
         monkeypatch, name):
     # the geometric checks, the overlap closure and eventual return share
-    # one walk and one inflation step per report, and nothing of the
-    # analysis is kept on the system: the attributes it has once built
-    # are the ones it has after the analysis
-    walks, steps, systems = [], [], []
+    # one walk per report, and nothing of the analysis is kept on the
+    # system: the attributes it has once built are the ones it has after
+    # the analysis
+    walks, systems = [], []
     walk_init = coincidence.Walk.__init__
-    step_init = spectrum._Inflation.__init__
     system_init = suspension.SuspensionSystem.__init__
 
     def built(self, *args):
@@ -1244,51 +1243,84 @@ def test_an_analysis_builds_one_walk_and_keeps_nothing_on_the_system(
 
     monkeypatch.setattr(coincidence.Walk, "__init__", lambda self, *args:
                         walks.append(1) or walk_init(self, *args))
-    monkeypatch.setattr(spectrum._Inflation, "__init__", lambda self, *args:
-                        steps.append(1) or step_init(self, *args))
     monkeypatch.setattr(suspension.SuspensionSystem, "__init__", built)
     report = cli.run_analysis(cli.corpus_lookup(name))
     assert "error" not in report["checks"]
-    assert len(walks) == len(steps) == len(systems) == 1
+    assert len(walks) == len(systems) == 1
     system, attributes = systems[0]
     assert set(vars(system)) == attributes
 
 
-def _forged_overlap_failure():
-    """fibonacci's report with ROADMAP item 2's forged overlap FAILS: the
-    class (a, a, 1/2) closed under inflation, 22 coincidence-free
-    classes that no tiling holds (1/2 is not in Z[beta]), and the derived
-    leaves rewritten."""
-    report = _fixture("fibonacci")
-    system = suspension.SuspensionSystem(
-        cli._spec_from_report(report).substitution())
-    # the left endpoints, 0, over the denominator 2
-    walk = coincidence.Walk(system, (((0, 0), (0, 0)), 2))
-    classes, queue = {}, [(1, 1, (1, 0))]
+def _forged_overlap_failure(report, walk, seed, size):
+    """`report` with a forged overlap FAILS: the `size` classes closed under
+    the inflation of `walk` from `seed`, checked closed and
+    coincidence-free, with the derived leaves rewritten."""
+    classes, queue = {}, [seed]
     while queue:
         key = queue.pop()
         if key not in classes:
             classes[key] = None
             queue.extend(walk.successors(key))
-    assert len(classes) == 22
+    assert len(classes) == size
     assert spectrum._is_closed(classes, spectrum._is_coincidence_key,
                                walk.successors)
     report["checks"]["overlap_coincidence"].update(
         status="FAILS", certificate={"coincidence_free_closed_set": [
             {"moved": moved, "anchor": anchor,
-             "shift": spectrum.format_shift(shift, 2)}
+             "shift": spectrum.format_shift(shift, walk.denom)}
             for moved, anchor, shift in classes]})
     _rederive(report)
     return report
 
 
+def _report_walk(report):
+    """The walk that `verify` replays a report on."""
+    spec = cli._spec_from_report(report)
+    system = suspension.SuspensionSystem(spec.substitution())
+    return coincidence.Walk(system, cli._reference_points(system, spec)[0])
+
+
+def _only_overlap_fails(report):
+    outcome = cli.verify_report(report)
+    return ([name for name, ok in outcome["replayed"].items() if not ok] ==
+            ["overlap_coincidence"] and outcome["passed"] is False)
+
+
 def test_verify_fails_an_overlap_certificate_off_the_walk_denominator():
-    # the forged set is closed and coincidence-free; only its denominator,
-    # 2, which does not divide the walk's, 1, refutes it
-    outcome = cli.verify_report(_forged_overlap_failure())
-    assert [name for name, ok in outcome["replayed"].items() if not ok] == [
-        "overlap_coincidence"]
-    assert outcome["passed"] is False
+    # ROADMAP item 2's forgery on fibonacci: the class (a, a, 1/2) closed
+    # under inflation, 22 coincidence-free classes that no tiling holds
+    # (1/2 is not in Z[beta]); only its denominator, 2, which does not
+    # divide the walk's, 1, refutes it
+    report = _fixture("fibonacci")
+    system = suspension.SuspensionSystem(
+        cli._spec_from_report(report).substitution())
+    # the left endpoints, 0, over the denominator 2
+    walk = coincidence.Walk(system, (((0, 0), (0, 0)), 2))
+    assert _only_overlap_fails(
+        _forged_overlap_failure(report, walk, (1, 1, (1, 0)), 22))
+
+
+def test_verify_fails_overlap_classes_outside_the_span_of_the_lengths():
+    # two closed coincidence-free sets over the walk's own denominator,
+    # which the denominator alone does not refute: on aba-gamma (walk
+    # denominator 3), {(a, a, -1/3), (a, b, 0), (b, a, 0)}, which would
+    # make the spectrum NOT_PURE_DISCRETE; on rauzy at the tile map
+    # (2, 1, 1) (denominator 2), the 113 classes closed from
+    # (a, a, (-2, -2, 3/2)).  Every overlap class lies in the Z-span of
+    # the prototile lengths, and neither -1/3 nor 3/2 does
+    report = _golden("aba-gamma")
+    walk = _report_walk(report)
+    assert walk.denom == 3
+    forged = _forged_overlap_failure(report, walk, (1, 1, (-1,)), 3)
+    assert forged["checks"]["spectral"]["status"] == "NOT_PURE_DISCRETE"
+    assert _only_overlap_fails(forged)
+    report = json.loads(json.dumps(cli.run_analysis(
+        cli.parse_spec(RAUZY_211, name="rauzy-211"))))
+    assert cli.verify_report(report)["passed"]
+    walk = _report_walk(report)
+    assert walk.denom == 2
+    assert _only_overlap_fails(
+        _forged_overlap_failure(report, walk, (1, 1, (-4, -4, 3)), 113))
 
 
 # -- a deterministic work guard for the exact sign route ----------------------
@@ -1301,20 +1333,20 @@ def test_nonpisot_signs_and_bisection_run_on_integers(monkeypatch):
     # Past den = 2^48 the rounding of the 2^64 sign filter outgrows the
     # width of the interval, so most signs fall through to Horner: the
     # count is exact, to show a change in the filter or the closure.
-    # Each _Inflation encloses the subtile pairs of a (moved, anchor) once,
+    # Each Walk encloses the subtile pairs of a (moved, anchor) once,
     # whatever the refinements: 130 enclosures, not 5,654 by generation
     refinements, horner = [], []
     built, building, pair_bounds = [], [], []
     refine = algebraic.NumberField._refine_once
     refined_sign = algebraic.NumberField._refined_sign
     bounds = algebraic.NumberField.fixed_point_bounds
-    subtile_pairs = spectrum._Inflation._subtile_pairs
+    subtile_pairs = coincidence.Walk._subtile_pairs
 
-    def build(step, moved, anchor):
-        built.append((step, moved, anchor))
+    def build(walk, moved, anchor):
+        built.append((walk, moved, anchor))
         building.append(1)
         try:
-            return subtile_pairs(step, moved, anchor)
+            return subtile_pairs(walk, moved, anchor)
         finally:
             building.pop()
 
@@ -1323,7 +1355,7 @@ def test_nonpisot_signs_and_bisection_run_on_integers(monkeypatch):
             pair_bounds.append(1)
         return bounds(field, ints)
 
-    monkeypatch.setattr(spectrum._Inflation, "_subtile_pairs", build)
+    monkeypatch.setattr(coincidence.Walk, "_subtile_pairs", build)
     monkeypatch.setattr(algebraic.NumberField, "fixed_point_bounds",
                         counted_bounds)
     monkeypatch.setattr(algebraic.NumberField, "_refine_once",
@@ -1599,20 +1631,17 @@ def test_verify_fails_walk_certificate_over_another_denominator():
 def _walk_closure(report, letters):
     """The states that the walk of `letters` meets at any level, as a
     FAILS certificate lists them: closed under inflation, with the root."""
-    spec = cli._spec_from_report(report)
-    system = suspension.SuspensionSystem(spec.substitution())
-    refs, _ = cli._reference_points(system, spec)
-    walk = coincidence.Walk(system, refs)
+    walk = _report_walk(report)
     seen, states = set(), {walk.root(letters): ()}
     while not seen.issuperset(states):
         seen.update(states)
         states = walk.inflate(states)
     return {"closed_states": [
-        {"color": color, "classes": [
+        {"color": state[0][0], "classes": [
             {"anchor": anchor,
              "shift": spectrum.format_shift(shift, walk.denom)}
-            for anchor, shift in classes]}
-        for color, classes in sorted(seen)]}
+            for _, anchor, shift in state]}
+        for state in sorted(seen)]}
 
 
 def test_verify_fails_walk_certificate_of_a_pair_that_holds():

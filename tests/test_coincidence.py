@@ -17,6 +17,10 @@ from subtiling import words as W
 from conftest import (CORPUS_IDS, FOUR_LETTERS, WALK_BASE, elements,
                       false_zero_pairs, length_elements, power,
                       swap_commuting_substitution)
+from golden_reports import NAMES as GOLDEN_NAMES
+
+import make_fixtures
+import workloads
 
 
 def test_prefix_strong_fibonacci(fib):
@@ -618,3 +622,50 @@ def test_runaway_walks_end_at_the_node_cap(text, level_bound, node_cap,
     assert all(C.verify_witness(walk, v.witness) for v in held)
     assert {(v.status, v.bound_hit) for v in verdicts
             if v.status != "HOLDS"} == {("UNKNOWN", f"node cap {node_cap}")}
+
+
+def _analysis_walk(monkeypatch, name):
+    """The one walk of the analysis of a golden input, after it ran."""
+    walks = []
+    init = C.Walk.__init__
+    monkeypatch.setattr(C.Walk, "__init__", lambda self, *args:
+                        walks.append(self) or init(self, *args))
+    workloads.run(make_fixtures.fixture_input(name))
+    [walk] = walks
+    return walk
+
+
+@pytest.mark.parametrize("name", GOLDEN_NAMES)
+def test_a_one_class_state_inflates_to_its_successors(monkeypatch, name):
+    # a walk state is the tuple of its classes: a state of one class
+    # inflates to its successors as one-class states, in their order, for
+    # every class whose children the analysis kept (those of the overlap
+    # closure, where it ran, and of the shared-tile walks).  Two moved
+    # subtiles can give one class (on aba-left, a over b from the first
+    # and the last subtile), which the state keeps at its first path
+    walk = _analysis_walk(monkeypatch, name)
+    assert walk._children
+    for key in list(walk._children):
+        assert list(walk.inflate({(key,): ()})) == list(dict.fromkeys(
+            (x,) for x in walk.successors(key)))
+
+
+@pytest.mark.parametrize("name", GOLDEN_NAMES)
+def test_a_state_inflates_to_products_of_kept_children(monkeypatch, name):
+    # along the first four levels of the walk of all prototiles, each
+    # child of a state of m - 1 classes is, for the one moved subtile on
+    # its least path, a product of the children its classes keep for that
+    # subtile, and every such product is a child
+    walk = _analysis_walk(monkeypatch, name)
+    m = walk.system.size
+    states = {walk.root(tuple(range(1, m + 1))): ()}
+    for _ in range(4):
+        for state in states:
+            assert len(state) == m - 1
+            out = walk.inflate({state: ()})
+            for child, (k,) in out.items():
+                assert all(x in walk.children(c)[k]
+                           for x, c in zip(child, state))
+            assert set(out) == {combo for kids in zip(*map(
+                walk.children, state)) for combo in itertools.product(*kids)}
+        states = walk.inflate(states)

@@ -1,18 +1,21 @@
 """The golden reports of tests/golden: each one is acceptable as
 perfbench/make_fixtures.py judges a fixture, and their UNKNOWN claims are
-counted against a pinned census.
+counted against a pinned census.  Rauzy at the tile map (2, 1, 1), which
+has no golden report, is pinned by the sha256 of its `analyze` output.
 
 `test_cli.test_reports_match_committed_fixtures` compares `analyze` with
 these files byte for byte; `golden_reports.py` rewrites them.
 """
 
 import collections
+import hashlib
 import json
 import re
 
 import pytest
 
-from golden_reports import GOLDEN, NAMES, problems
+from golden_reports import GOLDEN, NAMES, RAUZY_211, problems
+from subtiling import cli
 
 # UNKNOWN status nodes per check across the golden reports.  A change
 # that moves a count updates it here and gives the delta, and why, in
@@ -98,3 +101,25 @@ def test_an_unknown_that_names_no_cap_is_found():
     del pair["bound_hit"]
     checks["balanced_pairs"]["bound_hit"] = "pair cap"
     assert _unnamed_caps(checks) == [pair, checks["balanced_pairs"]]
+
+
+# sha256 of `analyze` on RAUZY_211 at the default bounds, serialized as
+# tests/test_pinned_outputs.py serializes its outputs
+RAUZY_211_SHA256 = (
+    "754437f19aa1f71e5954ed569d6cc47bd4ad88cafe319cc23787dffec87e5441")
+
+
+def test_rauzy_at_a_half_integer_tile_map_is_pinned_and_passes_verify():
+    report = cli.run_analysis(cli.parse_spec(RAUZY_211, name="rauzy-211"))
+    text = json.dumps(report, indent=2)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
+        RAUZY_211_SHA256
+    # its geometric FAILS certificates are over the denominator 2
+    pairs = report["checks"]["geometric_strong"]["pairs"]
+    assert [pair for pair, claim in pairs.items()
+            if claim["status"] == "FAILS"] == ["a|b", "a|c"]
+    assert any(x.endswith("/2") for claim in pairs.values()
+               for state in claim.get("certificate", {}).get(
+                   "closed_states", ())
+               for c in state["classes"] for x in c["shift"])
+    assert cli.verify_report(json.loads(text))["passed"]

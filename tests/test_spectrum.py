@@ -888,12 +888,12 @@ def test_kept_pair_enclosures_inflate_as_fresh_ones(monkeypatch, name):
     def analysis(inflate):
         calls = []
 
-        def recorded(step, key):
-            out = inflate(step, key)
-            calls.append((key, out, step.field.generation))
+        def recorded(walk, key):
+            out = inflate(walk, key)
+            calls.append((key, out, walk.system.field.generation))
             return out
 
-        monkeypatch.setattr(SP._Inflation, "children", recorded)
+        monkeypatch.setattr(C.Walk, "children", recorded)
         if name == "nonpisot":
             system, refs = _system_and_refs(name)
             return calls, SP.overlap_coincidence(C.Walk(system, refs),
@@ -903,7 +903,7 @@ def test_kept_pair_enclosures_inflate_as_fresh_ones(monkeypatch, name):
                                                    "node_cap": 2000})
         return calls, report
 
-    kept_calls, kept_report = analysis(SP._Inflation.children)
+    kept_calls, kept_report = analysis(C.Walk.children)
     fresh_calls, fresh_report = analysis(ref_children)
     assert kept_calls == fresh_calls
     assert kept_report == fresh_report
