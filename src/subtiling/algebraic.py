@@ -95,8 +95,9 @@ def _lowest_terms(text):
     if not (slash and q.isdigit() and p.removeprefix("-").isdigit() and
             text.isascii() and q.strip("0")):
         return Fraction(text).as_integer_ratio()
-    g = math.gcd(int(p), int(q))
-    return int(p) // g, int(q) // g
+    p, q = int(p), int(q)
+    g = math.gcd(p, q)
+    return p // g, q // g
 
 
 def parse_shifts(values, degree, denom=1):

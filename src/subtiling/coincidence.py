@@ -374,8 +374,9 @@ class Walk:
         return kids
 
     def successors(self, key):
-        """The children of a class, in one list."""
-        return [c for kids in self.children(key) for c in kids]
+        """The children of a class, each once, in the order of their
+        first moved subtile."""
+        return list(dict.fromkeys(itertools.chain(*self.children(key))))
 
     def inflate(self, states):
         """The states one inflation further, in the order of their least

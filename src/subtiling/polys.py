@@ -5,10 +5,10 @@ A polynomial is a list of coefficients in ascending degree, so
 the empty list.  Nothing here ever touches a float.  Degrees stay small
 (below ~20), so the classical algorithms are used throughout: signed
 remainder sequences for Sturm chains and Tarski queries, a primitive
-remainder sequence for gcds, Yun's algorithm for squarefree parts, and
-for monic polynomials `factor_monic`: Berlekamp's algorithm modulo a
-prime, Hensel lifting and Zassenhaus's recombination of the lifted
-factors.
+remainder sequence for gcds, Yun's algorithm for squarefree
+decompositions, and for monic polynomials `factor_monic`: Berlekamp's
+algorithm modulo a prime, Hensel lifting and Zassenhaus's recombination
+of the lifted factors.
 
 Everything that takes a polynomial computes over Z.  Remainders are
 pseudo-remainders (a positive multiple of the remainder over Q, so the
@@ -19,6 +19,8 @@ triple (num_lo, num_hi, den) of ints, standing for
 [num_lo / den, num_hi / den], and one bisection step, `bisect`, serves
 root isolation and the dominance test (`dominates`) here and the
 refinement of beta's interval in `algebraic`.  No Fraction is made.
+Root counting, isolation and dominance build one remainder sequence per
+squarefree polynomial (`squarefree_chain`).
 """
 
 from __future__ import annotations
@@ -165,15 +167,6 @@ def poly_gcd(p, q):
     return a
 
 
-def squarefree_part(p):
-    """Primitive squarefree part.  The gcd g is primitive, so by Gauss's
-    lemma it divides the primitive part of p over Z."""
-    g = poly_gcd(p, derivative(p))
-    if degree(g) < 1:
-        return primitive_part(p)
-    return exact_int_divide(primitive_part(p), g)
-
-
 def yun_squarefree_decomposition(p):
     """Return [(q1, 1), (q2, 2), ...] with p = c * prod qi**i, qi pairwise
     coprime, squarefree, and primitive over Z.
@@ -259,6 +252,18 @@ def sturm_chain(p):
     return signed_remainder_chain(p, derivative(p))
 
 
+def squarefree_chain(p):
+    """(q, sturm_chain(q)), q the primitive squarefree part of p: the chain
+    of p ends in g = gcd(p, p') up to a constant, and unless g is constant,
+    q is p over g's primitive part (exact by Gauss's lemma), chained again."""
+    p = primitive_part(p)
+    chain = sturm_chain(p)
+    if degree(chain[-1]) < 1:
+        return p, chain
+    q = exact_int_divide(p, primitive_part(chain[-1]))
+    return q, sturm_chain(q)
+
+
 def sign_at(p, num, den):
     """Sign of an integer polynomial at num / den for den > 0: the sign
     of the homogeneous integer Horner sum of c_k num^k den^(n-k)."""
@@ -288,10 +293,9 @@ def variations_at_neg_inf(chain):
 
 
 def count_real_roots(p):
-    """Distinct real roots of p."""
-    p = squarefree_part(p)
-    if degree(p) < 1:
-        return 0
+    """Distinct real roots of p, on the Sturm chain of p itself: divided
+    by their common factor gcd(p, p'), its entries form a Sturm sequence
+    of the squarefree part, with the same variations at infinity."""
     chain = sturm_chain(p)
     return variations_at_neg_inf(chain) - variations_at_pos_inf(chain)
 
@@ -341,10 +345,9 @@ def isolate_largest_real_root(p):
     Requires that bisection midpoints are never roots, which holds when p
     has no rational roots (callers factor those out first).
     """
-    sf = squarefree_part(p)
+    sf, chain = squarefree_chain(p)
     if degree(sf) < 1:
         return None
-    chain = sturm_chain(sf)
     bound, den = cauchy_root_bound(sf)
     interval = (-bound, bound, den)
     v_lo = variations_at(chain, -bound, den)
@@ -372,8 +375,7 @@ def dominates(minpoly, interval, cofactor) -> bool:
     below beta.  Bisection ends, since no root of the cofactor is beta."""
     if exact_int_divide(cofactor, minpoly) is not None:
         return False
-    q = squarefree_part(cofactor)
-    chain = sturm_chain(q)
+    q, chain = squarefree_chain(cofactor)
     at_infinity = variations_at_pos_inf(chain)
     num_lo, num_hi, den = interval
     lo_sign = sign_at(minpoly, num_lo, den)

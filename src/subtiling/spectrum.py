@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from fractions import Fraction
+from math import gcd
 
 from . import algebraic, lattices
 from . import words as words_mod
@@ -51,14 +51,10 @@ ADVISORY_PAIR_LENGTH_CAP = 2_000
 SEED_RETURN_WORDS = 10
 
 
-def _frac_str(x) -> str:
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
-
-
 def format_shift(ints, denom):
-    """The vector ints / denom as reduced "p/q" strings."""
-    return [_frac_str(Fraction(a, denom)) for a in ints]
+    """The vector ints / denom, for ints and a positive int denom, as
+    "p/q" strings in lowest terms, one gcd per coordinate (0 is "0/1")."""
+    return [f"{a // (g := gcd(a, denom))}/{denom // g}" for a in ints]
 
 
 def _is_coincidence_key(key):
@@ -213,10 +209,10 @@ def overlap_coincidence(walk, window,
     that holds no same-color return vector to seed the closure.  The
     closure runs on the integer keys of `_seed_keys` and the successors
     that `walk`, a `coincidence.Walk`, keeps."""
+    ends = [f"{x.numerator}/{x.denominator}" for x in window]
     try:
         seeds = _seed_keys(walk, window, node_cap)
     except EmptyWindow:
-        ends = [_frac_str(window[0]), _frac_str(window[1])]
         return SpectralHalf("UNKNOWN",
                             certificate={"window": ends},
                             bound_hit=f"window [{ends[0]}, {ends[1]}]")
@@ -242,7 +238,7 @@ def overlap_coincidence(walk, window,
         "initial_classes": len(seeds),
         "total_classes": len(classes),
         "coincidence_classes": sum(map(_is_coincidence_key, classes)),
-        "window": [_frac_str(window[0]), _frac_str(window[1])],
+        "window": ends,
     }
     if not stuck:
         return SpectralHalf("HOLDS", certificate=dict(

@@ -565,6 +565,12 @@ def ref_squarefree_part(p):
     return ref_to_integer(ref_divmod_rational(p, g)[0])
 
 
+def ref_squarefree_chain(p):
+    """Reference: the squarefree part over Q and its remainder chain."""
+    sf = ref_squarefree_part(p)
+    return sf, ref_remainder_chain(sf, P.derivative(sf))
+
+
 def ref_yun_squarefree_decomposition(p):
     """Reference: Yun's algorithm with every quotient over Q."""
     p = P.primitive_part(p)
@@ -609,6 +615,17 @@ def ref_variations_at(chain, num, den=1):
     """Reference: sign variations by Horner evaluation over Q."""
     signs = [P._sign(P.eval_at(p, Fraction(num, den))) for p in chain]
     return P.sign_variations(signs)
+
+
+def ref_count_real_roots(p):
+    """Reference: Sturm's count over Q on the squarefree part, between
+    the ends of the Cauchy interval."""
+    sf = ref_squarefree_part(p)
+    if P.degree(sf) < 1:
+        return 0
+    chain = ref_remainder_chain(sf, P.derivative(sf))
+    bound = 1 + Fraction(max(map(abs, sf[:-1])), abs(sf[-1]))
+    return ref_variations_at(chain, -bound) - ref_variations_at(chain, bound)
 
 
 def interval_ends(interval):
@@ -1105,7 +1122,7 @@ def ref_one_sided_seed(sub):
 RATIONAL_SETUP = (
     (P, "exact_int_divide", ref_exact_int_divide),
     (P, "poly_gcd", ref_poly_gcd),
-    (P, "squarefree_part", ref_squarefree_part),
+    (P, "squarefree_chain", ref_squarefree_chain),
     (P, "signed_remainder_chain", ref_remainder_chain),
     (P, "variations_at", ref_variations_at),
     (P, "isolate_largest_real_root", ref_isolate_largest_real_root),

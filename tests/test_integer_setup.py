@@ -20,12 +20,13 @@ from subtiling import suspension as S
 from subtiling import words as W
 
 from conftest import (REF_IRREDUCIBILITY_PRIMES, benchmark_substitutions,
-                      interval_ends, ref_exact_int_divide, ref_factor_monic,
+                      interval_ends, ref_count_real_roots,
+                      ref_exact_int_divide, ref_factor_monic,
                       ref_is_irreducible_mod_p, ref_is_primitive,
                       ref_isolate_largest_real_root, ref_poly_gcd,
                       ref_refine_root_interval, ref_remainder_chain,
-                      ref_squarefree_part, ref_yun_squarefree_decomposition,
-                      with_rational_setup)
+                      ref_squarefree_chain, ref_squarefree_part,
+                      ref_yun_squarefree_decomposition, with_rational_setup)
 
 INPUTS = benchmark_substitutions()
 
@@ -99,7 +100,7 @@ def test_remainders_and_divisions_match_rational_ones_on_random_polynomials():
         assert P.poly_gcd(pq, P.mul(q, dp)) == ref_poly_gcd(pq, P.mul(q, dp))
         for a, b in ((pq, q), (p, q), (q, p), (dp, p)):
             assert P.exact_int_divide(a, b) == ref_exact_int_divide(a, b)
-        assert P.squarefree_part(pq) == ref_squarefree_part(pq)
+        assert P.squarefree_chain(pq)[0] == ref_squarefree_part(pq)
         assert P.yun_squarefree_decomposition(pq) == \
             ref_yun_squarefree_decomposition(pq)
 
@@ -121,7 +122,7 @@ def test_root_isolation_matches_rational_signs_on_random_polynomials():
             _ends_or_outcome(_outcome(ref_isolate_largest_real_root, p)), p
         if isinstance(got, tuple) and got[0] < got[1]:
             isolated += 1
-            sf = P.squarefree_part(p)
+            sf = P.squarefree_chain(p)[0]
             interval, (lo, hi) = got, interval_ends(got)
             lo_sign = P.sign_at(sf, got[0], got[2])
             for _ in range(8):
@@ -133,6 +134,63 @@ def test_root_isolation_matches_rational_signs_on_random_polynomials():
                     break
                 interval, (lo, hi) = step, ref
     assert isolated > 50
+
+
+GOLDEN = [-1, -1, 1]
+
+
+def _product(*factors):
+    p = [1]
+    for f in factors:
+        p = P.mul(p, f)
+    return p
+
+
+# (p, its number of distinct real roots), each but the first with a
+# repeated factor or a constant, so that `squarefree_chain` divides by
+# the end of its first chain and chains again
+NON_SQUAREFREE = (
+    (GOLDEN, 2),
+    (_product(GOLDEN, GOLDEN, [-3, 1]), 3),
+    (_product(GOLDEN, GOLDEN), 2),
+    (_product([-1, 1], [-1, 1], [-1, 1], [2, 1], [2, 1]), 2),
+    (_product([0, 1], [0, 1], [-2, 0, 1]), 3),
+    (_product([1, 0, 1], [1, 0, 1], [-7, 2]), 1),
+    (_product([-4, 0, 6], [-4, 0, 6]), 2),
+    ([5], 0),
+    ([-3], 0),
+)
+
+
+@pytest.mark.parametrize("p, roots", NON_SQUAREFREE)
+def test_squarefree_chain_matches_the_rational_references(p, roots):
+    assert P.squarefree_chain(p) == ref_squarefree_chain(p)
+    assert P.count_real_roots(p) == ref_count_real_roots(p) == roots
+    assert _ends_or_outcome(_outcome(P.isolate_largest_real_root, p)) == \
+        _ends_or_outcome(_outcome(ref_isolate_largest_real_root, p))
+
+
+# cofactors of the golden ratio's x^2 - x - 1 with repeated factors, and
+# whether it exceeds each of their real roots: double roots at 8/5 and
+# 13/8 lie just below and just above it
+REPEATED_COFACTORS = (
+    (_product([-1, 1], [-1, 1], [1, 1], [1, 1], [1, 1]), True),
+    (_product([-2, 1], [-2, 1]), False),
+    (_product([-2, 0, 1], [-2, 0, 1], [0, 1]), True),
+    (_product([-8, 5], [-8, 5]), True),
+    (_product([-13, 8], [-13, 8]), False),
+    (_product([1, 1, 1], [1, 1, 1]), True),
+    ([4], True),
+)
+
+
+@pytest.mark.parametrize("cofactor, dominated", REPEATED_COFACTORS)
+def test_dominance_on_a_repeated_factor_matches_the_rational_setup(
+        cofactor, dominated):
+    interval = P.isolate_largest_real_root(GOLDEN)
+    assert P.dominates(GOLDEN, interval, cofactor) is dominated
+    assert with_rational_setup(P.dominates, GOLDEN, interval,
+                               cofactor) is dominated
 
 
 def test_primitivity_matches_the_boolean_list_products():
@@ -160,8 +218,8 @@ def test_setup_matches_the_rational_setup(name, sub):
     factors = P.factor_monic(cp)
     assert factors == with_rational_setup(P.factor_monic, cp)
     assert factors == ref_factor_monic(cp)
-    sf = P.squarefree_part(cp)
-    assert P.sturm_chain(sf) == ref_remainder_chain(sf, P.derivative(sf))
+    sf, chain = P.squarefree_chain(cp)
+    assert chain == ref_remainder_chain(sf, P.derivative(sf))
     for f in factors:
         assert _ends_or_outcome(P.isolate_largest_real_root(f)) == \
             _ends_or_outcome(ref_isolate_largest_real_root(f))

@@ -29,7 +29,7 @@ def test_gcd_and_squarefree():
     p = P.mul(P.mul([-1, 1], [-1, 1]), [1, 1])
     g = P.poly_gcd(p, P.derivative(p))
     assert g == [-1, 1]
-    assert P.squarefree_part(p) == [-1, 0, 1]
+    assert P.squarefree_chain(p)[0] == [-1, 0, 1]
 
 
 def test_yun_decomposition():

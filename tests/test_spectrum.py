@@ -723,7 +723,7 @@ def _fieldelem_seeds(system, refs, window):
 
 def _fieldelem_inflate(system, moved, anchor, shift):
     """Reference: one inflation step in FieldElem arithmetic, as
-    (moved, anchor, shift coordinates)."""
+    (moved, anchor, shift coordinates), each once, first seen first."""
     base = system.field.beta() * shift
     offsets = subtile_offset_elements(system)
     out = []
@@ -732,7 +732,7 @@ def _fieldelem_inflate(system, moved, anchor, shift):
             child = base + m_off - a_off
             if _fieldelem_overlaps(system, mc, ac, child):
                 out.append((mc, ac, child.coords))
-    return out
+    return list(dict.fromkeys(out))
 
 
 def _seed_classes(system, refs, window):
@@ -1003,3 +1003,36 @@ def test_balanced_pair_runs_confirm_few_false_walk_zeros(monkeypatch, fib2,
         cuts = sum(confirmed)
         assert cuts > 100
         assert len(confirmed) - cuts <= 0.05 * cuts
+
+
+@st.composite
+def _shift_vectors(draw):
+    """(ints, denom): a vector of ints with 0 and negatives among them,
+    some sharing a factor with denom, and denom in 1..10^6."""
+    denom = draw(st.integers(1, 10**6))
+    factor = draw(st.sampled_from([1, 2, 3, 7, denom]))
+    ints = draw(st.lists(
+        st.one_of(st.sampled_from([0, -1, 1, -denom, denom]),
+                  st.integers(-10**12, 10**12).map(lambda a: a * factor)),
+        min_size=1, max_size=6))
+    return ints, denom
+
+
+@given(_shift_vectors())
+@settings(max_examples=300, deadline=None)
+def test_format_shift_writes_the_fraction_strings(vector):
+    # one gcd per coordinate, as Fraction reduces it
+    ints, denom = vector
+    assert SP.format_shift(ints, denom) == [
+        f"{f.numerator}/{f.denominator}"
+        for f in (Fraction(a, denom) for a in ints)]
+
+
+@given(_shift_vectors())
+@settings(max_examples=300, deadline=None)
+def test_parse_shifts_reads_back_a_formatted_shift(vector):
+    ints, denom = vector
+    (row,), common = algebraic.parse_shifts(
+        [SP.format_shift(ints, denom)], len(ints))
+    assert [Fraction(a, common) for a in row] == \
+        [Fraction(a, denom) for a in ints]

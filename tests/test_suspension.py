@@ -84,6 +84,35 @@ def test_from_facts_is_the_computed_system(path):
         _state(S.SuspensionSystem(sub))
 
 
+# polys.pseudo_remainder calls of SuspensionSystem.from_facts on each
+# fixture: the irrational minimal polynomial's gcd with its derivative in
+# factor_monic and its Sturm chain for the isolation, and the cofactor's
+# Sturm chain for the dominance test; every one of these is squarefree,
+# so each chain is built once
+FROM_FACTS_REMAINDERS = {
+    "aba-gamma": 1, "aba-left": 1, "fib2": 6, "fibonacci": 4,
+    "nonpisot": 4, "nonunimodular": 4, "pentanacci": 10, "plastic": 6,
+    "rauzy": 6, "rauzy2-gamma": 9, "rauzy2-left": 9, "thue-morse": 1,
+}
+
+
+def test_from_facts_builds_one_remainder_sequence_per_polynomial(
+        monkeypatch):
+    # a work guard: it counts calls and times nothing
+    calls = []
+    remainder = polys.pseudo_remainder
+    monkeypatch.setattr(polys, "pseudo_remainder",
+                        lambda p, q: calls.append(1) or remainder(p, q))
+    counts = {}
+    for path in sorted(FIXTURES.glob("*.json")):
+        report = cli.json.loads(path.read_text(encoding="utf-8"))
+        sub = cli._spec_from_report(report).substitution()
+        calls.clear()
+        S.SuspensionSystem.from_facts(sub, report["facts"])
+        counts[path.stem] = len(calls)
+    assert counts == FROM_FACTS_REMAINDERS
+
+
 def test_from_facts_names_a_missing_or_changed_fact(fib):
     facts = {"characteristic_polynomial": [-1, -1, 1],
              "minimal_polynomial": [-1, -1, 1],
@@ -557,9 +586,13 @@ def test_patch_command_prints_the_addition_chain(name, tmp_path, capsys):
     if name == "halves":
         assert any(type(c) is Fraction
                    for pos, _ in tiles for c in pos.coords)
-    expected = [" ".join([spec.token(c)] + [spectrum._frac_str(x)
-                                            for x in pos.coords])
-                for pos, c in tiles]
+
+    def line(pos, color):
+        denom = algebraic.common_denominator(pos.coords)
+        return " ".join([spec.token(color)] + spectrum.format_shift(
+            scaled_coords(pos.coords, denom), denom))
+
+    expected = [line(pos, c) for pos, c in tiles]
     assert cli.main(["patch", source, "--n", "2"]) == 0
     assert capsys.readouterr().out.splitlines() == expected
 
