@@ -132,6 +132,8 @@ def parse_spec(text: str, name: str = "spec") -> SpecFile:
             if len(parts) != 3 or parts[1] not in spec_keys:
                 raise SpecSyntaxError(
                     line_no, f"expected: bound {'|'.join(spec_keys)} <int>")
+            if parts[1] in bounds:
+                raise SpecSyntaxError(line_no, f"duplicate bound {parts[1]}")
             try:
                 bounds[parts[1]] = int(parts[2])
             except ValueError:

@@ -8,9 +8,9 @@ reaches an exact same-color alignment.  The balanced-pair route works on
 words: cyclic rotations of return words of the fixed point seed balanced
 pairs, the substitution maps pairs to pairs, and the criterion asks the
 closure to stay finite with every irreducible pair reaching a trivial
-(letter, letter) pair.  `_settle` decides both closures and checks each
-FAILS set closed.  Both routes emit replayable certificates and are
-reconciled into one spectral verdict.
+(letter, letter) pair.  Both closures run on `_closure`, and `_settle`
+decides them and checks each FAILS set closed.  Both routes emit
+replayable certificates and are reconciled into one spectral verdict.
 
 The overlap route runs on integer vectors over one denominator D: a
 class is the key (moved, anchor, D * shift coordinates).  The seeding,
@@ -207,8 +207,8 @@ def overlap_coincidence(walk, window,
     under inflation and is re-verified by one inflation pass before being
     emitted.  Exceeding the node cap yields UNKNOWN, and so does a window
     that holds no same-color return vector to seed the closure.  The
-    closure runs on the integer keys of `_seed_keys` and the successors
-    that `walk`, a `coincidence.Walk`, keeps."""
+    closure runs on `_closure`, last in, first out, by the successors
+    that `walk`, a `coincidence.Walk`, keeps, from `_seed_keys`."""
     ends = [f"{x.numerator}/{x.denominator}" for x in window]
     try:
         seeds = _seed_keys(walk, window, node_cap)
@@ -216,23 +216,10 @@ def overlap_coincidence(walk, window,
         return SpectralHalf("UNKNOWN",
                             certificate={"window": ends},
                             bound_hit=f"window [{ends[0]}, {ends[1]}]")
-    classes = dict(seeds)
-    edges = {}
-    queue = list(seeds)
-    while queue:
-        if len(classes) > node_cap:
-            return SpectralHalf(
-                "UNKNOWN",
-                certificate={"nodes_seen": len(classes)},
-                bound_hit=f"node cap {node_cap}",
-            )
-        key = queue.pop()
-        succ = walk.successors(key)
-        for nk in succ:
-            if nk not in classes:
-                classes[nk] = None
-                queue.append(nk)
-        edges[key] = succ
+    classes, edges, bound_hit = _closure(seeds, walk.successors, node_cap,
+                                         lambda key: 0, "node cap")
+    if bound_hit:
+        return SpectralHalf("UNKNOWN", {"nodes_seen": len(classes)}, bound_hit)
     dist, stuck = _settle(classes, edges, _is_coincidence_key)
     meta = {
         "initial_classes": len(seeds),
@@ -243,13 +230,41 @@ def overlap_coincidence(walk, window,
     if not stuck:
         return SpectralHalf("HOLDS", certificate=dict(
             meta, uniform_steps=max(dist.values(), default=0)))
-    cert = dict(meta)
-    cert["coincidence_free_closed_set"] = [
+    meta["coincidence_free_closed_set"] = [
         {"moved": k[0], "anchor": k[1],
-         "shift": format_shift(k[2], walk.denom)}
-        for k in stuck
-    ]
-    return SpectralHalf("FAILS", certificate=cert)
+         "shift": format_shift(k[2], walk.denom)} for k in stuck]
+    return SpectralHalf("FAILS", certificate=meta)
+
+
+class _Capped(Exception):
+    """A caller's cap, raised from `_closure`'s successors."""
+
+
+def _closure(seeds, successors, cap, size, cap_name):
+    """Expand every node once from the seeds, the one of largest
+    size(node) first and the newest among equals (last in, first out
+    for a constant size): (nodes in the order met, edges from each
+    expanded node to its successors, bound_hit).  More than cap nodes,
+    checked before each expansion, end the run with bound_hit
+    f"{cap_name} {cap}"; a `_Capped` from successors ends it with its
+    message.  bound_hit is None when the closure completes."""
+    nodes = dict.fromkeys(seeds)
+    heap = [(-size(node), -i, node) for i, node in enumerate(nodes)]
+    heapq.heapify(heap)
+    edges = {}
+    while heap:
+        if len(nodes) > cap:
+            return nodes, edges, f"{cap_name} {cap}"
+        node = heapq.heappop(heap)[2]
+        try:
+            edges[node] = succ = successors(node)
+        except _Capped as hit:
+            return nodes, edges, str(hit)
+        for s in succ:
+            if s not in nodes:
+                heapq.heappush(heap, (-size(s), -len(nodes), s))
+                nodes[s] = None
+    return nodes, edges, None
 
 
 def _settle(nodes, edges, is_coincidence):
@@ -326,10 +341,8 @@ def _fixed_point_prefix(sub: Substitution):
     steps = 1
     while True:
         prefix = sub.iterate(letter, k * steps)
-        if prefix.count(letter) > SEED_RETURN_WORDS + 1:
-            return letter, prefix
-        if (len(prefix) * max(len(r) for r in sub.rules) >
-                words_mod.WORD_CAP):
+        if (prefix.count(letter) > SEED_RETURN_WORDS + 1 or
+                len(prefix) * max(map(len, sub.rules)) > words_mod.WORD_CAP):
             return letter, prefix
         steps += 1
 
@@ -382,65 +395,50 @@ def balanced_pairs(sub: Substitution, advisory=False) -> SpectralHalf:
     meta["irreducible_pairs"] = len(nodes)
     if not stuck:
         return SpectralHalf("HOLDS", certificate=meta)
-    cert = dict(meta)
-    cert["coincidence_free_closed_set"] = [
-        [list(u), list(v)] for u, v in stuck
-    ]
-    return SpectralHalf("FAILS", certificate=cert)
+    meta["coincidence_free_closed_set"] = [list(map(list, p)) for p in stuck]
+    return SpectralHalf("FAILS", certificate=meta)
 
 
 def _pair_closure(sub: Substitution, seeds, length_cap):
-    """The closure of the seed pairs under substitution-and-split:
-    (nodes, edges, bound_hit), nodes in the order they were made and
-    edges mapping each expanded node to its canonical components, with
-    bound_hit None unless a cap ended the run.
+    """The closure of the seed pairs under substitution-and-split, on
+    `_closure`, with edges to the canonical components.  The longest
+    pair is expanded first, the newest among equals; on an infinite
+    closure the pairs that grow are the long ones, so following them
+    reaches the length cap after one growing line of pairs instead of
+    whole breadth-first levels.
 
-    The longest unexpanded pair is expanded first, the oldest among
-    equals.  Every node is expanded once whatever the order, so a finite
-    closure has the same nodes and edges as in any other order; on an
-    infinite one the pairs that grow are the long ones, and following
-    them reaches the length cap after one growing line of pairs instead
-    of whole breadth-first levels.
-
-    The pair length cap is checked where a split component, seed or
-    image, becomes a node: one over length_cap // (longest rule) letters
-    ends the run before another image is built.  More than PAIR_CAP
-    nodes end it, checked after each image is split.  The iteration cap
-    is a depth cap: a node found ITER_CAP substitution steps from a seed
-    component ends the run when it comes up for expansion.
+    A component, seed or image, over length_cap // (longest rule)
+    letters ends the run where it is made, before another image is
+    built; more than PAIR_CAP nodes end it, checked before each
+    expansion; and a node found ITER_CAP substitution steps from a seed
+    component ends it when it comes up for expansion (a depth cap).
     """
-    m = sub.size
     widest = max(len(r) for r in sub.rules)
-    nodes, edges = {}, {}
-    heap = []
+    depth = {}
 
-    def add(comps, depth):
-        """The canonical components, unseen ones made nodes found at
-        `depth` and queued; None at the first one over the pair length
-        cap."""
-        comps = [_canonical(c) for c in comps]
+    def made(pairs, d):
+        """The canonical components of the pairs, unseen ones found at
+        depth d; `_Capped` at the first one over the pair length cap."""
+        comps = [_canonical(c) for pair in pairs
+                 for c in split_balanced(*pair, sub.size)]
         for comp in comps:
-            if comp not in nodes:
+            if comp not in depth:
                 if len(comp[0]) * widest > length_cap:
-                    return None
-                nodes[comp] = None
-                heapq.heappush(heap, (-len(comp[0]), len(nodes), depth, comp))
+                    raise _Capped(f"pair length cap {length_cap}")
+                depth[comp] = d
         return comps
 
-    length_hit = f"pair length cap {length_cap}"
-    if any(add(split_balanced(*pair, m), 0) is None for pair in seeds):
-        return nodes, edges, length_hit
-    while heap:
-        _, _, depth, (u, v) = heapq.heappop(heap)
-        if depth >= ITER_CAP:
-            return nodes, edges, f"iteration cap {ITER_CAP}"
-        succ = add(split_balanced(sub.apply(u), sub.apply(v), m), depth + 1)
-        if succ is None:
-            return nodes, edges, length_hit
-        edges[u, v] = succ
-        if len(nodes) > PAIR_CAP:
-            return nodes, edges, f"pair cap {PAIR_CAP}"
-    return nodes, edges, None
+    def successors(pair):
+        if (d := depth[pair]) >= ITER_CAP:
+            raise _Capped(f"iteration cap {ITER_CAP}")
+        return made([(sub.apply(pair[0]), sub.apply(pair[1]))], d + 1)
+
+    try:
+        comps = made(seeds, 0)
+    except _Capped as hit:
+        return dict.fromkeys(depth), {}, str(hit)
+    return _closure(comps, successors, PAIR_CAP,
+                    lambda pair: len(pair[0]), "pair cap")
 
 
 # ---------------------------------------------------------------------------

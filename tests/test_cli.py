@@ -83,6 +83,8 @@ def test_parse_tilemap():
      "line 2: tile map index must be an integer"),
     ("letters a b\nrule a = a b\nrule b = a\nbound L x",
      "line 4: bound value must be an integer"),
+    ("letters a b\nrule a = a b\nrule b = a\nbound L 5\nbound L 7",
+     "line 5: duplicate bound L"),
     ("# no letters\nbound L 3", "line 0: missing letters line"),
     ("letters a b\nrule a = a b\nrule b = a\ntilemap a -> 1",
      "line 0: tile map incomplete: missing 'b'"),

@@ -276,7 +276,59 @@ def test_balanced_pairs_stop_at_a_seed_component_over_the_length_cap(
         assert calls["split"] == 0
 
 
-def _closures(monkeypatch, sub):
+def _run_closure(seeds, graph, size, cap=100, capped=()):
+    """`_closure` on a graph given as successor lists, with a successors
+    that raises `_Capped` at the nodes in `capped`: the nodes in the
+    order expanded and what `_closure` returns."""
+    order = []
+
+    def successors(node):
+        order.append(node)
+        if node in capped:
+            raise SP._Capped(f"capped at {node}")
+        return graph[node]
+
+    nodes, edges, bound_hit = SP._closure(seeds, successors, cap, size,
+                                          "node cap")
+    return order, list(nodes), edges, bound_hit
+
+
+GRAPH = {"r": ["a", "bb", "c"], "a": ["d"], "bb": [], "c": ["ee", "r"],
+         "d": [], "ee": []}
+
+
+def test_closure_expands_the_largest_first_and_the_newest_among_equals():
+    met = ["r", "a", "bb", "c", "ee", "d"]
+    for size, order in ((lambda node: 0, ["r", "c", "ee", "bb", "a", "d"]),
+                        (len, ["r", "bb", "c", "ee", "a", "d"])):
+        got, nodes, edges, bound_hit = _run_closure(["r"], GRAPH, size)
+        assert (got, nodes, bound_hit) == (order, met, None)
+        assert edges == GRAPH
+    # seeds alone: the last seed is the newest
+    got, nodes, _, _ = _run_closure(["d", "ee", "bb"], GRAPH, lambda n: 0)
+    assert got == nodes[::-1] == ["bb", "ee", "d"]
+
+
+def test_closure_checks_the_node_cap_before_each_expansion():
+    got, nodes, edges, bound_hit = _run_closure(["r"], GRAPH, len, cap=3)
+    assert (got, bound_hit) == (["r"], "node cap 3")
+    assert (nodes, edges) == (["r", "a", "bb", "c"], {"r": GRAPH["r"]})
+    # seeds over the cap end the run before any expansion
+    got, nodes, edges, bound_hit = _run_closure(["a", "d"], GRAPH, len,
+                                                cap=1)
+    assert (got, nodes, edges, bound_hit) == ([], ["a", "d"], {},
+                                              "node cap 1")
+
+
+def test_closure_ends_at_a_cap_raised_by_its_successors():
+    got, nodes, edges, bound_hit = _run_closure(["r"], GRAPH, lambda n: 0,
+                                                capped={"bb"})
+    assert (got, bound_hit) == (["r", "c", "ee", "bb"], "capped at bb")
+    assert nodes == ["r", "a", "bb", "c", "ee"]
+    assert edges == {key: GRAPH[key] for key in ("r", "c", "ee")}
+
+
+def _closures(monkeypatch, sub, advisory=False):
     """balanced_pairs on a fresh copy of sub, by `_pair_closure` and then
     by conftest's breadth-first `ref_pair_closure`.  For each run: the
     half, the nodes and the edges, and the letters walked by
@@ -300,7 +352,8 @@ def _closures(monkeypatch, sub):
             patch.setattr(SP, "_pair_closure", recorded(closure))
             patch.setattr(W, "walk_zeros", counted_walk)
             runs.append({"walked": 0})
-            runs[-1]["half"] = SP.balanced_pairs(Substitution(sub.rules))
+            runs[-1]["half"] = SP.balanced_pairs(Substitution(sub.rules),
+                                                 advisory)
     return runs
 
 
@@ -375,12 +428,17 @@ def test_longest_first_closure_walks_fewer_letters(monkeypatch, fib2,
                                                    rauzy2):
     """Deterministic work guard on the expansion order: at default caps
     fib2 and rauzy2 reach the pair length cap after 22 and 30 expansions
-    (266 and 441 breadth-first), walking 50.2 % and 22.8 % of the
-    reference's letters."""
-    for sub, expanded, share in ((fib2, 22, 0.55), (rauzy2, 30, 0.25)):
-        new, ref = _closures(monkeypatch, sub)
+    (266 and 441 breadth-first), walking 46.7 % and 22.2 % of the
+    reference's letters; at the advisory cap, after 14 and 18 expansions
+    (128 and 158), walking 34.1 % and 28.4 %."""
+    for sub, advisory, expanded, share in (
+            (fib2, False, 22, 0.55), (rauzy2, False, 30, 0.25),
+            (fib2, True, 14, 0.40), (rauzy2, True, 18, 0.32)):
+        new, ref = _closures(monkeypatch, sub, advisory)
+        cap = (SP.ADVISORY_PAIR_LENGTH_CAP if advisory
+               else SP.PAIR_LENGTH_CAP)
         for run in (new, ref):
-            assert run["half"].bound_hit == "pair length cap 100000"
+            assert run["half"].bound_hit == f"pair length cap {cap}"
         assert len(new["edges"]) <= expanded
         assert new["walked"] <= share * ref["walked"]
 
