@@ -75,7 +75,7 @@ class SpecFile:
     def substitution(self) -> words.Substitution:
         index = {tok: i + 1 for i, tok in enumerate(self.letters)}
         rules = [bytes(index[t] for t in rule) for rule in self.rules]
-        return words.Substitution(rules, name=self.name)
+        return words.Substitution(rules)
 
     def token(self, letter: int) -> str:
         return self.letters[letter - 1]
@@ -280,7 +280,7 @@ def _prefix_witness_json(spec, w: coincidence.PrefixWitness):
     return {
         "level": w.level,
         "letter": spec.token(w.color),
-        "prefix_lengths": list(w.prefix_lengths),
+        "prefix_lengths": [w.prefix_length] * 2,      # one per letter
         "prefix_counts": list(w.counts),
     }
 
@@ -380,14 +380,16 @@ def _height_group(report) -> lattices.HeightGroupResult:
 # the witness encoder of `_pairs_json` or `_verdict_json` for a row with
 # `pairs` or `holds` set, else the encoder of the whole entry.
 # As `verify_report` judges its claims: whether it holds one verdict per
-# letter pair; the statuses it emits, none when `derive` alone judges it; how
-# a HOLDS is judged, "word", "tile" or None; and what replays a FAILS
-# certificate, called with the report's walk, the certificate and the
-# claim's letters, or None.  A run looks its function up in its module
+# letter pair; how a HOLDS is judged, "word", "tile" or None; and what
+# replays a FAILS certificate, called with the report's walk, the
+# certificate and the claim's letters.  A check with such a replay has its
+# claims judged, each with a status of STATUSES; one with None has nothing
+# to judge beyond `derive`.  A run looks its function up in its module
 # when it is called, so that a wrapper set there is the one that runs.
 Check = collections.namedtuple(
-    "Check", "name run encode pairs statuses holds fails",
-    defaults=(False, (), None, None))
+    "Check", "name run encode pairs holds fails",
+    defaults=(False, None, None))
+STATUSES = ("HOLDS", "FAILS", "UNKNOWN")
 
 
 # The checks of a report, in the order analyze runs them; a report also
@@ -399,28 +401,26 @@ CHECK_TABLE = (
     Check("prefix_strong",
           lambda sub, walk, bounds, report:
           coincidence.prefix_strong(sub, bounds["L"]),
-          _prefix_witness_json, True, ("HOLDS", "FAILS", "UNKNOWN"), "word",
-          _replay_involution),
+          _prefix_witness_json, True, "word", _replay_involution),
     Check("suffix_strong",
           lambda sub, walk, bounds, report:
           coincidence.prefix_strong(sub, bounds["L"], suffixes=True),
-          _prefix_witness_json, True, ("HOLDS", "FAILS", "UNKNOWN"), "word",
-          _replay_involution),
+          _prefix_witness_json, True, "word", _replay_involution),
     Check("geometric_strong",
           lambda sub, walk, bounds, report:
           coincidence.geometric_strong(walk, bounds["L"], bounds["node_cap"]),
-          _geometric_witness_json, True, ("HOLDS", "FAILS", "UNKNOWN"), "tile",
+          _geometric_witness_json, True, "tile",
           coincidence.replay_walk_certificate),
     Check("simultaneous",
           lambda sub, walk, bounds, report:
           coincidence.simultaneous(walk, bounds["L"], bounds["node_cap"]),
-          _geometric_witness_json, False, ("HOLDS", "FAILS", "UNKNOWN"),
-          "tile", coincidence.replay_walk_certificate),
+          _geometric_witness_json, False, "tile",
+          coincidence.replay_walk_certificate),
     Check("prefix_simultaneous",
           lambda sub, walk, bounds, report:
           coincidence.prefix_simultaneous(sub, bounds["L"]),
-          _prefix_simultaneous_witness_json, False,
-          ("HOLDS", "FAILS", "UNKNOWN"), "word", _replay_involution),
+          _prefix_simultaneous_witness_json, False, "word",
+          _replay_involution),
     Check("height_group",
           lambda sub, walk, bounds, report:
           lattices.height_group(walk.system, walk.refpoints),
@@ -436,14 +436,13 @@ CHECK_TABLE = (
               walk, walk.system.window(bounds["window"]), bounds["node_cap"])
           if report["facts"]["pisot"]
           else spectrum.SpectralHalf("UNKNOWN", bound_hit="not Pisot"),
-          _half_json, False, ("HOLDS", "FAILS", "UNKNOWN"), None,
+          _half_json, False, None,
           lambda walk, certificate, _:
           spectrum.replay_overlap_certificate(walk, certificate)),
     Check("balanced_pairs",
           lambda sub, walk, bounds, report:
           spectrum.balanced_pairs(sub, advisory=_advisory(report["facts"])),
-          lambda half: _half_json(half, advisory=None), False,
-          ("HOLDS", "FAILS", "UNKNOWN"), None,
+          lambda half: _half_json(half, advisory=None), False, None,
           lambda walk, certificate, _:
           spectrum.replay_balanced_certificate(walk.system.sub, certificate)),
 )
@@ -582,9 +581,9 @@ def run_analysis(spec: SpecFile, overrides: dict | None = None) -> dict:
     facts["minimal_polynomial"] = core["minimal_polynomial"]
     facts["beta_interval"] = beta_interval
     facts["pisot"] = pisot
-    # the rest of the core facts, in their order
-    facts.update((key, value) for key, value in core.items()
-                 if key not in facts)
+    # the rest of the core facts, in their order; the ones already set
+    # keep their place
+    facts.update(core)
 
     walk = coincidence.Walk(system, refpoints)
     for check in CHECK_TABLE:
@@ -789,11 +788,11 @@ def verify_report(report: dict) -> dict:
     enclose beta (`_beta_interval_holds`); all of these are the one
     replay "facts", which a report derive cannot read fails.
 
-    Then each check of CHECK_TABLE that emits a status is judged claim by
+    Then each check of CHECK_TABLE with a FAILS replay is judged claim by
     claim: a pair check's claims are its verdicts, named check[x|y], and
     must be keyed by exactly the m(m+1)/2 letter pairs; any other check
     makes one claim over every letter.  A claim fails when it is not an
-    object, or its status is not one its check emits.  A FAILS replays its
+    object, or its status is not one of the STATUSES.  A FAILS replays its
     certificate on one `coincidence.Walk` of the report.  A word
     HOLDS needs a witness whose arithmetic holds (`_word_witness_holds`),
     and fails when a commuting fixed-point-free involution maps one of its
@@ -864,8 +863,8 @@ def verify_report(report: dict) -> dict:
         """(replay name, its letters, claim) for each claim of a check,
         read one at a time so that names enter `results` in report
         order; a pair key that names no pair has letters None.  A check
-        that emits no status has none."""
-        if not check.statuses:
+        with no FAILS replay has none."""
+        if check.fails is None:
             return
         claim = part(checks, check.name)
         if not check.pairs:
@@ -909,9 +908,9 @@ def verify_report(report: dict) -> dict:
             if raised(claim):
                 continue
             status = claim.get("status")
-            if status not in check.statuses:
+            if status not in STATUSES:
                 results[name] = False
-            if status == "FAILS" and check.fails:
+            if status == "FAILS":
                 results[name] = claimed is not None and replay(
                     check.fails, walk, claim.get("certificate"), claimed)
             elif status == "HOLDS" and check.holds == "tile":
@@ -991,8 +990,7 @@ def main(argv=None) -> int:
             return 1
         try:
             system = suspension.SuspensionSystem(spec.substitution())
-            _, left, right = system.seed
-            patch = suspension.generate_patch(system, (left, right), args.n)
+            patch = suspension.generate_patch(system, args.n)
         except (SubtilingError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

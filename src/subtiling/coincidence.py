@@ -60,7 +60,7 @@ class BoundedVerdict:
 class PrefixWitness:
     level: int
     color: int
-    prefix_lengths: tuple       # one prefix length per word, shared counts
+    prefix_length: int          # of every word, which share their counts
     counts: tuple
 
 
@@ -113,7 +113,7 @@ def _word_claim(working: Substitution, letters, involutions, level_bound):
         return BoundedVerdict("FAILS", certificate={"involution": dict(tau)})
     if len(set(letters)) == 1:
         return BoundedVerdict("HOLDS", witness=PrefixWitness(
-            0, letters[0], (0,) * len(letters), (0,) * m))
+            0, letters[0], 0, (0,) * m))
     cap = words_mod.WORD_CAP
     for level in range(1, level_bound + 1):
         if any(working.image_length(c, level) > cap for c in letters):
@@ -123,7 +123,7 @@ def _word_claim(working: Substitution, letters, involutions, level_bound):
         t = _least_balanced_prefix(images, m)
         if t is not None:
             return BoundedVerdict("HOLDS", witness=PrefixWitness(
-                level, images[0][t], (t,) * len(letters),
+                level, images[0][t], t,
                 words_mod.abelianization(images[0][:t], m)))
     return BoundedVerdict("UNKNOWN", bound=level_bound,
                           bound_hit=f"level bound {level_bound}")
@@ -196,7 +196,7 @@ def prefix_simultaneous(sub: Substitution, level_bound=DEFAULT_LEVEL_BOUND):
     if (w := verdict.witness) is not None:
         verdict.witness = {
             "level": w.level,
-            "prefix_length": w.prefix_lengths[0] + 1,
+            "prefix_length": w.prefix_length + 1,
             "final_letter": w.color,
             "counts": tuple(n + (c == w.color)
                             for c, n in enumerate(w.counts, 1)),

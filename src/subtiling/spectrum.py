@@ -161,7 +161,8 @@ def _seed_keys(walk, window, node_cap):
     A same-color difference of reference points is a difference of tile
     starts, so the translations are the differences of the packed patch
     boundaries at the point set's indices, taken in the first-seen order
-    of `suspension.return_vectors(cross=False)` with zero left out."""
+    of the same-color sets of `suspension.return_vectors`, with zero left
+    out."""
     lo, hi = window
     patch = walk.system.patch_covering(lo, hi)
     pts = reference_point_sets(patch, walk.refpoints, window)

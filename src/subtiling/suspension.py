@@ -9,8 +9,8 @@ of sigma^k realizes the tiling; fixed_point_seed reads k and the seed
 pair off the cycles of the first- and last-letter maps.  A patch
 holds its tile boundaries in one integer form only: prefix sums of the
 integer length vectors over their common denominator, as are the
-subtile offsets.  A system caches its fixed-point patches per (seed,
-level); a window sample encloses only the boundaries near its window.
+subtile offsets.  A system caches its fixed-point patches per level;
+a window sample encloses only the boundaries near its window.
 Reference points leave this module as (vectors, D), integer vectors over
 their least common denominator, and turn a patch into a colored point
 set over one denominator; a system holds its lengths in the same form.
@@ -134,7 +134,7 @@ class SuspensionSystem:
         self._length_columns = tuple((0,) + column
                                      for column in zip(*vectors))
         self.seed = words.fixed_point_seed(sub)
-        # fixed-point patches keyed (seed, level)
+        # fixed-point patches keyed by level
         self._patch_cache = {}
         # exact left offsets of each subtile within the inflated prototile
         # over the lengths' denominator: the first |sigma(j)| boundaries of
@@ -184,20 +184,13 @@ class SuspensionSystem:
         return Patch(self.field, self._length_denom, list(zip(*columns)),
                      word)
 
-    def two_sided_patch(self, steps):
-        """Inflate the fixed-point seed `steps` times by sigma^k; the
-        junction of the two seed tiles sits at 0."""
-        k, left, right = self.seed
-        return generate_patch(self, (left, right), k * steps)
-
     def patch_covering(self, lo, hi):
-        """Smallest fixed-point patch whose support contains [lo, hi]."""
-        steps = 1
-        while True:
-            patch = self.two_sided_patch(steps)
-            if patch.covers(lo, hi):
-                return patch
-            steps += 1
+        """Smallest fixed-point patch, at a multiple of the seed power,
+        whose support contains [lo, hi]."""
+        k = level = self.seed[0]
+        while not (patch := generate_patch(self, level)).covers(lo, hi):
+            level += k
+        return patch
 
 
 def _primitive_matrix(sub: Substitution):
@@ -292,13 +285,12 @@ class Patch:
                                 hi) >= 0)
 
 
-def generate_patch(system: SuspensionSystem, seed, n):
-    """Inflate a two-sided seed, a (left, right) letter pair, n times; the
-    junction sits at 0.  Cached on the system."""
-    key = (seed, n)
-    patch = system._patch_cache.get(key)
+def generate_patch(system: SuspensionSystem, n):
+    """Inflate the system's two-sided seed, its (left, right) letter pair,
+    n times; the junction sits at 0.  Cached on the system by level."""
+    patch = system._patch_cache.get(n)
     if patch is None:
-        left, right = seed
+        _, left, right = system.seed
         left_word = system.sub.iterate(left, n)
         right_word = system.sub.iterate(right, n)
         # the left length, -start, is the letter counts dotted with the
@@ -308,7 +300,7 @@ def generate_patch(system: SuspensionSystem, seed, n):
                  for column in system._length_columns]
         patch = system.patch_from_word(left_word + right_word, start)
         patch.junction_index = len(left_word)
-        system._patch_cache[key] = patch
+        system._patch_cache[n] = patch
     return patch
 
 
@@ -549,17 +541,15 @@ def _enclosure(field, ints, d, denom):
     return lower * denom // d, -(-upper * denom // d)
 
 
-def return_vectors(points: PointSets, *, cross=True):
+def return_vectors(points: PointSets):
     """Per-color difference sets and the cross difference set, deduplicated,
     as integer vectors over `points.denom`.
 
     Same-color differences sample the translation vectors between equal
-    tiles; the cross set samples differences across all colors.  With
-    cross=False the cross set is not built and comes back empty.
+    tiles; the cross set samples differences across all colors.
     """
     union = [x for pts in points.points for x in pts]
-    return (tuple(map(_differences, points.points)),
-            _differences(union) if cross else ())
+    return tuple(map(_differences, points.points)), _differences(union)
 
 
 def _differences(pts):

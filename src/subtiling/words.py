@@ -39,7 +39,7 @@ _ZERO = _BIAS.to_bytes(FIELD, "big")
 class Substitution:
     """A substitution rule letter -> nonempty word, for m >= 2 letters."""
 
-    def __init__(self, rules, name=""):
+    def __init__(self, rules):
         rules = [bytes(r) for r in rules]
         m = len(rules)
         if m < 2:
@@ -52,7 +52,6 @@ class Substitution:
                     raise InvalidWord(f"letter {c} outside 1..{m}")
         self.size = m
         self.rules = tuple(rules)
-        self.name = name
         self._rule_lengths = tuple(len(r) for r in rules)
         self._rule_table = (None,) + self.rules      # indexed by letter
         # translate table k maps each letter to letter k of its rule, or
@@ -136,8 +135,7 @@ class Substitution:
 
     def reversed(self):
         """Substitution with every rule word reversed (suffix checks)."""
-        return Substitution([bytes(reversed(r)) for r in self.rules],
-                            name=f"{self.name}~reversed" if self.name else "")
+        return Substitution([bytes(reversed(r)) for r in self.rules])
 
 
 def abelianization(word, m):

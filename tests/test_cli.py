@@ -365,7 +365,7 @@ def test_readme_verify_table_matches_check_table():
     rows = [[cell.strip() for cell in row.strip("|").split("|")]
             for row in table.split("\n\n", 1)[0].splitlines()[2:]]
     judged = {check.name: check for check in cli.CHECK_TABLE
-              if check.statuses}
+              if check.fails is not None}
     listed = []
     for names, pairs, statuses, holds, fails in rows:
         group = [judged[name] for name in re.findall(r"`(\w+)`", names)]
@@ -375,7 +375,7 @@ def test_readme_verify_table_matches_check_table():
                    for check in group]
     assert listed == [
         (check.name, "yes" if check.pairs else "no",
-         ", ".join(f"`{status}`" for status in check.statuses),
+         ", ".join(f"`{status}`" for status in cli.STATUSES),
          check.holds or "-", check.fails is None)
         for check in judged.values()]
 

@@ -29,7 +29,7 @@ def test_prefix_strong_fibonacci(fib):
     assert v.status == "HOLDS"
     assert v.witness.level == 1
     assert v.witness.color == 1
-    assert v.witness.prefix_lengths == (0, 0)
+    assert v.witness.prefix_length == 0
     assert {v.status for v in per_pair.values()} == {"HOLDS"}
 
 
@@ -298,7 +298,7 @@ def test_word_claim_decides_a_diagonal_claim_with_no_word():
         for i in range(1, sub.size + 1):
             assert C._word_claim(sub, (i, i), involutions, 12) == \
                 C.BoundedVerdict("HOLDS", witness=C.PrefixWitness(
-                    0, i, (0, 0), (0,) * sub.size)), (name, i)
+                    0, i, 0, (0,) * sub.size)), (name, i)
         assert sub._iterate_cache == {}, name
 
 
@@ -435,7 +435,7 @@ def test_prefix_witnesses_match_counting_scan(fib, rauzy, fib2, rauzy2):
             w = verdict.witness
             u, v = sub.iterate(i, w.level), sub.iterate(j, w.level)
             t = _least_balanced_prefix_by_counts((u, v), m)
-            assert w.prefix_lengths == (t, t)
+            assert w.prefix_length == t
             assert (w.color, w.counts) == (u[t], abelianization(u[:t], m))
 
 

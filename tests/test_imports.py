@@ -1,5 +1,6 @@
-"""No module of `src/subtiling` imports a name it does not use, and no
-function, dataclass field or module-level constant of it goes unread.
+"""No module of `src/subtiling` imports a name it does not use, no
+function, dataclass field or module-level constant of it goes unread, and
+no default of it goes unset.
 
 Stdlib `ast` checks in place of a linter.  Every name an `import` or
 `from ... import` binds must be read somewhere in the module.  Re-exports
@@ -9,6 +10,9 @@ function and method, every field of a `@dataclass` and every name a
 module-level assignment binds in `src/subtiling` must be read somewhere
 in it, as a name or an attribute, or be exported in `__all__`.  Dunders
 are exempt; the names in `KEPT_UNREAD` are the only other exceptions.
+Every defaulted parameter of a function or method in `src/subtiling`
+must be set by a call in it, by keyword or by position; the parameters
+in `KEPT_DEFAULTS` are the only exceptions.
 """
 
 import ast
@@ -194,3 +198,93 @@ def test_guard_catches_a_fraction_attribute():
     assert fraction_attributes("n, d = 1, r.denominator\n") == \
         {"denominator"}
     assert not fraction_attributes("numerator = 1  # .denominator\n")
+
+
+# (module, function, parameter) -> why no call in src/subtiling sets it
+KEPT_DEFAULTS = {
+    ("cli", "main", "argv"):
+        "the console script calls main() with no argument, which reads "
+        "sys.argv; the tests pass argv",
+}
+
+
+def _defaults(node, method):
+    """{name: position} of a function's parameters that have defaults,
+    position None for a keyword-only one; a method's first parameter is
+    left out of the positions."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    offset = 1 if method else 0
+    return {**{a.arg: i - offset for i, a in enumerate(positional)
+               if i >= first},
+            **{a.arg: None for a, d in zip(args.kwonlyargs, args.kw_defaults)
+               if d is not None}}
+
+
+def unset_defaults(sources):
+    """(module, function, parameter) of every defaulted parameter of a
+    function or method in the sources, a dict of module name to source
+    text, that no call in them sets, by keyword or by position.  A call
+    `f(...)` or `x.f(...)` is matched to every definition named f, and a
+    call of a class name to the class's `__init__`.  A `*` argument sets
+    every positional parameter, and a `**` argument every parameter."""
+    defined, calls = [], {}
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        methods = [(node.name if item.name == "__init__" else item.name,
+                    item) for node in ast.walk(tree)
+                   if isinstance(node, ast.ClassDef) for item in node.body
+                   if isinstance(item, ast.FunctionDef)]
+        in_class = {id(item) for _, item in methods}
+        defined += [(module, name, item, True) for name, item in methods]
+        defined += [(module, node.name, node, False)
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.FunctionDef)
+                    and id(node) not in in_class]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                calls.setdefault(getattr(func, "id", None)
+                                 or getattr(func, "attr", None),
+                                 []).append(node)
+    found = []
+    for module, name, node, method in defined:
+        unset = _defaults(node, method)
+        for call in calls.get(name, ()):
+            given = {k.arg for k in call.keywords}
+            starred = any(isinstance(a, ast.Starred) for a in call.args)
+            unset = {p: i for p, i in unset.items()
+                     if None not in given and p not in given
+                     and (i is None or not starred and i >= len(call.args))}
+        found += [(module, name, p) for p in unset]
+    return sorted(found)
+
+
+def test_every_default_in_src_is_set_by_a_call():
+    found = set(unset_defaults({
+        path.stem: path.read_text(encoding="utf-8")
+        for path in SRC.glob("*.py")}))
+    assert sorted(found - KEPT_DEFAULTS.keys()) == []
+    assert sorted(KEPT_DEFAULTS.keys() - found) == []
+
+
+def test_guard_catches_a_default_no_call_sets():
+    sources = {"mod": (
+        "class Box:\n"
+        "    def __init__(self, size, label=''):\n"
+        "        self.size = size\n"
+        "    def grow(self, by=1, *, twice=False):\n"
+        "        return by\n"
+        "def run(x, scale=1, offset=0, *, loud=False, quiet=False):\n"
+        "    return x\n"
+        "class Tag:\n"
+        "    def __init__(self, text, bold=False):\n"
+        "        self.text = text\n"
+        "def spread(args, options):\n"
+        "    Box(3).grow(2), Tag('x')\n"
+        "    run(1, 2, quiet=True)\n"
+        "    return run(*args), Box(**options)\n")}
+    assert unset_defaults(sources) == [
+        ("mod", "Tag", "bold"), ("mod", "grow", "twice"),
+        ("mod", "run", "loud")]

@@ -394,7 +394,7 @@ def test_point_sets_shift_covariance(sys_aba):
 
 
 def test_window_not_covered(sys_aba):
-    patch = sys_aba.two_sided_patch(1)
+    patch = S.generate_patch(sys_aba, sys_aba.seed[0])
     with pytest.raises(WindowNotCovered):
         S.reference_point_sets(
             patch, S.left_endpoint_points(sys_aba),
@@ -414,7 +414,6 @@ def test_return_vectors_aba(sys_aba):
     assert {0, 2, -2, 4, -4}.issubset(da)
     assert {0, 1, -1, 2, -2}.issubset(dc)
     assert all(d % 2 == 0 for d in da)
-    assert S.return_vectors(pts, cross=False) == (per_color, ())
 
 
 def test_return_vectors_tm(sys_tm):
@@ -477,8 +476,7 @@ def test_length_coordinate_rank(sys_fib, sys_rauzy):
 
 
 def test_generate_patch_two_sided_junction(sys_fib):
-    k, left, right = sys_fib.seed
-    patch = S.generate_patch(sys_fib, (left, right), k)
+    patch = S.generate_patch(sys_fib, sys_fib.seed[0])
     # the junction tile starts exactly at zero, its predecessor ends there
     junction = patch.junction_index
     assert position(patch, junction).is_zero()
@@ -517,7 +515,7 @@ def test_dropped_system_is_freed_without_cyclic_gc():
     gc.disable()
     try:
         system = S.SuspensionSystem(cli.corpus_lookup("rauzy").substitution())
-        patch = system.two_sided_patch(2)
+        patch = S.generate_patch(system, 2 * system.seed[0])
         covering = system.patch_covering(*system.window(64))
         refs = (weakref.ref(system), weakref.ref(patch),
                 weakref.ref(covering))
@@ -556,7 +554,7 @@ def test_prefix_sum_patch_equals_addition_chain(name):
         assert [tuple(map(type, pos.coords))
                 for pos, _ in exact_tiles(patch)] == \
             [tuple(map(type, pos.coords)) for pos, _ in tiles]
-    patch = S.generate_patch(system, (left, right), 2 * k)
+    patch = S.generate_patch(system, 2 * k)
     left_len = _addition_chain(system, system.sub.iterate(left, 2 * k),
                                system.field.zero())[1]
     assert position(patch, 0) == -left_len
@@ -599,10 +597,9 @@ def test_patch_command_prints_the_addition_chain(name, tmp_path, capsys):
 
 def test_fixed_point_patches_are_cached(sys_fib, sys_rauzy2):
     for system in (sys_fib, sys_rauzy2):
-        assert system.two_sided_patch(3) is system.two_sided_patch(3)
-        k, left, right = system.seed
-        assert S.generate_patch(system, (left, right), 3 * k) is \
-            system.two_sided_patch(3)
+        k = system.seed[0]
+        assert S.generate_patch(system, 3 * k) is \
+            S.generate_patch(system, 3 * k)
         patch = system.patch_covering(*system.window(16))
         assert system.patch_covering(*system.window(16)) is patch
 
