@@ -18,15 +18,15 @@ the closure and the certificate replay take the report's
 `coincidence.Walk`, its one inflation graph over D, and share the
 children it keeps per class with the shared-tile walks.  Multiplying by
 beta is the companion-matrix step on ints (beta is an algebraic
-integer), so D never grows.  Every sign is
-`NumberField.int_sign` of an integer vector, which decides it as
-FieldElem.sign() decides the same element: exactly when it is rational,
-then by the fixed-point filter, then by the Horner enclosure, refining
-the interval.  The decisions come in the order of a FieldElem closure,
-so the same refinements follow.  The seeding takes each same-color
-translation once, in first-seen order, and sweeps each moved tile (its
-color and translated start) once.  No field element is made; the report
-gets fraction strings.
+integer), so D never grows.  Every sign is `NumberField.int_sign` of an
+integer vector, which decides it as FieldElem.sign() decides the same
+element: exactly when it is rational, then by the fixed-point filter,
+then by the Horner enclosure, refining the interval.  A class and its
+transpose (anchor, moved, -s) are one pair of tiles seen from either
+side, and inflation commutes with transposing, so the seeding sweeps one
+of each same-color +-y, each moved tile (color and translated start)
+once, and adds transposes, and the closure expands one class per orbit.
+No field element is made; the report gets fraction strings.
 """
 
 from __future__ import annotations
@@ -61,6 +61,10 @@ def _is_coincidence_key(key):
     return key[0] == key[1] and not any(key[2])
 
 
+def _transpose(key):
+    return key[1], key[0], tuple([-a for a in key[2]])
+
+
 class _Packing:
     """Integer vectors of one length as single ints: v becomes
     sum v[k] * radix^k, with the radix a power of two more than twice
@@ -92,8 +96,9 @@ class _Packing:
 def _sweep(patch, packing, translations, node_cap):
     """Keys over the patch's denominator of the tile pairs brought to
     overlap by each translation y, first seen first; the moved tile is
-    taken at -y.  The sweep stops at the first moved tile after which
-    there are more than node_cap keys.
+    taken at -y, and each key comes with its transpose (anchor, moved,
+    -shift), the key that -y gives the same two tiles.  The sweep stops at
+    the first key after which there are more than node_cap keys.
 
     Each translation is an integer vector over the patch's denominator,
     packed by `packing`, whose range must hold a boundary minus a
@@ -101,9 +106,8 @@ def _sweep(patch, packing, translations, node_cap):
     that a moved boundary is one subtraction and an equality one
     comparison.  Boundaries are compared on their fixed-point
     enclosures, then for equality, and only the rest by
-    `NumberField.int_sign` on the unpacked difference.  An enclosure
-    that excludes zero implies that the sign filter would decide too, so
-    the sequence of interval refinements is that of a FieldElem sweep.  A
+    `NumberField.int_sign` on the unpacked difference; an enclosure that
+    excludes zero implies that the sign filter would decide too.  A
     moved tile, its color and its translated start, is swept once: its
     classes depend on nothing else, so a tile that an earlier translation
     brought to the same place adds no class."""
@@ -137,18 +141,17 @@ def _sweep(patch, packing, translations, node_cap):
                         sign(unpack(bounds[k] - start)) <= 0):
                     break
                 anchor_idx += 1
-            idx = anchor_idx
             # collect anchors that start before the moved end
-            while idx < n:
+            for idx in range(anchor_idx, n):
                 if lows[idx] > end_hi or bounds[idx] == moved_end:
                     break
                 if highs[idx] >= end_lo and \
                         sign(unpack(bounds[idx] - moved_end)) >= 0:
                     break
                 out.setdefault((moved_color, colors[idx], start - bounds[idx]))
-                idx += 1
-            if len(out) > node_cap:
-                return {(c, a, unpack(s)): None for c, a, s in out}
+                out.setdefault((colors[idx], moved_color, bounds[idx] - start))
+                if len(out) > node_cap:
+                    return {(c, a, unpack(s)): None for c, a, s in out}
     return {(c, a, unpack(s)): None for c, a, s in out}
 
 
@@ -161,8 +164,8 @@ def _seed_keys(walk, window, node_cap):
     A same-color difference of reference points is a difference of tile
     starts, so the translations are the differences of the packed patch
     boundaries at the point set's indices, taken in the first-seen order
-    of the same-color sets of `suspension.return_vectors`, with zero left
-    out."""
+    of the same-color sets of `suspension.return_vectors`: of y and -y the
+    positive packed int, as `_sweep` adds the transposes -y would find."""
     lo, hi = window
     patch = walk.system.patch_covering(lo, hi)
     pts = reference_point_sets(patch, walk.refpoints, window)
@@ -175,16 +178,15 @@ def _seed_keys(walk, window, node_cap):
         for i, x in enumerate(starts):
             for y in starts[i:]:
                 if y != x:
-                    translations.setdefault(y - x)
-                    translations.setdefault(x - y)
+                    translations.setdefault(abs(y - x))
     if not translations:
         raise EmptyWindow("window holds no same-color return vector")
     seeds = _sweep(patch, packing, translations, node_cap)
     if (scale := walk.denom // patch.denom) > 1:
         seeds = {(moved, anchor, tuple([a * scale for a in shift])): None
                  for moved, anchor, shift in seeds}
-    # checks the integer sweep against the exact signs
-    if not all(walk.overlaps(*key) for key in seeds):
+    # checks the integer sweep against the exact signs, once per orbit
+    if not all(walk.overlaps(*key) for key in seeds if key <= _transpose(key)):
         raise AssertionError("overlap displacement out of range")
     return seeds
 
@@ -206,10 +208,12 @@ def overlap_coincidence(walk, window,
     inflation steps after which every class shows a coincidence.  FAILS
     comes with the set of classes that reach none; that set is closed
     under inflation and is re-verified by one inflation pass before being
-    emitted.  Exceeding the node cap yields UNKNOWN, and so does a window
-    that holds no same-color return vector to seed the closure.  The
-    closure runs on `_closure`, last in, first out, by the successors
-    that `walk`, a `coincidence.Walk`, keeps, from `_seed_keys`."""
+    emitted.  More than node_cap classes yield UNKNOWN, and so does a
+    window that holds no same-color return vector to seed the closure.
+    The closure runs on `_closure`, last in, first out, from `_seed_keys`,
+    by the successors that `walk`, a `coincidence.Walk`, keeps, on
+    transpose orbits: it expands the lesser class of each, and counts two
+    classes per orbit but one per coincidence (its own transpose)."""
     ends = [f"{x.numerator}/{x.denominator}" for x in window]
     try:
         seeds = _seed_keys(walk, window, node_cap)
@@ -217,23 +221,34 @@ def overlap_coincidence(walk, window,
         return SpectralHalf("UNKNOWN",
                             certificate={"window": ends},
                             bound_hit=f"window [{ends[0]}, {ends[1]}]")
-    classes, edges, bound_hit = _closure(seeds, walk.successors, node_cap,
-                                         lambda key: 0, "node cap")
+    met, count = {min(k, _transpose(k)): None for k in seeds}, len(seeds)
+
+    def successors(rep):
+        nonlocal count
+        if count > node_cap:
+            raise _Capped(f"node cap {node_cap}")
+        kids = {min(k, _transpose(k)): None for k in walk.successors(rep)}
+        count += sum(2 - _is_coincidence_key(k) for k in kids if k not in met)
+        met.update(kids)
+        return list(kids)
+
+    reps, edges, bound_hit = _closure(met, successors, node_cap,
+                                      lambda key: 0, "node cap")
     if bound_hit:
-        return SpectralHalf("UNKNOWN", {"nodes_seen": len(classes)}, bound_hit)
-    dist, stuck = _settle(classes, edges, _is_coincidence_key)
+        return SpectralHalf("UNKNOWN", {"nodes_seen": count}, bound_hit)
+    dist, stuck = _settle(reps, edges, _is_coincidence_key)
     meta = {
         "initial_classes": len(seeds),
-        "total_classes": len(classes),
-        "coincidence_classes": sum(map(_is_coincidence_key, classes)),
+        "total_classes": count,
+        "coincidence_classes": sum(map(_is_coincidence_key, reps)),
         "window": ends,
     }
     if not stuck:
         return SpectralHalf("HOLDS", certificate=dict(
             meta, uniform_steps=max(dist.values(), default=0)))
     meta["coincidence_free_closed_set"] = [
-        {"moved": k[0], "anchor": k[1],
-         "shift": format_shift(k[2], walk.denom)} for k in stuck]
+        {"moved": m, "anchor": a, "shift": format_shift(s, walk.denom)}
+        for m, a, s in sorted(stuck + list(map(_transpose, stuck)))]
     return SpectralHalf("FAILS", certificate=meta)
 
 

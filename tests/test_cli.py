@@ -1372,8 +1372,8 @@ def test_nonpisot_signs_and_bisection_run_on_integers(monkeypatch):
     half = spectrum.overlap_coincidence(coincidence.Walk(system, refpoints),
                                         system.window(16), node_cap=2000)
     assert half.bound_hit == "node cap 2000"
-    assert len(refinements) == 338
-    assert len(horner) == 8_420
+    assert len(refinements) == 170
+    assert len(horner) == 3_280
     assert len(built) == len(set(built))
     assert len(pair_bounds) <= 130
 

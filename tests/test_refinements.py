@@ -24,19 +24,19 @@ SPEC_BOUNDS = {"window": 16, "node_cap": 2000}
 
 # per input: (int_sign calls, refinements, Horner fallbacks)
 CORPUS_COUNTS = {
-    "thue-morse": (47, 0, 0), "fibonacci": (52, 21, 0),
-    "aba-left": (55, 0, 0), "aba-gamma": (51, 0, 0), "fib2": (138, 21, 0),
-    "rauzy": (199, 22, 0), "rauzy2-left": (402, 22, 0),
-    "rauzy2-gamma": (386, 22, 0),
+    "thue-morse": (45, 0, 0), "fibonacci": (41, 21, 0),
+    "aba-left": (55, 0, 0), "aba-gamma": (51, 0, 0), "fib2": (90, 21, 0),
+    "rauzy": (116, 22, 0), "rauzy2-left": (236, 22, 0),
+    "rauzy2-gamma": (226, 22, 0),
 }
 # an analysis of nonpisot runs no overlap closure, since beta is not Pisot
 SPEC_COUNTS = {
-    "period-doubling": (46, 0, 0), "plastic": (491, 22, 1),
-    "pentanacci": (773, 22, 2), "nonunimodular": (87, 22, 0),
+    "period-doubling": (44, 0, 0), "plastic": (264, 22, 1),
+    "pentanacci": (410, 22, 2), "nonunimodular": (61, 22, 0),
     "nonpisot": (22, 22, 0),
 }
-BETA_COUNTS = {"beta-211": (212, 23, 1), "beta-221": (224, 23, 1),
-               "beta-222": (299, 23, 1), "beta-1111": (298, 21, 1)}
+BETA_COUNTS = {"beta-211": (122, 23, 1), "beta-221": (129, 23, 1),
+               "beta-222": (169, 23, 1), "beta-1111": (168, 21, 1)}
 
 
 def _counts(monkeypatch, spec, overrides=None):

@@ -731,9 +731,9 @@ def _setting(name):
     return _SETTINGS[name]
 
 
-@given(data=st.data())
-@settings(max_examples=60, deadline=None)
-def test_integer_sweep_matches_fieldelem_sweep(data):
+def _draw_translation(data):
+    """A sweep case and a translation y of it: a return vector, or one
+    tile boundary minus another, possibly moved by +-beta^-k."""
     name = data.draw(st.sampled_from(SWEEP_CASES))
     system, _, _, patch, bounds, returns = _setting(name)
     kind = data.draw(st.sampled_from(["return", "boundary", "near-boundary"]))
@@ -749,10 +749,29 @@ def test_integer_sweep_matches_fieldelem_sweep(data):
             k = data.draw(st.integers(4, 24))
             y = y + data.draw(st.sampled_from([1, -1])) * \
                 power(system.field.beta(), -k)
+    return system, patch, y
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_integer_sweep_matches_fieldelem_sweep(data):
+    # each class of y comes with its transpose, the class -y finds
+    system, patch, y = _draw_translation(data)
     # the sweep takes translations over the patch's denominator only
     assume(patch.denom % algebraic.common_denominator(y.coords) == 0)
-    assert sweep_translation(patch, y) == list(_fieldelem_sweep(system,
-                                                                patch, y))
+    assert sweep_translation(patch, y) == list(dict.fromkeys(
+        key for found in _fieldelem_sweep(system, patch, y)
+        for key in (found, SP._transpose(found))))
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_fieldelem_sweep_of_minus_y_is_the_transposes(data):
+    # the lemma the seeding rests on, in FieldElem arithmetic: -y brings
+    # the tiles that y overlaps to the transposed classes
+    system, patch, y = _draw_translation(data)
+    assert set(_fieldelem_sweep(system, patch, -y)) == \
+        set(map(SP._transpose, _fieldelem_sweep(system, patch, y)))
 
 
 def _fieldelem_overlaps(system, moved, anchor, shift):
@@ -800,12 +819,27 @@ def _seed_classes(system, refs, window):
                       walk.denom)
 
 
-@pytest.mark.parametrize("name", ["fibonacci", "fib2", "rauzy2-gamma",
-                                  "aba-gamma", "a->ab,b->aab"])
+def _digest(keys):
+    """The first 16 hex digits of the sha256 of (moved, anchor, shift as
+    fraction strings) keys, in order, as JSON."""
+    text = json.dumps([[m, a, [str(Fraction(c)) for c in shift]]
+                       for m, a, shift in keys]).encode()
+    return hashlib.sha256(text).hexdigest()[:16]
+
+
+# the digest of `_seed_keys` in its order, which sweeps one sign of each
+# +-y and adds transposes
+SEED_KEY_ORDER = {"fibonacci": "e91bc530d9b22a4c", "fib2": "a0afaf78b38b2832",
+                  "rauzy2-gamma": "65a3358a1e1b3ae7",
+                  "aba-gamma": "04920dcc901f2433",
+                  "a->ab,b->aab": "555c7892caa3364f"}
+
+
+@pytest.mark.parametrize("name", sorted(SEED_KEY_ORDER))
 def test_seed_keys_match_fieldelem_sweep(name):
-    # same seeds in the same order, after the same interval refinements,
-    # each side from a fresh system; the FieldElem reference takes 1.6 s
-    # on a->ab, b->aab at window 64
+    # the seeds of the FieldElem reference, which sweeps y and -y, after
+    # the same interval refinements, each side from a fresh system; the
+    # reference takes 1.6 s on a->ab, b->aab at window 64
     size = 32 if name in EXTRA_SYSTEMS else 64
 
     def seeds(seeder):
@@ -815,7 +849,10 @@ def test_seed_keys_match_fieldelem_sweep(name):
         classes = seeder(system, refs, window)
         return classes, system.field.generation - before
 
-    assert seeds(_seed_classes) == seeds(_fieldelem_seeds)
+    (got, got_refined), (want, want_refined) = \
+        seeds(_seed_classes), seeds(_fieldelem_seeds)
+    assert (set(got), got_refined) == (set(want), want_refined)
+    assert _digest(got) == SEED_KEY_ORDER[name]
 
 
 @pytest.mark.parametrize("name", ["fibonacci", "rauzy"])
@@ -878,19 +915,22 @@ def test_inflation_matches_fieldelem_inflation(data):
         letters = st.integers(1, system.size)
         moved, anchor = data.draw(letters), data.draw(letters)
         shift = field.element([Fraction(a, q) for a in coords])
-    assert successors(system, moved, anchor, shift) == \
-        _fieldelem_inflate(system, moved, anchor, shift)
+    children = _fieldelem_inflate(system, moved, anchor, shift)
+    assert successors(system, moved, anchor, shift) == children
+    # inflation commutes with transposing, which the closure's orbits
+    # rest on
+    assert set(_fieldelem_inflate(system, anchor, moved, -shift)) == \
+        set(map(SP._transpose, children))
 
 
-# Taken with the FieldElem closure, each from a fresh system: the number
-# of seed classes, the first three and a digest of all of them in order
-# (moved, anchor, shift as fraction strings, as JSON).
+# Each from a fresh system: the window, the number of seed classes, the
+# first three and `_digest` of all of them in order (moved, anchor, shift
+# as fraction strings).
 SEED_ORDER = {
-    "rauzy": (64, 73, [[2, 1, ["-1", "0", "0"]], [1, 1, ["-1", "-1", "1"]],
-                       [1, 2, ["-1", "-2", "1"]]], "c64b66e9e8e592fa"),
+    "rauzy": (64, 73, [[2, 1, ["-1", "0", "0"]], [1, 2, ["1", "0", "0"]],
+                       [1, 1, ["-1", "-1", "1"]]], "f8263ce89168cacd"),
     "pentanacci": (16, 326, [[1, 1, ["0"] * 5], [3, 2, ["0"] * 5],
-                             [1, 2, ["0", "-1", "-1", "1", "0"]]],
-                   "54298656e523c016"),
+                             [2, 3, ["0"] * 5]], "ace89f989907743e"),
 }
 
 
@@ -898,20 +938,19 @@ SEED_ORDER = {
 def test_seed_order_is_pinned(name):
     size, count, first, digest = SEED_ORDER[name]
     system, refs = _system_and_refs(name)
-    keys = [[m, a, [str(Fraction(c)) for c in shift]]
-            for m, a, shift in _seed_classes(system, refs,
-                                             system.window(size))]
-    assert len(keys) == count
-    assert keys[:3] == first
-    text = json.dumps(keys).encode()
-    assert hashlib.sha256(text).hexdigest()[:16] == digest
+    classes = _seed_classes(system, refs, system.window(size))
+    assert len(classes) == count
+    assert [[m, a, [str(Fraction(c)) for c in shift]]
+            for m, a, shift in classes[:3]] == first
+    assert _digest(classes) == digest
 
 
 @pytest.mark.parametrize("node_cap, nodes_seen",
-                         [(500, 504), (1000, 1002), (2000, 2002)])
+                         [(500, 502), (1000, 1002), (2000, 2006)])
 def test_nonpisot_nodes_seen_is_pinned(node_cap, nodes_seen):
     # the class count at the cap depends on the order the closure takes
-    # the seeds and the successors in
+    # the seeds and the successors in; it counts two classes per
+    # transpose orbit met, one per coincidence
     system, refs = _system_and_refs("nonpisot")
     half = SP.overlap_coincidence(C.Walk(system, refs), system.window(16),
                                   node_cap=node_cap)
@@ -938,7 +977,7 @@ def test_kept_pair_enclosures_inflate_as_fresh_ones(monkeypatch, name):
     # of enclosures taken afresh in every generation, after the same
     # refinements, each side on a fresh system: along every inflation of
     # one analysis of plastic (the closure and the shared-tile walks), and
-    # along the overlap closure of nonpisot at window 16, node cap 2,000,
+    # along the overlap closure of nonpisot at window 16, node cap 4,000,
     # which an analysis of a non-Pisot input does not run
     spec = cli.parse_spec((SPECS / f"{name}.spec").read_text(encoding="utf-8"),
                           name=name)
@@ -956,7 +995,7 @@ def test_kept_pair_enclosures_inflate_as_fresh_ones(monkeypatch, name):
             system, refs = _system_and_refs(name)
             return calls, SP.overlap_coincidence(C.Walk(system, refs),
                                                  system.window(16),
-                                                 node_cap=2000)
+                                                 node_cap=4000)
         report = cli.run_analysis(spec, overrides={"window": 16,
                                                    "node_cap": 2000})
         return calls, report
@@ -983,6 +1022,36 @@ def test_overlap_closure_builds_few_field_elements(monkeypatch):
                                   node_cap=2000)
     assert half.status == "HOLDS"
     assert made == []
+
+
+@pytest.mark.parametrize("name, window, node_cap", [
+    ("pentanacci", 16, 2000), ("8-bonacci", 64, SP.DEFAULT_NODE_CAP)])
+def test_overlap_closure_expands_each_transpose_orbit_once(monkeypatch,
+                                                           name, window,
+                                                           node_cap):
+    """Work guard: the closure expands one class of each transpose orbit,
+    so its expansions are half of `total_classes` plus half of the
+    coincidences, each its own transpose: 216 of 427 classes on
+    pentanacci, 5,352 of 10,696 on 8-bonacci."""
+    if name == "8-bonacci":
+        # the beta-substitution with every k_i = 1
+        spec = cli.parse_spec(workloads.beta_spec_text((1,) * 8))
+        system = S.SuspensionSystem(spec.substitution())
+        refs = zeros(system)
+    else:
+        system, refs = _system_and_refs(name)
+    expanded = []
+    succ = C.Walk.successors
+    monkeypatch.setattr(C.Walk, "successors",
+                        lambda walk, key: expanded.append(key) or
+                        succ(walk, key))
+    half = SP.overlap_coincidence(C.Walk(system, refs),
+                                  system.window(window), node_cap=node_cap)
+    assert half.status == "HOLDS"
+    cert = half.certificate
+    assert len(expanded) == len(set(expanded))
+    assert 2 * len(expanded) == \
+        cert["total_classes"] + cert["coincidence_classes"]
 
 
 def _split_by_letter_counts(u, v, m):
