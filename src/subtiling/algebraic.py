@@ -22,8 +22,8 @@ Signs of nonzero elements are certified in two stages, filter then exact.
   A lower sum above zero or an upper sum below zero is the sign.  The
   filter never refines the interval.  The two sums are also exposed as
   an enclosure (fixed_point_bounds), as a window sample takes one per
-  tile boundary it reads and the inflation step of `spectrum` one per
-  subtile pair.
+  tile boundary it reads and the inflation step of `coincidence.Walk`
+  one per subtile pair.
   The table is cached per generation.  A refinement only tightens it, so
   an enclosure taken earlier stays valid, and whatever it decides the
   filter decides too.
@@ -45,10 +45,12 @@ real root of its cofactor (`dominant_field`, also `verify`'s test).  A
 product is Horner's rule over one factor's coordinates on the companion
 step `times_beta`, and an inverse is a column of the integer adjugate
 that `char_poly` computes too, divided by the norm.  The Pisot test
-counts conjugates in the open unit disk exactly, by a winding number
-computed from signed remainder sequences; the same circle image finds a
-root on the unit circle, as q(-1) = 0 or as a real common root of its
-two parts.  Every verdict of this module is decided in exact arithmetic.
+counts conjugates in the open unit disk exactly: the Cayley map
+z = (1+w)/(1-w) takes the disk to the half-plane Re w < 0, and one
+Cauchy index, read off one signed remainder chain, counts the roots
+there; a root on the unit circle is q(-1) = 0 or a real root of the
+chain's last entry.  Every verdict of this module is decided in exact
+arithmetic.
 """
 
 from __future__ import annotations
@@ -504,58 +506,31 @@ def perron_factor(p):
 # ---------------------------------------------------------------------------
 
 
-def _circle_image(q):
-    """Real and imaginary parts of (1+t^2)^n * q(z(t)) where
-    z(t) = (1-t^2 + 2it)/(1+t^2) sweeps the unit circle."""
-    n = polys.degree(q)
-    re, im = [], []
-    sq = [1, 0, 1]                      # 1 + t^2
-    base_re, base_im = [1, 0, -1], [0, 2]   # (1+it)^2
-    pow_re, pow_im = [1], []            # (1+it)^(2k)
-    sq_pows = [[1]]
-    for _ in range(n):
-        sq_pows.append(polys.mul(sq_pows[-1], sq))
-    for k, a in enumerate(q):
-        if a:
-            term_re = polys.scale(polys.mul(pow_re, sq_pows[n - k]), a)
-            term_im = polys.scale(polys.mul(pow_im, sq_pows[n - k]), a)
-            re = polys.add(re, term_re)
-            im = polys.add(im, term_im)
-        new_re = polys.sub(polys.mul(pow_re, base_re),
-                           polys.mul(pow_im, base_im))
-        new_im = polys.add(polys.mul(pow_re, base_im),
-                           polys.mul(pow_im, base_re))
-        pow_re, pow_im = new_re, new_im
-    return re, im
-
-
 def count_roots_in_open_unit_disk(q):
     """Number of complex roots of q strictly inside the unit circle, or
-    None when a root lies on the circle.  Winding number of the circle
-    image, computed as a signed count of ray crossings via Tarski queries.
-    The image misses z = -1, found as q(-1) = 0; any other root on the
-    circle is a real common root of the image's two parts."""
+    None when a root lies on the circle.  The Cayley map z = (1+w)/(1-w)
+    takes the disk to the left half-plane: Q(w) = sum a_k (1+w)^k
+    (1-w)^(n-k) keeps degree n unless q(-1) = 0, and i^(-n) Q(iy) =
+    R(y) + i S(y) with deg R = n.  Q has (n - I) / 2 roots with Re w < 0,
+    I the Cauchy index of S/R read off the signed remainder chain of R
+    and S; a root on the circle is a real root of the chain's last entry,
+    gcd(R, S)."""
     n = polys.degree(q)
     if n < 1:
         return 0
-    q_at_minus1 = polys.eval_at(q, -1)
-    if q_at_minus1 == 0:
+    image, minus_pow = [q[-1]], [1]
+    for a in reversed(q[:-1]):
+        minus_pow = polys.mul(minus_pow, [1, -1])
+        image = polys.add(polys.mul(image, [1, 1]), polys.scale(minus_pow, a))
+    if polys.degree(image) < n:
         return None
-    re, im = _circle_image(q)
-    if polys.count_real_roots(polys.poly_gcd(re, im)) > 0:
+    re = [c * (1, 0, -1, 0)[(n - k) % 4] for k, c in enumerate(image)]
+    im = [c * (0, -1, 0, 1)[(n - k) % 4] for k, c in enumerate(image)]
+    chain = polys.signed_remainder_chain(re, im)
+    if polys.count_real_roots(chain[-1]) > 0:
         return None
-    crossings = polys.odd_multiplicity_part(im)
-    if polys.degree(crossings) < 1:
-        return 0
-    u = polys.tarski_query(polys.derivative(crossings), crossings)
-    w = polys.tarski_query(polys.mul(re, polys.derivative(crossings)),
-                           crossings)
-    if (u + w) % 2 or (u - w) % 2:
-        raise AssertionError("inconsistent crossing parity")
-    if q_at_minus1 < 0:
-        # count crossings of the positive real axis
-        return (u + w) // 2
-    return -((u - w) // 2)
+    return (n - polys.variations_at_neg_inf(chain) +
+            polys.variations_at_pos_inf(chain)) // 2
 
 
 def is_pisot(field: NumberField) -> bool:

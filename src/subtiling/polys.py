@@ -3,9 +3,9 @@
 A polynomial is a list of coefficients in ascending degree, so
 [a0, a1, a2] stands for a0 + a1*x + a2*x**2.  The zero polynomial is
 the empty list.  Nothing here ever touches a float.  Degrees stay small
-(below ~20), so the classical algorithms are used throughout: signed
-remainder sequences for Sturm chains and Tarski queries, a primitive
-remainder sequence for gcds, Yun's algorithm for squarefree
+(below ~20), so the classical algorithms are used throughout: one
+signed remainder sequence (`signed_remainder_chain`) for Sturm chains,
+Cauchy indices and gcds, Yun's algorithm for squarefree
 decompositions, and for monic polynomials `factor_monic`: Berlekamp's
 algorithm modulo a prime, Hensel lifting and Zassenhaus's recombination
 of the lifted factors.
@@ -159,12 +159,9 @@ def primitive_part(p):
 
 
 def poly_gcd(p, q):
-    """Primitive gcd over Z, leading coefficient > 0, by the primitive
-    remainder sequence."""
-    a, b = primitive_part(p), primitive_part(q)
-    while b:
-        a, b = b, primitive_part(pseudo_remainder(a, b))
-    return a
+    """Primitive gcd over Z, leading coefficient > 0: the primitive part
+    of the last entry of the signed remainder chain of p and q."""
+    return primitive_part(signed_remainder_chain(p, q)[-1])
 
 
 def yun_squarefree_decomposition(p):
@@ -200,19 +197,6 @@ def yun_squarefree_decomposition(p):
         z = sub(y, derivative(w))
         i += 1
     return out
-
-
-def odd_multiplicity_part(p):
-    """Product of the squarefree factors of odd multiplicity, signed so
-    that p / result is nonnegative on all of R."""
-    parts = yun_squarefree_decomposition(p)
-    e = [1]
-    for q, i in parts:
-        if i % 2 == 1:
-            e = mul(e, q)
-    if leading(p) * leading(e) < 0:
-        e = neg(e)
-    return e
 
 
 def _sign(x):
@@ -297,14 +281,6 @@ def count_real_roots(p):
     by their common factor gcd(p, p'), its entries form a Sturm sequence
     of the squarefree part, with the same variations at infinity."""
     chain = sturm_chain(p)
-    return variations_at_neg_inf(chain) - variations_at_pos_inf(chain)
-
-
-def tarski_query(g, f):
-    """Sum of sign(g(x)) over the distinct real roots x of f."""
-    if degree(f) < 1:
-        return 0
-    chain = signed_remainder_chain(f, mul(derivative(f), g))
     return variations_at_neg_inf(chain) - variations_at_pos_inf(chain)
 
 

@@ -8,6 +8,7 @@ from itertools import accumulate
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from subtiling import cli, coincidence
 from subtiling import polys as P
@@ -24,6 +25,11 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
 import workloads  # noqa: E402
+
+# One profile for every hypothesis test: each draw is the same on every
+# run, and no example is timed
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 
 def _sub(name):

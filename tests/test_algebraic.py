@@ -1,6 +1,8 @@
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -218,7 +220,8 @@ def test_is_pisot_examples():
     assert not A.is_pisot(field_from([-3, -1, 1]))       # conj -1.30
     assert A.is_pisot(field_from([1, -3, 1]))            # phi^2, palindromic
     assert A.is_pisot(field_from([-1, -1, 0, 1]))        # plastic number
-    assert A.is_pisot(field_from([-1, -1, -1, 1]))       # tribonacci
+    for k in range(2, 13):                               # k-bonacci
+        assert A.is_pisot(field_from([-1] * k + [1]))
     # Salem polynomials: conjugates on the unit circle
     assert not A.is_pisot(field_from([1, -1, -1, -1, 1]))
     assert not A.is_pisot(field_from(LEHMER))
@@ -267,27 +270,111 @@ def test_disk_count_hand_values():
     assert A.count_roots_in_open_unit_disk([-2, 1]) == 0      # x - 2
     assert A.count_roots_in_open_unit_disk([-1, -1, 1]) == 1
     assert A.count_roots_in_open_unit_disk([-1, -1, 0, 1]) == 2
+    for constant in ([], [1], [-3], [7]):         # zero and constants
+        assert A.count_roots_in_open_unit_disk(constant) == 0
+
+
+def _numpy_disk_count(coeffs):
+    """Roots of coeffs inside the unit circle by numpy.roots, or None when
+    one comes within 1e-6 of the circle."""
+    roots = np.roots(list(reversed(coeffs)))
+    if len(roots) and np.abs(np.abs(roots) - 1.0).min() < 1e-6:
+        return None
+    return int(np.sum(np.abs(roots) < 1.0))
+
+
+def _random_coeffs(rng, max_degree):
+    """Degree 1..max_degree, a leading coefficient that is often not 1."""
+    deg = rng.randint(1, max_degree)
+    lead = rng.choice([1, -1, 2, -3, 5, 7])
+    return [rng.randint(-5, 5) for _ in range(deg)] + [lead]
 
 
 def test_disk_count_against_numpy_oracle():
-    """Numerical root finding as an independent oracle; samples whose
-    roots come too close to the circle are skipped."""
+    """Numerical root finding as an independent oracle, up to degree 12
+    and with non-monic leading coefficients; draws with a root within
+    1e-6 of the circle are skipped."""
     rng = random.Random(2024)
     checked = 0
-    while checked < 60:
-        deg = rng.randint(1, 6)
-        coeffs = [rng.randint(-5, 5) for _ in range(deg)] + [1]
-        if coeffs[0] == 0:
+    while checked < 300:
+        coeffs = _random_coeffs(rng, 12)
+        expected = _numpy_disk_count(coeffs)
+        if expected is None:
             continue
-        roots = np.roots(list(reversed(coeffs)))
-        dist = np.abs(np.abs(roots) - 1.0)
-        if dist.min() < 1e-6:
-            continue
-        if abs(np.polyval(list(reversed(coeffs)), -1.0)) < 1e-9:
-            continue
-        expected = int(np.sum(np.abs(roots) < 1.0))
         assert A.count_roots_in_open_unit_disk(coeffs) == expected, coeffs
         checked += 1
+
+
+def _cyclotomic(m):
+    """The m-th cyclotomic polynomial: x^m - 1 over the others of m."""
+    p = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d == 0:
+            p = P.exact_int_divide(p, _cyclotomic(d))
+    return p
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_disk_count_is_none_with_a_cyclotomic_factor(m):
+    phi = _cyclotomic(m)
+    assert A.count_roots_in_open_unit_disk(phi) is None
+    assert A.count_roots_in_open_unit_disk(P.mul(phi, phi)) is None
+    rng = random.Random(m)
+    for _ in range(20):
+        f = _random_coeffs(rng, max(1, (12 - 2 * P.degree(phi)) // 2))
+        for p in (P.mul(f, phi), P.mul(P.mul(f, f), P.mul(phi, phi))):
+            if P.degree(p) <= 12:
+                assert A.count_roots_in_open_unit_disk(p) is None, p
+
+
+def test_disk_count_adds_over_repeated_factors():
+    """f^k g counts k times the roots of f and those of g, each factor's
+    count from numpy."""
+    rng = random.Random(49)
+    checked = 0
+    while checked < 100:
+        f, g = _random_coeffs(rng, 3), _random_coeffs(rng, 4)
+        nf, ng = _numpy_disk_count(f), _numpy_disk_count(g)
+        if nf is None or ng is None:
+            continue
+        k = rng.randint(2, 3)
+        p = g
+        for _ in range(k):
+            p = P.mul(p, f)
+        assert A.count_roots_in_open_unit_disk(p) == k * nf + ng, p
+        checked += 1
+
+
+# polys.pseudo_remainder calls of is_pisot: one per step of the (R, S)
+# chain, whose n + 1 entries run down to a constant gcd for these
+# minimal polynomials of degree n; a degree-1 field counts no roots
+GOLDEN_PISOT_REMAINDERS = {
+    "aba-gamma": 0, "aba-left": 0, "fib2": 2, "fibonacci": 2,
+    "nonpisot": 2, "nonunimodular": 2, "pentanacci": 5, "plastic": 3,
+    "rauzy": 3, "rauzy2-gamma": 3, "rauzy2-left": 3, "thue-morse": 0,
+}
+
+
+def test_is_pisot_builds_one_remainder_sequence(monkeypatch):
+    # a work guard: it counts calls and times nothing
+    calls = []
+    remainder = P.pseudo_remainder
+    monkeypatch.setattr(P, "pseudo_remainder",
+                        lambda p, q: calls.append(1) or remainder(p, q))
+
+    def count(minpoly):
+        field = field_from(minpoly)
+        calls.clear()
+        A.is_pisot(field)
+        return len(calls)
+
+    golden = Path(__file__).resolve().parent / "golden"
+    assert {path.stem: count(json.loads(path.read_text(encoding="utf-8"))
+                             ["facts"]["minimal_polynomial"])
+            for path in sorted(golden.glob("*.json"))} == \
+        GOLDEN_PISOT_REMAINDERS
+    for k in range(7, 13):
+        assert count([-1] * k + [1]) == k
 
 
 RAUZY_MINPOLY = [-1, -1, -1, 1]

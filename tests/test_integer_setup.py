@@ -223,13 +223,17 @@ def test_setup_matches_the_rational_setup(name, sub):
     for f in factors:
         assert _ends_or_outcome(P.isolate_largest_real_root(f)) == \
             _ends_or_outcome(ref_isolate_largest_real_root(f))
-    # the Tarski chain of the Pisot test's disk count
+    # the (R, S) chain of the Pisot test's disk count
     system = S.SuspensionSystem(sub)
-    re, im = A._circle_image(list(system.field.minpoly))
-    crossings = P.odd_multiplicity_part(im)
-    g = P.mul(re, P.derivative(crossings))
-    assert P.signed_remainder_chain(crossings, g) == \
-        ref_remainder_chain(crossings, g)
+    pairs = []
+    chain_of = P.signed_remainder_chain
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(P, "signed_remainder_chain",
+                   lambda f, g: pairs.append((f, g)) or chain_of(f, g))
+        A.count_roots_in_open_unit_disk(list(system.field.minpoly))
+    re, im = pairs[0]
+    assert P.degree(re) == system.field.degree
+    assert P.signed_remainder_chain(re, im) == ref_remainder_chain(re, im)
     # same lengths, field, interval, and refinements of it
     reference = with_rational_setup(S.SuspensionSystem, sub)
     assert system.lengths == reference.lengths

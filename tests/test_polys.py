@@ -40,7 +40,6 @@ def test_yun_decomposition():
             p = P.mul(p, f)
     dec = dict((tuple(q), i) for q, i in P.yun_squarefree_decomposition(p))
     assert dec == {(-5, 1): 1, (1, 1): 2, (-1, 1): 3}
-    assert P.odd_multiplicity_part(p) == P.mul([-1, 1], [-5, 1])
 
 
 def test_sturm_counts():
@@ -63,13 +62,6 @@ def test_sturm_against_random_products():
         for r in roots:
             p = P.mul(p, [-r, 1])
         assert P.count_real_roots(p) == len(set(roots))
-
-
-def test_tarski_query():
-    # roots of x^2-1 at -1 and 1; sign of x over them sums to zero
-    assert P.tarski_query([0, 1], [-1, 0, 1]) == 0
-    assert P.tarski_query([1], [-1, 0, 1]) == 2
-    assert P.tarski_query([0, 1], [0, -1, 0, 1]) == 0  # roots -1,0,1
 
 
 def test_isolate_largest_root():
